@@ -210,6 +210,12 @@ def _embed_top(B: RatMat, extra_rows: int) -> RatMat:
     return vstack(B, zeros(extra_rows, k))
 
 
+def lifted_span(S: RatMat, extra: int) -> RatMat:
+    """Columns [S 0; 0 I] spanning span(S) x Q^extra."""
+    n, k = shape(S)
+    return vstack(hstack(S, zeros(n, extra)), hstack(zeros(extra, k), eye(extra)))
+
+
 def vstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
     """Largest output-nulling subspace, by the exact shrinking recursion.
 
@@ -242,20 +248,14 @@ def sstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
     CD = hstack(C, D)
     S = zeros(n, 0)
     for _ in range(n + 1):
-        lifted = hstack(_embed_top(S, m), vstack(zeros(n, m), eye(m)))
+        lifted = lifted_span(S, m)
         inter = intersect_spans(lifted, kernel(CD)) if shape(CD)[0] else lifted
+        # The recursion is non-decreasing, so S_k lies in S_{k+1} already.
         Snext = image_span(AB, inter)
-        Snext = sum_spans(S, Snext)
         if shape(Snext)[1] == shape(S)[1]:
             return S
         S = Snext
     return S
-
-
-def rstar_qstar_span(A, B, C, D):
-    V = vstar_span(A, B, C, D)
-    S = sstar_span(A, B, C, D)
-    return intersect_spans(V, S), sum_spans(V, S)
 
 
 def det(M: RatMat) -> Fraction:

@@ -32,6 +32,7 @@ from .subspaces import (
     image_under,
     invariant_hull,
     kernel_of,
+    lifted_basis,
     modal_subspace,
     preimage,
     span_of,
@@ -137,12 +138,9 @@ def output_nulling_residual(V: Subspace, q: Quadruple,
 def input_containing_residual(S: Subspace, q: Quadruple,
                               tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Residual of [A B] ((S + U) ^ ker [C D]) <= S; zero iff input containing."""
-    lifted = np.zeros((q.n + q.m, S.dim + q.m))
-    lifted[: q.n, : S.dim] = S.basis
-    lifted[q.n :, S.dim :] = np.eye(q.m)
     dom = combine(
         "intersect",
-        span_of(lifted, tol),
+        span_of(lifted_basis(S, q.m), tol),
         kernel_of(np.hstack([q.C, q.D]), tol),
         tol,
     )
@@ -172,8 +170,6 @@ def vstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
         if Vnext.dim == V.dim:
             break
         V = Vnext
-    else:
-        V = seq[-1]
     result = seq[-1]
     return (result, seq) if return_sequence else result
 
@@ -193,10 +189,7 @@ def sstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
     AB = np.hstack([q.A, q.B])
     ker_cd = kernel_of(np.hstack([q.C, q.D]), tol)
     for _ in range(q.n + 1):
-        lifted = np.zeros((q.n + q.m, S.dim + q.m))
-        lifted[: q.n, : S.dim] = S.basis
-        lifted[q.n :, S.dim :] = np.eye(q.m)
-        dom = combine("intersect", span_of(lifted, tol), ker_cd, tol)
+        dom = combine("intersect", span_of(lifted_basis(S, q.m), tol), ker_cd, tol)
         Snext = span_of(AB @ dom.basis, tol, scale=float(np.linalg.norm(AB, 2)))
         seq.append(Snext)
         if Snext.dim == S.dim:

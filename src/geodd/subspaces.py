@@ -358,6 +358,15 @@ def extended_ops(selector: str, W: Subspace, split: int,
     raise InvalidInput(f"unknown selector {selector!r}")
 
 
+def lifted_basis(S: Subspace, extra: int) -> np.ndarray:
+    """Orthonormal basis [S 0; 0 I] of S x R^extra inside R^(n+extra)."""
+    n = S.ambient_dim
+    T = np.zeros((n + extra, S.dim + extra))
+    T[:n, :S.dim] = S.basis
+    T[n:, S.dim:] = np.eye(extra)
+    return T
+
+
 def embed(S: Subspace, total_dim: int, offset: int = 0,
           tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """S viewed inside R^total_dim, occupying coordinates [offset, offset+n)."""

@@ -1,13 +1,16 @@
 """Solvers for the two decoupling problems.
 
 Condition analysis, the affine family of static output-feedback parameters
-K, well-posedness selection (with an exact rational fallback certificate),
-compensator construction, and closed-loop assembly.
+K, well-posedness selection, compensator construction, and closed-loop
+assembly. Everything runs in floating point except one step: when sampling
+finds no well-posed member of the star-pair family, the family is rebuilt
+in exact rational arithmetic and its determinant grid proves or refutes the
+well-posedness obstruction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .subspaces import (
     combine,
     containment_residual,
     kernel_of,
+    lifted_basis,
     span_of,
 )
 
@@ -104,15 +108,15 @@ class ClosedLoop:
 class AffineKFamily:
     """Affine set {K0 + sum theta_i K_i} of feedback parameters.
 
-    Directions are orthonormal as vectors. An exact rational twin of the
-    family (when the defining data was rational) rides along for the
-    identically-singular certificate.
+    Directions are orthonormal as vectors. `plant` is set only on the family
+    written on the star pair (S*, V*); `select_wellposed` rebuilds that
+    family from it in exact rational arithmetic when it must prove that
+    every member is singular.
     """
 
     K0: np.ndarray
     directions: tuple
-    exact_family: object = field(default=None, repr=False, compare=False)
-    exact_Dy: object = field(default=None, repr=False, compare=False)
+    plant: object = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -194,14 +198,6 @@ def _coupling_data(sys: PlantSystem):
     return Atil, Btil, Ctil
 
 
-def _domain_basis(sys: PlantSystem, S: Subspace) -> np.ndarray:
-    """Orthonormal basis of S + W inside R^(n+q)."""
-    T = np.zeros((sys.n + sys.q, S.dim + sys.q))
-    T[: sys.n, : S.dim] = S.basis
-    T[sys.n :, S.dim :] = np.eye(sys.q)
-    return T
-
-
 def _target_projector(sys: PlantSystem, V: Subspace) -> np.ndarray:
     """Orthogonal projector onto the complement of V + 0_Z in R^(n+r)."""
     Vext = np.vstack([V.basis, np.zeros((sys.r, V.dim))])
@@ -217,22 +213,21 @@ def coupling_residual(sys: PlantSystem, V: Subspace, S: Subspace, K) -> float:
     K = np.atleast_2d(np.asarray(K, dtype=float))
     closed = Atil + Btil @ K @ Ctil
     P = _target_projector(sys, V)
-    return float(np.linalg.norm(P @ closed @ _domain_basis(sys, S), 2))
+    return float(np.linalg.norm(P @ closed @ lifted_basis(S, sys.q), 2))
 
 
 def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
-                    tol: ToleranceProfile = DEFAULT_TOL,
-                    exact_spans=None) -> AffineKFamily:
+                    tol: ToleranceProfile = DEFAULT_TOL) -> AffineKFamily:
     """Every K satisfying the coupling inclusion, as an affine set.
 
     The inclusion is vectorized into a linear system over the entries of K;
-    the particular solution is the minimum-norm one. `exact_spans`, when
-    given as a rational (S, V) pair, adds the exact rational twin.
+    the particular solution is the minimum-norm one. The family is computed
+    in floating point only; its `plant` field is left unset.
     """
     if S.ambient_dim != sys.n or V.ambient_dim != sys.n:
         raise DimensionMismatch("subspaces must live in the plant state space")
     Atil, Btil, Ctil = _coupling_data(sys)
-    Tb = _domain_basis(sys, S)
+    Tb = lifted_basis(S, sys.q)
     P = _target_projector(sys, V)
     Y = P @ Btil
     X = Ctil @ Tb
@@ -255,38 +250,25 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
     dirs = tuple(
         null.basis[:, j].reshape((m, p), order="F") for j in range(null.dim)
     )
-
-    exact_family = None
-    exact_Dy = None
-    if exact_spans is not None:
-        S_rat, V_rat = exact_spans
-        Tb_rat = _exact_domain_basis(sys, S_rat)
-        N_rat = _exact_left_annihilator(sys, V_rat)
-        exact_family = exact.affine_k_family(
-            exact.from_array(Atil), exact.from_array(Btil),
-            exact.from_array(Ctil), Tb_rat, N_rat,
-        )
-        exact_Dy = exact.from_array(sys.D_y)
-        if exact_family is None:
-            raise NoSolution("exact coupling inclusion has no solution")
-    return AffineKFamily(K0, dirs, exact_family, exact_Dy)
+    return AffineKFamily(K0, dirs)
 
 
-def _exact_domain_basis(sys: PlantSystem, S_rat):
-    n, q = sys.n, sys.q
-    k = exact.shape(S_rat)[1]
-    top = exact.hstack(S_rat, exact.zeros(n, q))
-    bot = exact.hstack(exact.zeros(q, k), exact.eye(q))
-    return exact.vstack(top, bot)
-
-
-def _exact_left_annihilator(sys: PlantSystem, V_rat):
-    n, r = sys.n, sys.r
-    k = exact.shape(V_rat)[1]
+def _exact_star_family(sys: PlantSystem):
+    """The K family on the star pair (S*, V*) in exact rational arithmetic,
+    or None when the exact coupling inclusion has no solution."""
+    A = exact.from_array(sys.A)
+    V = exact.vstar_span(A, exact.from_array(sys.B), exact.from_array(sys.E),
+                         exact.from_array(sys.D_z))
+    S = exact.sstar_span(A, exact.from_array(sys.H), exact.from_array(sys.C),
+                         exact.from_array(sys.G_y))
+    k = exact.shape(V)[1]
     if k == 0:
-        return exact.eye(n + r)
-    Vext = exact.vstack(V_rat, exact.zeros(r, k))
-    return exact.transpose(exact.kernel(exact.transpose(Vext)))
+        N = exact.eye(sys.n + sys.r)
+    else:
+        V_ext = exact.vstack(V, exact.zeros(sys.r, k))
+        N = exact.transpose(exact.kernel(exact.transpose(V_ext)))
+    Atil, Btil, Ctil = (exact.from_array(M) for M in _coupling_data(sys))
+    return exact.affine_k_family(Atil, Btil, Ctil, exact.lifted_span(S, sys.q), N)
 
 
 def wellposedness_margin(K, D_y) -> float:
@@ -304,8 +286,10 @@ def select_wellposed(family: AffineKFamily, D_y, trials: int = 64,
 
     Order: the particular solution, each single direction at unit step,
     then seeded pseudo-random combinations. When every sample fails and the
-    family carries exact rational data, the determinant is evaluated on an
-    exact grid: vanishing everywhere proves the obstruction.
+    family has its `plant` set, the family is rebuilt in exact rational
+    arithmetic and the determinant is evaluated on an exact grid: vanishing
+    everywhere proves the obstruction (AllSingular, confirmed). Raises
+    NoSolution when the exact coupling inclusion has no solution.
     """
     D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
 
@@ -327,43 +311,27 @@ def select_wellposed(family: AffineKFamily, D_y, trials: int = 64,
         if well_posed(K):
             return K
 
-    if family.exact_family is not None:
+    if family.plant is not None:
+        twin = _exact_star_family(family.plant)
+        if twin is None:
+            raise NoSolution("exact coupling inclusion has no solution")
         m = family.shape[0]
         # Enough points per variable to exceed the determinant's degree.
-        points = max(len(family.exact_family.directions) + 2, m + 1)
-        witness = exact.det_grid_scan(family.exact_family, family.exact_Dy, points)
+        points = max(len(twin.directions) + 2, m + 1)
+        witness = exact.det_grid_scan(twin, exact.from_array(family.plant.D_y),
+                                      points)
         if witness is None:
             raise AllSingular(
                 "det(I + K D_y) vanishes identically on the family",
                 confirmed=True,
             )
-        K = exact.to_array(family.exact_family.member(witness))
+        K = exact.to_array(twin.member(witness))
         if K.shape != family.shape:
             K = K.reshape(family.shape)
         return K
     raise AllSingular(
         "no well-posed member found among sampled candidates", confirmed=False
     )
-
-
-def _exact_star_spans(sys: PlantSystem):
-    """Rational (S*, V*) of the observation/control quadruples."""
-    A = exact.from_array(sys.A)
-    V_rat = exact.vstar_span(
-        A, exact.from_array(sys.B), exact.from_array(sys.E),
-        exact.from_array(sys.D_z),
-    )
-    S_rat = exact.sstar_span(
-        A, exact.from_array(sys.H), exact.from_array(sys.C),
-        exact.from_array(sys.G_y),
-    )
-    return S_rat, V_rat
-
-
-def _star_family(sys, Sst, Vst, tol):
-    """Family on the supremal/infimal pair, with its exact rational twin."""
-    return k_affine_family(sys, Sst, Vst, tol,
-                           exact_spans=_exact_star_spans(sys))
 
 
 def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
@@ -401,19 +369,18 @@ def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
 def _wellposedness_condition(sys, Sst, Vst, label, tol, trials, seed):
     """Build the star family and try to select a well-posed member."""
     try:
-        family = _star_family(sys, Sst, Vst, tol)
+        family = replace(k_affine_family(sys, Sst, Vst, tol), plant=sys)
+        K = select_wellposed(family, sys.D_y, trials, seed)
     except NoSolution:
         return None, ConditionCheck(label, False, float("nan"),
                                     "family construction failed"), None
-    try:
-        K = select_wellposed(family, sys.D_y, trials, seed)
-        check = ConditionCheck(label, True, wellposedness_margin(K, sys.D_y),
-                               "residual holds the well-posedness margin")
-        return family, check, K
     except AllSingular as err:
         note = ("confirmed singular on exact grid" if err.confirmed
                 else "no well-posed sample found")
         return family, ConditionCheck(label, False, 0.0, note), None
+    check = ConditionCheck(label, True, wellposedness_margin(K, sys.D_y),
+                           "residual holds the well-posedness margin")
+    return family, check, K
 
 
 def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,

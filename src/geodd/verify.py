@@ -265,15 +265,8 @@ def _solvable_measurement(A, H, C, G_y, E, G_z, V_rat) -> bool:
         exact.from_array(C), exact.from_array(G_y))
     if not exact.contains_span(V_rat, S_rat):
         return False
-    n = A.shape[0]
-    q = H.shape[1]
-    k = exact.shape(S_rat)[1]
-    lifted = exact.vstack(
-        exact.hstack(S_rat, exact.zeros(n, q)),
-        exact.hstack(exact.zeros(q, k), exact.eye(q)),
-    )
     ker_cg = exact.kernel(exact.from_array(np.hstack([C, G_y])))
-    dom = exact.intersect_spans(lifted, ker_cg)
+    dom = exact.intersect_spans(exact.lifted_span(S_rat, H.shape[1]), ker_cg)
     EG = exact.from_array(np.hstack([E, G_z]))
     image = exact.matmul(EG, dom)
     return all(x == 0 for row in image for x in row)

@@ -144,6 +144,20 @@ class TestLatticeReport:
                 assert rep.reduced_lattice_ok
         assert evaluated >= 30
 
+    def test_vm_reduced_form_on_generated_instances(self):
+        # with one control input the extended S* cuts V* on some seeds, so
+        # the reduced form v_m = V* ^ S*(input-extended) is not just V*
+        cut = 0
+        for seed in range(13):
+            sys = generate_instance(InstanceSpec(seed=seed, n=4, m=1, q=1, p=2, r=1))
+            rep = lattice_report(sys)
+            chk = rep.check("vm_reduced_form")
+            if chk.skipped:
+                continue
+            assert chk.passed, (seed, chk.residual)
+            cut += rep.v_m.dim < rep.sequences["v_hat"][-1].dim
+        assert cut >= 1
+
     def test_interleaved_sums_match_when_hypothesis_holds(self):
         # V-hat_i + S-tilde_j = V-hat_i + S-hat_j across all recursion depths
         sys = generate_instance(InstanceSpec(seed=3, n=4, m=2, q=1, p=2, r=1))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geodd import exact
 from geodd.errors import (
     AllSingular,
     NotWellPosed,
@@ -105,6 +106,31 @@ class TestAnalyzeP1:
             assert rep.condition(label).passed
         assert rep.overall == "well_posedness_obstruction"
         assert rep.condition("iv").note == "confirmed singular on exact grid"
+
+
+class TestExactTwinOnDemand:
+    def test_p1_without_exact_arithmetic(self, monkeypatch, scalar_channel_plant):
+        # generated before the patch: the generator itself is exact
+        generated = generate_instance(InstanceSpec(seed=0, n=8, m=2, q=1, p=2, r=1))
+
+        def forbidden(*args):
+            raise AssertionError("exact rational twin built")
+
+        for name in ("vstar_span", "sstar_span", "affine_k_family"):
+            monkeypatch.setattr(exact, name, forbidden)
+        for sys in (scalar_channel_plant, generated):
+            assert analyze_p1(sys).solvable
+            comp, report = solve(sys, "p1")
+            assert report.solvable
+            assert certify_decoupled(close_loop(sys, comp)).valid
+
+    def test_exact_infeasibility_is_a_numerical_failure(self, monkeypatch,
+                                                        singular_family_plant):
+        monkeypatch.setattr(exact, "affine_k_family", lambda *args: None)
+        rep = analyze_p1(singular_family_plant)
+        assert rep.overall == "numerical_failure"
+        assert rep.condition("iv").note == "family construction failed"
+        assert rep.family is None
 
 
 class TestSynthesize:
