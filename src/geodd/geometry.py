@@ -494,33 +494,40 @@ def spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
     raise InvalidInput(f"unknown kind {kind!r}")
 
 
-def invariant_zeros(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Spectrum induced on V*/R* by any friend of V*."""
-    V = vstar(q, tol)
-    S = sstar(q, tol)
+def _quotient_map(q: Quadruple, V: Subspace, S: Subspace,
+                  tol: ToleranceProfile = DEFAULT_TOL):
+    """R = V ^ S, orthonormal columns T2 extending R to V, and the map that
+    a friend of V induces on V/R in those coordinates; (R, None, None)
+    when V = R."""
     R = combine("intersect", V, S, tol)
     if V.dim == R.dim:
-        return np.zeros(0, dtype=complex)
+        return R, None, None
     F = friend(OUTPUT_NULLING, V, q, tol).F_or_G
     T2 = _extend_within(R, V, tol)
-    return np.linalg.eigvals(T2.T @ (q.A + q.B @ F) @ T2)
+    return R, T2, T2.T @ (q.A + q.B @ F) @ T2
+
+
+def invariant_zeros(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Spectrum induced on V*/R* by any friend of V*."""
+    _, _, M = _quotient_map(q, vstar(q, tol), sstar(q, tol), tol)
+    return np.zeros(0, dtype=complex) if M is None else np.linalg.eigvals(M)
+
+
+def _vstar_g(q: Quadruple, V: Subspace, S: Subspace, region: StabilityRegion,
+             tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
+    """`vstar_g` from the star pair (V*, S*) of q."""
+    R, T2, M = _quotient_map(q, V, S, tol)
+    if M is None:
+        return R
+    stable_part = modal_subspace(M, region, tol)
+    return combine("sum", R, span_of(T2 @ stable_part.basis, tol), tol)
 
 
 def vstar_g(q: Quadruple, region: StabilityRegion,
             tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Largest stabilizability output-nulling subspace: R* plus the stable
     modal part of the map induced on V*/R*."""
-    V = vstar(q, tol)
-    S = sstar(q, tol)
-    R = combine("intersect", V, S, tol)
-    if V.dim == R.dim:
-        return R
-    F = friend(OUTPUT_NULLING, V, q, tol).F_or_G
-    T2 = _extend_within(R, V, tol)
-    M = T2.T @ (q.A + q.B @ F) @ T2
-    stable_part = modal_subspace(M, region, tol)
-    lifted = span_of(T2 @ stable_part.basis, tol)
-    return combine("sum", R, lifted, tol)
+    return _vstar_g(q, vstar(q, tol), sstar(q, tol), region, tol)
 
 
 def sstar_g(q: Quadruple, region: StabilityRegion,

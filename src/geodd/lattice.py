@@ -159,12 +159,31 @@ def disturbance_kernel_condition(sys: PlantSystem, S: Subspace,
     return float(np.linalg.norm(np.hstack([sys.E, sys.G_z]) @ dom.basis, 2))
 
 
+def coupling_conditions(sys: PlantSystem, V: Subspace, S: Subspace,
+                        tol: ToleranceProfile = DEFAULT_TOL) -> dict:
+    """Residuals of the three coupling conditions for a candidate pair:
+
+    (a) im [H; G_z] <= (V + 0_Z) + im [B; D_z]
+    (b) ker [E G_z] >= (S + W) ^ ker [C G_y]
+    (c) S <= V
+    """
+    ra = disturbance_image_condition(sys, V, tol)
+    rb = disturbance_kernel_condition(sys, S, tol)
+    rc = containment_residual(S, V)
+    return {
+        "a": (ra <= tol.residual, ra),
+        "b": (rb <= tol.residual, rb),
+        "c": (rc <= tol.angle, rc),
+    }
+
+
 def vm_sM(sys: PlantSystem,
           tol: ToleranceProfile = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """Minimum self-bounded element of the input-extended lattice and
     maximum self-hidden element of the output-extended one.
 
-    `lattice_report` cross-checks v_m against its reduced form."""
+    `lattice_report` builds the same pair from its own recursions and
+    cross-checks v_m against its reduced form."""
     quad_b, quad_c = extended_quadruples(sys)
     v_m, _ = rstar_qstar(quad_b, tol)
     _, s_M = rstar_qstar(quad_c, tol)
@@ -194,6 +213,10 @@ class LatticeReport:
     interleaved_sums_ok: bool | None
     extended_lattice_ok: bool | None
     reduced_lattice_ok: bool | None
+    # The p2 solvability test rerun on the stabilizability/detectability
+    # subspaces (V*_g, S*_g): {"verdict", "conditions"[, "error"]}. The
+    # paper's claim is that its verdict equals `analyze_p2(...).solvable`.
+    route_stabilizability: dict
     sequences: dict = field(repr=False)
 
     def check(self, name: str) -> LatticeCheck:
@@ -222,6 +245,7 @@ class LatticeReport:
             "interleaved_sums": verdict(self.interleaved_sums_ok),
             "extended_lattice": verdict(self.extended_lattice_ok),
             "reduced_lattice": verdict(self.reduced_lattice_ok),
+            "route_stabilizability": self.route_stabilizability,
         }
 
 
@@ -242,8 +266,11 @@ def lattice_report(sys: PlantSystem,
 
     Every conclusion is evaluated only when its hypothesis holds; a failed
     hypothesis yields a skipped check, never a failed one. Hypotheses that
-    pass within a factor ten of the threshold are flagged marginal.
+    pass within a factor ten of the threshold are flagged marginal. Each
+    star recursion runs once.
     """
+    from .synthesis import _stabilizability_route
+
     quad_ctrl = sys.control_quadruple()
     quad_obs = sys.observation_quadruple()
     quad_b, quad_c = extended_quadruples(sys)
@@ -254,18 +281,18 @@ def lattice_report(sys: PlantSystem,
     s_til, s_til_seq = sstar(quad_b, tol, return_sequence=True)
     s_chk, s_chk_seq = sstar(quad_obs, tol, return_sequence=True)
     v_bar, v_bar_seq = vstar(quad_c, tol, return_sequence=True)
-    s_bar, _ = sstar(quad_c, tol, return_sequence=True)
+    s_bar = sstar(quad_c, tol)
 
-    v_m, s_M = vm_sM(sys, tol)
+    # vm_sM from the recursions above: v_m = R*(quad_b), s_M = Q*(quad_c).
+    v_m = combine("intersect", v_til, s_til, tol)
+    s_M = combine("sum", v_bar, s_bar, tol)
     vm_plus_sM = combine("sum", v_m, s_M, tol)
     vm_cap_sM = combine("intersect", v_m, s_M, tol)
 
-    hyp_a = disturbance_image_condition(sys, v_hat, tol)
-    hyp_b = disturbance_kernel_condition(sys, s_chk, tol)
-    hyp_c = containment_residual(s_chk, v_hat)
-    a_ok = hyp_a <= tol.residual
-    b_ok = hyp_b <= tol.residual
-    c_ok = hyp_c <= tol.angle
+    hyps = coupling_conditions(sys, v_hat, s_chk, tol)
+    a_ok, hyp_a = hyps["a"]
+    b_ok, hyp_b = hyps["b"]
+    c_ok, hyp_c = hyps["c"]
 
     checks = [
         _inclusion_check("v_chain_upper", v_hat, v_til, True, 0.0, tol),
@@ -298,19 +325,14 @@ def lattice_report(sys: PlantSystem,
 
     extended_lattice_ok = None
     if c_ok:
+        # R*(quad_b) is v_m and Q*(quad_c) is s_M.
         bounded = (
             output_nulling_residual(vm_plus_sM, quad_b, tol) <= tol.residual
-            and contains(
-                vm_plus_sM, combine("intersect", vstar(quad_b, tol),
-                                    sstar(quad_b, tol), tol), tol
-            )
+            and contains(vm_plus_sM, v_m, tol)
         )
         hidden = (
             input_containing_residual(vm_cap_sM, quad_c, tol) <= tol.residual
-            and contains(
-                combine("sum", vstar(quad_c, tol), sstar(quad_c, tol), tol),
-                vm_cap_sM, tol
-            )
+            and contains(s_M, vm_cap_sM, tol)
         )
         extended_lattice_ok = bounded and hidden
 
@@ -318,13 +340,13 @@ def lattice_report(sys: PlantSystem,
     if c_ok and (a_ok or b_ok):
         parts = []
         if a_ok:
-            r_ctrl, _ = rstar_qstar(quad_ctrl, tol)
+            r_ctrl = combine("intersect", v_hat, s_hat, tol)
             parts.append(
                 output_nulling_residual(vm_plus_sM, quad_ctrl, tol) <= tol.residual
                 and contains(vm_plus_sM, r_ctrl, tol)
             )
         if b_ok:
-            _, q_obs = rstar_qstar(quad_obs, tol)
+            q_obs = combine("sum", vstar(quad_obs, tol), s_chk, tol)
             parts.append(
                 input_containing_residual(vm_cap_sM, quad_obs, tol) <= tol.residual
                 and contains(q_obs, vm_cap_sM, tol)
@@ -343,23 +365,7 @@ def lattice_report(sys: PlantSystem,
         interleaved_sums_ok=interleave_ok,
         extended_lattice_ok=extended_lattice_ok,
         reduced_lattice_ok=reduced_lattice_ok,
+        route_stabilizability=_stabilizability_route(sys, v_hat, s_hat, tol),
         sequences=sequences,
     )
 
-
-def coupling_conditions(sys: PlantSystem, V: Subspace, S: Subspace,
-                   tol: ToleranceProfile = DEFAULT_TOL) -> dict:
-    """Residuals of the three coupling conditions for a candidate pair:
-
-    (a) im [H; G_z] <= (V + 0_Z) + im [B; D_z]
-    (b) ker [E G_z] >= (S + W) ^ ker [C G_y]
-    (c) S <= V
-    """
-    ra = disturbance_image_condition(sys, V, tol)
-    rb = disturbance_kernel_condition(sys, S, tol)
-    rc = containment_residual(S, V)
-    return {
-        "a": (ra <= tol.residual, ra),
-        "b": (rb <= tol.residual, rb),
-        "c": (rc <= tol.angle, rc),
-    }

@@ -29,6 +29,7 @@ from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     REGION_GUARD,
+    _vstar_g,
     friend,
     region_detectable,
     region_stabilizable,
@@ -37,14 +38,8 @@ from .geometry import (
     sstar_g,
     stabilizing_friend,
     vstar,
-    vstar_g,
 )
-from .lattice import (
-    PlantSystem,
-    disturbance_image_condition,
-    disturbance_kernel_condition,
-    vm_sM,
-)
+from .lattice import PlantSystem, coupling_conditions, vm_sM
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -339,14 +334,7 @@ def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
     """Solvability analysis of decoupling without the stability demand."""
     Vst = vstar(sys.control_quadruple(), tol)
     Sst = sstar(sys.observation_quadruple(), tol)
-    ra = disturbance_image_condition(sys, Vst, tol)
-    rb = disturbance_kernel_condition(sys, Sst, tol)
-    rc = containment_residual(Sst, Vst)
-    conds = [
-        ConditionCheck("i", ra <= tol.residual, ra),
-        ConditionCheck("ii", rb <= tol.residual, rb),
-        ConditionCheck("iii", rc <= tol.angle, rc),
-    ]
+    conds = _coupling_checks(sys, Vst, Sst, ("i", "ii", "iii"), tol)
     family = None
     K = None
     failed = [c.label for c in conds if not c.passed]
@@ -366,6 +354,13 @@ def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
     return FeasibilityReport("p1", tuple(conds), Vst, Sst, family, K, overall)
 
 
+def _coupling_checks(sys, V, S, labels, tol):
+    """The coupling conditions (a), (b), (c) on (V, S) under `labels`."""
+    conds = coupling_conditions(sys, V, S, tol)
+    return [ConditionCheck(label, *conds[key])
+            for label, key in zip(labels, ("a", "b", "c"))]
+
+
 def _wellposedness_condition(sys, Sst, Vst, label, tol, trials, seed):
     """Build the star family and try to select a well-posed member."""
     try:
@@ -383,31 +378,34 @@ def _wellposedness_condition(sys, Sst, Vst, label, tol, trials, seed):
     return family, check, K
 
 
+_PRECONDITION_NOTE = "(A,B) stabilizable and (C,A) detectable required"
+
+
+def _stabilizable_detectable(sys, tol) -> bool:
+    return (region_stabilizable(sys.A, sys.B, sys.region, tol)
+            and region_detectable(sys.C, sys.A, sys.region, tol))
+
+
 def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
                trials: int = 64, seed: int = 0) -> FeasibilityReport:
     """Solvability analysis with internal stability, via the minimum
-    self-bounded / maximum self-hidden pair; the stabilizability-subspace
-    route is evaluated alongside as a cross-check."""
+    self-bounded / maximum self-hidden pair.
+
+    The equivalent test on the stabilizability/detectability subspaces is
+    not run here; `lattice_report` carries it as `route_stabilizability`.
+    """
     region = sys.region
     quad_ctrl = sys.control_quadruple()
     quad_obs = sys.observation_quadruple()
-    if not (region_stabilizable(sys.A, sys.B, region, tol)
-            and region_detectable(sys.C, sys.A, region, tol)):
+    if not _stabilizable_detectable(sys, tol):
         conds = (ConditionCheck("precondition", False, float("nan"),
-                                "(A,B) stabilizable and (C,A) detectable required"),)
+                                _PRECONDITION_NOTE),)
         return FeasibilityReport("p2", conds, None, None, None, None,
                                  "infeasible(precondition)")
 
     Vst = vstar(quad_ctrl, tol)
     Sst = sstar(quad_obs, tol)
-    ra = disturbance_image_condition(sys, Vst, tol)
-    rb = disturbance_kernel_condition(sys, Sst, tol)
-    rc = containment_residual(Sst, Vst)
-    conds = [
-        ConditionCheck("A", ra <= tol.residual, ra),
-        ConditionCheck("B", rb <= tol.residual, rb),
-        ConditionCheck("C", rc <= tol.angle, rc),
-    ]
+    conds = _coupling_checks(sys, Vst, Sst, ("A", "B", "C"), tol)
 
     v_m, s_M = vm_sM(sys, tol)
     vm_sum = combine("sum", v_m, s_M, tol)
@@ -439,47 +437,32 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         overall = "well_posedness_obstruction"
     else:
         overall = f"infeasible({failed[0]})"
-
-    extras = {"route_stabilizability": _stabilizability_route(sys, tol, trials, seed)}
-    if extras["route_stabilizability"]["verdict"] is not None:
-        extras["route_stabilizability"]["agrees"] = (
-            extras["route_stabilizability"]["verdict"] == (overall == "solvable")
-        )
     return FeasibilityReport("p2", tuple(conds), vm_sum, s_M, family, K,
-                             overall, extras)
+                             overall)
 
 
-def _stabilizability_route(sys, tol, trials, seed) -> dict:
-    """Equivalent solvability test on the largest stabilizability and
-    smallest detectability subspaces."""
-    region = sys.region
-    out = {"verdict": None, "conditions": {}}
+def _stabilizability_route(sys, Vst, Sst, tol) -> dict:
+    """The p2 solvability test on the largest stabilizability and smallest
+    detectability subspaces, given the star pair (Vst, Sst) of the control
+    quadruple. The verdict is None when the test cannot be evaluated."""
+    if not _stabilizable_detectable(sys, tol):
+        return {"verdict": None, "conditions": {}, "error": _PRECONDITION_NOTE}
     try:
-        VstG = vstar_g(sys.control_quadruple(), region, tol)
-        SstG = sstar_g(sys.observation_quadruple(), region, tol)
+        VstG = _vstar_g(sys.control_quadruple(), Vst, Sst, sys.region, tol)
+        SstG = sstar_g(sys.observation_quadruple(), sys.region, tol)
     except Exception as err:
-        out["error"] = str(err)
-        return out
-    ra = disturbance_image_condition(sys, VstG, tol)
-    rb = disturbance_kernel_condition(sys, SstG, tol)
-    rc = containment_residual(SstG, VstG)
-    ok = {
-        "i": ra <= tol.residual,
-        "ii": rb <= tol.residual,
-        "iii": rc <= tol.angle,
-    }
+        return {"verdict": None, "conditions": {}, "error": str(err)}
+    ok = {c.label: c.passed
+          for c in _coupling_checks(sys, VstG, SstG, ("i", "ii", "iii"), tol)}
     if all(ok.values()):
         try:
-            fam = k_affine_family(sys, SstG, VstG, tol)
-            select_wellposed(fam, sys.D_y, trials, seed)
+            select_wellposed(k_affine_family(sys, SstG, VstG, tol), sys.D_y)
             ok["iv"] = True
         except (AllSingular, NoSolution):
             ok["iv"] = False
     else:
         ok["iv"] = None
-    out["conditions"] = ok
-    out["verdict"] = all(v is True for v in ok.values())
-    return out
+    return {"verdict": all(v is True for v in ok.values()), "conditions": ok}
 
 
 def k_set_equivalence(sys: PlantSystem,

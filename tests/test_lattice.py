@@ -183,5 +183,43 @@ class TestLatticeReport:
 
     def test_report_serializes(self, scalar_channel_plant):
         d = lattice_report(scalar_channel_plant).to_dict()
-        assert {"v_m_dim", "s_M_dim", "checks", "interleaved_sums", "extended_lattice", "reduced_lattice"} <= set(d)
+        assert {"v_m_dim", "s_M_dim", "checks", "interleaved_sums", "extended_lattice", "reduced_lattice",
+                "route_stabilizability"} <= set(d)
         assert all({"name", "verdict", "residual"} <= set(c) for c in d["checks"])
+
+
+class TestRecursionCounts:
+    """Each entry point runs every star recursion it needs exactly once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from geodd import geometry, lattice, synthesis
+
+        calls = {"n": 0}
+        for name in ("vstar", "sstar"):
+            original = getattr(geometry, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls["n"] += 1
+                return _original(*args, **kwargs)
+
+            for module in (geometry, lattice, synthesis):
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_entry_points_on_generated_plant(self, counts):
+        from geodd.synthesis import analyze_p1, analyze_p2
+
+        sys = generate_instance(InstanceSpec(seed=7, n=4, m=2, q=1, p=2, r=1))
+        runs = {}
+        for name, fn in (("p1", analyze_p1), ("p2", analyze_p2),
+                         ("report", lattice_report)):
+            counts["n"] = 0
+            result = fn(sys)
+            runs[name] = counts["n"]
+        assert result.route_stabilizability["verdict"] is not None
+        # p1: V*, S*; p2 adds the two extended quadruples' pairs (vm_sM);
+        # the report runs 7 + V*(observation), and its stabilizability
+        # route reuses the control pair and recurses on the dual
+        # observation quadruple only.
+        assert runs == {"p1": 2, "p2": 6, "report": 10}

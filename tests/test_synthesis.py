@@ -9,7 +9,7 @@ from geodd.errors import (
     WellPosednessViolated,
 )
 from geodd.geometry import match_spectra, sstar, vstar
-from geodd.lattice import PlantSystem, vm_sM
+from geodd.lattice import PlantSystem, lattice_report, vm_sM
 from geodd.subspaces import Subspace, combine, relate, span_of
 from geodd.synthesis import (
     Compensator,
@@ -278,7 +278,8 @@ class TestAnalyzeP2:
                           E=[[0.0, 1.0]], D_z=np.zeros((1, 1)), G_z=np.zeros((1, 1)))
         rep = analyze_p2(sys)
         assert rep.solvable
-        assert rep.extras["route_stabilizability"]["agrees"]
+        assert rep.extras == {}  # the route lives in the lattice audit
+        assert lattice_report(sys).route_stabilizability["verdict"] == rep.solvable
 
     def test_unstable_fixed_pole_blocks_stability(self):
         # the disturbance must pass through the subspace carrying the
@@ -292,7 +293,7 @@ class TestAnalyzeP2:
         rep2 = analyze_p2(sys)
         assert rep2.overall == "infeasible(D)"
         assert not rep2.condition("D").passed
-        assert rep2.extras["route_stabilizability"]["agrees"]
+        assert lattice_report(sys).route_stabilizability["verdict"] == rep2.solvable
 
     def test_route_agreement_on_generated_instances(self):
         # both solvability routes must agree instance by instance
@@ -301,10 +302,9 @@ class TestAnalyzeP2:
         while total < 100:
             sys = generate_instance(InstanceSpec(seed=seed, n=4, m=2, q=1, p=2, r=1))
             seed += 1
-            rep = analyze_p2(sys)
-            route = rep.extras.get("route_stabilizability", {})
-            if route.get("agrees") is None:
+            route = lattice_report(sys).route_stabilizability
+            if route["verdict"] is None:
                 continue
             total += 1
-            agree += bool(route["agrees"])
+            agree += route["verdict"] == analyze_p2(sys).solvable
         assert agree == total == 100
