@@ -335,6 +335,21 @@ def _placement_targets(k: int, region: StabilityRegion, slot: int) -> np.ndarray
     return sign * (r0 - step * np.arange(k))
 
 
+def _outside(eigs, region: StabilityRegion) -> list:
+    """The eigenvalues that violate the region, boundary guard included."""
+    return [l for l in eigs if region.boundary_distance(l) <= REGION_GUARD]
+
+
+def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile):
+    """Orthonormal basis of the reachable subspace of (A, B) and the
+    spectrum A induces on its orthogonal complement (the uncontrollable,
+    i.e. fixed, modes)."""
+    reach = invariant_hull("smallest_containing", A, span_of(B, tol), tol)
+    T2 = complement(reach, tol).basis
+    fixed = np.linalg.eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
+    return reach.basis, fixed
+
+
 def _place_state_feedback(A: np.ndarray, B: np.ndarray,
                           region: StabilityRegion,
                           tol: ToleranceProfile,
@@ -347,10 +362,7 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
     k = A.shape[0]
     if k == 0:
         return np.zeros((B.shape[1], 0)), np.zeros(0, dtype=complex)
-    reach = invariant_hull("smallest_containing", A, span_of(B, tol), tol)
-    T1 = reach.basis
-    T2 = complement(reach, tol).basis
-    fixed = np.linalg.eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
+    T1, fixed = _controllable_split(A, B, tol)
     kc = T1.shape[1]
     if kc == 0:
         return np.zeros((B.shape[1], k)), fixed
@@ -375,20 +387,18 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
 
 def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
                        region: StabilityRegion,
-                       tol: ToleranceProfile = DEFAULT_TOL,
-                       slots: tuple = (0, 1)) -> FriendCertificate:
+                       tol: ToleranceProfile = DEFAULT_TOL) -> FriendCertificate:
     """Friend whose closed map A+BF (dually A+GC) is stable in the region.
 
     Assignable spectra on the reachability part and on the quotient are
-    placed at reproducible targets (the two slots pick the internal and
-    external target families); fails if a fixed spectrum violates the
-    region, or if the pair itself is not stabilizable.
+    placed at reproducible targets: feedback friends use the feedback target
+    families, injection friends (solved as feedback friends of the dual) the
+    injection ones. Fails if a fixed spectrum violates the region, or if the
+    pair itself is not stabilizable.
     """
     if kind == INPUT_CONTAINING:
-        dual_cert = stabilizing_friend(
-            complement(V_or_S, tol), OUTPUT_NULLING, q.dual(), region, tol,
-            slots=(2, 3) if slots == (0, 1) else slots,
-        )
+        dual_cert = _stabilizing_feedback(
+            complement(V_or_S, tol), q.dual(), region, tol, slots=(2, 3))
         G = dual_cert.F_or_G.T
         resid = injection_residual(G, V_or_S, q)
         if resid > tol.residual:
@@ -396,10 +406,14 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
         return FriendCertificate(G, kind, resid)
     if kind != OUTPUT_NULLING:
         raise InvalidInput(f"unknown friend kind {kind!r}")
+    return _stabilizing_feedback(V_or_S, q, region, tol, slots=(0, 1))
 
-    V = V_or_S
-    _, pair_fixed = _place_state_feedback(q.A, q.B, region, tol)
-    bad = [l for l in pair_fixed if region.boundary_distance(l) <= REGION_GUARD]
+
+def _stabilizing_feedback(V: Subspace, q: Quadruple, region: StabilityRegion,
+                          tol: ToleranceProfile, slots: tuple) -> FriendCertificate:
+    """Stabilizing friend of an output-nulling V; `slots` picks the target
+    families of the internal and the external placement."""
+    bad = _outside(_controllable_split(q.A, q.B, tol)[1], region)
     if bad:
         raise NotStabilizablePair(
             f"pair (A, B) has unstabilizable modes {np.round(bad, 6)}"
@@ -412,23 +426,15 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     if not V.is_trivial:
         Pv = np.eye(q.n) - V.projector()
         Uv = kernel_of(np.vstack([Pv @ q.B, q.D]), tol).basis
-        if Uv.shape[1]:
-            Av = V.basis.T @ (q.A + q.B @ F) @ V.basis
-            Bv = V.basis.T @ q.B @ Uv
-            dF, fixed_int = _place_state_feedback(Av, Bv, region, tol, slot=slots[0])
-            bad = [l for l in fixed_int if region.boundary_distance(l) <= REGION_GUARD]
-            if bad:
-                raise FixedSpectrumOutsideRegion(
-                    "fixed internal spectrum outside the region", bad
-                )
-            F = F + Uv @ dF @ V.basis.T
-        else:
-            fixed_int = np.linalg.eigvals(V.basis.T @ (q.A + q.B @ F) @ V.basis)
-            bad = [l for l in fixed_int if region.boundary_distance(l) <= REGION_GUARD]
-            if bad:
-                raise FixedSpectrumOutsideRegion(
-                    "fixed internal spectrum outside the region", bad
-                )
+        Av = V.basis.T @ (q.A + q.B @ F) @ V.basis
+        Bv = V.basis.T @ q.B @ Uv
+        dF, fixed_int = _place_state_feedback(Av, Bv, region, tol, slot=slots[0])
+        bad = _outside(fixed_int, region)
+        if bad:
+            raise FixedSpectrumOutsideRegion(
+                "fixed internal spectrum outside the region", bad
+            )
+        F = F + Uv @ dF @ V.basis.T
 
     # External loop shaping on the quotient by V; feedback vanishing on V
     # preserves friendship.
@@ -437,7 +443,7 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
         Aq = W.T @ (q.A + q.B @ F) @ W
         Bq = W.T @ q.B
         dF2, fixed_ext = _place_state_feedback(Aq, Bq, region, tol, slot=slots[1])
-        bad = [l for l in fixed_ext if region.boundary_distance(l) <= REGION_GUARD]
+        bad = _outside(fixed_ext, region)
         if bad:
             raise FixedSpectrumOutsideRegion(
                 "fixed external spectrum outside the region", bad
@@ -447,13 +453,12 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     resid = friend_residual(F, V, q)
     if resid > 100 * tol.residual:
         raise NotInvariant("stabilizing friend lost invariance", residual=resid)
-    closed = np.linalg.eigvals(q.A + q.B @ F)
-    bad = [l for l in closed if region.boundary_distance(l) <= REGION_GUARD]
+    bad = _outside(np.linalg.eigvals(q.A + q.B @ F), region)
     if bad:
         raise FixedSpectrumOutsideRegion(
             "closed map spectrum escaped the region", bad
         )
-    return FriendCertificate(F, kind, resid)
+    return FriendCertificate(F, OUTPUT_NULLING, resid)
 
 
 def spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
@@ -540,12 +545,7 @@ def region_stabilizable(A, B, region: StabilityRegion,
                         tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """All uncontrollable modes of (A, B) strictly inside the region."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    reach = invariant_hull("smallest_containing", A, span_of(B, tol), tol)
-    T2 = complement(reach, tol).basis
-    if T2.shape[1] == 0:
-        return True
-    eigs = np.linalg.eigvals(T2.T @ A @ T2)
-    return all(region.boundary_distance(l) > REGION_GUARD for l in eigs)
+    return not _outside(_controllable_split(A, B, tol)[1], region)
 
 
 def region_detectable(C, A, region: StabilityRegion,

@@ -28,7 +28,7 @@ from .errors import (
 from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
-    REGION_GUARD,
+    _outside,
     _vstar_g,
     friend,
     region_detectable,
@@ -416,7 +416,7 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         except Exception as err:  # not invariant => condition fails
             return ConditionCheck(which, False, float("nan"), str(err))
         fixed = rep.internal_fixed if which == "D" else rep.external_fixed
-        bad = [l for l in fixed if region.boundary_distance(l) <= REGION_GUARD]
+        bad = _outside(fixed, region)
         worst = max((-region.boundary_distance(l) for l in fixed), default=-1.0)
         return ConditionCheck(which, not bad, max(worst, 0.0),
                               f"fixed spectrum {np.round(fixed, 6).tolist()}")

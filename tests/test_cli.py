@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geodd
 from geodd.cli import (
     EXIT_INFEASIBLE,
     EXIT_OBSTRUCTION,
@@ -180,8 +183,11 @@ class TestCommands:
 
     def test_console_entry_point(self, tmp_path, scalar_channel_plant):
         plant = write_problem(tmp_path / "scalar_channel_plant.json", scalar_channel_plant)
+        # The child needs the package on its path however pytest found it.
+        path = [str(Path(geodd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         proc = subprocess.run(
             [sys.executable, "-m", "geodd.cli", "analyze", "--input", plant],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["report"]["overall"] == "solvable"

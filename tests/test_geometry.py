@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from geodd import exact
-from geodd.errors import FixedSpectrumOutsideRegion, NotInvariant
+from geodd import InstanceSpec, exact, generate_instance, geometry
+from geodd.errors import FixedSpectrumOutsideRegion, NotInvariant, NotStabilizablePair
 from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
@@ -287,13 +287,40 @@ class TestStabilizingFriend:
             V = vstar(q)
             try:
                 cert = stabilizing_friend(V, OUTPUT_NULLING, q, CONT)
-            except (FixedSpectrumOutsideRegion, Exception):
+            except (FixedSpectrumOutsideRegion, NotStabilizablePair):
                 continue
             eigs = np.linalg.eigvals(q.A + q.B @ cert.F_or_G)
             assert max(e.real for e in eigs) < 0
             assert friend_residual(cert.F_or_G, V, q) <= 1e-6
             done += 1
         assert done >= 10
+
+    def test_unstabilizable_pair_names_the_mode(self):
+        # the mode at +1 is unreachable from the single input
+        q = Quadruple(np.diag([1.0, -1.0]), [[0.0], [1.0]], np.zeros((1, 2)),
+                      np.zeros((1, 1)))
+        with pytest.raises(NotStabilizablePair, match=r"unstabilizable modes \[1\.\]"):
+            stabilizing_friend(Subspace.trivial(2), OUTPUT_NULLING, q, CONT)
+
+    def test_pair_check_places_no_poles(self, monkeypatch):
+        # On this plant (A, B) is controllable with unstable modes and V* has
+        # dimension 3, so the only placement is the internal one on V*.
+        plant = generate_instance(InstanceSpec(seed=7, n=4))
+        q = plant.control_quadruple()
+        V = vstar(q)
+        place = geometry.scipy.signal.place_poles
+        sizes = []
+
+        def counting(A, B, poles, **kwargs):
+            sizes.append(A.shape[0])
+            return place(A, B, poles, **kwargs)
+
+        monkeypatch.setattr(geometry.scipy.signal, "place_poles", counting)
+        cert = stabilizing_friend(V, OUTPUT_NULLING, q, CONT)
+        assert V.dim == 3
+        assert sizes == [3]
+        eigs = np.linalg.eigvals(q.A + q.B @ cert.F_or_G)
+        assert max(e.real for e in eigs) < 0
 
 
 class TestStabilizabilitySubspaces:
