@@ -4,6 +4,13 @@ Mirrors the floating subspace operations so tests can replay every
 computation without roundoff, and supplies the exact determinant grid used
 to confirm that a feedback family is singular everywhere. Spans are plain
 column matrices (lists of rows of Fractions), not orthonormal bases.
+
+Fractions are the interface only. The eliminations behind `rref`, `rank`,
+`kernel`, `colspace`, `contains_span` and `det` clear each row's
+denominators and run on Python integers, dividing each updated row by its
+content (`det` uses Bareiss's exact division instead); `rref` turns only
+its final pivot rows back into Fractions, and the pivot-only callers skip
+even that. The results equal those of the same elimination on Fractions.
 """
 
 from __future__ import annotations
@@ -100,32 +107,80 @@ def vstack(*mats: RatMat) -> RatMat:
     return out
 
 
-def rref(M: RatMat):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = [row[:] for row in M]
-    nrows, ncols = shape(R)
+def _cleared(row: list):
+    """(integers, d) with row == integers / d, d the lcm of the denominators."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _primitive(ints: list) -> list:
+    """The integers divided by their content (their gcd)."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _integer_rows(M: RatMat) -> list:
+    """Each row times the lcm of its denominators, divided by its content.
+
+    Scaling a row by a nonzero constant changes neither its span nor the
+    RREF, so the integer rows reduce to the same R and pivots as M.
+    """
+    return [_primitive(_cleared(row)[0]) for row in M]
+
+
+def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
+    """Integer Gaussian elimination in place; returns the pivot columns.
+
+    Row i becomes pv * row_i - f * pivot_row, divided by its content, so
+    every row stays a nonzero multiple of the row the rational elimination
+    would hold and the pivot choice (first nonzero entry at or below the
+    current row) is the same. With `reduced` the rows above each pivot are
+    cleared too (Gauss-Jordan); without it only the rows below, which gives
+    the same pivots, since no step reads the rows above the current one.
+    """
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if R[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
-        R[r], R[pivot] = R[pivot], R[r]
-        pv = R[r][c]
-        R[r] = [x / pv for x in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            rows[i] = _primitive([pv * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _pivots(M: RatMat) -> list:
+    return _eliminate(_integer_rows(M), shape(M)[1], reduced=False)
+
+
+def rref(M: RatMat):
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    The elimination runs on integers; only the pivot rows of the result are
+    turned back into Fractions (the remaining rows are zero).
+    """
+    nrows, ncols = shape(M)
+    rows = _integer_rows(M)
+    pivots = _eliminate(rows, ncols, reduced=True)
+    R = [[Fraction(x, rows[r][c]) for x in rows[r]] for r, c in enumerate(pivots)]
+    R.extend([Fraction(0)] * ncols for _ in range(nrows - len(pivots)))
     return R, pivots
 
 
 def rank(M: RatMat) -> int:
-    return len(rref(M)[1])
+    return len(_pivots(M))
 
 
 def kernel(M: RatMat) -> RatMat:
@@ -148,7 +203,7 @@ def colspace(M: RatMat) -> RatMat:
     nrows, ncols = shape(M)
     if ncols == 0:
         return zeros(nrows, 0)
-    _, pivots = rref(M)
+    pivots = _pivots(M)
     return [[M[i][c] for c in pivots] for i in range(nrows)]
 
 
@@ -172,7 +227,10 @@ def contains_span(outer: RatMat, inner: RatMat) -> bool:
     _, ki = shape(inner)
     if ki == 0:
         return True
-    return rank(outer) == rank(hstack(outer, inner))
+    # The pivots of [outer inner] that fall in outer's columns are outer's
+    # own, so inner adds to the rank exactly when a pivot lands past them.
+    ko = shape(outer)[1]
+    return all(c < ko for c in _pivots(hstack(outer, inner)))
 
 
 def equal_span(B1: RatMat, B2: RatMat) -> bool:
@@ -246,10 +304,11 @@ def sstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
     m = shape(B)[1]
     AB = hstack(A, B)
     CD = hstack(C, D)
+    ker_cd = kernel(CD) if shape(CD)[0] else None
     S = zeros(n, 0)
     for _ in range(n + 1):
         lifted = lifted_span(S, m)
-        inter = intersect_spans(lifted, kernel(CD)) if shape(CD)[0] else lifted
+        inter = lifted if ker_cd is None else intersect_spans(lifted, ker_cd)
         # The recursion is non-decreasing, so S_k lies in S_{k+1} already.
         Snext = image_span(AB, inter)
         if shape(Snext)[1] == shape(S)[1]:
@@ -259,25 +318,35 @@ def sstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
 
 
 def det(M: RatMat) -> Fraction:
+    """Fraction-free (Bareiss) elimination on the denominator-cleared rows,
+    divided by the product of the row denominators."""
     n, c = shape(M)
     if n != c:
         raise ValueError("determinant of a non-square matrix")
-    R = [row[:] for row in M]
-    out = Fraction(1)
+    rows = []
+    dens = 1
+    for row in M:
+        ints, den = _cleared(row)
+        rows.append(ints)
+        dens *= den
+    sign = 1
+    prev = 1
     for col in range(n):
-        pivot = next((i for i in range(col, n) if R[i][col] != 0), None)
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
-            R[col], R[pivot] = R[pivot], R[col]
-            out = -out
-        pv = R[col][col]
-        out *= pv
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        prow = rows[col]
+        pv = prow[col]
+        # Every updated entry is a minor of the integer matrix (Bareiss 1968),
+        # so the division by the previous pivot is exact.
         for i in range(col + 1, n):
-            if R[i][col] != 0:
-                f = R[i][col] / pv
-                R[i] = [x - f * y for x, y in zip(R[i], R[col])]
-    return out
+            f = rows[i][col]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], prow)]
+        prev = pv
+    return Fraction(sign * prev, dens)
 
 
 def solve_affine(A: RatMat, b: list):
@@ -297,12 +366,9 @@ def clear_denominators(B: RatMat) -> RatMat:
     """Scale each column to the smallest integer entries with the same span."""
     n, k = shape(B)
     out = zeros(n, k)
-    for j in range(k):
-        mult = lcm(*[B[i][j].denominator for i in range(n)]) if n else 1
-        col = [B[i][j] * mult for i in range(n)]
-        shrink = gcd(*[int(x) for x in col]) if any(col) else 1
-        for i in range(n):
-            out[i][j] = col[i] / shrink
+    for j, col in enumerate(transpose(B)):
+        for i, x in enumerate(_primitive(_cleared(col)[0])):
+            out[i][j] = Fraction(x)
     return out
 
 

@@ -311,10 +311,11 @@ def select_wellposed(family: AffineKFamily, D_y, trials: int = 64,
         if twin is None:
             raise NoSolution("exact coupling inclusion has no solution")
         m = family.shape[0]
-        # Enough points per variable to exceed the determinant's degree.
-        points = max(len(twin.directions) + 2, m + 1)
+        # I + K D_y is m x m with entries affine in each theta_i, so its
+        # determinant has degree at most m in every theta_i: m + 1 points
+        # per variable prove that it vanishes identically.
         witness = exact.det_grid_scan(twin, exact.from_array(family.plant.D_y),
-                                      points)
+                                      m + 1)
         if witness is None:
             raise AllSingular(
                 "det(I + K D_y) vanishes identically on the family",

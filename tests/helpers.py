@@ -1,5 +1,7 @@
 """Shared utilities for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from geodd import Quadruple, Subspace, exact
@@ -66,3 +68,49 @@ def exact_star_dims(q: Quadruple):
         if sdims[-1] == sdims[-2]:
             break
     return vdims, sdims
+
+
+def reference_rref(M):
+    """Gauss-Jordan elimination on Fraction entries, the reference that the
+    integer kernel of `exact.rref` must reproduce entry for entry."""
+    R = [row[:] for row in M]
+    nrows, ncols = exact.shape(R)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if R[i][c] != 0), None)
+        if pivot is None:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        pv = R[r][c]
+        R[r] = [x / pv for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
+def reference_det(M):
+    """Determinant by Gaussian elimination on Fraction entries."""
+    n = len(M)
+    R = [row[:] for row in M]
+    out = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if R[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            R[col], R[pivot] = R[pivot], R[col]
+            out = -out
+        pv = R[col][col]
+        out *= pv
+        for i in range(col + 1, n):
+            if R[i][col] != 0:
+                f = R[i][col] / pv
+                R[i] = [x - f * y for x, y in zip(R[i], R[col])]
+    return out

@@ -1,13 +1,59 @@
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodd import exact
+from helpers import reference_det, reference_rref
+
+PROPERTY = settings(max_examples=150, derandomize=True, deadline=None)
+
+ENTRIES = {
+    # plant matrices arrive as floats: dyadic rationals, large denominators
+    "dyadic": st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).map(exact.fr),
+    "mixed": st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    # small integers of both signs: ties and negative pivots
+    "small": st.integers(-3, 3).map(Fraction),
+    # mostly zeros, as in structured plants: pivot searches that swap rows
+    "sparse": st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(-3, 2)]).map(Fraction),
+}
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Fraction matrices up to 6 x 6, 0 x k (the empty list) and k x 0
+    included: full or rank-deficient (a product of thin factors), with or
+    without zeroed rows and columns."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(0, 6))
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 3))
+        left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+        right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+        M = exact.matmul(left, right) if rows else []
+    else:
+        M = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
+            if i < rows:
+                M[i] = [Fraction(0)] * cols
+        for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)):
+            if j < cols:
+                for row in M:
+                    row[j] = Fraction(0)
+    return M
 
 
 def test_rref_and_rank():
     R, pivots = exact.rref(exact.mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
     assert pivots == [0, 2]
+    assert R == exact.mat([[1, 2, 0], [0, 0, 1], [0, 0, 0]])
+    R, pivots = exact.rref(exact.mat([[0, Fraction(-1, 2), 3], [Fraction(2, 3), 1, 0]]))
+    assert pivots == [0, 1]
+    assert R == [[1, 0, 9], [0, 1, -6]]
+    assert all(type(x) is Fraction for row in R for x in row)
     assert exact.rank(exact.mat([[1, 2], [2, 4]])) == 1
 
 
@@ -110,3 +156,55 @@ def test_det_grid_scan_finds_witness():
     Dy = exact.eye(2)
     witness = exact.det_grid_scan(fam, Dy, 4)
     assert witness is not None
+
+
+def test_det_grid_scan_degree_bound():
+    # K = diag(theta - 1, theta - 2), D_y = I: det(I + K) = theta (theta - 1)
+    # has degree m = 2 and vanishes on the first two grid points, 0 and 1
+    fam = exact.ExactAffineFamily(exact.mat([[-1, 0], [0, -2]]), [exact.eye(2)])
+    Dy = exact.eye(2)
+    assert exact.det_grid_scan(fam, Dy, 2) is None
+    assert tuple(exact.det_grid_scan(fam, Dy, 3)) == (Fraction(-1),)
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_rref_matches_fraction_reference(M):
+    R, pivots = exact.rref(M)
+    R_ref, pivots_ref = reference_rref(M)
+    assert pivots == pivots_ref
+    assert R == R_ref
+    assert [[type(x) for x in row] for row in R] == [[type(x) for x in row] for row in R_ref]
+    assert exact.rank(M) == len(pivots_ref)
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_kernel_and_colspace_match_fraction_reference(M):
+    ncols = exact.shape(M)[1]
+    R_ref, pivots = reference_rref(M)
+    free = [c for c in range(ncols) if c not in pivots]
+    expected = [[-R_ref[pivots.index(c)][fc] if c in pivots else Fraction(int(c == fc))
+                 for fc in free] for c in range(ncols)]
+    assert exact.kernel(M) == expected
+    assert exact.colspace(M) == [[row[c] for c in pivots] for row in M]
+
+
+@PROPERTY
+@given(rational_matrices(), st.integers(0, 6))
+def test_contains_span_matches_fraction_reference(M, split):
+    # outer = the first columns of M, inner = the rest
+    split = min(split, exact.shape(M)[1])
+    outer = [row[:split] for row in M]
+    inner = [row[split:] for row in M]
+    expected = (exact.shape(inner)[1] == 0
+                or len(reference_rref(outer)[1]) == len(reference_rref(M)[1]))
+    assert exact.contains_span(outer, inner) == expected
+
+
+@PROPERTY
+@given(rational_matrices(square=True))
+def test_det_matches_fraction_reference(M):
+    d = exact.det(M)
+    assert d == reference_det(M)
+    assert type(d) is Fraction

@@ -70,11 +70,23 @@ class TestSelectWellposed:
         K = select_wellposed(fam, mismatched_plant.D_y)
         assert np.allclose(K, fam.K0)
 
-    def test_singular_family_plant_all_singular_confirmed(self, singular_family_plant):
+    def test_singular_family_plant_all_singular_confirmed(self, singular_family_plant,
+                                                          monkeypatch):
         rep = analyze_p1(singular_family_plant)
+        grids = []
+        scan = exact.det_grid_scan
+
+        def recording_scan(family, Dy, points_per_var):
+            grids.append(points_per_var)
+            return scan(family, Dy, points_per_var)
+
+        monkeypatch.setattr(exact, "det_grid_scan", recording_scan)
         with pytest.raises(AllSingular) as err:
             select_wellposed(rep.family, singular_family_plant.D_y)
         assert err.value.confirmed
+        # det(I + K D_y) has degree at most m in each theta_i, so an m + 1
+        # point grid per variable is the proof, whatever the family's size
+        assert grids == [rep.family.shape[0] + 1]
 
     def test_scalar_channel_plant_half_is_well_posed(self, scalar_channel_plant):
         rep = analyze_p1(scalar_channel_plant)
