@@ -173,6 +173,15 @@ def _verdict_exit(overall: str) -> int:
     return EXIT_NUMERICAL
 
 
+def _loop_checks(sys_: PlantSystem, comp: Compensator, tol, args):
+    """(certificate, max sampled |T_zw|, stable, spectrum) of the closed loop."""
+    cl = close_loop(sys_, comp, tol)
+    cert = certify_decoupled(cl, tol)
+    samples = transfer_samples(cl, default_lambdas(cl, args.samples, args.seed))
+    stable, eigs = stability_check(cl.A_hat, sys_.region)
+    return cert, samples, stable, eigs
+
+
 def run(command: str, args) -> int:
     """Dispatch one subcommand; returns the process exit code."""
     sys_, tol = parse_problem(args.input)
@@ -193,25 +202,17 @@ def run(command: str, args) -> int:
     if command == "solve":
         try:
             comp, report = solve(sys_, args.problem, tol, seed=args.seed)
-        except WellPosednessObstruction as err:
-            payload = {"command": "solve", "seed": args.seed,
-                       "verdict": "well_posedness_obstruction",
-                       "report": err.report.to_dict()}
-            _write_result(args.output, payload)
-            print("well-posedness obstruction: " + str(err), file=_sys.stderr)
-            return EXIT_OBSTRUCTION
-        except Infeasible as err:
-            payload = {"command": "solve", "seed": args.seed,
-                       "verdict": "infeasible",
-                       "report": err.report.to_dict()}
-            _write_result(args.output, payload)
-            print("infeasible: " + str(err), file=_sys.stderr)
-            return EXIT_INFEASIBLE
-        cl = close_loop(sys_, comp, tol)
-        cert = certify_decoupled(cl, tol)
+        except (WellPosednessObstruction, Infeasible) as err:
+            obstruction = isinstance(err, WellPosednessObstruction)
+            verdict = "well_posedness_obstruction" if obstruction else "infeasible"
+            _write_result(args.output, {"command": "solve", "seed": args.seed,
+                                        "verdict": verdict,
+                                        "report": err.report.to_dict()})
+            label = "well-posedness obstruction" if obstruction else "infeasible"
+            print(f"{label}: {err}", file=_sys.stderr)
+            return EXIT_OBSTRUCTION if obstruction else EXIT_INFEASIBLE
+        cert, samples, stable, _ = _loop_checks(sys_, comp, tol, args)
         K, F, G = recover_parameters(sys_, comp)
-        samples = transfer_samples(cl, default_lambdas(cl, args.samples, args.seed))
-        stable, _ = stability_check(cl.A_hat, sys_.region)
         payload = {
             "command": "solve",
             "seed": args.seed,
@@ -230,10 +231,7 @@ def run(command: str, args) -> int:
 
     if command == "verify":
         comp = parse_compensator(args.compensator)
-        cl = close_loop(sys_, comp, tol)
-        cert = certify_decoupled(cl, tol)
-        samples = transfer_samples(cl, default_lambdas(cl, args.samples, args.seed))
-        stable, eigs = stability_check(cl.A_hat, sys_.region)
+        cert, samples, stable, eigs = _loop_checks(sys_, comp, tol, args)
         decoupled = cert.valid and samples <= 1e-8
         want_stable = args.problem == "p2"
         verified = decoupled and (stable or not want_stable)

@@ -185,10 +185,12 @@ def rank(M: RatMat) -> int:
 
 def kernel(M: RatMat) -> RatMat:
     """Columns span the exact null space of M."""
-    nrows, ncols = shape(M)
-    if ncols == 0:
-        return []
-    R, pivots = rref(M)
+    return _rref_kernel(*rref(M), shape(M)[1])
+
+
+def _rref_kernel(R: RatMat, pivots: list, ncols: int) -> RatMat:
+    """Null space of the first ncols columns of a reduced row echelon form
+    R whose pivots all lie among them."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = zeros(ncols, len(free))
     for k, fc in enumerate(free):
@@ -217,7 +219,7 @@ def intersect_spans(B1: RatMat, B2: RatMat) -> RatMat:
     _, k2 = shape(B2)
     if k1 == 0 or k2 == 0:
         return zeros(n, 0)
-    stacked = hstack(B1, scale(B2, -1))
+    stacked = hstack(B1, [[-x for x in row] for row in B2])
     null = kernel(stacked)
     c1 = [row[:] for row in null[:k1]] if null else zeros(k1, 0)
     return colspace(matmul(B1, c1))
@@ -243,7 +245,7 @@ def preimage_span(M: RatMat, B: RatMat) -> RatMat:
     _, kb = shape(B)
     if kb == 0:
         return kernel(M)
-    null = kernel(hstack(M, scale(B, -1)))
+    null = kernel(hstack(M, [[-x for x in row] for row in B]))
     top = [row[:] for row in null[:cm]] if null else zeros(cm, 0)
     return colspace(top)
 
@@ -261,11 +263,6 @@ def invariant_hull_smallest(A: RatMat, B: RatMat) -> RatMat:
             return current
         current = grown
     return current
-
-
-def _embed_top(B: RatMat, extra_rows: int) -> RatMat:
-    n, k = shape(B)
-    return vstack(B, zeros(extra_rows, k))
 
 
 def lifted_span(S: RatMat, extra: int) -> RatMat:
@@ -286,7 +283,7 @@ def vstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
     BD = vstack(B, D)
     V = eye(n)
     for _ in range(n + 1):
-        target = sum_spans(_embed_top(V, p), BD)
+        target = sum_spans(vstack(V, zeros(p, shape(V)[1])), BD)
         Vnext = preimage_span(MT, target)
         if shape(Vnext)[1] == shape(V)[1]:
             return V
@@ -351,7 +348,7 @@ def det(M: RatMat) -> Fraction:
 
 def solve_affine(A: RatMat, b: list):
     """All solutions of A x = b: (particular, nullspace columns) or None."""
-    nrows, ncols = shape(A)
+    ncols = shape(A)[1]
     aug = [row[:] + [fr(v)] for row, v in zip(A, b)]
     R, pivots = rref(aug)
     if ncols in pivots:
@@ -359,7 +356,8 @@ def solve_affine(A: RatMat, b: list):
     x0 = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
         x0[pc] = R[r][ncols]
-    return x0, kernel(A)
+    # The first ncols columns of the RREF of [A b] are the RREF of A.
+    return x0, _rref_kernel(R, pivots, ncols)
 
 
 def clear_denominators(B: RatMat) -> RatMat:

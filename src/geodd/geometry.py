@@ -25,6 +25,7 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _numerical_rank,
     combine,
     complement,
     contains,
@@ -124,12 +125,24 @@ def _bd(q: Quadruple) -> np.ndarray:
     return np.vstack([q.B, q.D])
 
 
+def _nulling_target(V: Subspace, q: Quadruple, BD: Subspace,
+                    tol: ToleranceProfile) -> Subspace:
+    """(V x 0_Y) + BD, BD = im [B; D]: the target of the output-nulling step."""
+    return combine("sum", embed(V, q.n + q.p), BD, tol)
+
+
+def _containing_domain(S: Subspace, q: Quadruple, ker_cd: Subspace,
+                       tol: ToleranceProfile) -> Subspace:
+    """(S x U) ^ ker_cd, ker_cd = ker [C D]: the input-containing step's domain."""
+    return combine("intersect", span_of(lifted_basis(S, q.m), tol), ker_cd, tol)
+
+
 def output_nulling_residual(V: Subspace, q: Quadruple,
                             tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Residual of [A; C] V <= (V + 0_Y) + im [B; D]; zero iff output nulling."""
     if V.is_trivial:
         return 0.0
-    target = combine("sum", embed(V, q.n + q.p), span_of(_bd(q), tol), tol)
+    target = _nulling_target(V, q, span_of(_bd(q), tol), tol)
     mapped = _stacked_output(q) @ V.basis
     resid = mapped - target.basis @ (target.basis.T @ mapped)
     return float(np.linalg.norm(resid, 2))
@@ -138,12 +151,7 @@ def output_nulling_residual(V: Subspace, q: Quadruple,
 def input_containing_residual(S: Subspace, q: Quadruple,
                               tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Residual of [A B] ((S + U) ^ ker [C D]) <= S; zero iff input containing."""
-    dom = combine(
-        "intersect",
-        span_of(lifted_basis(S, q.m), tol),
-        kernel_of(np.hstack([q.C, q.D]), tol),
-        tol,
-    )
+    dom = _containing_domain(S, q, kernel_of(np.hstack([q.C, q.D]), tol), tol)
     mapped = np.hstack([q.A, q.B]) @ dom.basis
     resid = mapped - S.basis @ (S.basis.T @ mapped)
     return float(np.linalg.norm(resid, 2) if resid.size else 0.0)
@@ -164,8 +172,7 @@ def vstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
     MT = _stacked_output(q)
     BD = span_of(_bd(q), tol)
     for _ in range(q.n + 1):
-        target = combine("sum", embed(V, q.n + q.p), BD, tol)
-        Vnext = preimage(MT, target, tol)
+        Vnext = preimage(MT, _nulling_target(V, q, BD, tol), tol)
         seq.append(Vnext)
         if Vnext.dim == V.dim:
             break
@@ -189,7 +196,7 @@ def sstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
     AB = np.hstack([q.A, q.B])
     ker_cd = kernel_of(np.hstack([q.C, q.D]), tol)
     for _ in range(q.n + 1):
-        dom = combine("intersect", span_of(lifted_basis(S, q.m), tol), ker_cd, tol)
+        dom = _containing_domain(S, q, ker_cd, tol)
         Snext = span_of(AB @ dom.basis, tol, scale=float(np.linalg.norm(AB, 2)))
         seq.append(Snext)
         if Snext.dim == S.dim:
@@ -213,10 +220,10 @@ def friend(kind: str, V_or_S: Subspace, q: Quadruple,
     The friend is solved column-by-column over a basis of the subspace by
     least squares and extended by zero on the orthogonal complement.
     """
+    if V_or_S.ambient_dim != q.n:
+        raise DimensionMismatch("subspace must live in the state space")
     if kind == OUTPUT_NULLING:
         V = V_or_S
-        if V.ambient_dim != q.n:
-            raise DimensionMismatch("subspace must live in the state space")
         memb = output_nulling_residual(V, q, tol)
         if memb > tol.residual:
             raise NotInvariant("subspace is not output nulling", residual=memb)
@@ -235,8 +242,6 @@ def friend(kind: str, V_or_S: Subspace, q: Quadruple,
         return FriendCertificate(F, kind, resid)
     if kind == INPUT_CONTAINING:
         S = V_or_S
-        if S.ambient_dim != q.n:
-            raise DimensionMismatch("subspace must live in the state space")
         memb = input_containing_residual(S, q, tol)
         if memb > tol.residual:
             raise NotInvariant("subspace is not input containing", residual=memb)
@@ -373,7 +378,7 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
     Bc = T1.T @ B
     # Reduce to full column rank inputs for the placement routine.
     U, s, Vh = np.linalg.svd(Bc, full_matrices=False)
-    rb = int(np.sum(s > tol.rank_rel * max(Bc.shape) * (s[0] if s.size else 1.0)))
+    rb = _numerical_rank(s, Bc.shape, tol.rank_rel, 0.0)
     Vr = Vh[:rb].T
     Bred = Bc @ Vr
     targets = _placement_targets(kc, region, slot)

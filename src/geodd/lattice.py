@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidInput
 from .geometry import (
     Quadruple,
+    _bd,
+    _containing_domain,
+    _nulling_target,
     input_containing_residual,
     output_nulling_residual,
     rstar_qstar,
@@ -31,10 +34,8 @@ from .subspaces import (
     combine,
     containment_residual,
     contains,
-    embed,
     equal,
     kernel_of,
-    lifted_basis,
     span_of,
 )
 
@@ -135,12 +136,8 @@ def extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
 def disturbance_image_condition(sys: PlantSystem, V: Subspace,
                                 tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Residual of im [H; G_z] <= (V + 0_Z) + im [B; D_z]."""
-    target = combine(
-        "sum",
-        embed(V, sys.n + sys.r),
-        span_of(np.vstack([sys.B, sys.D_z]), tol),
-        tol,
-    )
+    quad = sys.control_quadruple()
+    target = _nulling_target(V, quad, span_of(_bd(quad), tol), tol)
     HG = span_of(np.vstack([sys.H, sys.G_z]), tol)
     return containment_residual(HG, target)
 
@@ -148,12 +145,8 @@ def disturbance_image_condition(sys: PlantSystem, V: Subspace,
 def disturbance_kernel_condition(sys: PlantSystem, S: Subspace,
                                  tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Residual of ker [E G_z] >= (S + W) ^ ker [C G_y]."""
-    dom = combine(
-        "intersect",
-        span_of(lifted_basis(S, sys.q), tol),
-        kernel_of(np.hstack([sys.C, sys.G_y]), tol),
-        tol,
-    )
+    dom = _containing_domain(S, sys.observation_quadruple(),
+                             kernel_of(np.hstack([sys.C, sys.G_y]), tol), tol)
     if dom.is_trivial:
         return 0.0
     return float(np.linalg.norm(np.hstack([sys.E, sys.G_z]) @ dom.basis, 2))

@@ -197,9 +197,11 @@ def combine(mode: str, S1: Subspace, S2: Subspace,
     if mode == "sum":
         return span_of(np.hstack([S1.basis, S2.basis]), tol)
     if mode == "intersect":
-        # (S1 ^ S2) = (S1perp + S2perp)perp keeps all rank decisions in span/kernel.
-        c = combine("sum", complement(S1, tol), complement(S2, tol), tol)
-        return complement(c, tol)
+        # S1 ^ S2 = B1 ker((I - P2) B1): one rank decision, on the sines of
+        # the principal angles (Bjorck & Golub 1973); the product stays orthonormal.
+        B1, B2 = S1.basis, S2.basis
+        null = kernel_of(B1 - B2 @ (B2.T @ B1), tol, scale=1.0)
+        return Subspace(S1.ambient_dim, B1 @ null.basis)
     raise InvalidInput(f"unknown combine mode {mode!r}")
 
 

@@ -54,6 +54,9 @@ from .subspaces import (
 # Well-posedness margin: |det(I + K D_y)| >= DELTA_WP * (1 + ||K D_y||).
 DELTA_WP = 1e-8
 
+# Seeded random members of a K family tried before the exact grid.
+SAMPLE_TRIALS = 64
+
 
 @dataclass(frozen=True)
 class Compensator:
@@ -275,16 +278,15 @@ def wellposedness_margin(K, D_y) -> float:
                  / (1.0 + np.linalg.norm(KD)))
 
 
-def select_wellposed(family: AffineKFamily, D_y, trials: int = 64,
-                     seed: int = 0) -> np.ndarray:
+def select_wellposed(family: AffineKFamily, D_y, seed: int = 0) -> np.ndarray:
     """Deterministic search for a member with I + K D_y safely invertible.
 
     Order: the particular solution, each single direction at unit step,
-    then seeded pseudo-random combinations. When every sample fails and the
-    family has its `plant` set, the family is rebuilt in exact rational
-    arithmetic and the determinant is evaluated on an exact grid: vanishing
-    everywhere proves the obstruction (AllSingular, confirmed). Raises
-    NoSolution when the exact coupling inclusion has no solution.
+    then SAMPLE_TRIALS seeded pseudo-random combinations. When every sample
+    fails and the family has its `plant` set, the family is rebuilt in exact
+    rational arithmetic and the determinant is evaluated on an exact grid:
+    vanishing everywhere proves the obstruction (AllSingular, confirmed).
+    Raises NoSolution when the exact coupling inclusion has no solution.
     """
     D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
 
@@ -300,7 +302,7 @@ def select_wellposed(family: AffineKFamily, D_y, trials: int = 64,
             return K
     rng = np.random.default_rng(seed)
     scale = 1.0 + np.linalg.norm(family.K0)
-    for _ in range(trials):
+    for _ in range(SAMPLE_TRIALS):
         theta = rng.standard_normal(family.n_directions) * scale
         K = family.member(theta)
         if well_posed(K):
@@ -331,7 +333,7 @@ def select_wellposed(family: AffineKFamily, D_y, trials: int = 64,
 
 
 def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
-               trials: int = 64, seed: int = 0) -> FeasibilityReport:
+               seed: int = 0) -> FeasibilityReport:
     """Solvability analysis of decoupling without the stability demand."""
     Vst = vstar(sys.control_quadruple(), tol)
     Sst = sstar(sys.observation_quadruple(), tol)
@@ -344,7 +346,7 @@ def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         overall = f"infeasible({failed[0]})"
     else:
         family, check, K = _wellposedness_condition(
-            sys, Sst, Vst, "iv", tol, trials, seed)
+            sys, Sst, Vst, "iv", tol, seed)
         conds.append(check)
         if check.passed:
             overall = "solvable"
@@ -362,11 +364,11 @@ def _coupling_checks(sys, V, S, labels, tol):
             for label, key in zip(labels, ("a", "b", "c"))]
 
 
-def _wellposedness_condition(sys, Sst, Vst, label, tol, trials, seed):
+def _wellposedness_condition(sys, Sst, Vst, label, tol, seed):
     """Build the star family and try to select a well-posed member."""
     try:
         family = replace(k_affine_family(sys, Sst, Vst, tol), plant=sys)
-        K = select_wellposed(family, sys.D_y, trials, seed)
+        K = select_wellposed(family, sys.D_y, seed)
     except NoSolution:
         return None, ConditionCheck(label, False, float("nan"),
                                     "family construction failed"), None
@@ -388,7 +390,7 @@ def _stabilizable_detectable(sys, tol) -> bool:
 
 
 def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
-               trials: int = 64, seed: int = 0) -> FeasibilityReport:
+               seed: int = 0) -> FeasibilityReport:
     """Solvability analysis with internal stability, via the minimum
     self-bounded / maximum self-hidden pair.
 
@@ -419,14 +421,16 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         fixed = rep.internal_fixed if which == "D" else rep.external_fixed
         bad = _outside(fixed, region)
         worst = max((-region.boundary_distance(l) for l in fixed), default=-1.0)
+        # Sorted, so the note does not depend on the basis; + 0.0 maps -0.0 to 0.0.
+        shown = np.sort(np.round(np.asarray(fixed), 6) + 0.0).tolist()
         return ConditionCheck(which, not bad, max(worst, 0.0),
-                              f"fixed spectrum {np.round(fixed, 6).tolist()}")
+                              f"fixed spectrum {shown}")
 
     conds.append(spectra_check(vm_sum, OUTPUT_NULLING, quad_ctrl, "D"))
     conds.append(spectra_check(s_M, INPUT_CONTAINING, quad_obs, "E"))
 
     family, check_f, K = _wellposedness_condition(
-        sys, Sst, Vst, "F", tol, trials, seed)
+        sys, Sst, Vst, "F", tol, seed)
     conds.append(check_f)
     obstruction = (not check_f.passed
                    and check_f.note != "family construction failed")
@@ -481,12 +485,10 @@ def k_set_equivalence(sys: PlantSystem,
         "K0_2_in_1": fam1.distance(fam2.K0),
     }
     mp = sys.m * sys.p
-    span1 = span_of(
-        np.column_stack([D.flatten(order="F") for D in fam1.directions])
-        if fam1.directions else np.zeros((mp, 0)), tol)
-    span2 = span_of(
-        np.column_stack([D.flatten(order="F") for D in fam2.directions])
-        if fam2.directions else np.zeros((mp, 0)), tol)
+    span1, span2 = (
+        span_of(np.column_stack([np.zeros((mp, 0))]
+                                + [D.flatten(order="F") for D in fam.directions]), tol)
+        for fam in (fam1, fam2))
     residuals["dirs_1_in_2"] = containment_residual(span1, span2)
     residuals["dirs_2_in_1"] = containment_residual(span2, span1)
     equal_sets = (
@@ -577,17 +579,16 @@ def close_loop(sys: PlantSystem, comp: Compensator,
 
 
 def solve(sys: PlantSystem, problem: str = "p1",
-          tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0,
-          trials: int = 64):
+          tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
     """Full pipeline: analyze, pick subspaces, select K, build friends,
     synthesize, close the loop, and certify. Returns (compensator, report);
     raises Infeasible / WellPosednessObstruction with the report attached."""
     from .verify import certify_decoupled, stability_check
 
     if problem == "p1":
-        report = analyze_p1(sys, tol, trials, seed)
+        report = analyze_p1(sys, tol, seed)
     elif problem == "p2":
-        report = analyze_p2(sys, tol, trials, seed)
+        report = analyze_p2(sys, tol, seed)
     else:
         raise ValueError(f"unknown problem {problem!r}")
     if report.overall == "well_posedness_obstruction":

@@ -203,6 +203,30 @@ def test_contains_span_matches_fraction_reference(M, split):
 
 
 @PROPERTY
+@given(rational_matrices(), st.data())
+def test_solve_affine_matches_rref_and_kernel(A, data):
+    # b in the column space of A half the time, arbitrary otherwise
+    nrows, ncols = exact.shape(A)
+    if data.draw(st.booleans()):
+        x = [[data.draw(ENTRIES["mixed"])] for _ in range(ncols)]
+        b = [row[0] for row in exact.matmul(A, x)] if ncols else [Fraction(0)] * nrows
+    else:
+        b = [data.draw(ENTRIES["mixed"]) for _ in range(nrows)]
+    R, pivots = exact.rref([row + [v] for row, v in zip(A, b)])
+    got = exact.solve_affine(A, b)
+    if ncols in pivots:
+        assert got is None
+        return
+    x0, null = got
+    assert [sum((a * v for a, v in zip(row, x0)), Fraction(0)) for row in A] == b
+    assert all(x0[c] == 0 for c in range(ncols) if c not in pivots)
+    want = exact.kernel(A)
+    assert null == want
+    assert [[type(v) for v in row] for row in null] == [[type(v) for v in row] for row in want]
+    assert all(type(v) is Fraction for v in x0)
+
+
+@PROPERTY
 @given(rational_matrices(square=True))
 def test_det_matches_fraction_reference(M):
     d = exact.det(M)

@@ -90,6 +90,20 @@ class TestCombine:
                 exact.intersect_spans(exact.from_array(M1), exact.from_array(M2)), 6)
             assert max_angle(got, want) <= 1e-8
 
+    def test_intersection_takes_one_svd(self, monkeypatch):
+        # one rank decision, on the sines of the principal angles (the
+        # complement-sum-complement route took four)
+        rng = np.random.default_rng(3)
+        S1 = span_of(rng.standard_normal((6, 4)))
+        S2 = span_of(rng.standard_normal((6, 4)))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        inter = combine("intersect", S1, S2)
+        assert inter.dim == 2
+        assert len(calls) == 1
+
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):
             combine("sum", Subspace.full(2), Subspace.full(3))

@@ -307,6 +307,23 @@ class TestAnalyzeP2:
         assert not rep2.condition("D").passed
         assert lattice_report(sys).route_stabilizability["verdict"] == rep2.solvable
 
+    def test_fixed_spectrum_note_is_sorted_and_basis_free(self):
+        # B = 0 leaves the whole spectrum of A fixed on V_m + S_M = X; an
+        # orthogonally similar copy must print the same note
+        A = np.diag([-1.0, -2.0, -3.0])
+        sys = PlantSystem(A=A, B=np.zeros((3, 1)), H=np.ones((3, 1)),
+                          C=[[1.0, 1.0, 0.0]], D_y=np.zeros((1, 1)),
+                          G_y=np.zeros((1, 1)), E=np.zeros((1, 3)),
+                          D_z=np.zeros((1, 1)), G_z=np.zeros((1, 1)))
+        Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+        similar = PlantSystem(A=Q.T @ A @ Q, B=Q.T @ sys.B, H=Q.T @ sys.H,
+                              C=sys.C @ Q, D_y=sys.D_y, G_y=sys.G_y, E=sys.E @ Q,
+                              D_z=sys.D_z, G_z=sys.G_z)
+        for plant in (sys, similar):
+            rep = analyze_p2(plant)
+            assert rep.solvable
+            assert rep.condition("D").note == "fixed spectrum [-3.0, -2.0, -1.0]"
+
     def test_route_agreement_on_generated_instances(self):
         # both solvability routes must agree instance by instance
         agree = total = 0
