@@ -28,7 +28,13 @@ from .errors import (
 )
 from .lattice import PlantSystem
 from .subspaces import CONTINUOUS, DISCRETE, ToleranceProfile
-from .synthesis import Compensator, close_loop, recover_parameters, solve
+from .synthesis import (
+    Compensator,
+    analysis_pair,
+    close_loop,
+    recover_parameters,
+    solve,
+)
 from .verify import certify_decoupled, default_lambdas, stability_check, transfer_samples
 
 EXIT_OK = 0
@@ -173,10 +179,16 @@ def _verdict_exit(overall: str) -> int:
     return EXIT_NUMERICAL
 
 
-def _loop_checks(sys_: PlantSystem, comp: Compensator, tol, args):
-    """(certificate, max sampled |T_zw|, stable, spectrum) of the closed loop."""
+def _loop_checks(sys_: PlantSystem, comp: Compensator, tol, args, pair):
+    """(certificate, max sampled |T_zw|, stable, spectrum) of the closed loop.
+
+    The certificate is taken on the (V, S) pair; a loop that fails it (a
+    compensator not built on that pair) is certified on the hull instead.
+    """
     cl = close_loop(sys_, comp, tol)
-    cert = certify_decoupled(cl, tol)
+    cert = certify_decoupled(cl, tol, pair=pair) if cl.order == 2 * sys_.n else None
+    if cert is None or not cert.valid:
+        cert = certify_decoupled(cl, tol)
     samples = transfer_samples(cl, default_lambdas(cl, args.samples, args.seed))
     stable, eigs = stability_check(cl.A_hat, sys_.region)
     return cert, samples, stable, eigs
@@ -211,7 +223,8 @@ def run(command: str, args) -> int:
             label = "well-posedness obstruction" if obstruction else "infeasible"
             print(f"{label}: {err}", file=_sys.stderr)
             return EXIT_OBSTRUCTION if obstruction else EXIT_INFEASIBLE
-        cert, samples, stable, _ = _loop_checks(sys_, comp, tol, args)
+        cert, samples, stable, _ = _loop_checks(sys_, comp, tol, args,
+                                                (report.V, report.S))
         K, F, G = recover_parameters(sys_, comp)
         payload = {
             "command": "solve",
@@ -231,7 +244,8 @@ def run(command: str, args) -> int:
 
     if command == "verify":
         comp = parse_compensator(args.compensator)
-        cert, samples, stable, eigs = _loop_checks(sys_, comp, tol, args)
+        pair = analysis_pair(sys_, args.problem, tol)
+        cert, samples, stable, eigs = _loop_checks(sys_, comp, tol, args, pair)
         decoupled = cert.valid and samples <= 1e-8
         want_stable = args.problem == "p2"
         verified = decoupled and (stable or not want_stable)

@@ -332,11 +332,20 @@ def select_wellposed(family: AffineKFamily, D_y, seed: int = 0) -> np.ndarray:
     )
 
 
+def analysis_pair(sys: PlantSystem, problem: str,
+                  tol: ToleranceProfile = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
+    """The (V, S) pair a compensator for `problem` is built on: (V*, S*) for
+    p1, (V_m + S_M, S_M) for p2."""
+    if problem == "p1":
+        return vstar(sys.control_quadruple(), tol), sstar(sys.observation_quadruple(), tol)
+    v_m, s_M = vm_sM(sys, tol)
+    return combine("sum", v_m, s_M, tol), s_M
+
+
 def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
                seed: int = 0) -> FeasibilityReport:
     """Solvability analysis of decoupling without the stability demand."""
-    Vst = vstar(sys.control_quadruple(), tol)
-    Sst = sstar(sys.observation_quadruple(), tol)
+    Vst, Sst = analysis_pair(sys, "p1", tol)
     conds = _coupling_checks(sys, Vst, Sst, ("i", "ii", "iii"), tol)
     family = None
     K = None
@@ -406,12 +415,9 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         return FeasibilityReport("p2", conds, None, None, None, None,
                                  "infeasible(precondition)")
 
-    Vst = vstar(quad_ctrl, tol)
-    Sst = sstar(quad_obs, tol)
+    Vst, Sst = analysis_pair(sys, "p1", tol)
     conds = _coupling_checks(sys, Vst, Sst, ("A", "B", "C"), tol)
-
-    v_m, s_M = vm_sM(sys, tol)
-    vm_sum = combine("sum", v_m, s_M, tol)
+    vm_sum, s_M = analysis_pair(sys, "p2", tol)
 
     def spectra_check(sub, kind, quad, which):
         try:
@@ -581,7 +587,8 @@ def close_loop(sys: PlantSystem, comp: Compensator,
 def solve(sys: PlantSystem, problem: str = "p1",
           tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
     """Full pipeline: analyze, pick subspaces, select K, build friends,
-    synthesize, close the loop, and certify. Returns (compensator, report);
+    synthesize, close the loop, and certify it on the pair (report.V,
+    report.S) the compensator was built on. Returns (compensator, report);
     raises Infeasible / WellPosednessObstruction with the report attached."""
     from .verify import certify_decoupled, stability_check
 
@@ -597,17 +604,13 @@ def solve(sys: PlantSystem, problem: str = "p1",
     if not report.solvable:
         raise Infeasible(f"analysis verdict: {report.overall}", report)
 
-    V, S, K = report.V, report.S, report.K
-    if problem == "p2":
-        # The star-pair K must also satisfy the coupling inclusion on the
-        # self-bounded/self-hidden pair (the two affine families coincide).
-        resid = coupling_residual(sys, V, S, K)
-        if resid > 1e3 * tol.residual:
-            raise CertificateFailed(
-                f"K fails the coupling inclusion on the lattice pair ({resid:.2e})")
-    comp = synthesize(sys, V, S, K, stabilize=(problem == "p2"), tol=tol)
+    V, S = report.V, report.S
+    comp = synthesize(sys, V, S, report.K, stabilize=(problem == "p2"), tol=tol)
     cl = close_loop(sys, comp, tol)
-    cert = certify_decoupled(cl, tol)
+    # For p2 the star-pair K is used on the self-bounded/self-hidden pair
+    # (the two affine families coincide); a K off that family leaves the
+    # loop outside the pair's subspace and fails here.
+    cert = certify_decoupled(cl, tol, pair=(V, S))
     if not cert.valid:
         raise CertificateFailed(
             "synthesized loop failed its decoupling certificate "

@@ -1,6 +1,12 @@
 """Independent verification: decoupling certificates, transfer-function
 sampling, stability checks, impulse simulation, and a seeded generator of
-solvable plants for the property suites."""
+solvable plants for the property suites.
+
+A certificate is checked on a subspace of the 2n-state loop. A compensator
+built on a pair (V, S) comes with one in closed form,
+W = {(x, p) : x in V, x - p in S}, which needs no rank decision; any other
+loop is searched with the smallest invariant subspace containing im H^ (a
+Krylov hull, whose rank decisions can miss on larger loops)."""
 
 from __future__ import annotations
 
@@ -11,6 +17,7 @@ import numpy as np
 from . import exact
 from .errors import (
     ContinuousNotSupported,
+    DimensionMismatch,
     GenerationFailed,
     SampleTooCloseToPole,
 )
@@ -41,6 +48,9 @@ class DecouplingCertificate:
     The invariance and kernel residuals are relative to the norms of the
     loop matrices they apply (the subspace basis is orthonormal, so they
     would otherwise scale with the data); the feedthrough norm is absolute.
+    On a pair certificate `residual_invariance` is the larger of the
+    A^-invariance residual and the relative distance of im H^ from the
+    subspace, which the hull contains by construction.
     """
 
     invariant_subspace: Subspace
@@ -58,15 +68,36 @@ class DecouplingCertificate:
         )
 
 
-def certify_decoupled(cl: ClosedLoop,
-                      tol: ToleranceProfile = DEFAULT_TOL) -> DecouplingCertificate:
-    """Certificate from the smallest invariant subspace containing im H^."""
+def _pair_subspace(V: Subspace, S: Subspace) -> Subspace:
+    """W = {(x, p) : x in V, x - p in S} in the loop state space, from the
+    orthonormalized basis [V 0; V -S] (full column rank for any V, S)."""
+    n = V.ambient_dim
+    basis = np.block([[V.basis, np.zeros((n, S.dim))], [V.basis, -S.basis]])
+    return Subspace(2 * n, np.linalg.qr(basis)[0])
+
+
+def certify_decoupled(cl: ClosedLoop, tol: ToleranceProfile = DEFAULT_TOL,
+                      pair: tuple[Subspace, Subspace] | None = None,
+                      ) -> DecouplingCertificate:
+    """Certificate on the subspace W of the pair (V, S) the compensator was
+    built on, or, without a pair, on the smallest invariant subspace
+    containing im H^.
+
+    A pair certificate is valid when A^W <= W, im H^ <= W, C^W = 0 and
+    G^ = 0 hold to the tolerance; a compensator built on another pair fails
+    it, and may still pass the hull certificate.
+    """
     # Anchor the rank decision to the loop's scale: a disturbance input
     # that the compensator cancels exactly leaves H^ at roundoff level, and
     # its noise directions must not seed the hull.
     scale = max(1.0, float(np.linalg.norm(cl.A_hat, 2)))
-    I_hat = invariant_hull("smallest_containing", cl.A_hat,
-                           span_of(cl.H_hat, tol, scale=scale), tol)
+    if pair is None:
+        I_hat = invariant_hull("smallest_containing", cl.A_hat,
+                               span_of(cl.H_hat, tol, scale=scale), tol)
+    elif cl.order != 2 * pair[0].ambient_dim:
+        raise DimensionMismatch("a pair certificate needs an order-n compensator")
+    else:
+        I_hat = _pair_subspace(*pair)
     B = I_hat.basis
     if I_hat.is_trivial:
         inv_resid = 0.0
@@ -76,6 +107,10 @@ def certify_decoupled(cl: ClosedLoop,
         inv_resid = float(np.linalg.norm(mapped - B @ (B.T @ mapped), 2)) / scale
         ker_resid = (float(np.linalg.norm(cl.C_hat @ B, 2))
                      / (1.0 + float(np.linalg.norm(cl.C_hat, 2))))
+    if pair is not None and cl.H_hat.size:
+        outside = cl.H_hat - B @ (B.T @ cl.H_hat)
+        inv_resid = max(inv_resid, float(np.linalg.norm(outside, 2))
+                        / (1.0 + float(np.linalg.norm(cl.H_hat, 2))))
     feed = float(np.linalg.norm(cl.G_hat, 2)) if cl.G_hat.size else 0.0
     return DecouplingCertificate(I_hat, inv_resid, ker_resid, feed, tol.residual)
 

@@ -99,6 +99,39 @@ class TestCommands:
         assert code == EXIT_OK
         assert json.loads(verdict.read_text())["verdict"] == "verified"
 
+    def test_verify_compensator_built_on_another_pair(self, tmp_path, scalar_channel_plant):
+        # the published compensator fails the certificate on (V*, S*), so
+        # verify certifies it on the hull instead; so is its order-1
+        # realization, which no pair certificate can take
+        plant = write_problem(tmp_path / "scalar_channel_plant.json", scalar_channel_plant)
+        published = {"A_c": [[0.0, 0.0], [0.0, 0.0]], "B_c": [[0.0], [10.0]],
+                     "C_c": [[0.0, 3.0]], "D_c": [[6.0]]}
+        reduced = {"A_c": [[0.0]], "B_c": [[10.0]], "C_c": [[3.0]], "D_c": [[6.0]]}
+        for given in (published, reduced):
+            comp = tmp_path / "comp.json"
+            comp.write_text(json.dumps(given))
+            verdict = tmp_path / "verify.json"
+            code = main(["verify", "--input", plant, "--compensator", str(comp),
+                         "--output", str(verdict)])
+            assert code == EXIT_OK
+            result = json.loads(verdict.read_text())
+            assert result["verdict"] == "verified"
+            assert result["certificate"]["valid"]
+
+    def test_solve_and_verify_plant_the_hull_rejected(self, tmp_path):
+        from geodd.verify import InstanceSpec, generate_instance
+
+        sys_ = generate_instance(InstanceSpec(seed=10, n=6, m=2, q=1, p=2, r=1,
+                                              time_domain="discrete"))
+        plant = write_problem(tmp_path / "d6.json", sys_)
+        out = tmp_path / "result.json"
+        assert main(["solve", "--input", plant, "--problem", "p1",
+                     "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["certificate"]["valid"]
+        code = main(["verify", "--input", plant, "--problem", "p1",
+                     "--compensator", str(out), "--output", str(tmp_path / "v.json")])
+        assert code == EXIT_OK
+
     def test_obstructed_plant_exits_3(self, tmp_path, singular_family_plant, capsys):
         plant = write_problem(tmp_path / "singular_family_plant.json", singular_family_plant)
         out = tmp_path / "result.json"

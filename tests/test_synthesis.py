@@ -25,7 +25,12 @@ from geodd.synthesis import (
     synthesize,
     wellposedness_margin,
 )
-from geodd.verify import InstanceSpec, certify_decoupled, generate_instance
+from geodd.verify import (
+    InstanceSpec,
+    certify_decoupled,
+    generate_instance,
+    stability_check,
+)
 
 
 class TestAffineFamily:
@@ -248,6 +253,44 @@ class TestSolve:
             assert max(e.real for e in eigs) <= -1e-8
             solved += 1
         assert solved >= 5
+
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_pair_certificate_rejects_k_off_the_family(self, domain):
+        # solve p2 runs no separate check that K satisfies the coupling
+        # inclusion on the lattice pair: a K off the family fails the
+        # certificate on that pair
+        for seed in range(4):
+            sys = generate_instance(
+                InstanceSpec(seed=seed, n=4, m=2, q=1, p=2, r=1, time_domain=domain))
+            comp, report = solve(sys, "p2")
+            pair = (report.V, report.S)
+            assert certify_decoupled(close_loop(sys, comp), pair=pair).valid
+            dirs = np.array([D.flatten() for D in report.family.directions]).T
+            step = np.random.default_rng(seed).standard_normal(report.K.size)
+            step -= dirs @ (dirs.T @ step)
+            K = report.K + 1e-3 * step.reshape(report.K.shape) / np.linalg.norm(step)
+            assert coupling_residual(sys, *pair, K) > 1e-6
+            perturbed = synthesize(sys, *pair, K, stabilize=True)
+            assert not certify_decoupled(close_loop(sys, perturbed), pair=pair).valid
+
+    @pytest.mark.parametrize("problem, domain, n, seed", [
+        ("p1", "discrete", 6, 10),
+        ("p1", "discrete", 8, 1),
+        ("p1", "discrete", 8, 2),
+        ("p2", "discrete", 8, 1),
+        ("p2", "continuous", 6, 13),
+    ])
+    def test_plants_the_hull_certificate_rejected(self, problem, domain, n, seed):
+        # on these loops the rank decisions of the Krylov hull take in
+        # directions outside ker C^, so a hull-certified solve raised a
+        # false CertificateFailed on every one of them
+        sys = generate_instance(
+            InstanceSpec(seed=seed, n=n, m=2, q=1, p=2, r=1, time_domain=domain))
+        comp, report = solve(sys, problem)
+        cl = close_loop(sys, comp)
+        assert certify_decoupled(cl, pair=(report.V, report.S)).valid
+        if problem == "p2":
+            assert stability_check(cl.A_hat, sys.region)[0]
 
 
 class TestKSetEquivalence:

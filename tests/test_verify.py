@@ -3,11 +3,20 @@ import pytest
 
 from geodd.errors import (
     ContinuousNotSupported,
+    DimensionMismatch,
     SampleTooCloseToPole,
 )
 from geodd.lattice import PlantSystem
-from geodd.subspaces import StabilityRegion
-from geodd.synthesis import ClosedLoop, Compensator, analyze_p1, analyze_p2, close_loop, solve
+from geodd.subspaces import StabilityRegion, Subspace
+from geodd.synthesis import (
+    ClosedLoop,
+    Compensator,
+    analysis_pair,
+    analyze_p1,
+    analyze_p2,
+    close_loop,
+    solve,
+)
 from geodd.verify import (
     InstanceSpec,
     certify_decoupled,
@@ -37,10 +46,31 @@ class TestCertificate:
 
     def test_published_compensator_certifies(self, scalar_channel_plant):
         given = Compensator([[0, 0], [0, 0]], [[0], [10]], [[0, 3]], [[6]])
-        cert = certify_decoupled(close_loop(scalar_channel_plant, given))
+        cl = close_loop(scalar_channel_plant, given)
+        cert = certify_decoupled(cl)
         assert cert.valid
         assert cert.residual_invariance <= 1e-10
         assert cert.residual_kernel <= 1e-10
+        # it is not built on the star pair, so only the hull certifies it
+        pair = analysis_pair(scalar_channel_plant, "p1")
+        assert not certify_decoupled(cl, pair=pair).valid
+
+    def test_pair_missing_disturbance_image_is_invalid(self):
+        # W = span (1, 1) is A^-invariant (A^ = 0) and inside ker C^, but
+        # im H^ = span (1, 0) leaves it: z = w / s is not decoupled
+        cl = loop_from(np.zeros((2, 2)), [[1.0], [0.0]], [[1.0, -1.0]], [[0.0]])
+        pair = (Subspace.full(1), Subspace.trivial(1))
+        cert = certify_decoupled(cl, pair=pair)
+        assert cert.invariant_subspace.dim == 1
+        assert cert.residual_kernel <= 1e-15
+        assert cert.residual_invariance > cert.tolerance
+        assert not cert.valid
+        assert not certify_decoupled(cl).valid
+
+    def test_pair_needs_an_order_n_compensator(self):
+        cl = loop_from(np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((1, 3)), [[0.0]])
+        with pytest.raises(DimensionMismatch):
+            certify_decoupled(cl, pair=(Subspace.full(1), Subspace.trivial(1)))
 
     def test_scalar_channel_plant_is_structurally_decoupled(self, scalar_channel_plant):
         # this plant cannot reach its regulated state from u or w, so any
@@ -50,12 +80,13 @@ class TestCertificate:
 
     def test_perturbed_feedthrough_breaks_certificate(self):
         sys = generate_instance(InstanceSpec(seed=1, n=4, m=2, q=1, p=2, r=1))
-        comp, _ = solve(sys, "p1")
-        assert certify_decoupled(close_loop(sys, comp)).valid
+        comp, report = solve(sys, "p1")
         perturbed = Compensator(comp.A_c, comp.B_c, comp.C_c, comp.D_c + 0.1)
-        cert = certify_decoupled(close_loop(sys, perturbed))
-        assert not cert.valid
-        assert cert.residual_kernel > cert.tolerance
+        for pair in (None, (report.V, report.S)):
+            assert certify_decoupled(close_loop(sys, comp), pair=pair).valid
+            cert = certify_decoupled(close_loop(sys, perturbed), pair=pair)
+            assert not cert.valid
+            assert cert.residual_kernel > cert.tolerance
 
 
 class TestTransferSamples:
