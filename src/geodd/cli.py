@@ -33,9 +33,14 @@ from .synthesis import (
     analysis_pair,
     close_loop,
     recover_parameters,
-    solve,
+    solve_certified,
 )
-from .verify import certify_decoupled, default_lambdas, stability_check, transfer_samples
+from .verify import (
+    _spectrum_stable,
+    certify_decoupled,
+    default_lambdas,
+    transfer_samples,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,20 +60,25 @@ def _shape_from_dims(dims: dict, name: str):
     return dims[rows], dims[cols]
 
 
-def _parse_matrix(name: str, raw, shape) -> np.ndarray:
-    rows, cols = shape
+def _parse_matrix(name: str, raw, shape=None) -> np.ndarray:
+    """A finite float matrix of the given shape (nested rows, or flat
+    row-major when the shape is given), or any 2-D one when it is not."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as err:
         raise ParseError(f"matrix {name} is not numeric: {err}") from None
-    if arr.ndim == 1:
+    if shape is None:
+        if arr.ndim != 2:
+            raise ShapeError(f"matrix {name} must be a list of rows, got {arr.ndim}-D")
+    elif arr.ndim == 1:
+        rows, cols = shape
         if arr.size != rows * cols:
             raise ShapeError(
                 f"matrix {name} has {arr.size} entries, expected {rows}x{cols}")
         arr = arr.reshape(rows, cols)
-    elif arr.shape != (rows, cols):
+    elif arr.shape != tuple(shape):
         raise ShapeError(
-            f"matrix {name} has shape {arr.shape}, expected {(rows, cols)}")
+            f"matrix {name} has shape {arr.shape}, expected {tuple(shape)}")
     if arr.size and not np.isfinite(arr).all():
         raise ParseError(f"matrix {name} contains non-finite entries")
     return arr
@@ -123,6 +133,13 @@ def problem_dict(sys_: PlantSystem) -> dict:
 
 
 def parse_compensator(path: str) -> Compensator:
+    """Read a compensator file, or the compensator of a solve result.
+
+    Like a plant file it must be a JSON object whose four matrices A_c,
+    B_c, C_c, D_c are finite and numeric; they are given as lists of rows
+    and must fit together (A_c square, B_c and C_c matching its order, D_c
+    matching their ports). Errors name the matrix.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -130,17 +147,24 @@ def parse_compensator(path: str) -> Compensator:
         raise ParseError(f"no such file: {path}") from None
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON: {err.msg}") from None
-    if "compensator" in data:
+    if isinstance(data, dict) and "compensator" in data:
         data = data["compensator"]
-    try:
-        return Compensator(
-            np.asarray(data["A_c"], dtype=float),
-            np.asarray(data["B_c"], dtype=float),
-            np.asarray(data["C_c"], dtype=float),
-            np.asarray(data["D_c"], dtype=float),
-        )
-    except KeyError as err:
-        raise ParseError(f"{path}: missing compensator matrix {err}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object at top level")
+    mats = {}
+    for name in ("A_c", "B_c", "C_c", "D_c"):
+        if name not in data:
+            raise ParseError(f"{path}: missing compensator matrix {name!r}")
+        mats[name] = _parse_matrix(name, data[name])
+    order = mats["A_c"].shape[0]
+    m, p = mats["C_c"].shape[0], mats["B_c"].shape[1]
+    expected = {"A_c": (order, order), "B_c": (order, p), "C_c": (m, order),
+                "D_c": (m, p)}
+    for name, shape in expected.items():
+        if mats[name].shape != shape:
+            raise ShapeError(
+                f"matrix {name} has shape {mats[name].shape}, expected {shape}")
+    return Compensator(**mats)
 
 
 def compensator_dict(comp: Compensator) -> dict:
@@ -179,19 +203,12 @@ def _verdict_exit(overall: str) -> int:
     return EXIT_NUMERICAL
 
 
-def _loop_checks(sys_: PlantSystem, comp: Compensator, tol, args, pair):
-    """(certificate, max sampled |T_zw|, stable, spectrum) of the closed loop.
-
-    The certificate is taken on the (V, S) pair; a loop that fails it (a
-    compensator not built on that pair) is certified on the hull instead.
-    """
-    cl = close_loop(sys_, comp, tol)
-    cert = certify_decoupled(cl, tol, pair=pair) if cl.order == 2 * sys_.n else None
-    if cert is None or not cert.valid:
-        cert = certify_decoupled(cl, tol)
+def _loop_checks(sys_: PlantSystem, cl, args):
+    """(max sampled |T_zw|, stable, sorted spectrum) of a closed loop, all
+    read off its one spectrum."""
     samples = transfer_samples(cl, default_lambdas(cl, args.samples, args.seed))
-    stable, eigs = stability_check(cl.A_hat, sys_.region)
-    return cert, samples, stable, eigs
+    stable, eigs = _spectrum_stable(cl.spectrum, sys_.region)
+    return samples, stable, eigs
 
 
 def run(command: str, args) -> int:
@@ -213,7 +230,8 @@ def run(command: str, args) -> int:
 
     if command == "solve":
         try:
-            comp, report = solve(sys_, args.problem, tol, seed=args.seed)
+            comp, report, cl, cert = solve_certified(sys_, args.problem, tol,
+                                                     seed=args.seed)
         except (WellPosednessObstruction, Infeasible) as err:
             obstruction = isinstance(err, WellPosednessObstruction)
             verdict = "well_posedness_obstruction" if obstruction else "infeasible"
@@ -223,8 +241,7 @@ def run(command: str, args) -> int:
             label = "well-posedness obstruction" if obstruction else "infeasible"
             print(f"{label}: {err}", file=_sys.stderr)
             return EXIT_OBSTRUCTION if obstruction else EXIT_INFEASIBLE
-        cert, samples, stable, _ = _loop_checks(sys_, comp, tol, args,
-                                                (report.V, report.S))
+        samples, stable, _ = _loop_checks(sys_, cl, args)
         K, F, G = recover_parameters(sys_, comp)
         payload = {
             "command": "solve",
@@ -244,8 +261,20 @@ def run(command: str, args) -> int:
 
     if command == "verify":
         comp = parse_compensator(args.compensator)
+        if comp.B_c.shape[1] != sys_.p:
+            raise ShapeError(f"matrix B_c has {comp.B_c.shape[1]} columns, "
+                             f"the plant has p = {sys_.p} measurements")
+        if comp.C_c.shape[0] != sys_.m:
+            raise ShapeError(f"matrix C_c has {comp.C_c.shape[0]} rows, "
+                             f"the plant has m = {sys_.m} inputs")
+        # the pair of --problem certifies a compensator built on it; any
+        # other loop is certified on the hull
         pair = analysis_pair(sys_, args.problem, tol)
-        cert, samples, stable, eigs = _loop_checks(sys_, comp, tol, args, pair)
+        cl = close_loop(sys_, comp, tol)
+        cert = certify_decoupled(cl, tol, pair=pair) if cl.order == 2 * sys_.n else None
+        if cert is None or not cert.valid:
+            cert = certify_decoupled(cl, tol)
+        samples, stable, eigs = _loop_checks(sys_, cl, args)
         decoupled = cert.valid and samples <= 1e-8
         want_stable = args.problem == "p2"
         verified = decoupled and (stable or not want_stable)

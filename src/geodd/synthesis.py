@@ -11,6 +11,7 @@ well-posedness obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,13 @@ class Compensator:
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Assembled loop Dx^ = A^ x^ + H^ w, z = C^ x^ + G^ w."""
+    """Assembled loop Dx^ = A^ x^ + H^ w, z = C^ x^ + G^ w.
+
+    `spectrum`, the eigenvalues of A^ in LAPACK's order, is computed on
+    first use and kept, read-only: the frequency samples, their pole
+    clearance, the stability verdict and the p2 check of `solve` all read
+    the same array. The matrices are not to be changed in place.
+    """
 
     A_hat: np.ndarray
     H_hat: np.ndarray
@@ -100,6 +107,12 @@ class ClosedLoop:
     @property
     def order(self) -> int:
         return self.A_hat.shape[0]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        eigs = np.linalg.eigvals(self.A_hat)
+        eigs.flags.writeable = False
+        return eigs
 
 
 @dataclass(frozen=True)
@@ -584,13 +597,15 @@ def close_loop(sys: PlantSystem, comp: Compensator,
     return ClosedLoop(A_hat, H_hat, C_hat, G_hat, W, sys.time_domain, sys.n)
 
 
-def solve(sys: PlantSystem, problem: str = "p1",
-          tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
+def solve_certified(sys: PlantSystem, problem: str = "p1",
+                    tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
     """Full pipeline: analyze, pick subspaces, select K, build friends,
     synthesize, close the loop, and certify it on the pair (report.V,
-    report.S) the compensator was built on. Returns (compensator, report);
-    raises Infeasible / WellPosednessObstruction with the report attached."""
-    from .verify import certify_decoupled, stability_check
+    report.S) the compensator was built on; for p2 also check the loop's
+    spectrum. Returns (compensator, report, closed loop, certificate), so
+    that callers that check the loop further need not rebuild it; raises
+    Infeasible / WellPosednessObstruction with the report attached."""
+    from .verify import _spectrum_stable, certify_decoupled
 
     if problem == "p1":
         report = analyze_p1(sys, tol, seed)
@@ -617,7 +632,15 @@ def solve(sys: PlantSystem, problem: str = "p1",
             f"(residuals {cert.residual_invariance:.2e}, "
             f"{cert.residual_kernel:.2e}, {cert.feedthrough_norm:.2e})")
     if problem == "p2":
-        ok, _ = stability_check(cl.A_hat, sys.region)
+        ok, _ = _spectrum_stable(cl.spectrum, sys.region)
         if not ok:
             raise CertificateFailed("synthesized loop is not internally stable")
+    return comp, report, cl, cert
+
+
+def solve(sys: PlantSystem, problem: str = "p1",
+          tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
+    """`solve_certified` without the loop and its certificate: returns
+    (compensator, report)."""
+    comp, report, _, _ = solve_certified(sys, problem, tol, seed)
     return comp, report

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 
 from geodd import Quadruple, Subspace, exact
+from geodd.errors import SampleTooCloseToPole
 from geodd.subspaces import containment_residual, span_of
+from geodd.verify import POLE_CLEARANCE
 
 
 def random_quadruple(rng, n=None, m=None, p=None, lo=-3, hi=3) -> Quadruple:
@@ -114,3 +116,21 @@ def reference_det(M):
                 f = R[i][col] / pv
                 R[i] = [x - f * y for x, y in zip(R[i], R[col])]
     return out
+
+
+def reference_transfer_samples(cl, lambdas) -> float:
+    """The per-point loop that `verify.transfer_samples` batches: each point
+    is checked for clearance of the spectrum, then solved and normed on its
+    own. The batched version must return the same float and raise the same
+    error for the same first offending point."""
+    poles = np.linalg.eigvals(cl.A_hat)
+    worst = 0.0
+    n = cl.order
+    for lam in lambdas:
+        lam = complex(lam)
+        if poles.size and np.min(np.abs(poles - lam)) < POLE_CLEARANCE:
+            raise SampleTooCloseToPole(f"sample {lam} within 1e-6 of a pole")
+        resolvent = np.linalg.solve(lam * np.eye(n) - cl.A_hat, cl.H_hat)
+        G = cl.C_hat @ resolvent + cl.G_hat
+        worst = max(worst, float(np.linalg.norm(G, 2)))
+    return worst

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,12 @@ from geodd.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
+    parse_compensator,
     parse_problem,
     problem_dict,
 )
 from geodd.errors import ParseError, ShapeError
+from geodd.verify import SAMPLE_BLOCK, InstanceSpec, generate_instance
 
 
 def write_problem(path, sys_):
@@ -224,3 +227,144 @@ class TestCommands:
             capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["report"]["overall"] == "solvable"
+
+
+@pytest.fixture
+def solved_plant(tmp_path):
+    """A generated n = 4 plant file and the result file of solving it."""
+    sys_ = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
+    plant = write_problem(tmp_path / "g.json", sys_)
+    out = tmp_path / "result.json"
+    assert main(["solve", "--input", plant, "--output", str(out)]) == EXIT_OK
+    return plant, json.loads(out.read_text())
+
+
+class TestCompensatorFiles:
+    def _verify(self, tmp_path, plant, text):
+        comp = tmp_path / "comp.json"
+        comp.write_text(text)
+        return main(["verify", "--input", plant, "--compensator", str(comp),
+                     "--output", str(tmp_path / "v.json")])
+
+    def test_nan_entry_exits_1(self, tmp_path, solved_plant, capsys):
+        plant, result = solved_plant
+        result["compensator"]["A_c"][0][0] = float("nan")
+        assert self._verify(tmp_path, plant, json.dumps(result)) == EXIT_USAGE
+        assert "A_c" in capsys.readouterr().err
+
+    def test_non_numeric_matrix_exits_1(self, tmp_path, solved_plant, capsys):
+        plant, result = solved_plant
+        result["compensator"]["A_c"] = "abc"
+        assert self._verify(tmp_path, plant, json.dumps(result)) == EXIT_USAGE
+        assert "A_c" in capsys.readouterr().err
+
+    def test_top_level_list_exits_1(self, tmp_path, solved_plant, capsys):
+        plant, result = solved_plant
+        assert self._verify(tmp_path, plant,
+                            json.dumps([result["compensator"]])) == EXIT_USAGE
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_ports_not_matching_the_plant_exit_1(self, tmp_path, solved_plant, capsys):
+        # a self-consistent compensator for a plant with one more output
+        plant, result = solved_plant
+        comp = result["compensator"]
+        comp["B_c"] = [row + [0.0] for row in comp["B_c"]]
+        comp["D_c"] = [row + [0.0] for row in comp["D_c"]]
+        assert self._verify(tmp_path, plant, json.dumps(comp)) == EXIT_USAGE
+        assert "B_c" in capsys.readouterr().err
+
+    def test_inconsistent_shapes_name_the_matrix(self, tmp_path, solved_plant):
+        _, result = solved_plant
+        comp = dict(result["compensator"], D_c=[[1.0]])
+        path = tmp_path / "comp.json"
+        path.write_text(json.dumps(comp))
+        with pytest.raises(ShapeError, match="D_c"):
+            parse_compensator(str(path))
+        path.write_text(json.dumps(dict(comp, C_c=[1.0, 2.0])))
+        with pytest.raises(ShapeError, match="C_c"):
+            parse_compensator(str(path))
+
+
+def _count_work(monkeypatch):
+    """Count close_loop and certify_decoupled calls, and eigvals calls on
+    the A^ of a loop that close_loop built, wherever they are bound."""
+    import geodd.cli as cli_mod
+    import geodd.synthesis as synthesis
+    import geodd.verify as verify
+
+    counts = Counter()
+    loops = []
+    close_loop, certify, eigvals = (synthesis.close_loop, verify.certify_decoupled,
+                                    np.linalg.eigvals)
+
+    def counting_close_loop(*args, **kwargs):
+        counts["close_loop"] += 1
+        cl = close_loop(*args, **kwargs)
+        loops.append(cl.A_hat)
+        return cl
+
+    def counting_certify(*args, **kwargs):
+        counts["certify_decoupled"] += 1
+        return certify(*args, **kwargs)
+
+    def counting_eigvals(a):
+        counts["eigvals"] += any(a is A_hat for A_hat in loops)
+        return eigvals(a)
+
+    for module in (synthesis, cli_mod):
+        monkeypatch.setattr(module, "close_loop", counting_close_loop)
+    for module in (verify, cli_mod):
+        monkeypatch.setattr(module, "certify_decoupled", counting_certify)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    return counts
+
+
+class TestWorkPerCommand:
+    @pytest.mark.parametrize("problem", ["p1", "p2"])
+    def test_one_loop_certificate_and_spectrum(self, tmp_path, monkeypatch, problem):
+        sys_ = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
+        plant = write_problem(tmp_path / "g.json", sys_)
+        out = tmp_path / "result.json"
+        counts = _count_work(monkeypatch)
+        assert main(["solve", "--input", plant, "--problem", problem,
+                     "--output", str(out)]) == EXIT_OK
+        assert counts == {"close_loop": 1, "certify_decoupled": 1, "eigvals": 1}
+        counts.clear()
+        assert main(["verify", "--input", plant, "--problem", problem,
+                     "--compensator", str(out),
+                     "--output", str(tmp_path / "v.json")]) == EXIT_OK
+        assert counts == {"close_loop": 1, "certify_decoupled": 1, "eigvals": 1}
+
+    def test_hull_fallback_takes_a_second_certificate(self, tmp_path, monkeypatch,
+                                                      scalar_channel_plant):
+        plant = write_problem(tmp_path / "p.json", scalar_channel_plant)
+        comp = tmp_path / "comp.json"
+        comp.write_text(json.dumps({"A_c": [[0.0, 0.0], [0.0, 0.0]],
+                                    "B_c": [[0.0], [10.0]],
+                                    "C_c": [[0.0, 3.0]], "D_c": [[6.0]]}))
+        counts = _count_work(monkeypatch)
+        assert main(["verify", "--input", plant, "--compensator", str(comp),
+                     "--output", str(tmp_path / "v.json")]) == EXIT_OK
+        assert counts == {"close_loop": 1, "certify_decoupled": 2, "eigvals": 1}
+
+    def test_samples_are_solved_a_block_at_a_time(self, tmp_path, monkeypatch):
+        sys_ = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
+        plant = write_problem(tmp_path / "g.json", sys_)
+        out = tmp_path / "result.json"
+        count = 2 * SAMPLE_BLOCK + 10
+        batches = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            if np.ndim(a) == 3:
+                batches.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        assert main(["solve", "--input", plant, "--samples", str(count),
+                     "--output", str(out)]) == EXIT_OK
+        assert main(["verify", "--input", plant, "--compensator", str(out),
+                     "--samples", str(count),
+                     "--output", str(tmp_path / "v.json")]) == EXIT_OK
+        assert max(batches) == SAMPLE_BLOCK
+        assert sum(batches) == 2 * count

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodd.errors import (
     ContinuousNotSupported,
@@ -18,6 +20,7 @@ from geodd.synthesis import (
     solve,
 )
 from geodd.verify import (
+    SAMPLE_BLOCK,
     InstanceSpec,
     certify_decoupled,
     default_lambdas,
@@ -27,6 +30,7 @@ from geodd.verify import (
     stability_check,
     transfer_samples,
 )
+from helpers import reference_transfer_samples
 
 
 def loop_from(A, H, C, G, domain="continuous"):
@@ -111,6 +115,59 @@ class TestTransferSamples:
         cl = loop_from([[2.0]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(SampleTooCloseToPole):
             transfer_samples(cl, [2.0 + 1e-9])
+
+
+def _outcome(fn, cl, lambdas):
+    """The float a sampler returns, or the type and message it raises."""
+    try:
+        return fn(cl, lambdas)
+    except SampleTooCloseToPole as err:
+        return ("raised", str(err))
+
+
+@st.composite
+def loops_and_samples(draw):
+    """A random real loop (r = 0 and q = 0 included) and sample points:
+    none, a few, or more than one block; some runs put points within 1e-9
+    of a pole, the first of them anywhere in the list."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 7))
+    q = draw(st.sampled_from([0, 1, 1, 2, 3]))
+    r = draw(st.sampled_from([0, 1, 2, 2, 3]))
+    cl = loop_from(rng.standard_normal((n, n)), rng.standard_normal((n, q)),
+                   rng.standard_normal((r, n)), rng.standard_normal((r, q)))
+    count = draw(st.sampled_from([0, 1, 5, 20, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 7]))
+    lambdas = default_lambdas(cl, count, seed=draw(st.integers(0, 99)))
+    if count and draw(st.integers(0, 3)) == 0:
+        poles = np.linalg.eigvals(cl.A_hat)
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, count - 1))
+            lambdas[at] = poles[draw(st.integers(0, n - 1))] + 1e-9
+    return cl, lambdas
+
+
+class TestBatchedSamples:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(loops_and_samples())
+    def test_equals_the_per_point_loop(self, case):
+        cl, lambdas = case
+        assert (_outcome(transfer_samples, cl, lambdas)
+                == _outcome(reference_transfer_samples, cl, lambdas))
+
+    def test_first_offending_point_named_across_blocks(self):
+        cl = loop_from(np.diag([-1.0, 2.0]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+        lambdas = default_lambdas(cl, 3 * SAMPLE_BLOCK, seed=1)
+        lambdas[SAMPLE_BLOCK + 3] = 2.0 + 5e-7
+        lambdas[2 * SAMPLE_BLOCK + 1] = -1.0
+        with pytest.raises(SampleTooCloseToPole, match=r"sample \(2\.0000005\+0j\)"):
+            transfer_samples(cl, lambdas)
+        assert (_outcome(transfer_samples, cl, lambdas)
+                == _outcome(reference_transfer_samples, cl, lambdas))
+
+    def test_spectrum_is_kept_read_only(self):
+        cl = loop_from(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]])
+        assert cl.spectrum is cl.spectrum
+        assert not cl.spectrum.flags.writeable
 
 
 class TestStabilityCheck:
