@@ -293,10 +293,33 @@ def run(command: str, args) -> int:
     raise ValueError(f"unknown command {command!r}")
 
 
+def _sample_count(text: str) -> int:
+    """--samples: an integer of at least 1, so that `verify` always samples."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _rank_tolerance(text: str) -> float:
+    """--tol: a relative rank threshold, finite and in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # usage errors exit 1, not argparse's default 2
         self.print_usage(_sys.stderr)
+        print(f"{self.prog}: error: {message}", file=_sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -308,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="plant JSON file")
         p.add_argument("--problem", choices=["p1", "p2"], default="p1")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the relative rank threshold")
+        p.add_argument("--tol", type=_rank_tolerance, default=None,
+                       help="override the relative rank threshold, in (0, 1)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=20,
-                       help="number of frequency samples")
+        p.add_argument("--samples", type=_sample_count, default=20,
+                       help="number of frequency samples, at least 1")
         p.add_argument("--output", default=None, help="result JSON file")
         if needs_comp:
             p.add_argument("--compensator", required=True,

@@ -50,6 +50,16 @@ class PlantSystem:
         Dx = A x + B u + H w
         y  = C x + D_y u + G_y w
         z  = E x + D_z u + G_z w
+
+    The plant is immutable: each matrix is stored as a read-only float copy
+    of what was passed in, so writing into `plant.A` raises ValueError.
+    That makes it sound for the analyses to keep what they derive from the
+    plant alone (the star pair, the coupling conditions on it, the
+    well-posedness result and the stabilizability precondition) in a
+    private per-instance memo, so that `analyze_p1`, `analyze_p2` and
+    `solve` on one plant share one computation of each. The memo lives and
+    dies with the object; `dataclasses.replace` returns a plant with an
+    empty one.
     """
 
     A: np.ndarray
@@ -66,7 +76,7 @@ class PlantSystem:
     def __post_init__(self):
         mats = {}
         for name in _MATRIX_FIELDS:
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            M = np.array(getattr(self, name), dtype=float, ndmin=2)
             if M.size and not np.isfinite(M).all():
                 raise InvalidInput(f"{name} contains non-finite entries")
             mats[name] = M
@@ -88,7 +98,18 @@ class PlantSystem:
         if self.time_domain not in (CONTINUOUS, DISCRETE):
             raise InvalidInput(f"unknown time domain {self.time_domain!r}")
         for name, M in mats.items():
+            M.setflags(write=False)
             object.__setattr__(self, name, M)
+        object.__setattr__(self, "_memo", {})
+
+    def _memoized(self, key, compute):
+        """compute(), evaluated once per key for this plant. The key must
+        name everything the value depends on besides the plant itself."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     @property
     def n(self) -> int:

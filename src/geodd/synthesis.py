@@ -348,18 +348,22 @@ def select_wellposed(family: AffineKFamily, D_y, seed: int = 0) -> np.ndarray:
 def analysis_pair(sys: PlantSystem, problem: str,
                   tol: ToleranceProfile = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """The (V, S) pair a compensator for `problem` is built on: (V*, S*) for
-    p1, (V_m + S_M, S_M) for p2."""
-    if problem == "p1":
-        return vstar(sys.control_quadruple(), tol), sstar(sys.observation_quadruple(), tol)
-    v_m, s_M = vm_sM(sys, tol)
-    return combine("sum", v_m, s_M, tol), s_M
+    p1, (V_m + S_M, S_M) for p2. Each pair is computed once per plant and
+    tolerance profile and then read from the plant's memo."""
+    def build():
+        if problem == "p1":
+            return (vstar(sys.control_quadruple(), tol),
+                    sstar(sys.observation_quadruple(), tol))
+        v_m, s_M = vm_sM(sys, tol)
+        return combine("sum", v_m, s_M, tol), s_M
+    return sys._memoized(("pair", problem, tol), build)
 
 
 def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
                seed: int = 0) -> FeasibilityReport:
     """Solvability analysis of decoupling without the stability demand."""
     Vst, Sst = analysis_pair(sys, "p1", tol)
-    conds = _coupling_checks(sys, Vst, Sst, ("i", "ii", "iii"), tol)
+    conds = _coupling_checks(_star_coupling(sys, tol), ("i", "ii", "iii"))
     family = None
     K = None
     failed = [c.label for c in conds if not c.passed]
@@ -367,8 +371,7 @@ def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         conds.append(ConditionCheck("iv", None, float("nan"), "not evaluated"))
         overall = f"infeasible({failed[0]})"
     else:
-        family, check, K = _wellposedness_condition(
-            sys, Sst, Vst, "iv", tol, seed)
+        family, check, K = _wellposedness_condition(sys, "iv", tol, seed)
         conds.append(check)
         if check.passed:
             overall = "solvable"
@@ -379,36 +382,58 @@ def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
     return FeasibilityReport("p1", tuple(conds), Vst, Sst, family, K, overall)
 
 
-def _coupling_checks(sys, V, S, labels, tol):
-    """The coupling conditions (a), (b), (c) on (V, S) under `labels`."""
-    conds = coupling_conditions(sys, V, S, tol)
+def _coupling_checks(conds, labels):
+    """The coupling conditions (a), (b), (c) of `conds` under `labels`."""
     return [ConditionCheck(label, *conds[key])
             for label, key in zip(labels, ("a", "b", "c"))]
 
 
-def _wellposedness_condition(sys, Sst, Vst, label, tol, seed):
-    """Build the star family and try to select a well-posed member."""
-    try:
-        family = replace(k_affine_family(sys, Sst, Vst, tol), plant=sys)
-        K = select_wellposed(family, sys.D_y, seed)
-    except NoSolution:
-        return None, ConditionCheck(label, False, float("nan"),
-                                    "family construction failed"), None
-    except AllSingular as err:
-        note = ("confirmed singular on exact grid" if err.confirmed
-                else "no well-posed sample found")
-        return family, ConditionCheck(label, False, 0.0, note), None
-    check = ConditionCheck(label, True, wellposedness_margin(K, sys.D_y),
-                           "residual holds the well-posedness margin")
-    return family, check, K
+def _star_coupling(sys, tol) -> dict:
+    """`coupling_conditions` on the star pair (V*, S*), once per plant and
+    tolerance profile."""
+    return sys._memoized(("coupling", tol), lambda: coupling_conditions(
+        sys, *analysis_pair(sys, "p1", tol), tol))
+
+
+def _wellposedness_condition(sys, label, tol, seed):
+    """The well-posedness condition (iv of p1, F of p2) on the star pair:
+    build the K family on (S*, V*) and try to select a well-posed member.
+
+    Returns (family, check, K). The condition is the same computation for
+    both problems, so its outcome is kept in the plant's memo under
+    (tol, seed) and `label` is put on the check when it is read. The
+    family's K0 and the selected K are read-only, since every report on
+    the plant shares them.
+    """
+    def evaluate():
+        Vst, Sst = analysis_pair(sys, "p1", tol)
+        try:
+            family = replace(k_affine_family(sys, Sst, Vst, tol), plant=sys)
+            family.K0.setflags(write=False)
+            K = select_wellposed(family, sys.D_y, seed)
+        except NoSolution:
+            return None, False, float("nan"), "family construction failed", None
+        except AllSingular as err:
+            note = ("confirmed singular on exact grid" if err.confirmed
+                    else "no well-posed sample found")
+            return family, False, 0.0, note, None
+        K.setflags(write=False)
+        return (family, True, wellposedness_margin(K, sys.D_y),
+                "residual holds the well-posedness margin", K)
+
+    family, passed, residual, note, K = sys._memoized(
+        ("wellposed", tol, seed), evaluate)
+    return family, ConditionCheck(label, passed, residual, note), K
 
 
 _PRECONDITION_NOTE = "(A,B) stabilizable and (C,A) detectable required"
 
 
 def _stabilizable_detectable(sys, tol) -> bool:
-    return (region_stabilizable(sys.A, sys.B, sys.region, tol)
-            and region_detectable(sys.C, sys.A, sys.region, tol))
+    """The p2 precondition, once per plant and tolerance profile."""
+    return sys._memoized(("precondition", tol), lambda: (
+        region_stabilizable(sys.A, sys.B, sys.region, tol)
+        and region_detectable(sys.C, sys.A, sys.region, tol)))
 
 
 def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
@@ -428,8 +453,7 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         return FeasibilityReport("p2", conds, None, None, None, None,
                                  "infeasible(precondition)")
 
-    Vst, Sst = analysis_pair(sys, "p1", tol)
-    conds = _coupling_checks(sys, Vst, Sst, ("A", "B", "C"), tol)
+    conds = _coupling_checks(_star_coupling(sys, tol), ("A", "B", "C"))
     vm_sum, s_M = analysis_pair(sys, "p2", tol)
 
     def spectra_check(sub, kind, quad, which):
@@ -448,8 +472,7 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
     conds.append(spectra_check(vm_sum, OUTPUT_NULLING, quad_ctrl, "D"))
     conds.append(spectra_check(s_M, INPUT_CONTAINING, quad_obs, "E"))
 
-    family, check_f, K = _wellposedness_condition(
-        sys, Sst, Vst, "F", tol, seed)
+    family, check_f, K = _wellposedness_condition(sys, "F", tol, seed)
     conds.append(check_f)
     obstruction = (not check_f.passed
                    and check_f.note != "family construction failed")
@@ -477,7 +500,8 @@ def _stabilizability_route(sys, Vst, Sst, tol) -> dict:
     except Exception as err:
         return {"verdict": None, "conditions": {}, "error": str(err)}
     ok = {c.label: c.passed
-          for c in _coupling_checks(sys, VstG, SstG, ("i", "ii", "iii"), tol)}
+          for c in _coupling_checks(coupling_conditions(sys, VstG, SstG, tol),
+                                    ("i", "ii", "iii"))}
     if all(ok.values()):
         try:
             select_wellposed(k_affine_family(sys, SstG, VstG, tol), sys.D_y)
@@ -493,10 +517,8 @@ def k_set_equivalence(sys: PlantSystem,
                       tol: ToleranceProfile = DEFAULT_TOL) -> tuple[bool, dict]:
     """Affine-set equality of the K-families written on (S*, V*) and on the
     self-hidden/self-bounded pair (S_M, V_m + S_M)."""
-    Vst = vstar(sys.control_quadruple(), tol)
-    Sst = sstar(sys.observation_quadruple(), tol)
-    v_m, s_M = vm_sM(sys, tol)
-    vm_sum = combine("sum", v_m, s_M, tol)
+    Vst, Sst = analysis_pair(sys, "p1", tol)
+    vm_sum, s_M = analysis_pair(sys, "p2", tol)
     fam1 = k_affine_family(sys, Sst, Vst, tol)
     fam2 = k_affine_family(sys, s_M, vm_sum, tol)
     residuals = {

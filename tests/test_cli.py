@@ -174,6 +174,33 @@ class TestCommands:
         missing = tmp_path / "missing.json"
         assert main(["solve", "--input", str(missing)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "-3"), ("--samples", "2.5"),
+        ("--tol", "0"), ("--tol", "1"), ("--tol", "-0.5"), ("--tol", "nan"),
+        ("--tol", "inf"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, tmp_path, capsys,
+                                                  scalar_channel_plant, flag,
+                                                  value):
+        plant = write_problem(tmp_path / "p.json", scalar_channel_plant)
+        out = tmp_path / "r.json"
+        for command in ("analyze", "solve"):
+            code = main([command, "--input", plant, "--output", str(out),
+                         f"{flag}={value}"])
+            assert code == EXIT_USAGE
+            assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_sample_and_a_tolerance_accepted(self, tmp_path,
+                                                 scalar_channel_plant):
+        plant = write_problem(tmp_path / "p.json", scalar_channel_plant)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--input", plant, "--samples", "1", "--tol",
+                     "1e-9", "--output", str(out)]) == EXIT_OK
+        assert main(["verify", "--input", plant, "--compensator", str(out),
+                     "--samples", "1", "--tol", "1e-9",
+                     "--output", str(tmp_path / "v.json")]) == EXIT_OK
+
     def test_unknown_flag_rejected(self, tmp_path, scalar_channel_plant):
         plant = write_problem(tmp_path / "scalar_channel_plant.json", scalar_channel_plant)
         assert main(["solve", "--input", plant, "--frobnicate"]) == EXIT_USAGE

@@ -210,10 +210,12 @@ class TestRecursionCounts:
     def test_entry_points_on_generated_plant(self, counts):
         from geodd.synthesis import analyze_p1, analyze_p2
 
-        sys = generate_instance(InstanceSpec(seed=7, n=4, m=2, q=1, p=2, r=1))
+        spec = InstanceSpec(seed=7, n=4, m=2, q=1, p=2, r=1)
         runs = {}
         for name, fn in (("p1", analyze_p1), ("p2", analyze_p2),
                          ("report", lattice_report)):
+            # a fresh plant each, so that no entry point reads another's memo
+            sys = generate_instance(spec)
             counts["n"] = 0
             result = fn(sys)
             runs[name] = counts["n"]
@@ -223,3 +225,32 @@ class TestRecursionCounts:
         # route reuses the control pair and recurses on the dual
         # observation quadruple only.
         assert runs == {"p1": 2, "p2": 6, "report": 10}
+
+    def test_analyses_of_one_plant_share_their_recursions(self, counts):
+        from geodd.synthesis import analyze_p1, analyze_p2, solve
+
+        sys = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
+        runs = []
+        for fn in (analyze_p1, analyze_p2, lambda plant: solve(plant, "p2")):
+            counts["n"] = 0
+            fn(sys)
+            runs.append(counts["n"])
+        # p1 builds the star pair; p2 reads it from the plant's memo and
+        # builds only vm_sM's two extended pairs; solve reads everything.
+        assert runs == [2, 4, 0]
+
+    def test_new_tolerance_or_replaced_plant_recomputes(self, counts):
+        from dataclasses import replace
+
+        from geodd.subspaces import ToleranceProfile
+        from geodd.synthesis import analyze_p1
+
+        sys = generate_instance(InstanceSpec(seed=7, n=4, m=2, q=1, p=2, r=1))
+        runs = []
+        for plant, tol in ((sys, ToleranceProfile()), (sys, ToleranceProfile()),
+                           (sys, ToleranceProfile(rank_rel=1e-9)),
+                           (replace(sys), ToleranceProfile())):
+            counts["n"] = 0
+            analyze_p1(plant, tol)
+            runs.append(counts["n"])
+        assert runs == [2, 0, 2, 2]

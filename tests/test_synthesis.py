@@ -1,18 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from geodd import exact
+from geodd import GenerationFailed, exact, synthesis
 from geodd.errors import (
     AllSingular,
     NotWellPosed,
     WellPosednessObstruction,
     WellPosednessViolated,
 )
-from geodd.geometry import match_spectra, sstar, vstar
+from geodd.geometry import match_spectra, sstar, sstar_g, vstar, vstar_g
 from geodd.lattice import PlantSystem, lattice_report, vm_sM
-from geodd.subspaces import Subspace, combine, relate, span_of
+from geodd.subspaces import Subspace, ToleranceProfile, combine, equal, relate, span_of
 from geodd.synthesis import (
     Compensator,
+    analysis_pair,
     analyze_p1,
     analyze_p2,
     coupling_residual,
@@ -380,3 +385,96 @@ class TestAnalyzeP2:
             total += 1
             agree += route["verdict"] == analyze_p2(sys).solvable
         assert agree == total == 100
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls to module.name made through that module."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@st.composite
+def plant_specs(draw):
+    return InstanceSpec(
+        seed=draw(st.integers(0, 10**6)), n=draw(st.integers(2, 6)),
+        m=draw(st.integers(1, 2)), q=1, p=draw(st.integers(1, 2)), r=1,
+        time_domain=draw(st.sampled_from(["continuous", "discrete"])),
+        solvable_by_construction=draw(st.booleans()))
+
+
+class TestPlantMemo:
+    """Analyses of one plant share its star pair, coupling conditions,
+    well-posedness result and p2 precondition."""
+
+    def test_exact_twin_built_once_for_both_analyses(self, monkeypatch,
+                                                     singular_family_plant):
+        plant = replace(singular_family_plant, time_domain="discrete")
+        calls = _counting(monkeypatch, synthesis, "_exact_star_family")
+        reports = [analyze_p1(plant), analyze_p2(plant)]
+        assert [r.overall for r in reports] == ["well_posedness_obstruction"] * 2
+        assert reports[1].condition("F").note == "confirmed singular on exact grid"
+        assert len(calls) == 1
+        analyze_p1(replace(plant))
+        assert len(calls) == 2
+
+    def test_seed_and_tolerance_key_the_wellposed_entry(self, monkeypatch):
+        plant = generate_instance(InstanceSpec(seed=2, n=4))
+        calls = _counting(monkeypatch, synthesis, "select_wellposed")
+        counts = []
+        for run in (lambda: analyze_p1(plant), lambda: analyze_p2(plant),
+                    lambda: solve(plant, "p2"), lambda: analyze_p2(plant, seed=1),
+                    lambda: analyze_p1(plant, ToleranceProfile(residual=1e-9)),
+                    lambda: analyze_p1(replace(plant))):
+            calls.clear()
+            run()
+            counts.append(len(calls))
+        assert counts == [1, 0, 0, 1, 1, 1]
+
+    def test_route_checks_coupling_on_its_own_pair(self, monkeypatch):
+        plant = generate_instance(InstanceSpec(seed=0, n=4, m=1, q=1, p=1, r=1))
+        Vst, Sst = analysis_pair(plant, "p1")
+        VstG = vstar_g(plant.control_quadruple(), plant.region)
+        SstG = sstar_g(plant.observation_quadruple(), plant.region)
+        # the two pairs differ, so reading the star pair's entry would show
+        assert not equal(Vst, VstG) and not equal(Sst, SstG)
+        analyze_p1(plant)
+        analyze_p2(plant)
+        calls = _counting(monkeypatch, synthesis, "coupling_conditions")
+        route = lattice_report(plant).route_stabilizability
+        assert route["verdict"] is not None
+        assert len(calls) == 1
+        _, V, S, _ = calls[0]
+        assert equal(V, VstG) and equal(S, SstG)
+
+    def test_plant_matrices_are_read_only_copies(self, scalar_channel_plant):
+        A = np.eye(2)
+        plant = replace(scalar_channel_plant, A=A)
+        with pytest.raises(ValueError):
+            plant.A[0, 0] = 2.0
+        A[0, 0] = 2.0
+        assert plant.A[0, 0] == 1.0
+        # this plant's selected K is not the particular solution K0
+        report = analyze_p1(generate_instance(InstanceSpec(seed=34, n=4)))
+        assert not np.shares_memory(report.K, report.family.K0)
+        for K in (report.K, report.family.K0):
+            with pytest.raises(ValueError):
+                K[0, 0] = 0.0
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(plant_specs(), st.sampled_from([("p1", "p2"), ("p2", "p1")]))
+    def test_warm_plant_reports_equal_fresh_ones(self, spec, order):
+        try:
+            plant = generate_instance(spec)
+        except GenerationFailed:
+            assume(False)
+        analyses = {"p1": analyze_p1, "p2": analyze_p2}
+        warm = [analyses[name](plant).to_dict() for name in order]
+        fresh = [analyses[name](replace(plant)).to_dict() for name in order]
+        assert warm == fresh
