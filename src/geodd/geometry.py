@@ -26,6 +26,7 @@ from .subspaces import (
     Subspace,
     ToleranceProfile,
     _numerical_rank,
+    _preimage,
     combine,
     complement,
     contains,
@@ -170,9 +171,10 @@ def vstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
     V = Subspace.full(q.n)
     seq = [V]
     MT = _stacked_output(q)
+    MT_norm = float(np.linalg.norm(MT, 2)) if MT.size else 0.0
     BD = span_of(_bd(q), tol)
     for _ in range(q.n + 1):
-        Vnext = preimage(MT, _nulling_target(V, q, BD, tol), tol)
+        Vnext = _preimage(MT, _nulling_target(V, q, BD, tol), tol, MT_norm)
         seq.append(Vnext)
         if Vnext.dim == V.dim:
             break
@@ -194,10 +196,11 @@ def sstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
     S = Subspace.trivial(q.n)
     seq = [S]
     AB = np.hstack([q.A, q.B])
+    AB_norm = float(np.linalg.norm(AB, 2))
     ker_cd = kernel_of(np.hstack([q.C, q.D]), tol)
     for _ in range(q.n + 1):
         dom = _containing_domain(S, q, ker_cd, tol)
-        Snext = span_of(AB @ dom.basis, tol, scale=float(np.linalg.norm(AB, 2)))
+        Snext = span_of(AB @ dom.basis, tol, scale=AB_norm)
         seq.append(Snext)
         if Snext.dim == S.dim:
             break
@@ -401,9 +404,23 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     injection ones. Fails if a fixed spectrum violates the region, or if the
     pair itself is not stabilizable.
     """
+    return _stabilizing_friend(V_or_S, kind, q, region, tol)
+
+
+def _stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
+                        region: StabilityRegion, tol: ToleranceProfile,
+                        base: np.ndarray | None = None,
+                        pair_fixed: np.ndarray | None = None) -> FriendCertificate:
+    """`stabilizing_friend`, started from what the caller already has: a
+    friend `base` of V_or_S of the same kind (F, or the injection G), and
+    the fixed spectrum `pair_fixed` of (A, B), or of (A^T, C^T) for an
+    injection. Each is computed here when not given."""
     if kind == INPUT_CONTAINING:
+        # G^T is the friend of the complement in the dual that
+        # `friend(INPUT_CONTAINING, ...)` transposed into G.
         dual_cert = _stabilizing_feedback(
-            complement(V_or_S, tol), q.dual(), region, tol, slots=(2, 3))
+            complement(V_or_S, tol), q.dual(), region, tol, slots=(2, 3),
+            base=None if base is None else base.T, pair_fixed=pair_fixed)
         G = dual_cert.F_or_G.T
         resid = injection_residual(G, V_or_S, q)
         if resid > tol.residual:
@@ -411,20 +428,30 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
         return FriendCertificate(G, kind, resid)
     if kind != OUTPUT_NULLING:
         raise InvalidInput(f"unknown friend kind {kind!r}")
-    return _stabilizing_feedback(V_or_S, q, region, tol, slots=(0, 1))
+    return _stabilizing_feedback(V_or_S, q, region, tol, slots=(0, 1),
+                                 base=base, pair_fixed=pair_fixed)
 
 
 def _stabilizing_feedback(V: Subspace, q: Quadruple, region: StabilityRegion,
-                          tol: ToleranceProfile, slots: tuple) -> FriendCertificate:
+                          tol: ToleranceProfile, slots: tuple,
+                          base: np.ndarray | None = None,
+                          pair_fixed: np.ndarray | None = None) -> FriendCertificate:
     """Stabilizing friend of an output-nulling V; `slots` picks the target
-    families of the internal and the external placement."""
-    bad = _outside(_controllable_split(q.A, q.B, tol)[1], region)
+    families of the internal and the external placement.
+
+    The pair check reads `pair_fixed`, the uncontrollable spectrum of
+    (q.A, q.B), and the loop shaping starts from `base`, a friend of V;
+    each is computed when not given. Every check runs either way."""
+    if pair_fixed is None:
+        pair_fixed = _controllable_split(q.A, q.B, tol)[1]
+    bad = _outside(pair_fixed, region)
     if bad:
         raise NotStabilizablePair(
             f"pair (A, B) has unstabilizable modes {np.round(bad, 6)}"
         )
-    base = friend(OUTPUT_NULLING, V, q, tol)
-    F = base.F_or_G.copy()
+    if base is None:
+        base = friend(OUTPUT_NULLING, V, q, tol).F_or_G
+    F = base.copy()
 
     # Internal loop shaping: extra feedback through inputs that keep V and
     # null the output, i.e. u in B^{-1} V ^ ker D.

@@ -20,7 +20,6 @@ from .geometry import (
     _nulling_target,
     input_containing_residual,
     output_nulling_residual,
-    rstar_qstar,
     sstar,
     vstar,
 )
@@ -196,11 +195,13 @@ def vm_sM(sys: PlantSystem,
     """Minimum self-bounded element of the input-extended lattice and
     maximum self-hidden element of the output-extended one.
 
-    `lattice_report` builds the same pair from its own recursions and
-    cross-checks v_m against its reduced form."""
+    v_m is R* = V* ^ S* of the input-extended quadruple and s_M is
+    Q* = V* + S* of the output-extended one, so only that half of each
+    `rstar_qstar` pair is built. `lattice_report` builds the same pair
+    from its own recursions and cross-checks v_m against its reduced form."""
     quad_b, quad_c = extended_quadruples(sys)
-    v_m, _ = rstar_qstar(quad_b, tol)
-    _, s_M = rstar_qstar(quad_c, tol)
+    v_m = combine("intersect", vstar(quad_b, tol), sstar(quad_b, tol), tol)
+    s_M = combine("sum", vstar(quad_c, tol), sstar(quad_c, tol), tol)
     return v_m, s_M
 
 

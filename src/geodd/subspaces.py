@@ -85,7 +85,21 @@ class Subspace:
     basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+        # A copy, so that freezing it leaves the caller's array writable.
+        self._freeze(np.array(self.basis, dtype=float))
+
+    @classmethod
+    def _adopt(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """A subspace on a float array that the caller has just computed and
+        keeps no reference to (or a view into one). The array is checked
+        and frozen in place, not copied: it keeps the memory layout that
+        made it, and with it the rounding of every later product."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "ambient_dim", ambient_dim)
+        S._freeze(basis)
+        return S
+
+    def _freeze(self, b: np.ndarray):
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise DimensionMismatch(
                 f"basis shape {b.shape} incompatible with ambient dim {self.ambient_dim}"
@@ -159,7 +173,7 @@ def span_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Subsp
         return Subspace.trivial(n)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     r = _numerical_rank(s, M.shape, tol.rank_rel, scale)
-    return Subspace(n, U[:, :r])
+    return Subspace._adopt(n, U[:, :r])
 
 
 def kernel_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Subspace:
@@ -173,7 +187,7 @@ def kernel_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Sub
         return Subspace.full(n)
     _, s, Vh = np.linalg.svd(M, full_matrices=True)
     r = _numerical_rank(s, M.shape, tol.rank_rel, scale)
-    return Subspace(n, Vh[r:].T)
+    return Subspace._adopt(n, Vh[r:].T)
 
 
 def complement(S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
@@ -201,7 +215,7 @@ def combine(mode: str, S1: Subspace, S2: Subspace,
         # the principal angles (Bjorck & Golub 1973); the product stays orthonormal.
         B1, B2 = S1.basis, S2.basis
         null = kernel_of(B1 - B2 @ (B2.T @ B1), tol, scale=1.0)
-        return Subspace(S1.ambient_dim, B1 @ null.basis)
+        return Subspace._adopt(S1.ambient_dim, B1 @ null.basis)
     raise InvalidInput(f"unknown combine mode {mode!r}")
 
 
@@ -212,8 +226,14 @@ def preimage(M, S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
         raise DimensionMismatch(
             f"M maps into R^{M.shape[0]} but S lives in R^{S.ambient_dim}"
         )
-    P_perp = np.eye(S.ambient_dim) - S.projector()
     scale = float(np.linalg.norm(M, 2)) if M.size else 0.0
+    return _preimage(M, S, tol, scale)
+
+
+def _preimage(M: np.ndarray, S: Subspace, tol: ToleranceProfile,
+              scale: float) -> Subspace:
+    """`preimage` of a checked M whose 2-norm `scale` the caller already has."""
+    P_perp = np.eye(S.ambient_dim) - S.projector()
     return kernel_of(P_perp @ M, tol, scale=scale)
 
 
@@ -337,7 +357,7 @@ def modal_subspace(A, region: StabilityRegion,
         return region.boundary_distance(complex(re, im)) > 0
 
     _, Z, sdim = scipy.linalg.schur(A, output="real", sort=_inside)
-    return Subspace(n, Z[:, :sdim])
+    return Subspace._adopt(n, Z[:, :sdim])
 
 
 def extended_ops(selector: str, W: Subspace, split: int,
@@ -376,4 +396,4 @@ def embed(S: Subspace, total_dim: int, offset: int = 0,
         raise DimensionMismatch("embedded block does not fit")
     b = np.zeros((total_dim, S.dim))
     b[offset:offset + S.ambient_dim, :] = S.basis
-    return Subspace(total_dim, b)
+    return Subspace._adopt(total_dim, b)

@@ -29,11 +29,11 @@ from .errors import (
 from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
+    _controllable_split,
     _outside,
+    _stabilizing_friend,
     _vstar_g,
     friend,
-    region_detectable,
-    region_stabilizable,
     spectral_report,
     sstar,
     sstar_g,
@@ -429,11 +429,41 @@ def _wellposedness_condition(sys, label, tol, seed):
 _PRECONDITION_NOTE = "(A,B) stabilizable and (C,A) detectable required"
 
 
+def _pair_fixed(sys, dual: bool, tol) -> np.ndarray:
+    """The uncontrollable spectrum of (A, B), or of (A^T, C^T) when `dual`
+    is set, from `_controllable_split`, once per plant and tolerance
+    profile: the p2 precondition and the pair checks of both stabilizing
+    friends read it."""
+    def split():
+        fixed = (_controllable_split(sys.A.T, sys.C.T, tol) if dual
+                 else _controllable_split(sys.A, sys.B, tol))[1]
+        fixed.setflags(write=False)
+        return fixed
+    return sys._memoized(("pair fixed", dual, tol), split)
+
+
 def _stabilizable_detectable(sys, tol) -> bool:
     """The p2 precondition, once per plant and tolerance profile."""
     return sys._memoized(("precondition", tol), lambda: (
-        region_stabilizable(sys.A, sys.B, sys.region, tol)
-        and region_detectable(sys.C, sys.A, sys.region, tol)))
+        not _outside(_pair_fixed(sys, False, tol), sys.region)
+        and not _outside(_pair_fixed(sys, True, tol), sys.region)))
+
+
+def _p2_friend(sys, kind: str, tol):
+    """The friend that conditions D/E are read from, once per plant and
+    tolerance profile: the feedback F of V_m + S_M over the control
+    quadruple, or the injection G of S_M over the observation quadruple.
+    `solve_certified` starts the stabilizing friends from it. Its matrix
+    is read-only, since every reader shares it."""
+    def build():
+        vm_sum, s_M = analysis_pair(sys, "p2", tol)
+        if kind == OUTPUT_NULLING:
+            cert = friend(OUTPUT_NULLING, vm_sum, sys.control_quadruple(), tol)
+        else:
+            cert = friend(INPUT_CONTAINING, s_M, sys.observation_quadruple(), tol)
+        cert.F_or_G.setflags(write=False)
+        return cert
+    return sys._memoized(("p2 friend", kind, tol), build)
 
 
 def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
@@ -458,7 +488,8 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
 
     def spectra_check(sub, kind, quad, which):
         try:
-            rep = spectral_report(sub, kind, quad, tol=tol)
+            rep = spectral_report(sub, kind, quad, cert=_p2_friend(sys, kind, tol),
+                                  tol=tol)
         except Exception as err:  # not invariant => condition fails
             return ConditionCheck(which, False, float("nan"), str(err))
         fixed = rep.internal_fixed if which == "D" else rep.external_fixed
@@ -626,7 +657,14 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
     report.S) the compensator was built on; for p2 also check the loop's
     spectrum. Returns (compensator, report, closed loop, certificate), so
     that callers that check the loop further need not rebuild it; raises
-    Infeasible / WellPosednessObstruction with the report attached."""
+    Infeasible / WellPosednessObstruction with the report attached.
+
+    For p2 the stabilizing friends start from what the analysis already
+    built on the plant's memo: the friends of (V_m + S_M, S_M) that
+    conditions D/E were read from, and the controllable splits of (A, B)
+    and (A^T, C^T) of the precondition. They are the friends and splits
+    that `stabilizing_friend` would build, so the compensator is the one
+    `synthesize(..., stabilize=True)` returns."""
     from .verify import _spectrum_stable, certify_decoupled
 
     if problem == "p1":
@@ -642,7 +680,18 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
         raise Infeasible(f"analysis verdict: {report.overall}", report)
 
     V, S = report.V, report.S
-    comp = synthesize(sys, V, S, report.K, stabilize=(problem == "p2"), tol=tol)
+    F = G = None
+    if problem == "p2":
+        region = sys.region
+        F = _stabilizing_friend(
+            V, OUTPUT_NULLING, sys.control_quadruple(), region, tol,
+            _p2_friend(sys, OUTPUT_NULLING, tol).F_or_G,
+            _pair_fixed(sys, False, tol)).F_or_G
+        G = _stabilizing_friend(
+            S, INPUT_CONTAINING, sys.observation_quadruple(), region, tol,
+            _p2_friend(sys, INPUT_CONTAINING, tol).F_or_G,
+            _pair_fixed(sys, True, tol)).F_or_G
+    comp = synthesize(sys, V, S, report.K, F=F, G=G, tol=tol)
     cl = close_loop(sys, comp, tol)
     # For p2 the star-pair K is used on the self-bounded/self-hidden pair
     # (the two affine families coincide); a K off that family leaves the

@@ -10,6 +10,29 @@ from geodd.subspaces import containment_residual, span_of
 from geodd.verify import POLE_CLEARANCE
 
 
+def count_calls(monkeypatch, name, *modules) -> list:
+    """Count the calls to the function `name` made through `modules`.
+
+    Wraps the function at each module's binding and returns the list that
+    receives the positional arguments of every call. geodd's modules import
+    functions by name (`from .geometry import friend`), so a call is seen
+    only through the module that makes it: pass every module whose calls
+    are to count. Each module must bind the same function.
+    """
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name) is not original:
+            raise AssertionError(f"{module.__name__}.{name} is another function")
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_quadruple(rng, n=None, m=None, p=None, lo=-3, hi=3) -> Quadruple:
     n = n or int(rng.integers(2, 7))
     m = m or int(rng.integers(1, 4))

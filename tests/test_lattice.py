@@ -20,7 +20,7 @@ from geodd.lattice import (
 )
 from geodd.subspaces import combine, contains, equal, invariant_hull, kernel_of
 from geodd.verify import InstanceSpec, generate_instance
-from helpers import max_angle, rational_as_subspace
+from helpers import count_calls, max_angle, rational_as_subspace
 
 
 class TestPlantSystem:
@@ -192,22 +192,21 @@ class TestRecursionCounts:
     """Each entry point runs every star recursion it needs exactly once."""
 
     @pytest.fixture
-    def counts(self, monkeypatch):
+    def recursions(self, monkeypatch):
+        """run(fn, *args): fn's result and the star recursions it ran."""
         from geodd import geometry, lattice, synthesis
 
-        calls = {"n": 0}
-        for name in ("vstar", "sstar"):
-            original = getattr(geometry, name)
+        calls = [count_calls(monkeypatch, name, geometry, lattice, synthesis)
+                 for name in ("vstar", "sstar")]
 
-            def counted(*args, _original=original, **kwargs):
-                calls["n"] += 1
-                return _original(*args, **kwargs)
+        def run(fn, *args):
+            for c in calls:
+                c.clear()
+            result = fn(*args)
+            return result, sum(map(len, calls))
+        return run
 
-            for module in (geometry, lattice, synthesis):
-                monkeypatch.setattr(module, name, counted)
-        return calls
-
-    def test_entry_points_on_generated_plant(self, counts):
+    def test_entry_points_on_generated_plant(self, recursions):
         from geodd.synthesis import analyze_p1, analyze_p2
 
         spec = InstanceSpec(seed=7, n=4, m=2, q=1, p=2, r=1)
@@ -215,10 +214,7 @@ class TestRecursionCounts:
         for name, fn in (("p1", analyze_p1), ("p2", analyze_p2),
                          ("report", lattice_report)):
             # a fresh plant each, so that no entry point reads another's memo
-            sys = generate_instance(spec)
-            counts["n"] = 0
-            result = fn(sys)
-            runs[name] = counts["n"]
+            result, runs[name] = recursions(fn, generate_instance(spec))
         assert result.route_stabilizability["verdict"] is not None
         # p1: V*, S*; p2 adds the two extended quadruples' pairs (vm_sM);
         # the report runs 7 + V*(observation), and its stabilizability
@@ -226,20 +222,17 @@ class TestRecursionCounts:
         # observation quadruple only.
         assert runs == {"p1": 2, "p2": 6, "report": 10}
 
-    def test_analyses_of_one_plant_share_their_recursions(self, counts):
+    def test_analyses_of_one_plant_share_their_recursions(self, recursions):
         from geodd.synthesis import analyze_p1, analyze_p2, solve
 
         sys = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
-        runs = []
-        for fn in (analyze_p1, analyze_p2, lambda plant: solve(plant, "p2")):
-            counts["n"] = 0
-            fn(sys)
-            runs.append(counts["n"])
+        runs = [recursions(fn, sys)[1] for fn in
+                (analyze_p1, analyze_p2, lambda plant: solve(plant, "p2"))]
         # p1 builds the star pair; p2 reads it from the plant's memo and
         # builds only vm_sM's two extended pairs; solve reads everything.
         assert runs == [2, 4, 0]
 
-    def test_new_tolerance_or_replaced_plant_recomputes(self, counts):
+    def test_new_tolerance_or_replaced_plant_recomputes(self, recursions):
         from dataclasses import replace
 
         from geodd.subspaces import ToleranceProfile
@@ -250,7 +243,5 @@ class TestRecursionCounts:
         for plant, tol in ((sys, ToleranceProfile()), (sys, ToleranceProfile()),
                            (sys, ToleranceProfile(rank_rel=1e-9)),
                            (replace(sys), ToleranceProfile())):
-            counts["n"] = 0
-            analyze_p1(plant, tol)
-            runs.append(counts["n"])
+            runs.append(recursions(analyze_p1, plant, tol)[1])
         assert runs == [2, 0, 2, 2]

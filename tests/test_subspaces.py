@@ -30,6 +30,17 @@ def assert_orthonormal(S):
         assert np.linalg.norm(gram - np.eye(S.dim)) <= 10 * ORTHO_TOL
 
 
+class TestSubspaceBasis:
+    def test_caller_array_stays_writable(self):
+        b = np.eye(2)
+        S = Subspace(2, b)
+        assert b.flags.writeable
+        b[0, 0] = 5.0
+        assert np.array_equal(S.basis, np.eye(2))
+        with pytest.raises(ValueError):
+            S.basis[0, 0] = 2.0
+
+
 class TestSpanKernel:
     def test_proportional_columns(self):
         S = span_of(np.array([[1.0, 2.0], [2.0, 4.0]]))

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodd import GenerationFailed, exact, synthesis
+from geodd import GenerationFailed, exact, geometry, synthesis
 from geodd.errors import (
     AllSingular,
+    CertificateFailed,
+    GeoddError,
+    Infeasible,
     NotWellPosed,
     WellPosednessObstruction,
     WellPosednessViolated,
 )
-from geodd.geometry import match_spectra, sstar, sstar_g, vstar, vstar_g
-from geodd.lattice import PlantSystem, lattice_report, vm_sM
+from geodd.geometry import match_spectra, rstar_qstar, sstar, sstar_g, vstar, vstar_g
+from geodd.lattice import PlantSystem, extended_quadruples, lattice_report, vm_sM
 from geodd.subspaces import Subspace, ToleranceProfile, combine, equal, relate, span_of
 from geodd.synthesis import (
     Compensator,
@@ -36,6 +39,7 @@ from geodd.verify import (
     generate_instance,
     stability_check,
 )
+from helpers import count_calls
 
 
 class TestAffineFamily:
@@ -387,19 +391,6 @@ class TestAnalyzeP2:
         assert agree == total == 100
 
 
-def _counting(monkeypatch, module, name):
-    """Count the calls to module.name made through that module."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @st.composite
 def plant_specs(draw):
     return InstanceSpec(
@@ -416,7 +407,7 @@ class TestPlantMemo:
     def test_exact_twin_built_once_for_both_analyses(self, monkeypatch,
                                                      singular_family_plant):
         plant = replace(singular_family_plant, time_domain="discrete")
-        calls = _counting(monkeypatch, synthesis, "_exact_star_family")
+        calls = count_calls(monkeypatch, "_exact_star_family", synthesis)
         reports = [analyze_p1(plant), analyze_p2(plant)]
         assert [r.overall for r in reports] == ["well_posedness_obstruction"] * 2
         assert reports[1].condition("F").note == "confirmed singular on exact grid"
@@ -426,7 +417,7 @@ class TestPlantMemo:
 
     def test_seed_and_tolerance_key_the_wellposed_entry(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))
-        calls = _counting(monkeypatch, synthesis, "select_wellposed")
+        calls = count_calls(monkeypatch, "select_wellposed", synthesis)
         counts = []
         for run in (lambda: analyze_p1(plant), lambda: analyze_p2(plant),
                     lambda: solve(plant, "p2"), lambda: analyze_p2(plant, seed=1),
@@ -446,7 +437,7 @@ class TestPlantMemo:
         assert not equal(Vst, VstG) and not equal(Sst, SstG)
         analyze_p1(plant)
         analyze_p2(plant)
-        calls = _counting(monkeypatch, synthesis, "coupling_conditions")
+        calls = count_calls(monkeypatch, "coupling_conditions", synthesis)
         route = lattice_report(plant).route_stabilizability
         assert route["verdict"] is not None
         assert len(calls) == 1
@@ -478,3 +469,72 @@ class TestPlantMemo:
         warm = [analyses[name](plant).to_dict() for name in order]
         fresh = [analyses[name](replace(plant)).to_dict() for name in order]
         assert warm == fresh
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWorkPerSolve:
+    """One p2 solve builds each controllable split, friend and star-step
+    norm once: the stabilizing friends start from the friends and pair
+    splits of the analysis, read from the plant's memo."""
+
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_p2_solve_reuses_splits_and_friends(self, monkeypatch, domain):
+        plant = generate_instance(InstanceSpec(seed=2, n=4, time_domain=domain))
+        splits = count_calls(monkeypatch, "_controllable_split", geometry, synthesis)
+        friends = count_calls(monkeypatch, "friend", geometry, synthesis)
+        solve(plant, "p2")
+        # splits: the precondition's (A, B) and (A^T, C^T), and the two
+        # placements this plant needs; friends: F of V_m + S_M, and G of
+        # S_M with the dual friend it is transposed from
+        assert (len(splits), len(friends)) == (4, 3)
+
+    def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
+        plant = generate_instance(InstanceSpec(seed=2, n=4))
+        # quadruples on which each recursion takes several steps
+        qv, qs = plant.observation_quadruple(), plant.control_quadruple()
+        stacked = {"vstar": np.vstack([qv.A, qv.C]), "sstar": np.hstack([qs.A, qs.B])}
+        norms = {name: 0 for name in stacked}
+        original = np.linalg.norm
+
+        def recording(x, *args, **kwargs):
+            for name, M in stacked.items():
+                if np.shape(x) == M.shape and np.array_equal(x, M):
+                    norms[name] += 1
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        steps = [len(fn(q, return_sequence=True)[1]) - 1
+                 for fn, q in ((vstar, qv), (sstar, qs))]
+        assert steps == [5, 5]
+        assert norms == {"vstar": 1, "sstar": 1}
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(plant_specs())
+    def test_reused_friends_are_the_ones_built_fresh(self, spec):
+        try:
+            plant = generate_instance(spec)
+        except GenerationFailed:
+            assume(False)
+        quad_b, quad_c = extended_quadruples(plant)
+        halves = (rstar_qstar(quad_b)[0], rstar_qstar(quad_c)[1])
+        assert all(_same_bits(got.basis, want.basis)
+                   for got, want in zip(vm_sM(plant), halves))
+
+        fresh = replace(plant)
+        try:
+            comp, report = solve(plant, "p2")
+        except (Infeasible, WellPosednessObstruction, CertificateFailed):
+            return
+        except GeoddError as err:
+            # raised while building the stabilizing friends
+            report = analyze_p2(plant)
+            with pytest.raises(type(err)) as fresh_err:
+                synthesize(fresh, report.V, report.S, report.K, stabilize=True)
+            assert str(fresh_err.value) == str(err)
+            return
+        built = synthesize(fresh, report.V, report.S, report.K, stabilize=True)
+        assert all(_same_bits(getattr(comp, name), getattr(built, name))
+                   for name in ("A_c", "B_c", "C_c", "D_c"))
