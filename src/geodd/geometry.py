@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+from scipy.linalg import solve_continuous_are, solve_discrete_are
 
 from .errors import (
     DimensionMismatch,
@@ -25,7 +25,6 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
-    _numerical_rank,
     _preimage,
     combine,
     complement,
@@ -44,8 +43,8 @@ OUTPUT_NULLING = "output_nulling"
 INPUT_CONTAINING = "input_containing"
 
 # Numerical guard against eigenvalues hugging the region boundary: fixed
-# spectra this close are treated as violating, and placement is not
-# skipped for blocks this close to instability.
+# spectra this close are treated as violating, and the stabilizing gain is
+# not skipped for blocks this close to instability.
 REGION_GUARD = 1e-8
 SKIP_GUARD = 1e-6
 
@@ -135,7 +134,8 @@ def _nulling_target(V: Subspace, q: Quadruple, BD: Subspace,
 def _containing_domain(S: Subspace, q: Quadruple, ker_cd: Subspace,
                        tol: ToleranceProfile) -> Subspace:
     """(S x U) ^ ker_cd, ker_cd = ker [C D]: the input-containing step's domain."""
-    return combine("intersect", span_of(lifted_basis(S, q.m), tol), ker_cd, tol)
+    return combine("intersect", Subspace._adopt(q.n + q.m, lifted_basis(S, q.m)),
+                   ker_cd, tol)
 
 
 def output_nulling_residual(V: Subspace, q: Quadruple,
@@ -323,26 +323,6 @@ def _extend_within(inner: Subspace, outer: Subspace,
     return span_of(proj_out, tol, scale=1.0).basis
 
 
-def _placement_targets(k: int, region: StabilityRegion, slot: int) -> np.ndarray:
-    """Reproducible distinct real targets strictly inside the region.
-
-    Different slots (internal/external x feedback/injection) use disjoint
-    target families so the closed loop never collects high-multiplicity
-    eigenvalues, which eigensolvers resolve poorly.
-    """
-    if region.kind == "continuous":
-        # feedback slots (0, 1) near -1, injection slots (2, 3) near -3
-        base = -1.0 - region.margin - 0.25 * (slot % 2) - 2.0 * (slot // 2)
-        return base + np.arange(k) * -0.5
-    # Discrete: feedback targets positive, injection targets negative, so
-    # the two closed maps never share (or nearly share) eigenvalues, which
-    # would wreck the loop matrix's eigenvalue conditioning.
-    sign = 1.0 if slot < 2 else -1.0
-    r0 = min(0.55 - 0.06 * (slot % 2), (1.0 - region.margin) * 0.6)
-    step = min(0.12, (r0 - 0.02) / max(k - 1, 1))
-    return sign * (r0 - step * np.arange(k))
-
-
 def _outside(eigs, region: StabilityRegion) -> list:
     """The eigenvalues that violate the region, boundary guard included."""
     return [l for l in eigs if region.boundary_distance(l) <= REGION_GUARD]
@@ -360,12 +340,15 @@ def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile):
 
 def _place_state_feedback(A: np.ndarray, B: np.ndarray,
                           region: StabilityRegion,
-                          tol: ToleranceProfile,
-                          slot: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                          tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
     """Gain F with A + B F stable in the region where possible.
 
-    Returns (F, uncontrollable_eigenvalues); the caller decides whether the
-    fixed part violates the region.
+    The gain is the Riccati gain, with identity weights, of the controllable
+    block (Ac, Bc), shifted so that its closed-loop spectrum lies beyond the
+    region's margin: left of -(1 + margin) in continuous time, inside the
+    disc of radius (1 - margin) / 2 in discrete time. Returns
+    (F, uncontrollable_eigenvalues); the caller decides whether the fixed
+    part violates the region.
     """
     k = A.shape[0]
     if k == 0:
@@ -379,88 +362,65 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
     if all(region.boundary_distance(l) > SKIP_GUARD for l in np.linalg.eigvals(Ac)):
         return np.zeros((B.shape[1], k)), fixed
     Bc = T1.T @ B
-    # Reduce to full column rank inputs for the placement routine.
-    U, s, Vh = np.linalg.svd(Bc, full_matrices=False)
-    rb = _numerical_rank(s, Bc.shape, tol.rank_rel, 0.0)
-    Vr = Vh[:rb].T
-    Bred = Bc @ Vr
-    targets = _placement_targets(kc, region, slot)
-    if kc == 1:
-        gain = np.atleast_2d((Ac[0, 0] - targets[0]) / Bred[0, 0])
+    Q, R = np.eye(kc), np.eye(B.shape[1])
+    if region.kind == "continuous":
+        P = solve_continuous_are(Ac + (1.0 + region.margin) * np.eye(kc), Bc, Q, R)
+        gain = -Bc.T @ P
     else:
-        gain = scipy.signal.place_poles(Ac, Bred, targets).gain_matrix
-    F = -Vr @ gain @ T1.T
-    return F, fixed
+        rho = (1.0 - region.margin) / 2.0
+        As = Ac / rho
+        P = solve_discrete_are(As, Bc, Q, R)
+        gain = -rho * np.linalg.solve(R + Bc.T @ P @ Bc, Bc.T @ P @ As)
+    return gain @ T1.T, fixed
 
 
 def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
                        region: StabilityRegion,
-                       tol: ToleranceProfile = DEFAULT_TOL) -> FriendCertificate:
+                       tol: ToleranceProfile = DEFAULT_TOL, *,
+                       base: np.ndarray | None = None,
+                       pair_fixed: np.ndarray | None = None) -> FriendCertificate:
     """Friend whose closed map A+BF (dually A+GC) is stable in the region.
 
-    Assignable spectra on the reachability part and on the quotient are
-    placed at reproducible targets: feedback friends use the feedback target
-    families, injection friends (solved as feedback friends of the dual) the
-    injection ones. Fails if a fixed spectrum violates the region, or if the
-    pair itself is not stabilizable.
+    The assignable spectra on the reachability part and on the quotient are
+    moved into the region by shifted Riccati gains (`_place_state_feedback`);
+    an injection friend is built as the feedback friend of the complement of
+    S in the dual quadruple. Fails if a fixed spectrum violates the region,
+    or if the pair (A, B), dually (A^T, C^T), is not stabilizable.
+
+    A caller that already has them may pass `base`, a friend of V_or_S of
+    the same kind (F, or the injection G), and `pair_fixed`, the
+    uncontrollable spectrum of (A, B), or of (A^T, C^T) for an injection;
+    each is computed here when not given. Every check runs either way.
     """
-    return _stabilizing_friend(V_or_S, kind, q, region, tol)
-
-
-def _stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
-                        region: StabilityRegion, tol: ToleranceProfile,
-                        base: np.ndarray | None = None,
-                        pair_fixed: np.ndarray | None = None) -> FriendCertificate:
-    """`stabilizing_friend`, started from what the caller already has: a
-    friend `base` of V_or_S of the same kind (F, or the injection G), and
-    the fixed spectrum `pair_fixed` of (A, B), or of (A^T, C^T) for an
-    injection. Each is computed here when not given."""
     if kind == INPUT_CONTAINING:
         # G^T is the friend of the complement in the dual that
         # `friend(INPUT_CONTAINING, ...)` transposed into G.
-        dual_cert = _stabilizing_feedback(
-            complement(V_or_S, tol), q.dual(), region, tol, slots=(2, 3),
-            base=None if base is None else base.T, pair_fixed=pair_fixed)
-        G = dual_cert.F_or_G.T
-        resid = injection_residual(G, V_or_S, q)
-        if resid > tol.residual:
-            raise NotInvariant("stabilizing injection lost invariance", residual=resid)
-        return FriendCertificate(G, kind, resid)
-    if kind != OUTPUT_NULLING:
+        V, qv = complement(V_or_S, tol), q.dual()
+        if base is not None:
+            base = base.T
+    elif kind == OUTPUT_NULLING:
+        V, qv = V_or_S, q
+    else:
         raise InvalidInput(f"unknown friend kind {kind!r}")
-    return _stabilizing_feedback(V_or_S, q, region, tol, slots=(0, 1),
-                                 base=base, pair_fixed=pair_fixed)
-
-
-def _stabilizing_feedback(V: Subspace, q: Quadruple, region: StabilityRegion,
-                          tol: ToleranceProfile, slots: tuple,
-                          base: np.ndarray | None = None,
-                          pair_fixed: np.ndarray | None = None) -> FriendCertificate:
-    """Stabilizing friend of an output-nulling V; `slots` picks the target
-    families of the internal and the external placement.
-
-    The pair check reads `pair_fixed`, the uncontrollable spectrum of
-    (q.A, q.B), and the loop shaping starts from `base`, a friend of V;
-    each is computed when not given. Every check runs either way."""
     if pair_fixed is None:
-        pair_fixed = _controllable_split(q.A, q.B, tol)[1]
+        pair_fixed = _controllable_split(qv.A, qv.B, tol)[1]
     bad = _outside(pair_fixed, region)
     if bad:
         raise NotStabilizablePair(
             f"pair (A, B) has unstabilizable modes {np.round(bad, 6)}"
         )
     if base is None:
-        base = friend(OUTPUT_NULLING, V, q, tol).F_or_G
+        base = friend(OUTPUT_NULLING, V, qv, tol).F_or_G
     F = base.copy()
 
     # Internal loop shaping: extra feedback through inputs that keep V and
     # null the output, i.e. u in B^{-1} V ^ ker D.
     if not V.is_trivial:
-        Pv = np.eye(q.n) - V.projector()
-        Uv = kernel_of(np.vstack([Pv @ q.B, q.D]), tol).basis
-        Av = V.basis.T @ (q.A + q.B @ F) @ V.basis
-        Bv = V.basis.T @ q.B @ Uv
-        dF, fixed_int = _place_state_feedback(Av, Bv, region, tol, slot=slots[0])
+        Pv = np.eye(qv.n) - V.projector()
+        Uv = kernel_of(np.vstack([Pv @ qv.B, qv.D]), tol).basis
+        Av = V.basis.T @ (qv.A + qv.B @ F) @ V.basis
+        Bv = V.basis.T @ qv.B @ Uv
+        dF, fixed_int = _place_state_feedback(Av, Bv, region, tol)
         bad = _outside(fixed_int, region)
         if bad:
             raise FixedSpectrumOutsideRegion(
@@ -472,9 +432,9 @@ def _stabilizing_feedback(V: Subspace, q: Quadruple, region: StabilityRegion,
     # preserves friendship.
     W = complement(V, tol).basis
     if W.shape[1]:
-        Aq = W.T @ (q.A + q.B @ F) @ W
-        Bq = W.T @ q.B
-        dF2, fixed_ext = _place_state_feedback(Aq, Bq, region, tol, slot=slots[1])
+        Aq = W.T @ (qv.A + qv.B @ F) @ W
+        Bq = W.T @ qv.B
+        dF2, fixed_ext = _place_state_feedback(Aq, Bq, region, tol)
         bad = _outside(fixed_ext, region)
         if bad:
             raise FixedSpectrumOutsideRegion(
@@ -482,15 +442,21 @@ def _stabilizing_feedback(V: Subspace, q: Quadruple, region: StabilityRegion,
             )
         F = F + dF2 @ W.T
 
-    resid = friend_residual(F, V, q)
+    resid = friend_residual(F, V, qv)
     if resid > 100 * tol.residual:
         raise NotInvariant("stabilizing friend lost invariance", residual=resid)
-    bad = _outside(np.linalg.eigvals(q.A + q.B @ F), region)
+    bad = _outside(np.linalg.eigvals(qv.A + qv.B @ F), region)
     if bad:
         raise FixedSpectrumOutsideRegion(
             "closed map spectrum escaped the region", bad
         )
-    return FriendCertificate(F, OUTPUT_NULLING, resid)
+    if kind == OUTPUT_NULLING:
+        return FriendCertificate(F, kind, resid)
+    G = F.T
+    resid = injection_residual(G, V_or_S, q)
+    if resid > tol.residual:
+        raise NotInvariant("stabilizing injection lost invariance", residual=resid)
+    return FriendCertificate(G, kind, resid)
 
 
 def spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,

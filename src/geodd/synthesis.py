@@ -31,7 +31,6 @@ from .geometry import (
     OUTPUT_NULLING,
     _controllable_split,
     _outside,
-    _stabilizing_friend,
     _vstar_g,
     friend,
     spectral_report,
@@ -579,8 +578,8 @@ def synthesize(sys: PlantSystem, V: Subspace, S: Subspace, K,
     """Order-n compensator from a well-posed K and friends of V and S.
 
     F and G may be supplied explicitly (any valid friend pair works); when
-    omitted they are computed, with pole placement inside the plant's
-    stability region if `stabilize` is set.
+    omitted they are computed, as stabilizing friends whose closed maps lie
+    inside the plant's stability region if `stabilize` is set.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     if K.shape != (sys.m, sys.p):
@@ -683,14 +682,14 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
     F = G = None
     if problem == "p2":
         region = sys.region
-        F = _stabilizing_friend(
+        F = stabilizing_friend(
             V, OUTPUT_NULLING, sys.control_quadruple(), region, tol,
-            _p2_friend(sys, OUTPUT_NULLING, tol).F_or_G,
-            _pair_fixed(sys, False, tol)).F_or_G
-        G = _stabilizing_friend(
+            base=_p2_friend(sys, OUTPUT_NULLING, tol).F_or_G,
+            pair_fixed=_pair_fixed(sys, False, tol)).F_or_G
+        G = stabilizing_friend(
             S, INPUT_CONTAINING, sys.observation_quadruple(), region, tol,
-            _p2_friend(sys, INPUT_CONTAINING, tol).F_or_G,
-            _pair_fixed(sys, True, tol)).F_or_G
+            base=_p2_friend(sys, INPUT_CONTAINING, tol).F_or_G,
+            pair_fixed=_pair_fixed(sys, True, tol)).F_or_G
     comp = synthesize(sys, V, S, report.K, F=F, G=G, tol=tol)
     cl = close_loop(sys, comp, tol)
     # For p2 the star-pair K is used on the self-bounded/self-hidden pair

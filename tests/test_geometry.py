@@ -35,9 +35,16 @@ from geodd.subspaces import (
     kernel_of,
     span_of,
 )
-from helpers import max_angle, quad_to_exact, random_quadruple, rational_as_subspace
+from helpers import (
+    count_calls,
+    max_angle,
+    quad_to_exact,
+    random_quadruple,
+    rational_as_subspace,
+)
 
 CONT = StabilityRegion("continuous")
+DISC = StabilityRegion("discrete")
 
 
 def exact_vstar_subspace(q):
@@ -265,12 +272,18 @@ class TestStabilizingFriend:
         cert = stabilizing_friend(Subspace.trivial(2), OUTPUT_NULLING, q, CONT)
         assert not cert.F_or_G.any()
 
-    def test_scalar_placement(self):
-        q = Quadruple([[1.0]], [[1.0]], np.zeros((1, 1)), np.zeros((1, 1)))
-        cert = stabilizing_friend(Subspace.full(1), OUTPUT_NULLING, q, CONT)
-        F = cert.F_or_G
-        assert F[0, 0] == pytest.approx(-2.0)
-        assert np.linalg.eigvals(q.A + q.B @ F)[0] == pytest.approx(-1.0)
+    @pytest.mark.parametrize("region", [CONT, DISC], ids=["continuous", "discrete"])
+    def test_scalar_placement(self, region):
+        # The friend that keeps V leaves the mode at 1.5, unstable in both
+        # domains; the shifted Riccati gain moves it left of -1 (continuous)
+        # or inside the disc of radius 1/2 (discrete).
+        q = Quadruple([[3.0]], [[1.0]], np.zeros((1, 1)), np.zeros((1, 1)))
+        cert = stabilizing_friend(Subspace.full(1), OUTPUT_NULLING, q, region)
+        lam = np.linalg.eigvals(q.A + q.B @ cert.F_or_G)[0]
+        if region.kind == "continuous":
+            assert lam.real <= -1.0
+        else:
+            assert abs(lam) <= 0.5
 
     def test_unstable_invariant_zero_blocks_stabilization(self):
         # invariant zero at +1 sits in V*/R_V*
@@ -304,21 +317,18 @@ class TestStabilizingFriend:
 
     def test_pair_check_places_no_poles(self, monkeypatch):
         # On this plant (A, B) is controllable with unstable modes and V* has
-        # dimension 3, so the only placement is the internal one on V*.
+        # dimension 3. The pair check solves no Riccati equation on the whole
+        # pair: the solves are the internal one on V* and the external one
+        # on the 1-dimensional quotient X / V*.
         plant = generate_instance(InstanceSpec(seed=7, n=4))
         q = plant.control_quadruple()
         V = vstar(q)
-        place = geometry.scipy.signal.place_poles
-        sizes = []
-
-        def counting(A, B, poles, **kwargs):
-            sizes.append(A.shape[0])
-            return place(A, B, poles, **kwargs)
-
-        monkeypatch.setattr(geometry.scipy.signal, "place_poles", counting)
+        care = count_calls(monkeypatch, "solve_continuous_are", geometry)
+        dare = count_calls(monkeypatch, "solve_discrete_are", geometry)
         cert = stabilizing_friend(V, OUTPUT_NULLING, q, CONT)
         assert V.dim == 3
-        assert sizes == [3]
+        assert [args[0].shape[0] for args in care] == [3, 1]
+        assert dare == []
         eigs = np.linalg.eigvals(q.A + q.B @ cert.F_or_G)
         assert max(e.real for e in eigs) < 0
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,20 @@ class TestSolve:
             perturbed = synthesize(sys, *pair, K, stabilize=True)
             assert not certify_decoupled(close_loop(sys, perturbed), pair=pair).valid
 
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_p2_solves_without_warnings(self, domain, seed):
+        # the stabilizing gains solve Riccati equations, which have no
+        # iteration cap to stop at, so these n = 16 solves warn about nothing
+        sys = generate_instance(InstanceSpec(seed=seed, n=16, m=3, q=1, p=3, r=1,
+                                             time_domain=domain))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comp, report = solve(sys, "p2")
+        cl = close_loop(sys, comp)
+        assert certify_decoupled(cl, pair=(report.V, report.S)).valid
+        assert stability_check(cl.A_hat, sys.region)[0]
+
     @pytest.mark.parametrize("problem, domain, n, seed", [
         ("p1", "discrete", 6, 10),
         ("p1", "discrete", 8, 1),
@@ -487,7 +502,7 @@ class TestWorkPerSolve:
         friends = count_calls(monkeypatch, "friend", geometry, synthesis)
         solve(plant, "p2")
         # splits: the precondition's (A, B) and (A^T, C^T), and the two
-        # placements this plant needs; friends: F of V_m + S_M, and G of
+        # stabilizing gains this plant needs; friends: F of V_m + S_M, and G of
         # S_M with the dual friend it is transposed from
         assert (len(splits), len(friends)) == (4, 3)
 
