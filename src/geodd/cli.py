@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_USAGE
-    except GeoddError as err:
+    except (GeoddError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=_sys.stderr)
         return EXIT_NUMERICAL
 

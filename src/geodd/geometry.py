@@ -25,6 +25,7 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _norm2,
     _preimage,
     combine,
     complement,
@@ -146,7 +147,7 @@ def output_nulling_residual(V: Subspace, q: Quadruple,
     target = _nulling_target(V, q, span_of(_bd(q), tol), tol)
     mapped = _stacked_output(q) @ V.basis
     resid = mapped - target.basis @ (target.basis.T @ mapped)
-    return float(np.linalg.norm(resid, 2))
+    return _norm2(resid)
 
 
 def input_containing_residual(S: Subspace, q: Quadruple,
@@ -155,7 +156,7 @@ def input_containing_residual(S: Subspace, q: Quadruple,
     dom = _containing_domain(S, q, kernel_of(np.hstack([q.C, q.D]), tol), tol)
     mapped = np.hstack([q.A, q.B]) @ dom.basis
     resid = mapped - S.basis @ (S.basis.T @ mapped)
-    return float(np.linalg.norm(resid, 2) if resid.size else 0.0)
+    return _norm2(resid)
 
 
 def vstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
@@ -171,7 +172,7 @@ def vstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
     V = Subspace.full(q.n)
     seq = [V]
     MT = _stacked_output(q)
-    MT_norm = float(np.linalg.norm(MT, 2)) if MT.size else 0.0
+    MT_norm = _norm2(MT)
     BD = span_of(_bd(q), tol)
     for _ in range(q.n + 1):
         Vnext = _preimage(MT, _nulling_target(V, q, BD, tol), tol, MT_norm)
@@ -196,7 +197,7 @@ def sstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
     S = Subspace.trivial(q.n)
     seq = [S]
     AB = np.hstack([q.A, q.B])
-    AB_norm = float(np.linalg.norm(AB, 2))
+    AB_norm = _norm2(AB)
     ker_cd = kernel_of(np.hstack([q.C, q.D]), tol)
     for _ in range(q.n + 1):
         dom = _containing_domain(S, q, ker_cd, tol)
@@ -264,7 +265,7 @@ def friend_residual(F: np.ndarray, V: Subspace, q: Quadruple) -> float:
     top = (q.A + q.B @ F) @ V.basis
     bot = (q.C + q.D @ F) @ V.basis
     top_out = top - V.basis @ (V.basis.T @ top)
-    return float(np.linalg.norm(np.vstack([top_out, bot]), 2))
+    return _norm2(np.vstack([top_out, bot]))
 
 
 def injection_residual(G: np.ndarray, S: Subspace, q: Quadruple) -> float:
@@ -273,7 +274,7 @@ def injection_residual(G: np.ndarray, S: Subspace, q: Quadruple) -> float:
     blocks = [P @ (q.B + G @ q.D)]
     if not S.is_trivial:
         blocks.insert(0, P @ (q.A + G @ q.C) @ S.basis)
-    return float(np.linalg.norm(np.hstack(blocks), 2))
+    return _norm2(np.hstack(blocks))
 
 
 def reach_detect(kind: str, V_or_S: Subspace, cert: FriendCertificate,

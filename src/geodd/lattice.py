@@ -30,6 +30,7 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _norm2,
     combine,
     containment_residual,
     contains,
@@ -169,7 +170,7 @@ def disturbance_kernel_condition(sys: PlantSystem, S: Subspace,
                              kernel_of(np.hstack([sys.C, sys.G_y]), tol), tol)
     if dom.is_trivial:
         return 0.0
-    return float(np.linalg.norm(np.hstack([sys.E, sys.G_z]) @ dom.basis, 2))
+    return _norm2(np.hstack([sys.E, sys.G_z]) @ dom.basis)
 
 
 def coupling_conditions(sys: PlantSystem, V: Subspace, S: Subspace,

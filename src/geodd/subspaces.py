@@ -7,19 +7,58 @@ functions of immutable inputs; nothing here keeps global state.
 Rank decisions use a relative singular-value cutoff, comparisons use
 principal angles computed through their sines (well conditioned for the
 tiny angles we care about).
+
+Every real SVD and spectral norm of the package goes through the private
+kernel `_svd`/`_singular_values`/`_norm2`, which calls LAPACK dgesdd (the
+routine behind numpy.linalg.svd) directly and gives numpy's results bit for
+bit: on matrices this small numpy's wrapper costs more than the LAPACK work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork
 
 from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 
 # Orthonormality slack for bases produced by SVD/QR; not user-tunable.
 ORTHO_TOL = 1e-12
+
+
+def _gesdd(M: np.ndarray, compute_uv: int, full_matrices: int):
+    # numpy's workspace, from the same query: once min(M.shape) exceeds
+    # LAPACK's block size, dgesdd rounds differently for another lwork.
+    # Positional flags: the binding parses keywords several microseconds slower.
+    lwork, _ = dgesdd_lwork(*M.shape, compute_uv, full_matrices)
+    u, s, vt, info = dgesdd(M, compute_uv, full_matrices, int(lwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info})")
+    return u, s, vt
+
+
+def _svd(M: np.ndarray, full_matrices: bool):
+    """numpy.linalg.svd(M, full_matrices), bit for bit, without its wrapper.
+
+    The factors come back C-ordered, as numpy returns them: the layout of U
+    and Vh decides the rounding of every product taken with them later."""
+    u, s, vt = _gesdd(M, 1, full_matrices)
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+
+
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """numpy.linalg.svd(M, compute_uv=False), bit for bit."""
+    return _gesdd(M, 0, 0)[1]
+
+
+def _norm2(M: np.ndarray) -> float:
+    """Spectral norm, numpy.linalg.norm(M, 2) bit for bit; 0.0 when empty."""
+    if M.size == 0:
+        return 0.0
+    return float(_gesdd(M, 0, 0)[1][0])
 
 
 @dataclass(frozen=True)
@@ -106,8 +145,12 @@ class Subspace:
             )
         if b.shape[1] > self.ambient_dim:
             raise DimensionMismatch("subspace dimension exceeds ambient dimension")
-        if b.size and np.linalg.norm(b.T @ b - np.eye(b.shape[1])) > 10 * ORTHO_TOL:
-            raise InvalidInput("basis columns are not orthonormal")
+        if b.size:
+            # ||B^T B - I||_F, on the flat buffer of the Gram matrix
+            gram = (b.T @ b).ravel()
+            gram[::b.shape[1] + 1] -= 1.0
+            if math.sqrt(gram @ gram) > 10 * ORTHO_TOL:
+                raise InvalidInput("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
         b.setflags(write=False)
 
@@ -157,7 +200,7 @@ def _numerical_rank(s: np.ndarray, shape, rank_rel: float, scale: float) -> int:
     if s.size == 0:
         return 0
     cutoff = rank_rel * max(s[0], scale) * max(shape)
-    return int(np.sum(s > cutoff)) if cutoff > 0 else int(np.sum(s > 0))
+    return np.count_nonzero(s > cutoff) if cutoff > 0 else np.count_nonzero(s > 0)
 
 
 def span_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Subspace:
@@ -171,7 +214,7 @@ def span_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Subsp
     n = M.shape[0]
     if M.shape[1] == 0:
         return Subspace.trivial(n)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U, s, _ = _svd(M, False)
     r = _numerical_rank(s, M.shape, tol.rank_rel, scale)
     return Subspace._adopt(n, U[:, :r])
 
@@ -185,7 +228,7 @@ def kernel_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Sub
     n = M.shape[1]
     if M.shape[0] == 0 or n == 0:
         return Subspace.full(n)
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    _, s, Vh = _svd(M, True)
     r = _numerical_rank(s, M.shape, tol.rank_rel, scale)
     return Subspace._adopt(n, Vh[r:].T)
 
@@ -226,7 +269,7 @@ def preimage(M, S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
         raise DimensionMismatch(
             f"M maps into R^{M.shape[0]} but S lives in R^{S.ambient_dim}"
         )
-    scale = float(np.linalg.norm(M, 2)) if M.size else 0.0
+    scale = _norm2(M)
     return _preimage(M, S, tol, scale)
 
 
@@ -242,7 +285,7 @@ def image_under(M, S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace
     M = _as_matrix(M)
     if M.shape[1] != S.ambient_dim:
         raise DimensionMismatch("matrix/subspace shape mismatch in image")
-    scale = float(np.linalg.norm(M, 2)) if M.size else 0.0
+    scale = _norm2(M)
     return span_of(M @ S.basis, tol, scale=scale)
 
 
@@ -253,7 +296,7 @@ def containment_residual(inner: Subspace, outer: Subspace) -> float:
     if inner.is_trivial:
         return 0.0
     resid = inner.basis - outer.basis @ (outer.basis.T @ inner.basis)
-    return float(np.linalg.norm(resid, 2))
+    return _norm2(resid)
 
 
 def contains(outer: Subspace, inner: Subspace,
@@ -274,7 +317,7 @@ def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
     k = min(S1.dim, S2.dim)
     if k == 0:
         return np.zeros(0)
-    cosines = np.clip(np.linalg.svd(S1.basis.T @ S2.basis, compute_uv=False), 0, 1)
+    cosines = np.clip(_singular_values(S1.basis.T @ S2.basis), 0, 1)
     angles = np.arccos(cosines)
     # Refine the small angles (cosine resolution bottoms out near sqrt(eps)).
     small = cosines > 0.5
@@ -282,7 +325,7 @@ def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
         inner = S1 if S1.dim <= S2.dim else S2
         outer = S2 if S1.dim <= S2.dim else S1
         resid = inner.basis - outer.basis @ (outer.basis.T @ inner.basis)
-        sines = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0, 1))
+        sines = np.sort(np.clip(_singular_values(resid), 0, 1))
         angles[small] = np.arcsin(sines[small])
     return np.sort(angles)
 
@@ -316,7 +359,7 @@ def invariant_hull(direction: str, A, S: Subspace,
         # Rank decisions happen on the raw augmented matrix [basis, A basis]:
         # orthonormalizing the image separately would renormalize nearly
         # dependent image directions and amplify roundoff into new dims.
-        scale = max(1.0, float(np.linalg.norm(A, 2))) if A.size else 1.0
+        scale = max(1.0, _norm2(A))
         current = S
         for _ in range(n + 1):
             grown = span_of(np.hstack([current.basis, A @ current.basis]),

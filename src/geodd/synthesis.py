@@ -44,6 +44,7 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceProfile,
+    _norm2,
     combine,
     containment_residual,
     kernel_of,
@@ -223,7 +224,7 @@ def coupling_residual(sys: PlantSystem, V: Subspace, S: Subspace, K) -> float:
     K = np.atleast_2d(np.asarray(K, dtype=float))
     closed = Atil + Btil @ K @ Ctil
     P = _target_projector(sys, V)
-    return float(np.linalg.norm(P @ closed @ lifted_basis(S, sys.q), 2))
+    return _norm2(P @ closed @ lifted_basis(S, sys.q))
 
 
 def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
@@ -255,7 +256,7 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
     if np.linalg.norm(Op @ K0_vec - rhs) > tol.residual * (1 + np.linalg.norm(rhs)):
         raise NoSolution("coupling inclusion has no solution")
     K0 = K0_vec.reshape((m, p), order="F")
-    op_scale = float(np.linalg.norm(Btil, 2) * max(np.linalg.norm(X, 2), 1.0))
+    op_scale = _norm2(Btil) * max(_norm2(X), 1.0)
     null = kernel_of(Op, tol, scale=op_scale)
     dirs = tuple(
         null.basis[:, j].reshape((m, p), order="F") for j in range(null.dim)

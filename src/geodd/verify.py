@@ -30,6 +30,7 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _norm2,
     containment_residual,
     extended_ops,
     invariant_hull,
@@ -94,7 +95,7 @@ def certify_decoupled(cl: ClosedLoop, tol: ToleranceProfile = DEFAULT_TOL,
     # Anchor the rank decision to the loop's scale: a disturbance input
     # that the compensator cancels exactly leaves H^ at roundoff level, and
     # its noise directions must not seed the hull.
-    scale = max(1.0, float(np.linalg.norm(cl.A_hat, 2)))
+    scale = max(1.0, _norm2(cl.A_hat))
     if pair is None:
         I_hat = invariant_hull("smallest_containing", cl.A_hat,
                                span_of(cl.H_hat, tol, scale=scale), tol)
@@ -108,14 +109,12 @@ def certify_decoupled(cl: ClosedLoop, tol: ToleranceProfile = DEFAULT_TOL,
         ker_resid = 0.0
     else:
         mapped = cl.A_hat @ B
-        inv_resid = float(np.linalg.norm(mapped - B @ (B.T @ mapped), 2)) / scale
-        ker_resid = (float(np.linalg.norm(cl.C_hat @ B, 2))
-                     / (1.0 + float(np.linalg.norm(cl.C_hat, 2))))
+        inv_resid = _norm2(mapped - B @ (B.T @ mapped)) / scale
+        ker_resid = _norm2(cl.C_hat @ B) / (1.0 + _norm2(cl.C_hat))
     if pair is not None and cl.H_hat.size:
         outside = cl.H_hat - B @ (B.T @ cl.H_hat)
-        inv_resid = max(inv_resid, float(np.linalg.norm(outside, 2))
-                        / (1.0 + float(np.linalg.norm(cl.H_hat, 2))))
-    feed = float(np.linalg.norm(cl.G_hat, 2)) if cl.G_hat.size else 0.0
+        inv_resid = max(inv_resid, _norm2(outside) / (1.0 + _norm2(cl.H_hat)))
+    feed = _norm2(cl.G_hat)
     return DecouplingCertificate(I_hat, inv_resid, ker_resid, feed, tol.residual)
 
 

@@ -33,6 +33,12 @@ def count_calls(monkeypatch, name, *modules) -> list:
     return calls
 
 
+def failing_dgesdd(a, *flags):
+    """Stand-in for LAPACK dgesdd that reports a failed decomposition."""
+    k = min(a.shape)
+    return np.zeros((a.shape[0], k)), np.zeros(k), np.zeros((k, a.shape[1])), 1
+
+
 def random_quadruple(rng, n=None, m=None, p=None, lo=-3, hi=3) -> Quadruple:
     n = n or int(rng.integers(2, 7))
     m = m or int(rng.integers(1, 4))

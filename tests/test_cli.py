@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import geodd
+from geodd import subspaces
 from geodd.cli import (
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OBSTRUCTION,
     EXIT_OK,
     EXIT_USAGE,
@@ -21,6 +23,7 @@ from geodd.cli import (
 )
 from geodd.errors import ParseError, ShapeError
 from geodd.verify import SAMPLE_BLOCK, InstanceSpec, generate_instance
+from helpers import failing_dgesdd
 
 
 def write_problem(path, sys_):
@@ -155,6 +158,14 @@ class TestCommands:
         report = json.loads(out.read_text())["report"]
         assert report["overall"] == "solvable"
         assert all(v["passed"] for v in report["conditions"].values())
+
+    def test_lapack_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "min.json"
+        p.write_text(json.dumps(minimal_problem_dict()))
+        monkeypatch.setattr(subspaces, "dgesdd", failing_dgesdd)
+        code = main(["analyze", "--input", str(p), "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
     def test_failed_verification_exits_2(self, tmp_path, scalar_channel_plant):
         plant = write_problem(tmp_path / "scalar_channel_plant.json", scalar_channel_plant)

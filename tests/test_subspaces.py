@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from geodd import exact
+from geodd import exact, subspaces
 from geodd.errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 from geodd.subspaces import (
     ORTHO_TOL,
     StabilityRegion,
     Subspace,
+    _norm2,
+    _singular_values,
+    _svd,
     combine,
     complement,
     contains,
@@ -21,7 +24,7 @@ from geodd.subspaces import (
     relate,
     span_of,
 )
-from helpers import max_angle, rational_as_subspace
+from helpers import count_calls, failing_dgesdd, max_angle, rational_as_subspace
 
 
 def assert_orthonormal(S):
@@ -39,6 +42,69 @@ class TestSubspaceBasis:
         assert np.array_equal(S.basis, np.eye(2))
         with pytest.raises(ValueError):
             S.basis[0, 0] = 2.0
+
+    def test_non_orthonormal_basis_rejected(self):
+        with pytest.raises(InvalidInput):
+            Subspace(2, [[1, 1], [0, 1]])
+        with pytest.raises(InvalidInput):
+            Subspace._adopt(3, np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]))
+        with pytest.raises(InvalidInput):
+            Subspace._adopt(2, np.array([[1.0], [1.0]]))
+
+    def test_roundoff_perturbed_basis_accepted(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 3)))
+        b = Q + 1e-13 * np.ones_like(Q)
+        assert Subspace(5, b).dim == 3
+        assert Subspace._adopt(5, b).dim == 3
+
+
+def _kernel_inputs():
+    """Seeded matrices of every shape the kernel meets: 1 x k, k x 1, wide,
+    tall, rank-deficient, and non-contiguous views; also sides above 32,
+    where dgesdd's rounding depends on the workspace it is given."""
+    rng = np.random.default_rng(13)
+    mats = [rng.standard_normal((1, 5)), rng.standard_normal((6, 1)),
+            rng.standard_normal((3, 8)), rng.standard_normal((9, 4)),
+            rng.standard_normal((7, 2)) @ rng.standard_normal((2, 6)),
+            np.zeros((3, 3)), np.eye(4),
+            rng.standard_normal((40, 36)), rng.standard_normal((34, 48)),
+            rng.standard_normal((38, 5)) @ rng.standard_normal((5, 38))]
+    wide = rng.standard_normal((5, 9))
+    mats += [wide.T, wide[:, ::2], wide[:, 1:4], wide[1:, 2:7].T]
+    for _ in range(40):
+        m, n = rng.integers(1, 31, size=2)
+        k = rng.integers(1, min(m, n) + 1)
+        mats.append(rng.standard_normal((m, k)) @ rng.standard_normal((k, n)))
+    return mats
+
+
+class TestSvdKernel:
+    @pytest.mark.parametrize("full", [False, True])
+    def test_svd_equals_numpy_bit_for_bit(self, full):
+        for M in _kernel_inputs():
+            U, s, Vh = _svd(M, full)
+            U0, s0, Vh0 = np.linalg.svd(M, full_matrices=full)
+            for got, want in ((U, U0), (s, s0), (Vh, Vh0)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert U.flags.c_contiguous and Vh.flags.c_contiguous
+
+    def test_singular_values_and_norm_equal_numpy(self):
+        for M in _kernel_inputs():
+            s0 = np.linalg.svd(M, compute_uv=False)
+            assert _singular_values(M).tobytes() == s0.tobytes()
+            norm = _norm2(M)
+            assert type(norm) is float
+            assert norm == float(np.linalg.norm(M, 2))
+        assert _norm2(np.zeros((3, 0))) == 0.0
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(subspaces, "dgesdd", failing_dgesdd)
+        M = np.ones((3, 2))
+        for call in (lambda: _svd(M, False), lambda: _singular_values(M),
+                     lambda: _norm2(M), lambda: span_of(M)):
+            with pytest.raises(np.linalg.LinAlgError):
+                call()
 
 
 class TestSpanKernel:
@@ -107,10 +173,7 @@ class TestCombine:
         rng = np.random.default_rng(3)
         S1 = span_of(rng.standard_normal((6, 4)))
         S2 = span_of(rng.standard_normal((6, 4)))
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        calls = count_calls(monkeypatch, "_svd", subspaces)
         inter = combine("intersect", S1, S2)
         assert inter.dim == 2
         assert len(calls) == 1

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodd import GenerationFailed, exact, geometry, synthesis
+from geodd import GenerationFailed, exact, geometry, subspaces, synthesis
 from geodd.errors import (
     AllSingular,
     CertificateFailed,
@@ -18,7 +19,16 @@ from geodd.errors import (
 )
 from geodd.geometry import match_spectra, rstar_qstar, sstar, sstar_g, vstar, vstar_g
 from geodd.lattice import PlantSystem, extended_quadruples, lattice_report, vm_sM
-from geodd.subspaces import Subspace, ToleranceProfile, combine, equal, relate, span_of
+from geodd.subspaces import (
+    CONTINUOUS,
+    DISCRETE,
+    Subspace,
+    ToleranceProfile,
+    combine,
+    equal,
+    relate,
+    span_of,
+)
 from geodd.synthesis import (
     Compensator,
     analysis_pair,
@@ -511,18 +521,11 @@ class TestWorkPerSolve:
         # quadruples on which each recursion takes several steps
         qv, qs = plant.observation_quadruple(), plant.control_quadruple()
         stacked = {"vstar": np.vstack([qv.A, qv.C]), "sstar": np.hstack([qs.A, qs.B])}
-        norms = {name: 0 for name in stacked}
-        original = np.linalg.norm
-
-        def recording(x, *args, **kwargs):
-            for name, M in stacked.items():
-                if np.shape(x) == M.shape and np.array_equal(x, M):
-                    norms[name] += 1
-            return original(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", recording)
+        calls = count_calls(monkeypatch, "_norm2", geometry)
         steps = [len(fn(q, return_sequence=True)[1]) - 1
                  for fn, q in ((vstar, qv), (sstar, qs))]
+        norms = {name: sum(x.shape == M.shape and np.array_equal(x, M) for (x,) in calls)
+                 for name, M in stacked.items()}
         assert steps == [5, 5]
         assert norms == {"vstar": 1, "sstar": 1}
 
@@ -553,3 +556,52 @@ class TestWorkPerSolve:
         built = synthesize(fresh, report.V, report.S, report.K, stabilize=True)
         assert all(_same_bits(getattr(comp, name), getattr(built, name))
                    for name in ("A_c", "B_c", "C_c", "D_c"))
+
+
+# numpy's own routines, which the SVD kernel of `geodd.subspaces` replaces
+_NUMPY_KERNEL = {
+    "_svd": lambda M, full_matrices: np.linalg.svd(M, full_matrices=full_matrices),
+    "_singular_values": lambda M: np.linalg.svd(M, compute_uv=False),
+    "_norm2": lambda M: float(np.linalg.norm(M, 2)),
+}
+
+
+def _pipeline_outputs(plant):
+    """Every report and compensator the pipeline makes for a fresh copy of
+    `plant`, as text that differs whenever a bit does."""
+    plant = replace(plant)
+    out = [repr(analyze_p1(plant).to_dict()), repr(analyze_p2(plant).to_dict())]
+    for problem in ("p1", "p2"):
+        try:
+            comp, report = solve(plant, problem)
+        except GeoddError as err:
+            out.append(f"{type(err).__name__}: {err}")
+            continue
+        out.append(repr(report.to_dict()))
+        out += [getattr(comp, name).tobytes() for name in ("A_c", "B_c", "C_c", "D_c")]
+    return out
+
+
+def _parity_plants(mismatched_plant, singular_family_plant, scalar_channel_plant):
+    for plant in (mismatched_plant, singular_family_plant, scalar_channel_plant):
+        yield plant
+        yield replace(plant, time_domain=DISCRETE)
+    for n, seeds in ((4, range(4)), (6, range(2))):
+        for seed in seeds:
+            for domain in (CONTINUOUS, DISCRETE):
+                yield generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
+
+
+def test_svd_kernel_gives_numpy_outputs_byte_for_byte(
+        monkeypatch, mismatched_plant, singular_family_plant, scalar_channel_plant):
+    plants = list(_parity_plants(mismatched_plant, singular_family_plant,
+                                 scalar_channel_plant))
+    with_kernel = [_pipeline_outputs(plant) for plant in plants]
+    for module in [m for name, m in sys.modules.items() if name.startswith("geodd.")]:
+        for name, reference in _NUMPY_KERNEL.items():
+            if name in vars(module):
+                monkeypatch.setattr(module, name, reference)
+    assert subspaces._norm2 is _NUMPY_KERNEL["_norm2"]
+    assert geometry._norm2 is _NUMPY_KERNEL["_norm2"]
+    with_numpy = [_pipeline_outputs(plant) for plant in plants]
+    assert with_kernel == with_numpy
