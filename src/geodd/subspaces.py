@@ -10,8 +10,13 @@ tiny angles we care about).
 
 Every real SVD and spectral norm of the package goes through the private
 kernel `_svd`/`_singular_values`/`_norm2`, which calls LAPACK dgesdd (the
-routine behind numpy.linalg.svd) directly and gives numpy's results bit for
-bit: on matrices this small numpy's wrapper costs more than the LAPACK work.
+routine behind numpy.linalg.svd) directly: on matrices this small numpy's
+wrapper costs more than the LAPACK work. The kernel runs scipy's LAPACK and
+numpy.linalg.svd runs numpy's, so the two agree bit for bit only where those
+builds round alike. They did with the numpy 2.4.6 and scipy 1.17.1 wheels
+(OpenBLAS 0.3.31 and 0.3.30); a numpy and a scipy linked to different LAPACK
+implementations (say MKL and OpenBLAS) may differ in the last bits, and the
+kernel's bit-parity tests then fail.
 """
 
 from __future__ import annotations

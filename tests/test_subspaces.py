@@ -173,7 +173,7 @@ class TestCombine:
         rng = np.random.default_rng(3)
         S1 = span_of(rng.standard_normal((6, 4)))
         S2 = span_of(rng.standard_normal((6, 4)))
-        calls = count_calls(monkeypatch, "_svd", subspaces)
+        calls = count_calls(monkeypatch, "_gesdd", subspaces)
         inter = combine("intersect", S1, S2)
         assert inter.dim == 2
         assert len(calls) == 1
