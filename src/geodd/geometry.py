@@ -3,7 +3,15 @@
 Supremal output-nulling and infimal input-containing subspaces, their
 friends, reachability/detectability subspaces, fixed spectra, invariant
 zeros, stabilizability variants, and the self-bounded/self-hidden
-predicates. Dual objects are computed through the transposed quadruple.
+predicates.
+
+There is one engine, the output-nulling one. S is input containing for
+(A, B, C, D) exactly when S^perp is output nulling for the dual quadruple
+(A^T, C^T, B^T, D^T) (Basile & Marro 1992), so every input-containing
+object (S*, its residual, injection friends, detectability subspaces and
+their fixed spectra, the self-hidden test, S*_g) is the complement of its
+output-nulling twin on `q.dual()`. `exact.sstar_span` keeps the primal
+recursion, as the independent oracle that S* is checked against.
 """
 
 from __future__ import annotations
@@ -34,9 +42,7 @@ from .subspaces import (
     image_under,
     invariant_hull,
     kernel_of,
-    lifted_basis,
     modal_subspace,
-    preimage,
     span_of,
 )
 
@@ -132,11 +138,32 @@ def _nulling_target(V: Subspace, q: Quadruple, BD: Subspace,
     return combine("sum", embed(V, q.n + q.p), BD, tol)
 
 
-def _containing_domain(S: Subspace, q: Quadruple, ker_cd: Subspace,
-                       tol: ToleranceProfile) -> Subspace:
-    """(S x U) ^ ker_cd, ker_cd = ker [C D]: the input-containing step's domain."""
-    return combine("intersect", Subspace._adopt(q.n + q.m, lifted_basis(S, q.m)),
-                   ker_cd, tol)
+def _nulling_twin(kind: str, X: Subspace, q: Quadruple, tol: ToleranceProfile,
+                  what: str = "kind") -> tuple[Subspace, Quadruple]:
+    """The output-nulling twin of X: (X, q) when X is of the output-nulling
+    kind, (X^perp, q.dual()) when it is of the input-containing kind. X is
+    input containing for q exactly when X^perp is output nulling for the
+    dual, and a friend G of X is the transpose of a friend of X^perp."""
+    if kind == OUTPUT_NULLING:
+        return X, q
+    if kind == INPUT_CONTAINING:
+        return complement(X, tol), q.dual()
+    raise InvalidInput(f"unknown {what} {kind!r}")
+
+
+def _twin_matrix(kind: str, M: np.ndarray) -> np.ndarray:
+    """The friend of X made from a friend of its twin, or the other way
+    round: transposed for the input-containing kind."""
+    return M if kind == OUTPUT_NULLING else M.T
+
+
+def _require_nulling(kind: str, V: Subspace, qv: Quadruple,
+                     tol: ToleranceProfile):
+    """Raise NotInvariant unless the twin V of a `kind` subspace is output
+    nulling for qv."""
+    r = output_nulling_residual(V, qv, tol)
+    if r > tol.residual:
+        raise NotInvariant(f"subspace is not {kind.replace('_', ' ')}", residual=r)
 
 
 def output_nulling_residual(V: Subspace, q: Quadruple,
@@ -152,11 +179,9 @@ def output_nulling_residual(V: Subspace, q: Quadruple,
 
 def input_containing_residual(S: Subspace, q: Quadruple,
                               tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Residual of [A B] ((S + U) ^ ker [C D]) <= S; zero iff input containing."""
-    dom = _containing_domain(S, q, kernel_of(np.hstack([q.C, q.D]), tol), tol)
-    mapped = np.hstack([q.A, q.B]) @ dom.basis
-    resid = mapped - S.basis @ (S.basis.T @ mapped)
-    return _norm2(resid)
+    """Zero iff [A B] ((S + U) ^ ker [C D]) <= S: the output-nulling
+    residual of S^perp in the dual quadruple."""
+    return output_nulling_residual(complement(S, tol), q.dual(), tol)
 
 
 def vstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
@@ -186,28 +211,19 @@ def vstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
 
 def sstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
           return_sequence: bool = False):
-    """Smallest input-containing subspace via the non-decreasing recursion.
+    """Smallest input-containing subspace: the complement of V* of the dual.
 
+    Step by step, the complements of the dual V_k are the iterates of
     S_0 = 0 and S_{k+1} = [A B]((S_k x U) ^ ker [C D]). The fixpoint is
     reached after at most n strict steps counted from S_0, a bound that is
     attained, and at most n-1 counted from the first iterate S_1 = B ker D.
     The returned sequence starts at S_0 and ends with the first iterate
     whose dimension repeats.
     """
-    S = Subspace.trivial(q.n)
-    seq = [S]
-    AB = np.hstack([q.A, q.B])
-    AB_norm = _norm2(AB)
-    ker_cd = kernel_of(np.hstack([q.C, q.D]), tol)
-    for _ in range(q.n + 1):
-        dom = _containing_domain(S, q, ker_cd, tol)
-        Snext = span_of(AB @ dom.basis, tol, scale=AB_norm)
-        seq.append(Snext)
-        if Snext.dim == S.dim:
-            break
-        S = Snext
-    result = seq[-1]
-    return (result, seq) if return_sequence else result
+    if not return_sequence:
+        return complement(vstar(q.dual(), tol), tol)
+    seq = [complement(V, tol) for V in vstar(q.dual(), tol, True)[1]]
+    return seq[-1], seq
 
 
 def rstar_qstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL):
@@ -222,40 +238,27 @@ def friend(kind: str, V_or_S: Subspace, q: Quadruple,
     """Feedback F with [A+BF; C+DF] V <= V + 0, or the dual injection G.
 
     The friend is solved column-by-column over a basis of the subspace by
-    least squares and extended by zero on the orthogonal complement.
+    least squares and extended by zero on the orthogonal complement. The
+    injection G of S is F^T for the friend F of S^perp in the dual.
     """
     if V_or_S.ambient_dim != q.n:
         raise DimensionMismatch("subspace must live in the state space")
-    if kind == OUTPUT_NULLING:
-        V = V_or_S
-        memb = output_nulling_residual(V, q, tol)
-        if memb > tol.residual:
-            raise NotInvariant("subspace is not output nulling", residual=memb)
-        if V.is_trivial:
-            return FriendCertificate(np.zeros((q.m, q.n)), kind, 0.0)
-        Vb = V.basis
-        # [A; C] v = [V; 0] x + [B; D] w, one column per basis vector.
-        sys_mat = np.hstack([np.vstack([Vb, np.zeros((q.p, V.dim))]), _bd(q)])
-        rhs = _stacked_output(q) @ Vb
-        sol, *_ = np.linalg.lstsq(sys_mat, rhs, rcond=None)
-        W = sol[V.dim :, :]
-        F = -W @ Vb.T
-        resid = friend_residual(F, V, q)
-        if resid > tol.residual:
-            raise NotInvariant("no exact friend found", residual=resid)
-        return FriendCertificate(F, kind, resid)
-    if kind == INPUT_CONTAINING:
-        S = V_or_S
-        memb = input_containing_residual(S, q, tol)
-        if memb > tol.residual:
-            raise NotInvariant("subspace is not input containing", residual=memb)
-        dual_cert = friend(OUTPUT_NULLING, complement(S, tol), q.dual(), tol)
-        G = dual_cert.F_or_G.T
-        resid = injection_residual(G, S, q)
-        if resid > tol.residual:
-            raise NotInvariant("no exact injection friend found", residual=resid)
-        return FriendCertificate(G, kind, resid)
-    raise InvalidInput(f"unknown friend kind {kind!r}")
+    V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
+    _require_nulling(kind, V, qv, tol)
+    if V.is_trivial:
+        return FriendCertificate(_twin_matrix(kind, np.zeros((qv.m, qv.n))), kind, 0.0)
+    Vb = V.basis
+    # [A; C] v = [V; 0] x + [B; D] w, one column per basis vector.
+    sys_mat = np.hstack([np.vstack([Vb, np.zeros((qv.p, V.dim))]), _bd(qv)])
+    rhs = _stacked_output(qv) @ Vb
+    sol, *_ = np.linalg.lstsq(sys_mat, rhs, rcond=None)
+    W = sol[V.dim :, :]
+    F = -W @ Vb.T
+    resid = friend_residual(F, V, qv)
+    if resid > tol.residual:
+        what = "friend" if kind == OUTPUT_NULLING else "injection friend"
+        raise NotInvariant(f"no exact {what} found", residual=resid)
+    return FriendCertificate(_twin_matrix(kind, F), kind, resid)
 
 
 def friend_residual(F: np.ndarray, V: Subspace, q: Quadruple) -> float:
@@ -268,53 +271,39 @@ def friend_residual(F: np.ndarray, V: Subspace, q: Quadruple) -> float:
     return _norm2(np.vstack([top_out, bot]))
 
 
-def injection_residual(G: np.ndarray, S: Subspace, q: Quadruple) -> float:
-    """Norm of [(A+GC) S, B+GD] outside S."""
-    P = np.eye(q.n) - S.projector()
-    blocks = [P @ (q.B + G @ q.D)]
-    if not S.is_trivial:
-        blocks.insert(0, P @ (q.A + G @ q.C) @ S.basis)
-    return _norm2(np.hstack(blocks))
+def _reachable_in(kind: str, V: Subspace, F: np.ndarray, qv: Quadruple,
+                  tol: ToleranceProfile) -> Subspace:
+    """The reachability subspace on the output-nulling twin V, whose friend
+    F is checked to fit it."""
+    r = friend_residual(F, V, qv)
+    if r > 10 * tol.residual:
+        what = "friend" if kind == OUTPUT_NULLING else "injection"
+        raise NotInvariant(f"{what} does not fit the subspace", residual=r)
+    seed = combine("intersect", V, image_under(qv.B, kernel_of(qv.D, tol), tol), tol)
+    return invariant_hull("smallest_containing", qv.A + qv.B @ F, seed, tol)
 
 
 def reach_detect(kind: str, V_or_S: Subspace, cert: FriendCertificate,
                  q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Reachability subspace on an output-nulling V, or the detectability
-    subspace attached to an input-containing S."""
-    if kind == OUTPUT_NULLING:
-        F = cert.F_or_G
-        r = friend_residual(F, V_or_S, q)
-        if r > 10 * tol.residual:
-            raise NotInvariant("friend does not fit the subspace", residual=r)
-        seed = combine(
-            "intersect", V_or_S, image_under(q.B, kernel_of(q.D, tol), tol), tol
-        )
-        return invariant_hull("smallest_containing", q.A + q.B @ F, seed, tol)
-    if kind == INPUT_CONTAINING:
-        G = cert.F_or_G
-        r = injection_residual(G, V_or_S, q)
-        if r > 10 * tol.residual:
-            raise NotInvariant("injection does not fit the subspace", residual=r)
-        ceiling = combine("sum", V_or_S, preimage(q.C, span_of(q.D, tol), tol), tol)
-        return invariant_hull("largest_contained", q.A + G @ q.C, ceiling, tol)
-    raise InvalidInput(f"unknown kind {kind!r}")
+    subspace attached to an input-containing S: the complement of the
+    reachability subspace on S^perp in the dual."""
+    V, qv = _nulling_twin(kind, V_or_S, q, tol)
+    RV = _reachable_in(kind, V, _twin_matrix(kind, cert.F_or_G), qv, tol)
+    return RV if kind == OUTPUT_NULLING else complement(RV, tol)
 
 
 def self_predicate(kind: str, X: Subspace, q: Quadruple,
                    tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """Self-bounded (R* <= X) or self-hidden (X <= Q*) test."""
-    R, Q = rstar_qstar(q, tol)
-    if kind == "bounded":
-        r = output_nulling_residual(X, q, tol)
-        if r > tol.residual:
-            raise NotInvariant("subspace is not output nulling", residual=r)
-        return contains(X, R, tol)
-    if kind == "hidden":
-        r = input_containing_residual(X, q, tol)
-        if r > tol.residual:
-            raise NotInvariant("subspace is not input containing", residual=r)
-        return contains(Q, X, tol)
-    raise InvalidInput(f"unknown predicate kind {kind!r}")
+    """Self-bounded (R* <= X) or self-hidden (X <= Q*) test. X is self
+    hidden exactly when X^perp is self bounded in the dual, whose R* is
+    the complement of Q*."""
+    twin_kind = {"bounded": OUTPUT_NULLING, "hidden": INPUT_CONTAINING}.get(kind)
+    if twin_kind is None:
+        raise InvalidInput(f"unknown predicate kind {kind!r}")
+    V, qv = _nulling_twin(twin_kind, X, q, tol)
+    _require_nulling(twin_kind, V, qv, tol)
+    return contains(V, rstar_qstar(qv, tol)[0], tol)
 
 
 def _extend_within(inner: Subspace, outer: Subspace,
@@ -322,6 +311,11 @@ def _extend_within(inner: Subspace, outer: Subspace,
     """Orthonormal columns extending a basis of `inner` to one of `outer`."""
     proj_out = outer.basis - inner.basis @ (inner.basis.T @ outer.basis)
     return span_of(proj_out, tol, scale=1.0).basis
+
+
+def _induced_spectrum(A: np.ndarray, T: np.ndarray) -> tuple:
+    """Eigenvalues of T^T A T, the map A induces in orthonormal columns T."""
+    return tuple(np.linalg.eigvals(T.T @ A @ T)) if T.shape[1] else ()
 
 
 def _outside(eigs, region: StabilityRegion) -> list:
@@ -393,16 +387,9 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     uncontrollable spectrum of (A, B), or of (A^T, C^T) for an injection;
     each is computed here when not given. Every check runs either way.
     """
-    if kind == INPUT_CONTAINING:
-        # G^T is the friend of the complement in the dual that
-        # `friend(INPUT_CONTAINING, ...)` transposed into G.
-        V, qv = complement(V_or_S, tol), q.dual()
-        if base is not None:
-            base = base.T
-    elif kind == OUTPUT_NULLING:
-        V, qv = V_or_S, q
-    else:
-        raise InvalidInput(f"unknown friend kind {kind!r}")
+    V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
+    if base is not None:
+        base = _twin_matrix(kind, base)
     if pair_fixed is None:
         pair_fixed = _controllable_split(qv.A, qv.B, tol)[1]
     bad = _outside(pair_fixed, region)
@@ -451,51 +438,36 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
         raise FixedSpectrumOutsideRegion(
             "closed map spectrum escaped the region", bad
         )
-    if kind == OUTPUT_NULLING:
-        return FriendCertificate(F, kind, resid)
-    G = F.T
-    resid = injection_residual(G, V_or_S, q)
-    if resid > tol.residual:
+    # The residual of an injection G = F^T on S is this one, transposed.
+    if kind == INPUT_CONTAINING and resid > tol.residual:
         raise NotInvariant("stabilizing injection lost invariance", residual=resid)
-    return FriendCertificate(G, kind, resid)
+    return FriendCertificate(_twin_matrix(kind, F), kind, resid)
 
 
 def spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
                     cert: FriendCertificate | None = None,
                     tol: ToleranceProfile = DEFAULT_TOL) -> SpectralReport:
     """Fixed/assignable split of the spectrum attached to an invariant
-    subspace, computed in adapted orthonormal coordinates."""
+    subspace, computed in adapted orthonormal coordinates.
+
+    The split of an input-containing S is that of S^perp in the dual with
+    the internal and external parts swapped: the map induced on Q_S/S is
+    the transpose of the one on S^perp/Q_S^perp, and S ^ (unobservable) is
+    the complement of S^perp + (reachable) in the dual."""
+    V, qv = _nulling_twin(kind, V_or_S, q, tol)
+    if cert is None:
+        cert = friend(kind, V_or_S, q, tol)
+    F = _twin_matrix(kind, cert.F_or_G)
+    Acl = qv.A + qv.B @ F
+    RV = _reachable_in(kind, V, F, qv, tol)
+    reach = invariant_hull("smallest_containing", Acl, span_of(qv.B, tol), tol)
+    VR = combine("sum", V, reach, tol)
+    internal = _induced_spectrum(Acl, _extend_within(RV, V, tol))
+    external = _induced_spectrum(Acl, complement(VR, tol).basis)
+    dims = (RV.dim, VR.dim - V.dim)
     if kind == OUTPUT_NULLING:
-        V = V_or_S
-        if cert is None:
-            cert = friend(OUTPUT_NULLING, V, q, tol)
-        F = cert.F_or_G
-        Acl = q.A + q.B @ F
-        RV = reach_detect(OUTPUT_NULLING, V, cert, q, tol)
-        reach = invariant_hull("smallest_containing", Acl, span_of(q.B, tol), tol)
-        VR = combine("sum", V, reach, tol)
-        T2 = _extend_within(RV, V, tol)
-        internal = np.linalg.eigvals(T2.T @ Acl @ T2) if T2.shape[1] else np.zeros(0, complex)
-        T4 = complement(VR, tol).basis
-        external = np.linalg.eigvals(T4.T @ Acl @ T4) if T4.shape[1] else np.zeros(0, complex)
-        dims = (RV.dim, VR.dim - V.dim)
-        return SpectralReport(tuple(internal), tuple(external), dims)
-    if kind == INPUT_CONTAINING:
-        S = V_or_S
-        if cert is None:
-            cert = friend(INPUT_CONTAINING, S, q, tol)
-        G = cert.F_or_G
-        Acl = q.A + G @ q.C
-        QS = reach_detect(INPUT_CONTAINING, S, cert, q, tol)
-        unobs = invariant_hull("largest_contained", Acl, kernel_of(q.C, tol), tol)
-        SQ = combine("intersect", S, unobs, tol)
-        T1 = SQ.basis
-        internal = np.linalg.eigvals(T1.T @ Acl @ T1) if T1.shape[1] else np.zeros(0, complex)
-        T3 = _extend_within(S, QS, tol)
-        external = np.linalg.eigvals(T3.T @ Acl @ T3) if T3.shape[1] else np.zeros(0, complex)
-        dims = (S.dim - SQ.dim, q.n - QS.dim)
-        return SpectralReport(tuple(internal), tuple(external), dims)
-    raise InvalidInput(f"unknown kind {kind!r}")
+        return SpectralReport(internal, external, dims)
+    return SpectralReport(external, internal, dims[::-1])
 
 
 def _quotient_map(q: Quadruple, V: Subspace, S: Subspace,
@@ -538,20 +510,6 @@ def sstar_g(q: Quadruple, region: StabilityRegion,
             tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Smallest detectability input-containing subspace, by duality."""
     return complement(vstar_g(q.dual(), region, tol), tol)
-
-
-def region_stabilizable(A, B, region: StabilityRegion,
-                        tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """All uncontrollable modes of (A, B) strictly inside the region."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    return not _outside(_controllable_split(A, B, tol)[1], region)
-
-
-def region_detectable(C, A, region: StabilityRegion,
-                      tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    return region_stabilizable(A.T, C.T, region, tol)
 
 
 def match_spectra(left, right, tol_match: float = 1e-6) -> bool:

@@ -16,7 +16,6 @@ from .errors import DimensionMismatch, InvalidInput
 from .geometry import (
     Quadruple,
     _bd,
-    _containing_domain,
     _nulling_target,
     input_containing_residual,
     output_nulling_residual,
@@ -36,6 +35,7 @@ from .subspaces import (
     contains,
     equal,
     kernel_of,
+    lifted_basis,
     span_of,
 )
 
@@ -166,8 +166,8 @@ def disturbance_image_condition(sys: PlantSystem, V: Subspace,
 def disturbance_kernel_condition(sys: PlantSystem, S: Subspace,
                                  tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Residual of ker [E G_z] >= (S + W) ^ ker [C G_y]."""
-    dom = _containing_domain(S, sys.observation_quadruple(),
-                             kernel_of(np.hstack([sys.C, sys.G_y]), tol), tol)
+    dom = combine("intersect", Subspace._adopt(sys.n + sys.q, lifted_basis(S, sys.q)),
+                  kernel_of(np.hstack([sys.C, sys.G_y]), tol), tol)
     if dom.is_trivial:
         return 0.0
     return _norm2(np.hstack([sys.E, sys.G_z]) @ dom.basis)

@@ -154,7 +154,8 @@ class Subspace:
             # ||B^T B - I||_F, on the flat buffer of the Gram matrix
             gram = (b.T @ b).ravel()
             gram[::b.shape[1] + 1] -= 1.0
-            if math.sqrt(gram @ gram) > 10 * ORTHO_TOL:
+            # written so that a NaN norm (a NaN entry) fails it too
+            if not math.sqrt(gram @ gram) <= 10 * ORTHO_TOL:
                 raise InvalidInput("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
         b.setflags(write=False)

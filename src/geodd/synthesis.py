@@ -617,9 +617,9 @@ def recover_parameters(sys: PlantSystem, comp: Compensator):
     p, m = sys.p, sys.m
     I_p = np.eye(p)
     I_m = np.eye(m)
-    inner = I_p - sys.D_y @ Dc
-    if abs(np.linalg.det(inner)) < DELTA_WP * (1 + np.linalg.norm(sys.D_y @ Dc)):
+    if wellposedness_margin(sys.D_y, -Dc) < DELTA_WP:
         raise NotWellPosed("I - D_y D_c is singular; parameters undefined")
+    inner = I_p - sys.D_y @ Dc
     K = Dc @ np.linalg.inv(inner)
     lead = np.linalg.inv(I_m - Dc @ sys.D_y)
     F = lead @ comp.C_c + K @ sys.C
@@ -633,10 +633,9 @@ def close_loop(sys: PlantSystem, comp: Compensator,
     Dy, Dc = sys.D_y, comp.D_c
     if comp.B_c.shape[1] != sys.p or comp.C_c.shape[0] != sys.m:
         raise DimensionMismatch("compensator does not match the plant ports")
-    loop = np.eye(sys.p) - Dy @ Dc
-    if abs(np.linalg.det(loop)) < DELTA_WP * (1 + np.linalg.norm(Dy @ Dc)):
+    if wellposedness_margin(Dy, -Dc) < DELTA_WP:
         raise NotWellPosed("I - D_y D_c is singular")
-    W = np.linalg.inv(loop)
+    W = np.linalg.inv(np.eye(sys.p) - Dy @ Dc)
     A, B, H, C, Gy = sys.A, sys.B, sys.H, sys.C, sys.G_y
     E, Dz, Gz = sys.E, sys.D_z, sys.G_z
     Ac, Bc, Cc = comp.A_c, comp.B_c, comp.C_c

@@ -6,7 +6,16 @@ import numpy as np
 
 from geodd import Quadruple, Subspace, exact
 from geodd.errors import SampleTooCloseToPole
-from geodd.subspaces import containment_residual, span_of
+from geodd.subspaces import (
+    combine,
+    complement,
+    containment_residual,
+    invariant_hull,
+    kernel_of,
+    lifted_basis,
+    preimage,
+    span_of,
+)
 from geodd.verify import POLE_CLEARANCE
 
 
@@ -99,6 +108,57 @@ def exact_star_dims(q: Quadruple):
         if sdims[-1] == sdims[-2]:
             break
     return vdims, sdims
+
+
+# Primal formulas of the input-containing objects. geodd computes each of
+# them as the complement of its output-nulling twin on the dual quadruple
+# (A^T, C^T, B^T, D^T); these spell them out on (A, B, C, D) itself.
+
+def primal_injection_residual(G, S: Subspace, q: Quadruple) -> float:
+    """||(I - P_S) [(A + GC) S, B + GD]||: zero iff G is an injection
+    friend of S."""
+    P = np.eye(q.n) - S.projector()
+    blocks = [P @ (q.B + G @ q.D)]
+    if not S.is_trivial:
+        blocks.insert(0, P @ (q.A + G @ q.C) @ S.basis)
+    return float(np.linalg.norm(np.hstack(blocks), 2))
+
+
+def primal_sstar_sequence(q: Quadruple) -> list:
+    """S_0 = 0 and S_{k+1} = [A B]((S_k x U) ^ ker [C D]), up to the first
+    iterate whose dimension repeats."""
+    AB = np.hstack([q.A, q.B])
+    ker_cd = kernel_of(np.hstack([q.C, q.D]))
+    seq = [Subspace.trivial(q.n)]
+    for _ in range(q.n + 1):
+        dom = combine("intersect", span_of(lifted_basis(seq[-1], q.m)), ker_cd)
+        seq.append(span_of(AB @ dom.basis, scale=np.linalg.norm(AB, 2)))
+        if seq[-1].dim == seq[-2].dim:
+            break
+    return seq
+
+
+def primal_detectability(G, S: Subspace, q: Quadruple) -> Subspace:
+    """The largest (A + GC)-invariant subspace in S + C^{-1} im D."""
+    ceiling = combine("sum", S, preimage(q.C, span_of(q.D)))
+    return invariant_hull("largest_contained", q.A + G @ q.C, ceiling)
+
+
+def primal_fixed_spectra(G, S: Subspace, q: Quadruple):
+    """(internal, external, assignable dims) of an injection friend G of S:
+    the spectra of A + GC on S ^ (unobservable subspace of (C, A + GC)) and
+    on Q_S / S, Q_S the detectability subspace of S."""
+    Acl = q.A + G @ q.C
+
+    def spectrum(T):
+        return np.linalg.eigvals(T.T @ Acl @ T) if T.shape[1] else np.zeros(0)
+
+    unobs = invariant_hull("largest_contained", Acl, kernel_of(q.C))
+    SQ = combine("intersect", S, unobs)
+    QS = primal_detectability(G, S, q)
+    # orthonormal columns extending S to Q_S
+    T3 = combine("intersect", QS, complement(S))
+    return spectrum(SQ.basis), spectrum(T3.basis), (S.dim - SQ.dim, q.n - QS.dim)
 
 
 def reference_rref(M):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodd import InstanceSpec, exact, generate_instance, geometry
 from geodd.errors import FixedSpectrumOutsideRegion, NotInvariant, NotStabilizablePair
@@ -38,6 +40,10 @@ from geodd.subspaces import (
 from helpers import (
     count_calls,
     max_angle,
+    primal_detectability,
+    primal_fixed_spectra,
+    primal_injection_residual,
+    primal_sstar_sequence,
     quad_to_exact,
     random_quadruple,
     rational_as_subspace,
@@ -428,6 +434,46 @@ class TestSpectralReports:
                 total = (len(rep.internal_fixed) + len(rep.external_fixed)
                          + sum(rep.assignable_dims))
                 assert total == q.n
+
+
+@st.composite
+def quadruples(draw):
+    """Quadruples with n = 2-6 and m, p = 1-3 drawn apart, so m != p is
+    common. Entries are mostly 0, else +-1, so that S* is often a proper
+    subspace with unobservable modes in it; D is set to zero in a third."""
+    n, m, p = draw(st.integers(2, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def block(rows, cols):
+        size = rows * cols
+        entries = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1]),
+                                min_size=size, max_size=size))
+        return np.array(entries, dtype=float).reshape(rows, cols)
+
+    D = block(p, m) if draw(st.integers(0, 2)) else np.zeros((p, m))
+    return Quadruple(block(n, n), block(n, m), block(p, n), D)
+
+
+class TestDualTwins:
+    """The input-containing objects, computed as complements of their
+    output-nulling twins on the dual quadruple, against their primal
+    formulas on (A, B, C, D)."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(quadruples())
+    def test_input_containing_objects_match_primal_formulas(self, q):
+        S, seq = sstar(q, return_sequence=True)
+        assert [s.dim for s in seq] == [s.dim for s in primal_sstar_sequence(q)]
+        cert = friend(INPUT_CONTAINING, S, q)
+        G = cert.F_or_G
+        assert G.shape == (q.n, q.p)
+        assert primal_injection_residual(G, S, q) <= 1e-8
+        assert max_angle(reach_detect(INPUT_CONTAINING, S, cert, q),
+                         primal_detectability(G, S, q)) <= 1e-8
+        rep = spectral_report(S, INPUT_CONTAINING, q, cert=cert)
+        internal, external, dims = primal_fixed_spectra(G, S, q)
+        assert match_spectra(rep.internal_fixed, internal)
+        assert match_spectra(rep.external_fixed, external)
+        assert rep.assignable_dims == dims
 
 
 class TestInvariantZeros:

@@ -51,6 +51,13 @@ class TestSubspaceBasis:
         with pytest.raises(InvalidInput):
             Subspace._adopt(2, np.array([[1.0], [1.0]]))
 
+    def test_nan_basis_rejected(self):
+        # a NaN entry makes the Gram norm NaN, which fails every comparison
+        with pytest.raises(InvalidInput):
+            Subspace(2, [[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvalidInput):
+            Subspace._adopt(2, np.array([[1.0], [np.nan]]))
+
     def test_roundoff_perturbed_basis_accepted(self):
         Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 3)))
         b = Q + 1e-13 * np.ones_like(Q)

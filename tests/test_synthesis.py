@@ -512,15 +512,16 @@ class TestWorkPerSolve:
         friends = count_calls(monkeypatch, "friend", geometry, synthesis)
         solve(plant, "p2")
         # splits: the precondition's (A, B) and (A^T, C^T), and the two
-        # stabilizing gains this plant needs; friends: F of V_m + S_M, and G of
-        # S_M with the dual friend it is transposed from
-        assert (len(splits), len(friends)) == (4, 3)
+        # stabilizing gains this plant needs; friends: F of V_m + S_M, and G
+        # of S_M (solved on its dual twin inside that one call)
+        assert (len(splits), len(friends)) == (4, 2)
 
     def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))
         # quadruples on which each recursion takes several steps
         qv, qs = plant.observation_quadruple(), plant.control_quadruple()
-        stacked = {"vstar": np.vstack([qv.A, qv.C]), "sstar": np.hstack([qs.A, qs.B])}
+        # sstar runs vstar on the dual, whose stacked map is [A^T; B^T]
+        stacked = {"vstar": np.vstack([qv.A, qv.C]), "sstar": np.vstack([qs.A.T, qs.B.T])}
         # every SVD and norm of the package, from any module, ends in _gesdd
         calls = count_calls(monkeypatch, "_gesdd", subspaces)
         steps = [len(fn(q, return_sequence=True)[1]) - 1
