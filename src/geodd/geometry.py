@@ -12,14 +12,32 @@ object (S*, its residual, injection friends, detectability subspaces and
 their fixed spectra, the self-hidden test, S*_g) is the complement of its
 output-nulling twin on `q.dual()`. `exact.sstar_span` keeps the primal
 recursion, as the independent oracle that S* is checked against.
+
+Stabilizing friends take shifted Riccati gains, solved by one private
+kernel, `_riccati`: scipy 1.17.1's CARE/DARE algorithm step for step on
+direct calls to scipy's LAPACK wrappers, which on these small pencils cost
+less than scipy's own wrapping. Its solutions are scipy's bit for bit; a
+scipy release that changes the algorithm breaks that parity, and its tests
+say so.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_are, solve_discrete_are
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import (
+    dgebal,
+    dgeqrf,
+    dgeqrf_lwork,
+    dgetrf,
+    dgges,
+    dorgqr,
+    dtgsen,
+    dtrtrs,
+)
 
 from .errors import (
     DimensionMismatch,
@@ -35,6 +53,7 @@ from .subspaces import (
     ToleranceProfile,
     _norm2,
     _preimage,
+    _singular_values,
     combine,
     complement,
     contains,
@@ -333,6 +352,122 @@ def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile):
     return reach.basis, fixed
 
 
+def _require_finite(*arrays):
+    """scipy's `check_finite`: ValueError on any inf or NaN entry."""
+    if not all(np.isfinite(M).all() for M in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _no_sort(*_):
+    """dgges's selection callback, unused: the ordering is dtgsen's."""
+
+
+def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
+    """Stabilizing solution P of the Riccati equation of (A, B) with
+    identity weights: the CARE A^T P + P A - P B B^T P + I = 0, or, when
+    `discrete`, the DARE A^T P A - P - A^T P B (I + B^T P B)^{-1} B^T P A + I = 0.
+
+    scipy.linalg's CARE or DARE solver with Q = R = I, bit for bit, without
+    its wrappers: scipy 1.17.1's algorithm step for step (extended pencil,
+    structure-preserving balancing, QR deflation, ordered QZ, LU back
+    substitution) on the same LAPACK routines. Every check that can fire
+    raises scipy's exception with scipy's message; the Q/R symmetry and
+    R-conditioning checks are gone, since identity weights always pass them.
+    """
+    _require_finite(A, B)
+    k, m = B.shape
+    n2 = 2 * k
+    H = np.zeros((n2 + m, n2 + m))
+    J = np.zeros_like(H)
+    H[:k, :k] = A
+    H[:k, n2:] = B
+    H[k:n2, :k] = -np.eye(k)
+    H[n2:, n2:] = np.eye(m)
+    if discrete:  # symplectic pencil
+        H[k:n2, k:n2] = np.eye(k)
+        J[:k, :k] = np.eye(k)
+        J[k:n2, k:n2] = A.T
+        J[n2:, k:n2] = -B.T
+    else:  # Hamiltonian pencil
+        H[k:n2, k:n2] = -A.T
+        H[n2:, k:n2] = B.T
+        J[:n2, :n2] = np.eye(n2)
+    # Balance by dgebal's scales of the off-diagonal magnitudes, paired as
+    # diag(D, D^-1, .) to keep the pencil's structure; skipped when
+    # np.allclose(scales, 1), as they are powers of 2.
+    M = np.abs(H) + np.abs(J)
+    np.fill_diagonal(M, 0.0)
+    sca = dgebal(M, 1, 0)[3]
+    if not (abs(sca - 1.0) <= 1e-8 + 1e-5).all():
+        sca = np.log2(sca)
+        d = np.round((sca[k:n2] - sca[:k]) / 2)
+        sca = 2 ** np.r_[d, -d, sca[n2:]]
+        scale = sca[:, None] * np.reciprocal(sca)
+        H *= scale
+        J *= scale
+        _require_finite(H[:, n2:])
+    # Deflate the m input columns with a full QR.
+    qr, tau, _, _ = dgeqrf(H[:, n2:], int(dgeqrf_lwork(n2 + m, m)[0]))
+    Q = np.zeros_like(H, order="F")
+    Q[:, :m] = qr
+    Q = dorgqr(Q, tau, int(dorgqr(Q, tau, -1)[1][0]), 1)[0][:, m:]
+    Hd = Q.T.dot(H[:, :n2])
+    Jd = Q.T.dot(J[:, :n2]) if discrete else Q[:n2].T.dot(J[:n2, :n2])
+    # Ordered QZ: the stable deflating subspace leads, beta = 0 never selected.
+    lwork = int(dgges(_no_sort, Hd, Jd, lwork=-1)[-2][0])
+    AA, BB, _, alphar, alphai, beta, vsl, vsr, _, info = dgges(
+        _no_sort, Hd, Jd, lwork=lwork, overwrite_a=1, overwrite_b=1, sort_t=0)
+    if 0 < info <= n2:
+        warnings.warn("The QZ iteration failed. (a,b) are not in Schur "
+                      "form, but ALPHAR(j), ALPHAI(j), and BETA(j) should be "
+                      f"correct for J={info-1},...,N", LinAlgWarning,
+                      stacklevel=2)
+    elif info > n2:
+        raise np.linalg.LinAlgError("Something other than QZ iteration failed")
+    nonzero = beta != 0
+    ratio = (alphar + alphai * 1.0j)[nonzero] / beta[nonzero]
+    select = np.zeros(beta.shape, dtype=bool)
+    select[nonzero] = abs(ratio) < 1.0 if discrete else ratio.real < 0.0
+    res = dtgsen(select, AA, BB, vsl, vsr, 0, 1, 1, 4 * n2 + 16, 1)
+    if res[-1] == 1:
+        raise ValueError("Reordering of (A, B) failed because the transformed"
+                         " matrix pair (A, B) would be too far from "
+                         "generalized Schur form; the problem is very "
+                         "ill-conditioned. (A, B) may have been partially "
+                         "reordered.")
+    u00, u10 = res[6][:k, :k], res[6][k:, :k]
+    # P u00 = L U, and X = u10 u00^{-1}: two triangular solves on the packed
+    # factor, then the permutation, as scipy.linalg.lu/solve_triangular do.
+    _require_finite(u00)
+    lu, piv, _ = dgetrf(u00)
+    uu = np.triu(lu)
+    s = _singular_values(uu)
+    with np.errstate(all="ignore"):
+        cond = s[0] / s[-1]
+    if np.isnan(cond) and not np.isnan(uu).any():
+        cond = np.inf
+    if 1 / cond < np.spacing(1.0):
+        raise np.linalg.LinAlgError("Failed to find a finite solution.")
+    _require_finite(u10)
+    perm = np.arange(k)
+    for i, p in enumerate(piv):
+        perm[[i, p]] = perm[[p, i]]
+    up = np.zeros((k, k))
+    up[perm, np.arange(k)] = 1.0
+    y = dtrtrs(lu.T, u10.T, 1)[0]
+    x = dtrtrs(lu.T, y, 0, 0, 1)[0].T.dot(up.T)
+    x *= sca[:k, None] * sca[:k]
+    # A solution that is not symmetric means the pencil had no clean split.
+    u_sym = u00.T.dot(u10)
+    threshold = max(np.spacing(1000.0), 0.1 * np.linalg.norm(u_sym, 1))
+    if np.linalg.norm(u_sym - u_sym.T, 1) > threshold:
+        what = ("symplectic pencil has eigenvalues too close to the unit circle"
+                if discrete else "Hamiltonian pencil has eigenvalues too close "
+                "to the imaginary axis")
+        raise np.linalg.LinAlgError(f"The associated {what}")
+    return (x + x.T) / 2
+
+
 def _place_state_feedback(A: np.ndarray, B: np.ndarray,
                           region: StabilityRegion,
                           tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +476,9 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
     The gain is the Riccati gain, with identity weights, of the controllable
     block (Ac, Bc), shifted so that its closed-loop spectrum lies beyond the
     region's margin: left of -(1 + margin) in continuous time, inside the
-    disc of radius (1 - margin) / 2 in discrete time. Returns
+    disc of radius (1 - margin) / 2 in discrete time. The Riccati equation
+    is solved by `_riccati`, whose solution is scipy's bit for bit, so the
+    gain is the one scipy's CARE/DARE solvers give. Returns
     (F, uncontrollable_eigenvalues); the caller decides whether the fixed
     part violates the region.
     """
@@ -357,14 +494,14 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
     if all(region.boundary_distance(l) > SKIP_GUARD for l in np.linalg.eigvals(Ac)):
         return np.zeros((B.shape[1], k)), fixed
     Bc = T1.T @ B
-    Q, R = np.eye(kc), np.eye(B.shape[1])
     if region.kind == "continuous":
-        P = solve_continuous_are(Ac + (1.0 + region.margin) * np.eye(kc), Bc, Q, R)
+        P = _riccati(Ac + (1.0 + region.margin) * np.eye(kc), Bc, False)
         gain = -Bc.T @ P
     else:
         rho = (1.0 - region.margin) / 2.0
         As = Ac / rho
-        P = solve_discrete_are(As, Bc, Q, R)
+        P = _riccati(As, Bc, True)
+        R = np.eye(B.shape[1])
         gain = -rho * np.linalg.solve(R + Bc.T @ P @ Bc, Bc.T @ P @ As)
     return gain @ T1.T, fixed
 

@@ -495,8 +495,13 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         fixed = rep.internal_fixed if which == "D" else rep.external_fixed
         bad = _outside(fixed, region)
         worst = max((-region.boundary_distance(l) for l in fixed), default=-1.0)
-        # Sorted, so the note does not depend on the basis; + 0.0 maps -0.0 to 0.0.
-        shown = np.sort(np.round(np.asarray(fixed), 6) + 0.0).tolist()
+        # Sorted, so the note does not depend on the basis; + 0.0 maps -0.0 to
+        # 0.0. A spectrum whose imaginary parts all round to 0 prints as real,
+        # whatever roundoff eigvals left in them.
+        rounded = np.round(np.asarray(fixed), 6) + 0.0
+        if not rounded.imag.any():
+            rounded = rounded.real
+        shown = np.sort(rounded).tolist()
         return ConditionCheck(which, not bad, max(worst, 0.0),
                               f"fixed spectrum {shown}")
 

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import numpy as np
+import scipy
+from scipy.linalg import solve_continuous_are, solve_discrete_are
 
 from geodd import Quadruple, Subspace, exact
 from geodd.errors import SampleTooCloseToPole
+from geodd.geometry import SKIP_GUARD, _controllable_split
 from geodd.subspaces import (
     combine,
     complement,
@@ -40,6 +43,24 @@ def count_calls(monkeypatch, name, *modules) -> list:
             raise AssertionError(f"{module.__name__}.{name} is another function")
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def lapack_builds() -> str:
+    """numpy's and scipy's versions and the BLAS/LAPACK builds they link.
+
+    The failure message of every byte-parity assertion: geodd's kernels call
+    scipy's LAPACK directly and are compared with numpy's and scipy's own
+    wrappers, so their bits agree only where those builds round alike, and
+    a last-bit failure should name the builds involved.
+    """
+    parts = []
+    for module in (np, scipy):
+        deps = module.show_config(mode="dicts").get("Build Dependencies", {})
+        libs = ", ".join(f"{kind} {deps.get(kind, {}).get('name')} "
+                         f"{deps.get(kind, {}).get('version')}"
+                         for kind in ("blas", "lapack"))
+        parts.append(f"{module.__name__} {module.__version__} ({libs})")
+    return "; ".join(parts)
 
 
 def failing_dgesdd(a, *flags):
@@ -108,6 +129,33 @@ def exact_star_dims(q: Quadruple):
         if sdims[-1] == sdims[-2]:
             break
     return vdims, sdims
+
+
+def scipy_state_feedback(A, B, region, tol):
+    """`geometry._place_state_feedback` as it was on scipy's Riccati solvers,
+    the reference that the lean kernel `geometry._riccati` must reproduce
+    bit for bit."""
+    k = A.shape[0]
+    if k == 0:
+        return np.zeros((B.shape[1], 0)), np.zeros(0, dtype=complex)
+    T1, fixed = _controllable_split(A, B, tol)
+    kc = T1.shape[1]
+    if kc == 0:
+        return np.zeros((B.shape[1], k)), fixed
+    Ac = T1.T @ A @ T1
+    if all(region.boundary_distance(l) > SKIP_GUARD for l in np.linalg.eigvals(Ac)):
+        return np.zeros((B.shape[1], k)), fixed
+    Bc = T1.T @ B
+    Q, R = np.eye(kc), np.eye(B.shape[1])
+    if region.kind == "continuous":
+        P = solve_continuous_are(Ac + (1.0 + region.margin) * np.eye(kc), Bc, Q, R)
+        gain = -Bc.T @ P
+    else:
+        rho = (1.0 - region.margin) / 2.0
+        As = Ac / rho
+        P = solve_discrete_are(As, Bc, Q, R)
+        gain = -rho * np.linalg.solve(R + Bc.T @ P @ Bc, Bc.T @ P @ As)
+    return gain @ T1.T, fixed
 
 
 # Primal formulas of the input-containing objects. geodd computes each of

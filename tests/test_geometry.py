@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgWarning, solve_continuous_are, solve_discrete_are
 
 from geodd import InstanceSpec, exact, generate_instance, geometry
 from geodd.errors import FixedSpectrumOutsideRegion, NotInvariant, NotStabilizablePair
@@ -9,6 +12,7 @@ from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     Quadruple,
+    _riccati,
     friend,
     friend_residual,
     input_containing_residual,
@@ -39,6 +43,7 @@ from geodd.subspaces import (
 )
 from helpers import (
     count_calls,
+    lapack_builds,
     max_angle,
     primal_detectability,
     primal_fixed_spectra,
@@ -329,14 +334,111 @@ class TestStabilizingFriend:
         plant = generate_instance(InstanceSpec(seed=7, n=4))
         q = plant.control_quadruple()
         V = vstar(q)
-        care = count_calls(monkeypatch, "solve_continuous_are", geometry)
-        dare = count_calls(monkeypatch, "solve_discrete_are", geometry)
+        calls = count_calls(monkeypatch, "_riccati", geometry)
         cert = stabilizing_friend(V, OUTPUT_NULLING, q, CONT)
+        care = [args for args in calls if not args[2]]
+        dare = [args for args in calls if args[2]]
         assert V.dim == 3
         assert [args[0].shape[0] for args in care] == [3, 1]
         assert dare == []
         eigs = np.linalg.eigvals(q.A + q.B @ cert.F_or_G)
         assert max(e.real for e in eigs) < 0
+
+
+@st.composite
+def riccati_pencils(draw):
+    """(A, B, margin) with k = 1..12 states, m = 1..3 inputs, entries scaled
+    by 1e-3..1e3, and now and then a zero column in B."""
+    k, m = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((k, k)) * 10.0 ** draw(st.integers(-3, 3))
+    B = rng.standard_normal((k, m)) * 10.0 ** draw(st.integers(-3, 3))
+    zero = draw(st.sampled_from([None] * 3 + list(range(m))))
+    if zero is not None:
+        B[:, zero] = 0.0
+    return A, B, draw(st.sampled_from([0.0, 0.05, 0.3]))
+
+
+def _same_as_scipy(ours, scipys):
+    """ours() returns scipy's P byte for byte, or raises where scipy raises,
+    with the same type and message."""
+    try:
+        want = scipys()
+    except (ValueError, np.linalg.LinAlgError) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            ours()
+        return
+    got = ours()
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), lapack_builds()
+
+
+def _with_info(routine, info):
+    """A LAPACK binding that runs `routine` and then reports `info`."""
+    def fake(*args, **kwargs):
+        return (*routine(*args, **kwargs)[:-1], info)
+    return fake
+
+
+class TestRiccatiKernel:
+    """`_riccati` is scipy's CARE/DARE solver with identity weights, on the
+    same LAPACK routines without the wrappers."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(riccati_pencils())
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_solution_equals_scipy_bit_for_bit(self, pencil):
+        A, B, margin = pencil
+        k, m = B.shape
+        Ac = A + (1.0 + margin) * np.eye(k)
+        _same_as_scipy(lambda: _riccati(Ac, B, False),
+                       lambda: solve_continuous_are(Ac, B, np.eye(k), np.eye(m)))
+        Ad = A / ((1.0 - margin) / 2.0)
+        _same_as_scipy(lambda: _riccati(Ad, B, True),
+                       lambda: solve_discrete_are(Ad, B, np.eye(k), np.eye(m)))
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_nonfinite_input_raises_scipys_error(self, discrete):
+        A, B = np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones((2, 1))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            _riccati(A, B, discrete)
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_lapack_failure_raises(self, monkeypatch, discrete):
+        A, B = np.array([[1.0, 2.0], [0.0, -3.0]]), np.array([[0.0], [1.0]])
+        P = _riccati(A, B, discrete)
+        # an incomplete QZ warns and goes on, as scipy's does
+        monkeypatch.setattr(geometry, "dgges", _with_info(geometry.dgges, 1))
+        with pytest.warns(LinAlgWarning, match="The QZ iteration failed"):
+            assert _riccati(A, B, discrete).tobytes() == P.tobytes()
+        # info = 2k + 1: a failure other than the QZ iteration
+        monkeypatch.setattr(geometry, "dgges", _with_info(geometry.dgges, 5))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="Something other than QZ iteration failed"):
+            _riccati(A, B, discrete)
+        monkeypatch.undo()
+        monkeypatch.setattr(geometry, "dtgsen", _with_info(geometry.dtgsen, 1))
+        with pytest.raises(ValueError, match=r"Reordering of \(A, B\) failed"):
+            _riccati(A, B, discrete)
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_unsplit_pencil_raises_scipys_error(self, monkeypatch, discrete):
+        # eigenvalues on the boundary leave a selected subspace that is not
+        # Lagrangian, and with it a solution that is not symmetric; a random
+        # orthogonal Z stands in for such a subspace
+        A, B = np.array([[1.0, 2.0], [0.0, -3.0]]), np.array([[0.0], [1.0]])
+        Z = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+        dtgsen = geometry.dtgsen
+
+        def unsplit(*args):
+            res = list(dtgsen(*args))
+            res[6] = np.asfortranarray(Z)
+            return tuple(res)
+
+        monkeypatch.setattr(geometry, "dtgsen", unsplit)
+        where = "unit circle" if discrete else "imaginary axis"
+        with pytest.raises(np.linalg.LinAlgError, match=f"too close to the {where}"):
+            _riccati(A, B, discrete)
 
 
 class TestStabilizabilitySubspaces:

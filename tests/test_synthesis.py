@@ -17,10 +17,21 @@ from geodd.errors import (
     WellPosednessObstruction,
     WellPosednessViolated,
 )
-from geodd.geometry import match_spectra, rstar_qstar, sstar, sstar_g, vstar, vstar_g
+from geodd.geometry import (
+    OUTPUT_NULLING,
+    SpectralReport,
+    match_spectra,
+    rstar_qstar,
+    sstar,
+    sstar_g,
+    stabilizing_friend,
+    vstar,
+    vstar_g,
+)
 from geodd.lattice import PlantSystem, extended_quadruples, lattice_report, vm_sM
 from geodd.subspaces import (
     CONTINUOUS,
+    DEFAULT_TOL,
     DISCRETE,
     Subspace,
     ToleranceProfile,
@@ -50,7 +61,7 @@ from geodd.verify import (
     generate_instance,
     stability_check,
 )
-from helpers import count_calls
+from helpers import count_calls, lapack_builds, scipy_state_feedback
 
 
 class TestAffineFamily:
@@ -401,6 +412,24 @@ class TestAnalyzeP2:
             assert rep.solvable
             assert rep.condition("D").note == "fixed spectrum [-3.0, -2.0, -1.0]"
 
+    def test_fixed_spectrum_note_is_real_when_imaginary_parts_round_to_zero(
+            self, monkeypatch):
+        # eigvals returns the spectrum of the defective block
+        # [[-0.5, 1], [-1e-18, -0.5]] as -0.5 +- 1e-9j; rounded to 6 decimals
+        # it is real, and must print as real numbers, as in any other basis
+        cluster = (-0.5 + 1e-9j, -0.5 - 1e-9j)
+        spectra = {"D": cluster + (0.0,), "E": cluster + (-0.25 + 0.5j, -0.25 - 0.5j)}
+        monkeypatch.setattr(synthesis, "spectral_report", lambda *args, **kwargs:
+                            SpectralReport(spectra["D"], spectra["E"], (0, 0)))
+        sys = PlantSystem(A=-np.eye(3), B=np.zeros((3, 1)), H=np.ones((3, 1)),
+                          C=[[1.0, 1.0, 0.0]], D_y=np.zeros((1, 1)),
+                          G_y=np.zeros((1, 1)), E=np.zeros((1, 3)),
+                          D_z=np.zeros((1, 1)), G_z=np.zeros((1, 1)))
+        rep = analyze_p2(sys)
+        assert rep.condition("D").note == "fixed spectrum [-0.5, -0.5, 0.0]"
+        assert rep.condition("E").note == (
+            "fixed spectrum [(-0.5+0j), (-0.5+0j), (-0.25-0.5j), (-0.25+0.5j)]")
+
     def test_route_agreement_on_generated_instances(self):
         # both solvability routes must agree instance by instance
         agree = total = 0
@@ -594,6 +623,41 @@ def _parity_plants(mismatched_plant, singular_family_plant, scalar_channel_plant
                 yield generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
 
 
+def _stabilizing_outputs(plant):
+    """The stabilizing gains for a fresh copy of `plant` at three levels: the
+    shifted Riccati gain of (A, B), the stabilizing friend of V*, and the p2
+    compensator; each as bytes, or as the error raised."""
+    plant = replace(plant)
+    q = plant.control_quadruple()
+    steps = (
+        lambda: [geometry._place_state_feedback(q.A, q.B, plant.region, DEFAULT_TOL)[0]],
+        lambda: [stabilizing_friend(vstar(q), OUTPUT_NULLING, q, plant.region).F_or_G],
+        lambda: [getattr(solve(plant, "p2")[0], name) for name in ("A_c", "B_c", "C_c", "D_c")],
+    )
+    out = []
+    for step in steps:
+        try:
+            out.append([(M.shape, M.tobytes()) for M in step()])
+        except (GeoddError, ValueError, np.linalg.LinAlgError) as err:
+            out.append(f"{type(err).__name__}: {err}")
+    return out
+
+
+def test_riccati_kernel_gives_scipy_gains_byte_for_byte(
+        monkeypatch, mismatched_plant, singular_family_plant, scalar_channel_plant):
+    plants = list(_parity_plants(mismatched_plant, singular_family_plant,
+                                 scalar_channel_plant))
+    plants += [generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
+               for n in (8, 10) for seed in range(3) for domain in (CONTINUOUS, DISCRETE)]
+    solves = count_calls(monkeypatch, "_riccati", geometry)
+    with_kernel = [_stabilizing_outputs(plant) for plant in plants]
+    # both domains' solves ran, and the pass did more than skip stable blocks
+    assert {args[2] for args in solves} == {False, True}
+    monkeypatch.setattr(geometry, "_place_state_feedback", scipy_state_feedback)
+    with_scipy = [_stabilizing_outputs(plant) for plant in plants]
+    assert with_kernel == with_scipy, lapack_builds()
+
+
 def test_svd_kernel_gives_numpy_outputs_byte_for_byte(
         monkeypatch, mismatched_plant, singular_family_plant, scalar_channel_plant):
     plants = list(_parity_plants(mismatched_plant, singular_family_plant,
@@ -606,4 +670,4 @@ def test_svd_kernel_gives_numpy_outputs_byte_for_byte(
     assert subspaces._norm2 is _NUMPY_KERNEL["_norm2"]
     assert geometry._norm2 is _NUMPY_KERNEL["_norm2"]
     with_numpy = [_pipeline_outputs(plant) for plant in plants]
-    assert with_kernel == with_numpy
+    assert with_kernel == with_numpy, lapack_builds()
