@@ -8,13 +8,20 @@ or flat row-major arrays.
 
 Exit codes: 0 solved/verified/analysis-clean, 1 usage or parse error,
 2 infeasible (or failed verification), 3 well-posedness obstruction,
-4 numerical failure.
+4 numerical failure. A tolerance override that is not a finite number, or
+that `ToleranceProfile` rejects, is a parse error (exit 1) naming its field.
+
+A result file is exactly `json.dumps(payload, indent=2, sort_keys=True)`
+followed by a newline; `_write_result` writes that text directly, without
+the pure-Python encoder that `indent` selects, and a test pins the bytes.
+The parser is built once per process and reused by every `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -22,6 +29,7 @@ import numpy as np
 from .errors import (
     GeoddError,
     Infeasible,
+    InvalidInput,
     ParseError,
     ShapeError,
     WellPosednessObstruction,
@@ -99,7 +107,8 @@ def parse_problem(path: str):
     if not isinstance(dims, dict):
         raise ParseError(f"{path}: missing dims block")
     for key in ("n", "m", "q", "p", "r"):
-        if not isinstance(dims.get(key), int) or dims[key] < 0:
+        value = dims.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ParseError(f"{path}: dims.{key} must be a nonnegative integer")
     matrices = {}
     for name in _MATRIX_SHAPES:
@@ -116,7 +125,16 @@ def parse_problem(path: str):
     unknown = set(overrides) - known
     if unknown:
         raise ParseError(f"{path}: unknown tolerance fields {sorted(unknown)}")
-    tol = ToleranceProfile(**{k: float(v) for k, v in overrides.items()})
+    for key, value in overrides.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ParseError(
+                f"{path}: tolerances.{key} must be a finite number, got {value!r}")
+    try:
+        tol = ToleranceProfile(**{k: float(v) for k, v in overrides.items()})
+    except InvalidInput as err:
+        # the profile's messages begin with the field they reject
+        raise ParseError(f"{path}: tolerances.{err}") from None
     sys_ = PlantSystem(**matrices, time_domain=domain)
     return sys_, tol
 
@@ -174,8 +192,89 @@ def compensator_dict(comp: Compensator) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value) -> str:
+    """A float as `json` writes it: its shortest repr, or NaN/±Infinity.
+    `float.__repr__`, not `repr`, so a numpy.float64 prints as a float."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _scalar_text(obj):
+    """The JSON text of a str, None, bool, int or float, as `json` writes
+    it; None for any other object."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    return None
+
+
+def _append_json(obj, newline: str, out: list) -> None:
+    """Append to `out` the text that `json.dumps(obj, indent=2,
+    sort_keys=True)` writes for `obj`; `newline` is a newline followed by
+    the indent of the line on which `obj` starts. Dict keys must be strings,
+    as they are in every payload; `json` would also convert other scalars."""
+    text = _scalar_text(obj)
+    if text is not None:
+        out.append(text)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is float for item in obj):
+            # a row of floats, the bulk of every result file
+            texts = (map(float.__repr__, obj) if all(map(math.isfinite, obj))
+                     else map(_float_text, obj))
+            out.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _append_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _append_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, written directly."""
+    out = []
+    _append_json(obj, "\n", out)
+    return "".join(out)
+
+
 def _write_result(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -343,10 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every `main` call parses with this one parser; parse_args keeps no state
+# between calls, as each returns a fresh namespace.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:

@@ -80,10 +80,15 @@ class ToleranceProfile:
     residual: float = 1e-8
 
     def __post_init__(self):
-        if not (0 < self.rank_rel < 1):
-            raise InvalidInput("rank_rel must lie in (0, 1)")
-        if self.angle <= 0 or self.residual <= 0:
-            raise InvalidInput("tolerances must be strictly positive")
+        # each message begins with the field it rejects
+        for name, value in (("rank_rel", self.rank_rel), ("angle", self.angle),
+                            ("residual", self.residual)):
+            if not math.isfinite(value):
+                raise InvalidInput(f"{name} must be finite, got {value!r}")
+            if name == "rank_rel" and not 0 < value < 1:
+                raise InvalidInput(f"rank_rel must lie in (0, 1), got {value!r}")
+            if value <= 0:
+                raise InvalidInput(f"{name} must be strictly positive, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceProfile()

@@ -154,22 +154,25 @@ def default_lambdas(cl: ClosedLoop, count: int = 20, seed: int = 0) -> list:
     """`count` seeded samples from an annulus around the loop's spectrum
     (`cl.spectrum`), each at least 1e-3 from every pole.
 
-    The samples are drawn one by one and rejected when too close, so the
-    random stream, and with it every sample, depends only on the spectrum,
-    `count` and `seed`.
+    Each candidate takes two uniform draws from the stream, its radius and
+    then its angle, and is rejected when too close to a pole; the samples
+    are the first `count` candidates kept, so they depend only on the
+    spectrum, `count` and `seed`. The candidates are drawn `count` at a
+    time and scaled as `Generator.uniform` scales its draws, so the points
+    equal those of drawing one radius and one angle at a time, bit for bit.
     """
     poles = cl.spectrum
     radius = 2.0 * max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
+    low, high = 0.5 * radius, 1.5 * radius
     rng = np.random.default_rng(seed)
     samples = []
     while len(samples) < count:
-        r = rng.uniform(0.5 * radius, 1.5 * radius)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        lam = r * np.exp(1j * phi)
-        if poles.size and np.min(np.abs(poles - lam)) < 1e-3:
-            continue
-        samples.append(lam)
-    return samples
+        u = rng.random((count, 2))
+        lams = (low + (high - low) * u[:, 0]) * np.exp(1j * (0.0 + 2.0 * np.pi * u[:, 1]))
+        if poles.size:
+            lams = lams[~(np.abs(poles - lams[:, None]).min(axis=1) < 1e-3)]
+        samples.extend(lams)
+    return samples[:count]
 
 
 def stability_check(A_hat, region: StabilityRegion,

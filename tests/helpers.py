@@ -271,3 +271,23 @@ def reference_transfer_samples(cl, lambdas) -> float:
         G = cl.C_hat @ resolvent + cl.G_hat
         worst = max(worst, float(np.linalg.norm(G, 2)))
     return worst
+
+
+def reference_default_lambdas(cl, count, seed):
+    """The one-at-a-time loop that `verify.default_lambdas` draws in blocks:
+    one `Generator.uniform` radius and one angle per candidate, a candidate
+    within 1e-3 of a pole rejected. Returns (samples, rejected count), so a
+    test can show that it exercised the rejection."""
+    poles = cl.spectrum
+    radius = 2.0 * max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
+    rng = np.random.default_rng(seed)
+    samples, rejected = [], 0
+    while len(samples) < count:
+        r = rng.uniform(0.5 * radius, 1.5 * radius)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        lam = r * np.exp(1j * phi)
+        if poles.size and np.min(np.abs(poles - lam)) < 1e-3:
+            rejected += 1
+            continue
+        samples.append(lam)
+    return samples, rejected

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geodd
-from geodd import subspaces
+from geodd import cli, subspaces
 from geodd.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -80,6 +85,44 @@ class TestProblemFiles:
         p.write_text("{not json")
         with pytest.raises(ParseError):
             parse_problem(str(p))
+
+
+class TestToleranceOverrides:
+    @pytest.mark.parametrize("field,value", [
+        ("rank_rel", "x"), ("rank_rel", None), ("rank_rel", [1]), ("rank_rel", "1e-9"),
+        ("rank_rel", 2.0), ("rank_rel", 0), ("angle", float("nan")),
+        ("residual", float("inf")), ("angle", -1.0), ("residual", True),
+    ])
+    def test_bad_override_exits_1_naming_the_field(self, tmp_path, capsys,
+                                                    field, value):
+        d = dict(minimal_problem_dict(), tolerances={field: value})
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(d))
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", str(p), "--output", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: tolerances.{field} ")
+        assert not out.exists()
+        with pytest.raises(ParseError, match=f"tolerances.{field}"):
+            parse_problem(str(p))
+
+    def test_numeric_overrides_accepted(self, tmp_path):
+        d = dict(minimal_problem_dict(),
+                 tolerances={"rank_rel": 1e-9, "angle": 1e-7, "residual": 1})
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(d))
+        _, tol = parse_problem(str(p))
+        assert (tol.rank_rel, tol.angle, tol.residual) == (1e-9, 1e-7, 1.0)
+        assert type(tol.residual) is float
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, -1, "1"])
+    def test_dims_must_be_nonnegative_integers(self, tmp_path, capsys, value):
+        d = minimal_problem_dict()
+        d["dims"]["n"] = value
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(d))
+        assert main(["analyze", "--input", str(p)]) == EXIT_USAGE
+        assert "dims.n must be a nonnegative integer" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -406,3 +449,150 @@ class TestWorkPerCommand:
                      "--output", str(tmp_path / "v.json")]) == EXIT_OK
         assert max(batches) == SAMPLE_BLOCK
         assert sum(batches) == 2 * count
+
+
+def _reference_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308,
+               float("nan"), float("inf"), float("-inf")]
+FLOATS = st.floats() | st.sampled_from(FLOAT_EDGES)
+LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+          | FLOATS | FLOATS.map(np.float64)
+          | st.text() | st.sampled_from(["", "\"quoted\"", "back\\slash", "tab\tline\n",
+                                        "\x00\x1f\x7f", "é ü ß", "日本語", "\U0001f600",
+                                        "\ud800"]))
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.lists(FLOATS, max_size=5)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=5)),
+    max_leaves=40)
+
+
+class TestResultWriter:
+    """A result file is `json.dumps(payload, indent=2, sort_keys=True)` and
+    a newline, byte for byte, although `_write_result` does not call it."""
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(JSON_VALUES)
+    def test_text_equals_json_dumps(self, obj):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_result(None, obj)
+        assert out.getvalue() == _reference_text(obj) + "\n"
+
+    def test_edge_values(self, tmp_path):
+        obj = {"empty": [[], {}, ()], "rows": [FLOAT_EDGES, [np.float64(0.5), 0.25]],
+               "ints": [0, -1, 2**80, True, False, None], "z": "\u00e9\n",
+               "nested": {"b": {"a": []}, "a": ({}, [{}])}}
+        path = tmp_path / "r.json"
+        cli._write_result(str(path), obj)
+        assert path.read_bytes() == (_reference_text(obj) + "\n").encode()
+        assert "np.float64" not in path.read_text()
+
+    def test_unserializable_values_raise_as_json_does(self):
+        for obj in ({"a": object()}, [np.int64(1)], {(1, 2): 0}):
+            with pytest.raises(TypeError):
+                json.dumps(obj, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
+
+    def test_every_command_writes_what_json_dumps_writes(
+            self, tmp_path, capsys, scalar_channel_plant, singular_family_plant):
+        """analyze, solve and verify on generated plants, an obstruction and
+        an infeasible result, and a result printed to stdout: each text is
+        its own re-dump through `json.dumps`."""
+        texts = []
+
+        def run(argv, code):
+            out = tmp_path / "out.json"
+            assert main(argv + ["--output", str(out)]) == code
+            texts.append(out.read_text())
+            return str(out)
+
+        for seed, domain in ((2, "continuous"), (10, "discrete")):
+            sys_ = generate_instance(InstanceSpec(seed=seed, n=4, m=2, q=1, p=2, r=1,
+                                                  time_domain=domain))
+            plant = write_problem(tmp_path / f"g{seed}.json", sys_)
+            for problem in ("p1", "p2"):
+                run(["analyze", "--input", plant, "--problem", problem], EXIT_OK)
+            result = tmp_path / "result.json"
+            assert main(["solve", "--input", plant, "--output", str(result)]) == EXIT_OK
+            texts.append(result.read_text())
+            run(["verify", "--input", plant, "--compensator", str(result)], EXIT_OK)
+        obstructed = write_problem(tmp_path / "o.json", singular_family_plant)
+        run(["solve", "--input", obstructed], EXIT_OBSTRUCTION)
+        infeasible = write_problem(tmp_path / "i.json", scalar_channel_plant)
+        run(["solve", "--input", infeasible, "--problem", "p2"], EXIT_INFEASIBLE)
+        capsys.readouterr()
+        assert main(["analyze", "--input", infeasible, "--problem", "p2"]) == EXIT_INFEASIBLE
+        texts.append(capsys.readouterr().out)
+        verdicts = [json.loads(text).get("verdict") for text in texts]
+        assert {"solved", "verified", "well_posedness_obstruction",
+                "infeasible"} <= set(verdicts)
+        for text in texts:
+            assert text == _reference_text(json.loads(text)) + "\n"
+
+
+class TestParserReuse:
+    """`main` parses every call with one parser built at import; no value
+    of one call may reach the next."""
+
+    def _calls(self, tmp_path, plant, compensator):
+        return [
+            ["solve"],
+            ["verify", "--input", plant, "--compensator", compensator,
+             "--seed", "5", "--samples", "3", "--output", str(tmp_path / "v.json")],
+            ["solve", "--input", plant, "--output", str(tmp_path / "s.json")],
+        ]
+
+    def _outcomes(self, argvs, tmp_path, capsys, monkeypatch, fresh):
+        seen, outcomes = [], []
+        original = cli.run
+
+        def spy(command, args):
+            seen.append(dict(vars(args)))
+            return original(command, args)
+
+        monkeypatch.setattr(cli, "run", spy)
+        for argv in argvs:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            code = main(argv)
+            captured = capsys.readouterr()
+            files = {}
+            for name in ("v.json", "s.json"):
+                path = tmp_path / name
+                if path.exists():
+                    files[name] = path.read_bytes()
+                    path.unlink()
+            outcomes.append((code, captured.out, captured.err, files))
+        return seen, outcomes
+
+    def test_calls_in_a_row_equal_fresh_parsers(self, tmp_path, capsys, monkeypatch,
+                                                solved_plant):
+        plant, result = solved_plant
+        compensator = tmp_path / "comp.json"
+        compensator.write_text(json.dumps(result))
+        argvs = self._calls(tmp_path, plant, str(compensator))
+        parser = cli._PARSER
+        seen, reused = self._outcomes(argvs, tmp_path, capsys, monkeypatch, fresh=False)
+        assert cli._PARSER is parser
+        assert [o[0] for o in reused] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+        assert "the following arguments are required: --input" in reused[0][2]
+        verify_args, solve_args = seen
+        assert (verify_args["command"], verify_args["seed"], verify_args["samples"]) == (
+            "verify", 5, 3)
+        assert solve_args == {"command": "solve", "input": plant, "problem": "p1",
+                              "tol": None, "seed": 0, "samples": 20,
+                              "output": str(tmp_path / "s.json")}
+        assert json.loads(reused[2][3]["s.json"])["seed"] == 0
+        _, fresh = self._outcomes(argvs, tmp_path, capsys, monkeypatch, fresh=True)
+        assert reused == fresh
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._PARSER

@@ -7,6 +7,7 @@ from geodd.subspaces import (
     ORTHO_TOL,
     StabilityRegion,
     Subspace,
+    ToleranceProfile,
     _norm2,
     _singular_values,
     _svd,
@@ -37,6 +38,26 @@ def assert_orthonormal(S):
     if S.dim:
         gram = S.basis.T @ S.basis
         assert np.linalg.norm(gram - np.eye(S.dim)) <= 10 * ORTHO_TOL
+
+
+class TestToleranceProfile:
+    @pytest.mark.parametrize("field,value,message", [
+        ("rank_rel", float("nan"), "rank_rel must be finite"),
+        ("angle", float("nan"), "angle must be finite"),
+        ("residual", float("inf"), "residual must be finite"),
+        ("angle", float("-inf"), "angle must be finite"),
+        ("rank_rel", 1.0, r"rank_rel must lie in \(0, 1\)"),
+        ("rank_rel", 0.0, r"rank_rel must lie in \(0, 1\)"),
+        ("angle", 0.0, "angle must be strictly positive"),
+        ("residual", -1e-9, "residual must be strictly positive"),
+    ])
+    def test_rejects_naming_the_field(self, field, value, message):
+        with pytest.raises(InvalidInput, match=f"^{message}"):
+            ToleranceProfile(**{field: value})
+
+    def test_defaults_accepted(self):
+        tol = ToleranceProfile()
+        assert (tol.rank_rel, tol.angle, tol.residual) == (1e-10, 1e-8, 1e-8)
 
 
 class TestSubspaceBasis:

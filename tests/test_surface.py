@@ -1,11 +1,16 @@
-"""The public surface of geodd: the names the package exports and the
+"""The public surface of geodd: the names the package exports, the
 signatures of the geometry functions whose input-containing kind is computed
-through the dual quadruple. A change here is a change of the public API."""
+through the dual quadruple, and the command line (subcommands, flags, their
+defaults and choices, and the entry points a tracer wraps). A change here is
+a change of the public API."""
 
+import argparse
 import inspect
 
+import pytest
+
 import geodd
-from geodd import geometry
+from geodd import cli, geometry, verify
 
 EXPORTED = {
     # errors
@@ -69,3 +74,49 @@ def test_geometry_signatures():
 def test_kind_strings():
     assert (geometry.OUTPUT_NULLING, geometry.INPUT_CONTAINING) == (
         "output_nulling", "input_containing")
+
+
+# {flag: (default, choices, required, type)} shared by every subcommand
+COMMON_FLAGS = {
+    "--input": (None, None, True, None),
+    "--problem": ("p1", ["p1", "p2"], False, None),
+    "--tol": (None, None, False, "_rank_tolerance"),
+    "--seed": (0, None, False, "int"),
+    "--samples": (20, None, False, "_sample_count"),
+    "--output": (None, None, False, None),
+}
+CLI_FLAGS = {
+    "analyze": COMMON_FLAGS,
+    "solve": COMMON_FLAGS,
+    "verify": dict(COMMON_FLAGS, **{"--compensator": (None, None, True, None)}),
+}
+CLI_SIGNATURES = {
+    "main": "(argv=None) -> 'int'",
+    "build_parser": "() -> 'argparse.ArgumentParser'",
+    "parse_problem": "(path: 'str')",
+    "parse_compensator": "(path: 'str') -> 'Compensator'",
+}
+
+
+def cli_flags(parser) -> dict:
+    """{subcommand: {flag: (default, choices, required, type name)}}."""
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.dest == "command" and sub.required
+    return {name: {a.option_strings[0]: (a.default, a.choices, a.required,
+                                         getattr(a.type, "__name__", None))
+                   for a in command._actions if a.dest != "help"}
+            for name, command in sub.choices.items()}
+
+
+@pytest.mark.parametrize("parser", [cli.build_parser(), cli._PARSER],
+                         ids=["fresh", "cached"])
+def test_cli_flags(parser):
+    assert cli_flags(parser) == CLI_FLAGS
+    assert parser.prog == "geodd"
+
+
+def test_cli_signatures():
+    got = {name: str(inspect.signature(getattr(cli, name))) for name in CLI_SIGNATURES}
+    assert got == CLI_SIGNATURES
+    assert str(inspect.signature(verify.default_lambdas)) == (
+        "(cl: 'ClosedLoop', count: 'int' = 20, seed: 'int' = 0) -> 'list'")

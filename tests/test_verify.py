@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from geodd.verify import (
     stability_check,
     transfer_samples,
 )
-from helpers import reference_transfer_samples
+from helpers import reference_default_lambdas, reference_transfer_samples
 
 
 def loop_from(A, H, C, G, domain="continuous"):
@@ -168,6 +170,51 @@ class TestBatchedSamples:
         cl = loop_from(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]])
         assert cl.spectrum is cl.spectrum
         assert not cl.spectrum.flags.writeable
+
+
+def _bits(points):
+    """The real and imaginary bits of each point, and its type."""
+    return [(type(lam), np.array([lam]).view(np.uint64).tolist()) for lam in points]
+
+
+def _spectrum(poles):
+    # default_lambdas reads only the loop's spectrum
+    return SimpleNamespace(spectrum=np.asarray(poles, dtype=complex))
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("count", [0, 1, 2, 20, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 5])
+    def test_empty_spectrum_equals_the_scalar_loop(self, count):
+        cl = _spectrum([])
+        for seed in range(5):
+            expected, rejected = reference_default_lambdas(cl, count, seed)
+            assert rejected == 0
+            assert _bits(default_lambdas(cl, count, seed)) == _bits(expected)
+            assert all(type(lam) is np.complex128 for lam in expected)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 9),
+           st.sampled_from([1, 2, 20, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 7]),
+           st.integers(0, 10**6))
+    def test_random_spectra_equal_the_scalar_loop(self, state, n, count, seed):
+        rng = np.random.default_rng(state)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        poles = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        cl = _spectrum(poles)
+        assert (_bits(default_lambdas(cl, count, seed))
+                == _bits(reference_default_lambdas(cl, count, seed)[0]))
+
+    def test_rejected_candidates_are_skipped_in_stream_order(self):
+        # The annulus starts at the largest pole modulus, so a ring of poles
+        # on the unit circle, closer together than the 1e-3 clearance,
+        # rejects every candidate drawn just outside it.
+        ring = _spectrum(np.exp(2j * np.pi * np.arange(8000) / 8000))
+        total = 0
+        for seed in range(50):
+            expected, rejected = reference_default_lambdas(ring, 2 * SAMPLE_BLOCK, seed)
+            total += rejected
+            assert _bits(default_lambdas(ring, 2 * SAMPLE_BLOCK, seed)) == _bits(expected)
+        assert total > 0
 
 
 class TestStabilityCheck:
