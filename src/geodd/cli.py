@@ -426,17 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="geodd",
                      description="Disturbance decoupling by dynamic output feedback")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_comp in (("analyze", False), ("solve", False), ("verify", True)):
+    for name in ("analyze", "solve", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="plant JSON file")
         p.add_argument("--problem", choices=["p1", "p2"], default="p1")
         p.add_argument("--tol", type=_rank_tolerance, default=None,
                        help="override the relative rank threshold, in (0, 1)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_sample_count, default=20,
-                       help="number of frequency samples, at least 1")
+        if name != "analyze":
+            # only solve and verify sample the closed loop
+            p.add_argument("--samples", type=_sample_count, default=20,
+                           help="number of frequency samples, at least 1")
         p.add_argument("--output", default=None, help="result JSON file")
-        if needs_comp:
+        if name == "verify":
             p.add_argument("--compensator", required=True,
                            help="compensator JSON file (or a solve result)")
     return parser

@@ -1,22 +1,34 @@
-"""Exact rational linear algebra over Fraction entries.
+"""Exact rational linear algebra, run on Python integers.
 
 Mirrors the floating subspace operations so tests can replay every
 computation without roundoff, and supplies the exact determinant grid used
-to confirm that a feedback family is singular everywhere. Spans are plain
-column matrices (lists of rows of Fractions), not orthonormal bases.
+to confirm that a feedback family is singular everywhere.
 
-Fractions are the interface only. The eliminations behind `rref`, `rank`,
-`kernel`, `colspace`, `contains_span` and `det` clear each row's
-denominators and run on Python integers, dividing each updated row by its
-content (`det` uses Bareiss's exact division instead); `rref` turns only
-its final pivot rows back into Fractions, and the pivot-only callers skip
-even that. The results equal those of the same elimination on Fractions.
+Fraction matrices (lists of rows of Fractions) are the interface only:
+every matrix that goes in or comes out is one. Inside, everything runs on
+Python integers. A span is scale-free per column, so spans are integer column
+matrices, each column a primitive vector (divided by its content). The
+plant matrices of one call are scaled by one common denominator d, which
+changes none of their star subspaces; the coupling system of
+`affine_k_family` is multiplied through by d^2. The eliminations divide
+each updated row by its content (`det` uses Bareiss's exact division
+instead), and the determinant grid runs on integer members over a common
+denominator at integer grid points.
+
+The results are those of the same computations on Fractions: `rref`,
+`kernel`, `solve_affine`, the K family of `affine_k_family` and the
+`det_grid_scan` witness are canonical and equal them entry for entry; the
+spans of `vstar_span`, `sstar_span`, `intersect_spans`, `preimage_span`,
+`image_span` and `invariant_hull_smallest` have the columns the Fraction
+computation picks, each times a positive factor, so `clear_denominators`
+gives the same integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -36,9 +48,26 @@ def mat(rows) -> RatMat:
     return [[fr(x) for x in row] for row in rows]
 
 
+def _shared(rows, convert) -> RatMat:
+    """[[convert(x) for x in row] for row in rows], one call per distinct x:
+    Fractions are immutable, so equal entries can share one, and matrices
+    hold few distinct values while building a Fraction costs far more than
+    a lookup."""
+    seen = {}
+    out = []
+    for row in rows:
+        fracs = []
+        for x in row:
+            f = seen.get(x)
+            if f is None:
+                f = seen[x] = convert(x)
+            fracs.append(f)
+        out.append(fracs)
+    return out
+
+
 def from_array(A) -> RatMat:
-    A = np.atleast_2d(np.asarray(A))
-    return [[fr(x) for x in row] for row in A]
+    return _shared(np.atleast_2d(np.asarray(A)).tolist(), fr)
 
 
 def to_array(M: RatMat) -> np.ndarray:
@@ -64,34 +93,6 @@ def transpose(M: RatMat) -> RatMat:
     return [[M[i][j] for i in range(r)] for j in range(c)]
 
 
-def matmul(A: RatMat, B: RatMat) -> RatMat:
-    ra, ca = shape(A)
-    rb, cb = shape(B)
-    if ca != rb:
-        raise ValueError(f"shape mismatch {shape(A)} @ {shape(B)}")
-    out = zeros(ra, cb)
-    for i in range(ra):
-        Ai = A[i]
-        for k in range(ca):
-            a = Ai[k]
-            if a == 0:
-                continue
-            Bk = B[k]
-            row = out[i]
-            for j in range(cb):
-                row[j] += a * Bk[j]
-    return out
-
-
-def madd(A: RatMat, B: RatMat) -> RatMat:
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def scale(A: RatMat, s) -> RatMat:
-    s = fr(s)
-    return [[s * x for x in row] for row in A]
-
-
 def hstack(*mats: RatMat) -> RatMat:
     mats = [M for M in mats if shape(M)[1] > 0 or shape(M)[0] > 0]
     if not mats:
@@ -107,7 +108,9 @@ def vstack(*mats: RatMat) -> RatMat:
     return out
 
 
-def _cleared(row: list):
+# -- the integer core ---------------------------------------------------------
+
+def _cleared(row):
     """(integers, d) with row == integers / d, d the lcm of the denominators."""
     den = lcm(*[x.denominator for x in row])
     return [x.numerator * (den // x.denominator) for x in row], den
@@ -126,6 +129,36 @@ def _integer_rows(M: RatMat) -> list:
     RREF, so the integer rows reduce to the same R and pivots as M.
     """
     return [_primitive(_cleared(row)[0]) for row in M]
+
+
+def _scaled(*mats: RatMat):
+    """([d * M for M in mats] as integer matrices, d), d the lcm of every
+    denominator in `mats`."""
+    d = lcm(*{x.denominator for M in mats for row in M for x in row})
+    if d == 1:
+        return [[[x.numerator for x in row] for row in M] for M in mats], 1
+    return [[[x.numerator * (d // x.denominator) for x in row] for row in M]
+            for M in mats], d
+
+
+def _columns(B: RatMat) -> list:
+    """The columns of B, each scaled to its primitive integer multiple."""
+    return [_primitive(_cleared(col)[0]) for col in zip(*B)]
+
+
+def _fractions(rows, den: int = 1) -> RatMat:
+    """The integer rows divided by den, as Fractions."""
+    return _shared(rows, lambda x: Fraction(x, den))
+
+
+def _span(cols: list, n: int) -> RatMat:
+    """The n x k Fraction matrix whose columns are the integer `cols`."""
+    return _fractions(zip(*cols)) if cols else [[] for _ in range(n)]
+
+
+def _apply(rows: list, v) -> list:
+    """The integer matrix `rows` times the integer vector v."""
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
@@ -161,6 +194,140 @@ def _eliminate(rows: list, ncols: int, reduced: bool) -> list:
     return pivots
 
 
+def _independent(cols: list) -> list:
+    """The columns at the pivots of the matrix whose columns are `cols`:
+    each one that is not in the span of those before it."""
+    if not cols:
+        return []
+    rows = [list(r) for r in zip(*cols)]
+    return [cols[c] for c in _eliminate(rows, len(cols), reduced=False)]
+
+
+def _null(rows: list, ncols: int) -> list:
+    """Integer columns spanning the null space of the integer rows (which
+    are consumed): for each free column of the RREF, the primitive positive
+    multiple of the RREF kernel vector that `kernel` returns."""
+    pivots = _eliminate(rows, ncols, reduced=True)
+    pivot_set = set(pivots)
+    out = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        terms = [(pc, rows[r][fc], rows[r][pc])
+                 for r, pc in enumerate(pivots) if rows[r][fc]]
+        scale = lcm(*[pv for _, _, pv in terms])
+        v = [0] * ncols
+        v[fc] = scale
+        for pc, f, pv in terms:
+            v[pc] = -f * scale // pv
+        out.append(_primitive(v))
+    return out
+
+
+def _intersect(B1: list, B2: list) -> list:
+    """Solve B1 c1 = B2 c2; the common vectors B1 c1 span the intersection."""
+    if not B1 or not B2:
+        return []
+    k1 = len(B1)
+    rows = [list(r) for r in zip(*B1, *([-x for x in b] for b in B2))]
+    B1_rows = list(zip(*B1))
+    return _independent([_primitive(_apply(B1_rows, v[:k1]))
+                         for v in _null(rows, k1 + len(B2))])
+
+
+def _preimage(M: list, B: list, ncols: int) -> list:
+    """{x : M x in span(B)} for the integer matrix M with ncols columns."""
+    if not B:
+        return _null([row[:] for row in M], ncols)
+    rows = [row + [-b[i] for b in B] for i, row in enumerate(M)]
+    return _independent([v[:ncols] for v in _null(rows, ncols + len(B))])
+
+
+def _image(M: list, B: list) -> list:
+    return _independent([_primitive(_apply(M, b)) for b in B])
+
+
+def _unit_columns(n: int, lead: int = 0) -> list:
+    """The last n unit vectors of Z^(lead + n)."""
+    return [[0] * lead + [int(i == j) for i in range(n)] for j in range(n)]
+
+
+def _vstar(A, B, C, D) -> list:
+    n, p = len(A), len(C)
+    MT = A + C
+    BD = [list(c) for c in zip(*(B + D))]
+    below = [0] * p
+    V = _unit_columns(n)
+    for _ in range(n + 1):
+        target = _independent([v + below for v in V] + BD)
+        Vnext = _preimage(MT, target, n)
+        if len(Vnext) == len(V):
+            return V
+        V = Vnext
+    return V
+
+
+def _sstar(A, B, C, D, m: int) -> list:
+    n = len(A)
+    AB = [a + b for a, b in zip(A, B)]
+    ker_cd = _null([c + d for c, d in zip(C, D)], n + m) if C else None
+    inputs = _unit_columns(m, n)
+    beside = [0] * m
+    S = []
+    for _ in range(n + 1):
+        lifted = [s + beside for s in S] + inputs
+        inter = lifted if ker_cd is None else _intersect(lifted, ker_cd)
+        # The recursion is non-decreasing, so S_k lies in S_{k+1} already.
+        Snext = _image(AB, inter)
+        if len(Snext) == len(S):
+            return S
+        S = Snext
+    return S
+
+
+def _bareiss(rows: list) -> int:
+    """Determinant of a square integer matrix (rows consumed) by
+    fraction-free elimination."""
+    n = len(rows)
+    sign = 1
+    prev = 1
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        prow = rows[col]
+        pv = prow[col]
+        # Every updated entry is a minor of the integer matrix (Bareiss 1968),
+        # so the division by the previous pivot is exact.
+        for i in range(col + 1, n):
+            f = rows[i][col]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], prow)]
+        prev = pv
+    return sign * prev
+
+
+def _grid(count: int) -> list[int]:
+    """0, 1, -1, 2, -2, ..., `count` of them."""
+    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
+
+
+# -- the Fraction interface ---------------------------------------------------
+
+def matmul(A: RatMat, B: RatMat) -> RatMat:
+    ra, ca = shape(A)
+    rb, cb = shape(B)
+    if ca != rb:
+        raise ValueError(f"shape mismatch {shape(A)} @ {shape(B)}")
+    (Ai,), da = _scaled(A)
+    (Bi,), db = _scaled(B)
+    B_cols = list(zip(*Bi))
+    return _fractions([[sum(map(mul, row, col)) for col in B_cols] for row in Ai],
+                      da * db)
+
+
 def _pivots(M: RatMat) -> list:
     return _eliminate(_integer_rows(M), shape(M)[1], reduced=False)
 
@@ -183,21 +350,25 @@ def rank(M: RatMat) -> int:
     return len(_pivots(M))
 
 
-def kernel(M: RatMat) -> RatMat:
-    """Columns span the exact null space of M."""
-    return _rref_kernel(*rref(M), shape(M)[1])
-
-
-def _rref_kernel(R: RatMat, pivots: list, ncols: int) -> RatMat:
-    """Null space of the first ncols columns of a reduced row echelon form
-    R whose pivots all lie among them."""
+def _rref_kernel(rows: list, pivots: list, ncols: int) -> RatMat:
+    """Null space of the first ncols columns of a reduced integer echelon
+    form whose pivots all lie among them: per free column, 1 there and
+    -R[r][free] at each pivot, R the RREF."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = zeros(ncols, len(free))
     for k, fc in enumerate(free):
         basis[fc][k] = Fraction(1)
         for r, pc in enumerate(pivots):
-            basis[pc][k] = -R[r][fc]
+            if rows[r][fc]:
+                basis[pc][k] = Fraction(-rows[r][fc], rows[r][pc])
     return basis
+
+
+def kernel(M: RatMat) -> RatMat:
+    """Columns span the exact null space of M (the RREF basis)."""
+    ncols = shape(M)[1]
+    rows = _integer_rows(M)
+    return _rref_kernel(rows, _eliminate(rows, ncols, reduced=True), ncols)
 
 
 def colspace(M: RatMat) -> RatMat:
@@ -214,15 +385,7 @@ def sum_spans(B1: RatMat, B2: RatMat) -> RatMat:
 
 
 def intersect_spans(B1: RatMat, B2: RatMat) -> RatMat:
-    """Solve B1 c1 = B2 c2; the common vectors span the intersection."""
-    n, k1 = shape(B1)
-    _, k2 = shape(B2)
-    if k1 == 0 or k2 == 0:
-        return zeros(n, 0)
-    stacked = hstack(B1, [[-x for x in row] for row in B2])
-    null = kernel(stacked)
-    c1 = [row[:] for row in null[:k1]] if null else zeros(k1, 0)
-    return colspace(matmul(B1, c1))
+    return _span(_intersect(_columns(B1), _columns(B2)), shape(B1)[0])
 
 
 def contains_span(outer: RatMat, inner: RatMat) -> bool:
@@ -241,28 +404,26 @@ def equal_span(B1: RatMat, B2: RatMat) -> bool:
 
 def preimage_span(M: RatMat, B: RatMat) -> RatMat:
     """{x : M x in span(B)} as a column span."""
-    rm, cm = shape(M)
-    _, kb = shape(B)
-    if kb == 0:
-        return kernel(M)
-    null = kernel(hstack(M, [[-x for x in row] for row in B]))
-    top = [row[:] for row in null[:cm]] if null else zeros(cm, 0)
-    return colspace(top)
+    cm = shape(M)[1]
+    (Mi,), _ = _scaled(M)
+    return _span(_preimage(Mi, _columns(B), cm), cm)
 
 
 def image_span(M: RatMat, B: RatMat) -> RatMat:
-    return colspace(matmul(M, B))
+    (Mi,), _ = _scaled(M)
+    return _span(_image(Mi, _columns(B)), shape(M)[0])
 
 
 def invariant_hull_smallest(A: RatMat, B: RatMat) -> RatMat:
     n, _ = shape(A)
-    current = colspace(B)
+    (Ai,), _ = _scaled(A)
+    current = _independent(_columns(B))
     for _ in range(n + 1):
-        grown = sum_spans(current, image_span(A, current))
-        if shape(grown)[1] == shape(current)[1]:
-            return current
+        grown = _independent(current + _image(Ai, current))
+        if len(grown) == len(current):
+            break
         current = grown
-    return current
+    return _span(current, n)
 
 
 def lifted_span(S: RatMat, extra: int) -> RatMat:
@@ -277,18 +438,7 @@ def vstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
     Same recursion as `geometry.vstar`: from V_0 = X it takes at most n
     strict steps (attained), from V_1 = C^{-1}(im D) at most n-1.
     """
-    n = shape(A)[0]
-    p = shape(C)[0]
-    MT = vstack(A, C)
-    BD = vstack(B, D)
-    V = eye(n)
-    for _ in range(n + 1):
-        target = sum_spans(vstack(V, zeros(p, shape(V)[1])), BD)
-        Vnext = preimage_span(MT, target)
-        if shape(Vnext)[1] == shape(V)[1]:
-            return V
-        V = Vnext
-    return V
+    return _span(_vstar(*_scaled(A, B, C, D)[0]), shape(A)[0])
 
 
 def sstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
@@ -297,21 +447,7 @@ def sstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
     Same recursion as `geometry.sstar`: from S_0 = 0 it takes at most n
     strict steps (attained), from S_1 = B ker D at most n-1.
     """
-    n = shape(A)[0]
-    m = shape(B)[1]
-    AB = hstack(A, B)
-    CD = hstack(C, D)
-    ker_cd = kernel(CD) if shape(CD)[0] else None
-    S = zeros(n, 0)
-    for _ in range(n + 1):
-        lifted = lifted_span(S, m)
-        inter = lifted if ker_cd is None else intersect_spans(lifted, ker_cd)
-        # The recursion is non-decreasing, so S_k lies in S_{k+1} already.
-        Snext = image_span(AB, inter)
-        if shape(Snext)[1] == shape(S)[1]:
-            return S
-        S = Snext
-    return S
+    return _span(_sstar(*_scaled(A, B, C, D)[0], shape(B)[1]), shape(A)[0])
 
 
 def det(M: RatMat) -> Fraction:
@@ -326,48 +462,31 @@ def det(M: RatMat) -> Fraction:
         ints, den = _cleared(row)
         rows.append(ints)
         dens *= den
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        prow = rows[col]
-        pv = prow[col]
-        # Every updated entry is a minor of the integer matrix (Bareiss 1968),
-        # so the division by the previous pivot is exact.
-        for i in range(col + 1, n):
-            f = rows[i][col]
-            rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], prow)]
-        prev = pv
-    return Fraction(sign * prev, dens)
+    return Fraction(_bareiss(rows), dens)
 
 
-def solve_affine(A: RatMat, b: list):
-    """All solutions of A x = b: (particular, nullspace columns) or None."""
-    ncols = shape(A)[1]
-    aug = [row[:] + [fr(v)] for row, v in zip(A, b)]
-    R, pivots = rref(aug)
+def _affine_solution(rows: list, ncols: int):
+    """All solutions of the integer system [A b] (rows consumed):
+    (particular, nullspace columns) as Fractions, or None."""
+    pivots = _eliminate(rows, ncols + 1, reduced=True)
     if ncols in pivots:
         return None
     x0 = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        x0[pc] = R[r][ncols]
+        x0[pc] = Fraction(rows[r][ncols], rows[r][pc])
     # The first ncols columns of the RREF of [A b] are the RREF of A.
-    return x0, _rref_kernel(R, pivots, ncols)
+    return x0, _rref_kernel(rows, pivots, ncols)
+
+
+def solve_affine(A: RatMat, b: list):
+    """All solutions of A x = b: (particular, nullspace columns) or None."""
+    aug = [row[:] + [fr(v)] for row, v in zip(A, b)]
+    return _affine_solution(_integer_rows(aug), shape(A)[1])
 
 
 def clear_denominators(B: RatMat) -> RatMat:
     """Scale each column to the smallest integer entries with the same span."""
-    n, k = shape(B)
-    out = zeros(n, k)
-    for j, col in enumerate(transpose(B)):
-        for i, x in enumerate(_primitive(_cleared(col)[0])):
-            out[i][j] = Fraction(x)
-    return out
+    return _span(_columns(B), shape(B)[0])
 
 
 class ExactAffineFamily:
@@ -378,10 +497,10 @@ class ExactAffineFamily:
         self.directions = directions
 
     def member(self, thetas) -> RatMat:
-        K = [row[:] for row in self.K0]
-        for th, D in zip(thetas, self.directions):
-            K = madd(K, scale(D, fr(th)))
-        return K
+        thetas = [fr(th) for th in thetas]
+        return [[k + sum((th * D[i][j] for th, D in zip(thetas, self.directions)),
+                         Fraction(0))
+                 for j, k in enumerate(row)] for i, row in enumerate(self.K0)]
 
 
 def affine_k_family(Atil: RatMat, Btil: RatMat, Ctil: RatMat,
@@ -390,6 +509,12 @@ def affine_k_family(Atil: RatMat, Btil: RatMat, Ctil: RatMat,
 
     N spans the left annihilator of the target subspace; Tb spans the
     constrained domain. Returns ExactAffineFamily or None when infeasible.
+
+    With Atil, Btil, Ctil scaled to integers by their common denominator d,
+    each column of Tb and each row of N to its primitive integer multiple,
+    the system reads (N Btil) K (Ctil Tb) = -d (N Atil Tb); every equation
+    is a nonzero multiple of the rational one, so the RREF, hence K0 and
+    the directions, are those of the rational system.
     """
     m = shape(Btil)[1]
     p = shape(Ctil)[0]
@@ -404,27 +529,23 @@ def affine_k_family(Atil: RatMat, Btil: RatMat, Ctil: RatMat,
                 D[al][be] = Fraction(1)
                 dirs.append(D)
         return ExactAffineFamily(zeros(m, p), dirs)
-    Y = matmul(N, Btil)               # a x m
-    X = matmul(Ctil, Tb)              # p x t
-    Rm = matmul(matmul(N, Atil), Tb)  # a x t
+    (Ai, Bi, Ci), d = _scaled(Atil, Btil, Ctil)
+    T = _columns(Tb)
+    Nr = _integer_rows(N)
+    Y = [[sum(map(mul, nrow, col)) for col in zip(*Bi)] for nrow in Nr]  # a x m
+    X = [_apply(Ci, tc) for tc in T]                                    # t x p
+    NA = [[sum(map(mul, nrow, col)) for col in zip(*Ai)] for nrow in Nr]
+    Rm = [_apply(NA, tc) for tc in T]                                   # t x a
     if m * p == 0:
-        if any(x != 0 for row in Rm for x in row):
+        if any(x for col in Rm for x in col):
             return None
         return ExactAffineFamily(zeros(m, p), [])
-    # Row (i, j) of the operator: sum_ab Y[i,a] K[a,b] X[b,j] = -Rm[i,j]
+    # Row (j, i): sum_ab Y[i,a] K[a,b] X[b,j] = -d Rm[i,j], K[a,b] at a + m b
     rows = []
-    rhs = []
-    for j in range(t):
-        for i in range(a):
-            row = [Fraction(0)] * (m * p)
-            for al in range(m):
-                if Y[i][al] == 0:
-                    continue
-                for be in range(p):
-                    row[al + m * be] = Y[i][al] * X[be][j]
-            rows.append(row)
-            rhs.append(-Rm[i][j])
-    sol = solve_affine(rows, rhs)
+    for Xj, Rj in zip(X, Rm):
+        for Yi, r in zip(Y, Rj):
+            rows.append([y * x for x in Xj for y in Yi] + [-d * r])
+    sol = _affine_solution(rows, m * p)
     if sol is None:
         return None
     x0, nullb = sol
@@ -437,14 +558,7 @@ def affine_k_family(Atil: RatMat, Btil: RatMat, Ctil: RatMat,
 
 def grid_points(count: int) -> list[Fraction]:
     """0, 1, -1, 2, -2, ... as exact rationals."""
-    pts = [Fraction(0)]
-    step = 1
-    while len(pts) < count:
-        pts.append(Fraction(step))
-        if len(pts) < count:
-            pts.append(Fraction(-step))
-        step += 1
-    return pts[:count]
+    return [Fraction(x) for x in _grid(count)]
 
 
 def det_grid_scan(family: ExactAffineFamily, Dy: RatMat,
@@ -455,18 +569,37 @@ def det_grid_scan(family: ExactAffineFamily, Dy: RatMat,
     vanishes at every grid point. With points_per_var exceeding the
     per-variable degree of the determinant polynomial, an all-zero grid
     proves the determinant vanishes identically on the affine set.
+
+    With K0 and the directions over a common denominator L and Dy over e,
+    L e (I + K Dy) = L e I + P0 + sum theta_i P_i for integer matrices P,
+    so each grid point takes one integer determinant.
     """
     m = shape(family.K0)[0]
     ndirs = len(family.directions)
-    pts = grid_points(points_per_var)
+    (K0, *dirs), L = _scaled(family.K0, *family.directions)
+    (D,), e = _scaled(Dy)
+    D_cols = [[row[j] for row in D] for j in range(m)]
+
+    def times_dy(K):
+        return [[sum(map(mul, row, col)) for col in D_cols] for row in K]
+
+    base = times_dy(K0)
+    for i in range(m):
+        base[i][i] += L * e
+    steps = [times_dy(K) for K in dirs]
+    pts = _grid(points_per_var)
     idx = [0] * ndirs
 
     while True:
         theta = [pts[i] for i in idx]
-        K = family.member(theta)
-        M = madd(eye(m), matmul(K, Dy))
-        if det(M) != 0:
-            return theta
+        M = [row[:] for row in base]
+        for th, P in zip(theta, steps):
+            if th:
+                for Mi, Pi in zip(M, P):
+                    for j, x in enumerate(Pi):
+                        Mi[j] += th * x
+        if _bareiss(M):
+            return [Fraction(x) for x in theta]
         pos = 0
         while pos < ndirs:
             idx[pos] += 1

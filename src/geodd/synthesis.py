@@ -267,19 +267,20 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
 def _exact_star_family(sys: PlantSystem):
     """The K family on the star pair (S*, V*) in exact rational arithmetic,
     or None when the exact coupling inclusion has no solution."""
-    A = exact.from_array(sys.A)
-    V = exact.vstar_span(A, exact.from_array(sys.B), exact.from_array(sys.E),
-                         exact.from_array(sys.D_z))
-    S = exact.sstar_span(A, exact.from_array(sys.H), exact.from_array(sys.C),
-                         exact.from_array(sys.G_y))
+    A, B, H, C, G_y, E, D_z, G_z = (exact.from_array(M) for M in (
+        sys.A, sys.B, sys.H, sys.C, sys.G_y, sys.E, sys.D_z, sys.G_z))
+    V = exact.vstar_span(A, B, E, D_z)
+    S = exact.sstar_span(A, H, C, G_y)
     k = exact.shape(V)[1]
     if k == 0:
         N = exact.eye(sys.n + sys.r)
     else:
         V_ext = exact.vstack(V, exact.zeros(sys.r, k))
         N = exact.transpose(exact.kernel(exact.transpose(V_ext)))
-    Atil, Btil, Ctil = (exact.from_array(M) for M in _coupling_data(sys))
-    return exact.affine_k_family(Atil, Btil, Ctil, exact.lifted_span(S, sys.q), N)
+    # The blocks of `_coupling_data`, stacked from the converted matrices.
+    Atil = exact.vstack(exact.hstack(A, H), exact.hstack(E, G_z))
+    return exact.affine_k_family(Atil, exact.vstack(B, D_z), exact.hstack(C, G_y),
+                                 exact.lifted_span(S, sys.q), N)
 
 
 def wellposedness_margin(K, D_y) -> float:
@@ -291,34 +292,57 @@ def wellposedness_margin(K, D_y) -> float:
                  / (1.0 + np.linalg.norm(KD)))
 
 
+def _screened_member(family: AffineKFamily, D_y: np.ndarray, seed: int):
+    """The first well-posed member of the sampling order after K0: K0 + D
+    and K0 - D for each direction D, then SAMPLE_TRIALS seeded members
+    K0 + sum theta_i D_i. None when there is none.
+
+    The members are built as one stack, bit for bit as the scalar search
+    builds them (one draw of all the thetas gives the same numbers as one
+    draw per trial), and screened by one stacked determinant. The stacked
+    products and determinants equal the scalar ones bit for bit, but the
+    stacked Frobenius norm may differ from `np.linalg.norm` in the last
+    bits, so each member the screen passes at half the threshold is
+    confirmed by `wellposedness_margin`, in order.
+    """
+    K0, dirs = family.K0, family.directions
+    candidates = []
+    for D in dirs:
+        candidates.append(K0 + D)
+        candidates.append(K0 - D)
+    rng = np.random.default_rng(seed)
+    thetas = rng.standard_normal((SAMPLE_TRIALS, len(dirs))) * (1.0 + np.linalg.norm(K0))
+    trials = np.broadcast_to(K0, (SAMPLE_TRIALS,) + K0.shape)
+    for theta, D in zip(thetas.T, dirs):
+        trials = trials + theta[:, None, None] * D
+    members = np.concatenate([np.stack(candidates), trials])
+    KD = members @ D_y
+    margins = (np.abs(np.linalg.det(np.eye(K0.shape[0]) + KD))
+               / (1.0 + np.linalg.norm(KD, axis=(1, 2))))
+    for i in np.flatnonzero(margins >= DELTA_WP / 2):
+        if wellposedness_margin(members[i], D_y) >= DELTA_WP:
+            return members[i].copy()
+    return None
+
+
 def select_wellposed(family: AffineKFamily, D_y, seed: int = 0) -> np.ndarray:
     """Deterministic search for a member with I + K D_y safely invertible.
 
     Order: the particular solution, each single direction at unit step,
-    then SAMPLE_TRIALS seeded pseudo-random combinations. When every sample
-    fails and the family has its `plant` set, the family is rebuilt in exact
-    rational arithmetic and the determinant is evaluated on an exact grid:
-    vanishing everywhere proves the obstruction (AllSingular, confirmed).
-    Raises NoSolution when the exact coupling inclusion has no solution.
+    then SAMPLE_TRIALS seeded pseudo-random combinations; a family without
+    directions has K0 as its only member and is not sampled. When no member
+    is well posed and the family has its `plant` set, the family is rebuilt
+    in exact rational arithmetic and the determinant is evaluated on an
+    exact grid: vanishing everywhere proves the obstruction (AllSingular,
+    confirmed). Raises NoSolution when the exact coupling inclusion has no
+    solution.
     """
     D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
-
-    def well_posed(K):
-        return wellposedness_margin(K, D_y) >= DELTA_WP
-
-    candidates = [family.K0]
-    for D in family.directions:
-        candidates.append(family.K0 + D)
-        candidates.append(family.K0 - D)
-    for K in candidates:
-        if well_posed(K):
-            return K
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + np.linalg.norm(family.K0)
-    for _ in range(SAMPLE_TRIALS):
-        theta = rng.standard_normal(family.n_directions) * scale
-        K = family.member(theta)
-        if well_posed(K):
+    if wellposedness_margin(family.K0, D_y) >= DELTA_WP:
+        return family.K0
+    if family.n_directions:
+        K = _screened_member(family, D_y, seed)
+        if K is not None:
             return K
 
     if family.plant is not None:

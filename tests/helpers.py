@@ -19,6 +19,7 @@ from geodd.subspaces import (
     preimage,
     span_of,
 )
+from geodd.synthesis import DELTA_WP, SAMPLE_TRIALS, wellposedness_margin
 from geodd.verify import POLE_CLEARANCE
 
 
@@ -253,6 +254,187 @@ def reference_det(M):
                 f = R[i][col] / pv
                 R[i] = [x - f * y for x, y in zip(R[i], R[col])]
     return out
+
+
+def reference_matmul(A, B):
+    """Matrix product entry by entry on Fractions."""
+    ra, ca = exact.shape(A)
+    cb = exact.shape(B)[1]
+    out = exact.zeros(ra, cb)
+    for i in range(ra):
+        for k in range(ca):
+            if A[i][k] != 0:
+                for j in range(cb):
+                    out[i][j] += A[i][k] * B[k][j]
+    return out
+
+
+def reference_kernel(M):
+    """The RREF basis of the null space of M, on Fractions."""
+    ncols = exact.shape(M)[1]
+    R, pivots = reference_rref(M)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = exact.zeros(ncols, len(free))
+    for k, fc in enumerate(free):
+        basis[fc][k] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            basis[pc][k] = -R[r][fc]
+    return basis
+
+
+def reference_colspace(M):
+    """The columns of M at the pivots of its RREF."""
+    nrows, ncols = exact.shape(M)
+    if ncols == 0:
+        return exact.zeros(nrows, 0)
+    pivots = reference_rref(M)[1]
+    return [[M[i][c] for c in pivots] for i in range(nrows)]
+
+
+def _negated(M):
+    return [[-x for x in row] for row in M]
+
+
+def reference_intersect_spans(B1, B2):
+    """`exact.intersect_spans` as it was on Fraction matrices: solve
+    B1 c1 = B2 c2 and keep the independent columns of B1 c1."""
+    n, k1 = exact.shape(B1)
+    if k1 == 0 or exact.shape(B2)[1] == 0:
+        return exact.zeros(n, 0)
+    null = reference_kernel(exact.hstack(B1, _negated(B2)))
+    c1 = [row[:] for row in null[:k1]] if null else exact.zeros(k1, 0)
+    return reference_colspace(reference_matmul(B1, c1))
+
+
+def reference_preimage_span(M, B):
+    """`exact.preimage_span` as it was on Fraction matrices."""
+    cm = exact.shape(M)[1]
+    if exact.shape(B)[1] == 0:
+        return reference_kernel(M)
+    null = reference_kernel(exact.hstack(M, _negated(B)))
+    top = [row[:] for row in null[:cm]] if null else exact.zeros(cm, 0)
+    return reference_colspace(top)
+
+
+def reference_vstar_span(A, B, C, D):
+    """`exact.vstar_span` as it was on Fraction matrices."""
+    n, p = exact.shape(A)[0], exact.shape(C)[0]
+    MT, BD = exact.vstack(A, C), exact.vstack(B, D)
+    V = exact.eye(n)
+    for _ in range(n + 1):
+        target = reference_colspace(exact.hstack(
+            exact.vstack(V, exact.zeros(p, exact.shape(V)[1])), BD))
+        Vnext = reference_preimage_span(MT, target)
+        if exact.shape(Vnext)[1] == exact.shape(V)[1]:
+            return V
+        V = Vnext
+    return V
+
+
+def reference_sstar_span(A, B, C, D):
+    """`exact.sstar_span` as it was on Fraction matrices."""
+    n, m = exact.shape(A)[0], exact.shape(B)[1]
+    AB, CD = exact.hstack(A, B), exact.hstack(C, D)
+    ker_cd = reference_kernel(CD) if exact.shape(CD)[0] else None
+    S = exact.zeros(n, 0)
+    for _ in range(n + 1):
+        lifted = exact.lifted_span(S, m)
+        inter = lifted if ker_cd is None else reference_intersect_spans(lifted, ker_cd)
+        Snext = reference_colspace(reference_matmul(AB, inter))
+        if exact.shape(Snext)[1] == exact.shape(S)[1]:
+            return S
+        S = Snext
+    return S
+
+
+def reference_affine_k_family(Atil, Btil, Ctil, Tb, N):
+    """`exact.affine_k_family` as it was on Fraction matrices: (K0,
+    directions), or None when the coupling system has no solution."""
+    m, p = exact.shape(Btil)[1], exact.shape(Ctil)[0]
+    a, t = exact.shape(N)[0], exact.shape(Tb)[1]
+    if a == 0 or t == 0:
+        dirs = []
+        for be in range(p):
+            for al in range(m):
+                D = exact.zeros(m, p)
+                D[al][be] = Fraction(1)
+                dirs.append(D)
+        return exact.zeros(m, p), dirs
+    Y = reference_matmul(N, Btil)
+    X = reference_matmul(Ctil, Tb)
+    Rm = reference_matmul(reference_matmul(N, Atil), Tb)
+    if m * p == 0:
+        if any(x != 0 for row in Rm for x in row):
+            return None
+        return exact.zeros(m, p), []
+    aug = []
+    for j in range(t):
+        for i in range(a):
+            row = [Fraction(0)] * (m * p)
+            for al in range(m):
+                for be in range(p):
+                    row[al + m * be] = Y[i][al] * X[be][j]
+            aug.append(row + [-Rm[i][j]])
+    R, pivots = reference_rref(aug)
+    if m * p in pivots:
+        return None
+    x0 = [Fraction(0)] * (m * p)
+    for r, pc in enumerate(pivots):
+        x0[pc] = R[r][m * p]
+    null = reference_kernel([row[:m * p] for row in R])
+    K0 = [[x0[al + m * be] for be in range(p)] for al in range(m)]
+    dirs = [[[null[al + m * be][k] for be in range(p)] for al in range(m)]
+            for k in range(exact.shape(null)[1])]
+    return K0, dirs
+
+
+def reference_det_grid_scan(K0, directions, Dy, points_per_var):
+    """`exact.det_grid_scan` as it was on Fraction matrices: the first
+    grid point, in the same order, where det(I + K Dy) is nonzero."""
+    m, ndirs = exact.shape(K0)[0], len(directions)
+    pts = exact.grid_points(points_per_var)
+    idx = [0] * ndirs
+    while True:
+        theta = [pts[i] for i in idx]
+        K = [row[:] for row in K0]
+        for th, D in zip(theta, directions):
+            K = [[k + th * d for k, d in zip(rk, rd)] for rk, rd in zip(K, D)]
+        M = reference_matmul(K, Dy)
+        for i in range(m):
+            M[i][i] += 1
+        if reference_det(M) != 0:
+            return theta
+        pos = 0
+        while pos < ndirs:
+            idx[pos] += 1
+            if idx[pos] < points_per_var:
+                break
+            idx[pos] = 0
+            pos += 1
+        if ndirs == 0 or pos == ndirs:
+            return None
+
+
+def reference_sampled_member(family, D_y, seed):
+    """The sampling loop of `synthesis.select_wellposed` one member at a
+    time: K0, K0 +- each direction, then SAMPLE_TRIALS seeded members, each
+    through `wellposedness_margin`. Returns the first well-posed member, or
+    None."""
+    D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
+    candidates = [family.K0]
+    for D in family.directions:
+        candidates.append(family.K0 + D)
+        candidates.append(family.K0 - D)
+    for K in candidates:
+        if wellposedness_margin(K, D_y) >= DELTA_WP:
+            return K
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + np.linalg.norm(family.K0)
+    for _ in range(SAMPLE_TRIALS):
+        K = family.member(rng.standard_normal(family.n_directions) * scale)
+        if wellposedness_margin(K, D_y) >= DELTA_WP:
+            return K
+    return None
 
 
 def reference_transfer_samples(cl, lambdas) -> float:

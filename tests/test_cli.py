@@ -242,7 +242,10 @@ class TestCommands:
             code = main([command, "--input", plant, "--output", str(out),
                          f"{flag}={value}"])
             assert code == EXIT_USAGE
-            assert f"argument {flag}" in capsys.readouterr().err
+            # analyze takes no --samples, so there the flag itself is the error
+            expected = ("unrecognized arguments: --samples"
+                        if (command, flag) == ("analyze", "--samples") else f"argument {flag}")
+            assert expected in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_sample_and_a_tolerance_accepted(self, tmp_path,
@@ -258,6 +261,16 @@ class TestCommands:
     def test_unknown_flag_rejected(self, tmp_path, scalar_channel_plant):
         plant = write_problem(tmp_path / "scalar_channel_plant.json", scalar_channel_plant)
         assert main(["solve", "--input", plant, "--frobnicate"]) == EXIT_USAGE
+
+    def test_analyze_takes_no_samples(self, tmp_path, capsys, scalar_channel_plant):
+        # analyze samples nothing: a --samples there is an unknown flag
+        plant = write_problem(tmp_path / "p.json", scalar_channel_plant)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", plant, "--samples", "5",
+                     "--output", str(out)]) == EXIT_USAGE
+        assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["analyze", "--input", plant, "--output", str(out)]) == EXIT_OK
 
     def test_analyze_p2_unstabilizable_plant_exits_2(self, tmp_path,
                                                      scalar_channel_plant):

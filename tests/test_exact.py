@@ -5,7 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodd import exact
-from helpers import reference_det, reference_rref
+from helpers import (
+    reference_affine_k_family,
+    reference_colspace,
+    reference_det,
+    reference_det_grid_scan,
+    reference_intersect_spans,
+    reference_kernel,
+    reference_matmul,
+    reference_preimage_span,
+    reference_rref,
+    reference_sstar_span,
+    reference_vstar_span,
+)
 
 PROPERTY = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -21,11 +33,11 @@ ENTRIES = {
 
 
 @st.composite
-def rational_matrices(draw, square=False):
+def rational_matrices(draw, square=False, rows=None):
     """Fraction matrices up to 6 x 6, 0 x k (the empty list) and k x 0
     included: full or rank-deficient (a product of thin factors), with or
-    without zeroed rows and columns."""
-    rows = draw(st.integers(0, 6))
+    without zeroed rows and columns. `rows` fixes the number of rows."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
     cols = rows if square else draw(st.integers(0, 6))
     entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
     if draw(st.booleans()):
@@ -232,3 +244,173 @@ def test_det_matches_fraction_reference(M):
     d = exact.det(M)
     assert d == reference_det(M)
     assert type(d) is Fraction
+
+
+def assert_positive_multiples(got, want):
+    """got has want's shape, Fraction entries, and each column a positive
+    multiple of want's column; so both clear to the same integers."""
+    assert exact.shape(got) == exact.shape(want)
+    assert all(type(x) is Fraction for row in got for x in row)
+    for j in range(exact.shape(want)[1]):
+        g, w = [row[j] for row in got], [row[j] for row in want]
+        ratio = next(a / b for a, b in zip(g, w) if b != 0)
+        assert ratio > 0 and g == [ratio * b for b in w]
+    assert exact.clear_denominators(got) == exact.clear_denominators(want)
+
+
+@st.composite
+def quadruples(draw):
+    """Fraction quadruples (A, B, C, D) drawn from a seeded generator: n 2 to
+    5, m and p 0 to 3, entries small integers, mostly zeros, dyadic or
+    rationals with small denominators. D is zero half the time: a strictly
+    proper system with few outputs has star subspaces strictly between 0
+    and X."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m, p = int(rng.integers(2, 6)), int(rng.integers(0, 4)), int(rng.integers(0, 4))
+    kind = rng.integers(4)
+
+    def entry():
+        if kind == 0:
+            return Fraction(int(rng.integers(-3, 4)))
+        if kind == 1:
+            return Fraction(int(rng.choice([0, 0, 0, 0, 1, -1, 2])))
+        if kind == 2:
+            return exact.fr(rng.integers(-64, 65) / 2.0 ** rng.integers(0, 8))
+        return Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 13)))
+
+    def block(r, c):
+        return [[entry() for _ in range(c)] for _ in range(r)]
+
+    D = block(p, m) if rng.integers(2) else exact.zeros(p, m)
+    return block(n, n), block(n, m), block(p, n), D
+
+
+@PROPERTY
+@given(quadruples())
+def test_star_spans_are_positive_multiples_of_fraction_reference(quad):
+    assert_positive_multiples(exact.vstar_span(*quad), reference_vstar_span(*quad))
+    assert_positive_multiples(exact.sstar_span(*quad), reference_sstar_span(*quad))
+
+
+@PROPERTY
+@given(rational_matrices(), st.data())
+def test_span_operations_are_positive_multiples_of_fraction_reference(M, data):
+    rows = exact.shape(M)[0]
+    B = data.draw(rational_matrices(rows=rows))
+    assert_positive_multiples(exact.intersect_spans(M, B), reference_intersect_spans(M, B))
+    assert_positive_multiples(exact.preimage_span(M, B), reference_preimage_span(M, B))
+    B = data.draw(rational_matrices(rows=exact.shape(M)[1])) if rows else []
+    assert_positive_multiples(exact.image_span(M, B),
+                              reference_colspace(reference_matmul(M, B)))
+
+
+@PROPERTY
+@given(rational_matrices(square=True), st.data())
+def test_invariant_hull_is_a_positive_multiple_of_fraction_reference(A, data):
+    n = exact.shape(A)[0]
+    B = data.draw(rational_matrices(rows=n))
+    want = reference_colspace(B)
+    for _ in range(n + 1):
+        grown = reference_colspace(exact.hstack(
+            want, reference_colspace(reference_matmul(A, want))))
+        if exact.shape(grown)[1] == exact.shape(want)[1]:
+            break
+        want = grown
+    assert_positive_multiples(exact.invariant_hull_smallest(A, B), want)
+
+
+@PROPERTY
+@given(rational_matrices(), rational_matrices())
+def test_matmul_and_kernel_equal_fraction_reference(A, B):
+    B = [row[:exact.shape(B)[1]] for row in B[:exact.shape(A)[1]]]
+    if exact.shape(B)[0] == exact.shape(A)[1]:
+        got = exact.matmul(A, B)
+        assert got == reference_matmul(A, B)
+        assert all(type(x) is Fraction for row in got for x in row)
+    assert exact.kernel(A) == reference_kernel(A)
+
+
+@PROPERTY
+@given(rational_matrices(), st.data())
+def test_solve_affine_equals_fraction_reference(A, data):
+    b = [data.draw(ENTRIES["mixed"]) for _ in range(exact.shape(A)[0])]
+    if data.draw(st.booleans()) and exact.shape(A)[1]:
+        x = [[data.draw(ENTRIES["small"])] for _ in range(exact.shape(A)[1])]
+        b = [row[0] for row in reference_matmul(A, x)]
+    ncols = exact.shape(A)[1]
+    R, pivots = reference_rref([row + [v] for row, v in zip(A, b)])
+    got = exact.solve_affine(A, b)
+    if ncols in pivots:
+        assert got is None
+        return
+    x0 = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x0[pc] = R[r][ncols]
+    assert got == (x0, reference_kernel(A))
+
+
+@PROPERTY
+@given(st.data())
+def test_affine_k_family_equals_fraction_reference(data):
+    entry = ENTRIES[data.draw(st.sampled_from(sorted(ENTRIES)))]
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    m, p = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+
+    def block(r, c):
+        return [[data.draw(entry) for _ in range(c)] for _ in range(r)]
+
+    Btil, Ctil = block(rows, m), block(p, cols)
+    if m and p and data.draw(st.booleans()):
+        # feasible by construction: K = Kstar solves N (Atil + Btil K Ctil) Tb = 0
+        BKC = reference_matmul(Btil, reference_matmul(block(m, p), Ctil))
+        Atil = [[-x for x in row] for row in BKC]
+    else:
+        Atil = block(rows, cols)
+    Tb = block(cols, data.draw(st.integers(0, cols)))
+    N = block(data.draw(st.integers(0, rows)), rows)
+    got = exact.affine_k_family(Atil, Btil, Ctil, Tb, N)
+    want = reference_affine_k_family(Atil, Btil, Ctil, Tb, N)
+    if want is None:
+        assert got is None
+        return
+    assert (got.K0, got.directions) == want
+    assert all(type(x) is Fraction for M in [got.K0, *got.directions]
+               for row in M for x in row)
+
+
+@PROPERTY
+@given(st.data())
+def test_det_grid_scan_equals_fraction_reference(data):
+    points = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        # K = -I/c + sum theta_i c_i E_ii, D_y = c I: det(I + K D_y) is a
+        # multiple of the product of the covered theta_i, zero everywhere
+        # when an entry is left uncovered
+        m = p = data.draw(st.integers(1, 3))
+        c = data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(-2, 3)]))
+        K0 = [[-1 / c if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+        dirs = []
+        for i in data.draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True)):
+            D = exact.zeros(m, m)
+            D[i][i] = data.draw(st.sampled_from([Fraction(-2), Fraction(1, 2), Fraction(3)]))
+            dirs.append(D)
+        Dy = [[c if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    else:
+        entry = ENTRIES[data.draw(st.sampled_from(["mixed", "small", "sparse"]))]
+        m, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+        def block(r, c):
+            return [[data.draw(entry) for _ in range(c)] for _ in range(r)]
+
+        K0 = block(m, p)
+        dirs = [block(m, p) for _ in range(data.draw(st.integers(0, 3)))]
+        Dy = block(p, m)
+    family = exact.ExactAffineFamily(K0, dirs)
+    got = exact.det_grid_scan(family, Dy, points)
+    want = reference_det_grid_scan(K0, dirs, Dy, points)
+    assert got == want
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+        K = family.member(got)
+        assert K == [[k + sum((t * D[i][j] for t, D in zip(got, dirs)), Fraction(0))
+                      for j, k in enumerate(row)] for i, row in enumerate(K0)]

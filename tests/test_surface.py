@@ -1,8 +1,9 @@
 """The public surface of geodd: the names the package exports, the
 signatures of the geometry functions whose input-containing kind is computed
-through the dual quadruple, and the command line (subcommands, flags, their
-defaults and choices, and the entry points a tracer wraps). A change here is
-a change of the public API."""
+through the dual quadruple, the `exact` functions that the benchmark's
+oracle and the plant generator call, and the command line (subcommands,
+flags, their defaults and choices, and the entry points a tracer wraps). A
+change here is a change of the public API."""
 
 import argparse
 import inspect
@@ -10,7 +11,7 @@ import inspect
 import pytest
 
 import geodd
-from geodd import cli, geometry, verify
+from geodd import cli, exact, geometry, verify
 
 EXPORTED = {
     # errors
@@ -60,6 +61,33 @@ SIGNATURES = {
 }
 
 
+# The Fraction interface of `exact` that the benchmark's exact oracle
+# (bench/cases.py) and `verify.generate_instance` call: a rename here would
+# break every benchmark set-up.
+EXACT_SIGNATURES = {
+    "from_array": "(A) -> 'RatMat'",
+    "to_array": "(M: 'RatMat') -> 'np.ndarray'",
+    "shape": "(M: 'RatMat')",
+    "zeros": "(r: 'int', c: 'int') -> 'RatMat'",
+    "eye": "(n: 'int') -> 'RatMat'",
+    "transpose": "(M: 'RatMat') -> 'RatMat'",
+    "vstack": "(*mats: 'RatMat') -> 'RatMat'",
+    "hstack": "(*mats: 'RatMat') -> 'RatMat'",
+    "matmul": "(A: 'RatMat', B: 'RatMat') -> 'RatMat'",
+    "kernel": "(M: 'RatMat') -> 'RatMat'",
+    "sum_spans": "(B1: 'RatMat', B2: 'RatMat') -> 'RatMat'",
+    "intersect_spans": "(B1: 'RatMat', B2: 'RatMat') -> 'RatMat'",
+    "contains_span": "(outer: 'RatMat', inner: 'RatMat') -> 'bool'",
+    "lifted_span": "(S: 'RatMat', extra: 'int') -> 'RatMat'",
+    "clear_denominators": "(B: 'RatMat') -> 'RatMat'",
+    "vstar_span": "(A: 'RatMat', B: 'RatMat', C: 'RatMat', D: 'RatMat') -> 'RatMat'",
+    "sstar_span": "(A: 'RatMat', B: 'RatMat', C: 'RatMat', D: 'RatMat') -> 'RatMat'",
+    "affine_k_family": "(Atil: 'RatMat', Btil: 'RatMat', Ctil: 'RatMat', Tb: 'RatMat',"
+                       " N: 'RatMat')",
+    "det_grid_scan": "(family: 'ExactAffineFamily', Dy: 'RatMat', points_per_var: 'int')",
+}
+
+
 def test_exported_names():
     public = {name for name, value in vars(geodd).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
@@ -69,6 +97,11 @@ def test_exported_names():
 def test_geometry_signatures():
     got = {name: str(inspect.signature(getattr(geometry, name))) for name in SIGNATURES}
     assert got == SIGNATURES
+
+
+def test_exact_signatures():
+    got = {name: str(inspect.signature(getattr(exact, name))) for name in EXACT_SIGNATURES}
+    assert got == EXACT_SIGNATURES
 
 
 def test_kind_strings():
@@ -86,7 +119,8 @@ COMMON_FLAGS = {
     "--output": (None, None, False, None),
 }
 CLI_FLAGS = {
-    "analyze": COMMON_FLAGS,
+    # analyze samples nothing, so it takes no --samples
+    "analyze": {flag: spec for flag, spec in COMMON_FLAGS.items() if flag != "--samples"},
     "solve": COMMON_FLAGS,
     "verify": dict(COMMON_FLAGS, **{"--compensator": (None, None, True, None)}),
 }

@@ -1,6 +1,7 @@
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from geodd.subspaces import (
     span_of,
 )
 from geodd.synthesis import (
+    AffineKFamily,
     Compensator,
     analysis_pair,
     analyze_p1,
@@ -61,7 +63,16 @@ from geodd.verify import (
     generate_instance,
     stability_check,
 )
-from helpers import count_calls, lapack_builds, scipy_state_feedback
+from helpers import (
+    count_calls,
+    lapack_builds,
+    reference_affine_k_family,
+    reference_kernel,
+    reference_sampled_member,
+    reference_sstar_span,
+    reference_vstar_span,
+    scipy_state_feedback,
+)
 
 
 class TestAffineFamily:
@@ -128,6 +139,133 @@ class TestSelectWellposed:
         rep = analyze_p1(scalar_channel_plant)
         assert rep.family.distance([[0.5]]) <= 1e-10
         assert wellposedness_margin([[0.5]], scalar_channel_plant.D_y) >= 1e-8
+
+
+# Entries of the K families below: few values, so that members, sums and
+# determinants vanish exactly often enough to reach every branch.
+FAMILY_ENTRIES = st.sampled_from([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def k_families(draw):
+    """(AffineKFamily without a plant, D_y). Half are diagonal families
+    K = -I + sum theta_i c_i E_ii with D_y = I, whose determinant prod of the
+    covered theta_i vanishes at K0 and at every unit step when m > 1, and
+    everywhere when a diagonal entry is left uncovered."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        covered = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+        dirs = []
+        for i in covered:
+            D = np.zeros((m, m))
+            D[i, i] = draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0]))
+            dirs.append(D)
+        return AffineKFamily(-np.eye(m), tuple(dirs)), np.eye(m)
+    m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def block(r, c):
+        return np.array([[draw(FAMILY_ENTRIES) for _ in range(c)] for _ in range(r)])
+
+    nd = draw(st.integers(0, 3))
+    return AffineKFamily(block(m, p), tuple(block(m, p) for _ in range(nd))), block(p, m)
+
+
+class TestWellposedScreen:
+    """`select_wellposed` against the one-member-at-a-time sampling loop it
+    replaces (`helpers.reference_sampled_member`)."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(k_families(), st.integers(0, 3))
+    def test_same_member_bit_for_bit(self, family_and_dy, seed):
+        family, D_y = family_and_dy
+        want = reference_sampled_member(family, D_y, seed)
+        if want is None:
+            with pytest.raises(AllSingular) as err:
+                select_wellposed(family, D_y, seed)
+            assert not err.value.confirmed
+            return
+        got = select_wellposed(family, D_y, seed)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                         want.tobytes())
+
+    @pytest.mark.parametrize("K0,dirs,branch", [
+        ([[0.5, 0.0], [0.0, 0.5]], [], "K0"),
+        ([[-1.0, 0.0], [0.0, 0.0]], [[[1.0, 0.0], [0.0, 0.0]]], "unit step"),
+        ([[-1.0, 0.0], [0.0, -1.0]], [[[1.0, 0.0], [0.0, 0.0]],
+                                      [[0.0, 0.0], [0.0, 1.0]]], "trial"),
+        ([[-1.0, 0.0], [0.0, -1.0]], [[[1.0, 0.0], [0.0, 0.0]]], "none"),
+    ])
+    def test_each_branch(self, K0, dirs, branch):
+        family = AffineKFamily(np.array(K0), tuple(np.array(D) for D in dirs))
+        D_y = np.eye(2)
+        want = reference_sampled_member(family, D_y, 0)
+        if branch == "none":
+            assert want is None
+            with pytest.raises(AllSingular):
+                select_wellposed(family, D_y)
+            return
+        got = select_wellposed(family, D_y)
+        assert got.tobytes() == want.tobytes()
+        steps = [family.K0 + D for D in family.directions]
+        steps += [family.K0 - D for D in family.directions]
+        assert (np.array_equal(got, family.K0), any(np.array_equal(got, K) for K in steps)) \
+            == {"K0": (True, False), "unit step": (False, True), "trial": (False, False)}[branch]
+
+    def test_point_family_evaluates_one_margin(self, monkeypatch):
+        # K0 is the only member of a family without directions: one margin
+        # decides, where the sampling loop evaluated K0 another 64 times
+        calls = count_calls(monkeypatch, "wellposedness_margin", synthesis)
+        singular = AffineKFamily(np.array([[-1.0]]), ())
+        with pytest.raises(AllSingular) as err:
+            select_wellposed(singular, [[1.0]])
+        assert not err.value.confirmed and len(calls) == 1
+        well_posed = AffineKFamily(np.array([[0.5]]), ())
+        assert select_wellposed(well_posed, [[1.0]]) is well_posed.K0
+        assert len(calls) == 2
+
+    def test_point_family_obstruction_goes_straight_to_the_grid(self, monkeypatch):
+        # an m = p = 1 plant whose star family is the single K0 = -1/2, D_y = 2
+        plant = generate_instance(InstanceSpec(seed=28, n=3, m=1, q=1, p=1, r=1,
+                                               solvable_by_construction=False))
+        family = replace(k_affine_family(plant, *reversed(analysis_pair(plant, "p1"))),
+                         plant=plant)
+        assert family.n_directions == 0
+        calls = count_calls(monkeypatch, "wellposedness_margin", synthesis)
+        with pytest.raises(AllSingular) as err:
+            select_wellposed(family, plant.D_y)
+        assert err.value.confirmed and len(calls) == 1
+
+
+def reference_star_family(sys):
+    """`synthesis._exact_star_family` on the Fraction reference functions."""
+    A, B, H, C, G_y, E, D_z = (exact.from_array(M) for M in (
+        sys.A, sys.B, sys.H, sys.C, sys.G_y, sys.E, sys.D_z))
+    V = reference_vstar_span(A, B, E, D_z)
+    S = reference_sstar_span(A, H, C, G_y)
+    k = exact.shape(V)[1]
+    N = (exact.eye(sys.n + sys.r) if k == 0 else exact.transpose(
+        reference_kernel(exact.transpose(exact.vstack(V, exact.zeros(sys.r, k))))))
+    Atil, Btil, Ctil = (exact.from_array(M) for M in synthesis._coupling_data(sys))
+    return reference_affine_k_family(Atil, Btil, Ctil, exact.lifted_span(S, sys.q), N)
+
+
+def test_exact_star_family_matches_fraction_reference(singular_family_plant):
+    """The integer twin's K0 and directions equal the Fraction twin's, entry
+    for entry, on the singular-family plant and on random plants of both
+    kinds."""
+    plants = [singular_family_plant]
+    for seed in range(6):
+        plants.append(generate_instance(InstanceSpec(seed=seed, n=4, m=2, q=1, p=2, r=1)))
+        plants.append(generate_instance(InstanceSpec(
+            seed=seed, n=4, m=1, q=1, p=1, r=1, solvable_by_construction=False)))
+    for plant in plants:
+        got = synthesis._exact_star_family(plant)
+        want = reference_star_family(plant)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.K0, got.directions) == want
+            assert all(type(x) is Fraction for M in [got.K0, *got.directions]
+                       for row in M for x in row)
 
 
 class TestAnalyzeP1:

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -304,3 +305,32 @@ class TestGenerator:
         for name in ("A", "B", "H", "C", "D_y", "G_y", "E", "D_z", "G_z"):
             M = getattr(sys, name)
             assert np.array_equal(M, np.round(M))
+
+    # sha256 of each generated plant, recorded before the exact twin ran on
+    # integer spans. The generator builds H from
+    # `clear_denominators(vstar_span(...))`, so a change in which columns
+    # that span returns would change every corpus without any error.
+    DIGESTS = {
+        (4, "continuous", 0): "c5cdc7040b86d3daee60bc7c15e78f68abb5220c193be8b4bc8f6189b4cbc4a3",
+        (4, "continuous", 1): "2a4b496b49894093ade62fb28834ec21ed109bf886551145dbaf6d07a3622665",
+        (4, "continuous", 2): "89d920ab090891bfdf7f9fe1e3b342f9e6527918a9fdd830d242da3405d35beb",
+        (4, "discrete", 0): "bb9719c4dcf71b01a10caab888fb3fea034760cd77b48905715a839cadbd57db",
+        (4, "discrete", 1): "bf6d86411eccdd7fa1813c199e800bb6fbe8e42c7e79e62ffd75ae21b256ed7b",
+        (4, "discrete", 2): "cc0dfea67b63eba4d3556dffa04e8b5d0a045f10c2ba17afe6e4bfc017013eb2",
+        (8, "continuous", 0): "2bf227221497094abfe360cb1bea8b1ed7b36285604535858d3aea12bd464185",
+        (8, "continuous", 1): "c2fd5008982f91c8299717d3fe8935c4abd37761274ccbc82c0108f782c35ee1",
+        (8, "continuous", 2): "8c408bc9bc214a35e0e708a37404341742bf3aea112623b252e5248033201bb6",
+        (8, "discrete", 0): "288afc3eeb25d0047bc5977ddf1adf4ff298ffde149dc0800c615beb03f271f1",
+        (8, "discrete", 1): "81f96e5671a1919f85aa5eba0a5cdc86269d6468cd5018a9567c2741f8bd3ffd",
+        (8, "discrete", 2): "49d89fdd1932797eabda0ca2fcb2a93e727d91919ccd10f9f332e8333151d74d",
+    }
+
+    @pytest.mark.parametrize("n,domain,seed", sorted(DIGESTS))
+    def test_generated_plants_are_pinned(self, n, domain, seed):
+        plant = generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
+        digest = hashlib.sha256(plant.time_domain.encode())
+        for name in ("A", "B", "H", "C", "D_y", "G_y", "E", "D_z", "G_z"):
+            M = np.ascontiguousarray(getattr(plant, name), dtype=float)
+            digest.update(repr(M.shape).encode())
+            digest.update(M.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[n, domain, seed]
