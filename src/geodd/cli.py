@@ -43,12 +43,7 @@ from .synthesis import (
     recover_parameters,
     solve_certified,
 )
-from .verify import (
-    _spectrum_stable,
-    certify_decoupled,
-    default_lambdas,
-    transfer_samples,
-)
+from .verify import certify_decoupled, default_lambdas, transfer_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,15 +87,25 @@ def _parse_matrix(name: str, raw, shape=None) -> np.ndarray:
     return arr
 
 
-def parse_problem(path: str):
-    """Read a plant file; returns (PlantSystem, ToleranceProfile)."""
+def _load_json(path: str):
+    """The decoded JSON of a file; ParseError when it cannot be read as
+    UTF-8 JSON text."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
+    except OSError as err:
+        raise ParseError(f"{path}: cannot read: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from None
+
+
+def parse_problem(path: str):
+    """Read a plant file; returns (PlantSystem, ToleranceProfile)."""
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     dims = data.get("dims")
@@ -158,13 +163,7 @@ def parse_compensator(path: str) -> Compensator:
     and must fit together (A_c square, B_c and C_c matching its order, D_c
     matching their ports). Errors name the matrix.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {path}") from None
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: invalid JSON: {err.msg}") from None
+    data = _load_json(path)
     if isinstance(data, dict) and "compensator" in data:
         data = data["compensator"]
     if not isinstance(data, dict):
@@ -306,8 +305,8 @@ def _loop_checks(sys_: PlantSystem, cl, args):
     """(max sampled |T_zw|, stable, sorted spectrum) of a closed loop, all
     read off its one spectrum."""
     samples = transfer_samples(cl, default_lambdas(cl, args.samples, args.seed))
-    stable, eigs = _spectrum_stable(cl.spectrum, sys_.region)
-    return samples, stable, eigs
+    stable = not sys_.region.outside(cl.spectrum)
+    return samples, stable, np.sort_complex(cl.spectrum)
 
 
 def run(command: str, args) -> int:

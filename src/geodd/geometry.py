@@ -68,10 +68,7 @@ from .subspaces import (
 OUTPUT_NULLING = "output_nulling"
 INPUT_CONTAINING = "input_containing"
 
-# Numerical guard against eigenvalues hugging the region boundary: fixed
-# spectra this close are treated as violating, and the stabilizing gain is
-# not skipped for blocks this close to instability.
-REGION_GUARD = 1e-8
+# The stabilizing gain is not skipped for blocks this close to instability.
 SKIP_GUARD = 1e-6
 
 
@@ -128,10 +125,6 @@ class FriendCertificate:
     F_or_G: np.ndarray
     kind: str
     residual: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.F_or_G
 
 
 @dataclass(frozen=True)
@@ -337,11 +330,6 @@ def _induced_spectrum(A: np.ndarray, T: np.ndarray) -> tuple:
     return tuple(np.linalg.eigvals(T.T @ A @ T)) if T.shape[1] else ()
 
 
-def _outside(eigs, region: StabilityRegion) -> list:
-    """The eigenvalues that violate the region, boundary guard included."""
-    return [l for l in eigs if region.boundary_distance(l) <= REGION_GUARD]
-
-
 def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile):
     """Orthonormal basis of the reachable subspace of (A, B) and the
     spectrum A induces on its orthogonal complement (the uncontrollable,
@@ -474,11 +462,11 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
     """Gain F with A + B F stable in the region where possible.
 
     The gain is the Riccati gain, with identity weights, of the controllable
-    block (Ac, Bc), shifted so that its closed-loop spectrum lies beyond the
-    region's margin: left of -(1 + margin) in continuous time, inside the
-    disc of radius (1 - margin) / 2 in discrete time. The Riccati equation
-    is solved by `_riccati`, whose solution is scipy's bit for bit, so the
-    gain is the one scipy's CARE/DARE solvers give. Returns
+    block (Ac, Bc), shifted so that its closed-loop spectrum lies well
+    inside the region: left of -1 in continuous time, inside the disc of
+    radius 1/2 in discrete time. The Riccati equation is solved by
+    `_riccati`, whose solution is scipy's bit for bit, so the gain is the
+    one scipy's CARE/DARE solvers give. Returns
     (F, uncontrollable_eigenvalues); the caller decides whether the fixed
     part violates the region.
     """
@@ -495,10 +483,10 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
         return np.zeros((B.shape[1], k)), fixed
     Bc = T1.T @ B
     if region.kind == "continuous":
-        P = _riccati(Ac + (1.0 + region.margin) * np.eye(kc), Bc, False)
+        P = _riccati(Ac + np.eye(kc), Bc, False)
         gain = -Bc.T @ P
     else:
-        rho = (1.0 - region.margin) / 2.0
+        rho = 0.5
         As = Ac / rho
         P = _riccati(As, Bc, True)
         R = np.eye(B.shape[1])
@@ -516,8 +504,10 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     The assignable spectra on the reachability part and on the quotient are
     moved into the region by shifted Riccati gains (`_place_state_feedback`);
     an injection friend is built as the feedback friend of the complement of
-    S in the dual quadruple. Fails if a fixed spectrum violates the region,
-    or if the pair (A, B), dually (A^T, C^T), is not stabilizable.
+    S in the dual quadruple. Fails if a fixed spectrum or the closed map
+    violates the region (`StabilityRegion.outside`), or if the pair (A, B),
+    dually (A^T, C^T), is not stabilizable. `solve_certified` builds the
+    friends of a p2 compensator with it.
 
     A caller that already has them may pass `base`, a friend of V_or_S of
     the same kind (F, or the injection G), and `pair_fixed`, the
@@ -529,7 +519,7 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
         base = _twin_matrix(kind, base)
     if pair_fixed is None:
         pair_fixed = _controllable_split(qv.A, qv.B, tol)[1]
-    bad = _outside(pair_fixed, region)
+    bad = region.outside(pair_fixed)
     if bad:
         raise NotStabilizablePair(
             f"pair (A, B) has unstabilizable modes {np.round(bad, 6)}"
@@ -546,7 +536,7 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
         Av = V.basis.T @ (qv.A + qv.B @ F) @ V.basis
         Bv = V.basis.T @ qv.B @ Uv
         dF, fixed_int = _place_state_feedback(Av, Bv, region, tol)
-        bad = _outside(fixed_int, region)
+        bad = region.outside(fixed_int)
         if bad:
             raise FixedSpectrumOutsideRegion(
                 "fixed internal spectrum outside the region", bad
@@ -560,7 +550,7 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
         Aq = W.T @ (qv.A + qv.B @ F) @ W
         Bq = W.T @ qv.B
         dF2, fixed_ext = _place_state_feedback(Aq, Bq, region, tol)
-        bad = _outside(fixed_ext, region)
+        bad = region.outside(fixed_ext)
         if bad:
             raise FixedSpectrumOutsideRegion(
                 "fixed external spectrum outside the region", bad
@@ -570,7 +560,7 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     resid = friend_residual(F, V, qv)
     if resid > 100 * tol.residual:
         raise NotInvariant("stabilizing friend lost invariance", residual=resid)
-    bad = _outside(np.linalg.eigvals(qv.A + qv.B @ F), region)
+    bad = region.outside(np.linalg.eigvals(qv.A + qv.B @ F))
     if bad:
         raise FixedSpectrumOutsideRegion(
             "closed map spectrum escaped the region", bad
@@ -647,18 +637,3 @@ def sstar_g(q: Quadruple, region: StabilityRegion,
             tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Smallest detectability input-containing subspace, by duality."""
     return complement(vstar_g(q.dual(), region, tol), tol)
-
-
-def match_spectra(left, right, tol_match: float = 1e-6) -> bool:
-    """Multiset equality of two spectra under optimal assignment."""
-    left = np.sort_complex(np.asarray(left, dtype=complex))
-    right = np.sort_complex(np.asarray(right, dtype=complex))
-    if left.shape != right.shape:
-        return False
-    if left.size == 0:
-        return True
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(left[:, None] - right[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return bool(cost[rows, cols].max() <= tol_match)

@@ -98,32 +98,31 @@ DISCRETE = "discrete"
 
 # Eigenvalues closer than this to a region boundary are ambiguous.
 BOUNDARY_CLUSTER_TOL = 1e-9
+# Numerical guard against eigenvalues hugging the region boundary: one this
+# close to it, or outside, violates the region.
+REGION_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
 class StabilityRegion:
-    """Open left half-plane (continuous) or open unit disc (discrete),
-    optionally shrunk by a nonnegative margin."""
+    """Open left half-plane (continuous) or open unit disc (discrete)."""
 
     kind: str = CONTINUOUS
-    margin: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, DISCRETE):
             raise InvalidInput(f"unknown region kind {self.kind!r}")
-        if self.margin < 0:
-            raise InvalidInput("margin must be nonnegative")
 
     def boundary_distance(self, lam: complex) -> float:
-        """Signed distance into the (shrunk) region; positive means inside."""
+        """Signed distance into the region; positive means inside."""
         if self.kind == CONTINUOUS:
-            return -lam.real - self.margin
-        return 1.0 - self.margin - abs(lam)
+            return -lam.real
+        return 1.0 - abs(lam)
 
-    def contains(self, eigenvalues, margin: float | None = None) -> bool:
-        extra = self.margin if margin is None else margin
-        region = StabilityRegion(self.kind, extra)
-        return all(region.boundary_distance(l) > 0 for l in np.atleast_1d(eigenvalues))
+    def outside(self, eigenvalues) -> list:
+        """The eigenvalues that violate the region, boundary guard included:
+        the one test of every fixed spectrum and closed-loop spectrum."""
+        return [l for l in eigenvalues if self.boundary_distance(l) <= REGION_GUARD]
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,6 @@ from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     _controllable_split,
-    _outside,
     _vstar_g,
     friend,
     spectral_report,
@@ -102,7 +101,6 @@ class ClosedLoop:
     G_hat: np.ndarray
     W: np.ndarray
     time_domain: str
-    plant_order: int
 
     @property
     def order(self) -> int:
@@ -469,8 +467,8 @@ def _pair_fixed(sys, dual: bool, tol) -> np.ndarray:
 def _stabilizable_detectable(sys, tol) -> bool:
     """The p2 precondition, once per plant and tolerance profile."""
     return sys._memoized(("precondition", tol), lambda: (
-        not _outside(_pair_fixed(sys, False, tol), sys.region)
-        and not _outside(_pair_fixed(sys, True, tol), sys.region)))
+        not sys.region.outside(_pair_fixed(sys, False, tol))
+        and not sys.region.outside(_pair_fixed(sys, True, tol))))
 
 
 def _p2_friend(sys, kind: str, tol):
@@ -517,7 +515,7 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         except Exception as err:  # not invariant => condition fails
             return ConditionCheck(which, False, float("nan"), str(err))
         fixed = rep.internal_fixed if which == "D" else rep.external_fixed
-        bad = _outside(fixed, region)
+        bad = region.outside(fixed)
         worst = max((-region.boundary_distance(l) for l in fixed), default=-1.0)
         # Sorted, so the note does not depend on the basis; + 0.0 maps -0.0 to
         # 0.0. A spectrum whose imaginary parts all round to 0 prints as real,
@@ -602,32 +600,17 @@ def k_set_equivalence(sys: PlantSystem,
     return equal_sets, residuals
 
 
-def synthesize(sys: PlantSystem, V: Subspace, S: Subspace, K,
-               stabilize: bool = False, F=None, G=None,
-               tol: ToleranceProfile = DEFAULT_TOL) -> Compensator:
-    """Order-n compensator from a well-posed K and friends of V and S.
-
-    F and G may be supplied explicitly (any valid friend pair works); when
-    omitted they are computed, as stabilizing friends whose closed maps lie
-    inside the plant's stability region if `stabilize` is set.
+def synthesize(sys: PlantSystem, K, F, G) -> Compensator:
+    """Order-n compensator from a well-posed K, a friend F of V and a friend
+    G of S, for a resolving pair (V, S) that K satisfies the coupling
+    inclusion on (Basile & Marro 1992). Any friend pair works; a
+    compensator stabilizes the loop when F and G are stabilizing friends.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     if K.shape != (sys.m, sys.p):
         raise DimensionMismatch(f"K must be {sys.m} x {sys.p}")
     if wellposedness_margin(K, sys.D_y) < DELTA_WP:
         raise WellPosednessViolated("I + K D_y is singular")
-    if F is None:
-        if stabilize:
-            F = stabilizing_friend(V, OUTPUT_NULLING, sys.control_quadruple(),
-                                   sys.region, tol).matrix
-        else:
-            F = friend(OUTPUT_NULLING, V, sys.control_quadruple(), tol).matrix
-    if G is None:
-        if stabilize:
-            G = stabilizing_friend(S, INPUT_CONTAINING, sys.observation_quadruple(),
-                                   sys.region, tol).matrix
-        else:
-            G = friend(INPUT_CONTAINING, S, sys.observation_quadruple(), tol).matrix
     F = np.atleast_2d(np.asarray(F, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
     Minv = np.linalg.inv(np.eye(sys.m) + K @ sys.D_y)
@@ -675,7 +658,7 @@ def close_loop(sys: PlantSystem, comp: Compensator,
     H_hat = np.vstack([H + B @ Dc @ W @ Gy, Bc @ W @ Gy])
     C_hat = np.hstack([E + Dz @ Dc @ W @ C, Dz @ Cc + Dz @ Dc @ W @ Dy @ Cc])
     G_hat = Gz + Dz @ Dc @ W @ Gy
-    return ClosedLoop(A_hat, H_hat, C_hat, G_hat, W, sys.time_domain, sys.n)
+    return ClosedLoop(A_hat, H_hat, C_hat, G_hat, W, sys.time_domain)
 
 
 def solve_certified(sys: PlantSystem, problem: str = "p1",
@@ -687,13 +670,14 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
     that callers that check the loop further need not rebuild it; raises
     Infeasible / WellPosednessObstruction with the report attached.
 
-    For p2 the stabilizing friends start from what the analysis already
-    built on the plant's memo: the friends of (V_m + S_M, S_M) that
-    conditions D/E were read from, and the controllable splits of (A, B)
-    and (A^T, C^T) of the precondition. They are the friends and splits
-    that `stabilizing_friend` would build, so the compensator is the one
-    `synthesize(..., stabilize=True)` returns."""
-    from .verify import _spectrum_stable, certify_decoupled
+    The friends are `friend`'s for p1 and `stabilizing_friend`'s for p2.
+    The p2 ones start from what the analysis already built on the plant's
+    memo: the friends of (V_m + S_M, S_M) that conditions D/E were read
+    from, and the controllable splits of (A, B) and (A^T, C^T) of the
+    precondition. They are the friends and splits that `stabilizing_friend`
+    would build, so the compensator is `synthesize(sys, K, F, G)` on the
+    stabilizing friends it builds when given neither."""
+    from .verify import certify_decoupled
 
     if problem == "p1":
         report = analyze_p1(sys, tol, seed)
@@ -708,18 +692,19 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
         raise Infeasible(f"analysis verdict: {report.overall}", report)
 
     V, S = report.V, report.S
-    F = G = None
-    if problem == "p2":
-        region = sys.region
+    if problem == "p1":
+        F = friend(OUTPUT_NULLING, V, sys.control_quadruple(), tol).F_or_G
+        G = friend(INPUT_CONTAINING, S, sys.observation_quadruple(), tol).F_or_G
+    else:
         F = stabilizing_friend(
-            V, OUTPUT_NULLING, sys.control_quadruple(), region, tol,
+            V, OUTPUT_NULLING, sys.control_quadruple(), sys.region, tol,
             base=_p2_friend(sys, OUTPUT_NULLING, tol).F_or_G,
             pair_fixed=_pair_fixed(sys, False, tol)).F_or_G
         G = stabilizing_friend(
-            S, INPUT_CONTAINING, sys.observation_quadruple(), region, tol,
+            S, INPUT_CONTAINING, sys.observation_quadruple(), sys.region, tol,
             base=_p2_friend(sys, INPUT_CONTAINING, tol).F_or_G,
             pair_fixed=_pair_fixed(sys, True, tol)).F_or_G
-    comp = synthesize(sys, V, S, report.K, F=F, G=G, tol=tol)
+    comp = synthesize(sys, report.K, F, G)
     cl = close_loop(sys, comp, tol)
     # For p2 the star-pair K is used on the self-bounded/self-hidden pair
     # (the two affine families coincide); a K off that family leaves the
@@ -730,10 +715,8 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
             "synthesized loop failed its decoupling certificate "
             f"(residuals {cert.residual_invariance:.2e}, "
             f"{cert.residual_kernel:.2e}, {cert.feedthrough_norm:.2e})")
-    if problem == "p2":
-        ok, _ = _spectrum_stable(cl.spectrum, sys.region)
-        if not ok:
-            raise CertificateFailed("synthesized loop is not internally stable")
+    if problem == "p2" and sys.region.outside(cl.spectrum):
+        raise CertificateFailed("synthesized loop is not internally stable")
     return comp, report, cl, cert
 
 

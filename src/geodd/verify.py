@@ -175,21 +175,12 @@ def default_lambdas(cl: ClosedLoop, count: int = 20, seed: int = 0) -> list:
     return samples[:count]
 
 
-def stability_check(A_hat, region: StabilityRegion,
-                    margin: float = 1e-8) -> tuple[bool, np.ndarray]:
-    """Whether every eigenvalue of A_hat lies inside the region by the given
-    margin, and the eigenvalues sorted. A closed loop's own `spectrum` is
-    checked with `_spectrum_stable`, which this delegates to."""
-    A_hat = np.atleast_2d(np.asarray(A_hat, dtype=float))
-    return _spectrum_stable(np.linalg.eigvals(A_hat), region, margin)
-
-
-def _spectrum_stable(eigs, region: StabilityRegion,
-                     margin: float = 1e-8) -> tuple[bool, np.ndarray]:
-    """`stability_check` on eigenvalues already computed."""
-    shrunk = StabilityRegion(region.kind, max(region.margin, margin))
-    ok = all(shrunk.boundary_distance(l) >= 0 for l in eigs)
-    return ok, np.sort_complex(eigs)
+def stability_check(A_hat, region: StabilityRegion) -> tuple[bool, np.ndarray]:
+    """Whether every eigenvalue of A_hat lies inside the region by more than
+    its boundary guard (`StabilityRegion.outside`), and the eigenvalues
+    sorted."""
+    eigs = np.linalg.eigvals(np.atleast_2d(np.asarray(A_hat, dtype=float)))
+    return not region.outside(eigs), np.sort_complex(eigs)
 
 
 def simulate_impulse(cl: ClosedLoop, steps: int = 50) -> float:

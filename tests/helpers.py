@@ -5,10 +5,17 @@ from fractions import Fraction
 import numpy as np
 import scipy
 from scipy.linalg import solve_continuous_are, solve_discrete_are
+from scipy.optimize import linear_sum_assignment
 
 from geodd import Quadruple, Subspace, exact
 from geodd.errors import SampleTooCloseToPole
-from geodd.geometry import SKIP_GUARD, _controllable_split
+from geodd.geometry import (
+    INPUT_CONTAINING,
+    OUTPUT_NULLING,
+    SKIP_GUARD,
+    _controllable_split,
+    stabilizing_friend,
+)
 from geodd.subspaces import (
     combine,
     complement,
@@ -19,7 +26,7 @@ from geodd.subspaces import (
     preimage,
     span_of,
 )
-from geodd.synthesis import DELTA_WP, SAMPLE_TRIALS, wellposedness_margin
+from geodd.synthesis import DELTA_WP, SAMPLE_TRIALS, synthesize, wellposedness_margin
 from geodd.verify import POLE_CLEARANCE
 
 
@@ -44,6 +51,28 @@ def count_calls(monkeypatch, name, *modules) -> list:
             raise AssertionError(f"{module.__name__}.{name} is another function")
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def match_spectra(left, right, tol_match: float = 1e-6) -> bool:
+    """Multiset equality of two spectra under optimal assignment."""
+    left = np.sort_complex(np.asarray(left, dtype=complex))
+    right = np.sort_complex(np.asarray(right, dtype=complex))
+    if left.shape != right.shape:
+        return False
+    if left.size == 0:
+        return True
+    cost = np.abs(left[:, None] - right[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return bool(cost[rows, cols].max() <= tol_match)
+
+
+def stabilized_compensator(sys, V, S, K):
+    """`synthesize` on stabilizing friends of V and S built anew:
+    the compensator `solve(sys, "p2")` must return on its pair and K."""
+    F = stabilizing_friend(V, OUTPUT_NULLING, sys.control_quadruple(), sys.region).F_or_G
+    G = stabilizing_friend(S, INPUT_CONTAINING, sys.observation_quadruple(),
+                           sys.region).F_or_G
+    return synthesize(sys, K, F, G)
 
 
 def lapack_builds() -> str:
@@ -149,10 +178,10 @@ def scipy_state_feedback(A, B, region, tol):
     Bc = T1.T @ B
     Q, R = np.eye(kc), np.eye(B.shape[1])
     if region.kind == "continuous":
-        P = solve_continuous_are(Ac + (1.0 + region.margin) * np.eye(kc), Bc, Q, R)
+        P = solve_continuous_are(Ac + np.eye(kc), Bc, Q, R)
         gain = -Bc.T @ P
     else:
-        rho = (1.0 - region.margin) / 2.0
+        rho = 0.5
         As = Ac / rho
         P = solve_discrete_are(As, Bc, Q, R)
         gain = -rho * np.linalg.solve(R + Bc.T @ P @ Bc, Bc.T @ P @ As)

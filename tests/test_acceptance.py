@@ -19,7 +19,6 @@ from geodd.geometry import (
     OUTPUT_NULLING,
     friend,
     input_containing_residual,
-    match_spectra,
     output_nulling_residual,
     rstar_qstar,
     sstar,
@@ -59,6 +58,7 @@ from geodd.verify import (
 )
 from helpers import (
     exact_star_dims,
+    match_spectra,
     max_angle,
     quad_to_exact,
     random_quadruple,
@@ -105,8 +105,7 @@ def test_criterion_3_scalar_channel_plant_end_to_end(scalar_channel_plant):
     K, F, G = recover_parameters(scalar_channel_plant, given)
     a_ok = abs(K[0, 0] - (-6 / 5)) <= 1e-12
 
-    comp = synthesize(scalar_channel_plant, None, None, [[0.5]], F=[[1.0, 0.0]],
-                      G=np.zeros((2, 1)))
+    comp = synthesize(scalar_channel_plant, [[0.5]], [[1.0, 0.0]], np.zeros((2, 1)))
     b_ok = (np.allclose(comp.A_c, [[2 / 3, 0], [0, 1]], atol=1e-12)
             and np.allclose(comp.B_c, [[-1 / 3], [0]], atol=1e-12)
             and np.allclose(comp.C_c, [[1 / 3, 0]], atol=1e-12)
@@ -330,8 +329,7 @@ def test_criterion_8_necessity_round_trip(scalar_channel_plant, p2_solutions):
     loops = []
     given = Compensator([[0, 0], [0, 0]], [[0], [10]], [[0, 3]], [[6]])
     loops.append((scalar_channel_plant, close_loop(scalar_channel_plant, given)))
-    synthesized = synthesize(scalar_channel_plant, None, None, [[0.5]], F=[[1.0, 0.0]],
-                             G=np.zeros((2, 1)))
+    synthesized = synthesize(scalar_channel_plant, [[0.5]], [[1.0, 0.0]], np.zeros((2, 1)))
     loops.append((scalar_channel_plant, close_loop(scalar_channel_plant, synthesized)))
     for sys, comp in p2_solutions:
         loops.append((sys, close_loop(sys, comp)))

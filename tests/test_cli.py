@@ -379,6 +379,43 @@ class TestCompensatorFiles:
             parse_compensator(str(path))
 
 
+# A file that `parse_problem` and `parse_compensator` must refuse with a
+# ParseError (exit 1), and the words its message gives after the path.
+UNREADABLE = {
+    "directory": "cannot read: Is a directory",
+    "utf16": "not UTF-8 text: invalid start byte at byte 0",
+    "broken": "invalid JSON at line 1: Expecting property name",
+}
+
+
+def _unreadable(tmp_path, kind) -> str:
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "utf16":
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    else:
+        path.write_text("{not json")
+    return str(path)
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_exit_1_naming_the_file(self, tmp_path, capsys, command, kind):
+        bad = _unreadable(tmp_path, kind)
+        if command == "analyze":
+            argv = ["analyze", "--input", bad]
+        else:
+            plant = tmp_path / "plant.json"
+            plant.write_text(json.dumps(minimal_problem_dict()))
+            argv = ["verify", "--input", str(plant), "--compensator", bad]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: {UNREADABLE[kind]}")
+
+
 def _count_work(monkeypatch):
     """Count close_loop and certify_decoupled calls, and eigvals calls on
     the A^ of a loop that close_loop built, wherever they are bound."""

@@ -17,7 +17,6 @@ from geodd.geometry import (
     friend_residual,
     input_containing_residual,
     invariant_zeros,
-    match_spectra,
     output_nulling_residual,
     reach_detect,
     rstar_qstar,
@@ -44,6 +43,7 @@ from geodd.subspaces import (
 from helpers import (
     count_calls,
     lapack_builds,
+    match_spectra,
     max_angle,
     primal_detectability,
     primal_fixed_spectra,

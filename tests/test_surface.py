@@ -6,12 +6,13 @@ flags, their defaults and choices, and the entry points a tracer wraps). A
 change here is a change of the public API."""
 
 import argparse
+import dataclasses
 import inspect
 
 import pytest
 
 import geodd
-from geodd import cli, exact, geometry, verify
+from geodd import cli, exact, geometry, subspaces, synthesis, verify
 
 EXPORTED = {
     # errors
@@ -88,6 +89,19 @@ EXACT_SIGNATURES = {
 }
 
 
+# The compensator formula, the loop-stability test and the fields of the
+# records they read and return.
+FORMULA_SIGNATURES = {
+    synthesis.synthesize: "(sys: 'PlantSystem', K, F, G) -> 'Compensator'",
+    verify.stability_check: "(A_hat, region: 'StabilityRegion') -> 'tuple[bool, np.ndarray]'",
+}
+FIELDS = {
+    subspaces.StabilityRegion: ("kind",),
+    synthesis.ClosedLoop: ("A_hat", "H_hat", "C_hat", "G_hat", "W", "time_domain"),
+    geometry.FriendCertificate: ("F_or_G", "kind", "residual"),
+}
+
+
 def test_exported_names():
     public = {name for name, value in vars(geodd).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
@@ -97,6 +111,16 @@ def test_exported_names():
 def test_geometry_signatures():
     got = {name: str(inspect.signature(getattr(geometry, name))) for name in SIGNATURES}
     assert got == SIGNATURES
+
+
+def test_formula_signatures():
+    got = {fn: str(inspect.signature(fn)) for fn in FORMULA_SIGNATURES}
+    assert got == FORMULA_SIGNATURES
+
+
+def test_record_fields():
+    got = {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in FIELDS}
+    assert got == FIELDS
 
 
 def test_exact_signatures():

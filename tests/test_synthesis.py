@@ -21,7 +21,6 @@ from geodd.errors import (
 from geodd.geometry import (
     OUTPUT_NULLING,
     SpectralReport,
-    match_spectra,
     rstar_qstar,
     sstar,
     sstar_g,
@@ -66,12 +65,14 @@ from geodd.verify import (
 from helpers import (
     count_calls,
     lapack_builds,
+    match_spectra,
     reference_affine_k_family,
     reference_kernel,
     reference_sampled_member,
     reference_sstar_span,
     reference_vstar_span,
     scipy_state_feedback,
+    stabilized_compensator,
 )
 
 
@@ -321,14 +322,12 @@ class TestExactTwinOnDemand:
 
 class TestSynthesize:
     def test_formula_collapse_with_zero_parameters(self, scalar_channel_plant):
-        comp = synthesize(scalar_channel_plant, None, None, [[0.0]],
-                          F=np.zeros((1, 2)), G=np.zeros((2, 1)))
+        comp = synthesize(scalar_channel_plant, [[0.0]], np.zeros((1, 2)), np.zeros((2, 1)))
         assert np.allclose(comp.A_c, scalar_channel_plant.A)
         assert not comp.B_c.any() and not comp.C_c.any() and not comp.D_c.any()
 
     def test_scalar_channel_exact_values(self, scalar_channel_plant):
-        comp = synthesize(scalar_channel_plant, None, None, [[0.5]], F=[[1.0, 0.0]],
-                          G=np.zeros((2, 1)))
+        comp = synthesize(scalar_channel_plant, [[0.5]], [[1.0, 0.0]], np.zeros((2, 1)))
         assert np.allclose(comp.A_c, [[2 / 3, 0.0], [0.0, 1.0]], atol=1e-12)
         assert np.allclose(comp.B_c, [[-1 / 3], [0.0]], atol=1e-12)
         assert np.allclose(comp.C_c, [[1 / 3, 0.0]], atol=1e-12)
@@ -336,8 +335,7 @@ class TestSynthesize:
 
     def test_singular_k_rejected(self, scalar_channel_plant):
         with pytest.raises(WellPosednessViolated):
-            synthesize(scalar_channel_plant, None, None, [[-1.0]], F=[[1.0, 0.0]],
-                       G=np.zeros((2, 1)))
+            synthesize(scalar_channel_plant, [[-1.0]], [[1.0, 0.0]], np.zeros((2, 1)))
 
     def test_recovered_parameters(self, scalar_channel_plant):
         given = Compensator([[0, 0], [0, 0]], [[0], [10]], [[0, 3]], [[6]])
@@ -349,8 +347,7 @@ class TestSynthesize:
     def test_wellposedness_bridge(self, scalar_channel_plant):
         # D_c = (I + K D_y)^{-1} K keeps I - D_y D_c invertible
         for K in ([[0.5]], [[3.0]], [[-0.75]]):
-            comp = synthesize(scalar_channel_plant, None, None, K, F=[[1.0, 0.0]],
-                              G=np.zeros((2, 1)))
+            comp = synthesize(scalar_channel_plant, K, [[1.0, 0.0]], np.zeros((2, 1)))
             loop = np.eye(1) - scalar_channel_plant.D_y @ comp.D_c
             assert abs(np.linalg.det(loop)) > 1e-8
 
@@ -387,7 +384,7 @@ class TestCloseLoop:
 
         F = friend(OUTPUT_NULLING, rep.V, qc).F_or_G
         G = friend(INPUT_CONTAINING, rep.S, qo).F_or_G
-        comp = synthesize(scalar_channel_plant, rep.V, rep.S, rep.K, F=F, G=G)
+        comp = synthesize(scalar_channel_plant, rep.K, F, G)
         cl = close_loop(scalar_channel_plant, comp)
         want = np.concatenate([
             np.linalg.eigvals(scalar_channel_plant.A + scalar_channel_plant.B @ F),
@@ -439,7 +436,7 @@ class TestSolve:
             step -= dirs @ (dirs.T @ step)
             K = report.K + 1e-3 * step.reshape(report.K.shape) / np.linalg.norm(step)
             assert coupling_residual(sys, *pair, K) > 1e-6
-            perturbed = synthesize(sys, *pair, K, stabilize=True)
+            perturbed = stabilized_compensator(sys, *pair, K)
             assert not certify_decoupled(close_loop(sys, perturbed), pair=pair).valid
 
     @pytest.mark.parametrize("domain", ["continuous", "discrete"])
@@ -719,10 +716,10 @@ class TestWorkPerSolve:
             # raised while building the stabilizing friends
             report = analyze_p2(plant)
             with pytest.raises(type(err)) as fresh_err:
-                synthesize(fresh, report.V, report.S, report.K, stabilize=True)
+                stabilized_compensator(fresh, report.V, report.S, report.K)
             assert str(fresh_err.value) == str(err)
             return
-        built = synthesize(fresh, report.V, report.S, report.K, stabilize=True)
+        built = stabilized_compensator(fresh, report.V, report.S, report.K)
         assert all(_same_bits(getattr(comp, name), getattr(built, name))
                    for name in ("A_c", "B_c", "C_c", "D_c"))
 

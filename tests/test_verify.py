@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from geodd.errors import (
     ContinuousNotSupported,
     DimensionMismatch,
+    NotStabilizablePair,
     SampleTooCloseToPole,
 )
+from geodd.geometry import OUTPUT_NULLING, Quadruple, stabilizing_friend, vstar
 from geodd.lattice import PlantSystem
 from geodd.subspaces import StabilityRegion, Subspace
 from geodd.synthesis import (
@@ -39,7 +41,7 @@ from helpers import reference_default_lambdas, reference_transfer_samples
 def loop_from(A, H, C, G, domain="continuous"):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     return ClosedLoop(A, np.atleast_2d(H), np.atleast_2d(C), np.atleast_2d(G),
-                      np.eye(1), domain, A.shape[0])
+                      np.eye(1), domain)
 
 
 class TestCertificate:
@@ -230,6 +232,21 @@ class TestStabilityCheck:
         assert ok
         ok, _ = stability_check(np.diag([0.5, 1.5]), StabilityRegion("discrete"))
         assert not ok
+
+    @pytest.mark.parametrize("lam, inside", [(-1e-8, False), (-2e-8, True)])
+    def test_guard_is_judged_one_way(self, lam, inside):
+        # the loop-stability test and the fixed-spectrum test of a
+        # stabilizing friend put an eigenvalue at the guard on the same side
+        region = StabilityRegion("continuous")
+        assert stability_check([[lam]], region)[0] is inside
+        assert (not region.outside([lam])) is inside
+        # the one mode of (A, B) is uncontrollable: a fixed spectrum
+        q = Quadruple([[lam]], [[0.0]], [[0.0]], [[0.0]])
+        if inside:
+            assert stabilizing_friend(vstar(q), OUTPUT_NULLING, q, region).residual == 0.0
+        else:
+            with pytest.raises(NotStabilizablePair):
+                stabilizing_friend(vstar(q), OUTPUT_NULLING, q, region)
 
 
 class TestImpulseSimulation:
