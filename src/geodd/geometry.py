@@ -150,17 +150,24 @@ def _nulling_target(V: Subspace, q: Quadruple, BD: Subspace,
     return combine("sum", embed(V, q.n + q.p), BD, tol)
 
 
+def _twin_quadruple(kind: str, q: Quadruple, what: str = "kind") -> Quadruple:
+    """The quadruple of the output-nulling twin: q itself for the
+    output-nulling kind, q.dual() for the input-containing kind."""
+    if kind == OUTPUT_NULLING:
+        return q
+    if kind == INPUT_CONTAINING:
+        return q.dual()
+    raise InvalidInput(f"unknown {what} {kind!r}")
+
+
 def _nulling_twin(kind: str, X: Subspace, q: Quadruple, tol: ToleranceProfile,
                   what: str = "kind") -> tuple[Subspace, Quadruple]:
     """The output-nulling twin of X: (X, q) when X is of the output-nulling
     kind, (X^perp, q.dual()) when it is of the input-containing kind. X is
     input containing for q exactly when X^perp is output nulling for the
     dual, and a friend G of X is the transpose of a friend of X^perp."""
-    if kind == OUTPUT_NULLING:
-        return X, q
-    if kind == INPUT_CONTAINING:
-        return complement(X, tol), q.dual()
-    raise InvalidInput(f"unknown {what} {kind!r}")
+    qv = _twin_quadruple(kind, q, what)
+    return (X if kind == OUTPUT_NULLING else complement(X, tol)), qv
 
 
 def _twin_matrix(kind: str, M: np.ndarray) -> np.ndarray:
@@ -581,13 +588,24 @@ def spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
     the internal and external parts swapped: the map induced on Q_S/S is
     the transpose of the one on S^perp/Q_S^perp, and S ^ (unobservable) is
     the complement of S^perp + (reachable) in the dual."""
-    V, qv = _nulling_twin(kind, V_or_S, q, tol)
+    qv = _twin_quadruple(kind, q)
     if cert is None:
         cert = friend(kind, V_or_S, q, tol)
+    reach = invariant_hull("smallest_containing", qv.A, span_of(qv.B, tol), tol)
+    return _spectral_report(V_or_S, kind, q, cert, tol, reach)
+
+
+def _spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
+                     cert: FriendCertificate, tol: ToleranceProfile,
+                     reach: Subspace) -> SpectralReport:
+    """`spectral_report` with the reachable subspace of the twin's pair,
+    (A, B) or (A^T, C^T), given by the caller. It is also the reachable
+    subspace of (A + BF, B) for every F, so one split of the pair serves
+    every friend."""
+    V, qv = _nulling_twin(kind, V_or_S, q, tol)
     F = _twin_matrix(kind, cert.F_or_G)
     Acl = qv.A + qv.B @ F
     RV = _reachable_in(kind, V, F, qv, tol)
-    reach = invariant_hull("smallest_containing", Acl, span_of(qv.B, tol), tol)
     VR = combine("sum", V, reach, tol)
     internal = _induced_spectrum(Acl, _extend_within(RV, V, tol))
     external = _induced_spectrum(Acl, complement(VR, tol).basis)

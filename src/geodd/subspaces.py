@@ -358,26 +358,37 @@ def invariant_hull(direction: str, A, S: Subspace,
                    tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Smallest A-invariant subspace containing S, or largest contained in S.
 
-    The growing iteration S, S + A S, ... stabilizes in at most n-1 strict
-    steps; the shrinking direction is computed through its dual.
+    The growing direction is the orthogonal controllability staircase
+    (Paige 1981; Van Dooren's staircase form): starting from the basis Q
+    of S, each step maps only the newest block Z by A, projects the image
+    off Q and keeps its numerically nonzero left singular vectors as the
+    next block. It stops when a step adds nothing, after at most n-1 strict
+    steps. The shrinking direction is computed through its dual.
     """
     A = _as_matrix(A)
     n = S.ambient_dim
     if A.shape != (n, n):
         raise DimensionMismatch("A must be square with the ambient dimension")
     if direction == "smallest_containing":
-        # Rank decisions happen on the raw augmented matrix [basis, A basis]:
-        # orthonormalizing the image separately would renormalize nearly
-        # dependent image directions and amplify roundoff into new dims.
+        # Rank decisions happen on the raw projected image (I - QQ^T) A Z,
+        # cut against ||A||: orthonormalizing the image first would
+        # renormalize nearly dependent image directions and amplify
+        # roundoff into new dims.
         scale = max(1.0, _norm2(A))
-        current = S
-        for _ in range(n + 1):
-            grown = span_of(np.hstack([current.basis, A @ current.basis]),
-                            tol, scale=scale)
-            if grown.dim == current.dim:
-                return grown
-            current = grown
-        return current
+        Q = Z = S.basis
+        while 0 < Q.shape[1] < n:
+            Y = A @ Z
+            Y -= Q @ (Q.T @ Y)
+            U, s, _ = _gesdd(Y, 1, 0)
+            r = _numerical_rank(s, (n, n), tol.rank_rel, scale)
+            if r == 0:
+                break
+            # U[:, :r] is Y's range, off Q up to roundoff over the smallest
+            # kept singular value; one more projection takes that out.
+            Z = U[:, :r]
+            Z = Z - Q @ (Q.T @ Z)
+            Q = np.hstack([Q, Z])
+        return Subspace._adopt(n, Q) if Q is not S.basis else S
     if direction == "largest_contained":
         dual = invariant_hull("smallest_containing", A.T, complement(S, tol), tol)
         return complement(dual, tol)

@@ -30,9 +30,9 @@ from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     _controllable_split,
+    _spectral_report,
     _vstar_g,
     friend,
-    spectral_report,
     sstar,
     sstar_g,
     stabilizing_friend,
@@ -451,24 +451,26 @@ def _wellposedness_condition(sys, label, tol, seed):
 _PRECONDITION_NOTE = "(A,B) stabilizable and (C,A) detectable required"
 
 
-def _pair_fixed(sys, dual: bool, tol) -> np.ndarray:
-    """The uncontrollable spectrum of (A, B), or of (A^T, C^T) when `dual`
-    is set, from `_controllable_split`, once per plant and tolerance
-    profile: the p2 precondition and the pair checks of both stabilizing
-    friends read it."""
+def _pair_split(sys, dual: bool, tol) -> tuple[Subspace, np.ndarray]:
+    """The reachable subspace of (A, B), or of (A^T, C^T) when `dual` is
+    set, and the uncontrollable spectrum, from `_controllable_split`, once
+    per plant and tolerance profile. The p2 precondition and the pair
+    checks of both stabilizing friends read the spectrum; conditions D/E
+    read the subspace, which is also the reachable subspace of (A + BF, B)
+    for every friend F."""
     def split():
-        fixed = (_controllable_split(sys.A.T, sys.C.T, tol) if dual
-                 else _controllable_split(sys.A, sys.B, tol))[1]
+        A, B = (sys.A.T, sys.C.T) if dual else (sys.A, sys.B)
+        basis, fixed = _controllable_split(A, B, tol)
         fixed.setflags(write=False)
-        return fixed
-    return sys._memoized(("pair fixed", dual, tol), split)
+        return Subspace._adopt(sys.n, basis), fixed
+    return sys._memoized(("pair split", dual, tol), split)
 
 
 def _stabilizable_detectable(sys, tol) -> bool:
     """The p2 precondition, once per plant and tolerance profile."""
     return sys._memoized(("precondition", tol), lambda: (
-        not sys.region.outside(_pair_fixed(sys, False, tol))
-        and not sys.region.outside(_pair_fixed(sys, True, tol))))
+        not sys.region.outside(_pair_split(sys, False, tol)[1])
+        and not sys.region.outside(_pair_split(sys, True, tol)[1])))
 
 
 def _p2_friend(sys, kind: str, tol):
@@ -510,8 +512,8 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
 
     def spectra_check(sub, kind, quad, which):
         try:
-            rep = spectral_report(sub, kind, quad, cert=_p2_friend(sys, kind, tol),
-                                  tol=tol)
+            rep = _spectral_report(sub, kind, quad, _p2_friend(sys, kind, tol), tol,
+                                   _pair_split(sys, kind == INPUT_CONTAINING, tol)[0])
         except Exception as err:  # not invariant => condition fails
             return ConditionCheck(which, False, float("nan"), str(err))
         fixed = rep.internal_fixed if which == "D" else rep.external_fixed
@@ -699,11 +701,11 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
         F = stabilizing_friend(
             V, OUTPUT_NULLING, sys.control_quadruple(), sys.region, tol,
             base=_p2_friend(sys, OUTPUT_NULLING, tol).F_or_G,
-            pair_fixed=_pair_fixed(sys, False, tol)).F_or_G
+            pair_fixed=_pair_split(sys, False, tol)[1]).F_or_G
         G = stabilizing_friend(
             S, INPUT_CONTAINING, sys.observation_quadruple(), sys.region, tol,
             base=_p2_friend(sys, INPUT_CONTAINING, tol).F_or_G,
-            pair_fixed=_pair_fixed(sys, True, tol)).F_or_G
+            pair_fixed=_pair_split(sys, True, tol)[1]).F_or_G
     comp = synthesize(sys, report.K, F, G)
     cl = close_loop(sys, comp, tol)
     # For p2 the star-pair K is used on the self-bounded/self-hidden pair

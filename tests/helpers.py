@@ -17,6 +17,7 @@ from geodd.geometry import (
     stabilizing_friend,
 )
 from geodd.subspaces import (
+    DEFAULT_TOL,
     combine,
     complement,
     containment_residual,
@@ -502,3 +503,19 @@ def reference_default_lambdas(cl, count, seed):
             continue
         samples.append(lam)
     return samples, rejected
+
+
+def reference_invariant_hull(A, S: Subspace, tol=DEFAULT_TOL) -> Subspace:
+    """The growing loop that `subspaces.invariant_hull` replaced by the
+    orthogonal staircase: one SVD of the augmented [basis, A basis] per
+    step, cut against ||A||, until a step adds no dimension. The staircase
+    must give the same dimension and, up to roundoff, the same subspace."""
+    A = np.asarray(A, dtype=float)
+    scale = max(1.0, float(np.linalg.norm(A, 2)))
+    current = S
+    for _ in range(S.ambient_dim + 1):
+        grown = span_of(np.hstack([current.basis, A @ current.basis]), tol, scale=scale)
+        if grown.dim == current.dim:
+            return grown
+        current = grown
+    return current

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodd import exact, subspaces
 from geodd.errors import BoundarySpectrum, DimensionMismatch, InvalidInput
@@ -31,6 +33,7 @@ from helpers import (
     lapack_builds,
     max_angle,
     rational_as_subspace,
+    reference_invariant_hull,
 )
 
 
@@ -38,6 +41,33 @@ def assert_orthonormal(S):
     if S.dim:
         gram = S.basis.T @ S.basis
         assert np.linalg.norm(gram - np.eye(S.dim)) <= 10 * ORTHO_TOL
+
+
+@st.composite
+def planted_pairs(draw):
+    """Integer (A, M, k), n <= 12: in coordinates changed by a
+    permutation and a few integer shears, A is block upper triangular with
+    a leading k x k block whose coordinates hold im M. The hull of im M
+    then lies in that block, and the trailing block is uncontrollable."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    s = draw(st.integers(1, 3))
+    entries = st.integers(-3, 3)
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    A[k:, :k] = 0
+    M = np.array(draw(st.lists(entries, min_size=n * s, max_size=n * s))).reshape(n, s)
+    M[k:] = 0
+    T = np.eye(n, dtype=int)[draw(st.permutations(range(n)))]
+    T_inv = T.T.copy()
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from([-1, 1]))
+        shear = np.eye(n, dtype=int)
+        shear[i, j] = c
+        T = shear @ T
+        shear[i, j] = -c
+        T_inv = T_inv @ shear
+    return (T @ A @ T_inv).astype(float), (T @ M).astype(float), k
 
 
 class TestToleranceProfile:
@@ -295,6 +325,66 @@ class TestInvariantHull:
                 current = grown
             assert growth <= n - 1
             assert equal(current, invariant_hull("smallest_containing", A, S))
+
+    @pytest.mark.parametrize("diagonal", [0.0, 0.5])
+    def test_staircase_stays_orthonormal_on_a_weakly_coupled_chain(self, diagonal):
+        # A shifted chain (a Jordan block when the diagonal is nonzero) of
+        # order 24: every third coupling is 2^-25, about 3.5 times the rank
+        # cutoff 1e-10 * ||A|| * n, and one is 0, so 20 states are
+        # reachable. Integer shears hide the chain and keep A exact in
+        # floats. Each weak step divides the roundoff left along the basis
+        # by its coupling; the re-projection of every new block keeps the
+        # basis within the orthonormality guard.
+        n = 24
+        couplings = np.ones(n - 1)
+        couplings[2::3] = 2.0 ** -25
+        couplings[19] = 0.0
+        J = np.diag(couplings, -1) + diagonal * np.eye(n)
+        rng = np.random.default_rng(0)
+        T, T_inv = np.eye(n), np.eye(n)
+        for _ in range(12):
+            i, j = rng.choice(n, 2, replace=False)
+            c = rng.choice([-1.0, 1.0])
+            T[i] += c * T[j]
+            T_inv[:, j] -= c * T_inv[:, i]
+        assert np.array_equal(T @ T_inv, np.eye(n))
+        A, M = T @ J @ T_inv, T[:, :1]
+        got = invariant_hull("smallest_containing", A, span_of(M))
+        want = exact.invariant_hull_smallest(exact.from_array(A), exact.from_array(M))
+        assert_orthonormal(got)
+        assert got.dim == exact.shape(want)[1] == 20
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(planted_pairs(), st.integers(-4, 4),
+           st.sampled_from(["smallest_containing", "largest_contained"]))
+    def test_staircase_matches_reference_loop(self, pair, exponent, direction):
+        A, M, k = pair
+        A = A * 10.0 ** exponent
+        S = span_of(M)
+        if direction == "smallest_containing":
+            got = invariant_hull(direction, A, S)
+            want = reference_invariant_hull(A, S)
+            assert got.dim <= k
+        else:
+            # the largest A^T-invariant subspace in S^perp is the
+            # complement of the smallest A-invariant one containing S
+            got = invariant_hull(direction, A.T, complement(S))
+            want = complement(reference_invariant_hull(A, complement(complement(S))))
+            assert got.dim >= A.shape[0] - k
+        assert got.dim == want.dim
+        assert_orthonormal(got)
+        if got.dim:
+            assert principal_angles(got, want).max() <= 1e-8
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(planted_pairs())
+    def test_staircase_matches_exact_hull_on_integers(self, pair):
+        A, M, _ = pair
+        got = invariant_hull("smallest_containing", A, span_of(M))
+        want = rational_as_subspace(
+            exact.invariant_hull_smallest(exact.from_array(A), exact.from_array(M)),
+            A.shape[0])
+        assert max_angle(got, want) <= 1e-8
 
 
 class TestModalSubspace:

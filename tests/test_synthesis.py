@@ -2,13 +2,14 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodd import GenerationFailed, exact, geometry, subspaces, synthesis
+from geodd import GenerationFailed, exact, geometry, subspaces, synthesis, verify
 from geodd.errors import (
     AllSingular,
     CertificateFailed,
@@ -19,9 +20,11 @@ from geodd.errors import (
     WellPosednessViolated,
 )
 from geodd.geometry import (
+    INPUT_CONTAINING,
     OUTPUT_NULLING,
     SpectralReport,
     rstar_qstar,
+    spectral_report,
     sstar,
     sstar_g,
     stabilizing_friend,
@@ -554,7 +557,7 @@ class TestAnalyzeP2:
         # it is real, and must print as real numbers, as in any other basis
         cluster = (-0.5 + 1e-9j, -0.5 - 1e-9j)
         spectra = {"D": cluster + (0.0,), "E": cluster + (-0.25 + 0.5j, -0.25 - 0.5j)}
-        monkeypatch.setattr(synthesis, "spectral_report", lambda *args, **kwargs:
+        monkeypatch.setattr(synthesis, "_spectral_report", lambda *args, **kwargs:
                             SpectralReport(spectra["D"], spectra["E"], (0, 0)))
         sys = PlantSystem(A=-np.eye(3), B=np.zeros((3, 1)), H=np.ones((3, 1)),
                           C=[[1.0, 1.0, 0.0]], D_y=np.zeros((1, 1)),
@@ -674,11 +677,16 @@ class TestWorkPerSolve:
         plant = generate_instance(InstanceSpec(seed=2, n=4, time_domain=domain))
         splits = count_calls(monkeypatch, "_controllable_split", geometry, synthesis)
         friends = count_calls(monkeypatch, "friend", geometry, synthesis)
+        hulls = count_calls(monkeypatch, "invariant_hull", geometry, verify)
         solve(plant, "p2")
         # splits: the precondition's (A, B) and (A^T, C^T), and the two
         # stabilizing gains this plant needs; friends: F of V_m + S_M, and G
         # of S_M (solved on its dual twin inside that one call)
         assert (len(splits), len(friends)) == (4, 2)
+        # hulls: one per split, and the reachability subspaces on V_m + S_M
+        # and on the twin of S_M; conditions D/E read the reachable
+        # subspaces of the pairs from the precondition's splits
+        assert len(hulls) == 6
 
     def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))
@@ -722,6 +730,43 @@ class TestWorkPerSolve:
         built = stabilized_compensator(fresh, report.V, report.S, report.K)
         assert all(_same_bits(getattr(comp, name), getattr(built, name))
                    for name in ("A_c", "B_c", "C_c", "D_c"))
+
+    @pytest.mark.parametrize("domain", [CONTINUOUS, DISCRETE])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(plant_specs())
+    def test_memoized_reach_gives_the_fresh_spectral_report(self, domain, spec):
+        try:
+            plant = generate_instance(replace(spec, time_domain=domain))
+        except GenerationFailed:
+            assume(False)
+        private = geometry._spectral_report
+        seen = []
+
+        def recording(sub, kind, *rest):
+            try:
+                seen.append((sub, kind, private(sub, kind, *rest)))
+            except GeoddError as err:
+                seen.append((sub, kind, err))
+                raise
+            return seen[-1][2]
+
+        with mock.patch.object(synthesis, "_spectral_report", recording):
+            report = analyze_p2(plant)
+        fresh = replace(plant)
+        quads = {OUTPUT_NULLING: fresh.control_quadruple(),
+                 INPUT_CONTAINING: fresh.observation_quadruple()}
+        for sub, kind, got in seen:
+            if isinstance(got, GeoddError):
+                with pytest.raises(type(got)):
+                    spectral_report(sub, kind, quads[kind])
+                continue
+            want = spectral_report(sub, kind, quads[kind])
+            assert got.assignable_dims == want.assignable_dims
+            assert match_spectra(got.internal_fixed, want.internal_fixed, 1e-8)
+            assert match_spectra(got.external_fixed, want.external_fixed, 1e-8)
+            label, fixed = (("D", want.internal_fixed) if kind == OUTPUT_NULLING
+                            else ("E", want.external_fixed))
+            assert report.condition(label).passed == (not plant.region.outside(fixed))
 
 
 # numpy's own routines, which the SVD kernel of `geodd.subspaces` replaces
