@@ -58,7 +58,6 @@ from .subspaces import (
     complement,
     contains,
     embed,
-    image_under,
     invariant_hull,
     kernel_of,
     modal_subspace,
@@ -252,20 +251,13 @@ def rstar_qstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL):
     return combine("intersect", V, S, tol), combine("sum", V, S, tol)
 
 
-def friend(kind: str, V_or_S: Subspace, q: Quadruple,
-           tol: ToleranceProfile = DEFAULT_TOL) -> FriendCertificate:
-    """Feedback F with [A+BF; C+DF] V <= V + 0, or the dual injection G.
-
-    The friend is solved column-by-column over a basis of the subspace by
-    least squares and extended by zero on the orthogonal complement. The
-    injection G of S is F^T for the friend F of S^perp in the dual.
-    """
-    if V_or_S.ambient_dim != q.n:
-        raise DimensionMismatch("subspace must live in the state space")
-    V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
+def _twin_friend(kind: str, V: Subspace, qv: Quadruple,
+                 tol: ToleranceProfile) -> tuple[np.ndarray, float]:
+    """`friend` on the output-nulling twin V of a `kind` subspace: the
+    feedback F of V over qv and its residual."""
     _require_nulling(kind, V, qv, tol)
     if V.is_trivial:
-        return FriendCertificate(_twin_matrix(kind, np.zeros((qv.m, qv.n))), kind, 0.0)
+        return np.zeros((qv.m, qv.n)), 0.0
     Vb = V.basis
     # [A; C] v = [V; 0] x + [B; D] w, one column per basis vector.
     sys_mat = np.hstack([np.vstack([Vb, np.zeros((qv.p, V.dim))]), _bd(qv)])
@@ -277,6 +269,21 @@ def friend(kind: str, V_or_S: Subspace, q: Quadruple,
     if resid > tol.residual:
         what = "friend" if kind == OUTPUT_NULLING else "injection friend"
         raise NotInvariant(f"no exact {what} found", residual=resid)
+    return F, resid
+
+
+def friend(kind: str, V_or_S: Subspace, q: Quadruple,
+           tol: ToleranceProfile = DEFAULT_TOL) -> FriendCertificate:
+    """Feedback F with [A+BF; C+DF] V <= V + 0, or the dual injection G.
+
+    The friend is solved column-by-column over a basis of the subspace by
+    least squares and extended by zero on the orthogonal complement. The
+    injection G of S is F^T for the friend F of S^perp in the dual.
+    """
+    if V_or_S.ambient_dim != q.n:
+        raise DimensionMismatch("subspace must live in the state space")
+    V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
+    F, resid = _twin_friend(kind, V, qv, tol)
     return FriendCertificate(_twin_matrix(kind, F), kind, resid)
 
 
@@ -290,16 +297,70 @@ def friend_residual(F: np.ndarray, V: Subspace, q: Quadruple) -> float:
     return _norm2(np.vstack([top_out, bot]))
 
 
-def _reachable_in(kind: str, V: Subspace, F: np.ndarray, qv: Quadruple,
-                  tol: ToleranceProfile) -> Subspace:
-    """The reachability subspace on the output-nulling twin V, whose friend
-    F is checked to fit it."""
-    r = friend_residual(F, V, qv)
-    if r > 10 * tol.residual:
-        what = "friend" if kind == OUTPUT_NULLING else "injection"
-        raise NotInvariant(f"{what} does not fit the subspace", residual=r)
-    seed = combine("intersect", V, image_under(qv.B, kernel_of(qv.D, tol), tol), tol)
-    return invariant_hull("smallest_containing", qv.A + qv.B @ F, seed, tol)
+def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile,
+                        scale: float = 0.0):
+    """Orthonormal basis T1 of the reachable subspace of (A, B) and the
+    spectrum A induces on its orthogonal complement (the uncontrollable,
+    i.e. fixed, modes). `scale` anchors the rank decision on B, as in
+    `span_of`."""
+    reach = invariant_hull("smallest_containing", A, span_of(B, tol, scale), tol)
+    T2 = complement(reach, tol).basis
+    fixed = np.linalg.eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
+    return reach.basis, fixed
+
+
+@dataclass(frozen=True)
+class _TwinSplit:
+    """The split of an output-nulling twin V over qv under a friend F, in
+    the coordinates of V's basis: Uv spans the inputs ker [(I - P_V) B; D]
+    that keep V and null the output, and (T1, fixed) is the controllable
+    split of (Av, Bv) = (V^T (A+BF) V, V^T B Uv), so V T1 is the
+    reachability subspace on V and `fixed` the internal fixed spectrum.
+    Both rank decisions are anchored to the data (||[B; D]||, ||B||), so
+    roundoff in the projections neither adds nor loses an input."""
+
+    V: Subspace
+    qv: Quadruple
+    F: np.ndarray
+    Uv: np.ndarray
+    Av: np.ndarray
+    Bv: np.ndarray
+    T1: np.ndarray
+    fixed: np.ndarray
+
+
+def _twin_split(kind: str, V_or_S: Subspace, q: Quadruple, tol: ToleranceProfile,
+                cert: FriendCertificate | None = None) -> _TwinSplit:
+    """The split of the output-nulling twin of V_or_S under the twin of the
+    friend `cert`, which is checked to fit it, or under the friend that
+    `friend` builds when `cert` is None."""
+    if V_or_S.ambient_dim != q.n:
+        raise DimensionMismatch("subspace must live in the state space")
+    V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
+    if cert is None:
+        F = _twin_friend(kind, V, qv, tol)[0]
+    else:
+        F = _twin_matrix(kind, cert.F_or_G)
+        r = friend_residual(F, V, qv)
+        if r > 10 * tol.residual:
+            what = "friend" if kind == OUTPUT_NULLING else "injection"
+            raise NotInvariant(f"{what} does not fit the subspace", residual=r)
+    Pv = np.eye(qv.n) - V.projector()
+    Uv = kernel_of(np.vstack([Pv @ qv.B, qv.D]), tol, scale=_norm2(_bd(qv))).basis
+    Av = V.basis.T @ (qv.A + qv.B @ F) @ V.basis
+    Bv = V.basis.T @ qv.B @ Uv
+    T1, fixed = _controllable_split(Av, Bv, tol, _norm2(qv.B))
+    return _TwinSplit(V, qv, F, Uv, Av, Bv, T1, fixed)
+
+
+def _external_split(split: _TwinSplit, F: np.ndarray, tol: ToleranceProfile):
+    """Orthonormal columns W of V^perp, the map and inputs (W^T (A+BF) W,
+    W^T B) induced on X / V, and their split, anchored as the internal one."""
+    qv = split.qv
+    W = complement(split.V, tol).basis
+    Aq = W.T @ (qv.A + qv.B @ F) @ W
+    Bq = W.T @ qv.B
+    return W, Aq, Bq, _controllable_split(Aq, Bq, tol, _norm2(qv.B))
 
 
 def reach_detect(kind: str, V_or_S: Subspace, cert: FriendCertificate,
@@ -307,8 +368,8 @@ def reach_detect(kind: str, V_or_S: Subspace, cert: FriendCertificate,
     """Reachability subspace on an output-nulling V, or the detectability
     subspace attached to an input-containing S: the complement of the
     reachability subspace on S^perp in the dual."""
-    V, qv = _nulling_twin(kind, V_or_S, q, tol)
-    RV = _reachable_in(kind, V, _twin_matrix(kind, cert.F_or_G), qv, tol)
+    split = _twin_split(kind, V_or_S, q, tol, cert)
+    RV = Subspace._adopt(q.n, split.V.basis @ split.T1)
     return RV if kind == OUTPUT_NULLING else complement(RV, tol)
 
 
@@ -330,21 +391,6 @@ def _extend_within(inner: Subspace, outer: Subspace,
     """Orthonormal columns extending a basis of `inner` to one of `outer`."""
     proj_out = outer.basis - inner.basis @ (inner.basis.T @ outer.basis)
     return span_of(proj_out, tol, scale=1.0).basis
-
-
-def _induced_spectrum(A: np.ndarray, T: np.ndarray) -> tuple:
-    """Eigenvalues of T^T A T, the map A induces in orthonormal columns T."""
-    return tuple(np.linalg.eigvals(T.T @ A @ T)) if T.shape[1] else ()
-
-
-def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile):
-    """Orthonormal basis of the reachable subspace of (A, B) and the
-    spectrum A induces on its orthogonal complement (the uncontrollable,
-    i.e. fixed, modes)."""
-    reach = invariant_hull("smallest_containing", A, span_of(B, tol), tol)
-    T2 = complement(reach, tol).basis
-    fixed = np.linalg.eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
-    return reach.basis, fixed
 
 
 def _require_finite(*arrays):
@@ -463,31 +509,26 @@ def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
     return (x + x.T) / 2
 
 
-def _place_state_feedback(A: np.ndarray, B: np.ndarray,
-                          region: StabilityRegion,
-                          tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Gain F with A + B F stable in the region where possible.
+def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
+                      region: StabilityRegion) -> np.ndarray:
+    """Gain F with A + B F stable in the region where possible, given the
+    orthonormal basis T1 of the reachable subspace of (A, B).
 
     The gain is the Riccati gain, with identity weights, of the controllable
     block (Ac, Bc), shifted so that its closed-loop spectrum lies well
     inside the region: left of -1 in continuous time, inside the disc of
     radius 1/2 in discrete time. The Riccati equation is solved by
     `_riccati`, whose solution is scipy's bit for bit, so the gain is the
-    one scipy's CARE/DARE solvers give. Returns
-    (F, uncontrollable_eigenvalues); the caller decides whether the fixed
-    part violates the region.
+    one scipy's CARE/DARE solvers give. The uncontrollable modes stay where
+    they are; the caller decides whether they violate the region.
     """
-    k = A.shape[0]
-    if k == 0:
-        return np.zeros((B.shape[1], 0)), np.zeros(0, dtype=complex)
-    T1, fixed = _controllable_split(A, B, tol)
     kc = T1.shape[1]
     if kc == 0:
-        return np.zeros((B.shape[1], k)), fixed
+        return np.zeros((B.shape[1], A.shape[0]))
     Ac = T1.T @ A @ T1
     # Leave a block alone only when it sits safely inside the region.
     if all(region.boundary_distance(l) > SKIP_GUARD for l in np.linalg.eigvals(Ac)):
-        return np.zeros((B.shape[1], k)), fixed
+        return np.zeros((B.shape[1], A.shape[0]))
     Bc = T1.T @ B
     if region.kind == "continuous":
         P = _riccati(Ac + np.eye(kc), Bc, False)
@@ -498,65 +539,33 @@ def _place_state_feedback(A: np.ndarray, B: np.ndarray,
         P = _riccati(As, Bc, True)
         R = np.eye(B.shape[1])
         gain = -rho * np.linalg.solve(R + Bc.T @ P @ Bc, Bc.T @ P @ As)
-    return gain @ T1.T, fixed
+    return gain @ T1.T
 
 
-def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
-                       region: StabilityRegion,
-                       tol: ToleranceProfile = DEFAULT_TOL, *,
-                       base: np.ndarray | None = None,
-                       pair_fixed: np.ndarray | None = None) -> FriendCertificate:
-    """Friend whose closed map A+BF (dually A+GC) is stable in the region.
+def _stabilized(kind: str, split: _TwinSplit, region: StabilityRegion,
+                tol: ToleranceProfile) -> FriendCertificate:
+    """`stabilizing_friend` from the split of the twin, after the pair
+    check: the friend of the split, with the assignable spectra on the
+    reachability part and on the quotient moved into the region."""
+    V, qv = split.V, split.qv
+    F = split.F.copy()
 
-    The assignable spectra on the reachability part and on the quotient are
-    moved into the region by shifted Riccati gains (`_place_state_feedback`);
-    an injection friend is built as the feedback friend of the complement of
-    S in the dual quadruple. Fails if a fixed spectrum or the closed map
-    violates the region (`StabilityRegion.outside`), or if the pair (A, B),
-    dually (A^T, C^T), is not stabilizable. `solve_certified` builds the
-    friends of a p2 compensator with it.
-
-    A caller that already has them may pass `base`, a friend of V_or_S of
-    the same kind (F, or the injection G), and `pair_fixed`, the
-    uncontrollable spectrum of (A, B), or of (A^T, C^T) for an injection;
-    each is computed here when not given. Every check runs either way.
-    """
-    V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
-    if base is not None:
-        base = _twin_matrix(kind, base)
-    if pair_fixed is None:
-        pair_fixed = _controllable_split(qv.A, qv.B, tol)[1]
-    bad = region.outside(pair_fixed)
-    if bad:
-        raise NotStabilizablePair(
-            f"pair (A, B) has unstabilizable modes {np.round(bad, 6)}"
-        )
-    if base is None:
-        base = friend(OUTPUT_NULLING, V, qv, tol).F_or_G
-    F = base.copy()
-
-    # Internal loop shaping: extra feedback through inputs that keep V and
-    # null the output, i.e. u in B^{-1} V ^ ker D.
+    # Internal loop shaping: extra feedback through the inputs Uv, which
+    # keep V and null the output.
     if not V.is_trivial:
-        Pv = np.eye(qv.n) - V.projector()
-        Uv = kernel_of(np.vstack([Pv @ qv.B, qv.D]), tol).basis
-        Av = V.basis.T @ (qv.A + qv.B @ F) @ V.basis
-        Bv = V.basis.T @ qv.B @ Uv
-        dF, fixed_int = _place_state_feedback(Av, Bv, region, tol)
-        bad = region.outside(fixed_int)
+        dF = _stabilizing_gain(split.Av, split.Bv, split.T1, region)
+        bad = region.outside(split.fixed)
         if bad:
             raise FixedSpectrumOutsideRegion(
                 "fixed internal spectrum outside the region", bad
             )
-        F = F + Uv @ dF @ V.basis.T
+        F = F + split.Uv @ dF @ V.basis.T
 
     # External loop shaping on the quotient by V; feedback vanishing on V
     # preserves friendship.
-    W = complement(V, tol).basis
+    W, Aq, Bq, (T1q, fixed_ext) = _external_split(split, F, tol)
     if W.shape[1]:
-        Aq = W.T @ (qv.A + qv.B @ F) @ W
-        Bq = W.T @ qv.B
-        dF2, fixed_ext = _place_state_feedback(Aq, Bq, region, tol)
+        dF2 = _stabilizing_gain(Aq, Bq, T1q, region)
         bad = region.outside(fixed_ext)
         if bad:
             raise FixedSpectrumOutsideRegion(
@@ -578,38 +587,45 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     return FriendCertificate(_twin_matrix(kind, F), kind, resid)
 
 
+def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
+                       region: StabilityRegion,
+                       tol: ToleranceProfile = DEFAULT_TOL) -> FriendCertificate:
+    """Friend whose closed map A+BF (dually A+GC) is stable in the region.
+
+    The assignable spectra on the reachability part and on the quotient are
+    moved into the region by shifted Riccati gains (`_stabilizing_gain`) on
+    the blocks of the twin's split; an injection friend is built as the
+    feedback friend of the complement of S in the dual quadruple. Fails if
+    a fixed spectrum or the closed map violates the region
+    (`StabilityRegion.outside`), or if the pair (A, B), dually (A^T, C^T),
+    is not stabilizable. `solve_certified` builds the friends of a p2
+    compensator by the same steps, from the splits of its analysis.
+    """
+    qv = _twin_quadruple(kind, q, "friend kind")
+    bad = region.outside(_controllable_split(qv.A, qv.B, tol)[1])
+    if bad:
+        raise NotStabilizablePair(
+            f"pair (A, B) has unstabilizable modes {np.round(bad, 6)}"
+        )
+    return _stabilized(kind, _twin_split(kind, V_or_S, q, tol), region, tol)
+
+
 def spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
                     cert: FriendCertificate | None = None,
                     tol: ToleranceProfile = DEFAULT_TOL) -> SpectralReport:
     """Fixed/assignable split of the spectrum attached to an invariant
     subspace, computed in adapted orthonormal coordinates.
 
-    The split of an input-containing S is that of S^perp in the dual with
-    the internal and external parts swapped: the map induced on Q_S/S is
-    the transpose of the one on S^perp/Q_S^perp, and S ^ (unobservable) is
-    the complement of S^perp + (reachable) in the dual."""
-    qv = _twin_quadruple(kind, q)
-    if cert is None:
-        cert = friend(kind, V_or_S, q, tol)
-    reach = invariant_hull("smallest_containing", qv.A, span_of(qv.B, tol), tol)
-    return _spectral_report(V_or_S, kind, q, cert, tol, reach)
-
-
-def _spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
-                     cert: FriendCertificate, tol: ToleranceProfile,
-                     reach: Subspace) -> SpectralReport:
-    """`spectral_report` with the reachable subspace of the twin's pair,
-    (A, B) or (A^T, C^T), given by the caller. It is also the reachable
-    subspace of (A + BF, B) for every F, so one split of the pair serves
-    every friend."""
-    V, qv = _nulling_twin(kind, V_or_S, q, tol)
-    F = _twin_matrix(kind, cert.F_or_G)
-    Acl = qv.A + qv.B @ F
-    RV = _reachable_in(kind, V, F, qv, tol)
-    VR = combine("sum", V, reach, tol)
-    internal = _induced_spectrum(Acl, _extend_within(RV, V, tol))
-    external = _induced_spectrum(Acl, complement(VR, tol).basis)
-    dims = (RV.dim, VR.dim - V.dim)
+    The internal part is the split of the twin V (`_TwinSplit`), the
+    external one the controllable split of the map and inputs induced on
+    X / V. The split of an input-containing S is that of S^perp in the dual
+    with the internal and external parts swapped: the map induced on Q_S/S
+    is the transpose of the one on S^perp/Q_S^perp, and S ^ (unobservable)
+    is the complement of S^perp + (reachable) in the dual."""
+    split = _twin_split(kind, V_or_S, q, tol, cert)
+    _, _, _, (T1q, fixed_ext) = _external_split(split, split.F, tol)
+    internal, external = tuple(split.fixed), tuple(fixed_ext)
+    dims = (split.T1.shape[1], T1q.shape[1])
     if kind == OUTPUT_NULLING:
         return SpectralReport(internal, external, dims)
     return SpectralReport(external, internal, dims[::-1])

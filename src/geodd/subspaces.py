@@ -222,7 +222,7 @@ def span_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Subsp
     """
     M = _as_matrix(M)
     n = M.shape[0]
-    if M.shape[1] == 0:
+    if 0 in M.shape:
         return Subspace.trivial(n)
     U, s, _ = _svd(M, False)
     r = _numerical_rank(s, M.shape, tol.rank_rel, scale)
@@ -453,11 +453,10 @@ def lifted_basis(S: Subspace, extra: int) -> np.ndarray:
     return T
 
 
-def embed(S: Subspace, total_dim: int, offset: int = 0,
-          tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """S viewed inside R^total_dim, occupying coordinates [offset, offset+n)."""
-    if offset + S.ambient_dim > total_dim:
+def embed(S: Subspace, total_dim: int) -> Subspace:
+    """S viewed inside R^total_dim, in its leading coordinates."""
+    if S.ambient_dim > total_dim:
         raise DimensionMismatch("embedded block does not fit")
     b = np.zeros((total_dim, S.dim))
-    b[offset:offset + S.ambient_dim, :] = S.basis
+    b[:S.ambient_dim, :] = S.basis
     return Subspace._adopt(total_dim, b)

@@ -20,6 +20,7 @@ from .errors import (
     AllSingular,
     CertificateFailed,
     DimensionMismatch,
+    GeoddError,
     Infeasible,
     NoSolution,
     NotWellPosed,
@@ -30,12 +31,13 @@ from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     _controllable_split,
-    _spectral_report,
+    _stabilized,
+    _twin_split,
+    _TwinSplit,
     _vstar_g,
     friend,
     sstar,
     sstar_g,
-    stabilizing_friend,
     vstar,
 )
 from .lattice import PlantSystem, coupling_conditions, vm_sM
@@ -451,43 +453,33 @@ def _wellposedness_condition(sys, label, tol, seed):
 _PRECONDITION_NOTE = "(A,B) stabilizable and (C,A) detectable required"
 
 
-def _pair_split(sys, dual: bool, tol) -> tuple[Subspace, np.ndarray]:
-    """The reachable subspace of (A, B), or of (A^T, C^T) when `dual` is
-    set, and the uncontrollable spectrum, from `_controllable_split`, once
-    per plant and tolerance profile. The p2 precondition and the pair
-    checks of both stabilizing friends read the spectrum; conditions D/E
-    read the subspace, which is also the reachable subspace of (A + BF, B)
-    for every friend F."""
-    def split():
-        A, B = (sys.A.T, sys.C.T) if dual else (sys.A, sys.B)
-        basis, fixed = _controllable_split(A, B, tol)
-        fixed.setflags(write=False)
-        return Subspace._adopt(sys.n, basis), fixed
-    return sys._memoized(("pair split", dual, tol), split)
-
-
 def _stabilizable_detectable(sys, tol) -> bool:
-    """The p2 precondition, once per plant and tolerance profile."""
-    return sys._memoized(("precondition", tol), lambda: (
-        not sys.region.outside(_pair_split(sys, False, tol)[1])
-        and not sys.region.outside(_pair_split(sys, True, tol)[1])))
+    """The p2 precondition, once per plant and tolerance profile: no
+    uncontrollable mode of (A, B) and none of (A^T, C^T) outside the
+    region. It is the pair check of both stabilizing friends, so
+    `solve_certified` does not repeat it."""
+    return sys._memoized(("precondition", tol), lambda: not any(
+        sys.region.outside(_controllable_split(A, B, tol)[1])
+        for A, B in ((sys.A, sys.B), (sys.A.T, sys.C.T))))
 
 
-def _p2_friend(sys, kind: str, tol):
-    """The friend that conditions D/E are read from, once per plant and
-    tolerance profile: the feedback F of V_m + S_M over the control
-    quadruple, or the injection G of S_M over the observation quadruple.
-    `solve_certified` starts the stabilizing friends from it. Its matrix
-    is read-only, since every reader shares it."""
+def _p2_side(sys, kind: str, tol) -> _TwinSplit:
+    """One side of the p2 pair, once per plant and tolerance profile: the
+    split of the output-nulling twin of V_m + S_M over the control
+    quadruple, or of S_M over the observation quadruple, under the twin's
+    friend. Conditions D/E read its fixed spectrum, and `solve_certified`
+    builds the stabilizing friends from it. Its arrays are read-only,
+    since every reader shares them."""
     def build():
         vm_sum, s_M = analysis_pair(sys, "p2", tol)
-        if kind == OUTPUT_NULLING:
-            cert = friend(OUTPUT_NULLING, vm_sum, sys.control_quadruple(), tol)
-        else:
-            cert = friend(INPUT_CONTAINING, s_M, sys.observation_quadruple(), tol)
-        cert.F_or_G.setflags(write=False)
-        return cert
-    return sys._memoized(("p2 friend", kind, tol), build)
+        sub, quad = ((vm_sum, sys.control_quadruple()) if kind == OUTPUT_NULLING
+                     else (s_M, sys.observation_quadruple()))
+        split = _twin_split(kind, sub, quad, tol)
+        for value in vars(split).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return split
+    return sys._memoized(("p2 side", kind, tol), build)
 
 
 def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
@@ -499,8 +491,6 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
     not run here; `lattice_report` carries it as `route_stabilizability`.
     """
     region = sys.region
-    quad_ctrl = sys.control_quadruple()
-    quad_obs = sys.observation_quadruple()
     if not _stabilizable_detectable(sys, tol):
         conds = (ConditionCheck("precondition", False, float("nan"),
                                 _PRECONDITION_NOTE),)
@@ -510,13 +500,13 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
     conds = _coupling_checks(_star_coupling(sys, tol), ("A", "B", "C"))
     vm_sum, s_M = analysis_pair(sys, "p2", tol)
 
-    def spectra_check(sub, kind, quad, which):
+    def spectra_check(kind, which):
+        # D is the internal fixed spectrum of V_m + S_M, E the external one
+        # of S_M: each is the internal fixed spectrum of the side's twin.
         try:
-            rep = _spectral_report(sub, kind, quad, _p2_friend(sys, kind, tol), tol,
-                                   _pair_split(sys, kind == INPUT_CONTAINING, tol)[0])
-        except Exception as err:  # not invariant => condition fails
+            fixed = _p2_side(sys, kind, tol).fixed
+        except (GeoddError, np.linalg.LinAlgError) as err:
             return ConditionCheck(which, False, float("nan"), str(err))
-        fixed = rep.internal_fixed if which == "D" else rep.external_fixed
         bad = region.outside(fixed)
         worst = max((-region.boundary_distance(l) for l in fixed), default=-1.0)
         # Sorted, so the note does not depend on the basis; + 0.0 maps -0.0 to
@@ -529,8 +519,8 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
         return ConditionCheck(which, not bad, max(worst, 0.0),
                               f"fixed spectrum {shown}")
 
-    conds.append(spectra_check(vm_sum, OUTPUT_NULLING, quad_ctrl, "D"))
-    conds.append(spectra_check(s_M, INPUT_CONTAINING, quad_obs, "E"))
+    conds.append(spectra_check(OUTPUT_NULLING, "D"))
+    conds.append(spectra_check(INPUT_CONTAINING, "E"))
 
     family, check_f, K = _wellposedness_condition(sys, "F", tol, seed)
     conds.append(check_f)
@@ -672,13 +662,11 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
     that callers that check the loop further need not rebuild it; raises
     Infeasible / WellPosednessObstruction with the report attached.
 
-    The friends are `friend`'s for p1 and `stabilizing_friend`'s for p2.
-    The p2 ones start from what the analysis already built on the plant's
-    memo: the friends of (V_m + S_M, S_M) that conditions D/E were read
-    from, and the controllable splits of (A, B) and (A^T, C^T) of the
-    precondition. They are the friends and splits that `stabilizing_friend`
-    would build, so the compensator is `synthesize(sys, K, F, G)` on the
-    stabilizing friends it builds when given neither."""
+    The friends are `friend`'s for p1. For p2 they are built by the steps
+    of `stabilizing_friend` from the splits of (V_m + S_M, S_M) that
+    conditions D/E were read from; the pair check is the precondition the
+    analysis passed. They are the friends that `stabilizing_friend` builds,
+    bit for bit."""
     from .verify import certify_decoupled
 
     if problem == "p1":
@@ -698,14 +686,8 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
         F = friend(OUTPUT_NULLING, V, sys.control_quadruple(), tol).F_or_G
         G = friend(INPUT_CONTAINING, S, sys.observation_quadruple(), tol).F_or_G
     else:
-        F = stabilizing_friend(
-            V, OUTPUT_NULLING, sys.control_quadruple(), sys.region, tol,
-            base=_p2_friend(sys, OUTPUT_NULLING, tol).F_or_G,
-            pair_fixed=_pair_split(sys, False, tol)[1]).F_or_G
-        G = stabilizing_friend(
-            S, INPUT_CONTAINING, sys.observation_quadruple(), sys.region, tol,
-            base=_p2_friend(sys, INPUT_CONTAINING, tol).F_or_G,
-            pair_fixed=_pair_split(sys, True, tol)[1]).F_or_G
+        F, G = (_stabilized(kind, _p2_side(sys, kind, tol), sys.region, tol).F_or_G
+                for kind in (OUTPUT_NULLING, INPUT_CONTAINING))
     comp = synthesize(sys, report.K, F, G)
     cl = close_loop(sys, comp, tol)
     # For p2 the star-pair K is used on the self-bounded/self-hidden pair

@@ -13,7 +13,6 @@ from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     SKIP_GUARD,
-    _controllable_split,
     stabilizing_friend,
 )
 from geodd.subspaces import (
@@ -21,6 +20,7 @@ from geodd.subspaces import (
     combine,
     complement,
     containment_residual,
+    image_under,
     invariant_hull,
     kernel_of,
     lifted_basis,
@@ -114,10 +114,25 @@ def quad_to_exact(q: Quadruple):
 
 
 def rational_as_subspace(B_rat, ambient: int) -> Subspace:
-    arr = exact.to_array(B_rat)
-    if arr.size == 0:
-        arr = np.zeros((ambient, 0))
-    return span_of(arr)
+    """The float Subspace spanned by the columns of an exact basis. The
+    columns are made orthogonal by Gram-Schmidt in exact arithmetic and only
+    then rounded and normalized, so a basis that is ill-conditioned as
+    floats keeps its dimension."""
+    rows, cols = exact.shape(B_rat)
+    orthogonal = []
+    for j in range(cols):
+        v = [B_rat[i][j] for i in range(rows)]
+        for q, qq in orthogonal:
+            c = sum(a * b for a, b in zip(v, q)) / qq
+            v = [a - c * b for a, b in zip(v, q)]
+        orthogonal.append((v, sum(a * a for a in v)))
+    basis = np.zeros((ambient, cols))
+    for j, (q, _) in enumerate(orthogonal):
+        # scaled exactly into [-1, 1] first, so that no entry overflows
+        top = max(abs(x) for x in q)
+        column = np.array([float(x / top) for x in q])
+        basis[:, j] = column / np.linalg.norm(column)
+    return Subspace(ambient, basis)
 
 
 def max_angle(S1: Subspace, S2: Subspace) -> float:
@@ -162,20 +177,16 @@ def exact_star_dims(q: Quadruple):
     return vdims, sdims
 
 
-def scipy_state_feedback(A, B, region, tol):
-    """`geometry._place_state_feedback` as it was on scipy's Riccati solvers,
+def scipy_state_feedback(A, B, T1, region):
+    """`geometry._stabilizing_gain` as it was on scipy's Riccati solvers,
     the reference that the lean kernel `geometry._riccati` must reproduce
     bit for bit."""
-    k = A.shape[0]
-    if k == 0:
-        return np.zeros((B.shape[1], 0)), np.zeros(0, dtype=complex)
-    T1, fixed = _controllable_split(A, B, tol)
     kc = T1.shape[1]
     if kc == 0:
-        return np.zeros((B.shape[1], k)), fixed
+        return np.zeros((B.shape[1], A.shape[0]))
     Ac = T1.T @ A @ T1
     if all(region.boundary_distance(l) > SKIP_GUARD for l in np.linalg.eigvals(Ac)):
-        return np.zeros((B.shape[1], k)), fixed
+        return np.zeros((B.shape[1], A.shape[0]))
     Bc = T1.T @ B
     Q, R = np.eye(kc), np.eye(B.shape[1])
     if region.kind == "continuous":
@@ -186,7 +197,7 @@ def scipy_state_feedback(A, B, region, tol):
         As = Ac / rho
         P = solve_discrete_are(As, Bc, Q, R)
         gain = -rho * np.linalg.solve(R + Bc.T @ P @ Bc, Bc.T @ P @ As)
-    return gain @ T1.T, fixed
+    return gain @ T1.T
 
 
 # Primal formulas of the input-containing objects. geodd computes each of
@@ -238,6 +249,35 @@ def primal_fixed_spectra(G, S: Subspace, q: Quadruple):
     # orthonormal columns extending S to Q_S
     T3 = combine("intersect", QS, complement(S))
     return spectrum(SQ.basis), spectrum(T3.basis), (S.dim - SQ.dim, q.n - QS.dim)
+
+
+def reference_spectral_report(V_or_S: Subspace, kind: str, q: Quadruple, F_or_G):
+    """(internal, external, assignable dims) of `geometry.spectral_report`
+    by full-space hulls, the route geodd took before it read both parts
+    from controllable splits in adapted coordinates: on the output-nulling
+    twin V with friend F, the reachability subspace R_V is the smallest
+    (A + BF)-invariant subspace containing V ^ B ker D, the internal
+    spectrum is the one on V / R_V and the external one on
+    X / (V + reach(A, B)). An input-containing subspace is read through its
+    twin on the dual quadruple, with the two parts swapped."""
+    if kind == OUTPUT_NULLING:
+        V, qv, F = V_or_S, q, F_or_G
+    else:
+        V, qv, F = complement(V_or_S), q.dual(), F_or_G.T
+    Acl = qv.A + qv.B @ F
+
+    def spectrum(T):
+        return np.linalg.eigvals(T.T @ Acl @ T) if T.shape[1] else np.zeros(0)
+
+    seed = combine("intersect", V, image_under(qv.B, kernel_of(qv.D)))
+    RV = invariant_hull("smallest_containing", Acl, seed)
+    VR = combine("sum", V, invariant_hull("smallest_containing", qv.A, span_of(qv.B)))
+    internal = spectrum(combine("intersect", V, complement(RV)).basis)
+    external = spectrum(complement(VR).basis)
+    dims = (RV.dim, VR.dim - V.dim)
+    if kind == OUTPUT_NULLING:
+        return internal, external, dims
+    return external, internal, dims[::-1]
 
 
 def reference_rref(M):

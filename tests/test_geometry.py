@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning, solve_continuous_are, solve_discrete_are
 
@@ -28,6 +28,7 @@ from geodd.geometry import (
     vstar,
     vstar_g,
 )
+from geodd.lattice import PlantSystem, vm_sM
 from geodd.subspaces import (
     StabilityRegion,
     Subspace,
@@ -527,6 +528,25 @@ class TestSpectralReports:
         assert match_spectra(rep1.external_fixed, rep2.external_fixed)
         assert rep1.assignable_dims == rep2.assignable_dims
 
+    def test_anchored_seed_keeps_the_uncontrollable_mode_fixed(self):
+        # The internal fixed spectrum of S_M is read on the quotient by its
+        # twin V = S_M^perp, over the dual quadruple, whose B is C^T. Here
+        # C^T lies in V, so W^T C^T is a roundoff shadow of zero (about
+        # 1e-16); counted as an input, it would make the mode at -3
+        # assignable. Exactly, the reachable subspace of (A^T, C^T) is a
+        # plane in R^3, so one mode of the pair is fixed.
+        plant = PlantSystem(
+            A=[[-1, -2, -2], [-2, -1, -1], [-2, 2, 0]], B=[[-2], [-2], [-1]],
+            H=[[1], [-2], [0]], C=[[-1, 1, 0]], D_y=[[-1]], G_y=[[-2]],
+            E=[[0, 0, 1]], D_z=[[0]], G_z=[[1]], time_domain="continuous")
+        reach = exact.invariant_hull_smallest(exact.from_array(plant.A.T),
+                                              exact.from_array(plant.C.T))
+        assert exact.shape(reach)[1] == 2
+        rep = spectral_report(vm_sM(plant)[1], INPUT_CONTAINING,
+                              plant.observation_quadruple())
+        assert match_spectra(rep.internal_fixed, [-3.0], 1e-8)
+        assert rep.assignable_dims == (0, 0)
+
     def test_multiset_sizes_sum_to_n(self):
         rng = np.random.default_rng(89)
         for _ in range(15):
@@ -562,6 +582,10 @@ class TestDualTwins:
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(quadruples())
+    # The twin S*^perp contains the third column of its B = C^T only up to
+    # roundoff; the inputs that keep the twin must still count it.
+    @example(Quadruple([[0, 0, 1], [0, 0, 0], [0, 0, 1]], [[1, 0], [1, 0], [0, 0]],
+                       np.diag([0.0, 0.0, 1.0]), np.zeros((3, 2))))
     def test_input_containing_objects_match_primal_formulas(self, q):
         S, seq = sstar(q, return_sequence=True)
         assert [s.dim for s in seq] == [s.dim for s in primal_sstar_sequence(q)]

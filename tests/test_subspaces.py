@@ -353,6 +353,7 @@ class TestInvariantHull:
         want = exact.invariant_hull_smallest(exact.from_array(A), exact.from_array(M))
         assert_orthonormal(got)
         assert got.dim == exact.shape(want)[1] == 20
+        assert max_angle(got, rational_as_subspace(want, n)) <= 1e-8
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(planted_pairs(), st.integers(-4, 4),

@@ -55,9 +55,7 @@ SIGNATURES = {
                        " -> 'SpectralReport'",
     "self_predicate": f"(kind: 'str', X: 'Subspace', q: 'Quadruple', {TOL}) -> 'bool'",
     "stabilizing_friend": f"(V_or_S: 'Subspace', kind: 'str', q: 'Quadruple',"
-                          f" region: 'StabilityRegion', {TOL}, *,"
-                          " base: 'np.ndarray | None' = None,"
-                          " pair_fixed: 'np.ndarray | None' = None)"
+                          f" region: 'StabilityRegion', {TOL})"
                           " -> 'FriendCertificate'",
 }
 

@@ -2,7 +2,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from geodd.errors import (
 from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
-    SpectralReport,
+    friend,
     rstar_qstar,
     spectral_report,
     sstar,
@@ -72,6 +72,7 @@ from helpers import (
     reference_affine_k_family,
     reference_kernel,
     reference_sampled_member,
+    reference_spectral_report,
     reference_sstar_span,
     reference_vstar_span,
     scipy_state_feedback,
@@ -556,9 +557,10 @@ class TestAnalyzeP2:
         # [[-0.5, 1], [-1e-18, -0.5]] as -0.5 +- 1e-9j; rounded to 6 decimals
         # it is real, and must print as real numbers, as in any other basis
         cluster = (-0.5 + 1e-9j, -0.5 - 1e-9j)
-        spectra = {"D": cluster + (0.0,), "E": cluster + (-0.25 + 0.5j, -0.25 - 0.5j)}
-        monkeypatch.setattr(synthesis, "_spectral_report", lambda *args, **kwargs:
-                            SpectralReport(spectra["D"], spectra["E"], (0, 0)))
+        spectra = {OUTPUT_NULLING: cluster + (0.0,),
+                   INPUT_CONTAINING: cluster + (-0.25 + 0.5j, -0.25 - 0.5j)}
+        monkeypatch.setattr(synthesis, "_p2_side", lambda sys, kind, tol:
+                            SimpleNamespace(fixed=spectra[kind]))
         sys = PlantSystem(A=-np.eye(3), B=np.zeros((3, 1)), H=np.ones((3, 1)),
                           C=[[1.0, 1.0, 0.0]], D_y=np.zeros((1, 1)),
                           G_y=np.zeros((1, 1)), E=np.zeros((1, 3)),
@@ -567,6 +569,18 @@ class TestAnalyzeP2:
         assert rep.condition("D").note == "fixed spectrum [-0.5, -0.5, 0.0]"
         assert rep.condition("E").note == (
             "fixed spectrum [(-0.5+0j), (-0.5+0j), (-0.25-0.5j), (-0.25+0.5j)]")
+
+    def test_error_inside_the_split_is_not_a_failed_condition(self, monkeypatch):
+        # Conditions D/E fail on a geodd or LAPACK error from their split;
+        # any other exception is a bug and leaves analyze_p2 as it is.
+        plant = generate_instance(InstanceSpec(seed=2, n=4))
+
+        def broken(*args):
+            raise TypeError("broken split")
+
+        monkeypatch.setattr(geometry, "_controllable_split", broken)
+        with pytest.raises(TypeError, match="broken split"):
+            analyze_p2(plant)
 
     def test_route_agreement_on_generated_instances(self):
         # both solvability routes must agree instance by instance
@@ -668,25 +682,29 @@ def _same_bits(a, b) -> bool:
 
 
 class TestWorkPerSolve:
-    """One p2 solve builds each controllable split, friend and star-step
-    norm once: the stabilizing friends start from the friends and pair
-    splits of the analysis, read from the plant's memo."""
+    """One p2 solve builds each side's split, friend and star-step norm
+    once: conditions D/E and the stabilizing friends read the same split
+    of each side from the plant's memo."""
 
     @pytest.mark.parametrize("domain", ["continuous", "discrete"])
     def test_p2_solve_reuses_splits_and_friends(self, monkeypatch, domain):
         plant = generate_instance(InstanceSpec(seed=2, n=4, time_domain=domain))
+        sides = count_calls(monkeypatch, "_twin_split", geometry, synthesis)
         splits = count_calls(monkeypatch, "_controllable_split", geometry, synthesis)
-        friends = count_calls(monkeypatch, "friend", geometry, synthesis)
+        friends = count_calls(monkeypatch, "_twin_friend", geometry)
         hulls = count_calls(monkeypatch, "invariant_hull", geometry, verify)
         solve(plant, "p2")
-        # splits: the precondition's (A, B) and (A^T, C^T), and the two
-        # stabilizing gains this plant needs; friends: F of V_m + S_M, and G
-        # of S_M (solved on its dual twin inside that one call)
-        assert (len(splits), len(friends)) == (4, 2)
-        # hulls: one per split, and the reachability subspaces on V_m + S_M
-        # and on the twin of S_M; conditions D/E read the reachable
-        # subspaces of the pairs from the precondition's splits
-        assert len(hulls) == 6
+        # sides: V_m + S_M and the twin of S_M, one split each; friends: F
+        # of V_m + S_M, and the friend of the twin of S_M, whose transpose
+        # is the injection G
+        assert [args[0] for args in sides] == [OUTPUT_NULLING, INPUT_CONTAINING]
+        assert len(friends) == 2
+        # splits: the precondition's (A, B) and (A^T, C^T), and the internal
+        # split of each side; both twins are the whole state space on this
+        # plant, so the stabilizing friends' quotient splits are empty
+        assert [args[0].shape for args in splits] == [(4, 4)] * 4 + [(0, 0)] * 2
+        # hulls: one per split; conditions D/E take none of their own
+        assert [args[1].shape for args in hulls] == [(4, 4)] * 4 + [(0, 0)] * 2
 
     def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))
@@ -735,38 +753,34 @@ class TestWorkPerSolve:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(plant_specs())
     def test_memoized_reach_gives_the_fresh_spectral_report(self, domain, spec):
+        # Conditions D/E read the fixed spectrum of each memoized side. It,
+        # the assignable dimension and the verdict must be those of the
+        # full-space hull route on a fresh copy of the plant.
         try:
             plant = generate_instance(replace(spec, time_domain=domain))
         except GenerationFailed:
             assume(False)
-        private = geometry._spectral_report
-        seen = []
-
-        def recording(sub, kind, *rest):
-            try:
-                seen.append((sub, kind, private(sub, kind, *rest)))
-            except GeoddError as err:
-                seen.append((sub, kind, err))
-                raise
-            return seen[-1][2]
-
-        with mock.patch.object(synthesis, "_spectral_report", recording):
-            report = analyze_p2(plant)
+        report = analyze_p2(plant)
         fresh = replace(plant)
-        quads = {OUTPUT_NULLING: fresh.control_quadruple(),
-                 INPUT_CONTAINING: fresh.observation_quadruple()}
-        for sub, kind, got in seen:
-            if isinstance(got, GeoddError):
-                with pytest.raises(type(got)):
-                    spectral_report(sub, kind, quads[kind])
+        vm_sum, s_M = analysis_pair(fresh, "p2")
+        sides = ((OUTPUT_NULLING, "D", vm_sum, fresh.control_quadruple()),
+                 (INPUT_CONTAINING, "E", s_M, fresh.observation_quadruple()))
+        for kind, label, sub, quad in sides:
+            try:
+                side = synthesis._p2_side(plant, kind, DEFAULT_TOL)
+            except GeoddError as err:
+                with pytest.raises(type(err)):
+                    spectral_report(sub, kind, quad)
                 continue
-            want = spectral_report(sub, kind, quads[kind])
-            assert got.assignable_dims == want.assignable_dims
-            assert match_spectra(got.internal_fixed, want.internal_fixed, 1e-8)
-            assert match_spectra(got.external_fixed, want.external_fixed, 1e-8)
-            label, fixed = (("D", want.internal_fixed) if kind == OUTPUT_NULLING
-                            else ("E", want.external_fixed))
-            assert report.condition(label).passed == (not plant.region.outside(fixed))
+            cert = friend(kind, sub, quad)
+            internal, external, dims = reference_spectral_report(sub, kind, quad,
+                                                                 cert.F_or_G)
+            fixed, dim = ((internal, dims[0]) if kind == OUTPUT_NULLING
+                          else (external, dims[1]))
+            assert side.T1.shape[1] == dim
+            assert match_spectra(side.fixed, fixed, 1e-8)
+            if report.overall != "infeasible(precondition)":
+                assert report.condition(label).passed == (not plant.region.outside(fixed))
 
 
 # numpy's own routines, which the SVD kernel of `geodd.subspaces` replaces
@@ -810,7 +824,8 @@ def _stabilizing_outputs(plant):
     plant = replace(plant)
     q = plant.control_quadruple()
     steps = (
-        lambda: [geometry._place_state_feedback(q.A, q.B, plant.region, DEFAULT_TOL)[0]],
+        lambda: [geometry._stabilizing_gain(
+            q.A, q.B, geometry._controllable_split(q.A, q.B, DEFAULT_TOL)[0], plant.region)],
         lambda: [stabilizing_friend(vstar(q), OUTPUT_NULLING, q, plant.region).F_or_G],
         lambda: [getattr(solve(plant, "p2")[0], name) for name in ("A_c", "B_c", "C_c", "D_c")],
     )
@@ -833,7 +848,7 @@ def test_riccati_kernel_gives_scipy_gains_byte_for_byte(
     with_kernel = [_stabilizing_outputs(plant) for plant in plants]
     # both domains' solves ran, and the pass did more than skip stable blocks
     assert {args[2] for args in solves} == {False, True}
-    monkeypatch.setattr(geometry, "_place_state_feedback", scipy_state_feedback)
+    monkeypatch.setattr(geometry, "_stabilizing_gain", scipy_state_feedback)
     with_scipy = [_stabilizing_outputs(plant) for plant in plants]
     assert with_kernel == with_scipy, lapack_builds()
 
