@@ -386,13 +386,6 @@ def self_predicate(kind: str, X: Subspace, q: Quadruple,
     return contains(V, rstar_qstar(qv, tol)[0], tol)
 
 
-def _extend_within(inner: Subspace, outer: Subspace,
-                   tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal columns extending a basis of `inner` to one of `outer`."""
-    proj_out = outer.basis - inner.basis @ (inner.basis.T @ outer.basis)
-    return span_of(proj_out, tol, scale=1.0).basis
-
-
 def _require_finite(*arrays):
     """scipy's `check_finite`: ValueError on any inf or NaN entry."""
     if not all(np.isfinite(M).all() for M in arrays):
@@ -631,40 +624,34 @@ def spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
     return SpectralReport(external, internal, dims[::-1])
 
 
-def _quotient_map(q: Quadruple, V: Subspace, S: Subspace,
-                  tol: ToleranceProfile = DEFAULT_TOL):
-    """R = V ^ S, orthonormal columns T2 extending R to V, and the map that
-    a friend of V induces on V/R in those coordinates; (R, None, None)
-    when V = R."""
-    R = combine("intersect", V, S, tol)
-    if V.dim == R.dim:
-        return R, None, None
-    F = friend(OUTPUT_NULLING, V, q, tol).F_or_G
-    T2 = _extend_within(R, V, tol)
-    return R, T2, T2.T @ (q.A + q.B @ F) @ T2
-
-
 def invariant_zeros(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Spectrum induced on V*/R* by any friend of V*."""
-    _, _, M = _quotient_map(q, vstar(q, tol), sstar(q, tol), tol)
-    return np.zeros(0, dtype=complex) if M is None else np.linalg.eigvals(M)
+    """Spectrum induced on V*/R* by any friend of V*: the fixed spectrum of
+    the split of V*, whose reachability part is R*."""
+    return _twin_split(OUTPUT_NULLING, vstar(q, tol), q, tol).fixed
 
 
-def _vstar_g(q: Quadruple, V: Subspace, S: Subspace, region: StabilityRegion,
-             tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """`vstar_g` from the star pair (V*, S*) of q."""
-    R, T2, M = _quotient_map(q, V, S, tol)
-    if M is None:
-        return R
-    stable_part = modal_subspace(M, region, tol)
-    return combine("sum", R, span_of(T2 @ stable_part.basis, tol), tol)
+def _stabilizability_subspace(kind: str, V_or_S: Subspace, q: Quadruple,
+                              region: StabilityRegion,
+                              tol: ToleranceProfile) -> Subspace:
+    """V*_g from the split of V* (output nulling), or S*_g from the split of
+    S* (input containing): the complement of V*_g on the dual quadruple.
+
+    In the coordinates of the twin's basis, V*_g is T1 (R*) plus the stable
+    modal part of the map on the complement T2 of T1, the map whose
+    spectrum is the split's `fixed`, i.e. the invariant zeros."""
+    split = _twin_split(kind, V_or_S, q, tol)
+    T2 = kernel_of(split.T1.T, tol).basis
+    stable = modal_subspace(T2.T @ split.Av @ T2, region, tol).basis
+    Vg = Subspace._adopt(q.n, split.V.basis @ np.hstack([split.T1, T2 @ stable]))
+    return Vg if kind == OUTPUT_NULLING else complement(Vg, tol)
 
 
 def vstar_g(q: Quadruple, region: StabilityRegion,
             tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Largest stabilizability output-nulling subspace: R* plus the stable
-    modal part of the map induced on V*/R*."""
-    return _vstar_g(q, vstar(q, tol), sstar(q, tol), region, tol)
+    modal part of the map induced on V*/R*, both read from the split of
+    V* that `invariant_zeros` reads."""
+    return _stabilizability_subspace(OUTPUT_NULLING, vstar(q, tol), q, region, tol)
 
 
 def sstar_g(q: Quadruple, region: StabilityRegion,

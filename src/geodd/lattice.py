@@ -230,8 +230,10 @@ class LatticeReport:
     extended_lattice_ok: bool | None
     reduced_lattice_ok: bool | None
     # The p2 solvability test rerun on the stabilizability/detectability
-    # subspaces (V*_g, S*_g): {"verdict", "conditions"[, "error"]}. The
-    # paper's claim is that its verdict equals `analyze_p2(...).solvable`.
+    # subspaces (V*_g, S*_g), read from the splits of the report's V* of the
+    # control quadruple and S* of the observation one:
+    # {"verdict", "conditions"[, "error"]}. The paper's claim is that its
+    # verdict equals `analyze_p2(...).solvable`.
     route_stabilizability: dict
     sequences: dict = field(repr=False)
 
@@ -378,7 +380,7 @@ def lattice_report(sys: PlantSystem,
         interleaved_sums_ok=interleave_ok,
         extended_lattice_ok=extended_lattice_ok,
         reduced_lattice_ok=reduced_lattice_ok,
-        route_stabilizability=_stabilizability_route(sys, v_hat, s_hat, tol),
+        route_stabilizability=_stabilizability_route(sys, v_hat, s_chk, tol),
         sequences=sequences,
     )
 

@@ -96,10 +96,9 @@ DEFAULT_TOL = ToleranceProfile()
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
-# Eigenvalues closer than this to a region boundary are ambiguous.
-BOUNDARY_CLUSTER_TOL = 1e-9
 # Numerical guard against eigenvalues hugging the region boundary: one this
-# close to it, or outside, violates the region.
+# close to it, or outside, violates the region, and one this close to it on
+# either side is ambiguous for `modal_subspace`.
 REGION_GUARD = 1e-8
 
 
@@ -401,7 +400,7 @@ def modal_subspace(A, region: StabilityRegion,
 
     Uses an ordered real Schur decomposition; complex pairs stay in 2x2
     blocks. Raises BoundarySpectrum if an eigenvalue is ambiguous, i.e.
-    within the clustering tolerance of the (shrunk) region boundary.
+    within REGION_GUARD of the region boundary on either side.
     """
     A = _as_matrix(A)
     n = A.shape[0]
@@ -411,7 +410,7 @@ def modal_subspace(A, region: StabilityRegion,
         return Subspace.trivial(0)
     eigs = np.linalg.eigvals(A)
     on_boundary = [l for l in eigs
-                   if abs(region.boundary_distance(l)) <= BOUNDARY_CLUSTER_TOL]
+                   if abs(region.boundary_distance(l)) <= REGION_GUARD]
     if on_boundary:
         raise BoundarySpectrum(
             "eigenvalue(s) on the stability-region boundary", on_boundary

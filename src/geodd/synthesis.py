@@ -31,13 +31,12 @@ from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     _controllable_split,
+    _stabilizability_subspace,
     _stabilized,
     _twin_split,
     _TwinSplit,
-    _vstar_g,
     friend,
     sstar,
-    sstar_g,
     vstar,
 )
 from .lattice import PlantSystem, coupling_conditions, vm_sM
@@ -540,14 +539,18 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
 
 def _stabilizability_route(sys, Vst, Sst, tol) -> dict:
     """The p2 solvability test on the largest stabilizability and smallest
-    detectability subspaces, given the star pair (Vst, Sst) of the control
-    quadruple. The verdict is None when the test cannot be evaluated."""
+    detectability subspaces, built from the splits of the star pair it is
+    given: V* of the control quadruple and S* of the observation one, so it
+    runs no star recursion of its own. The verdict is None when the test
+    cannot be evaluated."""
     if not _stabilizable_detectable(sys, tol):
         return {"verdict": None, "conditions": {}, "error": _PRECONDITION_NOTE}
     try:
-        VstG = _vstar_g(sys.control_quadruple(), Vst, Sst, sys.region, tol)
-        SstG = sstar_g(sys.observation_quadruple(), sys.region, tol)
-    except Exception as err:
+        VstG = _stabilizability_subspace(
+            OUTPUT_NULLING, Vst, sys.control_quadruple(), sys.region, tol)
+        SstG = _stabilizability_subspace(
+            INPUT_CONTAINING, Sst, sys.observation_quadruple(), sys.region, tol)
+    except (GeoddError, np.linalg.LinAlgError) as err:
         return {"verdict": None, "conditions": {}, "error": str(err)}
     ok = {c.label: c.passed
           for c in _coupling_checks(coupling_conditions(sys, VstG, SstG, tol),

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgWarning, solve_continuous_are, solve_discrete_are
+from scipy.linalg import LinAlgWarning, eigvals, solve_continuous_are, solve_discrete_are
 
 from geodd import InstanceSpec, exact, generate_instance, geometry
-from geodd.errors import FixedSpectrumOutsideRegion, NotInvariant, NotStabilizablePair
+from geodd.errors import (
+    BoundarySpectrum,
+    FixedSpectrumOutsideRegion,
+    NotInvariant,
+    NotStabilizablePair,
+)
 from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
@@ -465,16 +470,41 @@ class TestStabilizabilitySubspaces:
 
     def test_chain_inclusions(self):
         rng = np.random.default_rng(79)
+        checked = 0
         for _ in range(25):
             q = random_quadruple(rng)
             try:
                 Vg = vstar_g(q, CONT)
                 Sg = sstar_g(q, CONT)
-            except Exception:
+            except BoundarySpectrum:
                 continue
             R, Q = rstar_qstar(q)
             assert contains(Vg, R) and contains(vstar(q), Vg)
             assert contains(Sg, sstar(q)) and contains(Q, Sg)
+            checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("region", [CONT, DISC], ids=["continuous", "discrete"])
+    def test_dimensions_count_the_stable_zeros(self, region):
+        # V*_g adds to R* one dimension per invariant zero inside the region,
+        # and S*_g removes as many from Q*; R* and Q* come from the
+        # intersection and sum of the star pair, not from the split.
+        rng = np.random.default_rng(89)
+        checked = 0
+        for _ in range(150):
+            q = random_quadruple(rng)
+            try:
+                Vg = vstar_g(q, region)
+                Sg = sstar_g(q, region)
+            except BoundarySpectrum:
+                continue
+            z = sum(region.boundary_distance(l) > 0 for l in invariant_zeros(q))
+            R, Q = rstar_qstar(q)
+            assert Vg.dim - R.dim == z and Q.dim - Sg.dim == z
+            assert contains(Vg, R) and contains(vstar(q), Vg)
+            assert contains(Sg, sstar(q)) and contains(Q, Sg)
+            checked += 1
+        assert checked >= 100
 
     def test_definitional_spectra(self):
         # the largest stabilizability subspace is internally stabilizable
@@ -486,7 +516,7 @@ class TestStabilizabilitySubspaces:
             try:
                 Vg = vstar_g(q, CONT)
                 Sg = sstar_g(q, CONT)
-            except Exception:
+            except BoundarySpectrum:
                 continue
             rep_v = spectral_report(Vg, OUTPUT_NULLING, q)
             assert all(l.real < 0 for l in rep_v.internal_fixed)
@@ -624,6 +654,24 @@ class TestInvariantZeros:
             q = Quadruple(A, B, C, D)
             want = np.linalg.eigvals(A - B @ np.linalg.inv(D) @ C)
             assert match_spectra(invariant_zeros(q), want)
+
+    def test_square_system_zeros_are_the_pencil_eigenvalues(self):
+        # with m = p and a regular Rosenbrock pencil [A - sI, B; C, D], the
+        # invariant zeros are its finite generalized eigenvalues
+        rng = np.random.default_rng(107)
+        checked = 0
+        for _ in range(60):
+            m = int(rng.integers(1, 3))
+            q = random_quadruple(rng, m=m, p=m)
+            M = np.block([[q.A, q.B], [q.C, q.D]])
+            N = np.zeros_like(M)
+            N[:q.n, :q.n] = np.eye(q.n)
+            if abs(np.linalg.det(M - (0.37 + 0.2j) * N)) < 1e-6:
+                continue  # singular pencil
+            ev = eigvals(M, N)
+            assert match_spectra(invariant_zeros(q), ev[abs(ev) < 1e8])
+            checked += 1
+        assert checked >= 50
 
     def test_zeros_equal_dual_zeros(self):
         rng = np.random.default_rng(101)

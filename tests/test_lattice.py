@@ -219,9 +219,9 @@ class TestRecursionCounts:
         assert result.route_stabilizability["verdict"] is not None
         # p1: V*, S*; p2 adds the two extended quadruples' pairs (vm_sM);
         # the report runs 7 + V*(observation), and its stabilizability
-        # route reuses the control pair and recurses on the dual
-        # observation quadruple only.
-        assert runs == {"p1": 2, "p2": 6, "report": 10}
+        # route reuses the star pair (V* of the control quadruple, S* of
+        # the observation one) and runs no recursion.
+        assert runs == {"p1": 2, "p2": 6, "report": 8}
 
     def test_analyses_of_one_plant_share_their_recursions(self, recursions):
         from geodd.synthesis import analyze_p1, analyze_p2, solve

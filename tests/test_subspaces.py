@@ -403,8 +403,15 @@ class TestModalSubspace:
         assert S.dim == 1
 
     def test_boundary_eigenvalue_rejected(self):
-        with pytest.raises(BoundarySpectrum):
-            modal_subspace(np.diag([0.0, -1.0]), StabilityRegion("continuous"))
+        # on the boundary, or inside it by less than the region guard, which
+        # `StabilityRegion.outside` counts as a violation too
+        for lam, other, kind in ((0.0, -1.0, "continuous"),
+                                 (-5e-9, -1.0, "continuous"),
+                                 (1 - 5e-9, 0.5, "discrete")):
+            region = StabilityRegion(kind)
+            assert region.outside([lam]) == [lam]
+            with pytest.raises(BoundarySpectrum):
+                modal_subspace(np.diag([lam, other]), region)
 
     def test_complex_pair_kept_together(self):
         A = np.array([[0.0, 1.0], [-2.0, -2.0]])  # -1 +- i

@@ -582,6 +582,20 @@ class TestAnalyzeP2:
         with pytest.raises(TypeError, match="broken split"):
             analyze_p2(plant)
 
+    def test_error_inside_the_route_split_is_not_an_unevaluated_route(self, monkeypatch):
+        # The stabilizability route reports a geodd or LAPACK error from its
+        # split as an unevaluated route; any other exception is a bug and
+        # leaves lattice_report as it is.
+        plant = generate_instance(InstanceSpec(seed=7, n=4, m=2, q=1, p=2, r=1))
+        assert lattice_report(plant).route_stabilizability["verdict"] is not None
+
+        def broken(*args):
+            raise TypeError("broken split")
+
+        monkeypatch.setattr(geometry, "_twin_split", broken)
+        with pytest.raises(TypeError, match="broken split"):
+            lattice_report(replace(plant))
+
     def test_route_agreement_on_generated_instances(self):
         # both solvability routes must agree instance by instance
         agree = total = 0
