@@ -191,6 +191,20 @@ def coupling_conditions(sys: PlantSystem, V: Subspace, S: Subspace,
     }
 
 
+def _star_pair(sys: PlantSystem, tol: ToleranceProfile) -> tuple[Subspace, Subspace]:
+    """The star pair (V*, S*): V* of the control quadruple and S* of the
+    observation one, once per plant and tolerance profile."""
+    return sys._memoized(("pair", "p1", tol), lambda: (
+        vstar(sys.control_quadruple(), tol), sstar(sys.observation_quadruple(), tol)))
+
+
+def _star_coupling(sys: PlantSystem, tol: ToleranceProfile) -> dict:
+    """`coupling_conditions` on the star pair, once per plant and tolerance
+    profile."""
+    return sys._memoized(("coupling", tol), lambda: coupling_conditions(
+        sys, *_star_pair(sys, tol), tol))
+
+
 def vm_sM(sys: PlantSystem,
           tol: ToleranceProfile = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """Minimum self-bounded element of the input-extended lattice and
@@ -198,11 +212,22 @@ def vm_sM(sys: PlantSystem,
 
     v_m is R* = V* ^ S* of the input-extended quadruple and s_M is
     Q* = V* + S* of the output-extended one, so only that half of each
-    `rstar_qstar` pair is built. `lattice_report` builds the same pair
-    from its own recursions and cross-checks v_m against its reduced form."""
+    `rstar_qstar` pair is built. Under coupling condition (a) on the star
+    pair, V* of the input-extended quadruple is the plant's V*: any V
+    output nulling for it gives V + V* output nulling for the control
+    quadruple, since (a) writes each disturbance column as a V* part plus a
+    control column. Dually, under (b), S* of the output-extended quadruple
+    is the plant's S*. So each of those two recursions runs only when its
+    condition fails, and the star pair and the conditions are read from
+    the plant's memo. `lattice_report` builds the same pair from its own
+    recursions and cross-checks both halves against their reduced forms."""
     quad_b, quad_c = extended_quadruples(sys)
-    v_m = combine("intersect", vstar(quad_b, tol), sstar(quad_b, tol), tol)
-    s_M = combine("sum", vstar(quad_c, tol), sstar(quad_c, tol), tol)
+    Vst, Sst = _star_pair(sys, tol)
+    conds = _star_coupling(sys, tol)
+    v_til = Vst if conds["a"][0] else vstar(quad_b, tol)
+    s_bar = Sst if conds["b"][0] else sstar(quad_c, tol)
+    v_m = combine("intersect", v_til, sstar(quad_b, tol), tol)
+    s_M = combine("sum", vstar(quad_c, tol), s_bar, tol)
     return v_m, s_M
 
 
@@ -324,6 +349,11 @@ def lattice_report(sys: PlantSystem,
         _inclusion_check("vm_reduced_form", v_m,
                          combine("intersect", v_hat, s_til, tol),
                          a_ok, hyp_a, tol, both_ways=True),
+        # Dually, with the disturbance kernel condition, s_M against the
+        # unextended infimal subspace.
+        _inclusion_check("sM_reduced_form", s_M,
+                         combine("sum", v_bar, s_chk, tol),
+                         b_ok, hyp_b, tol, both_ways=True),
     ]
 
     # Extended and plain recursions interleave: V-hat_i + S-tilde_j equals

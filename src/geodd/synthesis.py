@@ -36,10 +36,14 @@ from .geometry import (
     _twin_split,
     _TwinSplit,
     friend,
-    sstar,
-    vstar,
 )
-from .lattice import PlantSystem, coupling_conditions, vm_sM
+from .lattice import (
+    PlantSystem,
+    _star_coupling,
+    _star_pair,
+    coupling_conditions,
+    vm_sM,
+)
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -373,10 +377,10 @@ def analysis_pair(sys: PlantSystem, problem: str,
     """The (V, S) pair a compensator for `problem` is built on: (V*, S*) for
     p1, (V_m + S_M, S_M) for p2. Each pair is computed once per plant and
     tolerance profile and then read from the plant's memo."""
+    if problem == "p1":
+        return _star_pair(sys, tol)
+
     def build():
-        if problem == "p1":
-            return (vstar(sys.control_quadruple(), tol),
-                    sstar(sys.observation_quadruple(), tol))
         v_m, s_M = vm_sM(sys, tol)
         return combine("sum", v_m, s_M, tol), s_M
     return sys._memoized(("pair", problem, tol), build)
@@ -409,13 +413,6 @@ def _coupling_checks(conds, labels):
     """The coupling conditions (a), (b), (c) of `conds` under `labels`."""
     return [ConditionCheck(label, *conds[key])
             for label, key in zip(labels, ("a", "b", "c"))]
-
-
-def _star_coupling(sys, tol) -> dict:
-    """`coupling_conditions` on the star pair (V*, S*), once per plant and
-    tolerance profile."""
-    return sys._memoized(("coupling", tol), lambda: coupling_conditions(
-        sys, *analysis_pair(sys, "p1", tol), tol))
 
 
 def _wellposedness_condition(sys, label, tol, seed):

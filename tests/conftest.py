@@ -60,3 +60,21 @@ def scalar_channel_plant():
         D_z=[[0]],
         G_z=[[0]],
     )
+
+
+@pytest.fixture
+def uncoupled_disturbance_plant():
+    # The disturbance image leaves V* + im B: coupling condition (a) fails
+    # on the star pair while (b) holds, and V* of the input-extended
+    # quadruple is larger than the plant's V*.
+    return PlantSystem(
+        A=[[0, 1, 1], [1, 1, 0], [0, 1, 0]],
+        B=[[0], [0], [-1]],
+        H=[[-1], [0], [-1]],
+        C=[[0, 0, -1]],
+        D_y=[[0]],
+        G_y=[[0]],
+        E=[[-1, 0, 0]],
+        D_z=[[0]],
+        G_z=[[0]],
+    )

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -86,21 +88,45 @@ class TestVmSM:
         assert contains(Q_obs, s_M)
 
     def test_scalar_channel_plant_against_oracle(self, scalar_channel_plant):
-        v_m, s_M = vm_sM(scalar_channel_plant)
-        quad_b, quad_c = extended_quadruples(scalar_channel_plant)
-        vm_rat = exact.intersect_spans(
-            exact.vstar_span(*(exact.from_array(M) for M in
-                               (quad_b.A, quad_b.B, quad_b.C, quad_b.D))),
-            exact.sstar_span(*(exact.from_array(M) for M in
-                               (quad_b.A, quad_b.B, quad_b.C, quad_b.D))))
-        sM_rat = exact.sum_spans(
-            exact.vstar_span(*(exact.from_array(M) for M in
-                               (quad_c.A, quad_c.B, quad_c.C, quad_c.D))),
-            exact.sstar_span(*(exact.from_array(M) for M in
-                               (quad_c.A, quad_c.B, quad_c.C, quad_c.D))))
-        assert max_angle(v_m, rational_as_subspace(vm_rat, 2)) <= 1e-8
-        assert max_angle(s_M, rational_as_subspace(sM_rat, 2)) <= 1e-8
-        assert contains(combine("sum", v_m, s_M), s_M)
+        _assert_vm_sM_matches_exact(scalar_channel_plant)
+
+    def test_uncoupled_disturbance_plant_against_oracle(self, uncoupled_disturbance_plant):
+        # (a) fails here, so vm_sM must run the input-extended V* recursion:
+        # the plant's V* is a proper part of it and would give the wrong v_m
+        plant = uncoupled_disturbance_plant
+        conds = coupling_conditions(plant, vstar(plant.control_quadruple()),
+                                    sstar(plant.observation_quadruple()))
+        assert not conds["a"][0] and conds["b"][0]
+        quad_b, _ = extended_quadruples(plant)
+        assert vstar(plant.control_quadruple()).dim < vstar(quad_b).dim
+        _assert_vm_sM_matches_exact(plant)
+
+    def test_equals_the_extended_halves_in_every_branch(self):
+        # vm_sM reads the plant's V* under (a) and its S* under (b); it must
+        # still be R* of the input-extended quadruple and Q* of the
+        # output-extended one, as an independent rstar_qstar builds them
+        rng = np.random.default_rng(22)
+
+        def draw(rows, cols, sometimes_zero=False):
+            M = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+            return M * (rng.random() < 0.5) if sometimes_zero else M
+        branches = Counter()
+        for i in range(240):
+            n = int(rng.integers(2, 6))
+            m, q, p, r = (int(x) for x in rng.integers(1, 3, size=4))
+            plant = PlantSystem(
+                A=draw(n, n), B=draw(n, m), H=draw(n, q), C=draw(p, n),
+                D_y=draw(p, m, True), G_y=draw(p, q, True), E=draw(r, n),
+                D_z=draw(r, m, True), G_z=draw(r, q, True),
+                time_domain=("continuous", "discrete")[i % 2])
+            v_m, s_M = vm_sM(plant)
+            quad_b, quad_c = extended_quadruples(plant)
+            assert equal(v_m, rstar_qstar(quad_b)[0]), i
+            assert equal(s_M, rstar_qstar(quad_c)[1]), i
+            conds = coupling_conditions(plant, vstar(plant.control_quadruple()),
+                                        sstar(plant.observation_quadruple()))
+            branches[conds["a"][0], conds["b"][0]] += 1
+        assert len(branches) == 4 and min(branches.values()) >= 30, branches
 
     def test_vm_inside_vstar_on_solvable_instances(self):
         hits = 0
@@ -110,6 +136,32 @@ class TestVmSM:
             assert contains(vstar(sys.control_quadruple()), v_m)
             hits += 1
         assert hits == 12
+
+
+def _assert_vm_sM_matches_exact(plant):
+    v_m, s_M = vm_sM(plant)
+    quad_b, quad_c = extended_quadruples(plant)
+    vm_rat = exact.intersect_spans(
+        exact.vstar_span(*(exact.from_array(M) for M in
+                           (quad_b.A, quad_b.B, quad_b.C, quad_b.D))),
+        exact.sstar_span(*(exact.from_array(M) for M in
+                           (quad_b.A, quad_b.B, quad_b.C, quad_b.D))))
+    sM_rat = exact.sum_spans(
+        exact.vstar_span(*(exact.from_array(M) for M in
+                           (quad_c.A, quad_c.B, quad_c.C, quad_c.D))),
+        exact.sstar_span(*(exact.from_array(M) for M in
+                           (quad_c.A, quad_c.B, quad_c.C, quad_c.D))))
+    assert max_angle(v_m, rational_as_subspace(vm_rat, plant.n)) <= 1e-8
+    assert max_angle(s_M, rational_as_subspace(sM_rat, plant.n)) <= 1e-8
+    assert contains(combine("sum", v_m, s_M), s_M)
+
+
+def _dual_plant(sys):
+    """The plant whose control channel is the dual of `sys`'s observation
+    channel and whose observation channel is the dual of its control one."""
+    return PlantSystem(A=sys.A.T, B=sys.C.T, H=sys.E.T, C=sys.B.T, D_y=sys.D_y.T,
+                       G_y=sys.D_z.T, E=sys.H.T, D_z=sys.G_y.T, G_z=sys.G_z.T,
+                       time_domain=sys.time_domain)
 
 
 class TestLatticeReport:
@@ -158,6 +210,24 @@ class TestLatticeReport:
             cut += rep.v_m.dim < rep.sequences["v_hat"][-1].dim
         assert cut >= 1
 
+    def test_sM_reduced_form_on_generated_instances(self):
+        # The dual plant's output-extended quadruple is the dual of the
+        # input-extended one, so its s_M is the complement of the v_m above
+        # and grows past its S* on the seeds where v_m is cut out of V*:
+        # there the reduced form s_M = V*(output-extended) + S* is not
+        # just S*.
+        grown = 0
+        for seed in range(13):
+            sys = _dual_plant(generate_instance(
+                InstanceSpec(seed=seed, n=4, m=1, q=1, p=2, r=1)))
+            rep = lattice_report(sys)
+            chk = rep.check("sM_reduced_form")
+            if chk.skipped:
+                continue
+            assert chk.passed, (seed, chk.residual)
+            grown += rep.s_M.dim > rep.sequences["s_check"][-1].dim
+        assert grown >= 1
+
     def test_interleaved_sums_match_when_hypothesis_holds(self):
         # V-hat_i + S-tilde_j = V-hat_i + S-hat_j across all recursion depths
         sys = generate_instance(InstanceSpec(seed=3, n=4, m=2, q=1, p=2, r=1))
@@ -197,9 +267,9 @@ class TestRecursionCounts:
 
         `sstar` is the complement of `vstar` on the dual quadruple, so every
         star recursion is one `vstar` run."""
-        from geodd import geometry, lattice, synthesis
+        from geodd import geometry, lattice
 
-        calls = count_calls(monkeypatch, "vstar", geometry, lattice, synthesis)
+        calls = count_calls(monkeypatch, "vstar", geometry, lattice)
 
         def run(fn, *args):
             calls.clear()
@@ -217,11 +287,13 @@ class TestRecursionCounts:
             # a fresh plant each, so that no entry point reads another's memo
             result, runs[name] = recursions(fn, generate_instance(spec))
         assert result.route_stabilizability["verdict"] is not None
-        # p1: V*, S*; p2 adds the two extended quadruples' pairs (vm_sM);
-        # the report runs 7 + V*(observation), and its stabilizability
-        # route reuses the star pair (V* of the control quadruple, S* of
-        # the observation one) and runs no recursion.
-        assert runs == {"p1": 2, "p2": 6, "report": 8}
+        # p1: V*, S*; p2 adds S* of the input-extended quadruple and V* of
+        # the output-extended one (vm_sM), and reads the other two extended
+        # recursions off the star pair, since (a) and (b) hold on this
+        # plant; the report runs 7 + V*(observation), and its
+        # stabilizability route reuses the star pair (V* of the control
+        # quadruple, S* of the observation one) and runs no recursion.
+        assert runs == {"p1": 2, "p2": 4, "report": 8}
 
     def test_analyses_of_one_plant_share_their_recursions(self, recursions):
         from geodd.synthesis import analyze_p1, analyze_p2, solve
@@ -229,9 +301,21 @@ class TestRecursionCounts:
         sys = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
         runs = [recursions(fn, sys)[1] for fn in
                 (analyze_p1, analyze_p2, lambda plant: solve(plant, "p2"))]
-        # p1 builds the star pair; p2 reads it from the plant's memo and
-        # builds only vm_sM's two extended pairs; solve reads everything.
-        assert runs == [2, 4, 0]
+        # p1 builds the star pair; p2 reads it and its coupling conditions
+        # from the plant's memo and runs only the two extended recursions
+        # that (a) and (b) do not settle; solve reads everything.
+        assert runs == [2, 2, 0]
+
+    def test_failed_condition_runs_its_extended_recursion(
+            self, recursions, uncoupled_disturbance_plant):
+        from geodd.synthesis import analyze_p1, analyze_p2
+
+        runs = [recursions(fn, uncoupled_disturbance_plant)[1]
+                for fn in (analyze_p1, analyze_p2)]
+        # (a) fails, so p2 also runs V* of the input-extended quadruple;
+        # (b) holds, so S* of the output-extended one is still read off
+        # the star pair
+        assert runs == [2, 3]
 
     def test_new_tolerance_or_replaced_plant_recomputes(self, recursions):
         from dataclasses import replace

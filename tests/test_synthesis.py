@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodd import GenerationFailed, exact, geometry, subspaces, synthesis, verify
+from geodd import GenerationFailed, exact, geometry, lattice, subspaces, synthesis, verify
 from geodd.errors import (
     AllSingular,
     CertificateFailed,
@@ -743,9 +743,18 @@ class TestWorkPerSolve:
         except GenerationFailed:
             assume(False)
         quad_b, quad_c = extended_quadruples(plant)
-        halves = (rstar_qstar(quad_b)[0], rstar_qstar(quad_c)[1])
+        v_m, s_M = vm_sM(plant)
+        assert equal(v_m, rstar_qstar(quad_b)[0]) and equal(s_M, rstar_qstar(quad_c)[1])
+        # vm_sM is the reduced construction on the memoized star pair: V*
+        # stands in for the input-extended V* under (a), and S* for the
+        # output-extended S* under (b)
+        Vst, Sst = analysis_pair(plant, "p1")
+        conds = lattice._star_coupling(plant, DEFAULT_TOL)
+        reduced = (
+            combine("intersect", Vst if conds["a"][0] else vstar(quad_b), sstar(quad_b)),
+            combine("sum", vstar(quad_c), Sst if conds["b"][0] else sstar(quad_c)))
         assert all(_same_bits(got.basis, want.basis)
-                   for got, want in zip(vm_sM(plant), halves))
+                   for got, want in zip((v_m, s_M), reduced))
 
         fresh = replace(plant)
         try:
