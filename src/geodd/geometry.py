@@ -13,6 +13,11 @@ their fixed spectra, the self-hidden test, S*_g) is the complement of its
 output-nulling twin on `q.dual()`. `exact.sstar_span` keeps the primal
 recursion, as the independent oracle that S* is checked against.
 
+The star recursion (`_nulling_steps`) runs on the orthogonal complement
+(Moore & Laub 1978): each step carries V_k together with an orthonormal
+basis of V_k^perp and takes two small SVDs, so S*, the complement of V* of
+the dual, comes off the dual recursion with no complement SVD.
+
 Stabilizing friends take shifted Riccati gains, solved by one private
 kernel, `_riccati`: scipy 1.17.1's CARE/DARE algorithm step for step on
 direct calls to scipy's LAPACK wrappers, which on these small pencils cost
@@ -52,8 +57,9 @@ from .subspaces import (
     Subspace,
     ToleranceProfile,
     _norm2,
-    _preimage,
+    _numerical_rank,
     _singular_values,
+    _svd,
     combine,
     complement,
     contains,
@@ -202,45 +208,83 @@ def input_containing_residual(S: Subspace, q: Quadruple,
     return output_nulling_residual(complement(S, tol), q.dual(), tol)
 
 
+def _nulling_steps(q: Quadruple, tol: ToleranceProfile) -> list:
+    """The output-nulling recursion V_0 = X, V_{k+1} = [A; C]^{-1}(V_k x 0
+    + im [B; D]) on the orthogonal complement, up to the first iterate
+    whose dimension repeats: a list of (V_k, Z_k) basis pairs, Z_k an
+    orthonormal basis of V_k^perp.
+
+    ((V_k x 0) + im [B; D])^perp = (V_k^perp x Y) ^ (im [B; D])^perp has
+    the orthonormal basis G_k = blockdiag(Z_k, I_p) N_k, N_k = ker(BD^T
+    blockdiag(Z_k, I_p)) for an orthonormal basis BD of im [B; D], so
+    V_{k+1} = ker(G_k^T [A; C]) (Moore & Laub 1978). The right singular
+    vectors of that one SVD split into V_{k+1} (the trailing ones) and
+    Z_{k+1} (the leading ones). G_k G_k^T is the projector off the target,
+    so the kernel's rank cutoff, rank_rel * ||[A; C]|| * (n + p), is that of
+    the preimage it replaces.
+    """
+    n, p = q.n, q.p
+    MT_norm = _norm2(_stacked_output(q))
+    BD = span_of(_bd(q), tol).basis
+    BD_x, BD_y = BD[:n], BD[n:]
+    V, Z = np.eye(n), np.zeros((n, 0))
+    steps = [(V, Z)]
+    for _ in range(n + 1):
+        # LM = L^T [A; C] for L = blockdiag(Z, I_p), then G^T [A; C] = N^T LM
+        LM = np.vstack([Z.T @ q.A, q.C])
+        if BD.shape[1] and LM.shape[0]:
+            # BD^T L holds cosines of angles in R^(n+p): cut them as such
+            _, s, Vh = _svd(np.hstack([BD_x.T @ Z, BD_y.T]), True)
+            LM = Vh[_numerical_rank(s, (n + p,), tol.rank_rel, 1.0):] @ LM
+        if 0 in LM.shape:
+            Vnext, Z = np.eye(n), np.zeros((n, 0))
+        else:
+            _, s, Vh = _svd(LM, True)
+            r = _numerical_rank(s, (n + p, n), tol.rank_rel, MT_norm)
+            Vnext, Z = Vh[r:].T, Vh[:r].T
+        steps.append((Vnext, Z))
+        if Vnext.shape[1] == V.shape[1]:
+            break
+        V = Vnext
+    return steps
+
+
 def vstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
           return_sequence: bool = False):
     """Largest output-nulling subspace via the non-increasing recursion.
 
-    V_0 = X and V_{k+1} = [A; C]^{-1}(V_k x 0 + im [B; D]). The fixpoint is
-    reached after at most n strict steps counted from V_0, a bound that is
-    attained, and at most n-1 counted from the first iterate
-    V_1 = C^{-1}(im D). The returned sequence starts at V_0 and ends with
-    the first iterate whose dimension repeats.
+    V_0 = X and V_{k+1} = [A; C]^{-1}(V_k x 0 + im [B; D]), run on the
+    orthogonal complements V_k^perp with two small SVDs per step
+    (`_nulling_steps`). The fixpoint is reached after at most n strict
+    steps counted from V_0, a bound that is attained, and at most n-1
+    counted from the first iterate V_1 = C^{-1}(im D). The returned
+    sequence starts at V_0 and ends with the first iterate whose dimension
+    repeats.
     """
-    V = Subspace.full(q.n)
-    seq = [V]
-    MT = _stacked_output(q)
-    MT_norm = _norm2(MT)
-    BD = span_of(_bd(q), tol)
-    for _ in range(q.n + 1):
-        Vnext = _preimage(MT, _nulling_target(V, q, BD, tol), tol, MT_norm)
-        seq.append(Vnext)
-        if Vnext.dim == V.dim:
-            break
-        V = Vnext
-    result = seq[-1]
-    return (result, seq) if return_sequence else result
+    steps = _nulling_steps(q, tol)
+    if not return_sequence:
+        return Subspace._adopt(q.n, steps[-1][0])
+    seq = [Subspace._adopt(q.n, V) for V, _ in steps]
+    return seq[-1], seq
 
 
 def sstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL,
           return_sequence: bool = False):
     """Smallest input-containing subspace: the complement of V* of the dual.
 
-    Step by step, the complements of the dual V_k are the iterates of
-    S_0 = 0 and S_{k+1} = [A B]((S_k x U) ^ ker [C D]). The fixpoint is
-    reached after at most n strict steps counted from S_0, a bound that is
+    The complement recursion of `vstar` on q.dual() carries an orthonormal
+    basis of each V_k^perp, so S* is its last complement, with no SVD to
+    take it. Step by step, these complements are the iterates of S_0 = 0
+    and S_{k+1} = [A B]((S_k x U) ^ ker [C D]). The fixpoint is reached
+    after at most n strict steps counted from S_0, a bound that is
     attained, and at most n-1 counted from the first iterate S_1 = B ker D.
     The returned sequence starts at S_0 and ends with the first iterate
     whose dimension repeats.
     """
+    steps = _nulling_steps(q.dual(), tol)
     if not return_sequence:
-        return complement(vstar(q.dual(), tol), tol)
-    seq = [complement(V, tol) for V in vstar(q.dual(), tol, True)[1]]
+        return Subspace._adopt(q.n, steps[-1][1])
+    seq = [Subspace._adopt(q.n, Z) for _, Z in steps]
     return seq[-1], seq
 
 

@@ -278,15 +278,8 @@ def preimage(M, S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
         raise DimensionMismatch(
             f"M maps into R^{M.shape[0]} but S lives in R^{S.ambient_dim}"
         )
-    scale = _norm2(M)
-    return _preimage(M, S, tol, scale)
-
-
-def _preimage(M: np.ndarray, S: Subspace, tol: ToleranceProfile,
-              scale: float) -> Subspace:
-    """`preimage` of a checked M whose 2-norm `scale` the caller already has."""
     P_perp = np.eye(S.ambient_dim) - S.projector()
-    return kernel_of(P_perp @ M, tol, scale=scale)
+    return kernel_of(P_perp @ M, tol, scale=_norm2(M))
 
 
 def image_under(M, S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:

@@ -49,9 +49,10 @@ from .subspaces import (
     Subspace,
     ToleranceProfile,
     _norm2,
+    _numerical_rank,
+    _svd,
     combine,
     containment_residual,
-    kernel_of,
     lifted_basis,
     span_of,
 )
@@ -253,16 +254,21 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
         return AffineKFamily(np.zeros((m, p)), ())
     Op = np.kron(X.T, Y)
     if Op.shape[0] == 0:
-        K0_vec = np.zeros(m * p)
+        K0_vec, null = np.zeros(m * p), np.eye(m * p)
     else:
-        K0_vec, *_ = np.linalg.lstsq(Op, rhs, rcond=None)
+        # One SVD and one rank cutoff for both: K0 is the pseudo-inverse
+        # solution on the kept singular values, so it is orthogonal to the
+        # directions, the right singular vectors of the dropped ones.
+        U, s, Vh = _svd(Op, True)
+        r = _numerical_rank(s, Op.shape, tol.rank_rel,
+                            _norm2(Btil) * max(_norm2(X), 1.0))
+        K0_vec = Vh[:r].T @ ((U[:, :r].T @ rhs) / s[:r])
+        null = Vh[r:].T
     if np.linalg.norm(Op @ K0_vec - rhs) > tol.residual * (1 + np.linalg.norm(rhs)):
         raise NoSolution("coupling inclusion has no solution")
     K0 = K0_vec.reshape((m, p), order="F")
-    op_scale = _norm2(Btil) * max(_norm2(X), 1.0)
-    null = kernel_of(Op, tol, scale=op_scale)
     dirs = tuple(
-        null.basis[:, j].reshape((m, p), order="F") for j in range(null.dim)
+        null[:, j].reshape((m, p), order="F") for j in range(null.shape[1])
     )
     return AffineKFamily(K0, dirs)
 

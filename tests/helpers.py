@@ -20,6 +20,7 @@ from geodd.subspaces import (
     combine,
     complement,
     containment_residual,
+    embed,
     image_under,
     invariant_hull,
     kernel_of,
@@ -559,3 +560,21 @@ def reference_invariant_hull(A, S: Subspace, tol=DEFAULT_TOL) -> Subspace:
             return grown
         current = grown
     return current
+
+
+def reference_vstar(q: Quadruple, tol=DEFAULT_TOL) -> list:
+    """The preimage form of the V* recursion that `geometry.vstar` replaced
+    by the complement recursion: V_0 = X and V_{k+1} the preimage under
+    [A; C] of the span of (V_k x 0) and im [B; D], one SVD of that span and
+    one of the projected [A; C] per step, up to the first iterate whose
+    dimension repeats. The complement recursion must give the same
+    dimension at every step and, up to roundoff, the same subspaces."""
+    MT = np.vstack([q.A, q.C])
+    BD = span_of(np.vstack([q.B, q.D]), tol)
+    seq = [Subspace.full(q.n)]
+    for _ in range(q.n + 1):
+        target = combine("sum", embed(seq[-1], q.n + q.p), BD, tol)
+        seq.append(preimage(MT, target, tol))
+        if seq[-1].dim == seq[-2].dim:
+            break
+    return seq

@@ -58,6 +58,7 @@ from helpers import (
     quad_to_exact,
     random_quadruple,
     rational_as_subspace,
+    reference_vstar,
 )
 
 CONT = StabilityRegion("continuous")
@@ -70,6 +71,21 @@ def exact_vstar_subspace(q):
 
 def exact_sstar_subspace(q):
     return rational_as_subspace(exact.sstar_span(*quad_to_exact(q)), q.n)
+
+
+@st.composite
+def integer_quadruples(draw):
+    """Integer quadruples with n = 2-8 and entries in [-3, 3]; D is zero in
+    half of them."""
+    n, m, p = draw(st.integers(2, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def block(rows, cols):
+        size = rows * cols
+        entries = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        return np.array(entries, dtype=float).reshape(rows, cols)
+
+    D = block(p, m) if draw(st.booleans()) else np.zeros((p, m))
+    return Quadruple(block(n, n), block(n, m), block(p, n), D)
 
 
 class TestStarRecursions:
@@ -98,6 +114,47 @@ class TestStarRecursions:
         q = Quadruple(np.diag([1.0, 2.0]), np.zeros((2, 1)),
                       np.eye(2), np.zeros((2, 1)))
         assert sstar(q).is_trivial
+
+    @pytest.mark.parametrize("case", ["p=0", "m=0", "BD=0", "CD=0"])
+    def test_empty_and_zero_channels(self, case):
+        # V* is the largest A-invariant subspace in ker C when no input acts,
+        # S* the reachable subspace of (A, B) when no output constrains it.
+        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -2.0, 3.0]])
+        B = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+        C = np.array([[1.0, 0.0, 0.0]])
+        D = np.array([[0.0, 1.0]])
+        n, m, p = 3, 2, 1
+        if case == "p=0":
+            C, D = np.zeros((0, n)), np.zeros((0, m))
+        elif case == "m=0":
+            B, D = np.zeros((n, 0)), np.zeros((p, 0))
+        elif case == "BD=0":
+            B, D = np.zeros((n, m)), np.zeros((p, m))
+        else:
+            C, D = np.zeros((p, n)), np.zeros((p, m))
+        q = Quadruple(A, B, C, D)
+        if case in ("m=0", "BD=0"):
+            want_v = invariant_hull("largest_contained", A, kernel_of(C))
+            want_s = Subspace.trivial(n)
+        else:
+            want_v = Subspace.full(n)
+            want_s = invariant_hull("smallest_containing", A, span_of(B))
+        for fn, want, start in ((vstar, want_v, n), (sstar, want_s, 0)):
+            X, seq = fn(q, return_sequence=True)
+            assert equal(fn(q), X) and X is seq[-1]
+            assert seq[0].dim == start and seq[-1].dim == seq[-2].dim
+            assert equal(X, want)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(integer_quadruples())
+    def test_complement_recursion_matches_preimage_reference(self, q):
+        # step by step, V_k against the preimage recursion on q, and S_k
+        # against the complements of its iterates on the dual
+        for (_, got), want in ((vstar(q, return_sequence=True), reference_vstar(q)),
+                               (sstar(q, return_sequence=True),
+                                [complement(V) for V in reference_vstar(q.dual())])):
+            assert [S.dim for S in got] == [S.dim for S in want]
+            assert all(equal(a, b) for a, b in zip(got, want))
 
     def test_sstar_is_dual_vstar_complement(self):
         rng = np.random.default_rng(23)

@@ -265,11 +265,12 @@ class TestRecursionCounts:
     def recursions(self, monkeypatch):
         """run(fn, *args): fn's result and the star recursions it ran.
 
-        `sstar` is the complement of `vstar` on the dual quadruple, so every
-        star recursion is one `vstar` run."""
-        from geodd import geometry, lattice
+        `vstar` and `sstar` each run the one complement recursion,
+        `geometry._nulling_steps`, once: on the quadruple for V*, on its
+        dual for S*."""
+        from geodd import geometry
 
-        calls = count_calls(monkeypatch, "vstar", geometry, lattice)
+        calls = count_calls(monkeypatch, "_nulling_steps", geometry)
 
         def run(fn, *args):
             calls.clear()

@@ -114,6 +114,19 @@ class TestAffineFamily:
             K = fam.member(rng.standard_normal(fam.n_directions) * 3)
             assert coupling_residual(singular_family_plant, V, S, K) <= 1e-8
 
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_particular_solution_is_orthogonal_to_the_directions(self, domain):
+        # K0 is the minimum-norm member: a component along a direction, left
+        # by a roundoff singular value the direction cutoff drops, moves
+        # every compensator built on the family.
+        for seed in range(60):
+            plant = generate_instance(InstanceSpec(seed=seed, n=4 + seed % 5,
+                                                   time_domain=domain))
+            fam = k_affine_family(plant, *reversed(analysis_pair(plant, "p1")))
+            bound = 1e-12 * (1 + np.linalg.norm(fam.K0))
+            for D in fam.directions:
+                assert abs(np.sum(D * fam.K0)) <= bound
+
 
 class TestSelectWellposed:
     def test_zero_feedthrough_returns_particular(self, mismatched_plant, mismatched_plant_pair):
