@@ -13,6 +13,11 @@ their fixed spectra, the self-hidden test, S*_g) is the complement of its
 output-nulling twin on `q.dual()`. `exact.sstar_span` keeps the primal
 recursion, as the independent oracle that S* is checked against.
 
+One projected system (`_nulling_system`) answers how far a map lands from
+(V x 0) + im [B; D]: the residual, the minimum-norm friend, which depends
+on V alone, and Uv, for output nulling and for coupling conditions (a) and
+(b) in `lattice`, (b) on the dual.
+
 The star recursion (`_nulling_steps`) runs on the orthogonal complement
 (Moore & Laub 1978): each step carries V_k together with an orthonormal
 basis of V_k^perp and takes two small SVDs, so S*, the complement of V* of
@@ -63,9 +68,7 @@ from .subspaces import (
     combine,
     complement,
     contains,
-    embed,
     invariant_hull,
-    kernel_of,
     modal_subspace,
     span_of,
 )
@@ -149,12 +152,6 @@ def _bd(q: Quadruple) -> np.ndarray:
     return np.vstack([q.B, q.D])
 
 
-def _nulling_target(V: Subspace, q: Quadruple, BD: Subspace,
-                    tol: ToleranceProfile) -> Subspace:
-    """(V x 0_Y) + BD, BD = im [B; D]: the target of the output-nulling step."""
-    return combine("sum", embed(V, q.n + q.p), BD, tol)
-
-
 def _twin_quadruple(kind: str, q: Quadruple, what: str = "kind") -> Quadruple:
     """The quadruple of the output-nulling twin: q itself for the
     output-nulling kind, q.dual() for the input-containing kind."""
@@ -181,24 +178,29 @@ def _twin_matrix(kind: str, M: np.ndarray) -> np.ndarray:
     return M if kind == OUTPUT_NULLING else M.T
 
 
-def _require_nulling(kind: str, V: Subspace, qv: Quadruple,
-                     tol: ToleranceProfile):
-    """Raise NotInvariant unless the twin V of a `kind` subspace is output
-    nulling for qv."""
-    r = output_nulling_residual(V, qv, tol)
-    if r > tol.residual:
-        raise NotInvariant(f"subspace is not {kind.replace('_', ' ')}", residual=r)
+def _nulling_system(V: Subspace, q: Quadruple, N: np.ndarray,
+                    tol: ToleranceProfile):
+    """How far does im N, N = [N_x; N_y], land from (V x 0_Y) + im [B; D],
+    the orthogonal sum of V x 0_Y and im M, M = [(I - P_V) B; D]? One SVD
+    of M, cut at rank_rel * max(s_0, ||[B; D]||) * max(shape), gives the
+    minimum-norm W with M W = -R, R = [(I - P_V) N_x; N_y]; Uv = ker M, the
+    inputs that keep V and null the output; and the residual ||R - P_M R||.
+    """
+    Pv = np.eye(q.n) - V.projector()
+    M = np.vstack([Pv @ q.B, q.D])
+    R = np.vstack([Pv @ N[:q.n], N[q.n:]])
+    if q.m == 0:
+        return np.zeros((0, N.shape[1])), np.zeros((0, 0)), _norm2(R)
+    U, s, Vh = _svd(M, True)
+    r = _numerical_rank(s, M.shape, tol.rank_rel, _norm2(_bd(q)))
+    UR = U[:, :r].T @ R
+    return -Vh[:r].T @ (UR / s[:r, None]), Vh[r:].T, _norm2(R - U[:, :r] @ UR)
 
 
 def output_nulling_residual(V: Subspace, q: Quadruple,
                             tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Residual of [A; C] V <= (V + 0_Y) + im [B; D]; zero iff output nulling."""
-    if V.is_trivial:
-        return 0.0
-    target = _nulling_target(V, q, span_of(_bd(q), tol), tol)
-    mapped = _stacked_output(q) @ V.basis
-    resid = mapped - target.basis @ (target.basis.T @ mapped)
-    return _norm2(resid)
+    return _nulling_system(V, q, _stacked_output(q) @ V.basis, tol)[2]
 
 
 def input_containing_residual(S: Subspace, q: Quadruple,
@@ -296,38 +298,35 @@ def rstar_qstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL):
 
 
 def _twin_friend(kind: str, V: Subspace, qv: Quadruple,
-                 tol: ToleranceProfile) -> tuple[np.ndarray, float]:
-    """`friend` on the output-nulling twin V of a `kind` subspace: the
-    feedback F of V over qv and its residual."""
-    _require_nulling(kind, V, qv, tol)
-    if V.is_trivial:
-        return np.zeros((qv.m, qv.n)), 0.0
-    Vb = V.basis
-    # [A; C] v = [V; 0] x + [B; D] w, one column per basis vector.
-    sys_mat = np.hstack([np.vstack([Vb, np.zeros((qv.p, V.dim))]), _bd(qv)])
-    rhs = _stacked_output(qv) @ Vb
-    sol, *_ = np.linalg.lstsq(sys_mat, rhs, rcond=None)
-    W = sol[V.dim :, :]
-    F = -W @ Vb.T
+                 tol: ToleranceProfile) -> tuple[np.ndarray, float, np.ndarray]:
+    """`friend` on the output-nulling twin V of a `kind` subspace, from the
+    nulling system of [A; C] V over qv: the feedback F of V, its residual,
+    and Uv. Raises NotInvariant unless V is output nulling for qv."""
+    W, Uv, r = _nulling_system(V, qv, _stacked_output(qv) @ V.basis, tol)
+    if r > tol.residual:
+        raise NotInvariant(f"subspace is not {kind.replace('_', ' ')}", residual=r)
+    F = W @ V.basis.T
     resid = friend_residual(F, V, qv)
     if resid > tol.residual:
         what = "friend" if kind == OUTPUT_NULLING else "injection friend"
         raise NotInvariant(f"no exact {what} found", residual=resid)
-    return F, resid
+    return F, resid, Uv
 
 
 def friend(kind: str, V_or_S: Subspace, q: Quadruple,
            tol: ToleranceProfile = DEFAULT_TOL) -> FriendCertificate:
     """Feedback F with [A+BF; C+DF] V <= V + 0, or the dual injection G.
 
-    The friend is solved column-by-column over a basis of the subspace by
-    least squares and extended by zero on the orthogonal complement. The
-    injection G of S is F^T for the friend F of S^perp in the dual.
+    F is the minimum-norm friend that vanishes on the orthogonal complement
+    of V: on V it solves M F V = -[(I - P_V) A V; C V], M = [(I - P_V) B; D],
+    by one SVD of M (`_nulling_system`), so it depends on the subspace V
+    alone, not on its basis. The injection G of S is F^T for the friend F
+    of S^perp in the dual.
     """
     if V_or_S.ambient_dim != q.n:
         raise DimensionMismatch("subspace must live in the state space")
     V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
-    F, resid = _twin_friend(kind, V, qv, tol)
+    F, resid, _ = _twin_friend(kind, V, qv, tol)
     return FriendCertificate(_twin_matrix(kind, F), kind, resid)
 
 
@@ -343,25 +342,25 @@ def friend_residual(F: np.ndarray, V: Subspace, q: Quadruple) -> float:
 
 def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile,
                         scale: float = 0.0):
-    """Orthonormal basis T1 of the reachable subspace of (A, B) and the
-    spectrum A induces on its orthogonal complement (the uncontrollable,
-    i.e. fixed, modes). `scale` anchors the rank decision on B, as in
+    """Orthonormal bases T1 of the reachable subspace of (A, B) and T2 of
+    its orthogonal complement, and the spectrum A induces on T2 (the
+    uncontrollable, i.e. fixed, modes). `scale` anchors the rank decision on B, as in
     `span_of`."""
     reach = invariant_hull("smallest_containing", A, span_of(B, tol, scale), tol)
     T2 = complement(reach, tol).basis
     fixed = np.linalg.eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
-    return reach.basis, fixed
+    return reach.basis, T2, fixed
 
 
 @dataclass(frozen=True)
 class _TwinSplit:
     """The split of an output-nulling twin V over qv under a friend F, in
     the coordinates of V's basis: Uv spans the inputs ker [(I - P_V) B; D]
-    that keep V and null the output, and (T1, fixed) is the controllable
+    that keep V and null the output, and (T1, T2, fixed) is the controllable
     split of (Av, Bv) = (V^T (A+BF) V, V^T B Uv), so V T1 is the
-    reachability subspace on V and `fixed` the internal fixed spectrum.
-    Both rank decisions are anchored to the data (||[B; D]||, ||B||), so
-    roundoff in the projections neither adds nor loses an input."""
+    reachability subspace on V and `fixed` the internal fixed spectrum,
+    induced on T2. Both rank decisions are anchored to the data (||[B; D]||,
+    ||B||), so roundoff in the projections neither adds nor loses an input."""
 
     V: Subspace
     qv: Quadruple
@@ -370,31 +369,30 @@ class _TwinSplit:
     Av: np.ndarray
     Bv: np.ndarray
     T1: np.ndarray
+    T2: np.ndarray
     fixed: np.ndarray
 
 
 def _twin_split(kind: str, V_or_S: Subspace, q: Quadruple, tol: ToleranceProfile,
                 cert: FriendCertificate | None = None) -> _TwinSplit:
-    """The split of the output-nulling twin of V_or_S under the twin of the
-    friend `cert`, which is checked to fit it, or under the friend that
-    `friend` builds when `cert` is None."""
+    """The split of the output-nulling twin of V_or_S. Uv and the nulling
+    check come from the twin's nulling system (`_twin_friend`), and so does
+    the friend, unless the twin of the friend `cert` is given, which is
+    then checked to fit."""
     if V_or_S.ambient_dim != q.n:
         raise DimensionMismatch("subspace must live in the state space")
     V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
-    if cert is None:
-        F = _twin_friend(kind, V, qv, tol)[0]
-    else:
+    F, _, Uv = _twin_friend(kind, V, qv, tol)
+    if cert is not None:
         F = _twin_matrix(kind, cert.F_or_G)
         r = friend_residual(F, V, qv)
         if r > 10 * tol.residual:
             what = "friend" if kind == OUTPUT_NULLING else "injection"
             raise NotInvariant(f"{what} does not fit the subspace", residual=r)
-    Pv = np.eye(qv.n) - V.projector()
-    Uv = kernel_of(np.vstack([Pv @ qv.B, qv.D]), tol, scale=_norm2(_bd(qv))).basis
     Av = V.basis.T @ (qv.A + qv.B @ F) @ V.basis
     Bv = V.basis.T @ qv.B @ Uv
-    T1, fixed = _controllable_split(Av, Bv, tol, _norm2(qv.B))
-    return _TwinSplit(V, qv, F, Uv, Av, Bv, T1, fixed)
+    return _TwinSplit(V, qv, F, Uv, Av, Bv,
+                      *_controllable_split(Av, Bv, tol, _norm2(qv.B)))
 
 
 def _external_split(split: _TwinSplit, F: np.ndarray, tol: ToleranceProfile):
@@ -426,8 +424,8 @@ def self_predicate(kind: str, X: Subspace, q: Quadruple,
     if twin_kind is None:
         raise InvalidInput(f"unknown predicate kind {kind!r}")
     V, qv = _nulling_twin(twin_kind, X, q, tol)
-    _require_nulling(twin_kind, V, qv, tol)
-    return contains(V, rstar_qstar(qv, tol)[0], tol)
+    _twin_friend(twin_kind, V, qv, tol)  # raises unless V is output nulling
+    return contains(V, combine("intersect", vstar(qv, tol), sstar(qv, tol), tol), tol)
 
 
 def _require_finite(*arrays):
@@ -600,7 +598,7 @@ def _stabilized(kind: str, split: _TwinSplit, region: StabilityRegion,
 
     # External loop shaping on the quotient by V; feedback vanishing on V
     # preserves friendship.
-    W, Aq, Bq, (T1q, fixed_ext) = _external_split(split, F, tol)
+    W, Aq, Bq, (T1q, _, fixed_ext) = _external_split(split, F, tol)
     if W.shape[1]:
         dF2 = _stabilizing_gain(Aq, Bq, T1q, region)
         bad = region.outside(fixed_ext)
@@ -639,7 +637,7 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     compensator by the same steps, from the splits of its analysis.
     """
     qv = _twin_quadruple(kind, q, "friend kind")
-    bad = region.outside(_controllable_split(qv.A, qv.B, tol)[1])
+    bad = region.outside(_controllable_split(qv.A, qv.B, tol)[2])
     if bad:
         raise NotStabilizablePair(
             f"pair (A, B) has unstabilizable modes {np.round(bad, 6)}"
@@ -660,7 +658,7 @@ def spectral_report(V_or_S: Subspace, kind: str, q: Quadruple,
     is the transpose of the one on S^perp/Q_S^perp, and S ^ (unobservable)
     is the complement of S^perp + (reachable) in the dual."""
     split = _twin_split(kind, V_or_S, q, tol, cert)
-    _, _, _, (T1q, fixed_ext) = _external_split(split, split.F, tol)
+    _, _, _, (T1q, _, fixed_ext) = _external_split(split, split.F, tol)
     internal, external = tuple(split.fixed), tuple(fixed_ext)
     dims = (split.T1.shape[1], T1q.shape[1])
     if kind == OUTPUT_NULLING:
@@ -684,7 +682,7 @@ def _stabilizability_subspace(kind: str, V_or_S: Subspace, q: Quadruple,
     modal part of the map on the complement T2 of T1, the map whose
     spectrum is the split's `fixed`, i.e. the invariant zeros."""
     split = _twin_split(kind, V_or_S, q, tol)
-    T2 = kernel_of(split.T1.T, tol).basis
+    T2 = split.T2
     stable = modal_subspace(T2.T @ split.Av @ T2, region, tol).basis
     Vg = Subspace._adopt(q.n, split.V.basis @ np.hstack([split.T1, T2 @ stable]))
     return Vg if kind == OUTPUT_NULLING else complement(Vg, tol)

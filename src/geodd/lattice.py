@@ -15,8 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidInput
 from .geometry import (
     Quadruple,
-    _bd,
-    _nulling_target,
+    _nulling_system,
     input_containing_residual,
     output_nulling_residual,
     sstar,
@@ -29,13 +28,11 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
-    _norm2,
     combine,
+    complement,
     containment_residual,
     contains,
     equal,
-    kernel_of,
-    lifted_basis,
     span_of,
 )
 
@@ -156,21 +153,20 @@ def extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
 
 def disturbance_image_condition(sys: PlantSystem, V: Subspace,
                                 tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Residual of im [H; G_z] <= (V + 0_Z) + im [B; D_z]."""
-    quad = sys.control_quadruple()
-    target = _nulling_target(V, quad, span_of(_bd(quad), tol), tol)
-    HG = span_of(np.vstack([sys.H, sys.G_z]), tol)
-    return containment_residual(HG, target)
+    """Residual of im [H; G_z] <= (V + 0_Z) + im [B; D_z]: the nulling
+    residual of an orthonormal basis of im [H; G_z], a sine."""
+    HG = span_of(np.vstack([sys.H, sys.G_z]), tol).basis
+    return _nulling_system(V, sys.control_quadruple(), HG, tol)[2]
 
 
 def disturbance_kernel_condition(sys: PlantSystem, S: Subspace,
                                  tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Residual of ker [E G_z] >= (S + W) ^ ker [C G_y]."""
-    dom = combine("intersect", Subspace._adopt(sys.n + sys.q, lifted_basis(S, sys.q)),
-                  kernel_of(np.hstack([sys.C, sys.G_y]), tol), tol)
-    if dom.is_trivial:
-        return 0.0
-    return _norm2(np.hstack([sys.E, sys.G_z]) @ dom.basis)
+    """Residual of ker [E G_z] >= (S + W) ^ ker [C G_y], by complements
+    im [E G_z]^T <= (S^perp + 0_W) + im [C G_y]^T: (a)'s residual on S^perp
+    and the dual observation quadruple (A^T, C^T, H^T, G_y^T)."""
+    EG = span_of(np.hstack([sys.E, sys.G_z]).T, tol).basis
+    dual = sys.observation_quadruple().dual()
+    return _nulling_system(complement(S, tol), dual, EG, tol)[2]
 
 
 def coupling_conditions(sys: PlantSystem, V: Subspace, S: Subspace,

@@ -461,7 +461,7 @@ def _stabilizable_detectable(sys, tol) -> bool:
     region. It is the pair check of both stabilizing friends, so
     `solve_certified` does not repeat it."""
     return sys._memoized(("precondition", tol), lambda: not any(
-        sys.region.outside(_controllable_split(A, B, tol)[1])
+        sys.region.outside(_controllable_split(A, B, tol)[2])
         for A, B in ((sys.A, sys.B), (sys.A.T, sys.C.T))))
 
 

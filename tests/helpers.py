@@ -578,3 +578,38 @@ def reference_vstar(q: Quadruple, tol=DEFAULT_TOL) -> list:
         if seq[-1].dim == seq[-2].dim:
             break
     return seq
+
+
+def reference_nulling_residual(V: Subspace, q: Quadruple, N, tol=DEFAULT_TOL) -> float:
+    """The target form of the output-nulling residual that
+    `geometry._nulling_system` replaced: the distance of the columns of the
+    stacked map N from an orthonormal basis of the span of (V x 0) and
+    im [B; D], built by two span SVDs."""
+    N = np.asarray(N, dtype=float)
+    if N.shape[1] == 0:
+        return 0.0
+    target = combine("sum", embed(V, q.n + q.p), span_of(np.vstack([q.B, q.D]), tol), tol)
+    return float(np.linalg.norm(N - target.basis @ (target.basis.T @ N), 2))
+
+
+def reference_friend(V: Subspace, q: Quadruple) -> np.ndarray:
+    """The joint least-squares friend that `geometry.friend` replaced:
+    [A; C] v = [V; 0] x + [B; D] w solved for every basis vector v of V at
+    once by np.linalg.lstsq, and F = -W V^T for the stacked w's W."""
+    if V.is_trivial:
+        return np.zeros((q.m, q.n))
+    Vb = V.basis
+    sys_mat = np.hstack([np.vstack([Vb, np.zeros((q.p, V.dim))]), np.vstack([q.B, q.D])])
+    sol = np.linalg.lstsq(sys_mat, np.vstack([q.A, q.C]) @ Vb, rcond=None)[0]
+    return -sol[V.dim:] @ Vb.T
+
+
+def reference_kernel_condition(sys, S: Subspace, tol=DEFAULT_TOL) -> float:
+    """The intersection form of coupling condition (b) that
+    `lattice.disturbance_kernel_condition` replaced: the absolute norm of
+    [E G_z] on an orthonormal basis of (S x W) ^ ker [C G_y]."""
+    dom = combine("intersect", Subspace(sys.n + sys.q, lifted_basis(S, sys.q)),
+                  kernel_of(np.hstack([sys.C, sys.G_y]), tol), tol)
+    if dom.is_trivial:
+        return 0.0
+    return float(np.linalg.norm(np.hstack([sys.E, sys.G_z]) @ dom.basis, 2))

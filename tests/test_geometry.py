@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning, eigvals, solve_continuous_are, solve_discrete_are
 
@@ -17,6 +17,7 @@ from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     Quadruple,
+    _nulling_system,
     _riccati,
     friend,
     friend_residual,
@@ -35,6 +36,7 @@ from geodd.geometry import (
 )
 from geodd.lattice import PlantSystem, vm_sM
 from geodd.subspaces import (
+    DEFAULT_TOL,
     StabilityRegion,
     Subspace,
     combine,
@@ -58,6 +60,8 @@ from helpers import (
     quad_to_exact,
     random_quadruple,
     rational_as_subspace,
+    reference_friend,
+    reference_nulling_residual,
     reference_vstar,
 )
 
@@ -257,6 +261,84 @@ class TestFriends:
             R, _ = rstar_qstar(q)
             F = friend(OUTPUT_NULLING, V, q).F_or_G
             assert friend_residual(F, R, q) <= 1e-8
+
+
+class TestNullingSystem:
+    """One SVD of M = [(I - P_V) B; D] answers every output-nulling question:
+    the residual, the friend and Uv, checked against the target-form
+    residual and the joint least-squares friend it replaced."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(integer_quadruples(), st.integers(0, 8))
+    def test_residual_matches_target_form(self, q, k):
+        MT = np.vstack([q.A, q.C])
+        scale = 1.0 + np.linalg.norm(MT, 2)
+        # output nulling, and (on most draws) not output nulling
+        for V in (vstar(q), rstar_qstar(q)[0], Subspace(q.n, np.eye(q.n)[:, :min(k, q.n)])):
+            got = output_nulling_residual(V, q)
+            want = reference_nulling_residual(V, q, MT @ V.basis)
+            assert abs(got - want) <= 1e-11 * scale
+            assert (got <= DEFAULT_TOL.residual) == (want <= DEFAULT_TOL.residual)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(integer_quadruples(), st.integers(0, 2**32 - 1))
+    def test_friend_is_the_minimum_norm_one_of_the_subspace(self, q, seed):
+        V = vstar(q)
+        assume(not V.is_trivial)
+        F = friend(OUTPUT_NULLING, V, q).F_or_G
+        size = 1.0 + np.linalg.norm(F, 2)
+        # it vanishes on V^perp and does not depend on V's basis
+        assert np.linalg.norm(F @ complement(V).basis, 2) <= 1e-12 * size
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((V.dim, V.dim)))[0]
+        turned = friend(OUTPUT_NULLING, Subspace(q.n, V.basis @ Q), q).F_or_G
+        assert np.linalg.norm(turned - F, 2) <= 1e-9 * size
+        # the least-squares friend solves the same system, with more norm
+        ref = np.linalg.norm(reference_friend(V, q), 2)
+        assert np.linalg.norm(F, 2) <= ref * (1 + 1e-9) + 1e-12
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(integer_quadruples())
+    def test_uv_is_the_kernel_of_the_projected_inputs(self, q):
+        V = vstar(q)
+        _, Uv, _ = _nulling_system(V, q, np.zeros((q.n + q.p, 0)), DEFAULT_TOL)
+        M = np.vstack([(np.eye(q.n) - V.projector()) @ q.B, q.D])
+        want = kernel_of(M, scale=np.linalg.norm(np.vstack([q.B, q.D]), 2))
+        assert equal(Subspace(q.m, Uv), want)
+
+    def test_no_inputs(self):
+        # m = 0: the friend is empty, Uv too, and the residual of X is the
+        # distance of [A; C] from X x 0, i.e. ||C||
+        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -2.0, 3.0]])
+        C = np.array([[1.0, 1.0, 0.0]])
+        q = Quadruple(A, np.zeros((3, 0)), C, np.zeros((1, 0)))
+        cert = friend(OUTPUT_NULLING, vstar(q), q)
+        assert cert.F_or_G.shape == (0, 3) and cert.residual <= 1e-12
+        W, Uv, r = _nulling_system(Subspace.full(3), q, np.vstack([A, C]), DEFAULT_TOL)
+        assert W.shape == (0, 3) and Uv.shape == (0, 0)
+        assert r == pytest.approx(np.linalg.norm(C, 2), rel=1e-12)
+
+    def test_trivial_subspace(self):
+        # V = 0: a zero friend, a zero residual, and Uv = ker [B; D]
+        B, D = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0]])
+        q = Quadruple(np.diag([1.0, 2.0]), B, np.eye(2)[:1], D)
+        V = Subspace.trivial(2)
+        assert output_nulling_residual(V, q) == 0.0
+        assert not friend(OUTPUT_NULLING, V, q).F_or_G.any()
+        _, Uv, _ = _nulling_system(V, q, np.zeros((3, 0)), DEFAULT_TOL)
+        assert equal(Subspace(2, Uv), kernel_of(np.vstack([B, D])))
+
+    def test_whole_space(self):
+        # V = X with D invertible: the one friend is -D^{-1} C, and no input
+        # keeps X while nulling the output
+        A = np.array([[1.0, 2.0], [0.0, -1.0]])
+        C, D = np.array([[1.0, 0.0], [2.0, 3.0]]), np.array([[2.0, 1.0], [1.0, 1.0]])
+        q = Quadruple(A, np.eye(2), C, D)
+        V = Subspace.full(2)
+        assert output_nulling_residual(V, q) <= 1e-14
+        cert = friend(OUTPUT_NULLING, V, q)
+        assert np.allclose(cert.F_or_G, -np.linalg.solve(D, C), rtol=0, atol=1e-13)
+        _, Uv, _ = _nulling_system(V, q, np.zeros((4, 0)), DEFAULT_TOL)
+        assert Uv.shape == (2, 0)
 
 
 class TestReachDetect:

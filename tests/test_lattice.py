@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodd import exact
 from geodd.errors import DimensionMismatch
@@ -18,11 +20,28 @@ from geodd.lattice import (
     extended_quadruples,
     lattice_report,
     coupling_conditions,
+    disturbance_image_condition,
+    disturbance_kernel_condition,
     vm_sM,
 )
-from geodd.subspaces import combine, contains, equal, invariant_hull, kernel_of
+from geodd.subspaces import (
+    DEFAULT_TOL,
+    combine,
+    complement,
+    contains,
+    equal,
+    invariant_hull,
+    kernel_of,
+    span_of,
+)
 from geodd.verify import InstanceSpec, generate_instance
-from helpers import count_calls, max_angle, rational_as_subspace
+from helpers import (
+    count_calls,
+    max_angle,
+    rational_as_subspace,
+    reference_kernel_condition,
+    reference_nulling_residual,
+)
 
 
 class TestPlantSystem:
@@ -136,6 +155,46 @@ class TestVmSM:
             assert contains(vstar(sys.control_quadruple()), v_m)
             hits += 1
         assert hits == 12
+
+
+@st.composite
+def integer_plants(draw):
+    """Integer plants with n = 2-6, m, q, p, r = 1-3 and entries in
+    [-3, 3]; each feedthrough is zero half the time."""
+    n = draw(st.integers(2, 6))
+    m, q, p, r = (draw(st.integers(1, 3)) for _ in range(4))
+
+    def block(rows, cols, sometimes_zero=False):
+        if sometimes_zero and draw(st.booleans()):
+            return np.zeros((rows, cols))
+        size = rows * cols
+        entries = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        return np.array(entries, dtype=float).reshape(rows, cols)
+
+    return PlantSystem(A=block(n, n), B=block(n, m), H=block(n, q), C=block(p, n),
+                       D_y=block(p, m, True), G_y=block(p, q, True), E=block(r, n),
+                       D_z=block(r, m, True), G_z=block(r, q, True))
+
+
+class TestCouplingConditions:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(integer_plants())
+    def test_one_residual_for_conditions_a_and_b(self, plant):
+        # (a) is the nulling residual of im [H; G_z] on the control
+        # quadruple and (b) that of im [E G_z]^T on S*^perp and the dual
+        # observation quadruple: both sines, equal to the target form, and
+        # (b) passes exactly where the intersection form it replaced does
+        tol = DEFAULT_TOL.residual
+        ctrl, dual_obs = plant.control_quadruple(), plant.observation_quadruple().dual()
+        V, S = vstar(ctrl), sstar(plant.observation_quadruple())
+        ra = disturbance_image_condition(plant, V)
+        rb = disturbance_kernel_condition(plant, S)
+        want_a = reference_nulling_residual(V, ctrl, span_of(np.vstack([plant.H, plant.G_z])).basis)
+        want_b = reference_nulling_residual(complement(S), dual_obs,
+                                            span_of(np.hstack([plant.E, plant.G_z]).T).basis)
+        assert abs(ra - want_a) <= 1e-12 and abs(rb - want_b) <= 1e-12
+        assert (ra <= tol) == (want_a <= tol)
+        assert (rb <= tol) == (want_b <= tol) == (reference_kernel_condition(plant, S) <= tol)
 
 
 def _assert_vm_sM_matches_exact(plant):

@@ -490,6 +490,26 @@ class TestSolve:
             assert stability_check(cl.A_hat, sys.region)[0]
 
 
+class TestScaleInvariance:
+    """Scaling the control input u and the regulated output z moves no
+    verdict and no p1 solve: every rank decision under the friends and
+    conditions (a) and (b) is anchored to the data they scale."""
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_input_and_output_scaling(self, scale):
+        for seed in range(30):
+            plant = generate_instance(InstanceSpec(seed=seed, n=6))
+            # u' = u / scale and z' = scale z, so ||D_z|| grows by scale^2
+            scaled = PlantSystem(
+                plant.A, plant.B * scale, plant.H, plant.C, plant.D_y * scale,
+                plant.G_y, plant.E * scale, plant.D_z * scale**2, plant.G_z * scale,
+                time_domain=plant.time_domain)
+            for analyze in (analyze_p1, analyze_p2):
+                assert analyze(scaled).overall == analyze(plant).overall, (seed, analyze)
+            # raises unless the loop is certified
+            solve(scaled, "p1")
+
+
 class TestKSetEquivalence:
     def test_scalar_channel_plant(self, scalar_channel_plant):
         ok, residuals = k_set_equivalence(scalar_channel_plant)
@@ -709,8 +729,8 @@ def _same_bits(a, b) -> bool:
 
 
 class TestWorkPerSolve:
-    """One p2 solve builds each side's split, friend and star-step norm
-    once: conditions D/E and the stabilizing friends read the same split
+    """One p2 solve builds each side's split, nulling system and star-step
+    norm once: conditions D/E and the stabilizing friends read the same split
     of each side from the plant's memo."""
 
     @pytest.mark.parametrize("domain", ["continuous", "discrete"])
@@ -718,14 +738,15 @@ class TestWorkPerSolve:
         plant = generate_instance(InstanceSpec(seed=2, n=4, time_domain=domain))
         sides = count_calls(monkeypatch, "_twin_split", geometry, synthesis)
         splits = count_calls(monkeypatch, "_controllable_split", geometry, synthesis)
-        friends = count_calls(monkeypatch, "_twin_friend", geometry)
+        systems = count_calls(monkeypatch, "_nulling_system", geometry, lattice)
         hulls = count_calls(monkeypatch, "invariant_hull", geometry, verify)
         solve(plant, "p2")
-        # sides: V_m + S_M and the twin of S_M, one split each; friends: F
-        # of V_m + S_M, and the friend of the twin of S_M, whose transpose
-        # is the injection G
+        # sides: V_m + S_M and the twin of S_M, one split each; nulling
+        # systems: coupling conditions (a) and (b) on the star pair, each on
+        # its one disturbance column, then the friend of each side's twin,
+        # on its stacked map [A; C] V
         assert [args[0] for args in sides] == [OUTPUT_NULLING, INPUT_CONTAINING]
-        assert len(friends) == 2
+        assert [args[2].shape[1] for args in systems] == [1, 1, 4, 4]
         # splits: the precondition's (A, B) and (A^T, C^T), and the internal
         # split of each side; both twins are the whole state space on this
         # plant, so the stabilizing friends' quotient splits are empty
