@@ -383,7 +383,8 @@ def run(command: str, args) -> int:
             "certificate": _certificate_dict(cert),
             "max_sample_norm": samples,
             "stable": bool(stable),
-            "spectrum": [[l.real, l.imag] for l in eigs],
+            "spectrum": [[re, im] for re, im in zip(eigs.real.tolist(),
+                                                    eigs.imag.tolist())],
         }
         _write_result(args.output, payload)
         return EXIT_OK if verified else EXIT_INFEASIBLE

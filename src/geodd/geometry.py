@@ -26,9 +26,10 @@ the dual, comes off the dual recursion with no complement SVD.
 Stabilizing friends take shifted Riccati gains, solved by one private
 kernel, `_riccati`: scipy 1.17.1's CARE/DARE algorithm step for step on
 direct calls to scipy's LAPACK wrappers, which on these small pencils cost
-less than scipy's own wrapping. Its solutions are scipy's bit for bit; a
-scipy release that changes the algorithm breaks that parity, and its tests
-say so.
+less than scipy's own wrapping; its workspace sizes are queried once per
+pencil shape. Its solutions are scipy's bit for bit; a scipy release that
+changes the algorithm breaks that parity, and its tests say so. Spectra
+are taken by `subspaces._eigvals`, numpy.linalg.eigvals bit for bit.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _eigvals,
     _norm2,
     _numerical_rank,
     _singular_values,
@@ -109,6 +111,16 @@ class Quadruple:
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(self, name, M)
 
+    @classmethod
+    def _checked(cls, A, B, C, D) -> "Quadruple":
+        """A quadruple on float matrices that have passed these checks
+        already (the transposes of a quadruple's, or a plant's), built
+        without repeating them."""
+        q = object.__new__(cls)
+        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+            object.__setattr__(q, name, M)
+        return q
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -122,7 +134,15 @@ class Quadruple:
         return self.C.shape[0]
 
     def dual(self) -> "Quadruple":
-        return Quadruple(self.A.T, self.C.T, self.B.T, self.D.T)
+        """The dual quadruple (A^T, C^T, B^T, D^T), built on the first call
+        and kept. Its matrices are transposed views of this one's, so it
+        cannot go stale."""
+        try:
+            return self.__dict__["_dual"]
+        except KeyError:
+            d = Quadruple._checked(self.A.T, self.C.T, self.B.T, self.D.T)
+            object.__setattr__(self, "_dual", d)
+            return d
 
 
 @dataclass(frozen=True)
@@ -145,11 +165,11 @@ class SpectralReport:
 
 
 def _stacked_output(q: Quadruple) -> np.ndarray:
-    return np.vstack([q.A, q.C])
+    return np.concatenate((q.A, q.C))
 
 
 def _bd(q: Quadruple) -> np.ndarray:
-    return np.vstack([q.B, q.D])
+    return np.concatenate((q.B, q.D))
 
 
 def _twin_quadruple(kind: str, q: Quadruple, what: str = "kind") -> Quadruple:
@@ -187,8 +207,8 @@ def _nulling_system(V: Subspace, q: Quadruple, N: np.ndarray,
     inputs that keep V and null the output; and the residual ||R - P_M R||.
     """
     Pv = np.eye(q.n) - V.projector()
-    M = np.vstack([Pv @ q.B, q.D])
-    R = np.vstack([Pv @ N[:q.n], N[q.n:]])
+    M = np.concatenate((Pv @ q.B, q.D))
+    R = np.concatenate((Pv @ N[:q.n], N[q.n:]))
     if q.m == 0:
         return np.zeros((0, N.shape[1])), np.zeros((0, 0)), _norm2(R)
     U, s, Vh = _svd(M, True)
@@ -233,10 +253,10 @@ def _nulling_steps(q: Quadruple, tol: ToleranceProfile) -> list:
     steps = [(V, Z)]
     for _ in range(n + 1):
         # LM = L^T [A; C] for L = blockdiag(Z, I_p), then G^T [A; C] = N^T LM
-        LM = np.vstack([Z.T @ q.A, q.C])
+        LM = np.concatenate((Z.T @ q.A, q.C))
         if BD.shape[1] and LM.shape[0]:
             # BD^T L holds cosines of angles in R^(n+p): cut them as such
-            _, s, Vh = _svd(np.hstack([BD_x.T @ Z, BD_y.T]), True)
+            _, s, Vh = _svd(np.concatenate((BD_x.T @ Z, BD_y.T), axis=1), True)
             LM = Vh[_numerical_rank(s, (n + p,), tol.rank_rel, 1.0):] @ LM
         if 0 in LM.shape:
             Vnext, Z = np.eye(n), np.zeros((n, 0))
@@ -297,14 +317,23 @@ def rstar_qstar(q: Quadruple, tol: ToleranceProfile = DEFAULT_TOL):
     return combine("intersect", V, S, tol), combine("sum", V, S, tol)
 
 
-def _twin_friend(kind: str, V: Subspace, qv: Quadruple,
-                 tol: ToleranceProfile) -> tuple[np.ndarray, float, np.ndarray]:
-    """`friend` on the output-nulling twin V of a `kind` subspace, from the
-    nulling system of [A; C] V over qv: the feedback F of V, its residual,
-    and Uv. Raises NotInvariant unless V is output nulling for qv."""
+def _nulling_check(kind: str, V: Subspace, qv: Quadruple,
+                   tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The nulling system of [A; C] V over qv, for the output-nulling twin V
+    of a `kind` subspace: W and Uv. Raises NotInvariant unless V is output
+    nulling for qv."""
     W, Uv, r = _nulling_system(V, qv, _stacked_output(qv) @ V.basis, tol)
     if r > tol.residual:
         raise NotInvariant(f"subspace is not {kind.replace('_', ' ')}", residual=r)
+    return W, Uv
+
+
+def _twin_friend(kind: str, V: Subspace, qv: Quadruple,
+                 tol: ToleranceProfile) -> tuple[np.ndarray, float, np.ndarray]:
+    """`friend` on the output-nulling twin V of a `kind` subspace, from
+    `_nulling_check`: the feedback F of V, its residual, and Uv. Raises
+    NotInvariant unless V is output nulling for qv and F fits it."""
+    W, Uv = _nulling_check(kind, V, qv, tol)
     F = W @ V.basis.T
     resid = friend_residual(F, V, qv)
     if resid > tol.residual:
@@ -337,7 +366,7 @@ def friend_residual(F: np.ndarray, V: Subspace, q: Quadruple) -> float:
     top = (q.A + q.B @ F) @ V.basis
     bot = (q.C + q.D @ F) @ V.basis
     top_out = top - V.basis @ (V.basis.T @ top)
-    return _norm2(np.vstack([top_out, bot]))
+    return _norm2(np.concatenate((top_out, bot)))
 
 
 def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile,
@@ -348,7 +377,7 @@ def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile,
     `span_of`."""
     reach = invariant_hull("smallest_containing", A, span_of(B, tol, scale), tol)
     T2 = complement(reach, tol).basis
-    fixed = np.linalg.eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
+    fixed = _eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
     return reach.basis, T2, fixed
 
 
@@ -376,14 +405,16 @@ class _TwinSplit:
 def _twin_split(kind: str, V_or_S: Subspace, q: Quadruple, tol: ToleranceProfile,
                 cert: FriendCertificate | None = None) -> _TwinSplit:
     """The split of the output-nulling twin of V_or_S. Uv and the nulling
-    check come from the twin's nulling system (`_twin_friend`), and so does
-    the friend, unless the twin of the friend `cert` is given, which is
-    then checked to fit."""
+    check come from the twin's nulling system (`_nulling_check`). So does
+    the friend, with its own fit check (`_twin_friend`), unless the twin of
+    the friend `cert` is given, which is then checked to fit instead."""
     if V_or_S.ambient_dim != q.n:
         raise DimensionMismatch("subspace must live in the state space")
     V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
-    F, _, Uv = _twin_friend(kind, V, qv, tol)
-    if cert is not None:
+    if cert is None:
+        F, _, Uv = _twin_friend(kind, V, qv, tol)
+    else:
+        _, Uv = _nulling_check(kind, V, qv, tol)
         F = _twin_matrix(kind, cert.F_or_G)
         r = friend_residual(F, V, qv)
         if r > 10 * tol.residual:
@@ -438,6 +469,25 @@ def _no_sort(*_):
     """dgges's selection callback, unused: the ordering is dtgsen's."""
 
 
+# Workspace sizes of `_riccati`'s dgeqrf, dorgqr and dgges calls, by (k, m).
+_RICCATI_LWORK: dict = {}
+
+
+def _riccati_lwork(k: int, m: int) -> tuple[int, int, int]:
+    """The three workspace queries of `_riccati` on a k-state, m-input
+    pencil, made once per (k, m) on zero matrices of the same shapes:
+    LAPACK's queries read the shapes alone."""
+    lwork = _RICCATI_LWORK.get((k, m))
+    if lwork is None:
+        n2 = 2 * k
+        Z = np.zeros((n2, n2))
+        lwork = _RICCATI_LWORK[k, m] = (
+            int(dgeqrf_lwork(n2 + m, m)[0]),
+            int(dorgqr(np.zeros((n2 + m, n2 + m), order="F"), np.zeros(m), -1)[1][0]),
+            int(dgges(_no_sort, Z, Z, lwork=-1)[-2][0]))
+    return lwork
+
+
 def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
     """Stabilizing solution P of the Riccati equation of (A, B) with
     identity weights: the CARE A^T P + P A - P B B^T P + I = 0, or, when
@@ -453,6 +503,7 @@ def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
     _require_finite(A, B)
     k, m = B.shape
     n2 = 2 * k
+    lwork_qr, lwork_q, lwork_qz = _riccati_lwork(k, m)
     H = np.zeros((n2 + m, n2 + m))
     J = np.zeros_like(H)
     H[:k, :k] = A
@@ -483,16 +534,15 @@ def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
         J *= scale
         _require_finite(H[:, n2:])
     # Deflate the m input columns with a full QR.
-    qr, tau, _, _ = dgeqrf(H[:, n2:], int(dgeqrf_lwork(n2 + m, m)[0]))
+    qr, tau, _, _ = dgeqrf(H[:, n2:], lwork_qr)
     Q = np.zeros_like(H, order="F")
     Q[:, :m] = qr
-    Q = dorgqr(Q, tau, int(dorgqr(Q, tau, -1)[1][0]), 1)[0][:, m:]
+    Q = dorgqr(Q, tau, lwork_q, 1)[0][:, m:]
     Hd = Q.T.dot(H[:, :n2])
     Jd = Q.T.dot(J[:, :n2]) if discrete else Q[:n2].T.dot(J[:n2, :n2])
     # Ordered QZ: the stable deflating subspace leads, beta = 0 never selected.
-    lwork = int(dgges(_no_sort, Hd, Jd, lwork=-1)[-2][0])
     AA, BB, _, alphar, alphai, beta, vsl, vsr, _, info = dgges(
-        _no_sort, Hd, Jd, lwork=lwork, overwrite_a=1, overwrite_b=1, sort_t=0)
+        _no_sort, Hd, Jd, lwork=lwork_qz, overwrite_a=1, overwrite_b=1, sort_t=0)
     if 0 < info <= n2:
         warnings.warn("The QZ iteration failed. (a,b) are not in Schur "
                       "form, but ALPHAR(j), ALPHAI(j), and BETA(j) should be "
@@ -562,7 +612,7 @@ def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
         return np.zeros((B.shape[1], A.shape[0]))
     Ac = T1.T @ A @ T1
     # Leave a block alone only when it sits safely inside the region.
-    if all(region.boundary_distance(l) > SKIP_GUARD for l in np.linalg.eigvals(Ac)):
+    if all(region.boundary_distance(l) > SKIP_GUARD for l in _eigvals(Ac)):
         return np.zeros((B.shape[1], A.shape[0]))
     Bc = T1.T @ B
     if region.kind == "continuous":
@@ -611,7 +661,7 @@ def _stabilized(kind: str, split: _TwinSplit, region: StabilityRegion,
     resid = friend_residual(F, V, qv)
     if resid > 100 * tol.residual:
         raise NotInvariant("stabilizing friend lost invariance", residual=resid)
-    bad = region.outside(np.linalg.eigvals(qv.A + qv.B @ F))
+    bad = region.outside(_eigvals(qv.A + qv.B @ F))
     if bad:
         raise FixedSpectrumOutsideRegion(
             "closed map spectrum escaped the region", bad

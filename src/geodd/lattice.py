@@ -51,12 +51,12 @@ class PlantSystem:
     The plant is immutable: each matrix is stored as a read-only float copy
     of what was passed in, so writing into `plant.A` raises ValueError.
     That makes it sound for the analyses to keep what they derive from the
-    plant alone (the star pair, the coupling conditions on it, the
-    well-posedness result and the stabilizability precondition) in a
-    private per-instance memo, so that `analyze_p1`, `analyze_p2` and
-    `solve` on one plant share one computation of each. The memo lives and
-    dies with the object; `dataclasses.replace` returns a plant with an
-    empty one.
+    plant alone (the control, observation and extended quadruples, the star
+    pair, the coupling conditions on it, the well-posedness result and the
+    stabilizability precondition) in a private per-instance memo, so that
+    `analyze_p1`, `analyze_p2` and `solve` on one plant share one
+    computation of each. The memo lives and dies with the object;
+    `dataclasses.replace` returns a plant with an empty one.
     """
 
     A: np.ndarray
@@ -133,29 +133,38 @@ class PlantSystem:
         return StabilityRegion(self.time_domain)
 
     def control_quadruple(self) -> Quadruple:
-        return Quadruple(self.A, self.B, self.E, self.D_z)
+        """(A, B, E, D_z), one object per plant."""
+        return self._memoized(("quadruple", "control"), lambda: Quadruple._checked(
+            self.A, self.B, self.E, self.D_z))
 
     def observation_quadruple(self) -> Quadruple:
-        return Quadruple(self.A, self.H, self.C, self.G_y)
+        """(A, H, C, G_y), one object per plant."""
+        return self._memoized(("quadruple", "observation"), lambda: Quadruple._checked(
+            self.A, self.H, self.C, self.G_y))
 
 
 def extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
     """Input-extended (A, [B H], E, [D_z G_z]) and output-extended
-    (A, H, [C; E], [G_y; G_z]) quadruples."""
-    quad_b = Quadruple(
-        sys.A, np.hstack([sys.B, sys.H]), sys.E, np.hstack([sys.D_z, sys.G_z])
-    )
-    quad_c = Quadruple(
-        sys.A, sys.H, np.vstack([sys.C, sys.E]), np.vstack([sys.G_y, sys.G_z])
-    )
-    return quad_b, quad_c
+    (A, H, [C; E], [G_y; G_z]) quadruples, one pair per plant. Every caller
+    shares them, so their stacked matrices are read-only, as the plant's are."""
+    def build():
+        BH = np.concatenate((sys.B, sys.H), axis=1)
+        DG = np.concatenate((sys.D_z, sys.G_z), axis=1)
+        CE = np.concatenate((sys.C, sys.E))
+        GG = np.concatenate((sys.G_y, sys.G_z))
+        for M in (BH, DG, CE, GG):
+            M.setflags(write=False)
+        return (Quadruple._checked(sys.A, BH, sys.E, DG),
+                Quadruple._checked(sys.A, sys.H, CE, GG))
+
+    return sys._memoized(("quadruple", "extended"), build)
 
 
 def disturbance_image_condition(sys: PlantSystem, V: Subspace,
                                 tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Residual of im [H; G_z] <= (V + 0_Z) + im [B; D_z]: the nulling
     residual of an orthonormal basis of im [H; G_z], a sine."""
-    HG = span_of(np.vstack([sys.H, sys.G_z]), tol).basis
+    HG = span_of(np.concatenate((sys.H, sys.G_z)), tol).basis
     return _nulling_system(V, sys.control_quadruple(), HG, tol)[2]
 
 
@@ -164,7 +173,7 @@ def disturbance_kernel_condition(sys: PlantSystem, S: Subspace,
     """Residual of ker [E G_z] >= (S + W) ^ ker [C G_y], by complements
     im [E G_z]^T <= (S^perp + 0_W) + im [C G_y]^T: (a)'s residual on S^perp
     and the dual observation quadruple (A^T, C^T, H^T, G_y^T)."""
-    EG = span_of(np.hstack([sys.E, sys.G_z]).T, tol).basis
+    EG = span_of(np.concatenate((sys.E, sys.G_z), axis=1).T, tol).basis
     dual = sys.observation_quadruple().dual()
     return _nulling_system(complement(S, tol), dual, EG, tol)[2]
 

@@ -2,7 +2,8 @@
 
 A subspace is stored as an ambient dimension plus a matrix with orthonormal
 columns (zero columns for the trivial subspace). All operations are pure
-functions of immutable inputs; nothing here keeps global state.
+functions of immutable inputs; the only global state is the LAPACK
+workspace sizes below, a function of shape alone.
 
 Rank decisions use a relative singular-value cutoff, comparisons use
 principal angles computed through their sines (well conditioned for the
@@ -10,13 +11,19 @@ tiny angles we care about).
 
 Every real SVD and spectral norm of the package goes through the private
 kernel `_svd`/`_singular_values`/`_norm2`, which calls LAPACK dgesdd (the
-routine behind numpy.linalg.svd) directly: on matrices this small numpy's
-wrapper costs more than the LAPACK work. The kernel runs scipy's LAPACK and
-numpy.linalg.svd runs numpy's, so the two agree bit for bit only where those
-builds round alike. They did with the numpy 2.4.6 and scipy 1.17.1 wheels
-(OpenBLAS 0.3.31 and 0.3.30); a numpy and a scipy linked to different LAPACK
-implementations (say MKL and OpenBLAS) may differ in the last bits, and the
-kernel's bit-parity tests then fail.
+routine behind numpy.linalg.svd) directly, and every eigenvalue list of the
+float geometry through `_eigvals`, which calls dgeev (the routine behind
+numpy.linalg.eigvals): on matrices this small numpy's wrappers cost more
+than the LAPACK work. Each routine's workspace size is queried once per
+shape and kept in a module dict (`_GESDD_LWORK`, `_GEEV_LWORK`): LAPACK's
+query depends only on the routine, its flags and the shape, so the cached
+size is the one a fresh query returns, and the one numpy asks for.
+
+The kernels run scipy's LAPACK and numpy runs its own, so the two agree
+bit for bit only where those builds round alike. They did with the numpy
+2.4.6 and scipy 1.17.1 wheels (OpenBLAS 0.3.31 and 0.3.30); a numpy and a
+scipy linked to different LAPACK implementations (say MKL and OpenBLAS) may
+differ in the last bits, and the kernels' bit-parity tests then fail.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgesdd, dgesdd_lwork
+from scipy.linalg.lapack import dgeev, dgeev_lwork, dgesdd, dgesdd_lwork
 
 from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 
@@ -34,12 +41,20 @@ from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 ORTHO_TOL = 1e-12
 
 
+# Workspace sizes by (m, n, compute_uv, full_matrices) and by n.
+_GESDD_LWORK: dict = {}
+_GEEV_LWORK: dict = {}
+
+
 def _gesdd(M: np.ndarray, compute_uv: int, full_matrices: int):
     # numpy's workspace, from the same query: once min(M.shape) exceeds
     # LAPACK's block size, dgesdd rounds differently for another lwork.
     # Positional flags: the binding parses keywords several microseconds slower.
-    lwork, _ = dgesdd_lwork(*M.shape, compute_uv, full_matrices)
-    u, s, vt, info = dgesdd(M, compute_uv, full_matrices, int(lwork))
+    key = (*M.shape, compute_uv, full_matrices)
+    lwork = _GESDD_LWORK.get(key)
+    if lwork is None:
+        lwork = _GESDD_LWORK[key] = int(dgesdd_lwork(*key)[0])
+    u, s, vt, info = dgesdd(M, compute_uv, full_matrices, lwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info})")
     return u, s, vt
@@ -64,6 +79,30 @@ def _norm2(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
     return float(_gesdd(M, 0, 0)[1][0])
+
+
+def _eigvals(A: np.ndarray) -> np.ndarray:
+    """numpy.linalg.eigvals(A), bit for bit, for a real square A: LAPACK
+    dgeev without eigenvectors, on numpy's workspace. The result is real
+    when every imaginary part is 0, as numpy's is; non-finite entries raise
+    LinAlgError."""
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    lwork = _GEEV_LWORK.get(n)
+    if lwork is None:
+        lwork = _GEEV_LWORK[n] = int(dgeev_lwork(n, 0, 0)[0])
+    wr, wi, _, _, info = dgeev(A, 0, 0, lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if not wi.any():
+        return wr
+    w = np.empty(n, complex)
+    w.real = wr
+    w.imag = wi
+    return w
 
 
 @dataclass(frozen=True)
@@ -206,10 +245,23 @@ def _as_matrix(M, what="matrix") -> np.ndarray:
 
 
 def _numerical_rank(s: np.ndarray, shape, rank_rel: float, scale: float) -> int:
-    if s.size == 0:
+    """The number of singular values above rank_rel * max(s_0, scale) *
+    max(shape), or above 0 when that cutoff is not positive. `s` must be in
+    descending order, as dgesdd returns it: the count stops at the first
+    value that is not above the cutoff. NaN values are skipped, not counted."""
+    values = s.tolist()
+    if not values:
         return 0
-    cutoff = rank_rel * max(s[0], scale) * max(shape)
-    return np.count_nonzero(s > cutoff) if cutoff > 0 else np.count_nonzero(s > 0)
+    cutoff = rank_rel * max(values[0], scale) * max(shape)
+    if not cutoff > 0:
+        cutoff = 0.0
+    r = 0
+    for v in values:
+        if v > cutoff:
+            r += 1
+        elif v == v:  # not NaN: no later value is above the cutoff
+            break
+    return r
 
 
 def span_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Subspace:
@@ -246,6 +298,8 @@ def complement(S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement."""
     if S.is_trivial:
         return Subspace.full(S.ambient_dim)
+    if S.is_full:
+        return Subspace.trivial(S.ambient_dim)
     return kernel_of(S.basis.T, tol)
 
 
@@ -261,7 +315,7 @@ def combine(mode: str, S1: Subspace, S2: Subspace,
     """Sum or intersection of two subspaces of the same ambient space."""
     _check_same_ambient(S1, S2)
     if mode == "sum":
-        return span_of(np.hstack([S1.basis, S2.basis]), tol)
+        return span_of(np.concatenate((S1.basis, S2.basis), axis=1), tol)
     if mode == "intersect":
         # S1 ^ S2 = B1 ker((I - P2) B1): one rank decision, on the sines of
         # the principal angles (Bjorck & Golub 1973); the product stays orthonormal.
@@ -379,7 +433,7 @@ def invariant_hull(direction: str, A, S: Subspace,
             # kept singular value; one more projection takes that out.
             Z = U[:, :r]
             Z = Z - Q @ (Q.T @ Z)
-            Q = np.hstack([Q, Z])
+            Q = np.concatenate((Q, Z), axis=1)
         return Subspace._adopt(n, Q) if Q is not S.basis else S
     if direction == "largest_contained":
         dual = invariant_hull("smallest_containing", A.T, complement(S, tol), tol)
@@ -401,7 +455,7 @@ def modal_subspace(A, region: StabilityRegion,
         raise DimensionMismatch("A must be square")
     if n == 0:
         return Subspace.trivial(0)
-    eigs = np.linalg.eigvals(A)
+    eigs = _eigvals(A)
     on_boundary = [l for l in eigs
                    if abs(region.boundary_distance(l)) <= REGION_GUARD]
     if on_boundary:

@@ -350,6 +350,18 @@ class TestReachDetect:
         got = reach_detect(OUTPUT_NULLING, Subspace.full(2), cert, q)
         assert equal(got, invariant_hull("smallest_containing", A, span_of(B)))
 
+    def test_given_friend_is_the_only_one_built(self, monkeypatch):
+        # the nulling system alone gives Uv and the nulling check; only the
+        # certificate's friend is checked to fit
+        q = random_quadruple(np.random.default_rng(53))
+        V = vstar(q)
+        cert = friend(OUTPUT_NULLING, V, q)
+        fits = count_calls(monkeypatch, "friend_residual", geometry)
+        friends = count_calls(monkeypatch, "_twin_friend", geometry)
+        got = reach_detect(OUTPUT_NULLING, V, cert, q)
+        assert not friends and len(fits) == 1 and fits[0][0] is cert.F_or_G
+        assert max_angle(got, rstar_qstar(q)[0]) <= 1e-8
+
     def test_reachability_on_vstar_is_rstar(self):
         rng = np.random.default_rng(53)
         for _ in range(25):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,43 @@ class TestPlantSystem:
         assert np.array_equal(qc.B, scalar_channel_plant.B) and np.array_equal(qc.C, scalar_channel_plant.E)
         qo = scalar_channel_plant.observation_quadruple()
         assert np.array_equal(qo.B, scalar_channel_plant.H) and np.array_equal(qo.D, scalar_channel_plant.G_y)
+
+
+class TestQuadrupleMemo:
+    """Each of a plant's quadruples is built once, and so is each dual."""
+
+    def test_one_object_per_plant(self, mismatched_plant):
+        plant = mismatched_plant
+        quads = (plant.control_quadruple(), plant.observation_quadruple(),
+                 *extended_quadruples(plant))
+        again = (plant.control_quadruple(), plant.observation_quadruple(),
+                 *extended_quadruples(plant))
+        assert all(a is b for a, b in zip(quads, again))
+        assert all(q.dual() is q.dual() for q in quads)
+        fresh = replace(plant)
+        assert fresh.control_quadruple() is not quads[0]
+        assert extended_quadruples(fresh)[0] is not quads[2]
+
+    def test_shared_matrices_are_read_only(self, mismatched_plant):
+        plant = mismatched_plant
+        for q in (plant.control_quadruple(), plant.observation_quadruple(),
+                  *extended_quadruples(plant)):
+            d = q.dual()
+            for M in (q.A, q.B, q.C, q.D, d.A, d.B, d.C, d.D):
+                assert not M.flags.writeable
+                with pytest.raises(ValueError):
+                    M[0, 0] = 1.0
+
+    def test_dual_is_made_of_views(self):
+        A = np.arange(9.0).reshape(3, 3)
+        q = Quadruple(A, np.ones((3, 2)), np.ones((1, 3)), np.zeros((1, 2)))
+        d = q.dual()
+        for got, want in ((d.A, q.A), (d.B, q.C), (d.C, q.B), (d.D, q.D)):
+            assert np.shares_memory(got, want) and np.array_equal(got, want.T)
+        # a write into the caller's array shows through both, so the kept
+        # dual never goes stale
+        A[0, 1] = -7.0
+        assert q.dual() is d and d.A[1, 0] == -7.0
 
 
 class TestExtendedQuadruples:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgesdd_lwork
 
 from geodd import exact, subspaces
 from geodd.errors import BoundarySpectrum, DimensionMismatch, InvalidInput
@@ -10,7 +11,10 @@ from geodd.subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _eigvals,
+    _gesdd,
     _norm2,
+    _numerical_rank,
     _singular_values,
     _svd,
     combine,
@@ -170,6 +174,94 @@ class TestSvdKernel:
             with pytest.raises(np.linalg.LinAlgError):
                 call()
 
+    def test_cached_workspace_equals_a_fresh_query(self, monkeypatch):
+        # every shape with sides 1-40, under each flag set the kernel uses
+        cache = {}
+        monkeypatch.setattr(subspaces, "_GESDD_LWORK", cache)
+        flag_sets = ((1, 0), (1, 1), (0, 0))
+        for m in range(1, 41):
+            for n in range(1, 41):
+                for flags in flag_sets:
+                    _gesdd(np.ones((m, n)), *flags)
+        assert len(cache) == 40 * 40 * len(flag_sets)
+        for key, lwork in cache.items():
+            assert lwork == int(dgesdd_lwork(*key)[0]), key
+
+
+def _count_above(s, shape, rank_rel, scale) -> int:
+    """The count of every singular value above the cutoff, in any order."""
+    cutoff = rank_rel * max(s[0], scale) * max(shape)
+    return np.count_nonzero(s > cutoff) if cutoff > 0 else np.count_nonzero(s > 0)
+
+
+class TestNumericalRank:
+    @pytest.mark.parametrize("s, shape, rank_rel, scale, want", [
+        # values tied with the cutoff 0.5 * 2 * 1 = 1 are not above it
+        ([2.0, 1.0, 1.0, 0.5], (1,), 0.5, 0.0, 1),
+        ([2.0, 1.0 + 2**-52, 1.0, 1.0], (1,), 0.5, 0.0, 2),
+        # a zero cutoff counts the positive values
+        ([0.0, 0.0], (2, 2), 1e-10, 0.0, 0),
+        # (and the cutoff of the smallest subnormal underflows to zero)
+        ([5e-324, 5e-324, 0.0], (3,), 1e-10, 0.0, 2),
+        # NaN is never above the cutoff, and a NaN cutoff counts the positive values
+        ([np.nan, 1.0, 0.0], (3, 3), 1e-10, 0.0, 1),
+        ([np.nan, np.nan], (2,), 1e-10, 1.0, 0),
+        ([3.0, np.nan, 2.0, 1e-20], (4,), 1e-10, 0.0, 2),
+        ([3.0, 1.0], (2,), 1e-10, np.nan, 2),
+        ([], (0, 3), 1e-10, 1.0, 0),
+    ])
+    def test_count_equals_the_count_above_the_cutoff(self, s, shape, rank_rel, scale, want):
+        s = np.array(s, dtype=float)
+        got = _numerical_rank(s, shape, rank_rel, scale)
+        assert type(got) is int and got == want
+        if s.size:
+            assert got == _count_above(s, shape, rank_rel, scale)
+
+    def test_on_descending_singular_values(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            s = np.sort(rng.choice([0.0, 1e-12, 1e-9, 1e-3, 1.0, 2.0], size=5))[::-1]
+            shape = tuple(rng.integers(1, 6, size=2))
+            scale = float(rng.choice([0.0, 1.0, 1e3]))
+            assert (_numerical_rank(s, shape, 1e-10, scale)
+                    == _count_above(s, shape, 1e-10, scale))
+
+
+def _eigvals_inputs():
+    """Seeded square matrices: random, integer, defective (Jordan blocks
+    and nilpotent), all-real spectra (triangular, symmetric), 0 x 0, 1 x 1,
+    non-contiguous views, and sides above 32."""
+    rng = np.random.default_rng(19)
+    mats = [np.zeros((0, 0)), np.array([[2.5]]), np.array([[-0.0]]), np.zeros((3, 3)),
+            np.eye(4), np.diag(np.ones(5), 1), 2 * np.eye(6) + np.diag(np.ones(5), 1),
+            np.array([[0.0, 1.0], [-1.0, 0.0]])]
+    for n in (1, 2, 3, 5, 8, 12, 17, 24, 33, 48):
+        G = rng.standard_normal((n, n))
+        mats += [G, rng.integers(-3, 4, size=(n, n)).astype(float),
+                 np.triu(G), G + G.T, G.T, G[::-1, ::-1]]
+    return mats
+
+
+class TestEigvalsKernel:
+    def test_equals_numpy_bit_for_bit(self):
+        for A in _eigvals_inputs():
+            got, want = _eigvals(A), np.linalg.eigvals(A)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), lapack_builds()
+
+    def test_real_spectrum_is_a_real_array(self):
+        assert _eigvals(np.diag([1.0, -2.0])).dtype == np.float64
+        assert _eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]])).dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_input_raises(self, bad):
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvals(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            _eigvals(A)
+
 
 class TestSpanKernel:
     def test_proportional_columns(self):
@@ -245,6 +337,18 @@ class TestCombine:
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):
             combine("sum", Subspace.full(2), Subspace.full(3))
+
+
+class TestComplement:
+    def test_full_subspace_takes_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        full = span_of(rng.standard_normal((5, 5)))
+        assert full.is_full
+        by_svd = kernel_of(full.basis.T)
+        calls = count_calls(monkeypatch, "_gesdd", subspaces)
+        got = complement(full)
+        assert not calls
+        assert got.ambient_dim == 5 and got.basis.shape == by_svd.basis.shape == (5, 0)
 
 
 class TestPreimage:

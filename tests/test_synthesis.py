@@ -754,6 +754,14 @@ class TestWorkPerSolve:
         # hulls: one per split; conditions D/E take none of their own
         assert [args[1].shape for args in hulls] == [(4, 4)] * 4 + [(0, 0)] * 2
 
+    def test_p2_solve_svd_count(self, monkeypatch):
+        # every SVD and norm of the package ends in _gesdd; the complements
+        # of full subspaces take none
+        plant = generate_instance(InstanceSpec(seed=0, n=6))
+        calls = count_calls(monkeypatch, "_gesdd", subspaces)
+        solve(plant, "p2")
+        assert len(calls) == 84
+
     def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))
         # quadruples on which each recursion takes several steps
