@@ -15,6 +15,13 @@ each updated row by its content (`det` uses Bareiss's exact division
 instead), and the determinant grid runs on integer members over a common
 denominator at integer grid points.
 
+The solve path's K family (`_star_family`) runs on integers end to end:
+the plant's float arrays are scaled by one common denominator, V*^perp is S*
+of the dual quadruple, so the growing recursion gives both subspaces, and
+the family, an RREF of a system whose row space depends on V*^perp and
+S* + W alone, not on their bases, equals that of `affine_k_family` on
+`vstar_span`, `sstar_span` and `kernel`.
+
 The results are those of the same computations on Fractions: `rref`,
 `kernel`, `solve_affine`, the K family of `affine_k_family` and the
 `det_grid_scan` witness are canonical and equal them entry for entry; the
@@ -503,24 +510,17 @@ class ExactAffineFamily:
                  for j, k in enumerate(row)] for i, row in enumerate(self.K0)]
 
 
-def affine_k_family(Atil: RatMat, Btil: RatMat, Ctil: RatMat,
-                    Tb: RatMat, N: RatMat):
-    """Exact solution set of N (Atil + Btil K Ctil) Tb = 0 in K.
+def _k_family(Ai: list, Bi: list, Ci: list, d: int, T: list, Nr: list,
+              m: int, p: int):
+    """The solution set of (N Btil) K (Ctil Tb) = -d (N Atil Tb) in K, for
+    integer Atil, Btil, Ctil (the rational ones times d), integer columns T
+    of Tb and rows Nr of N: an ExactAffineFamily, or None when infeasible.
 
-    N spans the left annihilator of the target subspace; Tb spans the
-    constrained domain. Returns ExactAffineFamily or None when infeasible.
-
-    With Atil, Btil, Ctil scaled to integers by their common denominator d,
-    each column of Tb and each row of N to its primitive integer multiple,
-    the system reads (N Btil) K (Ctil Tb) = -d (N Atil Tb); every equation
-    is a nonzero multiple of the rational one, so the RREF, hence K0 and
-    the directions, are those of the rational system.
+    Each equation is a nonzero multiple of the rational one, and the rows
+    span the same space for any bases of im N^T and im Tb, so the RREF,
+    hence K0 and the directions, depend on those two subspaces alone.
     """
-    m = shape(Btil)[1]
-    p = shape(Ctil)[0]
-    a = shape(N)[0]
-    t = shape(Tb)[1]
-    if a == 0 or t == 0:
+    if not Nr or not T:
         # no constraint rows: every K works
         dirs = []
         for be in range(p):
@@ -529,9 +529,6 @@ def affine_k_family(Atil: RatMat, Btil: RatMat, Ctil: RatMat,
                 D[al][be] = Fraction(1)
                 dirs.append(D)
         return ExactAffineFamily(zeros(m, p), dirs)
-    (Ai, Bi, Ci), d = _scaled(Atil, Btil, Ctil)
-    T = _columns(Tb)
-    Nr = _integer_rows(N)
     Y = [[sum(map(mul, nrow, col)) for col in zip(*Bi)] for nrow in Nr]  # a x m
     X = [_apply(Ci, tc) for tc in T]                                    # t x p
     NA = [[sum(map(mul, nrow, col)) for col in zip(*Ai)] for nrow in Nr]
@@ -554,6 +551,70 @@ def affine_k_family(Atil: RatMat, Btil: RatMat, Ctil: RatMat,
     dirs = [[[nullb[al + m * be][k] for be in range(p)] for al in range(m)]
             for k in range(nd)]
     return ExactAffineFamily(K0, dirs)
+
+
+def affine_k_family(Atil: RatMat, Btil: RatMat, Ctil: RatMat,
+                    Tb: RatMat, N: RatMat):
+    """Exact solution set of N (Atil + Btil K Ctil) Tb = 0 in K.
+
+    N spans the left annihilator of the target subspace; Tb spans the
+    constrained domain. Returns ExactAffineFamily or None when infeasible.
+
+    With Atil, Btil, Ctil scaled to integers by their common denominator d,
+    each column of Tb and each row of N to its primitive integer multiple,
+    the system reads (N Btil) K (Ctil Tb) = -d (N Atil Tb) (`_k_family`).
+    """
+    (Ai, Bi, Ci), d = _scaled(Atil, Btil, Ctil)
+    return _k_family(Ai, Bi, Ci, d, _columns(Tb), _integer_rows(N),
+                     shape(Btil)[1], shape(Ctil)[0])
+
+
+def _float_integers(*arrays):
+    """([d * M for M in arrays] as integer row lists, d) for 2-D float
+    arrays, d the lcm of their entries' denominators (1 for integer
+    arrays). A float is a dyadic rational, so `as_integer_ratio` is exact;
+    it runs once per distinct entry."""
+    lists = [M.tolist() for M in arrays]
+    ratios = {}
+    for M in lists:
+        for row in M:
+            for x in row:
+                if x not in ratios:
+                    ratios[x] = x.as_integer_ratio()
+    d = lcm(*{den for _, den in ratios.values()})
+    ints = {x: num * (d // den) for x, (num, den) in ratios.items()}
+    return [[[ints[x] for x in row] for row in M] for M in lists], d
+
+
+def _transposed(M: list, ncols: int) -> list:
+    """The transpose of the integer rows M, which have ncols columns."""
+    return [list(col) for col in zip(*M)] if M else [[] for _ in range(ncols)]
+
+
+def _star_family(A, B, H, C, G_y, E, D_z, G_z):
+    """The K family of the coupling inclusion on the star pair (S*, V*) of
+    the plant with these float arrays, as `affine_k_family` returns it, or
+    None when the inclusion has no solution.
+
+    The eight arrays are scaled to integers by one common denominator d,
+    which changes no star subspace. The annihilator of V* x 0_Z is
+    V*^perp x Z, and V*^perp is S* of the dual quadruple (A^T, E^T, B^T,
+    D_z^T) (Basile & Marro 1992), so both subspaces come from the growing
+    recursion `_sstar`, without the shrinking one or a kernel. The family
+    depends on V*^perp and S* alone, not on their bases (`_k_family`), so it
+    equals the one `affine_k_family` builds from `vstar_span`, `sstar_span`
+    and `kernel`.
+    """
+    n, m, q, p, r = A.shape[0], B.shape[1], H.shape[1], C.shape[0], E.shape[0]
+    (A, B, H, C, G_y, E, D_z, G_z), d = _float_integers(A, B, H, C, G_y, E, D_z, G_z)
+    v_perp = _sstar(_transposed(A, n), _transposed(E, n), _transposed(B, m),
+                    _transposed(D_z, m), r)
+    s_star = _sstar(A, H, C, G_y, q)
+    N = [z + [0] * r for z in v_perp] + _unit_columns(r, n)
+    T = [s + [0] * q for s in s_star] + _unit_columns(q, n)
+    Atil = [a + h for a, h in zip(A, H)] + [e + g for e, g in zip(E, G_z)]
+    Ctil = [c + g for c, g in zip(C, G_y)]
+    return _k_family(Atil, B + D_z, Ctil, d, T, N, m, p)
 
 
 def grid_points(count: int) -> list[Fraction]:

@@ -455,7 +455,7 @@ def self_predicate(kind: str, X: Subspace, q: Quadruple,
     if twin_kind is None:
         raise InvalidInput(f"unknown predicate kind {kind!r}")
     V, qv = _nulling_twin(twin_kind, X, q, tol)
-    _twin_friend(twin_kind, V, qv, tol)  # raises unless V is output nulling
+    _nulling_check(twin_kind, V, qv, tol)  # raises unless V is output nulling
     return contains(V, combine("intersect", vstar(qv, tol), sstar(qv, tol), tol), tol)
 
 

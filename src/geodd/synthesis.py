@@ -276,20 +276,8 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
 def _exact_star_family(sys: PlantSystem):
     """The K family on the star pair (S*, V*) in exact rational arithmetic,
     or None when the exact coupling inclusion has no solution."""
-    A, B, H, C, G_y, E, D_z, G_z = (exact.from_array(M) for M in (
-        sys.A, sys.B, sys.H, sys.C, sys.G_y, sys.E, sys.D_z, sys.G_z))
-    V = exact.vstar_span(A, B, E, D_z)
-    S = exact.sstar_span(A, H, C, G_y)
-    k = exact.shape(V)[1]
-    if k == 0:
-        N = exact.eye(sys.n + sys.r)
-    else:
-        V_ext = exact.vstack(V, exact.zeros(sys.r, k))
-        N = exact.transpose(exact.kernel(exact.transpose(V_ext)))
-    # The blocks of `_coupling_data`, stacked from the converted matrices.
-    Atil = exact.vstack(exact.hstack(A, H), exact.hstack(E, G_z))
-    return exact.affine_k_family(Atil, exact.vstack(B, D_z), exact.hstack(C, G_y),
-                                 exact.lifted_span(S, sys.q), N)
+    return exact._star_family(sys.A, sys.B, sys.H, sys.C, sys.G_y, sys.E,
+                              sys.D_z, sys.G_z)
 
 
 def wellposedness_margin(K, D_y) -> float:

@@ -7,7 +7,7 @@ import scipy
 from scipy.linalg import solve_continuous_are, solve_discrete_are
 from scipy.optimize import linear_sum_assignment
 
-from geodd import Quadruple, Subspace, exact
+from geodd import PlantSystem, Quadruple, Subspace, exact
 from geodd.errors import SampleTooCloseToPole
 from geodd.geometry import (
     INPUT_CONTAINING,
@@ -107,6 +107,39 @@ def random_quadruple(rng, n=None, m=None, p=None, lo=-3, hi=3) -> Quadruple:
     p = p or int(rng.integers(1, 4))
     draw = lambda r, c: rng.integers(lo, hi + 1, size=(r, c)).astype(float)
     return Quadruple(draw(n, n), draw(n, m), draw(p, n), draw(p, m))
+
+
+def lifted_obstruction(base: PlantSystem, k: int, time_domain: str, rng) -> PlantSystem:
+    """`base` with a stable k-state block appended, in integer coordinates
+    drawn from rng.
+
+    The control input drives the block and the measurement sees it, but the
+    disturbance does not reach it and the regulated output does not see it:
+    V* gains the block, S* gains nothing, and the K family of the coupling
+    inclusion is that of `base`, so an obstruction of `base` stays one. The
+    similarity T is a permutation times unit row additions, so T and its
+    inverse are integer matrices.
+    """
+    n = base.n + k
+    if time_domain == "continuous":
+        diag = -rng.integers(1, 3, size=k).astype(float)
+    else:
+        diag = rng.choice([-0.5, 0.5], size=k)
+    A2 = np.diag(diag) + np.triu(rng.integers(-1, 2, size=(k, k)), 1)
+    A = np.block([[base.A, np.zeros((base.n, k))], [np.zeros((k, base.n)), A2]])
+    B = np.vstack([base.B, rng.integers(-1, 2, size=(k, base.m))])
+    H = np.vstack([base.H, np.zeros((k, base.q))])
+    C = np.hstack([base.C, rng.integers(-1, 2, size=(base.p, k))])
+    E = np.hstack([base.E, np.zeros((base.r, k))])
+    T = np.eye(n)[rng.permutation(n)]
+    T_inv = T.T.copy()
+    for _ in range(n):
+        i, j = rng.choice(n, size=2, replace=False)
+        c = float(rng.choice([-1, 1]))
+        T[i] += c * T[j]
+        T_inv[:, j] -= c * T_inv[:, i]
+    return PlantSystem(T_inv @ A @ T, T_inv @ B, T_inv @ H, C @ T, base.D_y,
+                       base.G_y, E @ T, base.D_z, base.G_z, time_domain=time_domain)
 
 
 def quad_to_exact(q: Quadruple):

@@ -122,6 +122,20 @@ def test_grid_points_are_distinct():
     assert len(set(pts)) == 5
 
 
+@PROPERTY
+@given(st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=12), st.integers(0, 11))
+def test_float_integers_share_one_exact_denominator(values, split):
+    # two arrays, one possibly empty, over one common denominator
+    arrays = [np.array(values[:split]).reshape(1, -1), np.array(values[split:]).reshape(-1, 1)]
+    ints, d = exact._float_integers(*arrays)
+    assert all(type(x) is int for M in ints for row in M for x in row)
+    for M, rows in zip(arrays, ints):
+        assert [[Fraction(x, d) for x in row] for row in rows] == exact.from_array(M)
+    dens = {Fraction(x).denominator for x in values}
+    assert d == max(dens)
+
+
 def test_vstar_sstar_on_scalar_channel_plant(scalar_channel_plant):
     V = exact.vstar_span(
         exact.from_array(scalar_channel_plant.A), exact.from_array(scalar_channel_plant.B),

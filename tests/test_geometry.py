@@ -392,6 +392,28 @@ class TestLatticePredicates:
             assert self_predicate("bounded", R, q)
             assert self_predicate("hidden", Q, q)
 
+    @pytest.mark.parametrize("kind, X, message", [
+        ("bounded", Subspace.full(2), "subspace is not output nulling"),
+        ("hidden", Subspace.trivial(2), "subspace is not input containing"),
+    ])
+    def test_non_nulling_subspace_rejected(self, kind, X, message):
+        # C x != 0 on X = R^2, and B ker D = span(e2) is not in X = 0
+        q = Quadruple([[0, 1], [0, 0]], [[0], [1]], [[1, 0]], [[0]])
+        with pytest.raises(NotInvariant, match=f"^{message}$") as err:
+            self_predicate(kind, X, q)
+        assert err.value.residual > 0
+
+    def test_no_friend_is_built(self, monkeypatch):
+        # the nulling check alone decides that the subspace qualifies
+        fits = count_calls(monkeypatch, "friend_residual", geometry)
+        friends = count_calls(monkeypatch, "_twin_friend", geometry)
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            q = random_quadruple(rng)
+            assert self_predicate("bounded", vstar(q), q)
+            assert self_predicate("hidden", sstar(q), q)
+        assert not fits and not friends
+
     def test_mismatched_plant_subspace_stable_under_basis_change(self, mismatched_plant, mismatched_plant_pair):
         V, _ = mismatched_plant_pair
         q = mismatched_plant.control_quadruple()

@@ -69,7 +69,9 @@ from helpers import (
     count_calls,
     lapack_builds,
     match_spectra,
+    lifted_obstruction,
     reference_affine_k_family,
+    reference_det_grid_scan,
     reference_kernel,
     reference_sampled_member,
     reference_spectral_report,
@@ -267,6 +269,49 @@ def reference_star_family(sys):
     return reference_affine_k_family(Atil, Btil, Ctil, exact.lifted_span(S, sys.q), N)
 
 
+@st.composite
+def star_plants(draw):
+    """Plants with n = 1-5 and m, q, p, r in 0-2, in either time domain,
+    whose blocks are often zero (so that V* < X and S* != 0 both occur) and
+    otherwise hold small integers, halved in about one block of three (dyadic
+    entries)."""
+    n = draw(st.integers(1, 5))
+    m, q, p, r = (draw(st.integers(0, 2)) for _ in range(4))
+
+    def block(rows, cols):
+        if draw(st.integers(0, 2)) == 0:
+            return np.zeros((rows, cols))
+        cells = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                              max_size=rows * cols))
+        scale = draw(st.sampled_from([1.0, 1.0, 0.5]))
+        return np.array(cells, dtype=float).reshape(rows, cols) * scale
+
+    return PlantSystem(block(n, n), block(n, m), block(n, q), block(p, n), block(p, m),
+                       block(p, q), block(r, n), block(r, m), block(r, q),
+                       time_domain=draw(st.sampled_from(["continuous", "discrete"])))
+
+
+def assert_star_family_is_reference(plant):
+    """The integer star family (`exact._star_family`) and its grid witness
+    equal the Fraction reference's, entry for entry. Returns the witness."""
+    got = synthesis._exact_star_family(plant)
+    want = reference_star_family(plant)
+    assert (got is None) == (want is None)
+    if got is None:
+        return None
+    assert (got.K0, got.directions) == want
+    assert all(type(x) is Fraction for M in [got.K0, *got.directions]
+               for row in M for x in row)
+    Dy = exact.from_array(plant.D_y)
+    witness = exact.det_grid_scan(got, Dy, plant.m + 1)
+    if plant.m * plant.p == 0:
+        # I + K D_y = I: the first grid point is a witness
+        assert witness == [0] * len(got.directions)
+    else:
+        assert witness == reference_det_grid_scan(*want, Dy, plant.m + 1)
+    return witness
+
+
 def test_exact_star_family_matches_fraction_reference(singular_family_plant):
     """The integer twin's K0 and directions equal the Fraction twin's, entry
     for entry, on the singular-family plant and on random plants of both
@@ -277,13 +322,23 @@ def test_exact_star_family_matches_fraction_reference(singular_family_plant):
         plants.append(generate_instance(InstanceSpec(
             seed=seed, n=4, m=1, q=1, p=1, r=1, solvable_by_construction=False)))
     for plant in plants:
-        got = synthesis._exact_star_family(plant)
-        want = reference_star_family(plant)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert (got.K0, got.directions) == want
-            assert all(type(x) is Fraction for M in [got.K0, *got.directions]
-                       for row in M for x in row)
+        assert_star_family_is_reference(plant)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(star_plants())
+def test_star_family_equals_fraction_reference_on_random_plants(plant):
+    assert_star_family_is_reference(plant)
+
+
+@pytest.mark.parametrize("time_domain", ["continuous", "discrete"])
+def test_lifted_obstruction_has_no_witness(singular_family_plant, time_domain):
+    rng = np.random.default_rng(7)
+    for k in (2, 5):
+        plant = lifted_obstruction(singular_family_plant, k, time_domain, rng)
+        assert synthesis._exact_star_family(plant) is not None
+        assert assert_star_family_is_reference(plant) is None
+        assert analyze_p1(plant).condition("iv").note == "confirmed singular on exact grid"
 
 
 class TestAnalyzeP1:
@@ -320,7 +375,7 @@ class TestExactTwinOnDemand:
         def forbidden(*args):
             raise AssertionError("exact rational twin built")
 
-        for name in ("vstar_span", "sstar_span", "affine_k_family"):
+        for name in ("vstar_span", "sstar_span", "affine_k_family", "_star_family"):
             monkeypatch.setattr(exact, name, forbidden)
         for sys in (scalar_channel_plant, generated):
             assert analyze_p1(sys).solvable
@@ -330,7 +385,7 @@ class TestExactTwinOnDemand:
 
     def test_exact_infeasibility_is_a_numerical_failure(self, monkeypatch,
                                                         singular_family_plant):
-        monkeypatch.setattr(exact, "affine_k_family", lambda *args: None)
+        monkeypatch.setattr(exact, "_star_family", lambda *args: None)
         rep = analyze_p1(singular_family_plant)
         assert rep.overall == "numerical_failure"
         assert rep.condition("iv").note == "family construction failed"
