@@ -336,15 +336,6 @@ def preimage(M, S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     return kernel_of(P_perp @ M, tol, scale=_norm2(M))
 
 
-def image_under(M, S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """M S = span of M applied to a basis of S."""
-    M = _as_matrix(M)
-    if M.shape[1] != S.ambient_dim:
-        raise DimensionMismatch("matrix/subspace shape mismatch in image")
-    scale = _norm2(M)
-    return span_of(M @ S.basis, tol, scale=scale)
-
-
 def containment_residual(inner: Subspace, outer: Subspace) -> float:
     """sin of the largest principal angle between `inner` and its projection
     into `outer`; zero iff inner is a subset of outer."""
@@ -365,25 +356,6 @@ def equal(S1: Subspace, S2: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> bo
     if S1.dim != S2.dim:
         return False
     return contains(S2, S1, tol) and contains(S1, S2, tol)
-
-
-def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
-    """Principal angles (radians, ascending), sine-based for small angles."""
-    _check_same_ambient(S1, S2)
-    k = min(S1.dim, S2.dim)
-    if k == 0:
-        return np.zeros(0)
-    cosines = np.clip(_singular_values(S1.basis.T @ S2.basis), 0, 1)
-    angles = np.arccos(cosines)
-    # Refine the small angles (cosine resolution bottoms out near sqrt(eps)).
-    small = cosines > 0.5
-    if small.any():
-        inner = S1 if S1.dim <= S2.dim else S2
-        outer = S2 if S1.dim <= S2.dim else S1
-        resid = inner.basis - outer.basis @ (outer.basis.T @ inner.basis)
-        sines = np.sort(np.clip(_singular_values(resid), 0, 1))
-        angles[small] = np.arcsin(sines[small])
-    return np.sort(angles)
 
 
 def relate(S1: Subspace, S2: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> str:
@@ -498,11 +470,3 @@ def lifted_basis(S: Subspace, extra: int) -> np.ndarray:
     T[n:, S.dim:] = np.eye(extra)
     return T
 
-
-def embed(S: Subspace, total_dim: int) -> Subspace:
-    """S viewed inside R^total_dim, in its leading coordinates."""
-    if S.ambient_dim > total_dim:
-        raise DimensionMismatch("embedded block does not fit")
-    b = np.zeros((total_dim, S.dim))
-    b[:S.ambient_dim, :] = S.basis
-    return Subspace._adopt(total_dim, b)

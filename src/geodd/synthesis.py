@@ -123,10 +123,12 @@ class ClosedLoop:
 class AffineKFamily:
     """Affine set {K0 + sum theta_i K_i} of feedback parameters.
 
-    Directions are orthonormal as vectors. `plant` is set only on the family
-    written on the star pair (S*, V*); `select_wellposed` rebuilds that
-    family from it in exact rational arithmetic when it must prove that
-    every member is singular.
+    The set depends on its directions only through their span, which
+    `_span` holds as an orthonormal basis of the directions vectorised
+    column by column, so the directions need not be orthonormal or
+    independent. `plant` is set only on the family written on the star pair
+    (S*, V*); `select_wellposed` rebuilds that family from it in exact
+    rational arithmetic when it must prove that every member is singular.
     """
 
     K0: np.ndarray
@@ -141,6 +143,13 @@ class AffineKFamily:
     def n_directions(self) -> int:
         return len(self.directions)
 
+    @cached_property
+    def _span(self) -> Subspace:
+        """The span of the vectorised directions in R^(m p)."""
+        mp = self.K0.size
+        return span_of(np.column_stack(
+            [np.zeros((mp, 0))] + [D.flatten(order="F") for D in self.directions]))
+
     def member(self, thetas) -> np.ndarray:
         K = self.K0.copy()
         for th, D in zip(thetas, self.directions):
@@ -150,10 +159,8 @@ class AffineKFamily:
     def distance(self, K) -> float:
         """Euclidean distance from K to the affine set."""
         v = (np.atleast_2d(K) - self.K0).flatten(order="F")
-        for D in self.directions:
-            d = D.flatten(order="F")
-            v = v - d * (d @ v)
-        return float(np.linalg.norm(v))
+        B = self._span.basis
+        return float(np.linalg.norm(v - B @ (B.T @ v)))
 
 
 @dataclass(frozen=True)
@@ -290,31 +297,36 @@ def wellposedness_margin(K, D_y) -> float:
 
 
 def _screened_member(family: AffineKFamily, D_y: np.ndarray, seed: int):
-    """The first well-posed member of the sampling order after K0: K0 + D
-    and K0 - D for each direction D, then SAMPLE_TRIALS seeded members
-    K0 + sum theta_i D_i. None when there is none.
+    """The first well-posed member of the sampling order after K0, or None.
 
-    The members are built as one stack, bit for bit as the scalar search
-    builds them (one draw of all the thetas gives the same numbers as one
-    draw per trial), and screened by one stacked determinant. The stacked
-    products and determinants equal the scalar ones bit for bit, but the
-    stacked Frobenius norm may differ from `np.linalg.norm` in the last
-    bits, so each member the screen passes at half the threshold is
-    confirmed by `wellposedness_margin`, in order.
+    With P the orthogonal projector onto the span of the family's
+    directions, the order is K0 + P(E_ij) and K0 - P(E_ij) for each unit
+    m x p matrix E_ij in turn (column-major), then K0 + P(Z_t) for
+    SAMPLE_TRIALS seeded Gaussian m x p matrices Z_t scaled by 1 + ||K0||.
+    P depends on the span alone, so the member does not depend on the
+    basis the directions are given in.
+
+    The members are built as one stack, each P(W) as the sum of the columns
+    of P weighted by the entries of W, elementwise and in column order, so
+    that each equals the member built on its own bit for bit. They are
+    screened by one stacked determinant, which equals the scalar ones bit
+    for bit; the stacked Frobenius norm may differ from `np.linalg.norm` in
+    the last bits, so each member the screen passes at half the threshold
+    is confirmed by `wellposedness_margin`, in order.
     """
-    K0, dirs = family.K0, family.directions
-    candidates = []
-    for D in dirs:
-        candidates.append(K0 + D)
-        candidates.append(K0 - D)
-    rng = np.random.default_rng(seed)
-    thetas = rng.standard_normal((SAMPLE_TRIALS, len(dirs))) * (1.0 + np.linalg.norm(K0))
-    trials = np.broadcast_to(K0, (SAMPLE_TRIALS,) + K0.shape)
-    for theta, D in zip(thetas.T, dirs):
-        trials = trials + theta[:, None, None] * D
-    members = np.concatenate([np.stack(candidates), trials])
+    K0 = family.K0
+    m, p = K0.shape
+    B = family._span.basis
+    weights = np.concatenate([
+        np.kron(np.eye(m * p), [[1.0], [-1.0]]),
+        np.random.default_rng(seed).standard_normal((SAMPLE_TRIALS, m * p))
+        * (1.0 + np.linalg.norm(K0))])
+    steps = np.zeros_like(weights)
+    for k, column in enumerate((B @ B.T).T):
+        steps = steps + weights[:, k:k + 1] * column
+    members = K0 + steps.reshape(-1, p, m).transpose(0, 2, 1)
     KD = members @ D_y
-    margins = (np.abs(np.linalg.det(np.eye(K0.shape[0]) + KD))
+    margins = (np.abs(np.linalg.det(np.eye(m) + KD))
                / (1.0 + np.linalg.norm(KD, axis=(1, 2))))
     for i in np.flatnonzero(margins >= DELTA_WP / 2):
         if wellposedness_margin(members[i], D_y) >= DELTA_WP:
@@ -325,19 +337,20 @@ def _screened_member(family: AffineKFamily, D_y: np.ndarray, seed: int):
 def select_wellposed(family: AffineKFamily, D_y, seed: int = 0) -> np.ndarray:
     """Deterministic search for a member with I + K D_y safely invertible.
 
-    Order: the particular solution, each single direction at unit step,
-    then SAMPLE_TRIALS seeded pseudo-random combinations; a family without
-    directions has K0 as its only member and is not sampled. When no member
-    is well posed and the family has its `plant` set, the family is rebuilt
-    in exact rational arithmetic and the determinant is evaluated on an
-    exact grid: vanishing everywhere proves the obstruction (AllSingular,
-    confirmed). Raises NoSolution when the exact coupling inclusion has no
-    solution.
+    Order: the particular solution K0, then the members `_screened_member`
+    screens, which depend on the affine set alone (K0 plus the projections
+    of the unit matrices and of SAMPLE_TRIALS seeded Gaussian matrices onto
+    the direction span); a family whose directions span nothing has K0 as
+    its only member and is not sampled. When no member is well posed and
+    the family has its `plant` set, the family is rebuilt in exact rational
+    arithmetic and the determinant is evaluated on an exact grid: vanishing
+    everywhere proves the obstruction (AllSingular, confirmed). Raises
+    NoSolution when the exact coupling inclusion has no solution.
     """
     D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
     if wellposedness_margin(family.K0, D_y) >= DELTA_WP:
         return family.K0
-    if family.n_directions:
+    if family._span.dim:
         K = _screened_member(family, D_y, seed)
         if K is not None:
             return K
@@ -514,14 +527,14 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
 
     family, check_f, K = _wellposedness_condition(sys, "F", tol, seed)
     conds.append(check_f)
-    obstruction = (not check_f.passed
-                   and check_f.note != "family construction failed")
 
     failed = [c.label for c in conds if not c.passed]
     if not failed:
         overall = "solvable"
-    elif failed == ["F"] and obstruction:
-        overall = "well_posedness_obstruction"
+    elif failed == ["F"]:
+        overall = ("numerical_failure"
+                   if check_f.note == "family construction failed"
+                   else "well_posedness_obstruction")
     else:
         overall = f"infeasible({failed[0]})"
     return FeasibilityReport("p2", tuple(conds), vm_sum, s_M, family, K,
@@ -565,19 +578,15 @@ def k_set_equivalence(sys: PlantSystem,
     vm_sum, s_M = analysis_pair(sys, "p2", tol)
     fam1 = k_affine_family(sys, Sst, Vst, tol)
     fam2 = k_affine_family(sys, s_M, vm_sum, tol)
+    span1, span2 = fam1._span, fam2._span
     residuals = {
         "K0_1_in_2": fam2.distance(fam1.K0),
         "K0_2_in_1": fam1.distance(fam2.K0),
+        "dirs_1_in_2": containment_residual(span1, span2),
+        "dirs_2_in_1": containment_residual(span2, span1),
     }
-    mp = sys.m * sys.p
-    span1, span2 = (
-        span_of(np.column_stack([np.zeros((mp, 0))]
-                                + [D.flatten(order="F") for D in fam.directions]), tol)
-        for fam in (fam1, fam2))
-    residuals["dirs_1_in_2"] = containment_residual(span1, span2)
-    residuals["dirs_2_in_1"] = containment_residual(span2, span1)
     equal_sets = (
-        fam1.n_directions == fam2.n_directions
+        span1.dim == span2.dim
         and residuals["K0_1_in_2"] <= tol.residual
         and residuals["K0_2_in_1"] <= tol.residual
         and residuals["dirs_1_in_2"] <= tol.angle

@@ -20,8 +20,6 @@ from geodd.subspaces import (
     combine,
     complement,
     containment_residual,
-    embed,
-    image_under,
     invariant_hull,
     kernel_of,
     lifted_basis,
@@ -314,6 +312,38 @@ def reference_spectral_report(V_or_S: Subspace, kind: str, q: Quadruple, F_or_G)
     return external, internal, dims[::-1]
 
 
+def image_under(M, S: Subspace, tol=DEFAULT_TOL) -> Subspace:
+    """M S = span of M applied to a basis of S."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    assert M.shape[1] == S.ambient_dim, "matrix/subspace shape mismatch in image"
+    return span_of(M @ S.basis, tol, scale=np.linalg.norm(M, 2))
+
+
+def embed(S: Subspace, total_dim: int) -> Subspace:
+    """S viewed inside R^total_dim, in its leading coordinates."""
+    assert S.ambient_dim <= total_dim, "embedded block does not fit"
+    b = np.zeros((total_dim, S.dim))
+    b[:S.ambient_dim, :] = S.basis
+    return Subspace(total_dim, b)
+
+
+def principal_angles(S1: Subspace, S2: Subspace) -> np.ndarray:
+    """Principal angles (radians, ascending), sine-based for small angles."""
+    assert S1.ambient_dim == S2.ambient_dim
+    if min(S1.dim, S2.dim) == 0:
+        return np.zeros(0)
+    cosines = np.clip(np.linalg.svd(S1.basis.T @ S2.basis, compute_uv=False), 0, 1)
+    angles = np.arccos(cosines)
+    # Refine the small angles (cosine resolution bottoms out near sqrt(eps)).
+    small = cosines > 0.5
+    if small.any():
+        inner, outer = (S1, S2) if S1.dim <= S2.dim else (S2, S1)
+        resid = inner.basis - outer.basis @ (outer.basis.T @ inner.basis)
+        sines = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0, 1))
+        angles[small] = np.arcsin(sines[small])
+    return np.sort(angles)
+
+
 def reference_rref(M):
     """Gauss-Jordan elimination on Fraction entries, the reference that the
     integer kernel of `exact.rref` must reproduce entry for entry."""
@@ -521,21 +551,33 @@ def reference_det_grid_scan(K0, directions, Dy, points_per_var):
 
 def reference_sampled_member(family, D_y, seed):
     """The sampling loop of `synthesis.select_wellposed` one member at a
-    time: K0, K0 +- each direction, then SAMPLE_TRIALS seeded members, each
-    through `wellposedness_margin`. Returns the first well-posed member, or
-    None."""
+    time: K0, then K0 + P(E_ij) and K0 - P(E_ij) for each unit matrix E_ij
+    in column-major order, then SAMPLE_TRIALS members K0 + P(Z_t) for seeded
+    Gaussian Z_t scaled by 1 + ||K0||, each through `wellposedness_margin`.
+    P is the orthogonal projector onto the span of the vectorised
+    directions, and P(W) the sum of its columns weighted by the entries of
+    W. Returns the first well-posed member, or None."""
     D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
-    candidates = [family.K0]
-    for D in family.directions:
-        candidates.append(family.K0 + D)
-        candidates.append(family.K0 - D)
-    for K in candidates:
+    K0 = family.K0
+    m, p = K0.shape
+    B = span_of(np.column_stack([np.zeros((m * p, 0))] + [
+        D.flatten(order="F") for D in family.directions])).basis
+    P = B @ B.T
+
+    def member(w):
+        step = np.zeros(m * p)
+        for k in range(m * p):
+            step = step + w[k] * P[:, k]
+        return K0 + step.reshape((m, p), order="F")
+
+    units = [sign * e for e in np.eye(m * p) for sign in (1.0, -1.0)]
+    for K in [K0] + [member(w) for w in units]:
         if wellposedness_margin(K, D_y) >= DELTA_WP:
             return K
     rng = np.random.default_rng(seed)
-    scale = 1.0 + np.linalg.norm(family.K0)
+    scale = 1.0 + np.linalg.norm(K0)
     for _ in range(SAMPLE_TRIALS):
-        K = family.member(rng.standard_normal(family.n_directions) * scale)
+        K = member(rng.standard_normal(m * p) * scale)
         if wellposedness_margin(K, D_y) >= DELTA_WP:
             return K
     return None

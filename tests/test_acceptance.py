@@ -30,7 +30,6 @@ from geodd.subspaces import (
     combine,
     complement,
     contains,
-    image_under,
     kernel_of,
     preimage,
     relate,
@@ -58,6 +57,7 @@ from geodd.verify import (
 )
 from helpers import (
     exact_star_dims,
+    image_under,
     match_spectra,
     max_angle,
     quad_to_exact,

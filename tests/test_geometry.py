@@ -43,13 +43,13 @@ from geodd.subspaces import (
     complement,
     contains,
     equal,
-    image_under,
     invariant_hull,
     kernel_of,
     span_of,
 )
 from helpers import (
     count_calls,
+    image_under,
     lapack_builds,
     match_spectra,
     max_angle,

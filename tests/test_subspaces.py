@@ -20,22 +20,22 @@ from geodd.subspaces import (
     combine,
     complement,
     contains,
-    embed,
     equal,
     extended_ops,
     invariant_hull,
     kernel_of,
     modal_subspace,
     preimage,
-    principal_angles,
     relate,
     span_of,
 )
 from helpers import (
     count_calls,
+    embed,
     failing_dgesdd,
     lapack_builds,
     max_angle,
+    principal_angles,
     rational_as_subspace,
     reference_invariant_hull,
 )

@@ -190,6 +190,23 @@ def k_families(draw):
     return AffineKFamily(block(m, p), tuple(block(m, p) for _ in range(nd))), block(p, m)
 
 
+def projected_unit_steps(family):
+    """K0 + P(E_ij) and K0 - P(E_ij) for each unit matrix E_ij, column-major,
+    with P the orthogonal projector onto the span of the directions."""
+    m, p = family.shape
+    B = family._span.basis
+    P = B @ B.T
+    return [family.K0 + sign * P[:, k].reshape((m, p), order="F")
+            for k in range(m * p) for sign in (1.0, -1.0)]
+
+
+def selected_or_none(family, D_y, seed=0):
+    try:
+        return select_wellposed(family, D_y, seed)
+    except AllSingular:
+        return None
+
+
 class TestWellposedScreen:
     """`select_wellposed` against the one-member-at-a-time sampling loop it
     replaces (`helpers.reference_sampled_member`)."""
@@ -208,12 +225,48 @@ class TestWellposedScreen:
         assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
                                                          want.tobytes())
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(k_families(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_member_does_not_depend_on_the_direction_basis(self, family_and_dy, seed,
+                                                           rotation_seed):
+        # the selected K is a function of the affine set: a random orthogonal
+        # rotation of the directions moves it by roundoff only
+        family, D_y = family_and_dy
+        nd = family.n_directions
+        Q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).standard_normal((nd, nd)))
+        rotated = AffineKFamily(family.K0, tuple(
+            sum(Q[i, j] * D for i, D in enumerate(family.directions))
+            for j in range(nd)))
+        want = selected_or_none(family, D_y, seed)
+        got = selected_or_none(rotated, D_y, seed)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.linalg.norm(got - want) <= 1e-12 * (1 + np.linalg.norm(want))
+
+    @pytest.mark.parametrize("m,p", [(2, 2), (2, 3)])
+    def test_dependent_directions_give_the_member_of_their_span(self, m, p):
+        # K0 D_y = -I, so K0 is singular and the screen decides
+        rng = np.random.default_rng(m * p)
+        D_y = rng.standard_normal((p, m))
+        K0 = -np.linalg.pinv(D_y)
+        basis = np.linalg.qr(rng.standard_normal((m * p, 2)))[0]
+        d1, d2 = (basis[:, j].reshape((m, p), order="F") for j in range(2))
+        orthonormal = AffineKFamily(K0, (d1, d2))
+        mixed = AffineKFamily(K0, (2 * d1 + d2, 3 * d2, d1 - d2, 0 * d1))
+        want = select_wellposed(orthonormal, D_y)
+        assert not np.array_equal(want, K0)
+        assert np.linalg.norm(select_wellposed(mixed, D_y) - want) \
+            <= 1e-12 * np.linalg.norm(want)
+        assert mixed.distance(want) <= 1e-12 and orthonormal.distance(want) <= 1e-12
+
     @pytest.mark.parametrize("K0,dirs,branch", [
         ([[0.5, 0.0], [0.0, 0.5]], [], "K0"),
         ([[-1.0, 0.0], [0.0, 0.0]], [[[1.0, 0.0], [0.0, 0.0]]], "unit step"),
         ([[-1.0, 0.0], [0.0, -1.0]], [[[1.0, 0.0], [0.0, 0.0]],
                                       [[0.0, 0.0], [0.0, 1.0]]], "trial"),
         ([[-1.0, 0.0], [0.0, -1.0]], [[[1.0, 0.0], [0.0, 0.0]]], "none"),
+        # a direction that is no unit matrix: the step is its projection
+        ([[-1.0, 0.0], [0.0, 0.0]], [[[1.0, 1.0], [0.0, 0.0]]], "unit step"),
     ])
     def test_each_branch(self, K0, dirs, branch):
         family = AffineKFamily(np.array(K0), tuple(np.array(D) for D in dirs))
@@ -226,8 +279,7 @@ class TestWellposedScreen:
             return
         got = select_wellposed(family, D_y)
         assert got.tobytes() == want.tobytes()
-        steps = [family.K0 + D for D in family.directions]
-        steps += [family.K0 - D for D in family.directions]
+        steps = projected_unit_steps(family) if dirs else []
         assert (np.array_equal(got, family.K0), any(np.array_equal(got, K) for K in steps)) \
             == {"K0": (True, False), "unit step": (False, True), "trial": (False, False)}[branch]
 
@@ -389,6 +441,16 @@ class TestExactTwinOnDemand:
         rep = analyze_p1(singular_family_plant)
         assert rep.overall == "numerical_failure"
         assert rep.condition("iv").note == "family construction failed"
+        assert rep.family is None
+
+    def test_exact_infeasibility_is_a_numerical_failure_in_p2(self, monkeypatch,
+                                                              singular_family_plant):
+        # discrete time, so that A-E hold and F is the only failed condition
+        monkeypatch.setattr(exact, "_star_family", lambda *args: None)
+        rep = analyze_p2(replace(singular_family_plant, time_domain="discrete"))
+        assert [c.label for c in rep.conditions if not c.passed] == ["F"]
+        assert rep.overall == "numerical_failure"
+        assert rep.condition("F").note == "family construction failed"
         assert rep.family is None
 
 
