@@ -34,7 +34,7 @@ from .errors import (
     ShapeError,
     WellPosednessObstruction,
 )
-from .lattice import PlantSystem
+from .lattice import _MATRIX_SHAPES, PlantSystem
 from .subspaces import CONTINUOUS, DISCRETE, ToleranceProfile
 from .synthesis import (
     Compensator,
@@ -50,17 +50,6 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_OBSTRUCTION = 3
 EXIT_NUMERICAL = 4
-
-_MATRIX_SHAPES = {
-    "A": ("n", "n"), "B": ("n", "m"), "H": ("n", "q"),
-    "C": ("p", "n"), "D_y": ("p", "m"), "G_y": ("p", "q"),
-    "E": ("r", "n"), "D_z": ("r", "m"), "G_z": ("r", "q"),
-}
-
-
-def _shape_from_dims(dims: dict, name: str):
-    rows, cols = _MATRIX_SHAPES[name]
-    return dims[rows], dims[cols]
 
 
 def _parse_matrix(name: str, raw, shape=None) -> np.ndarray:
@@ -116,10 +105,10 @@ def parse_problem(path: str):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ParseError(f"{path}: dims.{key} must be a nonnegative integer")
     matrices = {}
-    for name in _MATRIX_SHAPES:
+    for name, (rows, cols) in _MATRIX_SHAPES.items():
         if name not in data:
             raise ParseError(f"{path}: missing matrix {name}")
-        matrices[name] = _parse_matrix(name, data[name], _shape_from_dims(dims, name))
+        matrices[name] = _parse_matrix(name, data[name], (dims[rows], dims[cols]))
     domain = data.get("time_domain", CONTINUOUS)
     if domain not in (CONTINUOUS, DISCRETE):
         raise ParseError(f"{path}: time_domain must be continuous or discrete")
@@ -320,16 +309,14 @@ def run(command: str, args) -> int:
         from .synthesis import analyze_p1, analyze_p2
 
         analyze = analyze_p1 if args.problem == "p1" else analyze_p2
-        report = analyze(sys_, tol, seed=args.seed)
-        payload = {"command": "analyze", "seed": args.seed,
-                   "report": report.to_dict()}
-        _write_result(args.output, payload)
+        report = analyze(sys_, tol)
+        _write_result(args.output, {"command": "analyze",
+                                    "report": report.to_dict()})
         return _verdict_exit(report.overall)
 
     if command == "solve":
         try:
-            comp, report, cl, cert = solve_certified(sys_, args.problem, tol,
-                                                     seed=args.seed)
+            comp, report, cl, cert = solve_certified(sys_, args.problem, tol)
         except (WellPosednessObstruction, Infeasible) as err:
             obstruction = isinstance(err, WellPosednessObstruction)
             verdict = "well_posedness_obstruction" if obstruction else "infeasible"
@@ -368,7 +355,7 @@ def run(command: str, args) -> int:
         # the pair of --problem certifies a compensator built on it; any
         # other loop is certified on the hull
         pair = analysis_pair(sys_, args.problem, tol)
-        cl = close_loop(sys_, comp, tol)
+        cl = close_loop(sys_, comp)
         cert = certify_decoupled(cl, tol, pair=pair) if cl.order == 2 * sys_.n else None
         if cert is None or not cert.valid:
             cert = certify_decoupled(cl, tol)
@@ -432,9 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", choices=["p1", "p2"], default="p1")
         p.add_argument("--tol", type=_rank_tolerance, default=None,
                        help="override the relative rank threshold, in (0, 1)")
-        p.add_argument("--seed", type=int, default=0)
         if name != "analyze":
             # only solve and verify sample the closed loop
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the frequency samples")
             p.add_argument("--samples", type=_sample_count, default=20,
                            help="number of frequency samples, at least 1")
         p.add_argument("--output", default=None, help="result JSON file")

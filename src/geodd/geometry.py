@@ -65,13 +65,13 @@ from .subspaces import (
     _eigvals,
     _norm2,
     _numerical_rank,
+    _region_part,
     _singular_values,
     _svd,
     combine,
     complement,
     contains,
     invariant_hull,
-    modal_subspace,
     span_of,
 )
 
@@ -730,10 +730,13 @@ def _stabilizability_subspace(kind: str, V_or_S: Subspace, q: Quadruple,
 
     In the coordinates of the twin's basis, V*_g is T1 (R*) plus the stable
     modal part of the map on the complement T2 of T1, the map whose
-    spectrum is the split's `fixed`, i.e. the invariant zeros."""
+    spectrum is the split's `fixed`, i.e. the invariant zeros. A zero is
+    stable when `StabilityRegion.outside` accepts it, so one within the
+    region guard of the boundary is decided as unstable, as every fixed
+    spectrum of the analyses is."""
     split = _twin_split(kind, V_or_S, q, tol)
     T2 = split.T2
-    stable = modal_subspace(T2.T @ split.Av @ T2, region, tol).basis
+    stable = _region_part(T2.T @ split.Av @ T2, region).basis
     Vg = Subspace._adopt(q.n, split.V.basis @ np.hstack([split.T1, T2 @ stable]))
     return Vg if kind == OUTPUT_NULLING else complement(Vg, tol)
 

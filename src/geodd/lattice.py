@@ -36,7 +36,13 @@ from .subspaces import (
     span_of,
 )
 
-_MATRIX_FIELDS = ("A", "B", "H", "C", "D_y", "G_y", "E", "D_z", "G_z")
+# The plant matrices in field order, each with the dims of its rows and
+# columns: state n, control m, disturbance q, measurement p, output r.
+_MATRIX_SHAPES = {
+    "A": ("n", "n"), "B": ("n", "m"), "H": ("n", "q"),
+    "C": ("p", "n"), "D_y": ("p", "m"), "G_y": ("p", "q"),
+    "E": ("r", "n"), "D_z": ("r", "m"), "G_z": ("r", "q"),
+}
 
 
 @dataclass(frozen=True)
@@ -72,22 +78,16 @@ class PlantSystem:
 
     def __post_init__(self):
         mats = {}
-        for name in _MATRIX_FIELDS:
+        for name in _MATRIX_SHAPES:
             M = np.array(getattr(self, name), dtype=float, ndmin=2)
             if M.size and not np.isfinite(M).all():
                 raise InvalidInput(f"{name} contains non-finite entries")
             mats[name] = M
-        n = mats["A"].shape[0]
-        m = mats["B"].shape[1]
-        q = mats["H"].shape[1]
-        p = mats["C"].shape[0]
-        r = mats["E"].shape[0]
-        expected = {
-            "A": (n, n), "B": (n, m), "H": (n, q),
-            "C": (p, n), "D_y": (p, m), "G_y": (p, q),
-            "E": (r, n), "D_z": (r, m), "G_z": (r, q),
-        }
-        for name, shp in expected.items():
+        dims = {"n": mats["A"].shape[0], "m": mats["B"].shape[1],
+                "q": mats["H"].shape[1], "p": mats["C"].shape[0],
+                "r": mats["E"].shape[0]}
+        for name, (rows, cols) in _MATRIX_SHAPES.items():
+            shp = (dims[rows], dims[cols])
             if mats[name].shape != shp:
                 raise DimensionMismatch(
                     f"{name} has shape {mats[name].shape}, expected {shp}"

@@ -413,33 +413,38 @@ def invariant_hull(direction: str, A, S: Subspace,
     raise InvalidInput(f"unknown hull direction {direction!r}")
 
 
-def modal_subspace(A, region: StabilityRegion,
-                   tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
+def _region_part(A: np.ndarray, region: StabilityRegion) -> Subspace:
+    """Maximal invariant subspace of the square A whose induced spectrum
+    `region.outside` accepts, so an eigenvalue within REGION_GUARD of the
+    boundary counts as outside. Uses an ordered real Schur decomposition;
+    complex pairs stay in 2x2 blocks."""
+    n = A.shape[0]
+    if n == 0:
+        return Subspace.trivial(0)
+    _, Z, sdim = scipy.linalg.schur(
+        A, output="real", sort=lambda re, im: not region.outside([complex(re, im)]))
+    return Subspace._adopt(n, Z[:, :sdim])
+
+
+def modal_subspace(A, region: StabilityRegion) -> Subspace:
     """Maximal A-invariant subspace whose induced spectrum lies in the region.
 
-    Uses an ordered real Schur decomposition; complex pairs stay in 2x2
-    blocks. Raises BoundarySpectrum if an eigenvalue is ambiguous, i.e.
-    within REGION_GUARD of the region boundary on either side.
+    Raises BoundarySpectrum if an eigenvalue is ambiguous, i.e. within
+    REGION_GUARD of the region boundary on either side. Otherwise inside
+    the region means inside by more than the guard, and the subspace is
+    `_region_part`'s.
     """
     A = _as_matrix(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise DimensionMismatch("A must be square")
-    if n == 0:
-        return Subspace.trivial(0)
-    eigs = _eigvals(A)
-    on_boundary = [l for l in eigs
+    on_boundary = [l for l in _eigvals(A)
                    if abs(region.boundary_distance(l)) <= REGION_GUARD]
     if on_boundary:
         raise BoundarySpectrum(
             "eigenvalue(s) on the stability-region boundary", on_boundary
         )
-
-    def _inside(re, im):
-        return region.boundary_distance(complex(re, im)) > 0
-
-    _, Z, sdim = scipy.linalg.schur(A, output="real", sort=_inside)
-    return Subspace._adopt(n, Z[:, :sdim])
+    return _region_part(A, region)
 
 
 def extended_ops(selector: str, W: Subspace, split: int,

@@ -2,15 +2,15 @@
 
 Condition analysis, the affine family of static output-feedback parameters
 K, well-posedness selection, compensator construction, and closed-loop
-assembly. Everything runs in floating point except one step: when sampling
-finds no well-posed member of the star-pair family, the family is rebuilt
-in exact rational arithmetic and its determinant grid proves or refutes the
-well-posedness obstruction.
+assembly. Everything runs in floating point except one step: when the
+screen finds no well-posed member of the star-pair family, the
+well-posedness condition rebuilds the family in exact rational arithmetic,
+and its determinant grid proves or refutes the obstruction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +60,7 @@ from .subspaces import (
 # Well-posedness margin: |det(I + K D_y)| >= DELTA_WP * (1 + ||K D_y||).
 DELTA_WP = 1e-8
 
-# Seeded random members of a K family tried before the exact grid.
+# Gaussian members of a K family screened after its projected unit steps.
 SAMPLE_TRIALS = 64
 
 
@@ -126,14 +126,11 @@ class AffineKFamily:
     The set depends on its directions only through their span, which
     `_span` holds as an orthonormal basis of the directions vectorised
     column by column, so the directions need not be orthonormal or
-    independent. `plant` is set only on the family written on the star pair
-    (S*, V*); `select_wellposed` rebuilds that family from it in exact
-    rational arithmetic when it must prove that every member is singular.
+    independent.
     """
 
     K0: np.ndarray
     directions: tuple
-    plant: object = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -244,7 +241,7 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
 
     The inclusion is vectorized into a linear system over the entries of K;
     the particular solution is the minimum-norm one. The family is computed
-    in floating point only; its `plant` field is left unset.
+    in floating point only.
     """
     if S.ambient_dim != sys.n or V.ambient_dim != sys.n:
         raise DimensionMismatch("subspaces must live in the plant state space")
@@ -280,13 +277,6 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
     return AffineKFamily(K0, dirs)
 
 
-def _exact_star_family(sys: PlantSystem):
-    """The K family on the star pair (S*, V*) in exact rational arithmetic,
-    or None when the exact coupling inclusion has no solution."""
-    return exact._star_family(sys.A, sys.B, sys.H, sys.C, sys.G_y, sys.E,
-                              sys.D_z, sys.G_z)
-
-
 def wellposedness_margin(K, D_y) -> float:
     """|det(I + K D_y)| normalized by the size of K D_y."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -296,14 +286,15 @@ def wellposedness_margin(K, D_y) -> float:
                  / (1.0 + np.linalg.norm(KD)))
 
 
-def _screened_member(family: AffineKFamily, D_y: np.ndarray, seed: int):
+def _screened_member(family: AffineKFamily, D_y: np.ndarray):
     """The first well-posed member of the sampling order after K0, or None.
 
     With P the orthogonal projector onto the span of the family's
     directions, the order is K0 + P(E_ij) and K0 - P(E_ij) for each unit
     m x p matrix E_ij in turn (column-major), then K0 + P(Z_t) for
-    SAMPLE_TRIALS seeded Gaussian m x p matrices Z_t scaled by 1 + ||K0||.
-    P depends on the span alone, so the member does not depend on the
+    SAMPLE_TRIALS Gaussian m x p matrices Z_t from the fixed stream
+    `default_rng(0)`, scaled by 1 + ||K0||. P depends on the span alone, so
+    the member is a function of the affine set: it does not depend on the
     basis the directions are given in.
 
     The members are built as one stack, each P(W) as the sum of the columns
@@ -319,7 +310,7 @@ def _screened_member(family: AffineKFamily, D_y: np.ndarray, seed: int):
     B = family._span.basis
     weights = np.concatenate([
         np.kron(np.eye(m * p), [[1.0], [-1.0]]),
-        np.random.default_rng(seed).standard_normal((SAMPLE_TRIALS, m * p))
+        np.random.default_rng(0).standard_normal((SAMPLE_TRIALS, m * p))
         * (1.0 + np.linalg.norm(K0))])
     steps = np.zeros_like(weights)
     for k, column in enumerate((B @ B.T).T):
@@ -334,46 +325,25 @@ def _screened_member(family: AffineKFamily, D_y: np.ndarray, seed: int):
     return None
 
 
-def select_wellposed(family: AffineKFamily, D_y, seed: int = 0) -> np.ndarray:
-    """Deterministic search for a member with I + K D_y safely invertible.
+def select_wellposed(family: AffineKFamily, D_y) -> np.ndarray:
+    """Deterministic float search for a member with I + K D_y safely
+    invertible.
 
     Order: the particular solution K0, then the members `_screened_member`
-    screens, which depend on the affine set alone (K0 plus the projections
-    of the unit matrices and of SAMPLE_TRIALS seeded Gaussian matrices onto
-    the direction span); a family whose directions span nothing has K0 as
-    its only member and is not sampled. When no member is well posed and
-    the family has its `plant` set, the family is rebuilt in exact rational
-    arithmetic and the determinant is evaluated on an exact grid: vanishing
-    everywhere proves the obstruction (AllSingular, confirmed). Raises
-    NoSolution when the exact coupling inclusion has no solution.
+    screens (K0 plus the projections of the unit matrices and of
+    SAMPLE_TRIALS fixed Gaussian matrices onto the direction span); a
+    family whose directions span nothing has K0 as its only member and is
+    not screened. Raises an unconfirmed AllSingular when no member is well
+    posed: only the exact grid of the well-posedness condition proves that
+    every member is singular.
     """
     D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
     if wellposedness_margin(family.K0, D_y) >= DELTA_WP:
         return family.K0
     if family._span.dim:
-        K = _screened_member(family, D_y, seed)
+        K = _screened_member(family, D_y)
         if K is not None:
             return K
-
-    if family.plant is not None:
-        twin = _exact_star_family(family.plant)
-        if twin is None:
-            raise NoSolution("exact coupling inclusion has no solution")
-        m = family.shape[0]
-        # I + K D_y is m x m with entries affine in each theta_i, so its
-        # determinant has degree at most m in every theta_i: m + 1 points
-        # per variable prove that it vanishes identically.
-        witness = exact.det_grid_scan(twin, exact.from_array(family.plant.D_y),
-                                      m + 1)
-        if witness is None:
-            raise AllSingular(
-                "det(I + K D_y) vanishes identically on the family",
-                confirmed=True,
-            )
-        K = exact.to_array(twin.member(witness))
-        if K.shape != family.shape:
-            K = K.reshape(family.shape)
-        return K
     raise AllSingular(
         "no well-posed member found among sampled candidates", confirmed=False
     )
@@ -393,27 +363,19 @@ def analysis_pair(sys: PlantSystem, problem: str,
     return sys._memoized(("pair", problem, tol), build)
 
 
-def analyze_p1(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
-               seed: int = 0) -> FeasibilityReport:
+def analyze_p1(sys: PlantSystem,
+               tol: ToleranceProfile = DEFAULT_TOL) -> FeasibilityReport:
     """Solvability analysis of decoupling without the stability demand."""
     Vst, Sst = analysis_pair(sys, "p1", tol)
     conds = _coupling_checks(_star_coupling(sys, tol), ("i", "ii", "iii"))
-    family = None
-    K = None
-    failed = [c.label for c in conds if not c.passed]
-    if failed:
-        conds.append(ConditionCheck("iv", None, float("nan"), "not evaluated"))
-        overall = f"infeasible({failed[0]})"
+    family = K = None
+    if all(c.passed for c in conds):
+        family, check, K = _wellposedness_condition(sys, "iv", tol)
     else:
-        family, check, K = _wellposedness_condition(sys, "iv", tol, seed)
-        conds.append(check)
-        if check.passed:
-            overall = "solvable"
-        elif check.note == "family construction failed":
-            overall = "numerical_failure"
-        else:
-            overall = "well_posedness_obstruction"
-    return FeasibilityReport("p1", tuple(conds), Vst, Sst, family, K, overall)
+        check = ConditionCheck("iv", None, float("nan"), "not evaluated")
+    conds.append(check)
+    return FeasibilityReport("p1", tuple(conds), Vst, Sst, family, K,
+                             _overall(conds))
 
 
 def _coupling_checks(conds, labels):
@@ -422,34 +384,72 @@ def _coupling_checks(conds, labels):
             for label, key in zip(labels, ("a", "b", "c"))]
 
 
-def _wellposedness_condition(sys, label, tol, seed):
-    """The well-posedness condition (iv of p1, F of p2) on the star pair:
-    build the K family on (S*, V*) and try to select a well-posed member.
+# The note of a well-posedness condition whose K family has no member,
+# float or exact; `_overall` reads it as a numerical failure.
+_FAMILY_FAILED = "family construction failed"
 
-    Returns (family, check, K). The condition is the same computation for
-    both problems, so its outcome is kept in the plant's memo under
-    (tol, seed) and `label` is put on the check when it is read. The
-    family's K0 and the selected K are read-only, since every report on
-    the plant shares them.
+
+def _overall(conds) -> str:
+    """The verdict on a report's conditions, the well-posedness condition
+    last: the first failed condition makes the plant infeasible, unless it
+    is the well-posedness condition, which is an obstruction, or a
+    numerical failure when the family could not be built."""
+    failed = [c for c in conds if not c.passed]
+    if not failed:
+        return "solvable"
+    if failed[0] is not conds[-1]:
+        return f"infeasible({failed[0].label})"
+    return ("numerical_failure" if failed[0].note == _FAMILY_FAILED
+            else "well_posedness_obstruction")
+
+
+def _wellposedness_condition(sys, label, tol):
+    """The well-posedness condition (iv of p1, F of p2) on the star pair:
+    build the K family on (S*, V*) and select a well-posed member.
+
+    When `select_wellposed` finds none, the family is rebuilt in exact
+    rational arithmetic (`exact._star_family`) and the determinant is
+    evaluated on an exact grid: vanishing everywhere proves the
+    obstruction, and the first grid point where it does not is the member.
+    A family that has no solution in floats or exactly fails the condition
+    as a numerical failure.
+
+    Returns (family, check, K). The condition depends on the plant alone
+    and is the same computation for both problems, so its outcome is kept
+    in the plant's memo under the tolerance profile and `label` is put on
+    the check when it is read. The family's K0 and the selected K are
+    read-only, since every report on the plant shares them.
     """
     def evaluate():
         Vst, Sst = analysis_pair(sys, "p1", tol)
+        no_family = None, False, float("nan"), _FAMILY_FAILED, None
         try:
-            family = replace(k_affine_family(sys, Sst, Vst, tol), plant=sys)
-            family.K0.setflags(write=False)
-            K = select_wellposed(family, sys.D_y, seed)
+            family = k_affine_family(sys, Sst, Vst, tol)
         except NoSolution:
-            return None, False, float("nan"), "family construction failed", None
-        except AllSingular as err:
-            note = ("confirmed singular on exact grid" if err.confirmed
-                    else "no well-posed sample found")
-            return family, False, 0.0, note, None
+            return no_family
+        family.K0.setflags(write=False)
+        try:
+            K = select_wellposed(family, sys.D_y)
+        except AllSingular:
+            twin = exact._star_family(sys.A, sys.B, sys.H, sys.C, sys.G_y,
+                                      sys.E, sys.D_z, sys.G_z)
+            if twin is None:
+                return no_family
+            # I + K D_y is m x m with entries affine in each theta_i, so its
+            # determinant has degree at most m in every theta_i: m + 1 points
+            # per variable prove that it vanishes identically.
+            witness = exact.det_grid_scan(twin, exact.from_array(sys.D_y),
+                                          sys.m + 1)
+            if witness is None:
+                return (family, False, 0.0, "confirmed singular on exact grid",
+                        None)
+            K = exact.to_array(twin.member(witness)).reshape(family.shape)
         K.setflags(write=False)
         return (family, True, wellposedness_margin(K, sys.D_y),
                 "residual holds the well-posedness margin", K)
 
-    family, passed, residual, note, K = sys._memoized(
-        ("wellposed", tol, seed), evaluate)
+    family, passed, residual, note, K = sys._memoized(("wellposed", tol),
+                                                      evaluate)
     return family, ConditionCheck(label, passed, residual, note), K
 
 
@@ -485,8 +485,8 @@ def _p2_side(sys, kind: str, tol) -> _TwinSplit:
     return sys._memoized(("p2 side", kind, tol), build)
 
 
-def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
-               seed: int = 0) -> FeasibilityReport:
+def analyze_p2(sys: PlantSystem,
+               tol: ToleranceProfile = DEFAULT_TOL) -> FeasibilityReport:
     """Solvability analysis with internal stability, via the minimum
     self-bounded / maximum self-hidden pair.
 
@@ -525,20 +525,10 @@ def analyze_p2(sys: PlantSystem, tol: ToleranceProfile = DEFAULT_TOL,
     conds.append(spectra_check(OUTPUT_NULLING, "D"))
     conds.append(spectra_check(INPUT_CONTAINING, "E"))
 
-    family, check_f, K = _wellposedness_condition(sys, "F", tol, seed)
+    family, check_f, K = _wellposedness_condition(sys, "F", tol)
     conds.append(check_f)
-
-    failed = [c.label for c in conds if not c.passed]
-    if not failed:
-        overall = "solvable"
-    elif failed == ["F"]:
-        overall = ("numerical_failure"
-                   if check_f.note == "family construction failed"
-                   else "well_posedness_obstruction")
-    else:
-        overall = f"infeasible({failed[0]})"
     return FeasibilityReport("p2", tuple(conds), vm_sum, s_M, family, K,
-                             overall)
+                             _overall(conds))
 
 
 def _stabilizability_route(sys, Vst, Sst, tol) -> dict:
@@ -634,8 +624,7 @@ def recover_parameters(sys: PlantSystem, comp: Compensator):
     return K, F, G
 
 
-def close_loop(sys: PlantSystem, comp: Compensator,
-               tol: ToleranceProfile = DEFAULT_TOL) -> ClosedLoop:
+def close_loop(sys: PlantSystem, comp: Compensator) -> ClosedLoop:
     """Assemble the well-posed feedback interconnection."""
     Dy, Dc = sys.D_y, comp.D_c
     if comp.B_c.shape[1] != sys.p or comp.C_c.shape[0] != sys.m:
@@ -657,7 +646,7 @@ def close_loop(sys: PlantSystem, comp: Compensator,
 
 
 def solve_certified(sys: PlantSystem, problem: str = "p1",
-                    tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
+                    tol: ToleranceProfile = DEFAULT_TOL):
     """Full pipeline: analyze, pick subspaces, select K, build friends,
     synthesize, close the loop, and certify it on the pair (report.V,
     report.S) the compensator was built on; for p2 also check the loop's
@@ -673,9 +662,9 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
     from .verify import certify_decoupled
 
     if problem == "p1":
-        report = analyze_p1(sys, tol, seed)
+        report = analyze_p1(sys, tol)
     elif problem == "p2":
-        report = analyze_p2(sys, tol, seed)
+        report = analyze_p2(sys, tol)
     else:
         raise ValueError(f"unknown problem {problem!r}")
     if report.overall == "well_posedness_obstruction":
@@ -692,7 +681,7 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
         F, G = (_stabilized(kind, _p2_side(sys, kind, tol), sys.region, tol).F_or_G
                 for kind in (OUTPUT_NULLING, INPUT_CONTAINING))
     comp = synthesize(sys, report.K, F, G)
-    cl = close_loop(sys, comp, tol)
+    cl = close_loop(sys, comp)
     # For p2 the star-pair K is used on the self-bounded/self-hidden pair
     # (the two affine families coincide); a K off that family leaves the
     # loop outside the pair's subspace and fails here.
@@ -708,8 +697,8 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
 
 
 def solve(sys: PlantSystem, problem: str = "p1",
-          tol: ToleranceProfile = DEFAULT_TOL, seed: int = 0):
+          tol: ToleranceProfile = DEFAULT_TOL):
     """`solve_certified` without the loop and its certificate: returns
     (compensator, report)."""
-    comp, report, _, _ = solve_certified(sys, problem, tol, seed)
+    comp, report, _, _ = solve_certified(sys, problem, tol)
     return comp, report

@@ -549,11 +549,12 @@ def reference_det_grid_scan(K0, directions, Dy, points_per_var):
             return None
 
 
-def reference_sampled_member(family, D_y, seed):
+def reference_sampled_member(family, D_y):
     """The sampling loop of `synthesis.select_wellposed` one member at a
     time: K0, then K0 + P(E_ij) and K0 - P(E_ij) for each unit matrix E_ij
-    in column-major order, then SAMPLE_TRIALS members K0 + P(Z_t) for seeded
-    Gaussian Z_t scaled by 1 + ||K0||, each through `wellposedness_margin`.
+    in column-major order, then SAMPLE_TRIALS members K0 + P(Z_t) for
+    Gaussian Z_t drawn one at a time from `default_rng(0)` and scaled by
+    1 + ||K0||, each through `wellposedness_margin`.
     P is the orthogonal projector onto the span of the vectorised
     directions, and P(W) the sum of its columns weighted by the entries of
     W. Returns the first well-posed member, or None."""
@@ -574,7 +575,7 @@ def reference_sampled_member(family, D_y, seed):
     for K in [K0] + [member(w) for w in units]:
         if wellposedness_margin(K, D_y) >= DELTA_WP:
             return K
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     scale = 1.0 + np.linalg.norm(K0)
     for _ in range(SAMPLE_TRIALS):
         K = member(rng.standard_normal(m * p) * scale)

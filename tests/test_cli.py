@@ -263,14 +263,17 @@ class TestCommands:
         assert main(["solve", "--input", plant, "--frobnicate"]) == EXIT_USAGE
 
     def test_analyze_takes_no_samples(self, tmp_path, capsys, scalar_channel_plant):
-        # analyze samples nothing: a --samples there is an unknown flag
+        # analyze samples nothing, and the K it selects is a function of the
+        # plant: a --samples or --seed there is an unknown flag
         plant = write_problem(tmp_path / "p.json", scalar_channel_plant)
         out = tmp_path / "r.json"
-        assert main(["analyze", "--input", plant, "--samples", "5",
-                     "--output", str(out)]) == EXIT_USAGE
-        assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
-        assert not out.exists()
+        for flag in ("--samples", "--seed"):
+            assert main(["analyze", "--input", plant, flag, "5",
+                         "--output", str(out)]) == EXIT_USAGE
+            assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+            assert not out.exists()
         assert main(["analyze", "--input", plant, "--output", str(out)]) == EXIT_OK
+        assert set(json.loads(out.read_text())) == {"command", "report"}
 
     def test_analyze_p2_unstabilizable_plant_exits_2(self, tmp_path,
                                                      scalar_channel_plant):

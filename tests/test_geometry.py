@@ -671,7 +671,8 @@ class TestStabilizabilitySubspaces:
                 Sg = sstar_g(q, region)
             except BoundarySpectrum:
                 continue
-            z = sum(region.boundary_distance(l) > 0 for l in invariant_zeros(q))
+            # a zero is stable when the region guard accepts it
+            z = sum(not region.outside([l]) for l in invariant_zeros(q))
             R, Q = rstar_qstar(q)
             assert Vg.dim - R.dim == z and Q.dim - Sg.dim == z
             assert contains(Vg, R) and contains(vstar(q), Vg)

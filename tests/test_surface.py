@@ -87,14 +87,21 @@ EXACT_SIGNATURES = {
 }
 
 
-# The compensator formula, the loop-stability test and the fields of the
-# records they read and return.
+# The compensator formula, the loop-stability test, the analyses and solvers
+# (which take no seed: the selected K is a function of the plant) and the
+# fields of the records they read and return.
 FORMULA_SIGNATURES = {
     synthesis.synthesize: "(sys: 'PlantSystem', K, F, G) -> 'Compensator'",
     verify.stability_check: "(A_hat, region: 'StabilityRegion') -> 'tuple[bool, np.ndarray]'",
+    synthesis.select_wellposed: "(family: 'AffineKFamily', D_y) -> 'np.ndarray'",
+    synthesis.analyze_p1: f"(sys: 'PlantSystem', {TOL}) -> 'FeasibilityReport'",
+    synthesis.analyze_p2: f"(sys: 'PlantSystem', {TOL}) -> 'FeasibilityReport'",
+    synthesis.solve: f"(sys: 'PlantSystem', problem: 'str' = 'p1', {TOL})",
+    synthesis.solve_certified: f"(sys: 'PlantSystem', problem: 'str' = 'p1', {TOL})",
 }
 FIELDS = {
     subspaces.StabilityRegion: ("kind",),
+    synthesis.AffineKFamily: ("K0", "directions"),
     synthesis.ClosedLoop: ("A_hat", "H_hat", "C_hat", "G_hat", "W", "time_domain"),
     geometry.FriendCertificate: ("F_or_G", "kind", "residual"),
 }
@@ -141,8 +148,9 @@ COMMON_FLAGS = {
     "--output": (None, None, False, None),
 }
 CLI_FLAGS = {
-    # analyze samples nothing, so it takes no --samples
-    "analyze": {flag: spec for flag, spec in COMMON_FLAGS.items() if flag != "--samples"},
+    # analyze samples nothing, so it takes no --samples and no sample --seed
+    "analyze": {flag: spec for flag, spec in COMMON_FLAGS.items()
+                if flag not in ("--samples", "--seed")},
     "solve": COMMON_FLAGS,
     "verify": dict(COMMON_FLAGS, **{"--compensator": (None, None, True, None)}),
 }
