@@ -3,8 +3,10 @@ emit compensators, certificates, and reports.
 
 Problem files are UTF-8 JSON with the matrix names used throughout the
 package (A, B, H, C, D_y, G_y, E, D_z, G_z), a dims block, a time_domain
-string, and optional tolerance overrides. Matrices may be nested row lists
-or flat row-major arrays.
+string, and an optional tolerances block, the one place a run's
+tolerances are set. Matrices may be nested row lists or flat row-major
+arrays. A run is a function of its files: no flag sets a tolerance, a
+seed or a sample count.
 
 Exit codes: 0 solved/verified/analysis-clean, 1 usage or parse error,
 2 infeasible (or failed verification), 3 well-posedness obstruction,
@@ -290,10 +292,10 @@ def _verdict_exit(overall: str) -> int:
     return EXIT_NUMERICAL
 
 
-def _loop_checks(sys_: PlantSystem, cl, args):
-    """(max sampled |T_zw|, stable, sorted spectrum) of a closed loop, all
-    read off its one spectrum."""
-    samples = transfer_samples(cl, default_lambdas(cl, args.samples, args.seed))
+def _loop_checks(sys_: PlantSystem, cl):
+    """(max |T_zw| over `default_lambdas`' 20 samples, stable, sorted
+    spectrum) of a closed loop, all read off its one spectrum."""
+    samples = transfer_samples(cl, default_lambdas(cl))
     stable = not sys_.region.outside(cl.spectrum)
     return samples, stable, np.sort_complex(cl.spectrum)
 
@@ -301,9 +303,6 @@ def _loop_checks(sys_: PlantSystem, cl, args):
 def run(command: str, args) -> int:
     """Dispatch one subcommand; returns the process exit code."""
     sys_, tol = parse_problem(args.input)
-    if args.tol is not None:
-        tol = ToleranceProfile(rank_rel=args.tol, angle=tol.angle,
-                               residual=tol.residual)
 
     if command == "analyze":
         from .synthesis import analyze_p1, analyze_p2
@@ -320,17 +319,16 @@ def run(command: str, args) -> int:
         except (WellPosednessObstruction, Infeasible) as err:
             obstruction = isinstance(err, WellPosednessObstruction)
             verdict = "well_posedness_obstruction" if obstruction else "infeasible"
-            _write_result(args.output, {"command": "solve", "seed": args.seed,
+            _write_result(args.output, {"command": "solve",
                                         "verdict": verdict,
                                         "report": err.report.to_dict()})
             label = "well-posedness obstruction" if obstruction else "infeasible"
             print(f"{label}: {err}", file=_sys.stderr)
             return EXIT_OBSTRUCTION if obstruction else EXIT_INFEASIBLE
-        samples, stable, _ = _loop_checks(sys_, cl, args)
+        samples, stable, _ = _loop_checks(sys_, cl)
         K, F, G = recover_parameters(sys_, comp)
         payload = {
             "command": "solve",
-            "seed": args.seed,
             "verdict": "solved",
             "report": report.to_dict(),
             "compensator": compensator_dict(comp),
@@ -359,13 +357,12 @@ def run(command: str, args) -> int:
         cert = certify_decoupled(cl, tol, pair=pair) if cl.order == 2 * sys_.n else None
         if cert is None or not cert.valid:
             cert = certify_decoupled(cl, tol)
-        samples, stable, eigs = _loop_checks(sys_, cl, args)
+        samples, stable, eigs = _loop_checks(sys_, cl)
         decoupled = cert.valid and samples <= 1e-8
         want_stable = args.problem == "p2"
         verified = decoupled and (stable or not want_stable)
         payload = {
             "command": "verify",
-            "seed": args.seed,
             "verdict": "verified" if verified else "not_verified",
             "certificate": _certificate_dict(cert),
             "max_sample_norm": samples,
@@ -377,28 +374,6 @@ def run(command: str, args) -> int:
         return EXIT_OK if verified else EXIT_INFEASIBLE
 
     raise ValueError(f"unknown command {command!r}")
-
-
-def _sample_count(text: str) -> int:
-    """--samples: an integer of at least 1, so that `verify` always samples."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
-
-
-def _rank_tolerance(text: str) -> float:
-    """--tol: a relative rank threshold, finite and in (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -417,14 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="plant JSON file")
         p.add_argument("--problem", choices=["p1", "p2"], default="p1")
-        p.add_argument("--tol", type=_rank_tolerance, default=None,
-                       help="override the relative rank threshold, in (0, 1)")
-        if name != "analyze":
-            # only solve and verify sample the closed loop
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed of the frequency samples")
-            p.add_argument("--samples", type=_sample_count, default=20,
-                           help="number of frequency samples, at least 1")
         p.add_argument("--output", default=None, help="result JSON file")
         if name == "verify":
             p.add_argument("--compensator", required=True,

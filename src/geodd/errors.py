@@ -49,15 +49,9 @@ class NoSolution(GeoddError):
 
 
 class AllSingular(GeoddError):
-    """Every member of the feedback family is ill posed.
-
-    ``confirmed`` is True when the determinant was shown to vanish
-    identically on an exact rational grid, not merely on sampled members.
-    """
-
-    def __init__(self, message, confirmed=False):
-        super().__init__(message)
-        self.confirmed = confirmed
+    """No screened member of the feedback family is well posed. Only the
+    exact determinant grid of the well-posedness condition proves that
+    every member is."""
 
 
 class WellPosednessViolated(GeoddError):

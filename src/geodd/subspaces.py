@@ -84,9 +84,11 @@ def _norm2(M: np.ndarray) -> float:
 def _eigvals(A: np.ndarray) -> np.ndarray:
     """numpy.linalg.eigvals(A), bit for bit, for a real square A: LAPACK
     dgeev without eigenvectors, on numpy's workspace. The result is real
-    when every imaginary part is 0, as numpy's is; non-finite entries raise
-    LinAlgError."""
+    when every imaginary part is 0, as numpy's is; a non-square A or
+    non-finite entries raise LinAlgError."""
     n = A.shape[0]
+    if A.shape != (n, n):
+        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
     if n == 0:
         return np.zeros(0)
     if not np.isfinite(A).all():

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     GeoddError,
     Infeasible,
+    InvalidInput,
     NoSolution,
     NotWellPosed,
     WellPosednessObstruction,
@@ -48,6 +49,7 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceProfile,
+    _eigvals,
     _norm2,
     _numerical_rank,
     _svd,
@@ -78,6 +80,9 @@ class Compensator:
         Bc = np.atleast_2d(np.asarray(self.B_c, dtype=float))
         Cc = np.atleast_2d(np.asarray(self.C_c, dtype=float))
         Dc = np.atleast_2d(np.asarray(self.D_c, dtype=float))
+        for name, M in (("A_c", Ac), ("B_c", Bc), ("C_c", Cc), ("D_c", Dc)):
+            if M.size and not np.isfinite(M).all():
+                raise InvalidInput(f"{name} contains non-finite entries")
         s = Ac.shape[0]
         if Ac.shape != (s, s) or Bc.shape[0] != s or Cc.shape[1] != s:
             raise DimensionMismatch("inconsistent compensator dimensions")
@@ -114,7 +119,7 @@ class ClosedLoop:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        eigs = np.linalg.eigvals(self.A_hat)
+        eigs = _eigvals(self.A_hat)
         eigs.flags.writeable = False
         return eigs
 
@@ -333,9 +338,9 @@ def select_wellposed(family: AffineKFamily, D_y) -> np.ndarray:
     screens (K0 plus the projections of the unit matrices and of
     SAMPLE_TRIALS fixed Gaussian matrices onto the direction span); a
     family whose directions span nothing has K0 as its only member and is
-    not screened. Raises an unconfirmed AllSingular when no member is well
-    posed: only the exact grid of the well-posedness condition proves that
-    every member is singular.
+    not screened. Raises AllSingular when no member is well posed: only
+    the exact grid of the well-posedness condition proves that every member
+    is singular.
     """
     D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
     if wellposedness_margin(family.K0, D_y) >= DELTA_WP:
@@ -344,9 +349,7 @@ def select_wellposed(family: AffineKFamily, D_y) -> np.ndarray:
         K = _screened_member(family, D_y)
         if K is not None:
             return K
-    raise AllSingular(
-        "no well-posed member found among sampled candidates", confirmed=False
-    )
+    raise AllSingular("no well-posed member found among sampled candidates")
 
 
 def analysis_pair(sys: PlantSystem, problem: str,

@@ -30,6 +30,7 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _eigvals,
     _norm2,
     containment_residual,
     extended_ops,
@@ -179,7 +180,7 @@ def stability_check(A_hat, region: StabilityRegion) -> tuple[bool, np.ndarray]:
     """Whether every eigenvalue of A_hat lies inside the region by more than
     its boundary guard (`StabilityRegion.outside`), and the eigenvalues
     sorted."""
-    eigs = np.linalg.eigvals(np.atleast_2d(np.asarray(A_hat, dtype=float)))
+    eigs = _eigvals(np.atleast_2d(np.asarray(A_hat, dtype=float)))
     return not region.outside(eigs), np.sort_complex(eigs)
 
 
@@ -276,7 +277,7 @@ def generate_instance(spec: InstanceSpec) -> PlantSystem:
         A -= float(rng.integers(0, 3)) * np.eye(n)
         if spec.time_domain == DISCRETE:
             # halve (exactly, keeping entries dyadic) until inside the disc
-            while np.max(np.abs(np.linalg.eigvals(A))) >= 0.95:
+            while np.max(np.abs(_eigvals(A))) >= 0.95:
                 A = A / 2.0
         B = _rand_int_matrix(rng, n, m)
         E = _rand_int_matrix(rng, r, n)

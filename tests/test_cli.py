@@ -27,7 +27,13 @@ from geodd.cli import (
     problem_dict,
 )
 from geodd.errors import ParseError, ShapeError
-from geodd.verify import SAMPLE_BLOCK, InstanceSpec, generate_instance
+from geodd.verify import (
+    SAMPLE_BLOCK,
+    InstanceSpec,
+    default_lambdas,
+    generate_instance,
+    transfer_samples,
+)
 from helpers import failing_dgesdd
 
 
@@ -236,27 +242,43 @@ class TestCommands:
     def test_out_of_range_option_is_a_usage_error(self, tmp_path, capsys,
                                                   scalar_channel_plant, flag,
                                                   value):
+        # a run is a function of its files: no command takes a sample count
+        # or a rank threshold, in range or not
         plant = write_problem(tmp_path / "p.json", scalar_channel_plant)
         out = tmp_path / "r.json"
-        for command in ("analyze", "solve"):
-            code = main([command, "--input", plant, "--output", str(out),
-                         f"{flag}={value}"])
+        for command in (["analyze"], ["solve"], ["verify", "--compensator", plant]):
+            code = main(command + ["--input", plant, "--output", str(out),
+                                   f"{flag}={value}"])
             assert code == EXIT_USAGE
-            # analyze takes no --samples, so there the flag itself is the error
-            expected = ("unrecognized arguments: --samples"
-                        if (command, flag) == ("analyze", "--samples") else f"argument {flag}")
-            assert expected in capsys.readouterr().err
+            assert (f"unrecognized arguments: {flag}={value}"
+                    in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_one_sample_and_a_tolerance_accepted(self, tmp_path,
-                                                 scalar_channel_plant):
-        plant = write_problem(tmp_path / "p.json", scalar_channel_plant)
+    def test_plant_file_rank_threshold_reaches_solve_and_verify(
+            self, tmp_path, monkeypatch, scalar_channel_plant):
+        # the plant file's tolerances block is the one place a run's rank
+        # threshold is set
+        plant = tmp_path / "p.json"
+        plant.write_text(json.dumps(dict(problem_dict(scalar_channel_plant),
+                                         tolerances={"rank_rel": 1e-9})))
+        seen = []
+        solve_certified, certify = cli.solve_certified, cli.certify_decoupled
+
+        def spy_solve(sys_, problem, tol):
+            seen.append(("solve_certified", tol.rank_rel))
+            return solve_certified(sys_, problem, tol)
+
+        def spy_certify(cl, tol, **kwargs):
+            seen.append(("certify_decoupled", tol.rank_rel))
+            return certify(cl, tol, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_certified", spy_solve)
+        monkeypatch.setattr(cli, "certify_decoupled", spy_certify)
         out = tmp_path / "r.json"
-        assert main(["solve", "--input", plant, "--samples", "1", "--tol",
-                     "1e-9", "--output", str(out)]) == EXIT_OK
-        assert main(["verify", "--input", plant, "--compensator", str(out),
-                     "--samples", "1", "--tol", "1e-9",
+        assert main(["solve", "--input", str(plant), "--output", str(out)]) == EXIT_OK
+        assert main(["verify", "--input", str(plant), "--compensator", str(out),
                      "--output", str(tmp_path / "v.json")]) == EXIT_OK
+        assert seen == [("solve_certified", 1e-9), ("certify_decoupled", 1e-9)]
 
     def test_unknown_flag_rejected(self, tmp_path, scalar_channel_plant):
         plant = write_problem(tmp_path / "scalar_channel_plant.json", scalar_channel_plant)
@@ -309,10 +331,27 @@ class TestCommands:
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            assert main(["solve", "--input", plant, "--seed", "7",
-                         "--output", str(out)]) == EXIT_OK
+            assert main(["solve", "--input", plant, "--output", str(out)]) == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_result_files_have_no_seed_key(self, tmp_path, scalar_channel_plant,
+                                           singular_family_plant):
+        plant = write_problem(tmp_path / "p.json", scalar_channel_plant)
+        out, verified = tmp_path / "r.json", tmp_path / "v.json"
+        assert main(["solve", "--input", plant, "--output", str(out)]) == EXIT_OK
+        assert set(json.loads(out.read_text())) == {
+            "command", "verdict", "report", "compensator", "K", "F", "G",
+            "certificate", "max_sample_norm", "stable"}
+        assert main(["verify", "--input", plant, "--compensator", str(out),
+                     "--output", str(verified)]) == EXIT_OK
+        assert set(json.loads(verified.read_text())) == {
+            "command", "verdict", "certificate", "max_sample_norm", "stable",
+            "spectrum"}
+        obstructed = write_problem(tmp_path / "o.json", singular_family_plant)
+        assert main(["solve", "--input", obstructed,
+                     "--output", str(out)]) == EXIT_OBSTRUCTION
+        assert set(json.loads(out.read_text())) == {"command", "verdict", "report"}
 
     def test_console_entry_point(self, tmp_path, scalar_channel_plant):
         plant = write_problem(tmp_path / "scalar_channel_plant.json", scalar_channel_plant)
@@ -420,16 +459,17 @@ class TestUnreadableFiles:
 
 
 def _count_work(monkeypatch):
-    """Count close_loop and certify_decoupled calls, and eigvals calls on
-    the A^ of a loop that close_loop built, wherever they are bound."""
+    """Count close_loop and certify_decoupled calls, and `_eigvals` calls
+    on the A^ of a loop that close_loop built, wherever they are bound."""
     import geodd.cli as cli_mod
+    import geodd.geometry as geometry
     import geodd.synthesis as synthesis
     import geodd.verify as verify
 
     counts = Counter()
     loops = []
     close_loop, certify, eigvals = (synthesis.close_loop, verify.certify_decoupled,
-                                    np.linalg.eigvals)
+                                    subspaces._eigvals)
 
     def counting_close_loop(*args, **kwargs):
         counts["close_loop"] += 1
@@ -449,7 +489,8 @@ def _count_work(monkeypatch):
         monkeypatch.setattr(module, "close_loop", counting_close_loop)
     for module in (verify, cli_mod):
         monkeypatch.setattr(module, "certify_decoupled", counting_certify)
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    for module in (subspaces, geometry, synthesis, verify):
+        monkeypatch.setattr(module, "_eigvals", counting_eigvals)
     return counts
 
 
@@ -481,11 +522,11 @@ class TestWorkPerCommand:
                      "--output", str(tmp_path / "v.json")]) == EXIT_OK
         assert counts == {"close_loop": 1, "certify_decoupled": 2, "eigvals": 1}
 
-    def test_samples_are_solved_a_block_at_a_time(self, tmp_path, monkeypatch):
+    def test_samples_are_solved_a_block_at_a_time(self, monkeypatch):
         sys_ = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
-        plant = write_problem(tmp_path / "g.json", sys_)
-        out = tmp_path / "result.json"
-        count = 2 * SAMPLE_BLOCK + 10
+        comp, _ = geodd.solve(sys_, "p1")
+        cl = geodd.close_loop(sys_, comp)
+        lambdas = default_lambdas(cl, 2 * SAMPLE_BLOCK + 10)
         batches = []
         solve = np.linalg.solve
 
@@ -495,13 +536,9 @@ class TestWorkPerCommand:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        assert main(["solve", "--input", plant, "--samples", str(count),
-                     "--output", str(out)]) == EXIT_OK
-        assert main(["verify", "--input", plant, "--compensator", str(out),
-                     "--samples", str(count),
-                     "--output", str(tmp_path / "v.json")]) == EXIT_OK
-        assert max(batches) == SAMPLE_BLOCK
-        assert sum(batches) == 2 * count
+        assert transfer_samples(cl, lambdas) <= 1e-8
+        assert len(lambdas) == 2 * SAMPLE_BLOCK + 10
+        assert batches == [SAMPLE_BLOCK, SAMPLE_BLOCK, 10]
 
 
 def _reference_text(obj) -> str:
@@ -597,8 +634,8 @@ class TestParserReuse:
     def _calls(self, tmp_path, plant, compensator):
         return [
             ["solve"],
-            ["verify", "--input", plant, "--compensator", compensator,
-             "--seed", "5", "--samples", "3", "--output", str(tmp_path / "v.json")],
+            ["verify", "--input", plant, "--compensator", compensator, "--problem", "p2",
+             "--output", str(tmp_path / "v.json")],
             ["solve", "--input", plant, "--output", str(tmp_path / "s.json")],
         ]
 
@@ -634,15 +671,14 @@ class TestParserReuse:
         parser = cli._PARSER
         seen, reused = self._outcomes(argvs, tmp_path, capsys, monkeypatch, fresh=False)
         assert cli._PARSER is parser
-        assert [o[0] for o in reused] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+        # the p1 compensator decouples but does not stabilize: verify --problem
+        # p2 exits 2, and the solve after it runs p1 again
+        assert [o[0] for o in reused] == [EXIT_USAGE, EXIT_INFEASIBLE, EXIT_OK]
         assert "the following arguments are required: --input" in reused[0][2]
         verify_args, solve_args = seen
-        assert (verify_args["command"], verify_args["seed"], verify_args["samples"]) == (
-            "verify", 5, 3)
+        assert (verify_args["command"], verify_args["problem"]) == ("verify", "p2")
         assert solve_args == {"command": "solve", "input": plant, "problem": "p1",
-                              "tol": None, "seed": 0, "samples": 20,
                               "output": str(tmp_path / "s.json")}
-        assert json.loads(reused[2][3]["s.json"])["seed"] == 0
         _, fresh = self._outcomes(argvs, tmp_path, capsys, monkeypatch, fresh=True)
         assert reused == fresh
 

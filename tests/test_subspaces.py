@@ -262,6 +262,14 @@ class TestEigvalsKernel:
         with pytest.raises(np.linalg.LinAlgError):
             _eigvals(A)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 3)])
+    def test_non_square_input_raises(self, shape):
+        A = np.ones(shape)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvals(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            _eigvals(A)
+
 
 class TestSpanKernel:
     def test_proportional_columns(self):

@@ -138,19 +138,16 @@ def test_kind_strings():
         "output_nulling", "input_containing")
 
 
-# {flag: (default, choices, required, type)} shared by every subcommand
+# {flag: (default, choices, required, type)} shared by every subcommand; a
+# run is a function of its files, so no flag sets a tolerance, a seed or a
+# sample count
 COMMON_FLAGS = {
     "--input": (None, None, True, None),
     "--problem": ("p1", ["p1", "p2"], False, None),
-    "--tol": (None, None, False, "_rank_tolerance"),
-    "--seed": (0, None, False, "int"),
-    "--samples": (20, None, False, "_sample_count"),
     "--output": (None, None, False, None),
 }
 CLI_FLAGS = {
-    # analyze samples nothing, so it takes no --samples and no sample --seed
-    "analyze": {flag: spec for flag, spec in COMMON_FLAGS.items()
-                if flag not in ("--samples", "--seed")},
+    "analyze": COMMON_FLAGS,
     "solve": COMMON_FLAGS,
     "verify": dict(COMMON_FLAGS, **{"--compensator": (None, None, True, None)}),
 }
