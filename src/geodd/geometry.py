@@ -34,6 +34,7 @@ are taken by `subspaces._eigvals`, numpy.linalg.eigvals bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -528,7 +529,7 @@ def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
     if not (abs(sca - 1.0) <= 1e-8 + 1e-5).all():
         sca = np.log2(sca)
         d = np.round((sca[k:n2] - sca[:k]) / 2)
-        sca = 2 ** np.r_[d, -d, sca[n2:]]
+        sca = 2 ** np.concatenate((d, -d, sca[n2:]))
         scale = sca[:, None] * np.reciprocal(sca)
         H *= scale
         J *= scale
@@ -567,26 +568,28 @@ def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
     _require_finite(u00)
     lu, piv, _ = dgetrf(u00)
     uu = np.triu(lu)
-    s = _singular_values(uu)
-    with np.errstate(all="ignore"):
-        cond = s[0] / s[-1]
-    if np.isnan(cond) and not np.isnan(uu).any():
-        cond = np.inf
+    s = _singular_values(uu).tolist()
+    s0, s_last = s[0], s[-1]
+    # s0 / s_last as numpy divides: x / 0 is inf for x > 0, else NaN
+    cond = s0 / s_last if s_last else (math.inf if s0 > 0 else math.nan)
+    if cond != cond and not np.isnan(uu).any():
+        cond = math.inf
     if 1 / cond < np.spacing(1.0):
         raise np.linalg.LinAlgError("Failed to find a finite solution.")
     _require_finite(u10)
-    perm = np.arange(k)
-    for i, p in enumerate(piv):
-        perm[[i, p]] = perm[[p, i]]
+    perm = list(range(k))
+    for i, p in enumerate(piv.tolist()):
+        perm[i], perm[p] = perm[p], perm[i]
     up = np.zeros((k, k))
-    up[perm, np.arange(k)] = 1.0
+    up[perm, range(k)] = 1.0
     y = dtrtrs(lu.T, u10.T, 1)[0]
     x = dtrtrs(lu.T, y, 0, 0, 1)[0].T.dot(up.T)
     x *= sca[:k, None] * sca[:k]
     # A solution that is not symmetric means the pencil had no clean split.
     u_sym = u00.T.dot(u10)
-    threshold = max(np.spacing(1000.0), 0.1 * np.linalg.norm(u_sym, 1))
-    if np.linalg.norm(u_sym - u_sym.T, 1) > threshold:
+    # numpy.linalg.norm(., 1): the largest absolute column sum
+    threshold = max(np.spacing(1000.0), 0.1 * np.abs(u_sym).sum(axis=0).max())
+    if np.abs(u_sym - u_sym.T).sum(axis=0).max() > threshold:
         what = ("symplectic pencil has eigenvalues too close to the unit circle"
                 if discrete else "Hamiltonian pencil has eigenvalues too close "
                 "to the imaginary axis")

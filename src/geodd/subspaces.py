@@ -11,19 +11,29 @@ tiny angles we care about).
 
 Every real SVD and spectral norm of the package goes through the private
 kernel `_svd`/`_singular_values`/`_norm2`, which calls LAPACK dgesdd (the
-routine behind numpy.linalg.svd) directly, and every eigenvalue list of the
+routine behind numpy.linalg.svd) directly, every eigenvalue list of the
 float geometry through `_eigvals`, which calls dgeev (the routine behind
-numpy.linalg.eigvals): on matrices this small numpy's wrappers cost more
-than the LAPACK work. Each routine's workspace size is queried once per
-shape and kept in a module dict (`_GESDD_LWORK`, `_GEEV_LWORK`): LAPACK's
-query depends only on the routine, its flags and the shape, so the cached
-size is the one a fresh query returns, and the one numpy asks for.
+numpy.linalg.eigvals), every inverse through `_inv` (dgesv on the
+identity, as numpy.linalg.inv solves it), every single determinant through
+`_det` (dgetrf, as numpy.linalg.det factors) and every QR basis through
+`_qr_basis` (dgeqrf then dorgqr, as numpy.linalg.qr builds Q): on matrices
+this small numpy's wrappers cost more than the LAPACK work. Each routine's
+workspace size is queried once per shape and kept in a module dict
+(`_GESDD_LWORK`, `_GEEV_LWORK`, `_QR_LWORK`): LAPACK's query depends only on
+the routine, its flags and the shape, so the cached size is the one a
+fresh query returns, and the one numpy asks for. Every matrix a kernel
+returns is C-ordered, as numpy's are: the layout of a factor decides the
+rounding of every product taken with it later.
 
 The kernels run scipy's LAPACK and numpy runs its own, so the two agree
 bit for bit only where those builds round alike. They did with the numpy
-2.4.6 and scipy 1.17.1 wheels (OpenBLAS 0.3.31 and 0.3.30); a numpy and a
-scipy linked to different LAPACK implementations (say MKL and OpenBLAS) may
-differ in the last bits, and the kernels' bit-parity tests then fail.
+2.4.6 and scipy 1.17.1 wheels (OpenBLAS 0.3.31 and 0.3.30), with one
+exception: on AVX-512 kernels the two OpenBLAS builds round dgetrf, and
+with it dgesv, differently from side 6 on, so `_inv` and `_det` equal
+numpy's bits on the loop's m x m and p x p matrices only up to side 5
+there. A numpy and a scipy linked to different LAPACK implementations (say
+MKL and OpenBLAS) may differ in the last bits, and the kernels' bit-parity
+tests then fail.
 """
 
 from __future__ import annotations
@@ -33,7 +43,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeev, dgeev_lwork, dgesdd, dgesdd_lwork
+from scipy.linalg.lapack import (
+    dgeev,
+    dgeev_lwork,
+    dgeqrf,
+    dgeqrf_lwork,
+    dgesdd,
+    dgesdd_lwork,
+    dgesv,
+    dgetrf,
+    dorgqr,
+)
 
 from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 
@@ -41,9 +61,11 @@ from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 ORTHO_TOL = 1e-12
 
 
-# Workspace sizes by (m, n, compute_uv, full_matrices) and by n.
+# Workspace sizes by (m, n, compute_uv, full_matrices), by n, and by (m, n)
+# (the dgeqrf and dorgqr sizes of one QR).
 _GESDD_LWORK: dict = {}
 _GEEV_LWORK: dict = {}
+_QR_LWORK: dict = {}
 
 
 def _gesdd(M: np.ndarray, compute_uv: int, full_matrices: int):
@@ -81,14 +103,19 @@ def _norm2(M: np.ndarray) -> float:
     return float(_gesdd(M, 0, 0)[1][0])
 
 
+def _check_square(M: np.ndarray) -> int:
+    n = M.shape[0]
+    if M.shape != (n, n):
+        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
+    return n
+
+
 def _eigvals(A: np.ndarray) -> np.ndarray:
     """numpy.linalg.eigvals(A), bit for bit, for a real square A: LAPACK
     dgeev without eigenvectors, on numpy's workspace. The result is real
     when every imaginary part is 0, as numpy's is; a non-square A or
     non-finite entries raise LinAlgError."""
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
+    n = _check_square(A)
     if n == 0:
         return np.zeros(0)
     if not np.isfinite(A).all():
@@ -105,6 +132,64 @@ def _eigvals(A: np.ndarray) -> np.ndarray:
     w.real = wr
     w.imag = wi
     return w
+
+
+def _inv(M: np.ndarray) -> np.ndarray:
+    """numpy.linalg.inv(M), bit for bit, for a real square M: LAPACK dgesv
+    on the identity, as numpy solves it, returned C-ordered as numpy's is.
+    A singular M raises LinAlgError("Singular matrix"), as numpy's does."""
+    n = _check_square(M)
+    if n == 0:
+        return np.zeros((0, 0))
+    x, info = dgesv(M, np.eye(n), 0, 1)[2:]
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.ascontiguousarray(x)
+
+
+def _det(M: np.ndarray) -> float:
+    """numpy.linalg.det(M), bit for bit, for a real square M: LAPACK dgetrf,
+    then sign * exp(sum of log |u_ii|), summed in numpy's order, the sign
+    flipped by each row interchange and each negative pivot. 0.0 when a
+    pivot is exactly zero, 1.0 for 0 x 0."""
+    n = _check_square(M)
+    if n == 0:
+        return 1.0
+    lu, piv, info = dgetrf(M)
+    if info > 0:
+        return 0.0
+    sign = 1.0
+    for i, p in enumerate(piv.tolist()):
+        if p != i:
+            sign = -sign
+    logdet = 0.0
+    for u in lu.diagonal().tolist():
+        if u < 0:
+            sign = -sign
+            u = -u
+        logdet += math.log(u)
+    try:
+        return sign * math.exp(logdet)
+    except OverflowError:
+        return sign * math.inf
+
+
+def _qr_basis(M: np.ndarray) -> np.ndarray:
+    """Q of numpy.linalg.qr(M) in its reduced mode, bit for bit, C-ordered:
+    LAPACK dgeqrf then dorgqr, on numpy's workspaces. An M with no columns
+    (or rows) gives an empty Q of min(m, n) columns."""
+    m, n = M.shape
+    k = min(m, n)
+    if k == 0:
+        return np.zeros((m, 0))
+    lwork = _QR_LWORK.get((m, n))
+    if lwork is None:
+        # numpy asks for max(1, n, query) of each routine
+        lwork = _QR_LWORK[m, n] = (
+            max(1, n, int(dgeqrf_lwork(m, n)[0])),
+            max(1, n, int(dorgqr(np.zeros((m, k), order="F"), np.zeros(k), -1)[1][0])))
+    qr, tau = dgeqrf(M, lwork[0])[:2]
+    return np.ascontiguousarray(dorgqr(qr[:, :k], tau, lwork[1], 1)[0])
 
 
 @dataclass(frozen=True)

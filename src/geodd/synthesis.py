@@ -10,8 +10,9 @@ and its determinant grid proves or refutes the obstruction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,7 +50,9 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     ToleranceProfile,
+    _det,
     _eigvals,
+    _inv,
     _norm2,
     _numerical_rank,
     _svd,
@@ -68,7 +71,11 @@ SAMPLE_TRIALS = 64
 
 @dataclass(frozen=True)
 class Compensator:
-    """Dynamic output-feedback regulator (A_c, B_c, C_c, D_c)."""
+    """Dynamic output-feedback regulator (A_c, B_c, C_c, D_c).
+
+    The matrices are read-only copies, as a `PlantSystem`'s are, so that
+    the non-finite check holds for the compensator's lifetime; the caller's
+    arrays stay writable."""
 
     A_c: np.ndarray
     B_c: np.ndarray
@@ -76,11 +83,10 @@ class Compensator:
     D_c: np.ndarray
 
     def __post_init__(self):
-        Ac = np.atleast_2d(np.asarray(self.A_c, dtype=float))
-        Bc = np.atleast_2d(np.asarray(self.B_c, dtype=float))
-        Cc = np.atleast_2d(np.asarray(self.C_c, dtype=float))
-        Dc = np.atleast_2d(np.asarray(self.D_c, dtype=float))
-        for name, M in (("A_c", Ac), ("B_c", Bc), ("C_c", Cc), ("D_c", Dc)):
+        names = ("A_c", "B_c", "C_c", "D_c")
+        Ac, Bc, Cc, Dc = mats = [np.array(getattr(self, name), dtype=float, ndmin=2)
+                                 for name in names]
+        for name, M in zip(names, mats):
             if M.size and not np.isfinite(M).all():
                 raise InvalidInput(f"{name} contains non-finite entries")
         s = Ac.shape[0]
@@ -88,7 +94,8 @@ class Compensator:
             raise DimensionMismatch("inconsistent compensator dimensions")
         if Dc.shape != (Cc.shape[0], Bc.shape[1]):
             raise DimensionMismatch("D_c must be m x p")
-        for name, M in (("A_c", Ac), ("B_c", Bc), ("C_c", Cc), ("D_c", Dc)):
+        for name, M in zip(names, mats):
+            M.setflags(write=False)
             object.__setattr__(self, name, M)
 
     @property
@@ -216,15 +223,16 @@ class FeasibilityReport:
 
 def _coupling_data(sys: PlantSystem):
     """The block matrices of the coupling inclusion."""
-    Atil = np.block([[sys.A, sys.H], [sys.E, sys.G_z]])
-    Btil = np.vstack([sys.B, sys.D_z])
-    Ctil = np.hstack([sys.C, sys.G_y])
+    Atil = np.concatenate((np.concatenate((sys.A, sys.H), axis=1),
+                           np.concatenate((sys.E, sys.G_z), axis=1)))
+    Btil = np.concatenate((sys.B, sys.D_z))
+    Ctil = np.concatenate((sys.C, sys.G_y), axis=1)
     return Atil, Btil, Ctil
 
 
 def _target_projector(sys: PlantSystem, V: Subspace) -> np.ndarray:
     """Orthogonal projector onto the complement of V + 0_Z in R^(n+r)."""
-    Vext = np.vstack([V.basis, np.zeros((sys.r, V.dim))])
+    Vext = np.concatenate((V.basis, np.zeros((sys.r, V.dim))))
     return np.eye(sys.n + sys.r) - Vext @ Vext.T
 
 
@@ -258,10 +266,12 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
     rhs = -(P @ Atil @ Tb).flatten(order="F")
     m, p = sys.m, sys.p
     if m * p == 0:
-        if np.linalg.norm(rhs) > tol.residual:
+        if _frobenius(rhs) > tol.residual:
             raise NoSolution("coupling inclusion infeasible with empty K")
         return AffineKFamily(np.zeros((m, p)), ())
-    Op = np.kron(X.T, Y)
+    # the Kronecker product of X^T and Y: entry (i k, j l) is X[j, i] Y[k, l]
+    Op = (X.T[:, None, :, None] * Y[None, :, None, :]).reshape(
+        X.shape[1] * Y.shape[0], X.shape[0] * Y.shape[1])
     if Op.shape[0] == 0:
         K0_vec, null = np.zeros(m * p), np.eye(m * p)
     else:
@@ -273,7 +283,7 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
                             _norm2(Btil) * max(_norm2(X), 1.0))
         K0_vec = Vh[:r].T @ ((U[:, :r].T @ rhs) / s[:r])
         null = Vh[r:].T
-    if np.linalg.norm(Op @ K0_vec - rhs) > tol.residual * (1 + np.linalg.norm(rhs)):
+    if _frobenius(Op @ K0_vec - rhs) > tol.residual * (1 + _frobenius(rhs)):
         raise NoSolution("coupling inclusion has no solution")
     K0 = K0_vec.reshape((m, p), order="F")
     dirs = tuple(
@@ -282,13 +292,28 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
     return AffineKFamily(K0, dirs)
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """numpy.linalg.norm(M), bit for bit: the square root of the dot
+    product of M's entries in memory order."""
+    v = M.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def wellposedness_margin(K, D_y) -> float:
     """|det(I + K D_y)| normalized by the size of K D_y."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
     D_y = np.atleast_2d(np.asarray(D_y, dtype=float))
     KD = K @ D_y
-    return float(abs(np.linalg.det(np.eye(K.shape[0]) + KD))
-                 / (1.0 + np.linalg.norm(KD)))
+    return abs(_det(np.eye(K.shape[0]) + KD)) / (1.0 + _frobenius(KD))
+
+
+@lru_cache(maxsize=None)
+def _gaussian_draws(mp: int) -> np.ndarray:
+    """The SAMPLE_TRIALS x mp standard normal draws of `default_rng(0)`,
+    drawn once per mp and kept read-only."""
+    draws = np.random.default_rng(0).standard_normal((SAMPLE_TRIALS, mp))
+    draws.setflags(write=False)
+    return draws
 
 
 def _screened_member(family: AffineKFamily, D_y: np.ndarray):
@@ -300,31 +325,34 @@ def _screened_member(family: AffineKFamily, D_y: np.ndarray):
     SAMPLE_TRIALS Gaussian m x p matrices Z_t from the fixed stream
     `default_rng(0)`, scaled by 1 + ||K0||. P depends on the span alone, so
     the member is a function of the affine set: it does not depend on the
-    basis the directions are given in.
+    basis the directions are given in. The stream's draws depend on m p
+    alone; `_gaussian_draws` draws them once per m p and keeps them.
 
     The members are built as one stack, each P(W) as the sum of the columns
     of P weighted by the entries of W, elementwise and in column order, so
     that each equals the member built on its own bit for bit. They are
-    screened by one stacked determinant, which equals the scalar ones bit
-    for bit; the stacked Frobenius norm may differ from `np.linalg.norm` in
-    the last bits, so each member the screen passes at half the threshold
-    is confirmed by `wellposedness_margin`, in order.
+    screened, in logs, by one stacked `numpy.linalg.slogdet`, which costs
+    less than a `_det` per member; its factors and the stacked Frobenius
+    norm may differ from `wellposedness_margin`'s by roundoff, so each
+    member the screen passes at half the threshold is confirmed by
+    `wellposedness_margin`, in order.
     """
     K0 = family.K0
     m, p = K0.shape
+    mp = m * p
     B = family._span.basis
-    weights = np.concatenate([
-        np.kron(np.eye(m * p), [[1.0], [-1.0]]),
-        np.random.default_rng(0).standard_normal((SAMPLE_TRIALS, m * p))
-        * (1.0 + np.linalg.norm(K0))])
+    # unit steps +E_ij, -E_ij in turn: the Kronecker product of I and [1; -1]
+    units = (np.eye(mp)[:, None, :] * np.array([[1.0], [-1.0]])).reshape(2 * mp, mp)
+    weights = np.concatenate([units, _gaussian_draws(mp) * (1.0 + _frobenius(K0))])
     steps = np.zeros_like(weights)
     for k, column in enumerate((B @ B.T).T):
         steps = steps + weights[:, k:k + 1] * column
     members = K0 + steps.reshape(-1, p, m).transpose(0, 2, 1)
     KD = members @ D_y
-    margins = (np.abs(np.linalg.det(np.eye(m) + KD))
-               / (1.0 + np.linalg.norm(KD, axis=(1, 2))))
-    for i in np.flatnonzero(margins >= DELTA_WP / 2):
+    # margin >= DELTA_WP / 2, in logs, where no determinant overflows
+    _, logdets = np.linalg.slogdet(np.eye(m) + KD)
+    screened = logdets >= np.log(1.0 + np.linalg.norm(KD, axis=(1, 2))) + math.log(DELTA_WP / 2)
+    for i in np.flatnonzero(screened):
         if wellposedness_margin(members[i], D_y) >= DELTA_WP:
             return members[i].copy()
     return None
@@ -601,7 +629,7 @@ def synthesize(sys: PlantSystem, K, F, G) -> Compensator:
         raise WellPosednessViolated("I + K D_y is singular")
     F = np.atleast_2d(np.asarray(F, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    Minv = np.linalg.inv(np.eye(sys.m) + K @ sys.D_y)
+    Minv = _inv(np.eye(sys.m) + K @ sys.D_y)
     FKC = F - K @ sys.C
     BGDy = sys.B + G @ sys.D_y
     A_c = sys.A + G @ sys.C + BGDy @ Minv @ FKC
@@ -614,16 +642,13 @@ def synthesize(sys: PlantSystem, K, F, G) -> Compensator:
 def recover_parameters(sys: PlantSystem, comp: Compensator):
     """Invert the compensator formulas: (K, F, G) from (B_c, C_c, D_c)."""
     Dc = comp.D_c
-    p, m = sys.p, sys.m
-    I_p = np.eye(p)
-    I_m = np.eye(m)
     if wellposedness_margin(sys.D_y, -Dc) < DELTA_WP:
         raise NotWellPosed("I - D_y D_c is singular; parameters undefined")
-    inner = I_p - sys.D_y @ Dc
-    K = Dc @ np.linalg.inv(inner)
-    lead = np.linalg.inv(I_m - Dc @ sys.D_y)
+    inner_inv = _inv(np.eye(sys.p) - sys.D_y @ Dc)
+    K = Dc @ inner_inv
+    lead = _inv(np.eye(sys.m) - Dc @ sys.D_y)
     F = lead @ comp.C_c + K @ sys.C
-    G = (sys.B @ Dc - comp.B_c) @ np.linalg.inv(inner)
+    G = (sys.B @ Dc - comp.B_c) @ inner_inv
     return K, F, G
 
 
@@ -634,16 +659,23 @@ def close_loop(sys: PlantSystem, comp: Compensator) -> ClosedLoop:
         raise DimensionMismatch("compensator does not match the plant ports")
     if wellposedness_margin(Dy, -Dc) < DELTA_WP:
         raise NotWellPosed("I - D_y D_c is singular")
-    W = np.linalg.inv(np.eye(sys.p) - Dy @ Dc)
+    W = _inv(np.eye(sys.p) - Dy @ Dc)
     A, B, H, C, Gy = sys.A, sys.B, sys.H, sys.C, sys.G_y
     E, Dz, Gz = sys.E, sys.D_z, sys.G_z
     Ac, Bc, Cc = comp.A_c, comp.B_c, comp.C_c
-    A_hat = np.block([
-        [A + B @ Dc @ W @ C, B @ Cc + B @ Dc @ W @ Dy @ Cc],
-        [Bc @ W @ C, Ac + Bc @ W @ Dy @ Cc],
-    ])
-    H_hat = np.vstack([H + B @ Dc @ W @ Gy, Bc @ W @ Gy])
-    C_hat = np.hstack([E + Dz @ Dc @ W @ C, Dz @ Cc + Dz @ Dc @ W @ Dy @ Cc])
+    # the blocks [plant; compensator] of each matrix, written in place
+    n, k = sys.n, comp.order
+    A_hat = np.empty((n + k, n + k))
+    A_hat[:n, :n] = A + B @ Dc @ W @ C
+    A_hat[:n, n:] = B @ Cc + B @ Dc @ W @ Dy @ Cc
+    A_hat[n:, :n] = Bc @ W @ C
+    A_hat[n:, n:] = Ac + Bc @ W @ Dy @ Cc
+    H_hat = np.empty((n + k, sys.q))
+    H_hat[:n] = H + B @ Dc @ W @ Gy
+    H_hat[n:] = Bc @ W @ Gy
+    C_hat = np.empty((sys.r, n + k))
+    C_hat[:, :n] = E + Dz @ Dc @ W @ C
+    C_hat[:, n:] = Dz @ Cc + Dz @ Dc @ W @ Dy @ Cc
     G_hat = Gz + Dz @ Dc @ W @ Gy
     return ClosedLoop(A_hat, H_hat, C_hat, G_hat, W, sys.time_domain)
 

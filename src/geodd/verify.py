@@ -11,6 +11,7 @@ Krylov hull, whose rank decisions can miss on larger loops)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .subspaces import (
     ToleranceProfile,
     _eigvals,
     _norm2,
+    _qr_basis,
     containment_residual,
     extended_ops,
     invariant_hull,
@@ -77,9 +79,12 @@ class DecouplingCertificate:
 def _pair_subspace(V: Subspace, S: Subspace) -> Subspace:
     """W = {(x, p) : x in V, x - p in S} in the loop state space, from the
     orthonormalized basis [V 0; V -S] (full column rank for any V, S)."""
-    n = V.ambient_dim
-    basis = np.block([[V.basis, np.zeros((n, S.dim))], [V.basis, -S.basis]])
-    return Subspace(2 * n, np.linalg.qr(basis)[0])
+    n, v = V.ambient_dim, V.dim
+    basis = np.zeros((2 * n, v + S.dim))
+    basis[:n, :v] = V.basis
+    basis[n:, :v] = V.basis
+    basis[n:, v:] = -S.basis
+    return Subspace._adopt(2 * n, _qr_basis(basis))
 
 
 def certify_decoupled(cl: ClosedLoop, tol: ToleranceProfile = DEFAULT_TOL,
@@ -151,6 +156,26 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
     return worst
 
 
+@lru_cache(maxsize=64)
+def _first_draws(count: int, seed: int) -> np.ndarray:
+    """The first `count` x 2 uniform draws of `default_rng(seed)`, drawn
+    once per (count, seed) and kept read-only."""
+    draws = np.random.default_rng(seed).random((count, 2))
+    draws.setflags(write=False)
+    return draws
+
+
+def _candidate_draws(count: int, seed: int):
+    """The stream of `default_rng(seed)` in blocks of `count` x 2 uniform
+    draws. The first block is `_first_draws`'; a generator is made, and
+    taken past that block, only when a second block is asked for."""
+    yield _first_draws(count, seed)
+    rng = np.random.default_rng(seed)
+    rng.random((count, 2))
+    while True:
+        yield rng.random((count, 2))
+
+
 def default_lambdas(cl: ClosedLoop, count: int = 20, seed: int = 0) -> list:
     """`count` seeded samples from an annulus around the loop's spectrum
     (`cl.spectrum`), each at least 1e-3 from every pole.
@@ -159,16 +184,17 @@ def default_lambdas(cl: ClosedLoop, count: int = 20, seed: int = 0) -> list:
     then its angle, and is rejected when too close to a pole; the samples
     are the first `count` candidates kept, so they depend only on the
     spectrum, `count` and `seed`. The candidates are drawn `count` at a
-    time and scaled as `Generator.uniform` scales its draws, so the points
+    time (`_candidate_draws`, whose first block is drawn once per count and
+    seed) and scaled as `Generator.uniform` scales its draws, so the points
     equal those of drawing one radius and one angle at a time, bit for bit.
     """
     poles = cl.spectrum
     radius = 2.0 * max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
     low, high = 0.5 * radius, 1.5 * radius
-    rng = np.random.default_rng(seed)
+    blocks = _candidate_draws(count, seed)
     samples = []
     while len(samples) < count:
-        u = rng.random((count, 2))
+        u = next(blocks)
         lams = (low + (high - low) * u[:, 0]) * np.exp(1j * (0.0 + 2.0 * np.pi * u[:, 1]))
         if poles.size:
             lams = lams[~(np.abs(poles - lams[:, None]).min(axis=1) < 1e-3)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgesdd_lwork
+from scipy.linalg.lapack import dgeqrf_lwork, dgesdd_lwork, dorgqr
 
 from geodd import exact, subspaces
 from geodd.errors import BoundarySpectrum, DimensionMismatch, InvalidInput
@@ -11,10 +11,13 @@ from geodd.subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _det,
     _eigvals,
     _gesdd,
+    _inv,
     _norm2,
     _numerical_rank,
+    _qr_basis,
     _singular_values,
     _svd,
     combine,
@@ -269,6 +272,111 @@ class TestEigvalsKernel:
             np.linalg.eigvals(A)
         with pytest.raises(np.linalg.LinAlgError):
             _eigvals(A)
+
+
+def _square_inputs():
+    """Seeded square matrices of sides 1-5, the sides of the loop's
+    I + K D_y and I - D_y D_c: random, integer, dyadic, rank-one updates of
+    the identity and transposed (non-contiguous) views. From side 6 on,
+    numpy's OpenBLAS 0.3.31 and scipy's 0.3.30 round dgetrf differently on
+    AVX-512 kernels, so the kernels are not held to numpy's bits there."""
+    rng = np.random.default_rng(29)
+    mats = [np.array([[2.5]]), np.array([[-3.0]]), np.eye(3), np.diag([1.0, -2.0, 4.0]),
+            np.array([[0.0, 1.0], [1.0, 0.0]])]
+    for n in range(1, 6):
+        for _ in range(12):
+            G = rng.standard_normal((n, n))
+            mats += [G, G.T, rng.integers(-3, 4, size=(n, n)).astype(float),
+                     rng.integers(-8, 9, size=(n, n)) / 8.0,
+                     np.eye(n) + rng.standard_normal((n, 1)) @ rng.standard_normal((1, n))]
+    return mats
+
+
+class TestInvKernel:
+    def test_equals_numpy_bit_for_bit(self):
+        for M in _square_inputs():
+            try:
+                want = np.linalg.inv(M)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                    _inv(M)
+                continue
+            got = _inv(M)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), lapack_builds()
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("M", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_singular_input_raises_numpys_error(self, M):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            np.linalg.inv(M)
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _inv(M)
+
+    def test_empty_and_non_square(self):
+        assert _inv(np.zeros((0, 0))).shape == np.linalg.inv(np.zeros((0, 0))).shape
+        with pytest.raises(np.linalg.LinAlgError):
+            _inv(np.ones((2, 3)))
+
+
+class TestDetKernel:
+    def test_equals_numpy_bit_for_bit(self):
+        for M in _square_inputs():
+            got = _det(M)
+            assert type(got) is float
+            assert got == float(np.linalg.det(M)), lapack_builds()
+
+    @pytest.mark.parametrize("M", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_singular_input_is_zero(self, M):
+        assert np.linalg.det(M) == 0.0
+        assert _det(M) == 0.0
+
+    def test_empty_overflow_and_non_square(self):
+        assert _det(np.zeros((0, 0))) == np.linalg.det(np.zeros((0, 0))) == 1.0
+        with np.errstate(over="ignore"):
+            for M in (1e200 * np.eye(3), -1e200 * np.eye(3)):
+                assert _det(M) == np.linalg.det(M)
+        with pytest.raises(np.linalg.LinAlgError):
+            _det(np.ones((2, 3)))
+
+
+def _loop_pair_bases():
+    """[V 0; V -S] for seeded pairs (V, S) of every dimension in R^n, n up
+    to 24: the bases `verify._pair_subspace` orthonormalizes."""
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4, 8, 12, 16, 24):
+        for v, s in {(n, 0), (0, n), (n, n), (n // 2, n // 3), (n - 1, 1), (1, n - 1)}:
+            V = np.linalg.qr(rng.standard_normal((n, v)))[0]
+            S = np.linalg.qr(rng.standard_normal((n, s)))[0]
+            yield np.block([[V, np.zeros((n, s))], [V, -S]])
+
+
+class TestQrKernel:
+    def test_equals_numpy_bit_for_bit(self):
+        mats = _kernel_inputs() + list(_loop_pair_bases())
+        for M in mats:
+            got, want = _qr_basis(M), np.linalg.qr(M)[0]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), lapack_builds()
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(6, 0), (0, 4), (0, 0)])
+    def test_empty_input(self, shape):
+        got = _qr_basis(np.zeros(shape))
+        assert got.shape == np.linalg.qr(np.zeros(shape))[0].shape
+
+    def test_cached_workspace_equals_numpys_request(self, monkeypatch):
+        # numpy asks each routine for max(1, n, its workspace query)
+        cache = {}
+        monkeypatch.setattr(subspaces, "_QR_LWORK", cache)
+        for m in range(1, 41):
+            for n in range(1, 41):
+                _qr_basis(np.ones((m, n)))
+        assert len(cache) == 40 * 40
+        for (m, n), lwork in cache.items():
+            k = min(m, n)
+            query = int(dorgqr(np.zeros((m, k), order="F"), np.zeros(k), -1)[1][0])
+            assert lwork == (max(1, n, int(dgeqrf_lwork(m, n)[0])), max(1, n, query))
 
 
 class TestSpanKernel:

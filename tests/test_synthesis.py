@@ -57,6 +57,7 @@ from geodd.synthesis import (
     recover_parameters,
     select_wellposed,
     solve,
+    solve_certified,
     synthesize,
     wellposedness_margin,
 )
@@ -288,6 +289,14 @@ class TestWellposedScreen:
         assert (np.array_equal(got, family.K0), any(np.array_equal(got, K) for K in steps)) \
             == {"K0": (True, False), "unit step": (False, True), "trial": (False, False)}[branch]
 
+    def test_gaussian_draws_are_drawn_once_and_read_only(self):
+        for mp in (1, 4, 6):
+            draws = synthesis._gaussian_draws(mp)
+            fresh = np.random.default_rng(0).standard_normal((synthesis.SAMPLE_TRIALS, mp))
+            assert draws.tobytes() == fresh.tobytes()
+            assert not draws.flags.writeable
+            assert synthesis._gaussian_draws(mp) is draws
+
     def test_point_family_evaluates_one_margin(self, monkeypatch):
         # K0 is the only member of a family without directions: one margin
         # decides, where the sampling loop evaluated K0 another 64 times
@@ -487,6 +496,19 @@ class TestSynthesize:
         assert np.allclose(F, [[-6 / 5, -3 / 5]], atol=1e-12)
         assert np.allclose(G, [[6 / 5], [2.0]], atol=1e-12)
 
+    def test_recovery_inverts_each_loop_matrix_once(self, monkeypatch, mismatched_plant):
+        # one inverse of I - D_y D_c serves K and G, one of I - D_c D_y serves F
+        plant = replace(mismatched_plant, D_y=[[0.5, 0.0], [0.25, -1.0]])
+        comp = Compensator(np.eye(3), np.ones((3, 2)), np.ones((2, 3)), [[0.5, 1.0], [0.0, 0.25]])
+        inverses = count_calls(monkeypatch, "_inv", synthesis)
+        K, F, G = recover_parameters(plant, comp)
+        inner = np.eye(2) - plant.D_y @ comp.D_c
+        lead = np.eye(2) - comp.D_c @ plant.D_y
+        assert [args[0].tobytes() for args in inverses] == [inner.tobytes(), lead.tobytes()]
+        assert K.tobytes() == (comp.D_c @ np.linalg.inv(inner)).tobytes()
+        assert F.tobytes() == (np.linalg.inv(lead) @ comp.C_c + K @ plant.C).tobytes()
+        assert G.tobytes() == ((plant.B @ comp.D_c - comp.B_c) @ np.linalg.inv(inner)).tobytes()
+
     def test_wellposedness_bridge(self, scalar_channel_plant):
         # D_c = (I + K D_y)^{-1} K keeps I - D_y D_c invertible
         for K in ([[0.5]], [[3.0]], [[-0.75]]):
@@ -496,6 +518,47 @@ class TestSynthesize:
 
 
 class TestCloseLoop:
+    def test_compensator_matrices_are_read_only_copies(self):
+        mats = {"A_c": np.zeros((2, 2)), "B_c": np.array([[0.0], [10.0]]),
+                "C_c": np.array([[0.0, 3.0]]), "D_c": np.array([[6.0]])}
+        comp = Compensator(**mats)
+        for name, M in mats.items():
+            held = getattr(comp, name)
+            with pytest.raises(ValueError):
+                held[0, 0] = np.nan
+            # the caller's array stays writable, and writing it leaves the copy
+            M[0, 0] = np.nan
+            assert not held.flags.writeable and np.isfinite(held).all()
+
+    def test_blocks_equal_the_np_block_assembly(self, scalar_channel_plant, mismatched_plant):
+        loops = [(scalar_channel_plant,
+                  Compensator([[0, 0], [0, 0]], [[0], [10]], [[0, 3]], [[6]])),
+                 (scalar_channel_plant, Compensator([[-1.0]], [[1.0]], [[2.0]], [[0.5]]))]
+        for plant in [mismatched_plant] + [
+                generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
+                for n in (4, 6) for seed in range(2) for domain in (CONTINUOUS, DISCRETE)]:
+            plant = replace(plant, D_y=np.full((plant.p, plant.m), 0.25))
+            loops.append((plant, solve(plant, "p1")[0]))
+        for plant, comp in loops:
+            cl = close_loop(plant, comp)
+            A, B, H, C, Dy, Gy = plant.A, plant.B, plant.H, plant.C, plant.D_y, plant.G_y
+            E, Dz, Gz = plant.E, plant.D_z, plant.G_z
+            Ac, Bc, Cc, Dc = comp.A_c, comp.B_c, comp.C_c, comp.D_c
+            W = np.linalg.inv(np.eye(plant.p) - Dy @ Dc)
+            want = {
+                "W": W,
+                "A_hat": np.block([
+                    [A + B @ Dc @ W @ C, B @ Cc + B @ Dc @ W @ Dy @ Cc],
+                    [Bc @ W @ C, Ac + Bc @ W @ Dy @ Cc]]),
+                "H_hat": np.vstack([H + B @ Dc @ W @ Gy, Bc @ W @ Gy]),
+                "C_hat": np.hstack([E + Dz @ Dc @ W @ C, Dz @ Cc + Dz @ Dc @ W @ Dy @ Cc]),
+                "G_hat": Gz + Dz @ Dc @ W @ Gy,
+            }
+            for name, M in want.items():
+                got = getattr(cl, name)
+                assert got.shape == M.shape and got.tobytes() == M.tobytes(), name
+                assert got.flags.c_contiguous, name
+
     @pytest.mark.parametrize("name", ["A_c", "B_c", "C_c", "D_c"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_compensator_rejected(self, name, bad):
@@ -1071,6 +1134,49 @@ def test_riccati_kernel_gives_scipy_gains_byte_for_byte(
     monkeypatch.setattr(geometry, "_stabilizing_gain", scipy_state_feedback)
     with_scipy = [_stabilizing_outputs(plant) for plant in plants]
     assert with_kernel == with_scipy, lapack_builds()
+
+
+# numpy's wrappers in place of the inverse, determinant and QR kernels
+_NUMPY_LOOP_KERNEL = {
+    "_inv": np.linalg.inv,
+    "_det": lambda M: float(np.linalg.det(M)),
+    "_qr_basis": lambda M: np.linalg.qr(M)[0],
+}
+
+
+def _loop_outputs(plant):
+    """Every compensator, closed loop, certificate and recovered parameter
+    triple that `solve_certified` makes for a fresh copy of `plant`, as
+    bytes, or the error raised."""
+    plant = replace(plant)
+    out = []
+    for problem in ("p1", "p2"):
+        try:
+            comp, report, cl, cert = solve_certified(plant, problem)
+        except GeoddError as err:
+            out.append(f"{type(err).__name__}: {err}")
+            continue
+        out.append(repr((report.to_dict(), cert.residual_invariance,
+                         cert.residual_kernel, cert.feedthrough_norm)))
+        mats = [getattr(comp, name) for name in ("A_c", "B_c", "C_c", "D_c")]
+        mats += [cl.A_hat, cl.H_hat, cl.C_hat, cl.G_hat, cl.W, cert.invariant_subspace.basis]
+        out += [(M.shape, M.tobytes()) for M in mats + list(recover_parameters(plant, comp))]
+    return out
+
+
+def test_inverse_determinant_and_qr_kernels_give_numpy_outputs_byte_for_byte(
+        monkeypatch, mismatched_plant, singular_family_plant, scalar_channel_plant):
+    plants = [replace(plant, D_y=np.full((plant.p, plant.m), 0.25)) for plant in
+              _parity_plants(mismatched_plant, singular_family_plant, scalar_channel_plant)]
+    with_kernel = [_loop_outputs(plant) for plant in plants]
+    for module in [m for name, m in sys.modules.items() if name.startswith("geodd.")]:
+        for name, reference in _NUMPY_LOOP_KERNEL.items():
+            if name in vars(module):
+                monkeypatch.setattr(module, name, reference)
+    assert synthesis._det is _NUMPY_LOOP_KERNEL["_det"]
+    assert verify._qr_basis is _NUMPY_LOOP_KERNEL["_qr_basis"]
+    with_numpy = [_loop_outputs(plant) for plant in plants]
+    assert with_kernel == with_numpy, lapack_builds()
 
 
 def test_svd_kernel_gives_numpy_outputs_byte_for_byte(

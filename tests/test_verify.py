@@ -24,6 +24,7 @@ from geodd.synthesis import (
     close_loop,
     solve,
 )
+from geodd import verify
 from geodd.verify import (
     SAMPLE_BLOCK,
     InstanceSpec,
@@ -218,6 +219,51 @@ class TestSamplePoints:
             total += rejected
             assert _bits(default_lambdas(ring, 2 * SAMPLE_BLOCK, seed)) == _bits(expected)
         assert total > 0
+
+
+    def test_first_blocks_are_drawn_once_and_read_only(self):
+        for count, seed in ((20, 0), (3, 7)):
+            draws = verify._first_draws(count, seed)
+            assert draws.tobytes() == np.random.default_rng(seed).random((count, 2)).tobytes()
+            assert not draws.flags.writeable
+            assert verify._first_draws(count, seed) is draws
+
+    def test_rejections_past_the_first_block_equal_a_fresh_stream(self, monkeypatch):
+        # A ring of poles on the unit circle, closer together than the 1e-3
+        # clearance, rejects every candidate of radius below 1 + 4e-4, that
+        # is every first draw below 2e-4: seeds with such a draw among their
+        # first 20 run past the first block of the default count.
+        ring = _spectrum(np.exp(2j * np.pi * np.arange(8000) / 8000))
+        past = [seed for seed in range(3000)
+                if np.random.default_rng(seed).random((20, 2))[:, 0].min() < 2e-4]
+        assert past
+        for seed in past + [0, 1]:
+            expected, rejected = reference_default_lambdas(ring, 20, seed)
+            assert (rejected > 0) == (seed in past)
+            default_lambdas(ring, 20, seed)
+            # with the first block cached, a generator is made only to run
+            # past it
+            made = []
+            fresh = np.random.default_rng
+            monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(s) or fresh(s))
+            assert _bits(default_lambdas(ring, 20, seed)) == _bits(expected)
+            monkeypatch.undo()
+            assert made == ([seed] if seed in past else [])
+
+
+class TestPairSubspace:
+    def test_equals_the_qr_of_the_block_basis(self):
+        rng = np.random.default_rng(37)
+        for n in (1, 3, 6, 12, 24):
+            for v, s in ((0, 0), (n, 0), (0, n), (n, n), (n // 2, n // 3)):
+                V = Subspace(n, np.linalg.qr(rng.standard_normal((n, v)))[0])
+                S = Subspace(n, np.linalg.qr(rng.standard_normal((n, s)))[0])
+                want = np.linalg.qr(np.block([[V.basis, np.zeros((n, s))],
+                                              [V.basis, -S.basis]]))[0]
+                W = verify._pair_subspace(V, S)
+                assert (W.ambient_dim, W.dim) == (2 * n, v + s)
+                assert W.basis.tobytes() == want.tobytes()
+                assert W.basis.flags.c_contiguous and not W.basis.flags.writeable
 
 
 class TestStabilityCheck:
