@@ -542,8 +542,11 @@ def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
     Hd = Q.T.dot(H[:, :n2])
     Jd = Q.T.dot(J[:, :n2]) if discrete else Q[:n2].T.dot(J[:n2, :n2])
     # Ordered QZ: the stable deflating subspace leads, beta = 0 never selected.
-    AA, BB, _, alphar, alphai, beta, vsl, vsr, _, info = dgges(
-        _no_sort, Hd, Jd, lwork=lwork_qz, overwrite_a=1, overwrite_b=1, sort_t=0)
+    # Only the right Schur vectors are read, so neither dgges nor dtgsen
+    # forms the left ones.
+    AA, BB, _, alphar, alphai, beta, _, vsr, _, info = dgges(
+        _no_sort, Hd, Jd, jobvsl=0, lwork=lwork_qz, overwrite_a=1, overwrite_b=1,
+        sort_t=0)
     if 0 < info <= n2:
         warnings.warn("The QZ iteration failed. (a,b) are not in Schur "
                       "form, but ALPHAR(j), ALPHAI(j), and BETA(j) should be "
@@ -555,7 +558,8 @@ def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
     ratio = (alphar + alphai * 1.0j)[nonzero] / beta[nonzero]
     select = np.zeros(beta.shape, dtype=bool)
     select[nonzero] = abs(ratio) < 1.0 if discrete else ratio.real < 0.0
-    res = dtgsen(select, AA, BB, vsl, vsr, 0, 1, 1, 4 * n2 + 16, 1)
+    # (q = vsr only fills the argument slot: wantq = 0 leaves it unread)
+    res = dtgsen(select, AA, BB, vsr, vsr, 0, 0, 1, 4 * n2 + 16, 1)
     if res[-1] == 1:
         raise ValueError("Reordering of (A, B) failed because the transformed"
                          " matrix pair (A, B) would be too far from "
@@ -651,8 +655,8 @@ def _stabilized(kind: str, split: _TwinSplit, region: StabilityRegion,
 
     # External loop shaping on the quotient by V; feedback vanishing on V
     # preserves friendship.
-    W, Aq, Bq, (T1q, _, fixed_ext) = _external_split(split, F, tol)
-    if W.shape[1]:
+    if not V.is_full:
+        W, Aq, Bq, (T1q, _, fixed_ext) = _external_split(split, F, tol)
         dF2 = _stabilizing_gain(Aq, Bq, T1q, region)
         bad = region.outside(fixed_ext)
         if bad:

@@ -2,7 +2,7 @@
 
 A subspace is stored as an ambient dimension plus a matrix with orthonormal
 columns (zero columns for the trivial subspace). All operations are pure
-functions of immutable inputs; the only global state is the LAPACK
+functions of immutable inputs; the only global state is the dgesdd
 workspace sizes below, a function of shape alone.
 
 Rank decisions use a relative singular-value cutoff, comparisons use
@@ -11,29 +11,25 @@ tiny angles we care about).
 
 Every real SVD and spectral norm of the package goes through the private
 kernel `_svd`/`_singular_values`/`_norm2`, which calls LAPACK dgesdd (the
-routine behind numpy.linalg.svd) directly, every eigenvalue list of the
-float geometry through `_eigvals`, which calls dgeev (the routine behind
-numpy.linalg.eigvals), every inverse through `_inv` (dgesv on the
-identity, as numpy.linalg.inv solves it), every single determinant through
-`_det` (dgetrf, as numpy.linalg.det factors) and every QR basis through
-`_qr_basis` (dgeqrf then dorgqr, as numpy.linalg.qr builds Q): on matrices
-this small numpy's wrappers cost more than the LAPACK work. Each routine's
-workspace size is queried once per shape and kept in a module dict
-(`_GESDD_LWORK`, `_GEEV_LWORK`, `_QR_LWORK`): LAPACK's query depends only on
-the routine, its flags and the shape, so the cached size is the one a
-fresh query returns, and the one numpy asks for. Every matrix a kernel
-returns is C-ordered, as numpy's are: the layout of a factor decides the
-rounding of every product taken with it later.
+routine behind numpy.linalg.svd) through scipy directly: on matrices this
+small numpy's wrapper costs more than the LAPACK work. Its workspace size
+is queried once per shape and kept in `_GESDD_LWORK`: LAPACK's query
+depends only on the routine, its flags and the shape, so the cached size is
+the one a fresh query returns, and the one numpy asks for. Every eigenvalue
+list of the float geometry (`_eigvals`), every inverse (`_inv`), every
+single determinant (`_det`) and every QR basis (`_qr_basis`) is computed by
+the gufunc that numpy.linalg itself calls, in numpy.linalg's error state
+(`_linalg_state`), so those results are numpy's by construction. Every
+matrix a kernel returns is C-ordered, as numpy's are: the layout of a
+factor decides the rounding of every product taken with it later.
 
-The kernels run scipy's LAPACK and numpy runs its own, so the two agree
-bit for bit only where those builds round alike. They did with the numpy
-2.4.6 and scipy 1.17.1 wheels (OpenBLAS 0.3.31 and 0.3.30), with one
-exception: on AVX-512 kernels the two OpenBLAS builds round dgetrf, and
-with it dgesv, differently from side 6 on, so `_inv` and `_det` equal
-numpy's bits on the loop's m x m and p x p matrices only up to side 5
-there. A numpy and a scipy linked to different LAPACK implementations (say
-MKL and OpenBLAS) may differ in the last bits, and the kernels' bit-parity
-tests then fail.
+The dgesdd kernel runs scipy's LAPACK where numpy runs its own, and
+geometry's Riccati kernel is held to scipy's solvers, so both agree bit for
+bit only where numpy's and scipy's builds round alike. They did with the
+numpy 2.4.6 and scipy 1.17.1 wheels (OpenBLAS 0.3.31 and 0.3.30). A numpy
+and a scipy linked to different LAPACK implementations (say MKL and
+OpenBLAS) may differ in the last bits, and those kernels' bit-parity tests
+then fail.
 """
 
 from __future__ import annotations
@@ -43,17 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import (
-    dgeev,
-    dgeev_lwork,
-    dgeqrf,
-    dgeqrf_lwork,
-    dgesdd,
-    dgesdd_lwork,
-    dgesv,
-    dgetrf,
-    dorgqr,
-)
+from numpy.linalg import LinAlgError, _umath_linalg
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork
 
 from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 
@@ -61,11 +48,8 @@ from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 ORTHO_TOL = 1e-12
 
 
-# Workspace sizes by (m, n, compute_uv, full_matrices), by n, and by (m, n)
-# (the dgeqrf and dorgqr sizes of one QR).
+# dgesdd workspace sizes by (m, n, compute_uv, full_matrices).
 _GESDD_LWORK: dict = {}
-_GEEV_LWORK: dict = {}
-_QR_LWORK: dict = {}
 
 
 def _gesdd(M: np.ndarray, compute_uv: int, full_matrices: int):
@@ -78,7 +62,7 @@ def _gesdd(M: np.ndarray, compute_uv: int, full_matrices: int):
         lwork = _GESDD_LWORK[key] = int(dgesdd_lwork(*key)[0])
     u, s, vt, info = dgesdd(M, compute_uv, full_matrices, lwork)
     if info != 0:
-        raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info})")
+        raise LinAlgError(f"SVD did not converge (dgesdd info {info})")
     return u, s, vt
 
 
@@ -103,93 +87,61 @@ def _norm2(M: np.ndarray) -> float:
     return float(_gesdd(M, 0, 0)[1][0])
 
 
-def _check_square(M: np.ndarray) -> int:
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
-    return n
+def _linalg_state(failure: str | None) -> np.errstate:
+    """numpy.linalg's error state for its gufuncs, as a decorator of the
+    kernels that call them: overflow, division by zero and underflow pass
+    silently, and the invalid flag, by which a gufunc reports a LAPACK
+    failure, raises LinAlgError(failure). The det gufunc reports no failure
+    (`failure` None): its invalid flag only marks arithmetic on NaNs, which
+    passes silently too."""
+    def fail(err, flag):
+        raise LinAlgError(failure)
+    return np.errstate(call=fail, invalid="call" if failure else "ignore",
+                       over="ignore", divide="ignore", under="ignore")
 
 
+def _check_square(M: np.ndarray) -> None:
+    if M.shape != (M.shape[0], M.shape[0]):
+        raise LinAlgError("Last 2 dimensions of the array must be square")
+
+
+@_linalg_state("Eigenvalues did not converge")
 def _eigvals(A: np.ndarray) -> np.ndarray:
-    """numpy.linalg.eigvals(A), bit for bit, for a real square A: LAPACK
-    dgeev without eigenvectors, on numpy's workspace. The result is real
-    when every imaginary part is 0, as numpy's is; a non-square A or
-    non-finite entries raise LinAlgError."""
-    n = _check_square(A)
-    if n == 0:
-        return np.zeros(0)
+    """numpy.linalg.eigvals(A), bit for bit, for a real square A. The
+    result is real when every imaginary part is 0, as numpy's is; a
+    non-square A or non-finite entries raise LinAlgError."""
+    _check_square(A)
     if not np.isfinite(A).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    lwork = _GEEV_LWORK.get(n)
-    if lwork is None:
-        lwork = _GEEV_LWORK[n] = int(dgeev_lwork(n, 0, 0)[0])
-    wr, wi, _, _, info = dgeev(A, 0, 0, lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    if not wi.any():
-        return wr
-    w = np.empty(n, complex)
-    w.real = wr
-    w.imag = wi
-    return w
+        raise LinAlgError("Array must not contain infs or NaNs")
+    w = _umath_linalg.eigvals(A, signature="d->D")
+    return w if w.imag.any() else w.real
 
 
+@_linalg_state("Singular matrix")
 def _inv(M: np.ndarray) -> np.ndarray:
-    """numpy.linalg.inv(M), bit for bit, for a real square M: LAPACK dgesv
-    on the identity, as numpy solves it, returned C-ordered as numpy's is.
-    A singular M raises LinAlgError("Singular matrix"), as numpy's does."""
-    n = _check_square(M)
-    if n == 0:
-        return np.zeros((0, 0))
-    x, info = dgesv(M, np.eye(n), 0, 1)[2:]
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return np.ascontiguousarray(x)
+    """numpy.linalg.inv(M), bit for bit, for a real square M. A singular M
+    raises LinAlgError("Singular matrix"), as numpy's does."""
+    _check_square(M)
+    return _umath_linalg.inv(M, signature="d->d")
 
 
+@_linalg_state(None)
 def _det(M: np.ndarray) -> float:
-    """numpy.linalg.det(M), bit for bit, for a real square M: LAPACK dgetrf,
-    then sign * exp(sum of log |u_ii|), summed in numpy's order, the sign
-    flipped by each row interchange and each negative pivot. 0.0 when a
-    pivot is exactly zero, 1.0 for 0 x 0."""
-    n = _check_square(M)
-    if n == 0:
-        return 1.0
-    lu, piv, info = dgetrf(M)
-    if info > 0:
-        return 0.0
-    sign = 1.0
-    for i, p in enumerate(piv.tolist()):
-        if p != i:
-            sign = -sign
-    logdet = 0.0
-    for u in lu.diagonal().tolist():
-        if u < 0:
-            sign = -sign
-            u = -u
-        logdet += math.log(u)
-    try:
-        return sign * math.exp(logdet)
-    except OverflowError:
-        return sign * math.inf
+    """numpy.linalg.det(M), bit for bit, for a real square M, without its
+    warnings: 0.0 when a pivot is exactly zero, +-inf on overflow, 1.0 for
+    0 x 0."""
+    _check_square(M)
+    return float(_umath_linalg.det(M, signature="d->d"))
 
 
+@_linalg_state("Incorrect argument found while performing QR factorization")
 def _qr_basis(M: np.ndarray) -> np.ndarray:
-    """Q of numpy.linalg.qr(M) in its reduced mode, bit for bit, C-ordered:
-    LAPACK dgeqrf then dorgqr, on numpy's workspaces. An M with no columns
-    (or rows) gives an empty Q of min(m, n) columns."""
-    m, n = M.shape
-    k = min(m, n)
-    if k == 0:
-        return np.zeros((m, 0))
-    lwork = _QR_LWORK.get((m, n))
-    if lwork is None:
-        # numpy asks for max(1, n, query) of each routine
-        lwork = _QR_LWORK[m, n] = (
-            max(1, n, int(dgeqrf_lwork(m, n)[0])),
-            max(1, n, int(dorgqr(np.zeros((m, k), order="F"), np.zeros(k), -1)[1][0])))
-    qr, tau = dgeqrf(M, lwork[0])[:2]
-    return np.ascontiguousarray(dorgqr(qr[:, :k], tau, lwork[1], 1)[0])
+    """Q of numpy.linalg.qr(M) in its reduced mode, bit for bit, C-ordered.
+    An M with no columns (or rows) gives an empty Q of min(m, n) columns."""
+    # qr_r_raw factors its argument in place, so it gets a copy, as in numpy
+    qr = M.astype(float, copy=True)
+    tau = _umath_linalg.qr_r_raw(qr, signature="d->d")
+    return _umath_linalg.qr_reduced(qr, tau, signature="dd->d")
 
 
 @dataclass(frozen=True)

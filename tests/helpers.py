@@ -78,10 +78,11 @@ def stabilized_compensator(sys, V, S, K):
 def lapack_builds() -> str:
     """numpy's and scipy's versions and the BLAS/LAPACK builds they link.
 
-    The failure message of every byte-parity assertion: geodd's kernels call
-    scipy's LAPACK directly and are compared with numpy's and scipy's own
-    wrappers, so their bits agree only where those builds round alike, and
-    a last-bit failure should name the builds involved.
+    The failure message of every byte-parity assertion: geodd's dgesdd and
+    Riccati kernels call scipy's LAPACK directly and are compared with
+    numpy's and scipy's own wrappers, so their bits agree only where those
+    builds round alike, and a last-bit failure should name the builds
+    involved.
     """
     parts = []
     for module in (np, scipy):

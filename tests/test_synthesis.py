@@ -967,18 +967,19 @@ class TestWorkPerSolve:
         assert [args[2].shape[1] for args in systems] == [1, 1, 4, 4]
         # splits: the precondition's (A, B) and (A^T, C^T), and the internal
         # split of each side; both twins are the whole state space on this
-        # plant, so the stabilizing friends' quotient splits are empty
-        assert [args[0].shape for args in splits] == [(4, 4)] * 4 + [(0, 0)] * 2
+        # plant, so the stabilizing friends split no quotient
+        assert [args[0].shape for args in splits] == [(4, 4)] * 4
         # hulls: one per split; conditions D/E take none of their own
-        assert [args[1].shape for args in hulls] == [(4, 4)] * 4 + [(0, 0)] * 2
+        assert [args[1].shape for args in hulls] == [(4, 4)] * 4
 
     def test_p2_solve_svd_count(self, monkeypatch):
         # every SVD and norm of the package ends in _gesdd; the complements
-        # of full subspaces take none
+        # of full subspaces take none, and a friend on the whole state space
+        # splits no quotient
         plant = generate_instance(InstanceSpec(seed=0, n=6))
         calls = count_calls(monkeypatch, "_gesdd", subspaces)
         solve(plant, "p2")
-        assert len(calls) == 84
+        assert len(calls) == 82
 
     def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))
