@@ -15,8 +15,13 @@ that `ToleranceProfile` rejects, is a parse error (exit 1) naming its field.
 
 A result file is exactly `json.dumps(payload, indent=2, sort_keys=True)`
 followed by a newline; `_write_result` writes that text directly, without
-the pure-Python encoder that `indent` selects, and a test pins the bytes.
+the pure-Python encoder that `indent` selects (a row or matrix of floats
+from one repr of a list), and a test pins the bytes.
+
 The parser is built once per process and reused by every `main` call.
+`main` reads a subcommand's arguments with that command's own parser, and
+runs the full parse only where that parser errs or leaves arguments over,
+so the Namespace, exit code and usage text are those of the full parse.
 """
 
 from __future__ import annotations
@@ -226,12 +231,25 @@ def _append_json(obj, newline: str, out: list) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(item) is float for item in obj):
-            # a row of floats, the bulk of every result file
-            texts = (map(float.__repr__, obj) if all(map(math.isfinite, obj))
-                     else map(_float_text, obj))
-            out.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+        # Rows and matrices of floats, the bulk of every result file, are
+        # written from the repr of a list: `json`'s text with other
+        # separators, unless it holds inf or nan (an "n"). Never the repr
+        # of a tuple, which ends a 1-tuple in ",)".
+        types = {*map(type, obj)}
+        if types == {float}:
+            text = repr(list(obj))
+            body = (text[1:-1].replace(", ", "," + inner) if "n" not in text
+                    else ("," + inner).join(map(_float_text, obj)))
+            out.append("[" + inner + body + newline + "]")
             return
+        if types == {list} and all({*map(type, row)} == {float} for row in obj):
+            text = repr(list(obj))
+            if "n" not in text:
+                row = inner + "  "
+                text = (text[2:-2].replace("], [", inner + "]," + inner + "[" + row)
+                        .replace(", ", "," + row))
+                out.append("[" + inner + "[" + row + text + inner + "]" + newline + "]")
+                return
         sep = "[" + inner
         for item in obj:
             out.append(sep)
@@ -293,11 +311,12 @@ def _verdict_exit(overall: str) -> int:
 
 
 def _loop_checks(sys_: PlantSystem, cl):
-    """(max |T_zw| over `default_lambdas`' 20 samples, stable, sorted
-    spectrum) of a closed loop, all read off its one spectrum."""
+    """(max |T_zw| over `default_lambdas`' 20 samples, stable) of a closed
+    loop, both read off its one spectrum; `verify` sorts that spectrum
+    for its result file, `solve` writes none."""
     samples = transfer_samples(cl, default_lambdas(cl))
     stable = not sys_.region.outside(cl.spectrum)
-    return samples, stable, np.sort_complex(cl.spectrum)
+    return samples, stable
 
 
 def run(command: str, args) -> int:
@@ -325,7 +344,7 @@ def run(command: str, args) -> int:
             label = "well-posedness obstruction" if obstruction else "infeasible"
             print(f"{label}: {err}", file=_sys.stderr)
             return EXIT_OBSTRUCTION if obstruction else EXIT_INFEASIBLE
-        samples, stable, _ = _loop_checks(sys_, cl)
+        samples, stable = _loop_checks(sys_, cl)
         K, F, G = recover_parameters(sys_, comp)
         payload = {
             "command": "solve",
@@ -357,7 +376,8 @@ def run(command: str, args) -> int:
         cert = certify_decoupled(cl, tol, pair=pair) if cl.order == 2 * sys_.n else None
         if cert is None or not cert.valid:
             cert = certify_decoupled(cl, tol)
-        samples, stable, eigs = _loop_checks(sys_, cl)
+        samples, stable = _loop_checks(sys_, cl)
+        eigs = np.sort_complex(cl.spectrum)
         decoupled = cert.valid and samples <= 1e-8
         want_stable = args.problem == "p2"
         verified = decoupled and (stable or not want_stable)
@@ -376,8 +396,18 @@ def run(command: str, args) -> int:
     raise ValueError(f"unknown command {command!r}")
 
 
+class _TrialFailed(Exception):
+    """A subcommand's parser, tried on its own by `main`, met an error."""
+
+
 class _Parser(argparse.ArgumentParser):
+    # True while `main` tries a subcommand's parser on its own: an error is
+    # then left for the full parse to report
+    trial = False
+
     def error(self, message):
+        if self.trial:
+            raise _TrialFailed
         # usage errors exit 1, not argparse's default 2
         self.print_usage(_sys.stderr)
         print(f"{self.prog}: error: {message}", file=_sys.stderr)
@@ -399,14 +429,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Every `main` call parses with this one parser; parse_args keeps no state
-# between calls, as each returns a fresh namespace.
+# Every `main` call parses with this one parser or one of its subcommands'
+# parsers; parse_args keeps no state between calls, as each returns a fresh
+# namespace.
 _PARSER = build_parser()
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`, read by the named subcommand's own
+    parser when that parser takes the rest of argv without an error or
+    arguments left over: the full parse hands it the same arguments, and
+    it fills the same Namespace after `command`. Otherwise the full parse
+    runs and reports the error, "unrecognized arguments" with the
+    top-level usage. A subcommand's -h prints its help either way."""
+    commands = next((action.choices for action in _PARSER._actions
+                     if isinstance(action, argparse._SubParsersAction)), {})
+    parser = commands.get(argv[0]) if argv else None
+    if parser is not None:
+        parser.trial = True
+        try:
+            args, extras = parser.parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if not extras:
+                return args
+        except _TrialFailed:
+            pass
+        finally:
+            parser.trial = False
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(_sys.argv[1:] if argv is None else list(argv))
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:

@@ -34,6 +34,8 @@ from .subspaces import (
     _eigvals,
     _norm2,
     _qr_basis,
+    _solve,
+    _stacked_singular_values,
     containment_residual,
     extended_ops,
     invariant_hull,
@@ -131,9 +133,15 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
     Every point must clear the loop's spectrum (`cl.spectrum`) by 1e-6;
     otherwise SampleTooCloseToPole names the first one that does not. The
     points are taken SAMPLE_BLOCK at a time: each block is checked for
-    clearance, its resolvents are solved in one stacked solve and their
-    norms taken with one stacked SVD, so the result equals that of solving
-    one point at a time, bit for bit.
+    clearance, and its matrices lambda I - A^ are written into one stack,
+    as 0.0 - A^ with each lambda then added to its diagonal. The stack's
+    resolvents are solved in one stacked solve (`_solve`) and their norms
+    taken with one stacked SVD (`_stacked_singular_values`), numpy.linalg's
+    own gufuncs. The result equals that of solving one point at a time with
+    `numpy.linalg.solve` on lambda * eye(n) - A^, bit for bit; the stack
+    differs from that product only in the sign of some exact zeros. A point
+    that clears the spectrum but leaves lambda I - A^ singular raises
+    LinAlgError("Singular matrix"), as numpy's solve does.
     """
     lams = np.array([complex(lam) for lam in lambdas], dtype=complex)
     poles = cl.spectrum
@@ -146,11 +154,12 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
             if near.any():
                 lam = complex(block[np.argmax(near)])
                 raise SampleTooCloseToPole(f"sample {lam} within 1e-6 of a pole")
-        resolvents = np.linalg.solve(block[:, None, None] * np.eye(n) - cl.A_hat,
-                                     cl.H_hat)
-        G = cl.C_hat @ resolvents + cl.G_hat
+        stack = np.empty((block.size, n, n), dtype=complex)
+        np.subtract(0.0, cl.A_hat, out=stack)
+        stack.reshape(block.size, n * n)[:, ::n + 1] += block[:, None]
+        G = cl.C_hat @ _solve(stack, cl.H_hat) + cl.G_hat
         if G[0].size:
-            norms = np.linalg.svd(G, compute_uv=False).max(axis=-1)
+            norms = _stacked_singular_values(G).max(axis=-1)
             # fmax skips a NaN norm, as the max of a running maximum does
             worst = float(np.fmax.reduce(norms, initial=worst))
     return worst

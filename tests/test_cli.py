@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geodd
-from geodd import cli, subspaces
+from geodd import cli, subspaces, verify
 from geodd.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -528,14 +529,14 @@ class TestWorkPerCommand:
         cl = geodd.close_loop(sys_, comp)
         lambdas = default_lambdas(cl, 2 * SAMPLE_BLOCK + 10)
         batches = []
-        solve = np.linalg.solve
+        solve = verify._solve
 
         def recording_solve(a, b):
             if np.ndim(a) == 3:
                 batches.append(len(a))
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(verify, "_solve", recording_solve)
         assert transfer_samples(cl, lambdas) <= 1e-8
         assert len(lambdas) == 2 * SAMPLE_BLOCK + 10
         assert batches == [SAMPLE_BLOCK, SAMPLE_BLOCK, 10]
@@ -553,11 +554,24 @@ LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
           | st.text() | st.sampled_from(["", "\"quoted\"", "back\\slash", "tab\tline\n",
                                         "\x00\x1f\x7f", "é ü ß", "日本語", "\U0001f600",
                                         "\ud800"]))
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# Float matrices: equal rows (the one-repr path), ragged, empty and edge
+# rows, rows that mix in np.float64, and 1-tuples of floats (fallbacks).
+FLOAT_MATRICES = (
+    st.integers(1, 4).flatmap(lambda cols: st.lists(
+        st.lists(FINITE_FLOATS, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    | st.lists(st.lists(FINITE_FLOATS, min_size=1, max_size=4), min_size=1, max_size=4)
+    | st.lists(st.lists(FLOATS, max_size=4), min_size=1, max_size=4)
+    | st.lists(st.lists(FLOATS | FLOATS.map(np.float64), min_size=1, max_size=4),
+               min_size=1, max_size=4)
+    | st.lists(FLOATS.map(lambda x: (x,)), min_size=1, max_size=4)
+    | FLOATS.map(lambda x: (x,)))
 JSON_VALUES = st.recursive(
     LEAVES,
     lambda children: (st.lists(children, max_size=5)
                       | st.lists(children, max_size=5).map(tuple)
                       | st.lists(FLOATS, max_size=5)
+                      | FLOAT_MATRICES
                       | st.dictionaries(st.text(max_size=6), children, max_size=5)),
     max_leaves=40)
 
@@ -582,6 +596,25 @@ class TestResultWriter:
         cli._write_result(str(path), obj)
         assert path.read_bytes() == (_reference_text(obj) + "\n").encode()
         assert "np.float64" not in path.read_text()
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(FLOAT_MATRICES)
+    def test_float_matrices_equal_json_dumps(self, obj):
+        assert cli._json_text(obj) == _reference_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [0.5, -0.0, 5e-324, 1e16, 1e-07],
+        (0.0,), [(0.0,), (1.5, 2.5)], ((0.5, 0.25),),
+        [[1.0, 2.0], [3.0, 4.0]], ([1.0], [2.0]), [[1.0], [2.0, 3.0, -0.0]],
+        [[1.0], []], [[], [1.0]], [[0.5, np.float64(0.25)], [1.0]],
+        [0.5, np.float64(0.25)], [[1.0, float("inf")], [float("nan")]],
+        [float("-inf"), 0.5], [[1.0, 2.0], (3.0, 4.0)], [[1.0, 2], [3.0]],
+    ])
+    def test_float_rows_and_their_fallbacks(self, obj):
+        # the one-repr path for rows and matrices of exact floats, and each
+        # case that must leave it
+        for value in (obj, {"m": obj}, [obj, obj]):
+            assert cli._json_text(value) == _reference_text(value)
 
     def test_unserializable_values_raise_as_json_does(self):
         for obj in ({"a": object()}, [np.int64(1)], {(1, 2): 0}):
@@ -685,3 +718,99 @@ class TestParserReuse:
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
         assert cli.build_parser() is not cli._PARSER
+
+    def test_subcommands_are_parsed_by_the_module_parser(self, tmp_path, capsys,
+                                                         monkeypatch, solved_plant):
+        # `main` reads a subcommand with `_PARSER`'s own subparser: one with
+        # another default, patched in, is the one whose default arrives
+        plant, _ = solved_plant
+        parser = cli.build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        commands["analyze"].set_defaults(problem="p2")
+        monkeypatch.setattr(cli, "_PARSER", parser)
+        seen, _ = self._outcomes([["analyze", "--input", plant]], tmp_path, capsys,
+                                 monkeypatch, fresh=False)
+        assert seen == [{"command": "analyze", "input": plant, "problem": "p2",
+                         "output": None}]
+
+
+class TestDispatch:
+    """`main` parses a subcommand with that command's own parser, and gives
+    the exit code, stdout, stderr and `run` Namespace of a full parse with a
+    fresh parser on every argv shape."""
+
+    def _argvs(self, plant, compensator, out):
+        return [
+            [],
+            ["-h"],
+            ["solve", "-h"],
+            ["verify", "--help"],
+            ["frobnicate", "--input", plant],
+            ["solve", "--input", plant, "--frobnicate"],
+            ["verify", "--input", plant, "--output", out, "--bogus", "1"],
+            ["solve"],
+            ["verify", "--input", plant],
+            ["solve", "--input", plant, "--problem", "p3"],
+            ["solve", f"--input={plant}", "--output", out],
+            ["solve", "--output", out, "--problem", "p1", "--input", plant],
+            ["verify", "--compensator", compensator, "--output", out, "--input", plant],
+            ["analyze", "--in", plant, "--out", out, "--problem", "p2"],
+            ["solve", "--input", plant, "--seed", "1"],
+            ["solve", "--input", plant, "--output", out, "--", "x"],
+            ["solve", "--input", plant, "solve"],
+            ["solve", "--input"],
+            ["--", "solve", "--input", plant],
+            ["solve", "--input", plant, "-h", "--bogus"],
+        ]
+
+    def _outcome(self, argv, out, capsys, monkeypatch):
+        seen = []
+        original = cli.run
+
+        def spy(command, args):
+            seen.append(list(vars(args).items()))
+            return original(command, args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run", spy)
+            code = main(argv)
+        captured = capsys.readouterr()
+        written = None
+        if os.path.exists(out):
+            written = Path(out).read_bytes()
+            os.unlink(out)
+        return code, captured.out, captured.err, seen, written
+
+    def test_main_equals_a_full_parse(self, tmp_path, capsys, monkeypatch, solved_plant):
+        plant, result = solved_plant
+        compensator = tmp_path / "comp.json"
+        compensator.write_text(json.dumps(result))
+        out = str(tmp_path / "out.json")
+        direct, full, full_parses = [], [], []
+        parse_args = cli._PARSER.parse_args
+
+        def counting_parse_args(argv):
+            full_parses.append(argv[0] if argv else None)
+            return parse_args(argv)
+
+        for argv in self._argvs(plant, str(compensator), out):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli._PARSER, "parse_args", counting_parse_args)
+                direct.append(self._outcome(argv, out, capsys, monkeypatch))
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_parse",
+                              lambda argv: cli.build_parser().parse_args(argv))
+                full.append(self._outcome(argv, out, capsys, monkeypatch))
+        for argv, got, expected in zip(self._argvs(plant, str(compensator), out),
+                                       direct, full):
+            assert got == expected, argv
+        codes = Counter(outcome[0] for outcome in direct)
+        assert codes == {EXIT_USAGE: 12, EXIT_OK: 8}
+        # the full parse ran only where argv names no command or the
+        # command's parser errs or leaves arguments over; a command's -h
+        # exits from its own parser
+        assert len(full_parses) == 13
+        assert "usage: geodd [-h] {analyze,solve,verify} ..." in direct[5][2]
+        assert "unrecognized arguments: --frobnicate" in direct[5][2]
+        assert "geodd solve: error: argument --problem" in direct[9][2]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from geodd.errors import (
     ContinuousNotSupported,
     DimensionMismatch,
+    GeoddError,
     NotStabilizablePair,
     SampleTooCloseToPole,
 )
@@ -174,6 +175,113 @@ class TestBatchedSamples:
         cl = loop_from(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]])
         assert cl.spectrum is cl.spectrum
         assert not cl.spectrum.flags.writeable
+
+
+def _numpy_samples(cl, lambdas) -> float:
+    """The formula that `transfer_samples` evaluates, on numpy.linalg's
+    wrappers: the resolvents of lambda * eye(n) - A^ in one stacked `solve`,
+    then the largest singular value of each response by `svd`."""
+    lams = np.array([complex(lam) for lam in lambdas], dtype=complex)
+    n = cl.order
+    resolvents = np.linalg.solve(lams[:, None, None] * np.eye(n) - cl.A_hat, cl.H_hat)
+    G = cl.C_hat @ resolvents + cl.G_hat
+    if not G[0].size:
+        return 0.0
+    norms = np.linalg.svd(G, compute_uv=False).max(axis=-1)
+    return float(np.fmax.reduce(norms, initial=0.0))
+
+
+def _real_points(cl, lambdas) -> list:
+    """The real parts of `lambdas` that stay 1e-3 clear of the spectrum,
+    and one real point beyond it."""
+    poles = cl.spectrum
+    reach = 2.0 * (1.0 + (float(np.max(np.abs(poles))) if poles.size else 0.0))
+    points = [complex(lam.real) for lam in lambdas]
+    return [lam for lam in points
+            if not poles.size or np.min(np.abs(poles - lam)) >= 1e-3] + [complex(reach)]
+
+
+def _same_float(a: float, b: float) -> bool:
+    return type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@st.composite
+def sampled_loops(draw):
+    """A random real loop, Gaussian, zero-heavy or integer, of order 0 to 8
+    with q = 0 or r = 0 among its shapes, and complex or real sample points
+    clear of its spectrum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 8))
+    q = draw(st.sampled_from([0, 1, 1, 2, 3]))
+    r = draw(st.sampled_from([0, 1, 2, 2, 3]))
+    kind = draw(st.sampled_from(["gaussian", "zero-heavy", "integer"]))
+
+    def matrix(rows, cols):
+        if kind == "integer":
+            return rng.integers(-2, 3, (rows, cols)).astype(float)
+        M = rng.standard_normal((rows, cols))
+        return M * (rng.random((rows, cols)) < 0.25) if kind == "zero-heavy" else M
+
+    cl = ClosedLoop(matrix(n, n), matrix(n, q), matrix(r, n), matrix(r, q),
+                    np.eye(1), draw(st.sampled_from(["continuous", "discrete"])))
+    count = draw(st.sampled_from([1, 5, 20, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 3]))
+    lambdas = default_lambdas(cl, count, seed=draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        lambdas = _real_points(cl, lambdas)
+    return cl, lambdas
+
+
+def _generated_loops(plants):
+    """The p1 and p2 loops that `solve` builds on each plant it solves."""
+    for plant in plants:
+        for problem in ("p1", "p2"):
+            try:
+                comp, _ = solve(plant, problem)
+            except GeoddError:
+                continue
+            yield close_loop(plant, comp)
+
+
+class TestSamplerReference:
+    """`transfer_samples` fills its stack in place and calls numpy.linalg's
+    solve and svd gufuncs; it returns the float of numpy's formula, bit for
+    bit."""
+
+    def test_generated_loops(self, scalar_channel_plant, mismatched_plant):
+        plants = [scalar_channel_plant, mismatched_plant]
+        plants += [generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
+                   for n, seeds in ((4, range(3)), (6, range(2)), (8, range(1)))
+                   for seed in seeds for domain in ("continuous", "discrete")]
+        loops = list(_generated_loops(plants))
+        assert len(loops) >= 15
+        for cl in loops:
+            for lambdas in (default_lambdas(cl), _real_points(cl, default_lambdas(cl))):
+                assert _same_float(transfer_samples(cl, lambdas),
+                                   _numpy_samples(cl, lambdas))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(sampled_loops())
+    def test_random_loops(self, case):
+        cl, lambdas = case
+        assert _same_float(transfer_samples(cl, lambdas), _numpy_samples(cl, lambdas))
+
+    def test_singular_point_raises_as_numpy_does(self):
+        cl = loop_from(np.diag([1.0, 2.0]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+        # a loop whose recorded spectrum misses its pole at 1 lets the point
+        # 1 past the clearance check, onto a singular matrix
+        missed = SimpleNamespace(order=2, A_hat=cl.A_hat, H_hat=cl.H_hat,
+                                 C_hat=cl.C_hat, G_hat=cl.G_hat,
+                                 spectrum=np.array([5.0, 6.0]))
+        lambdas = [3.0 + 1j, 1.0, -1.0]
+        for sampler in (transfer_samples, _numpy_samples):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                sampler(missed, lambdas)
+        # the clearance check comes first: with the loop's own spectrum, and
+        # with a point of the block near a recorded pole
+        with pytest.raises(SampleTooCloseToPole, match=r"sample \(1\+0j\)"):
+            transfer_samples(cl, lambdas)
+        with pytest.raises(SampleTooCloseToPole, match=r"sample \(5\.000000001\+0j\)"):
+            transfer_samples(missed, lambdas + [5.0 + 1e-9])
 
 
 def _bits(points):
