@@ -311,9 +311,10 @@ def _verdict_exit(overall: str) -> int:
 
 
 def _loop_checks(sys_: PlantSystem, cl):
-    """(max |T_zw| over `default_lambdas`' 20 samples, stable) of a closed
-    loop, both read off its one spectrum; `verify` sorts that spectrum
-    for its result file, `solve` writes none."""
+    """(max |T_zw| over `default_lambdas`' 20 points on the circle of radius
+    2 max(1, rho), stable) of a closed loop, both read off its one
+    spectrum; `verify` sorts that spectrum for its result file, `solve`
+    writes none."""
     samples = transfer_samples(cl, default_lambdas(cl))
     stable = not sys_.region.outside(cl.spectrum)
     return samples, stable

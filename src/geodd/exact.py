@@ -34,6 +34,7 @@ gives the same integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 
@@ -626,7 +627,7 @@ def det_grid_scan(family: ExactAffineFamily, Dy: RatMat,
                   points_per_var: int):
     """Scan det(I + K Dy) over a rational grid of the affine family.
 
-    Returns a theta tuple where the determinant is nonzero, or None when it
+    Returns a theta list where the determinant is nonzero, or None when it
     vanishes at every grid point. With points_per_var exceeding the
     per-variable degree of the determinant polynomial, an all-zero grid
     proves the determinant vanishes identically on the affine set.
@@ -636,7 +637,6 @@ def det_grid_scan(family: ExactAffineFamily, Dy: RatMat,
     so each grid point takes one integer determinant.
     """
     m = shape(family.K0)[0]
-    ndirs = len(family.directions)
     (K0, *dirs), L = _scaled(family.K0, *family.directions)
     (D,), e = _scaled(Dy)
     D_cols = [[row[j] for row in D] for j in range(m)]
@@ -648,11 +648,9 @@ def det_grid_scan(family: ExactAffineFamily, Dy: RatMat,
     for i in range(m):
         base[i][i] += L * e
     steps = [times_dy(K) for K in dirs]
-    pts = _grid(points_per_var)
-    idx = [0] * ndirs
-
-    while True:
-        theta = [pts[i] for i in idx]
+    # the first parameter varies fastest: product varies the last, reversed
+    for point in product(_grid(points_per_var), repeat=len(steps)):
+        theta = point[::-1]
         M = [row[:] for row in base]
         for th, P in zip(theta, steps):
             if th:
@@ -661,12 +659,4 @@ def det_grid_scan(family: ExactAffineFamily, Dy: RatMat,
                         Mi[j] += th * x
         if _bareiss(M):
             return [Fraction(x) for x in theta]
-        pos = 0
-        while pos < ndirs:
-            idx[pos] += 1
-            if idx[pos] < points_per_var:
-                break
-            idx[pos] = 0
-            pos += 1
-        if ndirs == 0 or pos == ndirs:
-            return None
+    return None

@@ -17,11 +17,9 @@ is queried once per shape and kept in `_GESDD_LWORK`: LAPACK's query
 depends only on the routine, its flags and the shape, so the cached size is
 the one a fresh query returns, and the one numpy asks for. Every eigenvalue
 list of the float geometry (`_eigvals`), every inverse (`_inv`), every
-single determinant (`_det`), every QR basis (`_qr_basis`), and the stacked
-complex resolvent solves and singular values of the transfer samples
-(`_solve`, `_stacked_singular_values`) are computed by the gufunc that
-numpy.linalg itself calls, in numpy.linalg's error state (`_linalg_state`),
-so those results are numpy's by construction. Every
+single determinant (`_det`) and every QR basis (`_qr_basis`) are computed
+by the gufunc that numpy.linalg itself calls, in numpy.linalg's error state
+(`_linalg_state`), so those results are numpy's by construction. Every
 matrix a kernel returns is C-ordered, as numpy's are: the layout of a
 factor decides the rounding of every product taken with it later.
 
@@ -134,22 +132,6 @@ def _det(M: np.ndarray) -> float:
     0 x 0."""
     _check_square(M)
     return float(_umath_linalg.det(M, signature="d->d"))
-
-
-@_linalg_state("Singular matrix")
-def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """numpy.linalg.solve(A, B), bit for bit, for a complex stack A of
-    shape (..., n, n) and a 2-D B. A singular matrix of the stack raises
-    LinAlgError("Singular matrix"), as numpy's does."""
-    return _umath_linalg.solve(A, B, signature="DD->D")
-
-
-@_linalg_state("SVD did not converge")
-def _stacked_singular_values(G: np.ndarray) -> np.ndarray:
-    """numpy.linalg.svd(G, compute_uv=False), bit for bit, for a complex
-    stack G of shape (..., m, n): the singular values of each matrix, in
-    descending order."""
-    return _umath_linalg.svd(G, signature="D->d")
 
 
 @_linalg_state("Incorrect argument found while performing QR factorization")

@@ -1,6 +1,7 @@
 """Independent verification: decoupling certificates, transfer-function
-sampling, stability checks, impulse simulation, and a seeded generator of
-solvable plants for the property suites.
+sampling on a fixed circle around the loop's spectrum, stability checks,
+impulse simulation, and a seeded generator of solvable plants for the
+property suites.
 
 A certificate is checked on a subspace of the 2n-state loop. A compensator
 built on a pair (V, S) comes with one in closed form,
@@ -11,7 +12,6 @@ Krylov hull, whose rank decisions can miss on larger loops)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .subspaces import (
     _eigvals,
     _norm2,
     _qr_basis,
-    _solve,
-    _stacked_singular_values,
     containment_residual,
     extended_ops,
     invariant_hull,
@@ -135,13 +133,12 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
     points are taken SAMPLE_BLOCK at a time: each block is checked for
     clearance, and its matrices lambda I - A^ are written into one stack,
     as 0.0 - A^ with each lambda then added to its diagonal. The stack's
-    resolvents are solved in one stacked solve (`_solve`) and their norms
-    taken with one stacked SVD (`_stacked_singular_values`), numpy.linalg's
-    own gufuncs. The result equals that of solving one point at a time with
-    `numpy.linalg.solve` on lambda * eye(n) - A^, bit for bit; the stack
-    differs from that product only in the sign of some exact zeros. A point
-    that clears the spectrum but leaves lambda I - A^ singular raises
-    LinAlgError("Singular matrix"), as numpy's solve does.
+    resolvents are solved in one `numpy.linalg.solve` and their norms taken
+    with one `numpy.linalg.svd(..., compute_uv=False)`. The result equals
+    that of solving one point at a time on lambda * eye(n) - A^, bit for
+    bit; the stack differs from that product only in the sign of some exact
+    zeros. A point that clears the spectrum but leaves lambda I - A^
+    singular raises LinAlgError("Singular matrix"), as numpy's solve does.
     """
     lams = np.array([complex(lam) for lam in lambdas], dtype=complex)
     poles = cl.spectrum
@@ -157,58 +154,27 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
         stack = np.empty((block.size, n, n), dtype=complex)
         np.subtract(0.0, cl.A_hat, out=stack)
         stack.reshape(block.size, n * n)[:, ::n + 1] += block[:, None]
-        G = cl.C_hat @ _solve(stack, cl.H_hat) + cl.G_hat
+        G = cl.C_hat @ np.linalg.solve(stack, cl.H_hat) + cl.G_hat
         if G[0].size:
-            norms = _stacked_singular_values(G).max(axis=-1)
+            norms = np.linalg.svd(G, compute_uv=False).max(axis=-1)
             # fmax skips a NaN norm, as the max of a running maximum does
             worst = float(np.fmax.reduce(norms, initial=worst))
     return worst
 
 
-@lru_cache(maxsize=64)
-def _first_draws(count: int, seed: int) -> np.ndarray:
-    """The first `count` x 2 uniform draws of `default_rng(seed)`, drawn
-    once per (count, seed) and kept read-only."""
-    draws = np.random.default_rng(seed).random((count, 2))
-    draws.setflags(write=False)
-    return draws
+def default_lambdas(cl: ClosedLoop, count: int = 20) -> list:
+    """`count` points on the circle of radius R = 2 max(1, rho), rho the
+    largest pole modulus of the loop's spectrum (`cl.spectrum`):
+    lambda_k = R exp(2 pi i (k + 0.3) / count) for k = 0 .. count - 1.
 
-
-def _candidate_draws(count: int, seed: int):
-    """The stream of `default_rng(seed)` in blocks of `count` x 2 uniform
-    draws. The first block is `_first_draws`'; a generator is made, and
-    taken past that block, only when a second block is asked for."""
-    yield _first_draws(count, seed)
-    rng = np.random.default_rng(seed)
-    rng.random((count, 2))
-    while True:
-        yield rng.random((count, 2))
-
-
-def default_lambdas(cl: ClosedLoop, count: int = 20, seed: int = 0) -> list:
-    """`count` seeded samples from an annulus around the loop's spectrum
-    (`cl.spectrum`), each at least 1e-3 from every pole.
-
-    Each candidate takes two uniform draws from the stream, its radius and
-    then its angle, and is rejected when too close to a pole; the samples
-    are the first `count` candidates kept, so they depend only on the
-    spectrum, `count` and `seed`. The candidates are drawn `count` at a
-    time (`_candidate_draws`, whose first block is drawn once per count and
-    seed) and scaled as `Generator.uniform` scales its draws, so the points
-    equal those of drawing one radius and one angle at a time, bit for bit.
+    Every point clears every pole by at least max(1, rho), so none is ever
+    rejected; the offset 0.3 keeps every point off the real axis and no two
+    points conjugate. The points depend only on the spectrum and `count`.
     """
     poles = cl.spectrum
     radius = 2.0 * max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
-    low, high = 0.5 * radius, 1.5 * radius
-    blocks = _candidate_draws(count, seed)
-    samples = []
-    while len(samples) < count:
-        u = next(blocks)
-        lams = (low + (high - low) * u[:, 0]) * np.exp(1j * (0.0 + 2.0 * np.pi * u[:, 1]))
-        if poles.size:
-            lams = lams[~(np.abs(poles - lams[:, None]).min(axis=1) < 1e-3)]
-        samples.extend(lams)
-    return samples[:count]
+    angles = 2.0 * np.pi * (np.arange(count) + 0.3) / count
+    return list(radius * np.exp(1j * angles))
 
 
 def stability_check(A_hat, region: StabilityRegion) -> tuple[bool, np.ndarray]:

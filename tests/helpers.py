@@ -603,24 +603,28 @@ def reference_transfer_samples(cl, lambdas) -> float:
     return worst
 
 
-def reference_default_lambdas(cl, count, seed):
-    """The one-at-a-time loop that `verify.default_lambdas` draws in blocks:
-    one `Generator.uniform` radius and one angle per candidate, a candidate
-    within 1e-3 of a pole rejected. Returns (samples, rejected count), so a
-    test can show that it exercised the rejection."""
+def reference_default_lambdas(cl, count):
+    """The closed form that `verify.default_lambdas` evaluates in one array,
+    one point at a time: lambda_k = R exp(2 pi i (k + 0.3) / count) on the
+    circle of radius R = 2 max(1, rho) around the loop's spectrum."""
     poles = cl.spectrum
     radius = 2.0 * max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
-    rng = np.random.default_rng(seed)
-    samples, rejected = [], 0
-    while len(samples) < count:
-        r = rng.uniform(0.5 * radius, 1.5 * radius)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        lam = r * np.exp(1j * phi)
-        if poles.size and np.min(np.abs(poles - lam)) < 1e-3:
-            rejected += 1
-            continue
-        samples.append(lam)
-    return samples, rejected
+    return [radius * np.exp(1j * (2.0 * np.pi * (k + 0.3) / count)) for k in range(count)]
+
+
+def random_lambdas(rng, cl, count):
+    """`count` random complex points with radius uniform on [0.5 R, 1.5 R],
+    R = 2 max(1, rho), and a uniform angle, each at least 1e-3 from every
+    pole of `cl.spectrum`: varied points, inside the spectrum's reach too,
+    for checking a sampler against its reference."""
+    poles = cl.spectrum
+    radius = 2.0 * max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
+    points = []
+    while len(points) < count:
+        lam = rng.uniform(0.5 * radius, 1.5 * radius) * np.exp(2j * np.pi * rng.random())
+        if not poles.size or np.min(np.abs(poles - lam)) >= 1e-3:
+            points.append(lam)
+    return points
 
 
 def reference_invariant_hull(A, S: Subspace, tol=DEFAULT_TOL) -> Subspace:

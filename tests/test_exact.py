@@ -193,6 +193,33 @@ def test_det_grid_scan_degree_bound():
     assert tuple(exact.det_grid_scan(fam, Dy, 3)) == (Fraction(-1),)
 
 
+def test_det_grid_scan_order_and_no_directions():
+    one, zero, minus = [[Fraction(1)]], [[Fraction(0)]], [[Fraction(-1)]]
+    half = [[Fraction(1, 2)]]
+    units = [[[Fraction(int(i == j == k), 1 + (k == 2)) for j in range(3)] for i in range(3)]
+             for k in range(3)]
+    cases = [  # (K0, directions, Dy, points per parameter, witness)
+        # no directions: the one grid point is K0 itself
+        (zero, [], one, 3, []),
+        (minus, [], one, 3, None),
+        (exact.mat([[1, 0], [0, 2]]), [], exact.eye(2), 1, []),
+        (exact.mat([[-1, 0], [0, 2]]), [], exact.mat([[1, 0], [0, 0]]), 3, None),
+        # det = theta_1 + theta_2, nonzero at (1, 0) and (0, 1): the first
+        # parameter varies fastest
+        (minus, [one, one], one, 3, [1, 0]),
+        # det = (theta_1 + theta_2 + theta_3) / 2 - 1: nonzero at the origin
+        ([[Fraction(-2)]], [half, half, half], one, 3, [0, 0, 0]),
+        # det = theta_1 theta_2 theta_3 / 2: the first corner with all nonzero
+        (exact.mat([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]), units, exact.eye(3), 3, [1, 1, 1]),
+        # det = theta_1 (theta_1 - 1): zero on the two-point grid, not the three
+        (exact.mat([[-1, 0], [0, -2]]), [exact.eye(2)], exact.eye(2), 2, None),
+        (exact.mat([[-1, 0], [0, -2]]), [exact.eye(2)], exact.eye(2), 3, [-1]),
+    ]
+    for K0, dirs, Dy, points, want in cases:
+        got = exact.det_grid_scan(exact.ExactAffineFamily(K0, dirs), Dy, points)
+        assert got == reference_det_grid_scan(K0, dirs, Dy, points) == want
+
+
 @PROPERTY
 @given(rational_matrices())
 def test_rref_matches_fraction_reference(M):

@@ -21,8 +21,6 @@ from geodd.subspaces import (
     _numerical_rank,
     _qr_basis,
     _singular_values,
-    _solve,
-    _stacked_singular_values,
     _svd,
     combine,
     complement,
@@ -320,37 +318,6 @@ class TestInvKernel:
         assert _inv(np.zeros((0, 0))).shape == np.linalg.inv(np.zeros((0, 0))).shape
         with pytest.raises(np.linalg.LinAlgError):
             _inv(np.ones((2, 3)))
-
-
-class TestStackedResolventKernels:
-    """`_solve` and `_stacked_singular_values` against numpy.linalg.solve
-    and svd(compute_uv=False) on complex stacks, as the sampler calls them."""
-
-    def _stacks(self):
-        rng = np.random.default_rng(7)
-        for n in (0, 1, 2, 5, 12, 32):
-            for k in (1, 3, 20):
-                A = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
-                if n:
-                    A[0, :, 0] = 0.0  # exact zeros, the case of a sparse A^
-                for cols in (0, 1, 3):
-                    yield A, rng.standard_normal((n, cols))
-
-    def test_equal_numpy_bit_for_bit(self):
-        for A, B in self._stacks():
-            if A.shape[-1] and not np.all(np.abs(np.linalg.det(A)) > 0):
-                continue
-            got, want = _solve(A, B), np.linalg.solve(A, B)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            G = A[:, :2, :] if A.shape[-1] else A
-            got, want = _stacked_singular_values(G), np.linalg.svd(G, compute_uv=False)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    def test_singular_matrix_raises_numpys_error(self):
-        A = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]], dtype=complex)
-        for solve in (np.linalg.solve, _solve):
-            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-                solve(A, np.ones((2, 1)))
 
 
 class TestDetKernel:

@@ -180,4 +180,4 @@ def test_cli_signatures():
     got = {name: str(inspect.signature(getattr(cli, name))) for name in CLI_SIGNATURES}
     assert got == CLI_SIGNATURES
     assert str(inspect.signature(verify.default_lambdas)) == (
-        "(cl: 'ClosedLoop', count: 'int' = 20, seed: 'int' = 0) -> 'list'")
+        "(cl: 'ClosedLoop', count: 'int' = 20) -> 'list'")

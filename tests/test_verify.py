@@ -37,7 +37,7 @@ from geodd.verify import (
     stability_check,
     transfer_samples,
 )
-from helpers import reference_default_lambdas, reference_transfer_samples
+from helpers import random_lambdas, reference_default_lambdas, reference_transfer_samples
 
 
 def loop_from(A, H, C, G, domain="continuous"):
@@ -109,7 +109,7 @@ class TestTransferSamples:
     def test_certified_loop_small_on_seeded_samples(self, scalar_channel_plant):
         comp, _ = solve(scalar_channel_plant, "p1")
         cl = close_loop(scalar_channel_plant, comp)
-        assert transfer_samples(cl, default_lambdas(cl, 20, seed=0)) <= 1e-8
+        assert transfer_samples(cl, default_lambdas(cl)) <= 1e-8
 
     def test_pure_feedthrough_norm(self):
         M = np.array([[3.0, 0.0], [0.0, 1.0]])
@@ -144,7 +144,7 @@ def loops_and_samples(draw):
     cl = loop_from(rng.standard_normal((n, n)), rng.standard_normal((n, q)),
                    rng.standard_normal((r, n)), rng.standard_normal((r, q)))
     count = draw(st.sampled_from([0, 1, 5, 20, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 7]))
-    lambdas = default_lambdas(cl, count, seed=draw(st.integers(0, 99)))
+    lambdas = random_lambdas(rng, cl, count)
     if count and draw(st.integers(0, 3)) == 0:
         poles = np.linalg.eigvals(cl.A_hat)
         for _ in range(draw(st.integers(1, 2))):
@@ -163,7 +163,7 @@ class TestBatchedSamples:
 
     def test_first_offending_point_named_across_blocks(self):
         cl = loop_from(np.diag([-1.0, 2.0]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
-        lambdas = default_lambdas(cl, 3 * SAMPLE_BLOCK, seed=1)
+        lambdas = default_lambdas(cl, 3 * SAMPLE_BLOCK)
         lambdas[SAMPLE_BLOCK + 3] = 2.0 + 5e-7
         lambdas[2 * SAMPLE_BLOCK + 1] = -1.0
         with pytest.raises(SampleTooCloseToPole, match=r"sample \(2\.0000005\+0j\)"):
@@ -225,7 +225,7 @@ def sampled_loops(draw):
     cl = ClosedLoop(matrix(n, n), matrix(n, q), matrix(r, n), matrix(r, q),
                     np.eye(1), draw(st.sampled_from(["continuous", "discrete"])))
     count = draw(st.sampled_from([1, 5, 20, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 3]))
-    lambdas = default_lambdas(cl, count, seed=draw(st.integers(0, 99)))
+    lambdas = random_lambdas(rng, cl, count)
     if draw(st.booleans()):
         lambdas = _real_points(cl, lambdas)
     return cl, lambdas
@@ -298,65 +298,48 @@ class TestSamplePoints:
     @pytest.mark.parametrize("count", [0, 1, 2, 20, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 5])
     def test_empty_spectrum_equals_the_scalar_loop(self, count):
         cl = _spectrum([])
-        for seed in range(5):
-            expected, rejected = reference_default_lambdas(cl, count, seed)
-            assert rejected == 0
-            assert _bits(default_lambdas(cl, count, seed)) == _bits(expected)
-            assert all(type(lam) is np.complex128 for lam in expected)
+        expected = reference_default_lambdas(cl, count)
+        assert _bits(default_lambdas(cl, count)) == _bits(expected)
+        assert all(type(lam) is np.complex128 for lam in expected)
+        assert np.abs(expected).round(12).tolist() == [2.0] * count
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 9),
-           st.sampled_from([1, 2, 20, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 7]),
-           st.integers(0, 10**6))
-    def test_random_spectra_equal_the_scalar_loop(self, state, n, count, seed):
+           st.sampled_from([1, 2, 20, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 7]))
+    def test_random_spectra_equal_the_scalar_loop(self, state, n, count):
         rng = np.random.default_rng(state)
         scale = 10.0 ** rng.uniform(-3, 3)
         poles = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         cl = _spectrum(poles)
-        assert (_bits(default_lambdas(cl, count, seed))
-                == _bits(reference_default_lambdas(cl, count, seed)[0]))
+        assert _bits(default_lambdas(cl, count)) == _bits(reference_default_lambdas(cl, count))
 
-    def test_rejected_candidates_are_skipped_in_stream_order(self):
-        # The annulus starts at the largest pole modulus, so a ring of poles
-        # on the unit circle, closer together than the 1e-3 clearance,
-        # rejects every candidate drawn just outside it.
-        ring = _spectrum(np.exp(2j * np.pi * np.arange(8000) / 8000))
-        total = 0
-        for seed in range(50):
-            expected, rejected = reference_default_lambdas(ring, 2 * SAMPLE_BLOCK, seed)
-            total += rejected
-            assert _bits(default_lambdas(ring, 2 * SAMPLE_BLOCK, seed)) == _bits(expected)
-        assert total > 0
+    @pytest.mark.parametrize("count", [1, 2, 20, 2 * SAMPLE_BLOCK])
+    def test_points_clear_every_pole(self, count):
+        # However dense the spectrum (a ring of 8000 poles on the unit
+        # circle, 8e-4 apart), the circle of radius 2 max(1, rho) keeps
+        # max(1, rho) from every pole.
+        rng = np.random.default_rng(count)
+        spectra = [np.exp(2j * np.pi * np.arange(8000) / 8000), [0.5, -0.25j], [-3.0, 1e3j]]
+        spectra += [10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.random(n))
+                    for n in (1, 5, 40)]
+        for poles in spectra:
+            poles = np.asarray(poles, dtype=complex)
+            reach = max(1.0, float(np.max(np.abs(poles))))
+            lambdas = np.array(default_lambdas(_spectrum(poles), count))
+            # up to the rounding of exp, which may put |lambda| an ulp below 2 reach
+            assert np.abs(poles - lambdas[:, None]).min() >= reach * (1 - 1e-12)
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 20, 2 * SAMPLE_BLOCK + 7])
+    def test_no_point_is_real_or_conjugate_to_another(self, count):
+        for poles in ([], [0.5, 2.0 + 1j, 2.0 - 1j]):
+            lambdas = np.array(default_lambdas(_spectrum(poles), count))
+            assert np.all(lambdas.imag != 0.0)
+            gaps = np.abs(lambdas[:, None] - np.conj(lambdas))
+            assert gaps.min() > 1e-3
 
-    def test_first_blocks_are_drawn_once_and_read_only(self):
-        for count, seed in ((20, 0), (3, 7)):
-            draws = verify._first_draws(count, seed)
-            assert draws.tobytes() == np.random.default_rng(seed).random((count, 2)).tobytes()
-            assert not draws.flags.writeable
-            assert verify._first_draws(count, seed) is draws
-
-    def test_rejections_past_the_first_block_equal_a_fresh_stream(self, monkeypatch):
-        # A ring of poles on the unit circle, closer together than the 1e-3
-        # clearance, rejects every candidate of radius below 1 + 4e-4, that
-        # is every first draw below 2e-4: seeds with such a draw among their
-        # first 20 run past the first block of the default count.
-        ring = _spectrum(np.exp(2j * np.pi * np.arange(8000) / 8000))
-        past = [seed for seed in range(3000)
-                if np.random.default_rng(seed).random((20, 2))[:, 0].min() < 2e-4]
-        assert past
-        for seed in past + [0, 1]:
-            expected, rejected = reference_default_lambdas(ring, 20, seed)
-            assert (rejected > 0) == (seed in past)
-            default_lambdas(ring, 20, seed)
-            # with the first block cached, a generator is made only to run
-            # past it
-            made = []
-            fresh = np.random.default_rng
-            monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(s) or fresh(s))
-            assert _bits(default_lambdas(ring, 20, seed)) == _bits(expected)
-            monkeypatch.undo()
-            assert made == ([seed] if seed in past else [])
+    def test_no_count_gives_no_points(self):
+        assert default_lambdas(_spectrum([1.0, -2.0]), 0) == []
+        assert default_lambdas(_spectrum([]), 0) == []
 
 
 class TestPairSubspace:
@@ -425,7 +408,7 @@ class TestImpulseSimulation:
         peak = simulate_impulse(cl, steps=50)
         assert peak <= 1e-8
         # the frequency-domain verdict agrees
-        assert transfer_samples(cl, default_lambdas(cl, 20, seed=3)) <= 1e-8
+        assert transfer_samples(cl, default_lambdas(cl)) <= 1e-8
 
     def test_coupled_loop_not_silent(self):
         cl = loop_from([[0.5]], [[1.0]], [[1.0]], [[0.0]], domain="discrete")
