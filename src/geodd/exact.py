@@ -25,8 +25,8 @@ S* + W alone, not on their bases, equals that of `affine_k_family` on
 The results are those of the same computations on Fractions: `rref`,
 `kernel`, `solve_affine`, the K family of `affine_k_family` and the
 `det_grid_scan` witness are canonical and equal them entry for entry; the
-spans of `vstar_span`, `sstar_span`, `intersect_spans`, `preimage_span`,
-`image_span` and `invariant_hull_smallest` have the columns the Fraction
+spans of `vstar_span`, `sstar_span`, `intersect_spans` and
+`invariant_hull_smallest` have the columns the Fraction
 computation picks, each times a positive factor, so `clear_denominators`
 gives the same integers.
 """
@@ -50,10 +50,6 @@ def fr(x) -> Fraction:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     return Fraction(float(x))
-
-
-def mat(rows) -> RatMat:
-    return [[fr(x) for x in row] for row in rows]
 
 
 def _shared(rows, convert) -> RatMat:
@@ -406,22 +402,6 @@ def contains_span(outer: RatMat, inner: RatMat) -> bool:
     return all(c < ko for c in _pivots(hstack(outer, inner)))
 
 
-def equal_span(B1: RatMat, B2: RatMat) -> bool:
-    return contains_span(B1, B2) and contains_span(B2, B1)
-
-
-def preimage_span(M: RatMat, B: RatMat) -> RatMat:
-    """{x : M x in span(B)} as a column span."""
-    cm = shape(M)[1]
-    (Mi,), _ = _scaled(M)
-    return _span(_preimage(Mi, _columns(B), cm), cm)
-
-
-def image_span(M: RatMat, B: RatMat) -> RatMat:
-    (Mi,), _ = _scaled(M)
-    return _span(_image(Mi, _columns(B)), shape(M)[0])
-
-
 def invariant_hull_smallest(A: RatMat, B: RatMat) -> RatMat:
     n, _ = shape(A)
     (Ai,), _ = _scaled(A)
@@ -616,11 +596,6 @@ def _star_family(A, B, H, C, G_y, E, D_z, G_z):
     Atil = [a + h for a, h in zip(A, H)] + [e + g for e, g in zip(E, G_z)]
     Ctil = [c + g for c, g in zip(C, G_y)]
     return _k_family(Atil, B + D_z, Ctil, d, T, N, m, p)
-
-
-def grid_points(count: int) -> list[Fraction]:
-    """0, 1, -1, 2, -2, ... as exact rationals."""
-    return [Fraction(x) for x in _grid(count)]
 
 
 def det_grid_scan(family: ExactAffineFamily, Dy: RatMat,

@@ -23,33 +23,21 @@ The star recursion (`_nulling_steps`) runs on the orthogonal complement
 basis of V_k^perp and takes two small SVDs, so S*, the complement of V* of
 the dual, comes off the dual recursion with no complement SVD.
 
-Stabilizing friends take shifted Riccati gains, solved by one private
-kernel, `_riccati`: scipy 1.17.1's CARE/DARE algorithm step for step on
-direct calls to scipy's LAPACK wrappers, which on these small pencils cost
-less than scipy's own wrapping; its workspace sizes are queried once per
-pencil shape. Its solutions are scipy's bit for bit; a scipy release that
-changes the algorithm breaks that parity, and its tests say so. Spectra
-are taken by `subspaces._eigvals`, numpy.linalg.eigvals bit for bit.
+Stabilizing friends take mirror-image gains (`_stabilizing_gain`) on
+public scipy calls: one ordered real Schur form of each controllable block
+keeps the modes well inside the region, and one Lyapunov equation on the
+trailing block mirrors the rest into the region, so the moved spectrum is a
+function of the open-loop spectrum alone. Spectra are taken by
+`subspaces._eigvals`, numpy.linalg.eigvals bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import (
-    dgebal,
-    dgeqrf,
-    dgeqrf_lwork,
-    dgetrf,
-    dgges,
-    dorgqr,
-    dtgsen,
-    dtrtrs,
-)
+from scipy.linalg import schur, solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from .errors import (
     DimensionMismatch,
@@ -64,10 +52,10 @@ from .subspaces import (
     Subspace,
     ToleranceProfile,
     _eigvals,
+    _inv,
     _norm2,
     _numerical_rank,
     _region_part,
-    _singular_values,
     _svd,
     combine,
     complement,
@@ -81,6 +69,13 @@ INPUT_CONTAINING = "input_containing"
 
 # The stabilizing gain is not skipped for blocks this close to instability.
 SKIP_GUARD = 1e-6
+# The stabilizing gain keeps the modes more than KEEP_MARGIN inside the
+# region and mirrors the rest about the boundary moved SHIFT into it: the
+# line Re lam = -SHIFT, or the circle |lam| = 1 - SHIFT. Both were chosen
+# once, from a table of certificate failures against stability margins on
+# generated p2 plants (CHANGES.md).
+KEEP_MARGIN = 0.05
+SHIFT = 0.1
 
 
 @dataclass(frozen=True)
@@ -460,145 +455,14 @@ def self_predicate(kind: str, X: Subspace, q: Quadruple,
     return contains(V, combine("intersect", vstar(qv, tol), sstar(qv, tol), tol), tol)
 
 
-def _require_finite(*arrays):
-    """scipy's `check_finite`: ValueError on any inf or NaN entry."""
-    if not all(np.isfinite(M).all() for M in arrays):
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _no_sort(*_):
-    """dgges's selection callback, unused: the ordering is dtgsen's."""
-
-
-# Workspace sizes of `_riccati`'s dgeqrf, dorgqr and dgges calls, by (k, m).
-_RICCATI_LWORK: dict = {}
-
-
-def _riccati_lwork(k: int, m: int) -> tuple[int, int, int]:
-    """The three workspace queries of `_riccati` on a k-state, m-input
-    pencil, made once per (k, m) on zero matrices of the same shapes:
-    LAPACK's queries read the shapes alone."""
-    lwork = _RICCATI_LWORK.get((k, m))
-    if lwork is None:
-        n2 = 2 * k
-        Z = np.zeros((n2, n2))
-        lwork = _RICCATI_LWORK[k, m] = (
-            int(dgeqrf_lwork(n2 + m, m)[0]),
-            int(dorgqr(np.zeros((n2 + m, n2 + m), order="F"), np.zeros(m), -1)[1][0]),
-            int(dgges(_no_sort, Z, Z, lwork=-1)[-2][0]))
-    return lwork
-
-
-def _riccati(A: np.ndarray, B: np.ndarray, discrete: bool) -> np.ndarray:
-    """Stabilizing solution P of the Riccati equation of (A, B) with
-    identity weights: the CARE A^T P + P A - P B B^T P + I = 0, or, when
-    `discrete`, the DARE A^T P A - P - A^T P B (I + B^T P B)^{-1} B^T P A + I = 0.
-
-    scipy.linalg's CARE or DARE solver with Q = R = I, bit for bit, without
-    its wrappers: scipy 1.17.1's algorithm step for step (extended pencil,
-    structure-preserving balancing, QR deflation, ordered QZ, LU back
-    substitution) on the same LAPACK routines. Every check that can fire
-    raises scipy's exception with scipy's message; the Q/R symmetry and
-    R-conditioning checks are gone, since identity weights always pass them.
-    """
-    _require_finite(A, B)
-    k, m = B.shape
-    n2 = 2 * k
-    lwork_qr, lwork_q, lwork_qz = _riccati_lwork(k, m)
-    H = np.zeros((n2 + m, n2 + m))
-    J = np.zeros_like(H)
-    H[:k, :k] = A
-    H[:k, n2:] = B
-    H[k:n2, :k] = -np.eye(k)
-    H[n2:, n2:] = np.eye(m)
-    if discrete:  # symplectic pencil
-        H[k:n2, k:n2] = np.eye(k)
-        J[:k, :k] = np.eye(k)
-        J[k:n2, k:n2] = A.T
-        J[n2:, k:n2] = -B.T
-    else:  # Hamiltonian pencil
-        H[k:n2, k:n2] = -A.T
-        H[n2:, k:n2] = B.T
-        J[:n2, :n2] = np.eye(n2)
-    # Balance by dgebal's scales of the off-diagonal magnitudes, paired as
-    # diag(D, D^-1, .) to keep the pencil's structure; skipped when
-    # np.allclose(scales, 1), as they are powers of 2.
-    M = np.abs(H) + np.abs(J)
-    np.fill_diagonal(M, 0.0)
-    sca = dgebal(M, 1, 0)[3]
-    if not (abs(sca - 1.0) <= 1e-8 + 1e-5).all():
-        sca = np.log2(sca)
-        d = np.round((sca[k:n2] - sca[:k]) / 2)
-        sca = 2 ** np.concatenate((d, -d, sca[n2:]))
-        scale = sca[:, None] * np.reciprocal(sca)
-        H *= scale
-        J *= scale
-        _require_finite(H[:, n2:])
-    # Deflate the m input columns with a full QR.
-    qr, tau, _, _ = dgeqrf(H[:, n2:], lwork_qr)
-    Q = np.zeros_like(H, order="F")
-    Q[:, :m] = qr
-    Q = dorgqr(Q, tau, lwork_q, 1)[0][:, m:]
-    Hd = Q.T.dot(H[:, :n2])
-    Jd = Q.T.dot(J[:, :n2]) if discrete else Q[:n2].T.dot(J[:n2, :n2])
-    # Ordered QZ: the stable deflating subspace leads, beta = 0 never selected.
-    # Only the right Schur vectors are read, so neither dgges nor dtgsen
-    # forms the left ones.
-    AA, BB, _, alphar, alphai, beta, _, vsr, _, info = dgges(
-        _no_sort, Hd, Jd, jobvsl=0, lwork=lwork_qz, overwrite_a=1, overwrite_b=1,
-        sort_t=0)
-    if 0 < info <= n2:
-        warnings.warn("The QZ iteration failed. (a,b) are not in Schur "
-                      "form, but ALPHAR(j), ALPHAI(j), and BETA(j) should be "
-                      f"correct for J={info-1},...,N", LinAlgWarning,
-                      stacklevel=2)
-    elif info > n2:
-        raise np.linalg.LinAlgError("Something other than QZ iteration failed")
-    nonzero = beta != 0
-    ratio = (alphar + alphai * 1.0j)[nonzero] / beta[nonzero]
-    select = np.zeros(beta.shape, dtype=bool)
-    select[nonzero] = abs(ratio) < 1.0 if discrete else ratio.real < 0.0
-    # (q = vsr only fills the argument slot: wantq = 0 leaves it unread)
-    res = dtgsen(select, AA, BB, vsr, vsr, 0, 0, 1, 4 * n2 + 16, 1)
-    if res[-1] == 1:
-        raise ValueError("Reordering of (A, B) failed because the transformed"
-                         " matrix pair (A, B) would be too far from "
-                         "generalized Schur form; the problem is very "
-                         "ill-conditioned. (A, B) may have been partially "
-                         "reordered.")
-    u00, u10 = res[6][:k, :k], res[6][k:, :k]
-    # P u00 = L U, and X = u10 u00^{-1}: two triangular solves on the packed
-    # factor, then the permutation, as scipy.linalg.lu/solve_triangular do.
-    _require_finite(u00)
-    lu, piv, _ = dgetrf(u00)
-    uu = np.triu(lu)
-    s = _singular_values(uu).tolist()
-    s0, s_last = s[0], s[-1]
-    # s0 / s_last as numpy divides: x / 0 is inf for x > 0, else NaN
-    cond = s0 / s_last if s_last else (math.inf if s0 > 0 else math.nan)
-    if cond != cond and not np.isnan(uu).any():
-        cond = math.inf
-    if 1 / cond < np.spacing(1.0):
-        raise np.linalg.LinAlgError("Failed to find a finite solution.")
-    _require_finite(u10)
-    perm = list(range(k))
-    for i, p in enumerate(piv.tolist()):
-        perm[i], perm[p] = perm[p], perm[i]
-    up = np.zeros((k, k))
-    up[perm, range(k)] = 1.0
-    y = dtrtrs(lu.T, u10.T, 1)[0]
-    x = dtrtrs(lu.T, y, 0, 0, 1)[0].T.dot(up.T)
-    x *= sca[:k, None] * sca[:k]
-    # A solution that is not symmetric means the pencil had no clean split.
-    u_sym = u00.T.dot(u10)
-    # numpy.linalg.norm(., 1): the largest absolute column sum
-    threshold = max(np.spacing(1000.0), 0.1 * np.abs(u_sym).sum(axis=0).max())
-    if np.abs(u_sym - u_sym.T).sum(axis=0).max() > threshold:
-        what = ("symplectic pencil has eigenvalues too close to the unit circle"
-                if discrete else "Hamiltonian pencil has eigenvalues too close "
-                "to the imaginary axis")
-        raise np.linalg.LinAlgError(f"The associated {what}")
-    return (x + x.T) / 2
+def _schur_eigvals(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real Schur form T: its diagonal, with a +- sqrt(-bc) i
+    for each standardized 2x2 block [[a, b], [c, a]]."""
+    w = np.diag(T).astype(complex)
+    for i in np.flatnonzero(np.diag(T, -1)):
+        w[i] += 1j * math.sqrt(-T[i, i + 1] * T[i + 1, i])
+        w[i + 1] = w[i].conjugate()
+    return w
 
 
 def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
@@ -606,32 +470,45 @@ def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
     """Gain F with A + B F stable in the region where possible, given the
     orthonormal basis T1 of the reachable subspace of (A, B).
 
-    The gain is the Riccati gain, with identity weights, of the controllable
-    block (Ac, Bc), shifted so that its closed-loop spectrum lies well
-    inside the region: left of -1 in continuous time, inside the disc of
-    radius 1/2 in discrete time. The Riccati equation is solved by
-    `_riccati`, whose solution is scipy's bit for bit, so the gain is the
-    one scipy's CARE/DARE solvers give. The uncontrollable modes stay where
-    they are; the caller decides whether they violate the region.
+    The mirror-image gain (Bass's algorithm as extended by Armstrong, IEEE
+    TAC 20, 1975) after a Schur deflation (Varga, IEEE TAC 26, 1981) of the
+    controllable block Ac = T1^T A T1. Its ordered real Schur form
+    Ac = Z T Z^T puts the modes more than KEEP_MARGIN inside the region in
+    front; the gain acts through the trailing Schur vectors Q2 alone, on
+    T22 with inputs B2 = Q2^T T1^T B, so the kept modes stay where they are.
+    With X > 0 the solution of one Lyapunov equation:
+
+    - continuous time: M = T22 + SHIFT I is anti-stable, M X + X M^T =
+      B2 B2^T, and the gain -B2^T X^-1 makes M - B2 B2^T X^-1 = -X M^T X^-1,
+      so each moved mode lam lands on -conj(lam) - 2 SHIFT;
+    - discrete time: with rho = 1 - SHIFT, N = rho T22^-1 is stable,
+      Bn = T22^-1 B2, X = N X N^T + Bn Bn^T, and the gain -Bn^T X^-1 (the
+      DARE gain -rho (I + B2^T P B2)^-1 B2^T P T22 / rho of T22 / rho with
+      P = (rho^2 X)^-1, Q = 0 and R = I) makes T22 + B2 F = rho X N^T X^-1,
+      so each moved mode lam lands on rho^2 / conj(lam).
+
+    A block whose modes all sit more than SKIP_GUARD inside the region gets
+    no gain. The uncontrollable modes stay where they are; the caller
+    decides whether they violate the region.
     """
     kc = T1.shape[1]
     if kc == 0:
         return np.zeros((B.shape[1], A.shape[0]))
-    Ac = T1.T @ A @ T1
-    # Leave a block alone only when it sits safely inside the region.
-    if all(region.boundary_distance(l) > SKIP_GUARD for l in _eigvals(Ac)):
+    T, Z, kept = schur(T1.T @ A @ T1, output="real", sort=lambda re, im:
+                       region.boundary_distance(complex(re, im)) > KEEP_MARGIN)
+    T22 = T[kept:, kept:]
+    # the kept modes sit more than KEEP_MARGIN > SKIP_GUARD inside
+    if all(region.boundary_distance(l) > SKIP_GUARD for l in _schur_eigvals(T22)):
         return np.zeros((B.shape[1], A.shape[0]))
-    Bc = T1.T @ B
+    Q2 = T1 @ Z[:, kept:]
+    B2 = Q2.T @ B
     if region.kind == "continuous":
-        P = _riccati(Ac + np.eye(kc), Bc, False)
-        gain = -Bc.T @ P
+        X = solve_continuous_lyapunov(T22 + SHIFT * np.eye(kc - kept), B2 @ B2.T)
     else:
-        rho = 0.5
-        As = Ac / rho
-        P = _riccati(As, Bc, True)
-        R = np.eye(B.shape[1])
-        gain = -rho * np.linalg.solve(R + Bc.T @ P @ Bc, Bc.T @ P @ As)
-    return gain @ T1.T
+        T22_inv = _inv(T22)
+        B2 = T22_inv @ B2  # Bn
+        X = solve_discrete_lyapunov((1.0 - SHIFT) * T22_inv, B2 @ B2.T)
+    return -np.linalg.solve(X, B2).T @ Q2.T
 
 
 def _stabilized(kind: str, split: _TwinSplit, region: StabilityRegion,
@@ -684,9 +561,10 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
                        tol: ToleranceProfile = DEFAULT_TOL) -> FriendCertificate:
     """Friend whose closed map A+BF (dually A+GC) is stable in the region.
 
-    The assignable spectra on the reachability part and on the quotient are
-    moved into the region by shifted Riccati gains (`_stabilizing_gain`) on
-    the blocks of the twin's split; an injection friend is built as the
+    The assignable modes on the reachability part and on the quotient that
+    are not well inside the region are mirrored into it by the mirror-image
+    gain (`_stabilizing_gain`) on the blocks of the twin's split, and the
+    rest stay where they are; an injection friend is built as the
     feedback friend of the complement of S in the dual quadruple. Fails if
     a fixed spectrum or the closed map violates the region
     (`StabilityRegion.outside`), or if the pair (A, B), dually (A^T, C^T),

@@ -23,13 +23,12 @@ by the gufunc that numpy.linalg itself calls, in numpy.linalg's error state
 matrix a kernel returns is C-ordered, as numpy's are: the layout of a
 factor decides the rounding of every product taken with it later.
 
-The dgesdd kernel runs scipy's LAPACK where numpy runs its own, and
-geometry's Riccati kernel is held to scipy's solvers, so both agree bit for
-bit only where numpy's and scipy's builds round alike. They did with the
-numpy 2.4.6 and scipy 1.17.1 wheels (OpenBLAS 0.3.31 and 0.3.30). A numpy
-and a scipy linked to different LAPACK implementations (say MKL and
-OpenBLAS) may differ in the last bits, and those kernels' bit-parity tests
-then fail.
+The dgesdd kernel runs scipy's LAPACK where numpy runs its own, so it
+agrees with numpy bit for bit only where numpy's and scipy's builds round
+alike. They did with the numpy 2.4.6 and scipy 1.17.1 wheels (OpenBLAS
+0.3.31 and 0.3.30). A numpy and a scipy linked to different LAPACK
+implementations (say MKL and OpenBLAS) may differ in the last bits, and
+that kernel's bit-parity tests then fail.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy
-from scipy.linalg import solve_continuous_are, solve_discrete_are
 from scipy.optimize import linear_sum_assignment
 
 from geodd import PlantSystem, Quadruple, Subspace, exact
@@ -12,7 +11,6 @@ from geodd.errors import SampleTooCloseToPole
 from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
-    SKIP_GUARD,
     stabilizing_friend,
 )
 from geodd.subspaces import (
@@ -28,6 +26,34 @@ from geodd.subspaces import (
 )
 from geodd.synthesis import DELTA_WP, SAMPLE_TRIALS, synthesize, wellposedness_margin
 from geodd.verify import POLE_CLEARANCE
+
+
+# The Fraction interface of `geodd.exact` that only the tests call: the
+# spans run on its integer kernels, as `vstar_span` and `sstar_span` do.
+
+def mat(rows) -> list:
+    return [[exact.fr(x) for x in row] for row in rows]
+
+
+def equal_span(B1, B2) -> bool:
+    return exact.contains_span(B1, B2) and exact.contains_span(B2, B1)
+
+
+def preimage_span(M, B) -> list:
+    """{x : M x in span(B)} as a column span."""
+    cm = exact.shape(M)[1]
+    (Mi,), _ = exact._scaled(M)
+    return exact._span(exact._preimage(Mi, exact._columns(B), cm), cm)
+
+
+def image_span(M, B) -> list:
+    (Mi,), _ = exact._scaled(M)
+    return exact._span(exact._image(Mi, exact._columns(B)), exact.shape(M)[0])
+
+
+def grid_points(count: int) -> list:
+    """0, 1, -1, 2, -2, ... as exact rationals."""
+    return [Fraction(x) for x in exact._grid(count)]
 
 
 def count_calls(monkeypatch, name, *modules) -> list:
@@ -78,11 +104,10 @@ def stabilized_compensator(sys, V, S, K):
 def lapack_builds() -> str:
     """numpy's and scipy's versions and the BLAS/LAPACK builds they link.
 
-    The failure message of every byte-parity assertion: geodd's dgesdd and
-    Riccati kernels call scipy's LAPACK directly and are compared with
-    numpy's and scipy's own wrappers, so their bits agree only where those
-    builds round alike, and a last-bit failure should name the builds
-    involved.
+    The failure message of every byte-parity assertion: geodd's kernels
+    are compared with numpy's own wrappers, and the dgesdd kernel calls
+    scipy's LAPACK, so its bits agree only where the two builds round
+    alike, and a last-bit failure should name the builds involved.
     """
     parts = []
     for module in (np, scipy):
@@ -197,40 +222,17 @@ def exact_star_dims(q: Quadruple):
     V, S = exact.eye(n), exact.zeros(n, 0)
     vdims, sdims = [n], [0]
     for _ in range(n + 1):
-        V = exact.preimage_span(MT, exact.sum_spans(below(V, p), BD))
+        V = preimage_span(MT, exact.sum_spans(below(V, p), BD))
         vdims.append(exact.shape(V)[1])
         if vdims[-1] == vdims[-2]:
             break
     for _ in range(n + 1):
         lifted = exact.hstack(below(S, m), inputs)
-        S = exact.image_span(AB, exact.intersect_spans(lifted, ker_cd))
+        S = image_span(AB, exact.intersect_spans(lifted, ker_cd))
         sdims.append(exact.shape(S)[1])
         if sdims[-1] == sdims[-2]:
             break
     return vdims, sdims
-
-
-def scipy_state_feedback(A, B, T1, region):
-    """`geometry._stabilizing_gain` as it was on scipy's Riccati solvers,
-    the reference that the lean kernel `geometry._riccati` must reproduce
-    bit for bit."""
-    kc = T1.shape[1]
-    if kc == 0:
-        return np.zeros((B.shape[1], A.shape[0]))
-    Ac = T1.T @ A @ T1
-    if all(region.boundary_distance(l) > SKIP_GUARD for l in np.linalg.eigvals(Ac)):
-        return np.zeros((B.shape[1], A.shape[0]))
-    Bc = T1.T @ B
-    Q, R = np.eye(kc), np.eye(B.shape[1])
-    if region.kind == "continuous":
-        P = solve_continuous_are(Ac + np.eye(kc), Bc, Q, R)
-        gain = -Bc.T @ P
-    else:
-        rho = 0.5
-        As = Ac / rho
-        P = solve_discrete_are(As, Bc, Q, R)
-        gain = -rho * np.linalg.solve(R + Bc.T @ P @ Bc, Bc.T @ P @ As)
-    return gain @ T1.T
 
 
 # Primal formulas of the input-containing objects. geodd computes each of
@@ -527,7 +529,7 @@ def reference_det_grid_scan(K0, directions, Dy, points_per_var):
     """`exact.det_grid_scan` as it was on Fraction matrices: the first
     grid point, in the same order, where det(I + K Dy) is nonzero."""
     m, ndirs = exact.shape(K0)[0], len(directions)
-    pts = exact.grid_points(points_per_var)
+    pts = grid_points(points_per_var)
     idx = [0] * ndirs
     while True:
         theta = [pts[i] for i in idx]

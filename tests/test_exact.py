@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 
 from geodd import exact
 from helpers import (
+    equal_span,
+    grid_points,
+    image_span,
+    mat,
+    preimage_span,
     reference_affine_k_family,
     reference_colspace,
     reference_det,
@@ -59,18 +64,18 @@ def rational_matrices(draw, square=False, rows=None):
 
 
 def test_rref_and_rank():
-    R, pivots = exact.rref(exact.mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+    R, pivots = exact.rref(mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
     assert pivots == [0, 2]
-    assert R == exact.mat([[1, 2, 0], [0, 0, 1], [0, 0, 0]])
-    R, pivots = exact.rref(exact.mat([[0, Fraction(-1, 2), 3], [Fraction(2, 3), 1, 0]]))
+    assert R == mat([[1, 2, 0], [0, 0, 1], [0, 0, 0]])
+    R, pivots = exact.rref(mat([[0, Fraction(-1, 2), 3], [Fraction(2, 3), 1, 0]]))
     assert pivots == [0, 1]
     assert R == [[1, 0, 9], [0, 1, -6]]
     assert all(type(x) is Fraction for row in R for x in row)
-    assert exact.rank(exact.mat([[1, 2], [2, 4]])) == 1
+    assert exact.rank(mat([[1, 2], [2, 4]])) == 1
 
 
 def test_kernel_is_exact_nullspace():
-    M = exact.mat([[1, 2, 3], [4, 5, 6]])
+    M = mat([[1, 2, 3], [4, 5, 6]])
     N = exact.kernel(M)
     assert exact.shape(N) == (3, 1)
     prod = exact.matmul(M, N)
@@ -78,15 +83,15 @@ def test_kernel_is_exact_nullspace():
 
 
 def test_colspace_picks_pivot_columns():
-    M = exact.mat([[1, 2, 0], [2, 4, 1]])
+    M = mat([[1, 2, 0], [2, 4, 1]])
     C = exact.colspace(M)
     assert exact.shape(C) == (2, 2)
     assert C[0][0] == 1 and C[1][0] == 2
 
 
 def test_sum_intersect_dimensions():
-    B1 = exact.mat([[1, 0], [0, 1], [0, 0]])
-    B2 = exact.mat([[0, 0], [1, 0], [0, 1]])
+    B1 = mat([[1, 0], [0, 1], [0, 0]])
+    B2 = mat([[0, 0], [1, 0], [0, 1]])
     assert exact.shape(exact.sum_spans(B1, B2))[1] == 3
     inter = exact.intersect_spans(B1, B2)
     assert exact.shape(inter)[1] == 1
@@ -96,28 +101,28 @@ def test_sum_intersect_dimensions():
 
 
 def test_preimage_span():
-    M = exact.mat([[1, 0], [0, 1]])
-    B = exact.mat([[1], [1]])
-    P = exact.preimage_span(M, B)
+    M = mat([[1, 0], [0, 1]])
+    B = mat([[1], [1]])
+    P = preimage_span(M, B)
     assert exact.shape(P)[1] == 1
     assert P[0][0] == P[1][0]
 
 
 def test_det_and_solve_affine():
-    assert exact.det(exact.mat([[1, 2], [3, 4]])) == Fraction(-2)
-    A = exact.mat([[1, 1, 0], [0, 0, 1]])
+    assert exact.det(mat([[1, 2], [3, 4]])) == Fraction(-2)
+    A = mat([[1, 1, 0], [0, 0, 1]])
     sol = exact.solve_affine(A, [Fraction(2), Fraction(5)])
     assert sol is not None
     x0, null = sol
     assert x0[0] + x0[1] == 2 and x0[2] == 5
     assert exact.shape(null)[1] == 1
-    inconsistent = exact.solve_affine(exact.mat([[1, 1], [1, 1]]),
+    inconsistent = exact.solve_affine(mat([[1, 1], [1, 1]]),
                                       [Fraction(0), Fraction(1)])
     assert inconsistent is None
 
 
 def test_grid_points_are_distinct():
-    pts = exact.grid_points(5)
+    pts = grid_points(5)
     assert pts == [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
     assert len(set(pts)) == 5
 
@@ -152,7 +157,7 @@ def test_clear_denominators_preserves_span():
     B = [[Fraction(1, 2)], [Fraction(1, 3)]]
     C = exact.clear_denominators(B)
     assert all(x.denominator == 1 for row in C for x in row)
-    assert exact.equal_span(B, C)
+    assert equal_span(B, C)
 
 
 def test_affine_family_reproduces_hand_solution(singular_family_plant):
@@ -160,7 +165,7 @@ def test_affine_family_reproduces_hand_solution(singular_family_plant):
     Atil = np.block([[singular_family_plant.A, singular_family_plant.H], [singular_family_plant.E, singular_family_plant.G_z]])
     Btil = np.vstack([singular_family_plant.B, singular_family_plant.D_z])
     Ctil = np.hstack([singular_family_plant.C, singular_family_plant.G_y])
-    S = exact.mat([[1], [-1], [1]])
+    S = mat([[1], [-1], [1]])
     V = exact.eye(3)
     Tb = exact.vstack(exact.hstack(S, exact.zeros(3, 2)),
                       exact.hstack(exact.zeros(2, 1), exact.eye(2)))
@@ -187,7 +192,7 @@ def test_det_grid_scan_finds_witness():
 def test_det_grid_scan_degree_bound():
     # K = diag(theta - 1, theta - 2), D_y = I: det(I + K) = theta (theta - 1)
     # has degree m = 2 and vanishes on the first two grid points, 0 and 1
-    fam = exact.ExactAffineFamily(exact.mat([[-1, 0], [0, -2]]), [exact.eye(2)])
+    fam = exact.ExactAffineFamily(mat([[-1, 0], [0, -2]]), [exact.eye(2)])
     Dy = exact.eye(2)
     assert exact.det_grid_scan(fam, Dy, 2) is None
     assert tuple(exact.det_grid_scan(fam, Dy, 3)) == (Fraction(-1),)
@@ -202,18 +207,18 @@ def test_det_grid_scan_order_and_no_directions():
         # no directions: the one grid point is K0 itself
         (zero, [], one, 3, []),
         (minus, [], one, 3, None),
-        (exact.mat([[1, 0], [0, 2]]), [], exact.eye(2), 1, []),
-        (exact.mat([[-1, 0], [0, 2]]), [], exact.mat([[1, 0], [0, 0]]), 3, None),
+        (mat([[1, 0], [0, 2]]), [], exact.eye(2), 1, []),
+        (mat([[-1, 0], [0, 2]]), [], mat([[1, 0], [0, 0]]), 3, None),
         # det = theta_1 + theta_2, nonzero at (1, 0) and (0, 1): the first
         # parameter varies fastest
         (minus, [one, one], one, 3, [1, 0]),
         # det = (theta_1 + theta_2 + theta_3) / 2 - 1: nonzero at the origin
         ([[Fraction(-2)]], [half, half, half], one, 3, [0, 0, 0]),
         # det = theta_1 theta_2 theta_3 / 2: the first corner with all nonzero
-        (exact.mat([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]), units, exact.eye(3), 3, [1, 1, 1]),
+        (mat([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]), units, exact.eye(3), 3, [1, 1, 1]),
         # det = theta_1 (theta_1 - 1): zero on the two-point grid, not the three
-        (exact.mat([[-1, 0], [0, -2]]), [exact.eye(2)], exact.eye(2), 2, None),
-        (exact.mat([[-1, 0], [0, -2]]), [exact.eye(2)], exact.eye(2), 3, [-1]),
+        (mat([[-1, 0], [0, -2]]), [exact.eye(2)], exact.eye(2), 2, None),
+        (mat([[-1, 0], [0, -2]]), [exact.eye(2)], exact.eye(2), 3, [-1]),
     ]
     for K0, dirs, Dy, points, want in cases:
         got = exact.det_grid_scan(exact.ExactAffineFamily(K0, dirs), Dy, points)
@@ -339,9 +344,9 @@ def test_span_operations_are_positive_multiples_of_fraction_reference(M, data):
     rows = exact.shape(M)[0]
     B = data.draw(rational_matrices(rows=rows))
     assert_positive_multiples(exact.intersect_spans(M, B), reference_intersect_spans(M, B))
-    assert_positive_multiples(exact.preimage_span(M, B), reference_preimage_span(M, B))
+    assert_positive_multiples(preimage_span(M, B), reference_preimage_span(M, B))
     B = data.draw(rational_matrices(rows=exact.shape(M)[1])) if rows else []
-    assert_positive_multiples(exact.image_span(M, B),
+    assert_positive_multiples(image_span(M, B),
                               reference_colspace(reference_matmul(M, B)))
 
 

@@ -1,24 +1,26 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgWarning, eigvals, solve_continuous_are, solve_discrete_are
+from scipy.linalg import eigvals
 
-from geodd import InstanceSpec, exact, generate_instance, geometry
+from geodd import InstanceSpec, exact, generate_instance, geometry, solve
 from geodd.errors import (
     BoundarySpectrum,
     FixedSpectrumOutsideRegion,
+    GeoddError,
     NotInvariant,
     NotStabilizablePair,
 )
 from geodd.geometry import (
     INPUT_CONTAINING,
+    KEEP_MARGIN,
     OUTPUT_NULLING,
+    SHIFT,
+    SKIP_GUARD,
     Quadruple,
     _nulling_system,
-    _riccati,
+    _stabilizing_gain,
     friend,
     friend_residual,
     input_containing_residual,
@@ -50,7 +52,6 @@ from geodd.subspaces import (
 from helpers import (
     count_calls,
     image_under,
-    lapack_builds,
     match_spectra,
     max_angle,
     primal_detectability,
@@ -464,16 +465,13 @@ class TestStabilizingFriend:
 
     @pytest.mark.parametrize("region", [CONT, DISC], ids=["continuous", "discrete"])
     def test_scalar_placement(self, region):
-        # The friend that keeps V leaves the mode at 1.5, unstable in both
-        # domains; the shifted Riccati gain moves it left of -1 (continuous)
-        # or inside the disc of radius 1/2 (discrete).
+        # The friend that keeps V leaves the mode at 3, unstable in both
+        # domains; the mirror-image gain moves it to -3 - 2 SHIFT
+        # (continuous) or to (1 - SHIFT)^2 / 3 (discrete).
         q = Quadruple([[3.0]], [[1.0]], np.zeros((1, 1)), np.zeros((1, 1)))
         cert = stabilizing_friend(Subspace.full(1), OUTPUT_NULLING, q, region)
-        lam = np.linalg.eigvals(q.A + q.B @ cert.F_or_G)[0]
-        if region.kind == "continuous":
-            assert lam.real <= -1.0
-        else:
-            assert abs(lam) <= 0.5
+        lam = np.linalg.eigvals(q.A + q.B @ cert.F_or_G)
+        assert lam == pytest.approx(_mirrored(np.array([3.0]), region), abs=1e-12)
 
     def test_unstable_invariant_zero_blocks_stabilization(self):
         # invariant zero at +1 sits in V*/R_V*
@@ -507,117 +505,124 @@ class TestStabilizingFriend:
 
     def test_pair_check_places_no_poles(self, monkeypatch):
         # On this plant (A, B) is controllable with unstable modes and V* has
-        # dimension 3. The pair check solves no Riccati equation on the whole
-        # pair: the solves are the internal one on V* and the external one
-        # on the 1-dimensional quotient X / V*.
+        # dimension 3. The pair check computes no gain on the whole pair:
+        # the gains are the internal one on V* and the external one on the
+        # 1-dimensional quotient X / V*.
         plant = generate_instance(InstanceSpec(seed=7, n=4))
         q = plant.control_quadruple()
         V = vstar(q)
-        calls = count_calls(monkeypatch, "_riccati", geometry)
+        calls = count_calls(monkeypatch, "_stabilizing_gain", geometry)
         cert = stabilizing_friend(V, OUTPUT_NULLING, q, CONT)
-        care = [args for args in calls if not args[2]]
-        dare = [args for args in calls if args[2]]
         assert V.dim == 3
-        assert [args[0].shape[0] for args in care] == [3, 1]
-        assert dare == []
+        assert [args[0].shape[0] for args in calls] == [3, 1]
         eigs = np.linalg.eigvals(q.A + q.B @ cert.F_or_G)
         assert max(e.real for e in eigs) < 0
 
 
-@st.composite
-def riccati_pencils(draw):
-    """(A, B, margin) with k = 1..12 states, m = 1..3 inputs, entries scaled
-    by 1e-3..1e3, and now and then a zero column in B."""
-    k, m = draw(st.integers(1, 12)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = rng.standard_normal((k, k)) * 10.0 ** draw(st.integers(-3, 3))
-    B = rng.standard_normal((k, m)) * 10.0 ** draw(st.integers(-3, 3))
-    zero = draw(st.sampled_from([None] * 3 + list(range(m))))
-    if zero is not None:
-        B[:, zero] = 0.0
-    return A, B, draw(st.sampled_from([0.0, 0.05, 0.3]))
+def _mirrored(ol, region):
+    """Where the mirror-image gain sends each open-loop mode of a block it
+    does not skip: the kept ones stay, the rest land on their mirror
+    images."""
+    keep = np.array([region.boundary_distance(l) > KEEP_MARGIN for l in ol])
+    if region.kind == "continuous":
+        moved = -np.conj(ol) - 2 * SHIFT
+    else:
+        moved = (1 - SHIFT) ** 2 / np.conj(ol)
+    return np.where(keep, ol, moved)
 
 
-def _same_as_scipy(ours, scipys):
-    """ours() returns scipy's P byte for byte, or raises where scipy raises,
-    with the same type and message."""
-    try:
-        want = scipys()
-    except (ValueError, np.linalg.LinAlgError) as err:
-        with pytest.raises(type(err), match=re.escape(str(err))):
-            ours()
-        return
-    got = ours()
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes(), lapack_builds()
+def _gain_blocks(seed, count):
+    """`count` random blocks (A, B) of 1..8 states and 1..3 inputs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, m = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        yield rng.standard_normal((k, k)), rng.standard_normal((k, m))
 
 
-def _with_info(routine, info):
-    """A LAPACK binding that runs `routine` and then reports `info`."""
-    def fake(*args, **kwargs):
-        return (*routine(*args, **kwargs)[:-1], info)
-    return fake
+REGIONS = pytest.mark.parametrize("region", [CONT, DISC], ids=["continuous", "discrete"])
 
 
-class TestRiccatiKernel:
-    """`_riccati` is scipy's CARE/DARE solver with identity weights, on the
-    same LAPACK routines without the wrappers."""
+class TestStabilizingGain:
+    """`_stabilizing_gain`, the Schur-deflated mirror-image gain."""
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(riccati_pencils())
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_solution_equals_scipy_bit_for_bit(self, pencil):
-        A, B, margin = pencil
-        k, m = B.shape
-        Ac = A + (1.0 + margin) * np.eye(k)
-        _same_as_scipy(lambda: _riccati(Ac, B, False),
-                       lambda: solve_continuous_are(Ac, B, np.eye(k), np.eye(m)))
-        Ad = A / ((1.0 - margin) / 2.0)
-        _same_as_scipy(lambda: _riccati(Ad, B, True),
-                       lambda: solve_discrete_are(Ad, B, np.eye(k), np.eye(m)))
+    @REGIONS
+    def test_moved_modes_land_on_mirror_images(self, region):
+        moved = 0
+        for A, B in _gain_blocks(11, 100):
+            ol = np.linalg.eigvals(A)
+            F = _stabilizing_gain(A, B, np.eye(len(A)), region)
+            if all(region.boundary_distance(l) > SKIP_GUARD for l in ol):
+                assert not F.any()
+                continue
+            want = _mirrored(ol, region)
+            assert match_spectra(np.linalg.eigvals(A + B @ F), want,
+                                 1e-6 * (1 + np.abs(want).max()))
+            moved += 1
+        assert moved >= 50
 
-    @pytest.mark.parametrize("discrete", [False, True])
-    def test_nonfinite_input_raises_scipys_error(self, discrete):
-        A, B = np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones((2, 1))
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            _riccati(A, B, discrete)
+    @pytest.mark.parametrize("region, diag", [
+        (CONT, [-1.0, -1.0, -0.5, 0.3, 1.0, -0.01]),
+        (DISC, [0.2, 0.2, 0.9, 1.5, -1.2, 0.97]),
+    ], ids=["continuous", "discrete"])
+    def test_kept_modes_stay_bit_for_bit(self, region, diag):
+        # A block in real Schur form with its kept modes in front, a complex
+        # pair among them, is its own sorted Schur form: the gain vanishes
+        # on the kept coordinates, so A + B F keeps their columns, and with
+        # them the kept modes, bit for bit.
+        rng = np.random.default_rng(3)
+        A = np.triu(rng.standard_normal((6, 6)))
+        np.fill_diagonal(A, diag)
+        A[1, 0], A[0, 1] = -0.25, 1.0
+        ol = np.linalg.eigvals(A)
+        B = rng.standard_normal((6, 2))
+        F = _stabilizing_gain(A, B, np.eye(6), region)
+        kept = 3
+        assert [region.boundary_distance(l) > KEEP_MARGIN for l in ol].count(True) == kept
+        assert not F[:, :kept].any()
+        closed = A + B @ F
+        assert closed[:, :kept].tobytes() == A[:, :kept].tobytes()
+        assert match_spectra(np.linalg.eigvals(closed), _mirrored(ol, region), 1e-9)
 
-    @pytest.mark.parametrize("discrete", [False, True])
-    def test_lapack_failure_raises(self, monkeypatch, discrete):
-        A, B = np.array([[1.0, 2.0], [0.0, -3.0]]), np.array([[0.0], [1.0]])
-        P = _riccati(A, B, discrete)
-        # an incomplete QZ warns and goes on, as scipy's does
-        monkeypatch.setattr(geometry, "dgges", _with_info(geometry.dgges, 1))
-        with pytest.warns(LinAlgWarning, match="The QZ iteration failed"):
-            assert _riccati(A, B, discrete).tobytes() == P.tobytes()
-        # info = 2k + 1: a failure other than the QZ iteration
-        monkeypatch.setattr(geometry, "dgges", _with_info(geometry.dgges, 5))
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="Something other than QZ iteration failed"):
-            _riccati(A, B, discrete)
-        monkeypatch.undo()
-        monkeypatch.setattr(geometry, "dtgsen", _with_info(geometry.dtgsen, 1))
-        with pytest.raises(ValueError, match=r"Reordering of \(A, B\) failed"):
-            _riccati(A, B, discrete)
+    def test_lyapunov_solution_is_positive_definite_on_every_ladder_block(
+            self, monkeypatch):
+        # every block on which the p2 solves of a generated ladder
+        # (n = 4..12, m = p = 2, q = r = 1, both domains) move modes
+        solutions = {"continuous": [], "discrete": []}
+        for domain in solutions:
+            name = f"solve_{domain}_lyapunov"
 
-    @pytest.mark.parametrize("discrete", [False, True])
-    def test_unsplit_pencil_raises_scipys_error(self, monkeypatch, discrete):
-        # eigenvalues on the boundary leave a selected subspace that is not
-        # Lagrangian, and with it a solution that is not symmetric; a random
-        # orthogonal Z stands in for such a subspace
-        A, B = np.array([[1.0, 2.0], [0.0, -3.0]]), np.array([[0.0], [1.0]])
-        Z = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
-        dtgsen = geometry.dtgsen
+            def recorded(*args, solver=getattr(geometry, name), out=solutions[domain]):
+                out.append(solver(*args))
+                return out[-1]
 
-        def unsplit(*args):
-            res = list(dtgsen(*args))
-            res[6] = np.asfortranarray(Z)
-            return tuple(res)
+            monkeypatch.setattr(geometry, name, recorded)
+        for domain in solutions:
+            for n in (4, 6, 8, 10, 12):
+                for seed in range(6):
+                    plant = generate_instance(InstanceSpec(
+                        seed=seed, n=n, m=2, q=1, p=2, r=1, time_domain=domain))
+                    try:
+                        solve(plant, "p2")
+                    except GeoddError:
+                        pass
+        for X_all in solutions.values():
+            assert len(X_all) >= 40
+            for X in X_all:
+                assert np.linalg.eigvalsh((X + X.T) / 2)[0] > 0
+                assert np.abs(X - X.T).max() <= 1e-12 * np.abs(X).max()
 
-        monkeypatch.setattr(geometry, "dtgsen", unsplit)
-        where = "unit circle" if discrete else "imaginary axis"
-        with pytest.raises(np.linalg.LinAlgError, match=f"too close to the {where}"):
-            _riccati(A, B, discrete)
+    @REGIONS
+    def test_gain_is_covariant_under_similarity(self, region):
+        # the gain of (S^-1 A S, S^-1 B) is F S, for S of condition <= 4
+        rng = np.random.default_rng(17)
+        for A, B in _gain_blocks(13, 60):
+            k = len(A)
+            U, V = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+            S = U @ np.diag(rng.uniform(0.5, 2.0, k)) @ V.T
+            S_inv = np.linalg.inv(S)
+            F = _stabilizing_gain(A, B, np.eye(k), region)
+            FS = _stabilizing_gain(S_inv @ A @ S, S_inv @ B, np.eye(k), region)
+            assert np.abs(FS - F @ S).max() <= 1e-8 * (1 + np.abs(F).max())
 
 
 class TestStabilizabilitySubspaces:

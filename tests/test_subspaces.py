@@ -39,7 +39,9 @@ from helpers import (
     embed,
     failing_dgesdd,
     lapack_builds,
+    mat,
     max_angle,
+    preimage_span,
     principal_angles,
     rational_as_subspace,
     reference_invariant_hull,
@@ -387,7 +389,7 @@ class TestSpanKernel:
     def test_near_dependent_columns_default_tolerance(self):
         # exact rank of the perturbation-free matrix is 1
         M = np.array([[1.0, 1.0 + 1e-14], [0.0, 0.0]])
-        assert span_of(M).dim == exact.rank(exact.mat([[1, 1], [0, 0]]))
+        assert span_of(M).dim == exact.rank(mat([[1, 1], [0, 0]]))
 
     def test_kernel_row_vector(self):
         S = kernel_of(np.array([[1.0, 1.0]]))
@@ -477,7 +479,7 @@ class TestPreimage:
         BD = np.vstack([mismatched_plant.B, mismatched_plant.D_z])
         target = combine("sum", embed(Subspace.full(3), 4), span_of(BD))
         got = preimage(MT, target)
-        null = exact.preimage_span(
+        null = preimage_span(
             exact.from_array(MT),
             exact.sum_spans(
                 exact.vstack(exact.eye(3), exact.zeros(1, 3)),
@@ -723,4 +725,4 @@ class TestOracleEquivalence:
             got_pre = preimage(A, span_of(M2))
             assert max_angle(got_pre,
                              rational_as_subspace(
-                                 exact.preimage_span(exact.from_array(A), R2), n)) <= 1e-8
+                                 preimage_span(exact.from_array(A), R2), n)) <= 1e-8

@@ -28,7 +28,6 @@ from geodd.geometry import (
     spectral_report,
     sstar,
     sstar_g,
-    stabilizing_friend,
     vstar,
     vstar_g,
 )
@@ -79,7 +78,6 @@ from helpers import (
     reference_spectral_report,
     reference_sstar_span,
     reference_vstar_span,
-    scipy_state_feedback,
     stabilized_compensator,
 )
 
@@ -659,7 +657,7 @@ class TestSolve:
     @pytest.mark.parametrize("domain", ["continuous", "discrete"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_large_p2_solves_without_warnings(self, domain, seed):
-        # the stabilizing gains solve Riccati equations, which have no
+        # the stabilizing gains solve Lyapunov equations, which have no
         # iteration cap to stop at, so these n = 16 solves warn about nothing
         sys = generate_instance(InstanceSpec(seed=seed, n=16, m=3, q=1, p=3, r=1,
                                              time_domain=domain))
@@ -974,12 +972,12 @@ class TestWorkPerSolve:
 
     def test_p2_solve_svd_count(self, monkeypatch):
         # every SVD and norm of the package ends in _gesdd; the complements
-        # of full subspaces take none, and a friend on the whole state space
-        # splits no quotient
+        # of full subspaces take none, a friend on the whole state space
+        # splits no quotient, and the stabilizing gains take none
         plant = generate_instance(InstanceSpec(seed=0, n=6))
         calls = count_calls(monkeypatch, "_gesdd", subspaces)
         solve(plant, "p2")
-        assert len(calls) == 82
+        assert len(calls) == 80
 
     def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))
@@ -1099,42 +1097,6 @@ def _parity_plants(mismatched_plant, singular_family_plant, scalar_channel_plant
         for seed in seeds:
             for domain in (CONTINUOUS, DISCRETE):
                 yield generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
-
-
-def _stabilizing_outputs(plant):
-    """The stabilizing gains for a fresh copy of `plant` at three levels: the
-    shifted Riccati gain of (A, B), the stabilizing friend of V*, and the p2
-    compensator; each as bytes, or as the error raised."""
-    plant = replace(plant)
-    q = plant.control_quadruple()
-    steps = (
-        lambda: [geometry._stabilizing_gain(
-            q.A, q.B, geometry._controllable_split(q.A, q.B, DEFAULT_TOL)[0], plant.region)],
-        lambda: [stabilizing_friend(vstar(q), OUTPUT_NULLING, q, plant.region).F_or_G],
-        lambda: [getattr(solve(plant, "p2")[0], name) for name in ("A_c", "B_c", "C_c", "D_c")],
-    )
-    out = []
-    for step in steps:
-        try:
-            out.append([(M.shape, M.tobytes()) for M in step()])
-        except (GeoddError, ValueError, np.linalg.LinAlgError) as err:
-            out.append(f"{type(err).__name__}: {err}")
-    return out
-
-
-def test_riccati_kernel_gives_scipy_gains_byte_for_byte(
-        monkeypatch, mismatched_plant, singular_family_plant, scalar_channel_plant):
-    plants = list(_parity_plants(mismatched_plant, singular_family_plant,
-                                 scalar_channel_plant))
-    plants += [generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
-               for n in (8, 10) for seed in range(3) for domain in (CONTINUOUS, DISCRETE)]
-    solves = count_calls(monkeypatch, "_riccati", geometry)
-    with_kernel = [_stabilizing_outputs(plant) for plant in plants]
-    # both domains' solves ran, and the pass did more than skip stable blocks
-    assert {args[2] for args in solves} == {False, True}
-    monkeypatch.setattr(geometry, "_stabilizing_gain", scipy_state_feedback)
-    with_scipy = [_stabilizing_outputs(plant) for plant in plants]
-    assert with_kernel == with_scipy, lapack_builds()
 
 
 # numpy's wrappers in place of the inverse, determinant and QR kernels
