@@ -15,13 +15,14 @@ that `ToleranceProfile` rejects, is a parse error (exit 1) naming its field.
 
 A result file is exactly `json.dumps(payload, indent=2, sort_keys=True)`
 followed by a newline; `_write_result` writes that text directly, without
-the pure-Python encoder that `indent` selects (a row or matrix of floats
-from one repr of a list), and a test pins the bytes.
+the pure-Python encoder that `indent` selects (a matrix of floats from
+one repr of a list), and a test pins the bytes.
 
 The parser is built once per process and reused by every `main` call.
-`main` reads a subcommand's arguments with that command's own parser, and
-runs the full parse only where that parser errs or leaves arguments over,
-so the Namespace, exit code and usage text are those of the full parse.
+`main` reads a subcommand's arguments with that command's own parser, as
+the full parse does, and runs the full parse only where argv names no
+command or that parser leaves arguments over, so the Namespace, exit code
+and usage text are those of the full parse.
 """
 
 from __future__ import annotations
@@ -157,7 +158,9 @@ def parse_compensator(path: str) -> Compensator:
     Like a plant file it must be a JSON object whose four matrices A_c,
     B_c, C_c, D_c are finite and numeric; they are given as lists of rows
     and must fit together (A_c square, B_c and C_c matching its order, D_c
-    matching their ports). Errors name the matrix.
+    matching their ports). A zero-order compensator's A_c and B_c have no
+    rows, `[]`, as `compensator_dict` writes them; B_c then takes its width
+    from D_c. Errors name the matrix.
     """
     data = _load_json(path)
     if isinstance(data, dict) and "compensator" in data:
@@ -168,7 +171,10 @@ def parse_compensator(path: str) -> Compensator:
     for name in ("A_c", "B_c", "C_c", "D_c"):
         if name not in data:
             raise ParseError(f"{path}: missing compensator matrix {name!r}")
-        mats[name] = _parse_matrix(name, data[name])
+        if data[name] != [] or name not in ("A_c", "B_c"):
+            mats[name] = _parse_matrix(name, data[name])
+    mats.setdefault("A_c", np.zeros((0, 0)))
+    mats.setdefault("B_c", np.zeros((0, mats["D_c"].shape[1])))
     order = mats["A_c"].shape[0]
     m, p = mats["C_c"].shape[0], mats["B_c"].shape[1]
     expected = {"A_c": (order, order), "B_c": (order, p), "C_c": (m, order),
@@ -231,18 +237,11 @@ def _append_json(obj, newline: str, out: list) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        # Rows and matrices of floats, the bulk of every result file, are
-        # written from the repr of a list: `json`'s text with other
-        # separators, unless it holds inf or nan (an "n"). Never the repr
-        # of a tuple, which ends a 1-tuple in ",)".
-        types = {*map(type, obj)}
-        if types == {float}:
-            text = repr(list(obj))
-            body = (text[1:-1].replace(", ", "," + inner) if "n" not in text
-                    else ("," + inner).join(map(_float_text, obj)))
-            out.append("[" + inner + body + newline + "]")
-            return
-        if types == {list} and all({*map(type, row)} == {float} for row in obj):
+        # Matrices of floats, the bulk of every result file, are written
+        # from the repr of a list: `json`'s text with other separators,
+        # unless it holds inf or nan (an "n"). Never the repr of a tuple,
+        # which ends a 1-tuple in ",)".
+        if {*map(type, obj)} == {list} and all({*map(type, row)} == {float} for row in obj):
             text = repr(list(obj))
             if "n" not in text:
                 row = inner + "  "
@@ -397,18 +396,8 @@ def run(command: str, args) -> int:
     raise ValueError(f"unknown command {command!r}")
 
 
-class _TrialFailed(Exception):
-    """A subcommand's parser, tried on its own by `main`, met an error."""
-
-
 class _Parser(argparse.ArgumentParser):
-    # True while `main` tries a subcommand's parser on its own: an error is
-    # then left for the full parse to report
-    trial = False
-
     def error(self, message):
-        if self.trial:
-            raise _TrialFailed
         # usage errors exit 1, not argparse's default 2
         self.print_usage(_sys.stderr)
         print(f"{self.prog}: error: {message}", file=_sys.stderr)
@@ -438,25 +427,19 @@ _PARSER = build_parser()
 
 def _parse(argv: list) -> argparse.Namespace:
     """`_PARSER.parse_args(argv)`, read by the named subcommand's own
-    parser when that parser takes the rest of argv without an error or
-    arguments left over: the full parse hands it the same arguments, and
-    it fills the same Namespace after `command`. Otherwise the full parse
-    runs and reports the error, "unrecognized arguments" with the
-    top-level usage. A subcommand's -h prints its help either way."""
+    parser: the full parse hands it the same arguments, and it fills the
+    same Namespace after `command`. Its errors and -h print its own usage
+    and exit as they do inside the full parse. Only where argv names no
+    command, or arguments are left over, does the full parse run, which
+    reports "unrecognized arguments" with the top-level usage."""
     commands = next((action.choices for action in _PARSER._actions
                      if isinstance(action, argparse._SubParsersAction)), {})
     parser = commands.get(argv[0]) if argv else None
     if parser is not None:
-        parser.trial = True
-        try:
-            args, extras = parser.parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-            if not extras:
-                return args
-        except _TrialFailed:
-            pass
-        finally:
-            parser.trial = False
+        args, extras = parser.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
     return _PARSER.parse_args(argv)
 
 

@@ -33,7 +33,6 @@ function of the open-loop spectrum alone. Spectra are taken by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,6 @@ from .subspaces import (
 OUTPUT_NULLING = "output_nulling"
 INPUT_CONTAINING = "input_containing"
 
-# The stabilizing gain is not skipped for blocks this close to instability.
-SKIP_GUARD = 1e-6
 # The stabilizing gain keeps the modes more than KEEP_MARGIN inside the
 # region and mirrors the rest about the boundary moved SHIFT into it: the
 # line Re lam = -SHIFT, or the circle |lam| = 1 - SHIFT. Both were chosen
@@ -455,16 +452,6 @@ def self_predicate(kind: str, X: Subspace, q: Quadruple,
     return contains(V, combine("intersect", vstar(qv, tol), sstar(qv, tol), tol), tol)
 
 
-def _schur_eigvals(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real Schur form T: its diagonal, with a +- sqrt(-bc) i
-    for each standardized 2x2 block [[a, b], [c, a]]."""
-    w = np.diag(T).astype(complex)
-    for i in np.flatnonzero(np.diag(T, -1)):
-        w[i] += 1j * math.sqrt(-T[i, i + 1] * T[i + 1, i])
-        w[i + 1] = w[i].conjugate()
-    return w
-
-
 def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
                       region: StabilityRegion) -> np.ndarray:
     """Gain F with A + B F stable in the region where possible, given the
@@ -487,19 +474,19 @@ def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
       P = (rho^2 X)^-1, Q = 0 and R = I) makes T22 + B2 F = rho X N^T X^-1,
       so each moved mode lam lands on rho^2 / conj(lam).
 
-    A block whose modes all sit more than SKIP_GUARD inside the region gets
-    no gain. The uncontrollable modes stay where they are; the caller
-    decides whether they violate the region.
+    A block whose modes are all kept gets no gain; otherwise every trailing
+    mode is mirrored, the stable ones within KEEP_MARGIN of the boundary too.
+    The uncontrollable modes stay where they are; the caller decides whether
+    they violate the region.
     """
     kc = T1.shape[1]
     if kc == 0:
         return np.zeros((B.shape[1], A.shape[0]))
     T, Z, kept = schur(T1.T @ A @ T1, output="real", sort=lambda re, im:
                        region.boundary_distance(complex(re, im)) > KEEP_MARGIN)
-    T22 = T[kept:, kept:]
-    # the kept modes sit more than KEEP_MARGIN > SKIP_GUARD inside
-    if all(region.boundary_distance(l) > SKIP_GUARD for l in _schur_eigvals(T22)):
+    if kept == kc:
         return np.zeros((B.shape[1], A.shape[0]))
+    T22 = T[kept:, kept:]
     Q2 = T1 @ Z[:, kept:]
     B2 = Q2.T @ B
     if region.kind == "continuous":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -307,15 +307,6 @@ def wellposedness_margin(K, D_y) -> float:
     return abs(_det(np.eye(K.shape[0]) + KD)) / (1.0 + _frobenius(KD))
 
 
-@lru_cache(maxsize=None)
-def _gaussian_draws(mp: int) -> np.ndarray:
-    """The SAMPLE_TRIALS x mp standard normal draws of `default_rng(0)`,
-    drawn once per mp and kept read-only."""
-    draws = np.random.default_rng(0).standard_normal((SAMPLE_TRIALS, mp))
-    draws.setflags(write=False)
-    return draws
-
-
 def _screened_member(family: AffineKFamily, D_y: np.ndarray):
     """The first well-posed member of the sampling order after K0, or None.
 
@@ -325,8 +316,7 @@ def _screened_member(family: AffineKFamily, D_y: np.ndarray):
     SAMPLE_TRIALS Gaussian m x p matrices Z_t from the fixed stream
     `default_rng(0)`, scaled by 1 + ||K0||. P depends on the span alone, so
     the member is a function of the affine set: it does not depend on the
-    basis the directions are given in. The stream's draws depend on m p
-    alone; `_gaussian_draws` draws them once per m p and keeps them.
+    basis the directions are given in.
 
     The members are built as one stack, each P(W) as the sum of the columns
     of P weighted by the entries of W, elementwise and in column order, so
@@ -343,7 +333,8 @@ def _screened_member(family: AffineKFamily, D_y: np.ndarray):
     B = family._span.basis
     # unit steps +E_ij, -E_ij in turn: the Kronecker product of I and [1; -1]
     units = (np.eye(mp)[:, None, :] * np.array([[1.0], [-1.0]])).reshape(2 * mp, mp)
-    weights = np.concatenate([units, _gaussian_draws(mp) * (1.0 + _frobenius(K0))])
+    draws = np.random.default_rng(0).standard_normal((SAMPLE_TRIALS, mp))
+    weights = np.concatenate([units, draws * (1.0 + _frobenius(K0))])
     steps = np.zeros_like(weights)
     for k, column in enumerate((B @ B.T).T):
         steps = steps + weights[:, k:k + 1] * column

@@ -42,10 +42,6 @@ from .subspaces import (
 from .synthesis import ClosedLoop
 
 POLE_CLEARANCE = 1e-6
-# Frequency samples per stacked solve in `transfer_samples`: large enough
-# that a default run is one block, small enough that a block of resolvents
-# of a 48-state loop stays under 3 MB however many samples are asked for.
-SAMPLE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -130,9 +126,8 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
 
     Every point must clear the loop's spectrum (`cl.spectrum`) by 1e-6;
     otherwise SampleTooCloseToPole names the first one that does not. The
-    points are taken SAMPLE_BLOCK at a time: each block is checked for
-    clearance, and its matrices lambda I - A^ are written into one stack,
-    as 0.0 - A^ with each lambda then added to its diagonal. The stack's
+    matrices lambda I - A^ of all the points are written into one stack, as
+    0.0 - A^ with each lambda then added to its diagonal; the stack's
     resolvents are solved in one `numpy.linalg.solve` and their norms taken
     with one `numpy.linalg.svd(..., compute_uv=False)`. The result equals
     that of solving one point at a time on lambda * eye(n) - A^, bit for
@@ -143,23 +138,20 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
     lams = np.array([complex(lam) for lam in lambdas], dtype=complex)
     poles = cl.spectrum
     n = cl.order
-    worst = 0.0
-    for start in range(0, lams.size, SAMPLE_BLOCK):
-        block = lams[start:start + SAMPLE_BLOCK]
-        if poles.size:
-            near = np.abs(poles - block[:, None]).min(axis=1) < POLE_CLEARANCE
-            if near.any():
-                lam = complex(block[np.argmax(near)])
-                raise SampleTooCloseToPole(f"sample {lam} within 1e-6 of a pole")
-        stack = np.empty((block.size, n, n), dtype=complex)
-        np.subtract(0.0, cl.A_hat, out=stack)
-        stack.reshape(block.size, n * n)[:, ::n + 1] += block[:, None]
-        G = cl.C_hat @ np.linalg.solve(stack, cl.H_hat) + cl.G_hat
-        if G[0].size:
-            norms = np.linalg.svd(G, compute_uv=False).max(axis=-1)
-            # fmax skips a NaN norm, as the max of a running maximum does
-            worst = float(np.fmax.reduce(norms, initial=worst))
-    return worst
+    if poles.size:
+        near = np.abs(poles - lams[:, None]).min(axis=1) < POLE_CLEARANCE
+        if near.any():
+            lam = complex(lams[np.argmax(near)])
+            raise SampleTooCloseToPole(f"sample {lam} within 1e-6 of a pole")
+    stack = np.empty((lams.size, n, n), dtype=complex)
+    np.subtract(0.0, cl.A_hat, out=stack)
+    stack.reshape(lams.size, n * n)[:, ::n + 1] += lams[:, None]
+    G = cl.C_hat @ np.linalg.solve(stack, cl.H_hat) + cl.G_hat
+    if not G.size:
+        return 0.0
+    # fmax skips a NaN norm, as the max of a running maximum does
+    return float(np.fmax.reduce(np.linalg.svd(G, compute_uv=False).max(axis=-1),
+                                initial=0.0))
 
 
 def default_lambdas(cl: ClosedLoop, count: int = 20) -> list:

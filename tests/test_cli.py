@@ -29,7 +29,6 @@ from geodd.cli import (
 )
 from geodd.errors import ParseError, ShapeError
 from geodd.verify import (
-    SAMPLE_BLOCK,
     InstanceSpec,
     default_lambdas,
     generate_instance,
@@ -420,6 +419,32 @@ class TestCompensatorFiles:
         path.write_text(json.dumps(dict(comp, C_c=[1.0, 2.0])))
         with pytest.raises(ShapeError, match="C_c"):
             parse_compensator(str(path))
+        path.write_text(json.dumps(dict(comp, C_c=[])))
+        with pytest.raises(ShapeError, match="C_c must be a list of rows"):
+            parse_compensator(str(path))
+        path.write_text(json.dumps(dict(comp, A_c=[])))
+        with pytest.raises(ShapeError, match=r"B_c has shape \(4, 2\), expected \(0, 2\)"):
+            parse_compensator(str(path))
+
+    @pytest.mark.parametrize("problem", ["p1", "p2"])
+    def test_zero_order_compensator_round_trip(self, tmp_path, problem):
+        # a static plant (n = 0) gets a static compensator, written with
+        # "A_c": [], "B_c": [] and "C_c": [[]]; verify reads it back
+        plant = tmp_path / "static.json"
+        plant.write_text(json.dumps({
+            "dims": {"n": 0, "m": 1, "q": 1, "p": 1, "r": 1},
+            "A": [], "B": [], "H": [], "C": [[]], "D_y": [[0.5]], "G_y": [[1.0]],
+            "E": [[]], "D_z": [[1.0]], "G_z": [[1.0]]}))
+        out = tmp_path / "s.json"
+        assert main(["solve", "--input", str(plant), "--problem", problem,
+                     "--output", str(out)]) == EXIT_OK
+        comp = json.loads(out.read_text())["compensator"]
+        assert (comp["A_c"], comp["B_c"], comp["C_c"]) == ([], [], [[]])
+        parsed = parse_compensator(str(out))
+        assert (parsed.A_c.shape, parsed.B_c.shape, parsed.C_c.shape) == ((0, 0), (0, 1), (1, 0))
+        assert main(["verify", "--input", str(plant), "--problem", problem,
+                     "--compensator", str(out),
+                     "--output", str(tmp_path / "v.json")]) == EXIT_OK
 
 
 # A file that `parse_problem` and `parse_compensator` must refuse with a
@@ -523,11 +548,11 @@ class TestWorkPerCommand:
                      "--output", str(tmp_path / "v.json")]) == EXIT_OK
         assert counts == {"close_loop": 1, "certify_decoupled": 2, "eigvals": 1}
 
-    def test_samples_are_solved_a_block_at_a_time(self, monkeypatch):
+    def test_samples_are_solved_in_one_stack(self, monkeypatch):
         sys_ = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
         comp, _ = geodd.solve(sys_, "p1")
         cl = geodd.close_loop(sys_, comp)
-        lambdas = default_lambdas(cl, 2 * SAMPLE_BLOCK + 10)
+        lambdas = default_lambdas(cl, 3 * 64 + 5)
         batches = []
         solve = np.linalg.solve
 
@@ -538,8 +563,7 @@ class TestWorkPerCommand:
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         assert transfer_samples(cl, lambdas) <= 1e-8
-        assert len(lambdas) == 2 * SAMPLE_BLOCK + 10
-        assert batches == [SAMPLE_BLOCK, SAMPLE_BLOCK, 10]
+        assert batches == [3 * 64 + 5]
 
 
 def _reference_text(obj) -> str:
@@ -611,8 +635,8 @@ class TestResultWriter:
         [float("-inf"), 0.5], [[1.0, 2.0], (3.0, 4.0)], [[1.0, 2], [3.0]],
     ])
     def test_float_rows_and_their_fallbacks(self, obj):
-        # the one-repr path for rows and matrices of exact floats, and each
-        # case that must leave it
+        # the one-repr path for matrices of exact floats, and each case that
+        # must leave it, flat rows among them
         for value in (obj, {"m": obj}, [obj, obj]):
             assert cli._json_text(value) == _reference_text(value)
 
@@ -808,9 +832,9 @@ class TestDispatch:
         codes = Counter(outcome[0] for outcome in direct)
         assert codes == {EXIT_USAGE: 12, EXIT_OK: 8}
         # the full parse ran only where argv names no command or the
-        # command's parser errs or leaves arguments over; a command's -h
-        # exits from its own parser
-        assert len(full_parses) == 13
+        # command's parser leaves arguments over; a command's errors and -h
+        # exit from its own parser
+        assert len(full_parses) == 8
         assert "usage: geodd [-h] {analyze,solve,verify} ..." in direct[5][2]
         assert "unrecognized arguments: --frobnicate" in direct[5][2]
         assert "geodd solve: error: argument --problem" in direct[9][2]

@@ -17,7 +17,6 @@ from geodd.geometry import (
     KEEP_MARGIN,
     OUTPUT_NULLING,
     SHIFT,
-    SKIP_GUARD,
     Quadruple,
     _nulling_system,
     _stabilizing_gain,
@@ -520,9 +519,8 @@ class TestStabilizingFriend:
 
 
 def _mirrored(ol, region):
-    """Where the mirror-image gain sends each open-loop mode of a block it
-    does not skip: the kept ones stay, the rest land on their mirror
-    images."""
+    """Where the mirror-image gain sends each open-loop mode of a block: the
+    kept ones stay, the rest land on their mirror images."""
     keep = np.array([region.boundary_distance(l) > KEEP_MARGIN for l in ol])
     if region.kind == "continuous":
         moved = -np.conj(ol) - 2 * SHIFT
@@ -551,7 +549,7 @@ class TestStabilizingGain:
         for A, B in _gain_blocks(11, 100):
             ol = np.linalg.eigvals(A)
             F = _stabilizing_gain(A, B, np.eye(len(A)), region)
-            if all(region.boundary_distance(l) > SKIP_GUARD for l in ol):
+            if all(region.boundary_distance(l) > KEEP_MARGIN for l in ol):
                 assert not F.any()
                 continue
             want = _mirrored(ol, region)
@@ -559,6 +557,25 @@ class TestStabilizingGain:
                                  1e-6 * (1 + np.abs(want).max()))
             moved += 1
         assert moved >= 50
+
+    @pytest.mark.parametrize("region, diag", [
+        (CONT, [-1.0, -0.03, -0.03, -0.02, -2e-6]),
+        (DISC, [0.2, 0.96, 0.96, -0.98, 1 - 2e-6]),
+    ], ids=["continuous", "discrete"])
+    def test_modes_just_inside_the_region_are_mirrored(self, region, diag):
+        # one kept mode, and four stable modes no more than KEEP_MARGIN
+        # inside the region, a complex pair among them and the last 2e-6
+        # inside: all four are mirrored
+        rng = np.random.default_rng(5)
+        A = np.triu(rng.standard_normal((5, 5)))
+        np.fill_diagonal(A, diag)
+        A[2, 1], A[1, 2] = -0.01, 0.01
+        ol = np.linalg.eigvals(A)
+        assert [1e-6 < region.boundary_distance(l) <= KEEP_MARGIN for l in ol].count(True) == 4
+        B = rng.standard_normal((5, 2))
+        F = _stabilizing_gain(A, B, np.eye(5), region)
+        assert F.any()
+        assert match_spectra(np.linalg.eigvals(A + B @ F), _mirrored(ol, region), 1e-6)
 
     @pytest.mark.parametrize("region, diag", [
         (CONT, [-1.0, -1.0, -0.5, 0.3, 1.0, -0.01]),

@@ -287,14 +287,6 @@ class TestWellposedScreen:
         assert (np.array_equal(got, family.K0), any(np.array_equal(got, K) for K in steps)) \
             == {"K0": (True, False), "unit step": (False, True), "trial": (False, False)}[branch]
 
-    def test_gaussian_draws_are_drawn_once_and_read_only(self):
-        for mp in (1, 4, 6):
-            draws = synthesis._gaussian_draws(mp)
-            fresh = np.random.default_rng(0).standard_normal((synthesis.SAMPLE_TRIALS, mp))
-            assert draws.tobytes() == fresh.tobytes()
-            assert not draws.flags.writeable
-            assert synthesis._gaussian_draws(mp) is draws
-
     def test_point_family_evaluates_one_margin(self, monkeypatch):
         # K0 is the only member of a family without directions: one margin
         # decides, where the sampling loop evaluated K0 another 64 times
