@@ -16,7 +16,11 @@ that `ToleranceProfile` rejects, is a parse error (exit 1) naming its field.
 A result file is exactly `json.dumps(payload, indent=2, sort_keys=True)`
 followed by a newline; `_write_result` writes that text directly, without
 the pure-Python encoder that `indent` selects (a matrix of floats from
-one repr of a list), and a test pins the bytes.
+one repr of a list), and a test pins the bytes. It writes over an
+existing file in place, without truncating it on open, and then cuts a
+regular file to the new text's length, so a longer stale file leaves no
+tail. An `--output` that cannot be written (a missing directory, a
+directory, a full device) is an error naming the path (exit 1).
 
 The parser is built once per process and reused by every `main` call.
 `main` reads a subcommand's arguments with that command's own parser, as
@@ -30,6 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys as _sys
 
 import numpy as np
@@ -281,12 +287,23 @@ def _json_text(obj) -> str:
 
 
 def _write_result(path, payload):
+    """Print the result text, or write it over the file at `path` in place:
+    opened without O_TRUNC, since ext4 starts writeback when a file that
+    holds data is truncated to zero, and cut to the new length afterwards
+    when it is a regular file (not /dev/null or a pipe). ParseError when
+    the file cannot be written."""
     text = _json_text(payload)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not path:
         print(text)
+        return
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text + "\n")
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as err:
+        raise ParseError(f"{path}: cannot write: {err.strerror}") from None
 
 
 def _certificate_dict(cert) -> dict:

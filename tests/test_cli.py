@@ -484,6 +484,46 @@ class TestUnreadableFiles:
         assert captured.err.startswith(f"error: {bad}: {UNREADABLE[kind]}")
 
 
+# An --output that cannot be written, and the reason the message gives.
+UNWRITABLE = {
+    "missing directory": "No such file or directory",
+    "directory": "Is a directory",
+    "/dev/full": "No space left on device",
+}
+
+
+def _command_argv(tmp_path, command):
+    """argv of `command` on the minimal plant, without --output; verify
+    reads a static compensator."""
+    plant = tmp_path / "plant.json"
+    plant.write_text(json.dumps(minimal_problem_dict()))
+    argv = [command, "--input", str(plant)]
+    if command == "verify":
+        comp = tmp_path / "comp.json"
+        comp.write_text(json.dumps({"A_c": [], "B_c": [], "C_c": [[]],
+                                    "D_c": [[0.0]]}))
+        argv += ["--compensator", str(comp)]
+    return argv
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("kind", sorted(UNWRITABLE))
+    @pytest.mark.parametrize("command", ["analyze", "solve", "verify"])
+    def test_exit_1_naming_the_file(self, tmp_path, capsys, command, kind):
+        if kind == "/dev/full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            out = "/dev/full"
+        elif kind == "directory":
+            out = str(tmp_path)
+        else:
+            out = str(tmp_path / "missing" / "out.json")
+        assert main(_command_argv(tmp_path, command) + ["--output", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: cannot write: {UNWRITABLE[kind]}\n"
+
+
 def _count_work(monkeypatch):
     """Count close_loop and certify_decoupled calls, and `_eigvals` calls
     on the A^ of a loop that close_loop built, wherever they are bound."""
@@ -682,6 +722,62 @@ class TestResultWriter:
                 "infeasible"} <= set(verdicts)
         for text in texts:
             assert text == _reference_text(json.loads(text)) + "\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "solve", "verify"])
+    def test_stale_longer_file_is_cut_to_the_new_text(self, tmp_path, capsys, command):
+        argv = _command_argv(tmp_path, command)
+        code = main(argv)
+        text = capsys.readouterr().out
+        assert text == _reference_text(json.loads(text)) + "\n"
+        out = tmp_path / "out.json"
+        out.write_bytes(b"x" * (len(text) + 50_000))
+        assert main(argv + ["--output", str(out)]) == code
+        assert out.read_bytes() == text.encode()
+
+    def test_new_file_mode_is_that_of_open_w(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            cli._write_result(str(tmp_path / "new.json"), {"a": 1})
+            with open(tmp_path / "reference.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "new.json").stat().st_mode & 0o777
+        assert mode == 0o666 & ~0o027
+        assert mode == (tmp_path / "reference.json").stat().st_mode & 0o777
+
+    def test_output_to_dev_null(self, tmp_path):
+        assert main(_command_argv(tmp_path, "analyze") + ["--output", os.devnull]) == EXIT_OK
+
+    def test_output_to_a_fifo(self, tmp_path):
+        # the read end is opened first, so opening the write end does not
+        # block, and the text fits in the pipe's buffer
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            cli._write_result(str(fifo), {"a": [1.0]})
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert text == _reference_text({"a": [1.0]}) + "\n"
+
+    def test_writer_never_truncates_on_open(self, tmp_path, monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def spy_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", spy_open)
+        out = tmp_path / "out.json"
+        out.write_text("x" * 1000)
+        for command in ("analyze", "solve", "verify"):
+            assert main(_command_argv(tmp_path, command) + ["--output", str(out)]) != EXIT_USAGE
+        assert len(flags) == 3
+        assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
+        assert len(out.read_text()) < 1000
 
 
 class TestParserReuse:
