@@ -164,9 +164,13 @@ def parse_compensator(path: str) -> Compensator:
     Like a plant file it must be a JSON object whose four matrices A_c,
     B_c, C_c, D_c are finite and numeric; they are given as lists of rows
     and must fit together (A_c square, B_c and C_c matching its order, D_c
-    matching their ports). A zero-order compensator's A_c and B_c have no
-    rows, `[]`, as `compensator_dict` writes them; B_c then takes its width
-    from D_c. Errors name the matrix.
+    matching their ports). A matrix with no rows is `[]`, as
+    `compensator_dict` writes it: A_c and B_c of a zero-order compensator,
+    C_c and D_c of one with no inputs (m = 0). Such a matrix takes its
+    width from the others: the order for C_c, and for B_c and D_c the
+    width of whichever of the two has rows. Where neither has (order 0
+    and m = 0) the file holds no width at all, and B_c and D_c come back
+    0 x 0. Errors name the matrix.
     """
     data = _load_json(path)
     if isinstance(data, dict) and "compensator" in data:
@@ -177,15 +181,16 @@ def parse_compensator(path: str) -> Compensator:
     for name in ("A_c", "B_c", "C_c", "D_c"):
         if name not in data:
             raise ParseError(f"{path}: missing compensator matrix {name!r}")
-        if data[name] != [] or name not in ("A_c", "B_c"):
+        if data[name] != []:
             mats[name] = _parse_matrix(name, data[name])
-    mats.setdefault("A_c", np.zeros((0, 0)))
-    mats.setdefault("B_c", np.zeros((0, mats["D_c"].shape[1])))
-    order = mats["A_c"].shape[0]
-    m, p = mats["C_c"].shape[0], mats["B_c"].shape[1]
+    order = mats["A_c"].shape[0] if "A_c" in mats else 0
+    p = next((mats[name].shape[1] for name in ("B_c", "D_c") if name in mats), 0)
+    m = next((mats[name].shape[0] for name in ("C_c", "D_c") if name in mats), 0)
     expected = {"A_c": (order, order), "B_c": (order, p), "C_c": (m, order),
                 "D_c": (m, p)}
     for name, shape in expected.items():
+        if name not in mats:
+            mats[name] = np.zeros((0, shape[1]))
         if mats[name].shape != shape:
             raise ShapeError(
                 f"matrix {name} has shape {mats[name].shape}, expected {shape}")
@@ -380,6 +385,10 @@ def run(command: str, args) -> int:
 
     if command == "verify":
         comp = parse_compensator(args.compensator)
+        if not comp.order and not comp.C_c.shape[0]:
+            # order 0 and m = 0: the file holds no width, so it is the plant's
+            comp = Compensator(comp.A_c, np.zeros((0, sys_.p)), comp.C_c,
+                               np.zeros((0, sys_.p)))
         if comp.B_c.shape[1] != sys_.p:
             raise ShapeError(f"matrix B_c has {comp.B_c.shape[1]} columns, "
                              f"the plant has p = {sys_.p} measurements")

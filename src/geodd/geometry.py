@@ -23,12 +23,17 @@ The star recursion (`_nulling_steps`) runs on the orthogonal complement
 basis of V_k^perp and takes two small SVDs, so S*, the complement of V* of
 the dual, comes off the dual recursion with no complement SVD.
 
-Stabilizing friends take mirror-image gains (`_stabilizing_gain`) on
-public scipy calls: one ordered real Schur form of each controllable block
-keeps the modes well inside the region, and one Lyapunov equation on the
-trailing block mirrors the rest into the region, so the moved spectrum is a
-function of the open-loop spectrum alone. Spectra are taken by
-`subspaces._eigvals`, numpy.linalg.eigvals bit for bit.
+Stabilizing friends take mirror-image gains (`_stabilizing_gain`): one
+ordered real Schur form of each controllable block (`subspaces._schur`,
+LAPACK dgees) keeps the modes well inside the region, and one Lyapunov or
+Stein equation on the quasi-triangular trailing block T22 mirrors the rest
+into the region, so the moved spectrum is a function of the open-loop
+spectrum alone. That equation is solved as one Sylvester equation on
+T22's own Schur form by one LAPACK dtrsyl (`_sylvester`): M X + X M^T =
+B2 B2^T with M = T22 + SHIFT I in continuous time, and (-rho^2 T22^-1) X +
+X T22^T = T22^-1 B2 B2^T in discrete time. Both have unique solutions,
+because no unkept mode lies more than KEEP_MARGIN inside the region.
+Spectra are taken by `subspaces._eigvals`, numpy.linalg.eigvals bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, solve_continuous_lyapunov, solve_discrete_lyapunov
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import (
     DimensionMismatch,
@@ -55,6 +60,7 @@ from .subspaces import (
     _norm2,
     _numerical_rank,
     _region_part,
+    _schur,
     _svd,
     combine,
     complement,
@@ -452,6 +458,19 @@ def self_predicate(kind: str, X: Subspace, q: Quadruple,
     return contains(V, combine("intersect", vstar(qv, tol), sstar(qv, tol), tol), tol)
 
 
+def _sylvester(M: np.ndarray, N: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """X with M X + X N^T = C, for M and N in real Schur form: one LAPACK
+    dtrsyl (Bartels & Stewart, CACM 15, 1972), which returns a solution Y
+    of M Y + Y N^T = scale C with scale <= 1 chosen against overflow, so
+    X = Y / scale. A nonzero info (M and -N with eigenvalues too close, so
+    that dtrsyl perturbed them) raises LinAlgError."""
+    Y, scale, info = dtrsyl(M, N, C, "N", "T", 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Sylvester equation is singular or nearly so (dtrsyl info {info})")
+    return Y / scale
+
+
 def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
                       region: StabilityRegion) -> np.ndarray:
     """Gain F with A + B F stable in the region where possible, given the
@@ -460,19 +479,28 @@ def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
     The mirror-image gain (Bass's algorithm as extended by Armstrong, IEEE
     TAC 20, 1975) after a Schur deflation (Varga, IEEE TAC 26, 1981) of the
     controllable block Ac = T1^T A T1. Its ordered real Schur form
-    Ac = Z T Z^T puts the modes more than KEEP_MARGIN inside the region in
-    front; the gain acts through the trailing Schur vectors Q2 alone, on
-    T22 with inputs B2 = Q2^T T1^T B, so the kept modes stay where they are.
-    With X > 0 the solution of one Lyapunov equation:
+    Ac = Z T Z^T (`subspaces._schur`) puts the modes more than KEEP_MARGIN
+    inside the region in front; the gain acts through the trailing Schur
+    vectors Q2 alone, on the quasi-triangular T22 with inputs
+    B2 = Q2^T T1^T B, so the kept modes stay where they are. With X > 0
+    the solution of one Lyapunov or Stein equation, solved as one
+    Sylvester equation on T22's own Schur form (`_sylvester`):
 
     - continuous time: M = T22 + SHIFT I is anti-stable, M X + X M^T =
       B2 B2^T, and the gain -B2^T X^-1 makes M - B2 B2^T X^-1 = -X M^T X^-1,
-      so each moved mode lam lands on -conj(lam) - 2 SHIFT;
+      so each moved mode lam lands on -conj(lam) - 2 SHIFT. Each unkept
+      mode has Re lam >= -KEEP_MARGIN, so M's have real parts of at least
+      SHIFT - KEEP_MARGIN > 0: no two sum to zero, and X is unique;
     - discrete time: with rho = 1 - SHIFT, N = rho T22^-1 is stable,
       Bn = T22^-1 B2, X = N X N^T + Bn Bn^T, and the gain -Bn^T X^-1 (the
       DARE gain -rho (I + B2^T P B2)^-1 B2^T P T22 / rho of T22 / rho with
       P = (rho^2 X)^-1, Q = 0 and R = I) makes T22 + B2 F = rho X N^T X^-1,
-      so each moved mode lam lands on rho^2 / conj(lam).
+      so each moved mode lam lands on rho^2 / conj(lam). Multiplied by
+      T22^T on the right, the Stein equation is the Sylvester equation
+      (-rho^2 T22^-1) X + X T22^T = Bn B2^T, whose first coefficient is
+      quasi-triangular too. Each unkept mode has |lam| >= 1 - KEEP_MARGIN,
+      so each product of two has modulus above rho^2: no eigenvalue
+      -rho^2 / lam of that coefficient is minus one of T22, and X is unique.
 
     A block whose modes are all kept gets no gain; otherwise every trailing
     mode is mirrored, the stable ones within KEEP_MARGIN of the boundary too.
@@ -482,19 +510,21 @@ def _stabilizing_gain(A: np.ndarray, B: np.ndarray, T1: np.ndarray,
     kc = T1.shape[1]
     if kc == 0:
         return np.zeros((B.shape[1], A.shape[0]))
-    T, Z, kept = schur(T1.T @ A @ T1, output="real", sort=lambda re, im:
-                       region.boundary_distance(complex(re, im)) > KEEP_MARGIN)
+    T, Z, kept = _schur(T1.T @ A @ T1, lambda re, im:
+                        region.boundary_distance(complex(re, im)) > KEEP_MARGIN)
     if kept == kc:
         return np.zeros((B.shape[1], A.shape[0]))
     T22 = T[kept:, kept:]
     Q2 = T1 @ Z[:, kept:]
     B2 = Q2.T @ B
     if region.kind == "continuous":
-        X = solve_continuous_lyapunov(T22 + SHIFT * np.eye(kc - kept), B2 @ B2.T)
+        M = T22 + SHIFT * np.eye(kc - kept)
+        X = _sylvester(M, M, B2 @ B2.T)
     else:
         T22_inv = _inv(T22)
-        B2 = T22_inv @ B2  # Bn
-        X = solve_discrete_lyapunov((1.0 - SHIFT) * T22_inv, B2 @ B2.T)
+        Bn = T22_inv @ B2
+        X = _sylvester(-(1.0 - SHIFT) ** 2 * T22_inv, T22, Bn @ B2.T)
+        B2 = Bn  # the gain is -Bn^T X^-1
     return -np.linalg.solve(X, B2).T @ Q2.T
 
 

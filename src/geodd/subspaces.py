@@ -2,8 +2,8 @@
 
 A subspace is stored as an ambient dimension plus a matrix with orthonormal
 columns (zero columns for the trivial subspace). All operations are pure
-functions of immutable inputs; the only global state is the dgesdd
-workspace sizes below, a function of shape alone.
+functions of immutable inputs; the only global state is the dgesdd and
+dgees workspace sizes below, functions of shape alone.
 
 Rank decisions use a relative singular-value cutoff, comparisons use
 principal angles computed through their sines (well conditioned for the
@@ -15,15 +15,22 @@ routine behind numpy.linalg.svd) through scipy directly: on matrices this
 small numpy's wrapper costs more than the LAPACK work. Its workspace size
 is queried once per shape and kept in `_GESDD_LWORK`: LAPACK's query
 depends only on the routine, its flags and the shape, so the cached size is
-the one a fresh query returns, and the one numpy asks for. Every eigenvalue
+the one a fresh query returns, and the one numpy asks for. A matrix with
+an empty side, which dgesdd rejects, gets numpy's empty or identity
+factors without a call. Every real Schur form of the package (`_schur`:
+`_region_part` and the stabilizing gain's) calls LAPACK dgees directly,
+with scipy's workspace, queried once per order and kept in `_GEES_LWORK`,
+so it is scipy.linalg.schur's, bit for bit. Every eigenvalue
 list of the float geometry (`_eigvals`), every inverse (`_inv`), every
 single determinant (`_det`) and every QR basis (`_qr_basis`) are computed
 by the gufunc that numpy.linalg itself calls, in numpy.linalg's error state
 (`_linalg_state`), so those results are numpy's by construction. Every
-matrix a kernel returns is C-ordered, as numpy's are: the layout of a
-factor decides the rounding of every product taken with it later.
+matrix these kernels return is C-ordered, as numpy's are: the layout of a
+factor decides the rounding of every product taken with it later. (The
+Schur kernel's are Fortran-ordered, as scipy's are.)
 
-The dgesdd kernel runs scipy's LAPACK where numpy runs its own, so it
+The dgesdd and dgees kernels run scipy's LAPACK, and so does the
+stabilizing gain's dtrsyl. Where numpy runs its own, the dgesdd kernel
 agrees with numpy bit for bit only where numpy's and scipy's builds round
 alike. They did with the numpy 2.4.6 and scipy 1.17.1 wheels (OpenBLAS
 0.3.31 and 0.3.30). A numpy and a scipy linked to different LAPACK
@@ -37,9 +44,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.linalg import LinAlgError, _umath_linalg
-from scipy.linalg.lapack import dgesdd, dgesdd_lwork
+from scipy.linalg.lapack import dgees, dgesdd, dgesdd_lwork
 
 from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 
@@ -55,7 +61,14 @@ def _gesdd(M: np.ndarray, compute_uv: int, full_matrices: int):
     # numpy's workspace, from the same query: once min(M.shape) exceeds
     # LAPACK's block size, dgesdd rounds differently for another lwork.
     # Positional flags: the binding parses keywords several microseconds slower.
-    key = (*M.shape, compute_uv, full_matrices)
+    rows, cols = M.shape
+    if not rows or not cols:
+        # dgesdd rejects an empty side (and prints so); numpy returns no
+        # singular values and identity or empty factors
+        if full_matrices:
+            return np.eye(rows), np.zeros(0), np.eye(cols)
+        return np.zeros((rows, 0)), np.zeros(0), np.zeros((0, cols))
+    key = (rows, cols, compute_uv, full_matrices)
     lwork = _GESDD_LWORK.get(key)
     if lwork is None:
         lwork = _GESDD_LWORK[key] = int(dgesdd_lwork(*key)[0])
@@ -63,6 +76,31 @@ def _gesdd(M: np.ndarray, compute_uv: int, full_matrices: int):
     if info != 0:
         raise LinAlgError(f"SVD did not converge (dgesdd info {info})")
     return u, s, vt
+
+
+# dgees workspace sizes by order.
+_GEES_LWORK: dict = {}
+
+
+def _schur(A: np.ndarray, select):
+    """scipy.linalg.schur(A, output="real", sort=select), bit for bit,
+    without its wrapper: (T, Z, sdim) with A = Z T Z^T, T quasi-triangular
+    and the sdim eigenvalues that `select(re, im)` accepts in front. The
+    workspace is scipy's, the query's answer for the order alone, asked
+    once per order. Non-finite entries raise LinAlgError, as does a
+    failure of dgees to converge or to reorder."""
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros((0, 0)), np.zeros((0, 0)), 0
+    if not np.isfinite(A).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    lwork = _GEES_LWORK.get(n)
+    if lwork is None:
+        lwork = _GEES_LWORK[n] = int(dgees(select, A, 1, 0, -1)[-2][0])
+    T, sdim, _, _, Z, _, info = dgees(select, A, 1, 1, lwork)
+    if info != 0:
+        raise LinAlgError(f"Schur form not found (dgees info {info})")
+    return T, Z, sdim
 
 
 def _svd(M: np.ndarray, full_matrices: bool):
@@ -459,8 +497,7 @@ def _region_part(A: np.ndarray, region: StabilityRegion) -> Subspace:
     n = A.shape[0]
     if n == 0:
         return Subspace.trivial(0)
-    _, Z, sdim = scipy.linalg.schur(
-        A, output="real", sort=lambda re, im: not region.outside([complex(re, im)]))
+    _, Z, sdim = _schur(A, lambda re, im: not region.outside([complex(re, im)]))
     return Subspace._adopt(n, Z[:, :sdim])
 
 

@@ -10,7 +10,9 @@ from geodd import PlantSystem, Quadruple, Subspace, exact
 from geodd.errors import SampleTooCloseToPole
 from geodd.geometry import (
     INPUT_CONTAINING,
+    KEEP_MARGIN,
     OUTPUT_NULLING,
+    SHIFT,
     stabilizing_friend,
 )
 from geodd.subspaces import (
@@ -627,6 +629,36 @@ def random_lambdas(rng, cl, count):
         if not poles.size or np.min(np.abs(poles - lam)) >= 1e-3:
             points.append(lam)
     return points
+
+
+def reference_stabilizing_gain(A, B, T1, region):
+    """`geometry._stabilizing_gain` by scipy's public solvers: an ordered
+    `scipy.linalg.schur` of the controllable block, then
+    `solve_continuous_lyapunov` on T22 + SHIFT I, or
+    `solve_discrete_lyapunov` on rho T22^-1 with rho = 1 - SHIFT. The
+    kernel's continuous gains must equal these bit for bit (scipy's second
+    Schur form of the already quasi-triangular T22 + SHIFT I is that matrix
+    with Z = I); its discrete gains solve the same Stein equation another
+    way, so they agree to roundoff."""
+    kc = T1.shape[1]
+    if kc == 0:
+        return np.zeros((B.shape[1], A.shape[0]))
+    T, Z, kept = scipy.linalg.schur(
+        T1.T @ A @ T1, output="real",
+        sort=lambda re, im: region.boundary_distance(complex(re, im)) > KEEP_MARGIN)
+    if kept == kc:
+        return np.zeros((B.shape[1], A.shape[0]))
+    T22 = T[kept:, kept:]
+    Q2 = T1 @ Z[:, kept:]
+    B2 = Q2.T @ B
+    if region.kind == "continuous":
+        X = scipy.linalg.solve_continuous_lyapunov(T22 + SHIFT * np.eye(kc - kept),
+                                                   B2 @ B2.T)
+    else:
+        T22_inv = np.linalg.inv(T22)
+        B2 = T22_inv @ B2
+        X = scipy.linalg.solve_discrete_lyapunov((1.0 - SHIFT) * T22_inv, B2 @ B2.T)
+    return -np.linalg.solve(X, B2).T @ Q2.T
 
 
 def reference_invariant_hull(A, S: Subspace, tol=DEFAULT_TOL) -> Subspace:

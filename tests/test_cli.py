@@ -419,8 +419,9 @@ class TestCompensatorFiles:
         path.write_text(json.dumps(dict(comp, C_c=[1.0, 2.0])))
         with pytest.raises(ShapeError, match="C_c"):
             parse_compensator(str(path))
+        # [] is a matrix with no rows, where D_c has one
         path.write_text(json.dumps(dict(comp, C_c=[])))
-        with pytest.raises(ShapeError, match="C_c must be a list of rows"):
+        with pytest.raises(ShapeError, match=r"C_c has shape \(0, 4\), expected \(1, 4\)"):
             parse_compensator(str(path))
         path.write_text(json.dumps(dict(comp, A_c=[])))
         with pytest.raises(ShapeError, match=r"B_c has shape \(4, 2\), expected \(0, 2\)"):
@@ -428,23 +429,44 @@ class TestCompensatorFiles:
 
     @pytest.mark.parametrize("problem", ["p1", "p2"])
     def test_zero_order_compensator_round_trip(self, tmp_path, problem):
-        # a static plant (n = 0) gets a static compensator, written with
-        # "A_c": [], "B_c": [] and "C_c": [[]]; verify reads it back
-        plant = tmp_path / "static.json"
-        plant.write_text(json.dumps({
-            "dims": {"n": 0, "m": 1, "q": 1, "p": 1, "r": 1},
-            "A": [], "B": [], "H": [], "C": [[]], "D_y": [[0.5]], "G_y": [[1.0]],
-            "E": [[]], "D_z": [[1.0]], "G_z": [[1.0]]}))
-        out = tmp_path / "s.json"
-        assert main(["solve", "--input", str(plant), "--problem", problem,
-                     "--output", str(out)]) == EXIT_OK
-        comp = json.loads(out.read_text())["compensator"]
-        assert (comp["A_c"], comp["B_c"], comp["C_c"]) == ([], [], [[]])
-        parsed = parse_compensator(str(out))
-        assert (parsed.A_c.shape, parsed.B_c.shape, parsed.C_c.shape) == ((0, 0), (0, 1), (1, 0))
-        assert main(["verify", "--input", str(plant), "--problem", problem,
-                     "--compensator", str(out),
-                     "--output", str(tmp_path / "v.json")]) == EXIT_OK
+        # A static plant (n = 0) gets a static compensator, written with
+        # "A_c": [], "B_c": [] and "C_c": [[]]. A plant without inputs
+        # (m = 0) gets "C_c": [] and "D_c": [], read as 0 x order and
+        # 0 x p; with n = 0 too, the file holds no width, and verify takes
+        # the plant's p. verify reads each back and verifies it.
+        plants = [
+            ({"n": 0, "m": 1, "q": 1, "p": 1, "r": 1}, "continuous",
+             {"C": [[]], "D_y": [[0.5]], "G_y": [[1.0]], "E": [[]], "D_z": [[1.0]],
+              "G_z": [[1.0]]},
+             ([], [], [[]]), ((0, 0), (0, 1), (1, 0), (1, 1))),
+            ({"n": 1, "m": 0, "q": 1, "p": 1, "r": 1}, "discrete",
+             {"A": [[0.5]], "B": [[]], "H": [[1.0]], "C": [[1.0]], "D_y": [[]],
+              "G_y": [[1.0]], "E": [[0.0]], "D_z": [[]], "G_z": [[0.0]]},
+             None, ((1, 1), (1, 1), (0, 1), (0, 1))),
+            ({"n": 0, "m": 0, "q": 0, "p": 1, "r": 0}, "continuous",
+             {"C": [[]], "D_y": [[]], "G_y": [[]]},
+             ([], [], []), ((0, 0), (0, 0), (0, 0), (0, 0))),
+        ]
+        for dims, domain, given, written, shapes in plants:
+            plant = tmp_path / "static.json"
+            mats = {name: [] for name in ("A", "B", "H", "C", "D_y", "G_y", "E", "D_z", "G_z")}
+            plant.write_text(json.dumps({"dims": dims, "time_domain": domain,
+                                         **mats, **given}))
+            out = tmp_path / "s.json"
+            assert main(["solve", "--input", str(plant), "--problem", problem,
+                         "--output", str(out)]) == EXIT_OK
+            comp = json.loads(out.read_text())["compensator"]
+            if written is not None:
+                assert (comp["A_c"], comp["B_c"], comp["C_c"]) == written
+            if dims["m"] == 0:
+                assert comp["C_c"] == comp["D_c"] == []
+            parsed = parse_compensator(str(out))
+            assert (parsed.A_c.shape, parsed.B_c.shape, parsed.C_c.shape,
+                    parsed.D_c.shape) == shapes
+            assert main(["verify", "--input", str(plant), "--problem", problem,
+                         "--compensator", str(out),
+                         "--output", str(tmp_path / "v.json")]) == EXIT_OK
+            assert json.loads((tmp_path / "v.json").read_text())["verdict"] == "verified"
 
 
 # A file that `parse_problem` and `parse_compensator` must refuse with a

@@ -62,6 +62,7 @@ from helpers import (
     rational_as_subspace,
     reference_friend,
     reference_nulling_residual,
+    reference_stabilizing_gain,
     reference_vstar,
 )
 
@@ -540,6 +541,46 @@ def _gain_blocks(seed, count):
 REGIONS = pytest.mark.parametrize("region", [CONT, DISC], ids=["continuous", "discrete"])
 
 
+@pytest.fixture(scope="module")
+def ladder_gains():
+    """Every `_stabilizing_gain` call that moves modes in the p2 solves of
+    a generated ladder (n = 4..12, m = p = 2, q = r = 1, seeds 0-5), by
+    domain: (A, B, T1, region, F, (M, N, C, X)), the arguments, the gain,
+    and the arguments and solution X = Y / scale of its one
+    `geometry.dtrsyl` call."""
+    records = {"continuous": [], "discrete": []}
+    solves = []
+    solver, kernel = geometry.dtrsyl, geometry._stabilizing_gain
+
+    def dtrsyl(M, N, C, *flags):
+        C0 = C.copy()  # dtrsyl writes Y over C
+        Y, scale, info = solver(M, N, C, *flags)
+        solves.append((M.copy(), N.copy(), C0, Y / scale))
+        return Y, scale, info
+
+    def gain(A, B, T1, region):
+        start = len(solves)
+        F = kernel(A, B, T1, region)
+        assert len(solves) - start in (0, 1)
+        if len(solves) > start:
+            records[region.kind].append((A, B, T1, region, F, solves[start]))
+        return F
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "dtrsyl", dtrsyl)
+        patch.setattr(geometry, "_stabilizing_gain", gain)
+        for domain in records:
+            for n in (4, 6, 8, 10, 12):
+                for seed in range(6):
+                    plant = generate_instance(InstanceSpec(
+                        seed=seed, n=n, m=2, q=1, p=2, r=1, time_domain=domain))
+                    try:
+                        solve(plant, "p2")
+                    except GeoddError:
+                        pass
+    return records
+
+
 class TestStabilizingGain:
     """`_stabilizing_gain`, the Schur-deflated mirror-image gain."""
 
@@ -601,32 +642,73 @@ class TestStabilizingGain:
         assert match_spectra(np.linalg.eigvals(closed), _mirrored(ol, region), 1e-9)
 
     def test_lyapunov_solution_is_positive_definite_on_every_ladder_block(
-            self, monkeypatch):
-        # every block on which the p2 solves of a generated ladder
-        # (n = 4..12, m = p = 2, q = r = 1, both domains) move modes
-        solutions = {"continuous": [], "discrete": []}
-        for domain in solutions:
-            name = f"solve_{domain}_lyapunov"
-
-            def recorded(*args, solver=getattr(geometry, name), out=solutions[domain]):
-                out.append(solver(*args))
-                return out[-1]
-
-            monkeypatch.setattr(geometry, name, recorded)
-        for domain in solutions:
-            for n in (4, 6, 8, 10, 12):
-                for seed in range(6):
-                    plant = generate_instance(InstanceSpec(
-                        seed=seed, n=n, m=2, q=1, p=2, r=1, time_domain=domain))
-                    try:
-                        solve(plant, "p2")
-                    except GeoddError:
-                        pass
-        for X_all in solutions.values():
+            self, ladder_gains):
+        for X_all in ([solve[3] for *_, solve in records]
+                      for records in ladder_gains.values()):
             assert len(X_all) >= 40
             for X in X_all:
                 assert np.linalg.eigvalsh((X + X.T) / 2)[0] > 0
                 assert np.abs(X - X.T).max() <= 1e-12 * np.abs(X).max()
+
+    def test_lyapunov_solution_solves_its_equation(self, ladder_gains):
+        # relative residuals of at most 10 eps (at most 0.75 eps was
+        # measured on the benchmark corpora's blocks): M X + X M^T = C in
+        # continuous time, and in discrete time both the Sylvester form
+        # (-rho^2 T22^-1) X + X T22^T = C that dtrsyl solves and the Stein
+        # equation T22 X T22^T - rho^2 X = T22 C = B2 B2^T it stands for
+        bound = 10 * np.finfo(float).eps
+        norm = np.linalg.norm
+        rho2 = (1.0 - SHIFT) ** 2
+        for domain, records in ladder_gains.items():
+            for *_, (M, N, C, X) in records:
+                sylvester = M @ X + X @ N.T - C
+                assert norm(sylvester) <= bound * ((norm(M) + norm(N)) * norm(X) + norm(C))
+                if domain == "continuous":
+                    assert M.tobytes() == N.tobytes()
+                else:
+                    stein = N @ X @ N.T - rho2 * X - N @ C
+                    assert norm(stein) <= bound * ((norm(N) ** 2 + rho2) * norm(X)
+                                                   + norm(N) * norm(C))
+
+    def test_gains_equal_the_scipy_reference(self, ladder_gains):
+        # Continuous time: scipy's second Schur form of T22 + SHIFT I is
+        # that matrix with Z = I, so the same dtrsyl call gives the same
+        # bits. Discrete time: the reference solves the same Stein equation
+        # by its Kronecker system. scipy's own two Stein solvers ("direct"
+        # and "bilinear") differ by up to 5.0 cond(X) eps, relative to the
+        # largest gain entry, on the discrete blocks of the benchmark
+        # corpora and of p2 plants at n = 16-24; the bound is twice that.
+        eps = np.finfo(float).eps
+        for A, B, T1, region, F, _ in ladder_gains["continuous"]:
+            assert F.tobytes() == reference_stabilizing_gain(A, B, T1, region).tobytes()
+        for A, B, T1, region, F, (*_, X) in ladder_gains["discrete"]:
+            R = reference_stabilizing_gain(A, B, T1, region)
+            assert np.abs(F - R).max() <= 10 * np.linalg.cond(X) * eps * np.abs(R).max()
+
+    def test_singular_sylvester_equation_raises(self, monkeypatch):
+        # dtrsyl's info 1: the equation was perturbed to be solved
+        def perturbed(M, N, C, *flags):
+            return C, 1.0, 1
+        monkeypatch.setattr(geometry, "dtrsyl", perturbed)
+        for region in (CONT, DISC):
+            with pytest.raises(np.linalg.LinAlgError, match="dtrsyl info 1"):
+                _stabilizing_gain(np.diag([2.0, -3.0]), np.ones((2, 1)), np.eye(2), region)
+
+    def test_solution_is_divided_by_the_scale(self, monkeypatch):
+        # dtrsyl solves M Y + Y N^T = scale C; a scale below 1 (taken
+        # against overflow) gives X = Y / scale, and with it the same gain
+        solver = geometry.dtrsyl
+
+        def scaled(M, N, C, *flags):
+            Y, scale, info = solver(M, N, C, *flags)
+            return Y * 0.25, scale * 0.25, info
+        A, B = np.diag([2.0, -3.0, 1.5]), np.ones((3, 2))
+        for region in (CONT, DISC):
+            want = _stabilizing_gain(A, B, np.eye(3), region)
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "dtrsyl", scaled)
+                got = _stabilizing_gain(A, B, np.eye(3), region)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @REGIONS
     def test_gain_is_covariant_under_similarity(self, region):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgesdd_lwork
+from scipy.linalg import schur
+from scipy.linalg.lapack import dgees, dgesdd_lwork
 
 from geodd import exact, subspaces
 from geodd.errors import BoundarySpectrum, DimensionMismatch, InvalidInput
+from geodd.geometry import KEEP_MARGIN
 from geodd.subspaces import (
     ORTHO_TOL,
     StabilityRegion,
@@ -20,6 +22,8 @@ from geodd.subspaces import (
     _norm2,
     _numerical_rank,
     _qr_basis,
+    _region_part,
+    _schur,
     _singular_values,
     _svd,
     combine,
@@ -173,6 +177,20 @@ class TestSvdKernel:
             assert norm == float(np.linalg.norm(M, 2)), lapack_builds()
         assert _norm2(np.zeros((3, 0))) == 0.0
 
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (0, 1), (1, 0)])
+    def test_empty_side_gives_numpys_factors(self, shape, full, capfd):
+        # dgesdd rejects an empty side, printing to stdout; numpy returns no
+        # singular values and identity or empty factors
+        M = np.zeros(shape)
+        got, want = _svd(M, full), np.linalg.svd(M, full_matrices=full)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        assert _singular_values(M).shape == np.linalg.svd(M, compute_uv=False).shape == (0,)
+        assert _norm2(M) == 0.0
+        assert capfd.readouterr() == ("", "")
+
     def test_lapack_failure_raises(self, monkeypatch):
         monkeypatch.setattr(subspaces, "dgesdd", failing_dgesdd)
         M = np.ones((3, 2))
@@ -193,6 +211,112 @@ class TestSvdKernel:
         assert len(cache) == 40 * 40 * len(flag_sets)
         for key, lwork in cache.items():
             assert lwork == int(dgesdd_lwork(*key)[0]), key
+
+
+def _schur_inputs():
+    """Seeded square matrices of orders 1-12: Gaussian (complex pairs
+    among their modes), transposed views, symmetric (real modes only),
+    rotation blocks (only complex pairs), triangular, shifted into each
+    region and out of it, and scaled up and down."""
+    rng = np.random.default_rng(31)
+    mats = [np.array([[0.5]]), np.array([[-2.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            np.diag([-1.0, 2.0, -0.01, 0.97])]
+    for n in range(1, 13):
+        for _ in range(6):
+            G = rng.standard_normal((n, n))
+            mats += [G, G.T, G + G.T, np.triu(G), G - 3.0 * np.eye(n), G + 3.0 * np.eye(n),
+                     0.2 * G, 0.5 * G, 4.0 * G]
+        if n % 2 == 0:
+            theta = rng.uniform(0.1, 3.0, n // 2)
+            radius = rng.uniform(0.5, 1.5, n // 2)
+            R = np.zeros((n, n))
+            for k, (t, r) in enumerate(zip(theta, radius)):
+                R[2 * k:2 * k + 2, 2 * k:2 * k + 2] = r * np.array(
+                    [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            mats.append(Q @ R @ Q.T)
+    return mats
+
+
+def _schur_selects():
+    """The selects that the package passes to `_schur`: each region's
+    `_region_part` select, and each region's keep-margin select of the
+    stabilizing gain; also none-kept and all-kept."""
+    selects = {"none": lambda re, im: False, "all": lambda re, im: True}
+    for kind in ("continuous", "discrete"):
+        region = StabilityRegion(kind)
+        selects[f"region-{kind}"] = (
+            lambda re, im, region=region: not region.outside([complex(re, im)]))
+        selects[f"keep-{kind}"] = (
+            lambda re, im, region=region:
+            region.boundary_distance(complex(re, im)) > KEEP_MARGIN)
+    return selects
+
+
+class TestSchurKernel:
+    @pytest.mark.parametrize("name", list(_schur_selects()))
+    def test_equals_scipy_bit_for_bit(self, name):
+        select = _schur_selects()[name]
+        sdims = set()
+        for A in _schur_inputs():
+            n = A.shape[0]
+            T, Z, sdim = _schur(A, select)
+            T0, Z0, sdim0 = schur(A, output="real", sort=select)
+            assert sdim == sdim0
+            for got, want in ((T, T0), (Z, Z0)):
+                assert got.shape == want.shape == (n, n)
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert got.tobytes() == want.tobytes(), lapack_builds()
+            sdims.add("none" if sdim == 0 else "all" if sdim == n else "some")
+        want = {"none": {"none"}, "all": {"all"}}.get(name, {"none", "some", "all"})
+        assert sdims == want
+
+    def test_complex_pairs_stay_in_two_by_two_blocks(self):
+        # the inputs hold complex pairs, and each one is a 2 x 2 diagonal
+        # block of T, kept or moved as one
+        pairs = 0
+        for A in _schur_inputs():
+            T, _, sdim = _schur(A, _schur_selects()["keep-continuous"])
+            sub = np.flatnonzero(np.diag(T, -1))
+            pairs += len(sub)
+            assert sdim - 1 not in sub
+        assert pairs >= 100
+
+    def test_empty_matrix(self):
+        T, Z, sdim = _schur(np.zeros((0, 0)), lambda re, im: True)
+        assert T.shape == Z.shape == (0, 0) and sdim == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_input_raises(self, bad):
+        A = np.eye(3)
+        A[0, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            _schur(A, lambda re, im: True)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing_dgees(select, a, *flags):
+            n = a.shape[0]
+            out = dgees(select, a, *flags)
+            return (*out[:-1], n + 1)  # eigenvalues could not be reordered
+        monkeypatch.setattr(subspaces, "dgees", failing_dgees)
+        with pytest.raises(np.linalg.LinAlgError, match="dgees info 4"):
+            _schur(np.diag([1.0, -1.0, 2.0]), lambda re, im: re < 0)
+
+    def test_cached_workspace_equals_a_fresh_query(self, monkeypatch):
+        # scipy's query, every order 1-40
+        cache = {}
+        monkeypatch.setattr(subspaces, "_GEES_LWORK", cache)
+        for n in range(1, 41):
+            _schur(np.ones((n, n)), lambda re, im: True)
+        assert sorted(cache) == list(range(1, 41))
+        for n, lwork in cache.items():
+            fresh = dgees(lambda re, im: None, np.eye(n), lwork=-1)[-2][0]
+            assert lwork == int(fresh), n
+
+    def test_every_schur_form_goes_through_the_kernel(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_schur", subspaces)
+        S = _region_part(np.diag([-1.0, 2.0, -3.0]), StabilityRegion("continuous"))
+        assert S.dim == 2 and len(calls) == 1
 
 
 def _count_above(s, shape, rank_rel, scale) -> int:

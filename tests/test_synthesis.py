@@ -1,3 +1,4 @@
+import itertools
 import sys
 import warnings
 from dataclasses import replace
@@ -425,6 +426,43 @@ class TestAnalyzeP1:
             assert rep.condition(label).passed
         assert rep.overall == "well_posedness_obstruction"
         assert rep.condition("iv").note == "confirmed singular on exact grid"
+
+
+def _static_plants(domain: str):
+    """Static plants (n = 0) of every shape with m, q, p, r in 0..2, four
+    draws each with entries in {-1, 0, 1}: empty sides of every kind,
+    the shapes with r = 0 and m >= 1 or q = 0 and p >= 1 among them."""
+    rng = np.random.default_rng(3)
+    for m, q, p, r in itertools.product(range(3), repeat=4):
+        for _ in range(4):
+            draw = lambda rows, cols: rng.integers(-1, 2, size=(rows, cols)).astype(float)
+            yield PlantSystem(A=np.zeros((0, 0)), B=np.zeros((0, m)), H=np.zeros((0, q)),
+                              C=np.zeros((p, 0)), D_y=draw(p, m), G_y=draw(p, q),
+                              E=np.zeros((r, 0)), D_z=draw(r, m), G_z=draw(r, q),
+                              time_domain=domain)
+
+
+class TestStaticPlants:
+    @pytest.mark.parametrize("domain", [CONTINUOUS, DISCRETE])
+    def test_verdicts_agree_with_the_exact_family(self, domain, capfd):
+        # exact: the coupling inclusion has no K (infeasible), or its K
+        # family keeps I + K D_y singular on the whole grid (obstruction)
+        verdicts = set()
+        for plant in _static_plants(domain):
+            family = exact._star_family(plant.A, plant.B, plant.H, plant.C, plant.G_y,
+                                        plant.E, plant.D_z, plant.G_z)
+            if family is None:
+                want = "infeasible"
+            elif exact.det_grid_scan(family, exact.from_array(plant.D_y),
+                                     plant.m + 1) is None:
+                want = "well_posedness_obstruction"
+            else:
+                want = "solvable"
+            for analyze in (analyze_p1, analyze_p2):
+                assert analyze(plant).overall.split("(")[0] == want
+            verdicts.add(want)
+        assert verdicts == {"infeasible", "well_posedness_obstruction", "solvable"}
+        assert capfd.readouterr() == ("", "")
 
 
 class TestExactTwinOnDemand:
