@@ -21,7 +21,14 @@ on V alone, and Uv, for output nulling and for coupling conditions (a) and
 The star recursion (`_nulling_steps`) runs on the orthogonal complement
 (Moore & Laub 1978): each step carries V_k together with an orthonormal
 basis of V_k^perp and takes two small SVDs, so S*, the complement of V* of
-the dual, comes off the dual recursion with no complement SVD.
+the dual, comes off the dual recursion with no complement SVD. It stops at
+an iterate V_k = 0, whose successor is 0 without a step.
+
+Reachable subspaces, and with them every fixed spectrum, come from
+controllable splits (`_controllable_split`): one full SVD of B and the
+orthogonal staircase of `subspaces` (Paige, IEEE TAC 26, 1981), which
+carries the complement of the reachable subspace along, so the
+uncontrollable block is read off with no complement SVD.
 
 Stabilizing friends take mirror-image gains (`_stabilizing_gain`): one
 ordered real Schur form of each controllable block (`subspaces._schur`,
@@ -61,11 +68,11 @@ from .subspaces import (
     _numerical_rank,
     _region_part,
     _schur,
+    _staircase,
     _svd,
     combine,
     complement,
     contains,
-    invariant_hull,
     span_of,
 )
 
@@ -233,7 +240,8 @@ def _nulling_steps(q: Quadruple, tol: ToleranceProfile) -> list:
     """The output-nulling recursion V_0 = X, V_{k+1} = [A; C]^{-1}(V_k x 0
     + im [B; D]) on the orthogonal complement, up to the first iterate
     whose dimension repeats: a list of (V_k, Z_k) basis pairs, Z_k an
-    orthonormal basis of V_k^perp.
+    orthonormal basis of V_k^perp. The sequence is non-increasing, so an
+    iterate V_k = 0 is the fixpoint: it is repeated without a step.
 
     ((V_k x 0) + im [B; D])^perp = (V_k^perp x Y) ^ (im [B; D])^perp has
     the orthonormal basis G_k = blockdiag(Z_k, I_p) N_k, N_k = ker(BD^T
@@ -251,6 +259,10 @@ def _nulling_steps(q: Quadruple, tol: ToleranceProfile) -> list:
     V, Z = np.eye(n), np.zeros((n, 0))
     steps = [(V, Z)]
     for _ in range(n + 1):
+        if not V.shape[1]:
+            # V_{k+1} <= V_k = 0: the fixpoint, repeated without a step
+            steps.append((V, Z))
+            break
         # LM = L^T [A; C] for L = blockdiag(Z, I_p), then G^T [A; C] = N^T LM
         LM = np.concatenate((Z.T @ q.A, q.C))
         if BD.shape[1] and LM.shape[0]:
@@ -372,12 +384,18 @@ def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile,
                         scale: float = 0.0):
     """Orthonormal bases T1 of the reachable subspace of (A, B) and T2 of
     its orthogonal complement, and the spectrum A induces on T2 (the
-    uncontrollable, i.e. fixed, modes). `scale` anchors the rank decision on B, as in
-    `span_of`."""
-    reach = invariant_hull("smallest_containing", A, span_of(B, tol, scale), tol)
-    T2 = complement(reach, tol).basis
+    uncontrollable, i.e. fixed, modes).
+
+    One full SVD of B splits R^n into im B and its complement, cut as in
+    `span_of` with `scale` anchoring the rank decision on B; the orthogonal
+    staircase (`subspaces._staircase`, Paige, IEEE TAC 26, 1981) grows the
+    first into T1 and carries the second along as T2, with no complement
+    SVD."""
+    U, s, _ = _svd(B, True)
+    r = _numerical_rank(s, B.shape, tol.rank_rel, scale)
+    T1, T2 = _staircase(A, U[:, :r], U[:, r:], tol)
     fixed = _eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
-    return reach.basis, T2, fixed
+    return T1, T2, fixed
 
 
 @dataclass(frozen=True)

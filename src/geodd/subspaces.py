@@ -7,7 +7,14 @@ dgees workspace sizes below, functions of shape alone.
 
 Rank decisions use a relative singular-value cutoff, comparisons use
 principal angles computed through their sines (well conditioned for the
-tiny angles we care about).
+tiny angles we care about). A sum or intersection with a full or trivial
+operand is decided by dimension, with no rank decision at all.
+
+Invariant hulls and the controllable splits of `geometry` run one
+orthogonal staircase (`_staircase`, Paige, IEEE TAC 26, 1981) that carries
+the orthogonal complement of its basis along: each step is one SVD of the
+newest block mapped into that complement, and splits the complement in
+two, so neither a projection nor a complement SVD is ever taken.
 
 Every real SVD and spectral norm of the package goes through the private
 kernel `_svd`/`_singular_values`/`_norm2`, which calls LAPACK dgesdd (the
@@ -388,11 +395,23 @@ def _check_same_ambient(S1: Subspace, S2: Subspace):
 
 def combine(mode: str, S1: Subspace, S2: Subspace,
             tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """Sum or intersection of two subspaces of the same ambient space."""
+    """Sum or intersection of two subspaces of the same ambient space.
+
+    A full or trivial operand decides the result by dimension alone, with
+    no SVD: X + S = X, 0 + S = S, X ^ S = S and 0 ^ S = 0 return that
+    operand itself, the same object."""
     _check_same_ambient(S1, S2)
     if mode == "sum":
+        if S1.is_full or S2.is_trivial:
+            return S1
+        if S2.is_full or S1.is_trivial:
+            return S2
         return span_of(np.concatenate((S1.basis, S2.basis), axis=1), tol)
     if mode == "intersect":
+        if S1.is_trivial or S2.is_full:
+            return S1
+        if S2.is_trivial or S1.is_full:
+            return S2
         # S1 ^ S2 = B1 ker((I - P2) B1): one rank decision, on the sines of
         # the principal angles (Bjorck & Golub 1973); the product stays orthonormal.
         B1, B2 = S1.basis, S2.basis
@@ -448,44 +467,59 @@ def relate(S1: Subspace, S2: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> s
     return "incomparable"
 
 
+def _staircase(A: np.ndarray, Q: np.ndarray, W: np.ndarray,
+               tol: ToleranceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonal controllability staircase of A (Paige, IEEE TAC 26,
+    1981) from the orthonormal bases Q of a subspace and W of its
+    orthogonal complement: bases of the smallest A-invariant subspace
+    containing im Q and of its complement, [Q W] orthogonal throughout.
+
+    The newest block Z of Q (at first Q itself) is mapped by A into the
+    coordinates of W, and one SVD of Y = W^T A Z with full U = [U1 U2]
+    splits W in two: Z <- W U1, the numerically nonzero left singular
+    vectors, joins Q, and W <- W U2 stays the complement. No step projects
+    and no complement is taken: each block is a product of orthonormal
+    factors. The rank cut, rank_rel * max(s_0, max(1, ||A||)) * n, is taken
+    against ||A||: orthonormalizing the image first would renormalize
+    nearly dependent image directions and amplify roundoff into new dims.
+    A step that adds nothing ends it, after at most n - 1 strict steps; an
+    empty Q or W takes none, and no norm of A either."""
+    if not (Q.shape[1] and W.shape[1]):
+        return Q, W
+    n = A.shape[0]
+    scale = max(1.0, _norm2(A))
+    Z = Q
+    while Z.shape[1] and W.shape[1]:
+        U, s, _ = _svd(W.T @ (A @ Z), True)
+        r = _numerical_rank(s, (n, n), tol.rank_rel, scale)
+        if r == 0:
+            break
+        Z, W = W @ U[:, :r], W @ U[:, r:]
+        Q = np.concatenate((Q, Z), axis=1)
+    return Q, W
+
+
 def invariant_hull(direction: str, A, S: Subspace,
                    tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Smallest A-invariant subspace containing S, or largest contained in S.
 
-    The growing direction is the orthogonal controllability staircase
-    (Paige 1981; Van Dooren's staircase form): starting from the basis Q
-    of S, each step maps only the newest block Z by A, projects the image
-    off Q and keeps its numerically nonzero left singular vectors as the
-    next block. It stops when a step adds nothing, after at most n-1 strict
-    steps. The shrinking direction is computed through its dual.
+    Both are read off one orthogonal staircase (`_staircase`, Paige 1981),
+    which carries the complement of the hull along, started from the bases
+    of S and of its complement: the growing direction returns its Q; the
+    shrinking one runs the dual staircase of A^T from (S^perp, S), since
+    the largest A-invariant subspace in S is the complement of the smallest
+    A^T-invariant one containing S^perp, and returns its W.
     """
     A = _as_matrix(A)
     n = S.ambient_dim
     if A.shape != (n, n):
         raise DimensionMismatch("A must be square with the ambient dimension")
     if direction == "smallest_containing":
-        # Rank decisions happen on the raw projected image (I - QQ^T) A Z,
-        # cut against ||A||: orthonormalizing the image first would
-        # renormalize nearly dependent image directions and amplify
-        # roundoff into new dims.
-        scale = max(1.0, _norm2(A))
-        Q = Z = S.basis
-        while 0 < Q.shape[1] < n:
-            Y = A @ Z
-            Y -= Q @ (Q.T @ Y)
-            U, s, _ = _gesdd(Y, 1, 0)
-            r = _numerical_rank(s, (n, n), tol.rank_rel, scale)
-            if r == 0:
-                break
-            # U[:, :r] is Y's range, off Q up to roundoff over the smallest
-            # kept singular value; one more projection takes that out.
-            Z = U[:, :r]
-            Z = Z - Q @ (Q.T @ Z)
-            Q = np.concatenate((Q, Z), axis=1)
+        Q, _ = _staircase(A, S.basis, complement(S, tol).basis, tol)
         return Subspace._adopt(n, Q) if Q is not S.basis else S
     if direction == "largest_contained":
-        dual = invariant_hull("smallest_containing", A.T, complement(S, tol), tol)
-        return complement(dual, tol)
+        _, W = _staircase(A.T, complement(S, tol).basis, S.basis, tol)
+        return Subspace._adopt(n, W) if W is not S.basis else S
     raise InvalidInput(f"unknown hull direction {direction!r}")
 
 

@@ -17,6 +17,7 @@ from geodd.geometry import (
 )
 from geodd.subspaces import (
     DEFAULT_TOL,
+    _numerical_rank,
     combine,
     complement,
     containment_residual,
@@ -675,6 +676,41 @@ def reference_invariant_hull(A, S: Subspace, tol=DEFAULT_TOL) -> Subspace:
             return grown
         current = grown
     return current
+
+
+def reference_controllable_split(A, B, tol=DEFAULT_TOL, scale: float = 0.0):
+    """The hull and complement route that `geometry._controllable_split`
+    replaced by one staircase: T1 grown from span_of(B) by the projected
+    staircase (each step maps the newest block by A, projects the image off
+    T1, cuts its SVD against max(1, ||A||) and projects the kept block off
+    T1 once more), then T2 = complement(T1) by one more SVD, and the
+    spectrum A induces on T2."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    hull_scale = max(1.0, float(np.linalg.norm(A, 2))) if n else 1.0
+    Q = Z = span_of(B, tol, scale).basis
+    while 0 < Q.shape[1] < n:
+        Y = A @ Z
+        Y -= Q @ (Q.T @ Y)
+        U, s, _ = np.linalg.svd(Y, full_matrices=False)
+        r = _numerical_rank(s, (n, n), tol.rank_rel, hull_scale)
+        if r == 0:
+            break
+        Z = U[:, :r] - Q @ (Q.T @ U[:, :r])
+        Q = np.concatenate((Q, Z), axis=1)
+    T2 = complement(Subspace(n, Q), tol).basis
+    fixed = np.linalg.eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
+    return Q, T2, fixed
+
+
+def reference_combine(mode: str, S1: Subspace, S2: Subspace, tol=DEFAULT_TOL) -> Subspace:
+    """The SVD route `subspaces.combine` takes for every pair of operands,
+    a full or trivial one included: the span of both bases for a sum, and
+    B1 ker((I - P2) B1) for an intersection."""
+    if mode == "sum":
+        return span_of(np.hstack([S1.basis, S2.basis]), tol)
+    B1, B2 = S1.basis, S2.basis
+    return Subspace(S1.ambient_dim, B1 @ kernel_of(B1 - B2 @ (B2.T @ B1), tol, scale=1.0).basis)
 
 
 def reference_vstar(q: Quadruple, tol=DEFAULT_TOL) -> list:

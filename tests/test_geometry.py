@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvals
 
-from geodd import InstanceSpec, exact, generate_instance, geometry, solve
+from geodd import InstanceSpec, exact, generate_instance, geometry, solve, subspaces
 from geodd.errors import (
     BoundarySpectrum,
     FixedSpectrumOutsideRegion,
@@ -104,6 +104,25 @@ class TestStarRecursions:
         assert V.is_trivial
         dims = [s.dim for s in seq]
         assert dims[0] == 2 and dims[1] == 1 and dims[2] == 0
+
+    @pytest.mark.parametrize("fn", [vstar, sstar])
+    def test_recursion_stops_at_dimension_zero(self, monkeypatch, fn):
+        # more outputs than inputs: V* = 0, and S* = X on the dual. Once an
+        # iterate V_k (of the dual, for sstar) is 0, its successor is 0
+        # too (V_{k+1} <= V_k), appended without a step: the SVDs are the
+        # norm of [A; C], the span of [B; D] and two per step up to V_k
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            q = random_quadruple(rng, n=int(rng.integers(2, 7)), m=1, p=3)
+            if fn is sstar:
+                q = q.dual()
+            calls = count_calls(monkeypatch, "_gesdd", subspaces)
+            X, seq = fn(q, return_sequence=True)
+            monkeypatch.undo()
+            dims = [S.dim for S in seq]
+            k = dims.index(0 if fn is vstar else q.n)
+            assert X.dim == dims[k] and len(seq) == k + 2 and dims[-1] == dims[-2]
+            assert len(calls) == 2 + 2 * k
 
     def test_no_input_reduces_to_unobservable_core(self):
         rng = np.random.default_rng(0)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.linalg import schur
 from scipy.linalg.lapack import dgees, dgesdd_lwork
 
-from geodd import exact, subspaces
+from geodd import InstanceSpec, exact, generate_instance, subspaces
 from geodd.errors import BoundarySpectrum, DimensionMismatch, InvalidInput
-from geodd.geometry import KEEP_MARGIN
+from geodd.geometry import KEEP_MARGIN, _controllable_split
 from geodd.subspaces import (
+    DEFAULT_TOL,
     ORTHO_TOL,
     StabilityRegion,
     Subspace,
@@ -28,6 +29,7 @@ from geodd.subspaces import (
     _svd,
     combine,
     complement,
+    containment_residual,
     contains,
     equal,
     extended_ops,
@@ -43,11 +45,14 @@ from helpers import (
     embed,
     failing_dgesdd,
     lapack_builds,
+    lifted_obstruction,
     mat,
     max_angle,
     preimage_span,
     principal_angles,
     rational_as_subspace,
+    reference_combine,
+    reference_controllable_split,
     reference_invariant_hull,
 )
 
@@ -672,9 +677,10 @@ class TestInvariantHull:
         # order 24: every third coupling is 2^-25, about 3.5 times the rank
         # cutoff 1e-10 * ||A|| * n, and one is 0, so 20 states are
         # reachable. Integer shears hide the chain and keep A exact in
-        # floats. Each weak step divides the roundoff left along the basis
-        # by its coupling; the re-projection of every new block keeps the
-        # basis within the orthonormality guard.
+        # floats. A projected staircase divides the roundoff left along the
+        # basis by each weak coupling; here every block is a product of
+        # orthonormal factors, so the basis stays within the orthonormality
+        # guard whatever the couplings.
         n = 24
         couplings = np.ones(n - 1)
         couplings[2::3] = 2.0 ** -25
@@ -726,6 +732,168 @@ class TestInvariantHull:
             exact.invariant_hull_smallest(exact.from_array(A), exact.from_array(M)),
             A.shape[0])
         assert max_angle(got, want) <= 1e-8
+
+
+def _generated_pairs():
+    """(name, A, B, k) on generated plants in both domains: (A, B),
+    (A^T, C^T), (A, H) and (A^T, E^T) of each plant (k = 0), and (A, H)
+    and (A^T, E^T) of the same plant with a stable k-state block appended,
+    which the disturbance does not reach and the regulated output does not
+    see: a planted uncontrollable block of k modes, at -1 or -2 in
+    continuous time and at +-0.5 in discrete time."""
+    for domain in ("continuous", "discrete"):
+        for n in (4, 8, 12, 16):
+            for seed in range(5):
+                plant = generate_instance(InstanceSpec(seed=seed, n=n, time_domain=domain))
+                for what, A, B in (("A, B", plant.A, plant.B), ("A^T, C^T", plant.A.T, plant.C.T),
+                                   ("A, H", plant.A, plant.H), ("A^T, E^T", plant.A.T, plant.E.T)):
+                    yield f"{domain} n={n} seed={seed} ({what})", A, B, 0
+                rng = np.random.default_rng(seed)
+                k = int(rng.integers(1, 5))
+                lifted = lifted_obstruction(plant, k, domain, rng)
+                for what, A, B in (("A, H", lifted.A, lifted.H),
+                                   ("A^T, E^T", lifted.A.T, lifted.E.T)):
+                    yield f"{domain} n={n} seed={seed} lifted by {k} ({what})", A, B, k
+
+
+def _backward_error(M: np.ndarray, lam) -> float:
+    """sigma_min(M - lam I): the norm of the smallest perturbation of M
+    that has lam as an eigenvalue."""
+    return np.linalg.svd(M - lam * np.eye(M.shape[0]), compute_uv=False)[-1]
+
+
+# The fixed spectra of the two routes are the spectra of T2^T A T2 on two
+# bases of nearly the same subspace: each mode of one route must be an
+# exact eigenvalue of the other route's map perturbed by at most this
+# much, relative to max(1, ||A||). (Measured: 2.0e-11 on `_generated_pairs`.)
+SPECTRUM_BACKWARD_ERROR = 1e-9
+
+
+class TestStaircaseSplit:
+    """`geometry._controllable_split` on one orthogonal staircase against
+    the hull and complement route it replaced
+    (`helpers.reference_controllable_split`)."""
+
+    @staticmethod
+    def assert_split(A, B, planted=0, exact_dim=None):
+        T1, T2, fixed = _controllable_split(A, B, DEFAULT_TOL)
+        R1, R2, ref_fixed = reference_controllable_split(A, B)
+        n = A.shape[0]
+        scale = max(1.0, np.linalg.norm(A, 2))
+        T = np.hstack([T1, T2])
+        # [T1 T2] is orthogonal, and both pass the orthonormality guard
+        assert np.linalg.norm(T.T @ T - np.eye(n), 2) <= 1e-12
+        for basis in (T1, T2):
+            Subspace._adopt(n, basis.copy())  # raises unless orthonormal
+        # im B <= T1, and T1 is A-invariant
+        assert containment_residual(span_of(B), Subspace(n, T1)) <= 1e-12
+        invariance = np.linalg.norm(A @ T1 - T1 @ (T1.T @ A @ T1), 2) / scale
+        if planted:
+            # the rank cut of the staircase: a kept step with a small
+            # singular value leaves more than roundoff here, in both routes
+            assert invariance <= DEFAULT_TOL.rank_rel * n
+        else:
+            assert invariance <= 1e-12
+        assert T1.shape[1] == R1.shape[1]
+        assert T2.shape[1] >= planted
+        if exact_dim is not None:
+            assert T1.shape[1] == exact_dim
+        assert len(fixed) == len(ref_fixed) == T2.shape[1]
+        for lams, M in ((fixed, R2.T @ A @ R2), (ref_fixed, T2.T @ A @ T2)):
+            for lam in lams:
+                assert _backward_error(M, lam) <= SPECTRUM_BACKWARD_ERROR * scale
+
+    def test_generated_and_planted_pairs(self):
+        for name, A, B, k in _generated_pairs():
+            exact_dim = exact.shape(exact.invariant_hull_smallest(
+                exact.from_array(A), exact.from_array(B)))[1]
+            try:
+                self.assert_split(A, B, k, exact_dim)
+            except AssertionError as err:
+                raise AssertionError(name) from err
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(planted_pairs())
+    def test_integer_planted_pairs(self, pair):
+        A, M, k = pair
+        exact_dim = exact.shape(exact.invariant_hull_smallest(
+            exact.from_array(A), exact.from_array(M)))[1]
+        assert exact_dim <= k
+        self.assert_split(A, M, exact_dim=exact_dim)
+
+    def test_empty_input_and_state(self):
+        A = np.array([[1.0, 2.0], [0.0, 3.0]])
+        T1, T2, fixed = _controllable_split(A, np.zeros((2, 0)), DEFAULT_TOL)
+        assert T1.shape == (2, 0) and np.array_equal(T2, np.eye(2))
+        assert sorted(fixed) == [1.0, 3.0]
+        T1, T2, fixed = _controllable_split(np.zeros((0, 0)), np.zeros((0, 2)), DEFAULT_TOL)
+        assert T1.shape == T2.shape == (0, 0) and fixed.size == 0
+
+    def test_largest_contained_equals_the_complement_route(self):
+        # the largest A-invariant subspace in ker E (the unobservable
+        # subspace of (E, A)), against the complement of the smallest
+        # A^T-invariant subspace containing im E^T
+        for name, A, B, k in _generated_pairs():
+            S = kernel_of(B.T)
+            got = invariant_hull("largest_contained", A.T, S)
+            want = complement(reference_invariant_hull(A, complement(S)))
+            assert got.dim == want.dim and got.dim >= k, name
+            assert_orthonormal(got)
+            if got.dim:
+                assert principal_angles(got, want).max() <= 1e-8, name
+
+    @pytest.mark.parametrize("lifted", [0, 2])
+    def test_split_takes_no_complement_svd(self, monkeypatch, lifted):
+        # the SVD of B, the norm of A, then one SVD per staircase step: one
+        # per dimension that a step adds, and a last one that adds nothing
+        # unless T1 fills the space; no complement is computed
+        plant = generate_instance(InstanceSpec(seed=3, n=6))
+        if lifted:
+            plant = lifted_obstruction(plant, lifted, "continuous", np.random.default_rng(3))
+        calls = count_calls(monkeypatch, "_gesdd", subspaces)
+        T1, T2, _ = _controllable_split(plant.A, plant.H, DEFAULT_TOL)
+        assert T2.shape[1] == lifted
+        assert [M.shape for M, *_ in calls[:2]] == [plant.H.shape, plant.A.shape]
+        # a single disturbance column: each step maps a one-column block
+        # into the W left, and the last one into the uncontrollable block
+        widths = list(range(plant.n - 1, lifted, -1)) + ([lifted] if lifted else [])
+        assert [M.shape for M, *_ in calls[2:]] == [(k, 1) for k in widths]
+
+
+class TestLatticeIdentities:
+    """`combine` with a full or trivial operand: X + S = X, 0 + S = S,
+    X ^ S = S and 0 ^ S = 0, by dimension alone."""
+
+    @staticmethod
+    def operands(rng, n):
+        return [Subspace.full(n), Subspace.trivial(n),
+                span_of(rng.standard_normal((n, int(rng.integers(1, n))))),
+                span_of(rng.standard_normal((n, n)))]
+
+    def test_full_or_trivial_operand_is_returned_itself(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        X, zero = Subspace.full(5), Subspace.trivial(5)
+        S = span_of(rng.standard_normal((5, 2)))
+        calls = count_calls(monkeypatch, "_gesdd", subspaces)
+        # (S1, S2, S1 + S2, S1 ^ S2)
+        for S1, S2, total, common in ((S, X, X, S), (X, S, X, S), (S, zero, S, zero),
+                                      (zero, S, S, zero), (X, zero, X, zero),
+                                      (zero, X, X, zero)):
+            assert combine("sum", S1, S2) is total
+            assert combine("intersect", S1, S2) is common
+        assert not calls
+
+    def test_every_result_equals_the_svd_route(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            n = int(rng.integers(2, 8))
+            for S1 in self.operands(rng, n):
+                for S2 in self.operands(rng, n):
+                    for mode in ("sum", "intersect"):
+                        got = combine(mode, S1, S2)
+                        want = reference_combine(mode, S1, S2)
+                        assert_orthonormal(got)
+                        assert equal(got, want), (mode, S1.dim, S2.dim)
 
 
 class TestModalSubspace:
