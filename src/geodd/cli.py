@@ -19,8 +19,16 @@ the pure-Python encoder that `indent` selects (a matrix of floats from
 one repr of a list), and a test pins the bytes. It writes over an
 existing file in place, without truncating it on open, and then cuts a
 regular file to the new text's length, so a longer stale file leaves no
-tail. An `--output` that cannot be written (a missing directory, a
-directory, a full device) is an error naming the path (exit 1).
+tail. The encoded text goes to the descriptor by raw `os.write` calls,
+repeated over partial writes, and the cut is an `os.ftruncate` on the same
+descriptor: no text file object stands between. An `--output` that cannot
+be written (a missing directory, a directory, a full device) is an error
+naming the path (exit 1), and the descriptor is closed.
+
+`parse_problem` and `parse_compensator` build each matrix once, check its
+shape and finiteness once, and hand it to `PlantSystem._checked` or
+`Compensator._checked`, which freeze it in place: one copy and one
+finiteness pass per matrix, with the messages of those checks.
 
 The parser is built once per process and reused by every `main` call.
 `main` reads a subcommand's arguments with that command's own parser, as
@@ -143,8 +151,8 @@ def parse_problem(path: str):
     except InvalidInput as err:
         # the profile's messages begin with the field they reject
         raise ParseError(f"{path}: tolerances.{err}") from None
-    sys_ = PlantSystem(**matrices, time_domain=domain)
-    return sys_, tol
+    # the matrices are fresh, finite and fit the dims: the plant adopts them
+    return PlantSystem._checked(matrices, domain), tol
 
 
 def problem_dict(sys_: PlantSystem) -> dict:
@@ -194,7 +202,8 @@ def parse_compensator(path: str) -> Compensator:
         if mats[name].shape != shape:
             raise ShapeError(
                 f"matrix {name} has shape {mats[name].shape}, expected {shape}")
-    return Compensator(**mats)
+    # the matrices are fresh, finite and fit together: the compensator adopts them
+    return Compensator._checked(mats["A_c"], mats["B_c"], mats["C_c"], mats["D_c"])
 
 
 def compensator_dict(comp: Compensator) -> dict:
@@ -295,18 +304,25 @@ def _write_result(path, payload):
     """Print the result text, or write it over the file at `path` in place:
     opened without O_TRUNC, since ext4 starts writeback when a file that
     holds data is truncated to zero, and cut to the new length afterwards
-    when it is a regular file (not /dev/null or a pipe). ParseError when
-    the file cannot be written."""
+    when it is a regular file (not /dev/null or a pipe). The encoded text
+    goes to the descriptor by `os.write`, repeated until every byte is
+    taken, with no file object between. ParseError when the file cannot
+    be written; the descriptor is closed either way."""
     text = _json_text(payload)
     if not path:
         print(text)
         return
+    data = (text + "\n").encode("utf-8")
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text + "\n")
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            left = memoryview(data)
+            while left:
+                left = left[os.write(fd, left):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as err:
         raise ParseError(f"{path}: cannot write: {err.strerror}") from None
 
@@ -387,8 +403,8 @@ def run(command: str, args) -> int:
         comp = parse_compensator(args.compensator)
         if not comp.order and not comp.C_c.shape[0]:
             # order 0 and m = 0: the file holds no width, so it is the plant's
-            comp = Compensator(comp.A_c, np.zeros((0, sys_.p)), comp.C_c,
-                               np.zeros((0, sys_.p)))
+            comp = Compensator._checked(comp.A_c, np.zeros((0, sys_.p)), comp.C_c,
+                                        np.zeros((0, sys_.p)))
         if comp.B_c.shape[1] != sys_.p:
             raise ShapeError(f"matrix B_c has {comp.B_c.shape[1]} columns, "
                              f"the plant has p = {sys_.p} measurements")

@@ -16,13 +16,22 @@ recursion, as the independent oracle that S* is checked against.
 One projected system (`_nulling_system`) answers how far a map lands from
 (V x 0) + im [B; D]: the residual, the minimum-norm friend, which depends
 on V alone, and Uv, for output nulling and for coupling conditions (a) and
-(b) in `lattice`, (b) on the dual.
+(b) in `lattice`, (b) on the dual. Its factorization (I - P_V, the SVD of
+M = [(I - P_V) B; D], its rank and ||[B; D]||) is taken once per subspace:
+`_nulling_factors` keeps it on V, keyed by the quadruple and the tolerance
+profile, when the quadruple is frozen (a plant's, or the dual of one), so
+(a) and the friend of V*, and (b) and the injection of S*, share one SVD.
+`subspaces.complement` keeps its result on the subspace too, so (b) and
+the injection see the same S*^perp. A quadruple that a caller builds may
+hold writable arrays, and nothing is kept for it.
 
 The star recursion (`_nulling_steps`) runs on the orthogonal complement
 (Moore & Laub 1978): each step carries V_k together with an orthonormal
 basis of V_k^perp and takes two small SVDs, so S*, the complement of V* of
 the dual, comes off the dual recursion with no complement SVD. It stops at
-an iterate V_k = 0, whose successor is 0 without a step.
+an iterate V_k = 0, whose successor is 0 without a step, and takes
+||[A; C]|| only when a step first needs its rank cutoff: a recursion that
+stops at its first step (V* = X, or S* = 0) takes none.
 
 Reachable subspaces, and with them every fixed spectrum, come from
 controllable splits (`_controllable_split`): one full SVD of B and the
@@ -117,14 +126,21 @@ class Quadruple:
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(self, name, M)
 
+    # Whether no one can change the matrices: the quadruple holds a plant's
+    # read-only copies, or views of them. Only then may a subspace keep what
+    # it derives from the quadruple (`_nulling_factors`). A quadruple built
+    # by a caller may hold the caller's writable arrays, so it is not frozen.
+    _frozen = False
+
     @classmethod
-    def _checked(cls, A, B, C, D) -> "Quadruple":
+    def _checked(cls, A, B, C, D, frozen: bool = False) -> "Quadruple":
         """A quadruple on float matrices that have passed these checks
         already (the transposes of a quadruple's, or a plant's), built
-        without repeating them."""
+        without repeating them; `frozen` as above."""
         q = object.__new__(cls)
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(q, name, M)
+        object.__setattr__(q, "_frozen", frozen)
         return q
 
     @property
@@ -142,11 +158,12 @@ class Quadruple:
     def dual(self) -> "Quadruple":
         """The dual quadruple (A^T, C^T, B^T, D^T), built on the first call
         and kept. Its matrices are transposed views of this one's, so it
-        cannot go stale."""
+        cannot go stale, and it is frozen when this one is."""
         try:
             return self.__dict__["_dual"]
         except KeyError:
-            d = Quadruple._checked(self.A.T, self.C.T, self.B.T, self.D.T)
+            d = Quadruple._checked(self.A.T, self.C.T, self.B.T, self.D.T,
+                                   self._frozen)
             object.__setattr__(self, "_dual", d)
             return d
 
@@ -204,21 +221,51 @@ def _twin_matrix(kind: str, M: np.ndarray) -> np.ndarray:
     return M if kind == OUTPUT_NULLING else M.T
 
 
+def _nulling_factors(V: Subspace, q: Quadruple, tol: ToleranceProfile):
+    """(Pv, U, s, Vh, r): Pv = I - P_V and the SVD U diag(s) Vh of
+    M = [Pv B; D], cut at rank r = the count of singular values above
+    rank_rel * max(s_0, ||[B; D]||) * max(shape); U, s and Vh are None when
+    q has no inputs. They depend on V, q and tol alone, so when q is frozen
+    they are kept on V, keyed by q and tol, and every nulling system of V
+    over q shares them: conditions (a) and (b), the nulling check, the
+    friend and Uv. V's basis is read-only, as every subspace's is. An entry
+    holds q itself, so q's id, its key, is not reused while it is kept."""
+    kept = None
+    if q._frozen:
+        kept = V.__dict__.get("_nulling_factors")
+        if kept is None:
+            kept = {}
+            object.__setattr__(V, "_nulling_factors", kept)
+        entry = kept.get((id(q), tol))
+        if entry is not None:
+            return entry[1]
+    Pv = np.eye(q.n) - V.projector()
+    factors = (Pv, None, None, None, 0)
+    if q.m:
+        M = np.concatenate((Pv @ q.B, q.D))
+        U, s, Vh = _svd(M, True)
+        r = _numerical_rank(s, M.shape, tol.rank_rel, _norm2(_bd(q)))
+        factors = (Pv, U, s, Vh, r)
+    if kept is not None:
+        for M in factors[:4]:
+            if M is not None:
+                M.setflags(write=False)
+        kept[id(q), tol] = (q, factors)
+    return factors
+
+
 def _nulling_system(V: Subspace, q: Quadruple, N: np.ndarray,
                     tol: ToleranceProfile):
     """How far does im N, N = [N_x; N_y], land from (V x 0_Y) + im [B; D],
-    the orthogonal sum of V x 0_Y and im M, M = [(I - P_V) B; D]? One SVD
-    of M, cut at rank_rel * max(s_0, ||[B; D]||) * max(shape), gives the
-    minimum-norm W with M W = -R, R = [(I - P_V) N_x; N_y]; Uv = ker M, the
-    inputs that keep V and null the output; and the residual ||R - P_M R||.
+    the orthogonal sum of V x 0_Y and im M, M = [(I - P_V) B; D]? The SVD
+    of M (`_nulling_factors`) gives the minimum-norm W with M W = -R,
+    R = [(I - P_V) N_x; N_y]; Uv = ker M, the inputs that keep V and null
+    the output; and the residual ||R - P_M R||.
     """
-    Pv = np.eye(q.n) - V.projector()
-    M = np.concatenate((Pv @ q.B, q.D))
+    Pv, U, s, Vh, r = _nulling_factors(V, q, tol)
     R = np.concatenate((Pv @ N[:q.n], N[q.n:]))
-    if q.m == 0:
+    if U is None:
         return np.zeros((0, N.shape[1])), np.zeros((0, 0)), _norm2(R)
-    U, s, Vh = _svd(M, True)
-    r = _numerical_rank(s, M.shape, tol.rank_rel, _norm2(_bd(q)))
     UR = U[:, :r].T @ R
     return -Vh[:r].T @ (UR / s[:r, None]), Vh[r:].T, _norm2(R - U[:, :r] @ UR)
 
@@ -253,7 +300,7 @@ def _nulling_steps(q: Quadruple, tol: ToleranceProfile) -> list:
     the preimage it replaces.
     """
     n, p = q.n, q.p
-    MT_norm = _norm2(_stacked_output(q))
+    MT_norm = None  # ||[A; C]||, taken when a step first needs its cutoff
     BD = span_of(_bd(q), tol).basis
     BD_x, BD_y = BD[:n], BD[n:]
     V, Z = np.eye(n), np.zeros((n, 0))
@@ -273,6 +320,8 @@ def _nulling_steps(q: Quadruple, tol: ToleranceProfile) -> list:
             Vnext, Z = np.eye(n), np.zeros((n, 0))
         else:
             _, s, Vh = _svd(LM, True)
+            if MT_norm is None:
+                MT_norm = _norm2(_stacked_output(q))
             r = _numerical_rank(s, (n + p, n), tol.rank_rel, MT_norm)
             Vnext, Z = Vh[r:].T, Vh[:r].T
         steps.append((Vnext, Z))

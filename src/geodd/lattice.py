@@ -94,7 +94,22 @@ class PlantSystem:
                 )
         if self.time_domain not in (CONTINUOUS, DISCRETE):
             raise InvalidInput(f"unknown time domain {self.time_domain!r}")
-        for name, M in mats.items():
+        self._adopt(mats)
+
+    @classmethod
+    def _checked(cls, mats: dict, time_domain: str) -> "PlantSystem":
+        """A plant on the float matrices `mats` (by name) that the caller
+        has just built and checked as `__post_init__` does (finite, of
+        consistent shapes, a known time domain) and keeps no reference to:
+        they are frozen in place, not copied, and not checked again."""
+        sys_ = object.__new__(cls)
+        object.__setattr__(sys_, "time_domain", time_domain)
+        sys_._adopt(mats)
+        return sys_
+
+    def _adopt(self, mats: dict):
+        for name in _MATRIX_SHAPES:
+            M = mats[name]
             M.setflags(write=False)
             object.__setattr__(self, name, M)
         object.__setattr__(self, "_memo", {})
@@ -135,12 +150,12 @@ class PlantSystem:
     def control_quadruple(self) -> Quadruple:
         """(A, B, E, D_z), one object per plant."""
         return self._memoized(("quadruple", "control"), lambda: Quadruple._checked(
-            self.A, self.B, self.E, self.D_z))
+            self.A, self.B, self.E, self.D_z, frozen=True))
 
     def observation_quadruple(self) -> Quadruple:
         """(A, H, C, G_y), one object per plant."""
         return self._memoized(("quadruple", "observation"), lambda: Quadruple._checked(
-            self.A, self.H, self.C, self.G_y))
+            self.A, self.H, self.C, self.G_y, frozen=True))
 
 
 def extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
@@ -154,8 +169,8 @@ def extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
         GG = np.concatenate((sys.G_y, sys.G_z))
         for M in (BH, DG, CE, GG):
             M.setflags(write=False)
-        return (Quadruple._checked(sys.A, BH, sys.E, DG),
-                Quadruple._checked(sys.A, sys.H, CE, GG))
+        return (Quadruple._checked(sys.A, BH, sys.E, DG, frozen=True),
+                Quadruple._checked(sys.A, sys.H, CE, GG, frozen=True))
 
     return sys._memoized(("quadruple", "extended"), build)
 

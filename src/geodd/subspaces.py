@@ -3,7 +3,9 @@
 A subspace is stored as an ambient dimension plus a matrix with orthonormal
 columns (zero columns for the trivial subspace). All operations are pure
 functions of immutable inputs; the only global state is the dgesdd and
-dgees workspace sizes below, functions of shape alone.
+dgees workspace sizes below, functions of shape alone. A subspace keeps
+its orthogonal complement per tolerance profile (`complement`), a function
+of its own read-only basis, and lives and dies with it.
 
 Rank decisions use a relative singular-value cutoff, comparisons use
 principal angles computed through their sines (well conditioned for the
@@ -378,12 +380,23 @@ def kernel_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Sub
 
 
 def complement(S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """Orthogonal complement."""
-    if S.is_trivial:
-        return Subspace.full(S.ambient_dim)
-    if S.is_full:
-        return Subspace.trivial(S.ambient_dim)
-    return kernel_of(S.basis.T, tol)
+    """Orthogonal complement, kept on S per tolerance profile: every call
+    on one subspace returns the same object, and with it what that object
+    keeps (`geometry._nulling_factors`)."""
+    kept = S.__dict__.get("_complement")
+    if kept is None:
+        kept = {}
+        object.__setattr__(S, "_complement", kept)
+    C = kept.get(tol)
+    if C is None:
+        if S.is_trivial:
+            C = Subspace.full(S.ambient_dim)
+        elif S.is_full:
+            C = Subspace.trivial(S.ambient_dim)
+        else:
+            C = kernel_of(S.basis.T, tol)
+        kept[tol] = C
+    return C
 
 
 def _check_same_ambient(S1: Subspace, S2: Subspace):

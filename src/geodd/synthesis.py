@@ -94,7 +94,20 @@ class Compensator:
             raise DimensionMismatch("inconsistent compensator dimensions")
         if Dc.shape != (Cc.shape[0], Bc.shape[1]):
             raise DimensionMismatch("D_c must be m x p")
-        for name, M in zip(names, mats):
+        self._adopt(mats)
+
+    @classmethod
+    def _checked(cls, A_c, B_c, C_c, D_c) -> "Compensator":
+        """A compensator on float matrices that the caller has just built
+        and checked as `__post_init__` does (finite, of consistent shapes)
+        and keeps no reference to: they are frozen in place, not copied,
+        and not checked again."""
+        comp = object.__new__(cls)
+        comp._adopt((A_c, B_c, C_c, D_c))
+        return comp
+
+    def _adopt(self, mats):
+        for name, M in zip(("A_c", "B_c", "C_c", "D_c"), mats):
             M.setflags(write=False)
             object.__setattr__(self, name, M)
 

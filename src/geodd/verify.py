@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import exact
 from .errors import (
@@ -32,6 +33,7 @@ from .subspaces import (
     Subspace,
     ToleranceProfile,
     _eigvals,
+    _linalg_state,
     _norm2,
     _qr_basis,
     containment_residual,
@@ -120,6 +122,22 @@ def certify_decoupled(cl: ClosedLoop, tol: ToleranceProfile = DEFAULT_TOL,
     return DecouplingCertificate(I_hat, inv_resid, ker_resid, feed, tol.residual)
 
 
+@_linalg_state("Singular matrix")
+def _stack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy.linalg.solve(a, b), bit for bit, for a complex stack a of
+    square matrices and a real matrix b shared by every member: the solve
+    gufunc that numpy calls, without its wrapper. A singular member raises
+    LinAlgError("Singular matrix"), as numpy's does."""
+    return _umath_linalg.solve(a, b, signature="DD->D")
+
+
+@_linalg_state("SVD did not converge")
+def _stack_singular_values(G: np.ndarray) -> np.ndarray:
+    """numpy.linalg.svd(G, compute_uv=False), bit for bit, for a complex
+    stack G: the gufunc that numpy calls, without its wrapper."""
+    return _umath_linalg.svd(G, signature="D->d")
+
+
 def transfer_samples(cl: ClosedLoop, lambdas) -> float:
     """Max spectral norm of the disturbance-to-output response
     G(lambda) = C^ (lambda I - A^)^-1 H^ + G^ over the sample points.
@@ -128,12 +146,15 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
     otherwise SampleTooCloseToPole names the first one that does not. The
     matrices lambda I - A^ of all the points are written into one stack, as
     0.0 - A^ with each lambda then added to its diagonal; the stack's
-    resolvents are solved in one `numpy.linalg.solve` and their norms taken
-    with one `numpy.linalg.svd(..., compute_uv=False)`. The result equals
-    that of solving one point at a time on lambda * eye(n) - A^, bit for
-    bit; the stack differs from that product only in the sign of some exact
-    zeros. A point that clears the spectrum but leaves lambda I - A^
-    singular raises LinAlgError("Singular matrix"), as numpy's solve does.
+    resolvents are solved in one call of the solve gufunc behind
+    `numpy.linalg.solve` (`_stack_solve`), and their norms taken in one call
+    of the gufunc behind `numpy.linalg.svd(..., compute_uv=False)`
+    (`_stack_singular_values`), each in numpy.linalg's error state. The
+    result equals that of solving one point at a time on
+    lambda * eye(n) - A^ with numpy.linalg, bit for bit; the stack differs
+    from that product only in the sign of some exact zeros. A point that
+    clears the spectrum but leaves lambda I - A^ singular raises
+    LinAlgError("Singular matrix"), as numpy's solve does.
     """
     lams = np.array([complex(lam) for lam in lambdas], dtype=complex)
     poles = cl.spectrum
@@ -146,11 +167,11 @@ def transfer_samples(cl: ClosedLoop, lambdas) -> float:
     stack = np.empty((lams.size, n, n), dtype=complex)
     np.subtract(0.0, cl.A_hat, out=stack)
     stack.reshape(lams.size, n * n)[:, ::n + 1] += lams[:, None]
-    G = cl.C_hat @ np.linalg.solve(stack, cl.H_hat) + cl.G_hat
+    G = cl.C_hat @ _stack_solve(stack, cl.H_hat) + cl.G_hat
     if not G.size:
         return 0.0
     # fmax skips a NaN norm, as the max of a running maximum does
-    return float(np.fmax.reduce(np.linalg.svd(G, compute_uv=False).max(axis=-1),
+    return float(np.fmax.reduce(_stack_singular_values(G).max(axis=-1),
                                 initial=0.0))
 
 

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -27,7 +29,9 @@ from geodd.cli import (
     parse_problem,
     problem_dict,
 )
-from geodd.errors import ParseError, ShapeError
+from geodd.errors import DimensionMismatch, InvalidInput, ParseError, ShapeError
+from geodd.lattice import PlantSystem
+from geodd.synthesis import Compensator
 from geodd.verify import (
     InstanceSpec,
     default_lambdas,
@@ -469,6 +473,129 @@ class TestCompensatorFiles:
             assert json.loads((tmp_path / "v.json").read_text())["verdict"] == "verified"
 
 
+PLANT_MATRICES = ("A", "B", "H", "C", "D_y", "G_y", "E", "D_z", "G_z")
+
+# An edit of the minimal plant file, and the message it exits 1 with ("{path}"
+# stands for the file's path); a message ending in ":" is a prefix, the rest
+# being numpy's words.
+PLANT_ERRORS = [
+    ({"A": [[float("nan")]]}, "matrix A contains non-finite entries"),
+    ({"G_z": [[float("inf")]]}, "matrix G_z contains non-finite entries"),
+    ({"C": [float("-inf")]}, "matrix C contains non-finite entries"),
+    ({"A": [["x"]]}, "matrix A is not numeric:"),
+    ({"B": [[1.0], [2.0]]}, "matrix B has shape (2, 1), expected (1, 1)"),
+    ({"E": [1.0, 2.0]}, "matrix E has 2 entries, expected 1x1"),
+    ({"H": [[[1.0]]]}, "matrix H has shape (1, 1, 1), expected (1, 1)"),
+    ({"dims": {"n": -1, "m": 1, "q": 1, "p": 1, "r": 1}},
+     "{path}: dims.n must be a nonnegative integer"),
+    ({"dims": {"n": 1, "m": 1, "q": 1, "p": 1}}, "{path}: dims.r must be a nonnegative integer"),
+    ({"dims": {"n": 2, "m": 1, "q": 1, "p": 1, "r": 1}},
+     "matrix A has shape (1, 1), expected (2, 2)"),
+    ({"time_domain": "sampled"}, "{path}: time_domain must be continuous or discrete"),
+]
+
+# A compensator file for the minimal plant, and the message it exits 1 with.
+COMPENSATOR_ERRORS = [
+    ({"A_c": [[float("nan")]], "B_c": [[1.0]], "C_c": [[1.0]], "D_c": [[0.0]]},
+     "matrix A_c contains non-finite entries"),
+    ({"A_c": "abc", "B_c": [[1.0]], "C_c": [[1.0]], "D_c": [[0.0]]},
+     "matrix A_c is not numeric:"),
+    ({"A_c": [1.0], "B_c": [[1.0]], "C_c": [[1.0]], "D_c": [[0.0]]},
+     "matrix A_c must be a list of rows, got 1-D"),
+    ({"A_c": [[1.0]], "B_c": [[1.0], [2.0]], "C_c": [[1.0]], "D_c": [[0.0]]},
+     "matrix B_c has shape (2, 1), expected (1, 1)"),
+    ({"A_c": [[1.0]], "B_c": [[1.0]], "C_c": [[1.0]], "D_c": [[0.0, 1.0]]},
+     "matrix D_c has shape (1, 2), expected (1, 1)"),
+    ({"A_c": [[1.0]], "B_c": [[1.0]], "C_c": [[1.0, 2.0]], "D_c": [[0.0]]},
+     "matrix C_c has shape (1, 2), expected (1, 1)"),
+    ({"A_c": [[1.0]], "B_c": [[1.0]], "C_c": [[1.0]]},
+     "{path}: missing compensator matrix 'D_c'"),
+    ({"A_c": [[1.0]], "B_c": [[1.0, 0.0]], "C_c": [[1.0]], "D_c": [[0.0, 0.0]]},
+     "matrix B_c has 2 columns, the plant has p = 1 measurements"),
+]
+
+
+def _expect_exit_1(argv, path, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    message = message.format(path=path)
+    assert captured.out == ""
+    if message.endswith(":"):
+        assert captured.err.startswith(f"error: {message} ")
+    else:
+        assert captured.err == f"error: {message}\n"
+
+
+class TestValidateOnce:
+    """`parse_problem` and `parse_compensator` check each matrix once and
+    hand it to the plant or compensator without a second copy or check:
+    every file error keeps its message and exit code, the matrices are
+    read-only and separate, and the public constructors still check."""
+
+    @pytest.mark.parametrize("edit, message", PLANT_ERRORS)
+    def test_plant_file_errors_exit_1(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(dict(minimal_problem_dict(), **edit)))
+        _expect_exit_1(["analyze", "--input", str(path)], path, message, capsys)
+
+    @pytest.mark.parametrize("comp, message", COMPENSATOR_ERRORS)
+    def test_compensator_file_errors_exit_1(self, tmp_path, capsys, comp, message):
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps(minimal_problem_dict()))
+        path = tmp_path / "comp.json"
+        path.write_text(json.dumps(comp))
+        _expect_exit_1(["verify", "--input", str(plant), "--compensator", str(path)],
+                       path, message, capsys)
+
+    def test_parsed_matrices_are_read_only_and_separate(self, tmp_path, solved_plant):
+        plant_path, result = solved_plant
+        data = json.loads(Path(plant_path).read_text())
+        # one matrix flat and row-major, reshaped by the parser
+        data["B"] = [x for row in data["B"] for x in row]
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(data))
+        sys_, _ = parse_problem(str(flat))
+        comp = parse_compensator(str(tmp_path / "result.json"))
+        for obj, names, built in (
+                (sys_, PLANT_MATRICES,
+                 PlantSystem(**{name: getattr(sys_, name) for name in PLANT_MATRICES},
+                             time_domain=sys_.time_domain)),
+                (comp, ("A_c", "B_c", "C_c", "D_c"),
+                 Compensator(*(result["compensator"][name]
+                               for name in ("A_c", "B_c", "C_c", "D_c"))))):
+            mats = [getattr(obj, name) for name in names]
+            assert not any(M.flags.writeable for M in mats)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(mats, 2))
+            with pytest.raises(ValueError):
+                mats[0][0, 0] = 1.0
+            # the arrays a public constructor builds, bit for bit and in layout
+            for name, M in zip(names, mats):
+                ref = getattr(built, name)
+                assert M.dtype == ref.dtype and M.shape == ref.shape
+                assert M.flags.c_contiguous and M.tobytes() == ref.tobytes()
+
+    def test_public_constructors_still_check(self):
+        good = {name: np.array(minimal_problem_dict()[name], dtype=float)
+                for name in PLANT_MATRICES}
+        with pytest.raises(InvalidInput, match="^A contains non-finite entries$"):
+            PlantSystem(**dict(good, A=[[np.nan]]))
+        with pytest.raises(DimensionMismatch, match=r"^B has shape \(2, 1\), expected \(1, 1\)$"):
+            PlantSystem(**dict(good, B=[[1.0], [2.0]]))
+        with pytest.raises(InvalidInput, match="unknown time domain"):
+            PlantSystem(**good, time_domain="sampled")
+        plant = PlantSystem(**good)
+        assert good["A"].flags.writeable and not np.shares_memory(plant.A, good["A"])
+        mats = [np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])]
+        with pytest.raises(InvalidInput, match="^B_c contains non-finite entries$"):
+            Compensator(mats[0], [[np.inf]], mats[2], mats[3])
+        with pytest.raises(DimensionMismatch, match="^inconsistent compensator dimensions$"):
+            Compensator(mats[0], [[1.0], [2.0]], mats[2], mats[3])
+        with pytest.raises(DimensionMismatch, match="^D_c must be m x p$"):
+            Compensator(*mats[:3], [[0.0, 0.0]])
+        comp = Compensator(*mats)
+        assert mats[0].flags.writeable and not np.shares_memory(comp.A_c, mats[0])
+
+
 # A file that `parse_problem` and `parse_compensator` must refuse with a
 # ParseError (exit 1), and the words its message gives after the path.
 UNREADABLE = {
@@ -616,16 +743,15 @@ class TestWorkPerCommand:
         cl = geodd.close_loop(sys_, comp)
         lambdas = default_lambdas(cl, 3 * 64 + 5)
         batches = []
-        solve = np.linalg.solve
+        solve = verify._stack_solve
 
         def recording_solve(a, b):
-            if np.ndim(a) == 3:
-                batches.append(len(a))
+            batches.append(a.shape)
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(verify, "_stack_solve", recording_solve)
         assert transfer_samples(cl, lambdas) <= 1e-8
-        assert batches == [3 * 64 + 5]
+        assert batches == [(3 * 64 + 5, cl.order, cl.order)]
 
 
 def _reference_text(obj) -> str:
@@ -783,6 +909,59 @@ class TestResultWriter:
         finally:
             os.close(reader)
         assert text == _reference_text({"a": [1.0]}) + "\n"
+
+    @pytest.mark.parametrize("k", [1, 7, 4096])
+    def test_partial_writes_are_resumed(self, tmp_path, monkeypatch, k):
+        # os.write may take fewer bytes than it is given: the writer writes
+        # the rest, over a longer stale file
+        payload = {"rows": [[0.1 * i + j for i in range(12)] for j in range(8)], "k": k}
+        text = (_reference_text(payload) + "\n").encode()
+        real_write = os.write
+        taken = []
+
+        def short_write(fd, data):
+            taken.append(real_write(fd, bytes(data[:k])))
+            return taken[-1]
+
+        monkeypatch.setattr(cli.os, "write", short_write)
+        out = tmp_path / "out.json"
+        out.write_bytes(b"x" * (len(text) + 1000))
+        cli._write_result(str(out), payload)
+        monkeypatch.undo()
+        assert out.read_bytes() == text
+        assert len(taken) == -(-len(text) // k)
+
+    @pytest.mark.parametrize("failing", ["write", "ftruncate"])
+    def test_failed_write_exits_1_and_closes_the_file(self, tmp_path, monkeypatch, capsys,
+                                                      failing):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 10)
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def spy_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            if path == str(out):
+                opened.append(fd)
+            return fd
+
+        def spy_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        def fail(*args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli.os, "open", spy_open)
+        monkeypatch.setattr(cli.os, "close", spy_close)
+        monkeypatch.setattr(cli.os, failing, fail)
+        code = main(_command_argv(tmp_path, "analyze") + ["--output", str(out)])
+        monkeypatch.undo()
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: cannot write: {os.strerror(errno.EIO)}\n"
+        assert len(opened) == 1 and opened[0] in closed
 
     def test_writer_never_truncates_on_open(self, tmp_path, monkeypatch):
         flags = []

@@ -40,6 +40,7 @@ from geodd.subspaces import (
     DEFAULT_TOL,
     StabilityRegion,
     Subspace,
+    ToleranceProfile,
     combine,
     complement,
     contains,
@@ -359,6 +360,69 @@ class TestNullingSystem:
         assert np.allclose(cert.F_or_G, -np.linalg.solve(D, C), rtol=0, atol=1e-13)
         _, Uv, _ = _nulling_system(V, q, np.zeros((4, 0)), DEFAULT_TOL)
         assert Uv.shape == (2, 0)
+
+
+def _bits(*arrays):
+    return [(M.shape, M.tobytes()) for M in arrays]
+
+
+class TestKeptFactorizations:
+    """A subspace keeps its complement per tolerance profile, and the
+    factorization of its nulling system per quadruple of a plant and
+    profile. Nothing it keeps is read for another quadruple or profile, and
+    a quadruple that a caller builds is not kept at all."""
+
+    def test_never_read_for_another_quadruple_or_profile(self):
+        rng = np.random.default_rng(17)
+        plants = [generate_instance(InstanceSpec(seed=seed, n=5,
+                                                 solvable_by_construction=False))
+                  for seed in (1, 2)]
+        quads = [q for plant in plants
+                 for q in (plant.control_quadruple(), plant.observation_quadruple().dual())]
+        # the second profile cuts more singular values of M
+        tols = [DEFAULT_TOL, ToleranceProfile(rank_rel=0.05)]
+        kept = [Subspace(5, np.linalg.qr(rng.standard_normal((5, k)))[0]) for k in (0, 2, 3, 5)]
+        seen = set()
+        # the second round reads what the first kept
+        for _ in range(2):
+            for q in quads:
+                N = rng.standard_normal((q.n + q.p, 3))
+                for tol in tols:
+                    for V in kept:
+                        fresh = Subspace(5, V.basis)
+                        got = _nulling_system(V, q, N, tol)
+                        assert _bits(*got[:2]) == _bits(*_nulling_system(fresh, q, N, tol)[:2])
+                        assert got[2] == _nulling_system(fresh, q, N, tol)[2]
+                        seen.add((V.dim, got[0].tobytes()))
+                        assert complement(V, tol) is complement(V, tol)
+                        assert _bits(complement(V, tol).basis) == _bits(complement(fresh, tol).basis)
+                        assert input_containing_residual(V, q.dual(), tol) == \
+                            input_containing_residual(fresh, q.dual(), tol)
+        # the quadruples and profiles give different systems, so a reused
+        # factorization would have shown
+        assert len(seen) > 2 * len(quads) * len(tols)
+
+    def test_caller_quadruple_is_not_kept(self):
+        rng = np.random.default_rng(11)
+        A, B, C, D = (rng.integers(-3, 4, size=shape).astype(float)
+                      for shape in ((4, 4), (4, 2), (2, 4), (2, 2)))
+        q = Quadruple(A, B, C, D)
+        assert q.B is B and B.flags.writeable
+        V, S = (Subspace(4, np.linalg.qr(rng.standard_normal((4, k)))[0]) for k in (2, 3))
+
+        N = rng.standard_normal((6, 2))
+
+        def results(V, S, q):
+            return (output_nulling_residual(V, q), input_containing_residual(S, q),
+                    _nulling_system(V, q, N, DEFAULT_TOL)[0].tobytes())
+
+        before = results(V, S, q)
+        B += rng.integers(-3, 4, size=B.shape)
+        after = results(V, S, q)
+        fresh = results(Subspace(4, V.basis), Subspace(4, S.basis),
+                        Quadruple(A.copy(), B.copy(), C.copy(), D.copy()))
+        assert after == fresh
+        assert all(x != y for x, y in zip(after, before))
 
 
 class TestReachDetect:

@@ -40,6 +40,7 @@ from geodd.subspaces import (
     Subspace,
     ToleranceProfile,
     combine,
+    complement,
     equal,
     relate,
     span_of,
@@ -1037,11 +1038,40 @@ class TestWorkPerSolve:
         # complement, a star recursion that reaches 0 takes no step after
         # it, a combine with a full or trivial operand takes none, a friend
         # on the whole state space splits no quotient, and the stabilizing
-        # gains take none
+        # gains take none; a nulling system of a subspace over a plant's
+        # quadruple shares that subspace's one factorization, and a star
+        # recursion that stops at its first step takes no norm of [A; C]
         plant = generate_instance(InstanceSpec(seed=0, n=6))
         calls = count_calls(monkeypatch, "_gesdd", subspaces)
         solve(plant, "p2")
-        assert len(calls) == 74
+        assert len(calls) == 70
+
+    def test_p1_solve_shares_each_nulling_factorization(self, monkeypatch):
+        # V* = X and S* = 0 on this plant. Coupling condition (a) and the
+        # friend of V* are nulling systems of V* over the control quadruple,
+        # (b) and the injection of S* nulling systems of the one S*^perp
+        # over the dual observation quadruple: one SVD of each M =
+        # [(I - P_V) B; D] serves both
+        plant = generate_instance(InstanceSpec(seed=2, n=4))
+        fresh = replace(plant)
+        Vst, Sst = analysis_pair(plant, "p1")
+        ctrl, dual = plant.control_quadruple(), plant.observation_quadruple().dual()
+        Sperp = complement(Sst)
+        M = [np.concatenate(((np.eye(q.n) - V.projector()) @ q.B, q.D))
+             for V, q in ((Vst, ctrl), (Sperp, dual))]
+        systems = count_calls(monkeypatch, "_nulling_system", geometry, lattice)
+        calls = count_calls(monkeypatch, "_gesdd", subspaces)
+        solve(plant, "p1")
+        assert [(V is Vst, V is Sperp, q is ctrl, q is dual) for V, q, *_ in systems] == [
+            (True, False, True, False), (False, True, False, True)] * 2
+        assert [sum(x.shape == Mk.shape and np.array_equal(x, Mk) for x, *_ in calls)
+                for Mk in M] == [1, 1]
+        # the whole solve, star pair included: 32 before the factorizations
+        # were shared and the star recursions, which stop at their first
+        # step here, took ||[A; C]|| up front
+        calls.clear()
+        solve(fresh, "p1")
+        assert len(calls) == 26
 
     def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))

@@ -243,8 +243,8 @@ def _generated_loops(plants):
 
 class TestSamplerReference:
     """`transfer_samples` fills its stack in place and calls numpy.linalg's
-    solve and svd gufuncs; it returns the float of numpy's formula, bit for
-    bit."""
+    solve and svd gufuncs directly; it returns the float of numpy's formula,
+    bit for bit."""
 
     def test_generated_loops(self, scalar_channel_plant, mismatched_plant):
         plants = [scalar_channel_plant, mismatched_plant]
@@ -281,6 +281,39 @@ class TestSamplerReference:
             transfer_samples(cl, lambdas)
         with pytest.raises(SampleTooCloseToPole, match=r"sample \(5\.000000001\+0j\)"):
             transfer_samples(missed, lambdas + [5.0 + 1e-9])
+
+
+class TestSamplerKernels:
+    """`_stack_solve` and `_stack_singular_values` are numpy.linalg's solve
+    and svd(compute_uv=False) on a complex stack, bit for bit, errors
+    included."""
+
+    @pytest.mark.parametrize("n, q, count", [(0, 1, 3), (1, 1, 1), (3, 2, 5), (8, 1, 20),
+                                             (12, 3, 7), (40, 2, 4)])
+    def test_equal_numpy_bit_for_bit(self, n, q, count):
+        rng = np.random.default_rng(n * 100 + count)
+        a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        b = rng.standard_normal((n, q))
+        x = verify._stack_solve(a, b)
+        want = np.linalg.solve(a, b)
+        assert x.dtype == want.dtype and x.shape == want.shape
+        assert x.tobytes() == want.tobytes()
+        for G in (x, rng.standard_normal((count, 3, 5)) + 0j):
+            got = verify._stack_singular_values(G)
+            ref = np.linalg.svd(G, compute_uv=False)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_singular_member_raises_as_numpy_does(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 3, 3)) + 0j
+        a[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+        b = rng.standard_normal((3, 2))
+        for solve in (verify._stack_solve, np.linalg.solve):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                solve(a, b)
+        # the kernel leaves numpy's error state as it found it
+        with pytest.warns(RuntimeWarning):
+            np.log(np.zeros(1))
 
 
 def _bits(points):
