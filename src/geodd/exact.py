@@ -17,18 +17,22 @@ denominator at integer grid points.
 
 The solve path's K family (`_star_family`) runs on integers end to end:
 the plant's float arrays are scaled by one common denominator, V*^perp is S*
-of the dual quadruple, so the growing recursion gives both subspaces, and
-the family, an RREF of a system whose row space depends on V*^perp and
+of the dual quadruple, so one growing recursion gives both subspaces. That
+recursion (`_sstar_small`) eliminates only the p x (k + m) system
+[C S_k  D] per step, where `sstar_span` intersects S_k x U with ker [C D]
+in n + m rows; its iterates span the same subspaces, with other columns.
+The family, an RREF of a system whose row space depends on V*^perp and
 S* + W alone, not on their bases, equals that of `affine_k_family` on
 `vstar_span`, `sstar_span` and `kernel`.
 
 The results are those of the same computations on Fractions: `rref`,
-`kernel`, `solve_affine`, the K family of `affine_k_family` and the
-`det_grid_scan` witness are canonical and equal them entry for entry; the
-spans of `vstar_span`, `sstar_span`, `intersect_spans` and
-`invariant_hull_smallest` have the columns the Fraction
-computation picks, each times a positive factor, so `clear_denominators`
-gives the same integers.
+`kernel`, `solve_affine`, the K family of `affine_k_family` (and of
+`_star_family`) and the `det_grid_scan` witness are canonical and equal
+them entry for entry; the spans of `vstar_span`, `sstar_span`,
+`intersect_spans` and `invariant_hull_smallest` have the columns the
+Fraction computation picks, each times a positive factor, so
+`clear_denominators` gives the same integers. The spans inside
+`_star_family` are not among them: only their subspaces are the same.
 """
 
 from __future__ import annotations
@@ -289,6 +293,31 @@ def _sstar(A, B, C, D, m: int) -> list:
     return S
 
 
+def _sstar_small(A, B, C, D, m: int) -> list:
+    """S* by the growing recursion on the small system [C S_k  D].
+
+    The columns of S_k are independent, so (S_k x U) meet ker [C D] is
+    blockdiag(S_k, I) ker [C S_k  D], and its image under [A B] is
+    [A S_k  B] ker [C S_k  D] (Basile & Marro 1992). A step eliminates the
+    p x (k + m) system alone, where `_sstar` intersects in n + m rows. Each
+    iterate spans the one of `_sstar`, so the step count and S* are the
+    same; the columns may differ.
+    """
+    n = len(A)
+    B_cols = _transposed(B, m)
+    S = []
+    for _ in range(n + 1):
+        CS = [_apply(C, s) for s in S]
+        rows = [[cs[i] for cs in CS] + d for i, d in enumerate(D)]
+        AS_B = list(zip(*[_apply(A, s) for s in S], *B_cols))
+        Snext = _independent([_primitive(_apply(AS_B, v))
+                              for v in _null(rows, len(S) + m)])
+        if len(Snext) == len(S):
+            return S
+        S = Snext
+    return S
+
+
 def _bareiss(rows: list) -> int:
     """Determinant of a square integer matrix (rows consumed) by
     fraction-free elimination."""
@@ -433,7 +462,10 @@ def sstar_span(A: RatMat, B: RatMat, C: RatMat, D: RatMat) -> RatMat:
     """Smallest input-containing subspace, by the exact growing recursion.
 
     Same recursion as `geometry.sstar`: from S_0 = 0 it takes at most n
-    strict steps (attained), from S_1 = B ker D at most n-1.
+    strict steps (attained), from S_1 = B ker D at most n-1. This is the
+    literal recursion, S_{k+1} = [A B]((S_k x U) meet ker [C D]) (`_sstar`),
+    kept as the oracle: its columns are the Fraction reference's, and the
+    twin's faster `_sstar_small` is checked against its spans.
     """
     return _span(_sstar(*_scaled(A, B, C, D)[0], shape(B)[1]), shape(A)[0])
 
@@ -581,16 +613,17 @@ def _star_family(A, B, H, C, G_y, E, D_z, G_z):
     which changes no star subspace. The annihilator of V* x 0_Z is
     V*^perp x Z, and V*^perp is S* of the dual quadruple (A^T, E^T, B^T,
     D_z^T) (Basile & Marro 1992), so both subspaces come from the growing
-    recursion `_sstar`, without the shrinking one or a kernel. The family
-    depends on V*^perp and S* alone, not on their bases (`_k_family`), so it
-    equals the one `affine_k_family` builds from `vstar_span`, `sstar_span`
-    and `kernel`.
+    recursion on the small system [C S_k  D] (`_sstar_small`), without the
+    shrinking recursion, a kernel of [C D] or an intersection. Its bases
+    differ from those of `_sstar`, but the family depends on V*^perp and
+    S* alone (`_k_family`), so it equals the one `affine_k_family` builds
+    from `vstar_span`, `sstar_span` and `kernel`, entry for entry.
     """
     n, m, q, p, r = A.shape[0], B.shape[1], H.shape[1], C.shape[0], E.shape[0]
     (A, B, H, C, G_y, E, D_z, G_z), d = _float_integers(A, B, H, C, G_y, E, D_z, G_z)
-    v_perp = _sstar(_transposed(A, n), _transposed(E, n), _transposed(B, m),
-                    _transposed(D_z, m), r)
-    s_star = _sstar(A, H, C, G_y, q)
+    v_perp = _sstar_small(_transposed(A, n), _transposed(E, n), _transposed(B, m),
+                          _transposed(D_z, m), r)
+    s_star = _sstar_small(A, H, C, G_y, q)
     N = [z + [0] * r for z in v_perp] + _unit_columns(r, n)
     T = [s + [0] * q for s in s_star] + _unit_columns(q, n)
     Atil = [a + h for a, h in zip(A, H)] + [e + g for e, g in zip(E, G_z)]

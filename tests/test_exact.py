@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from geodd import exact
@@ -336,6 +337,25 @@ def quadruples(draw):
 def test_star_spans_are_positive_multiples_of_fraction_reference(quad):
     assert_positive_multiples(exact.vstar_span(*quad), reference_vstar_span(*quad))
     assert_positive_multiples(exact.sstar_span(*quad), reference_sstar_span(*quad))
+    # the twin's recursion on [C S_k  D] spans the literal recursion's S*
+    (A, B, C, D), _ = exact._scaled(*quad)
+    grown = exact._span(exact._sstar_small(A, B, C, D, exact.shape(B)[1]), len(A))
+    literal = exact.sstar_span(*quad)
+    assert exact.contains_span(literal, grown) and exact.contains_span(grown, literal)
+
+
+QUADRUPLE_CORNERS = {
+    "p = 0": lambda A, B, C, D: not C,
+    "m = 0": lambda A, B, C, D: not B[0],
+    "zero D": lambda A, B, C, D: bool(C and B[0]) and not any(x for row in D for x in row),
+}
+
+
+@pytest.mark.parametrize("corner", sorted(QUADRUPLE_CORNERS))
+def test_quadruples_reach_empty_sides_and_a_zero_d(corner):
+    holds = QUADRUPLE_CORNERS[corner]
+    find(quadruples(), lambda quad: holds(*quad),
+         settings=settings(derandomize=True, database=None))
 
 
 @PROPERTY

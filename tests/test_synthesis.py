@@ -500,6 +500,25 @@ class TestExactTwinOnDemand:
         assert rep.condition("F").note == "family construction failed"
         assert rep.family is None
 
+    def test_twin_grows_its_stars_without_the_literal_intersection(
+            self, monkeypatch, singular_family_plant):
+        # each star step eliminates [C S_k  D] alone: no (n + m)-row
+        # intersection of S_k x U with ker [C D]; three obstructions, the
+        # last a static one (n = 0)
+        lifted = lifted_obstruction(singular_family_plant, 5, CONTINUOUS,
+                                    np.random.default_rng(7))
+        static = next(plant for plant in _static_plants(CONTINUOUS)
+                      if (plant.m, plant.q, plant.p, plant.r) == (2, 2, 2, 2)
+                      and exact_star_family(plant) is not None)
+
+        def forbidden(*args):
+            raise AssertionError("literal intersection in the exact twin")
+
+        monkeypatch.setattr(exact, "_intersect", forbidden)
+        for plant in (singular_family_plant, lifted, static):
+            assert exact_star_family(plant) is not None
+            assert assert_star_family_is_reference(plant) is None
+
 
 class TestSynthesize:
     def test_formula_collapse_with_zero_parameters(self, scalar_channel_plant):
