@@ -4,16 +4,18 @@ Mirrors the floating subspace operations so tests can replay every
 computation without roundoff, and supplies the exact determinant grid used
 to confirm that a feedback family is singular everywhere.
 
-Fraction matrices (lists of rows of Fractions) are the interface only:
-every matrix that goes in or comes out is one. Inside, everything runs on
-Python integers. A span is scale-free per column, so spans are integer column
-matrices, each column a primitive vector (divided by its content). The
-plant matrices of one call are scaled by one common denominator d, which
-changes none of their star subspaces; the coupling system of
-`affine_k_family` is multiplied through by d^2. The eliminations divide
-each updated row by its content (`det` uses Bareiss's exact division
-instead), and the determinant grid runs on integer members over a common
-denominator at integer grid points.
+Fraction matrices are the interface only: every matrix that comes out is
+a `RatMat`, a list of rows of Fractions that also records its column
+count, so a 0 x k matrix keeps k and flows through the general code. A
+plain list of rows goes in too; its width is that of its first row.
+Inside, everything runs on Python integers. A span is scale-free per
+column, so spans are integer column matrices, each column a primitive
+vector (divided by its content). The plant matrices of one call are
+scaled by one common denominator d, which changes none of their star
+subspaces; the coupling system of `affine_k_family` is multiplied through
+by d^2. The eliminations divide each updated row by its content (`det`
+uses Bareiss's exact division instead), and the determinant grid runs on
+integer members over a common denominator at integer grid points.
 
 The solve path's K family (`_star_family`) runs on integers end to end:
 the plant's float arrays are scaled by one common denominator, V*^perp is S*
@@ -44,7 +46,14 @@ from operator import mul
 
 import numpy as np
 
-RatMat = list  # list of rows, each a list of Fraction
+class RatMat(list):
+    """A list of rows, each a list of Fractions, that also records its
+    column count, so that a matrix with no rows keeps its width."""
+    __slots__ = ("ncols",)
+
+    def __init__(self, rows, ncols: int):
+        super().__init__(rows)
+        self.ncols = ncols
 
 
 def fr(x) -> Fraction:
@@ -56,11 +65,11 @@ def fr(x) -> Fraction:
     return Fraction(float(x))
 
 
-def _shared(rows, convert) -> RatMat:
-    """[[convert(x) for x in row] for row in rows], one call per distinct x:
-    Fractions are immutable, so equal entries can share one, and matrices
-    hold few distinct values while building a Fraction costs far more than
-    a lookup."""
+def _shared(rows, convert, ncols: int) -> RatMat:
+    """[[convert(x) for x in row] for row in rows], a RatMat with ncols
+    columns, one call per distinct x: Fractions are immutable, so equal
+    entries can share one, and matrices hold few distinct values while
+    building a Fraction costs far more than a lookup."""
     seen = {}
     out = []
     for row in rows:
@@ -71,49 +80,45 @@ def _shared(rows, convert) -> RatMat:
                 f = seen[x] = convert(x)
             fracs.append(f)
         out.append(fracs)
-    return out
+    return RatMat(out, ncols)
 
 
 def from_array(A) -> RatMat:
-    return _shared(np.atleast_2d(np.asarray(A)).tolist(), fr)
+    A = np.atleast_2d(np.asarray(A))
+    return _shared(A.tolist(), fr, A.shape[1])
 
 
 def to_array(M: RatMat) -> np.ndarray:
-    if not M:
-        return np.zeros((0, 0))
-    return np.array([[float(x) for x in row] for row in M], dtype=float)
+    return np.array([[float(x) for x in row] for row in M],
+                    dtype=float).reshape(shape(M))
 
 
 def shape(M: RatMat):
-    return (len(M), len(M[0]) if M else 0)
+    """(rows, columns); a plain list of rows has the width of its first row."""
+    return len(M), getattr(M, "ncols", len(M[0]) if M else 0)
 
 
 def zeros(r: int, c: int) -> RatMat:
-    return [[Fraction(0)] * c for _ in range(r)]
+    return RatMat([[Fraction(0)] * c for _ in range(r)], c)
 
 
 def eye(n: int) -> RatMat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return RatMat([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n)
 
 
 def transpose(M: RatMat) -> RatMat:
     r, c = shape(M)
-    return [[M[i][j] for i in range(r)] for j in range(c)]
+    return RatMat([[row[j] for row in M] for j in range(c)], r)
 
 
 def hstack(*mats: RatMat) -> RatMat:
-    mats = [M for M in mats if shape(M)[1] > 0 or shape(M)[0] > 0]
-    if not mats:
-        return []
     rows = shape(mats[0])[0]
-    return [sum((M[i] for M in mats), []) for i in range(rows)]
+    return RatMat([sum((M[i] for M in mats), []) for i in range(rows)],
+                  sum(shape(M)[1] for M in mats))
 
 
 def vstack(*mats: RatMat) -> RatMat:
-    out = []
-    for M in mats:
-        out.extend([row[:] for row in M])
-    return out
+    return RatMat([row[:] for M in mats for row in M], shape(mats[0])[1])
 
 
 # -- the integer core ---------------------------------------------------------
@@ -151,17 +156,18 @@ def _scaled(*mats: RatMat):
 
 def _columns(B: RatMat) -> list:
     """The columns of B, each scaled to its primitive integer multiple."""
-    return [_primitive(_cleared(col)[0]) for col in zip(*B)]
+    return [_primitive(_cleared(col)[0]) for col in transpose(B)]
 
 
-def _fractions(rows, den: int = 1) -> RatMat:
-    """The integer rows divided by den, as Fractions."""
-    return _shared(rows, lambda x: Fraction(x, den))
+def _fractions(rows, ncols: int, den: int = 1) -> RatMat:
+    """The integer rows, which have ncols columns, divided by den, as
+    Fractions."""
+    return _shared(rows, lambda x: Fraction(x, den), ncols)
 
 
 def _span(cols: list, n: int) -> RatMat:
     """The n x k Fraction matrix whose columns are the integer `cols`."""
-    return _fractions(zip(*cols)) if cols else [[] for _ in range(n)]
+    return transpose(_fractions(cols, n))
 
 
 def _apply(rows: list, v) -> list:
@@ -356,9 +362,9 @@ def matmul(A: RatMat, B: RatMat) -> RatMat:
         raise ValueError(f"shape mismatch {shape(A)} @ {shape(B)}")
     (Ai,), da = _scaled(A)
     (Bi,), db = _scaled(B)
-    B_cols = list(zip(*Bi))
+    B_cols = _transposed(Bi, cb)
     return _fractions([[sum(map(mul, row, col)) for col in B_cols] for row in Ai],
-                      da * db)
+                      cb, da * db)
 
 
 def _pivots(M: RatMat) -> list:
@@ -374,7 +380,8 @@ def rref(M: RatMat):
     nrows, ncols = shape(M)
     rows = _integer_rows(M)
     pivots = _eliminate(rows, ncols, reduced=True)
-    R = [[Fraction(x, rows[r][c]) for x in rows[r]] for r, c in enumerate(pivots)]
+    R = RatMat([[Fraction(x, rows[r][c]) for x in rows[r]]
+                for r, c in enumerate(pivots)], ncols)
     R.extend([Fraction(0)] * ncols for _ in range(nrows - len(pivots)))
     return R, pivots
 
@@ -406,11 +413,8 @@ def kernel(M: RatMat) -> RatMat:
 
 def colspace(M: RatMat) -> RatMat:
     """Independent columns of M (original columns at the RREF pivots)."""
-    nrows, ncols = shape(M)
-    if ncols == 0:
-        return zeros(nrows, 0)
     pivots = _pivots(M)
-    return [[M[i][c] for c in pivots] for i in range(nrows)]
+    return RatMat([[row[c] for c in pivots] for row in M], len(pivots))
 
 
 def sum_spans(B1: RatMat, B2: RatMat) -> RatMat:
@@ -518,9 +522,10 @@ class ExactAffineFamily:
 
     def member(self, thetas) -> RatMat:
         thetas = [fr(th) for th in thetas]
-        return [[k + sum((th * D[i][j] for th, D in zip(thetas, self.directions)),
-                         Fraction(0))
-                 for j, k in enumerate(row)] for i, row in enumerate(self.K0)]
+        K = [[k + sum((th * D[i][j] for th, D in zip(thetas, self.directions)),
+                      Fraction(0))
+              for j, k in enumerate(row)] for i, row in enumerate(self.K0)]
+        return RatMat(K, shape(self.K0)[1])
 
 
 def _k_family(Ai: list, Bi: list, Ci: list, d: int, T: list, Nr: list,
@@ -533,23 +538,11 @@ def _k_family(Ai: list, Bi: list, Ci: list, d: int, T: list, Nr: list,
     span the same space for any bases of im N^T and im Tb, so the RREF,
     hence K0 and the directions, depend on those two subspaces alone.
     """
-    if not Nr or not T:
-        # no constraint rows: every K works
-        dirs = []
-        for be in range(p):
-            for al in range(m):
-                D = zeros(m, p)
-                D[al][be] = Fraction(1)
-                dirs.append(D)
-        return ExactAffineFamily(zeros(m, p), dirs)
-    Y = [[sum(map(mul, nrow, col)) for col in zip(*Bi)] for nrow in Nr]  # a x m
+    B_cols = _transposed(Bi, m)
+    Y = [[sum(map(mul, nrow, col)) for col in B_cols] for nrow in Nr]  # a x m
     X = [_apply(Ci, tc) for tc in T]                                    # t x p
     NA = [[sum(map(mul, nrow, col)) for col in zip(*Ai)] for nrow in Nr]
     Rm = [_apply(NA, tc) for tc in T]                                   # t x a
-    if m * p == 0:
-        if any(x for col in Rm for x in col):
-            return None
-        return ExactAffineFamily(zeros(m, p), [])
     # Row (j, i): sum_ab Y[i,a] K[a,b] X[b,j] = -d Rm[i,j], K[a,b] at a + m b
     rows = []
     for Xj, Rj in zip(X, Rm):
@@ -559,9 +552,9 @@ def _k_family(Ai: list, Bi: list, Ci: list, d: int, T: list, Nr: list,
     if sol is None:
         return None
     x0, nullb = sol
-    K0 = [[x0[al + m * be] for be in range(p)] for al in range(m)]
+    K0 = RatMat([[x0[al + m * be] for be in range(p)] for al in range(m)], p)
     _, nd = shape(nullb)
-    dirs = [[[nullb[al + m * be][k] for be in range(p)] for al in range(m)]
+    dirs = [RatMat([[nullb[al + m * be][k] for be in range(p)] for al in range(m)], p)
             for k in range(nd)]
     return ExactAffineFamily(K0, dirs)
 
@@ -647,7 +640,7 @@ def det_grid_scan(family: ExactAffineFamily, Dy: RatMat,
     m = shape(family.K0)[0]
     (K0, *dirs), L = _scaled(family.K0, *family.directions)
     (D,), e = _scaled(Dy)
-    D_cols = [[row[j] for row in D] for j in range(m)]
+    D_cols = _transposed(D, m)
 
     def times_dy(K):
         return [[sum(map(mul, row, col)) for col in D_cols] for row in K]

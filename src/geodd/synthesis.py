@@ -478,7 +478,7 @@ def _wellposedness_condition(sys, label, tol):
             if witness is None:
                 return (family, False, 0.0, "confirmed singular on exact grid",
                         None)
-            K = exact.to_array(twin.member(witness)).reshape(family.shape)
+            K = exact.to_array(twin.member(witness))
         K.setflags(write=False)
         return (family, True, wellposedness_margin(K, sys.D_y),
                 "residual holds the well-posedness margin", K)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from geodd import exact
+from geodd import PlantSystem, analyze_p1, exact, verify
 from helpers import (
     equal_span,
     grid_points,
@@ -122,6 +123,65 @@ def test_det_and_solve_affine():
     assert inconsistent is None
 
 
+@pytest.mark.parametrize("r, c", itertools.product(range(3), repeat=2))
+def test_operations_keep_the_shape_numpy_gives(r, c):
+    # Two matrices with no rows compare equal as lists whatever their widths,
+    # so the shapes are asserted, not only the entries. X is a Vandermonde
+    # block on distinct nodes, of rank min(r, c).
+    X = np.array([[(i + 1) ** j / 2 for j in range(c)] for i in range(r)]).reshape(r, c)
+    M, rank = exact.from_array(X), min(r, c)
+    assert exact.shape(M) == X.shape
+    assert exact.to_array(M).shape == X.shape and np.array_equal(exact.to_array(M), X)
+    assert exact.shape(exact.zeros(r, c)) == (r, c)
+    assert exact.shape(exact.eye(c)) == (c, c)
+    assert exact.shape(exact.transpose(M)) == (c, r)
+    stacks = {
+        (r, c): [exact.hstack(M, exact.zeros(r, 0)), exact.hstack(exact.zeros(r, 0), M),
+                 exact.vstack(M, exact.zeros(0, c)), exact.vstack(exact.zeros(0, c), M)],
+        (r, 2 * c): [exact.hstack(M, M)],
+        (2 * r, c): [exact.vstack(M, M)],
+    }
+    for want, mats in stacks.items():
+        assert [exact.shape(S) for S in mats] == [want] * len(mats)
+    product = exact.matmul(exact.zeros(r, 0), exact.zeros(0, c))
+    assert exact.shape(product) == (r, c) and product == exact.zeros(r, c)
+    assert exact.shape(exact.kernel(exact.zeros(0, c))) == (c, c)
+    assert exact.kernel(exact.zeros(0, c)) == exact.eye(c)
+    N = exact.kernel(M)
+    assert exact.shape(N) == (c, c - rank)
+    assert exact.shape(exact.matmul(M, N)) == (r, c - rank)
+    R, pivots = exact.rref(M)
+    assert exact.shape(R) == (r, c) and len(pivots) == rank
+    assert exact.shape(exact.colspace(M)) == (r, rank)
+    assert exact.shape(exact.clear_denominators(M)) == (r, c)
+
+
+def test_exact_coupling_check_agrees_with_analyze_p1_on_every_small_shape():
+    """The generator's exact check of conditions ii and iii,
+    `verify._solvable_measurement`, against `analyze_p1` on every shape
+    with n, m, q, p and r in {0, 1, 2}, in both domains: 486 plants with
+    entries in {-1, 0, 1}, the discrete A divided by 4. With p = 0 there is
+    no measurement, so ker [C G_y] is the whole space."""
+    rng = np.random.default_rng(0)
+
+    def draw(a, b):
+        return rng.integers(-1, 2, size=(a, b)).astype(float)
+
+    wrong = []
+    for domain in ("continuous", "discrete"):
+        for n, m, q, p, r in itertools.product(range(3), repeat=5):
+            A = draw(n, n) / (4 if domain == "discrete" else 1)
+            B, H, C, D_y, G_y = draw(n, m), draw(n, q), draw(p, n), draw(p, m), draw(p, q)
+            E, D_z, G_z = draw(r, n), draw(r, m), draw(r, q)
+            report = analyze_p1(PlantSystem(A, B, H, C, D_y, G_y, E, D_z, G_z,
+                                            time_domain=domain))
+            V = exact.vstar_span(*map(exact.from_array, (A, B, E, D_z)))
+            got = verify._solvable_measurement(A, H, C, G_y, E, G_z, V)
+            if got != (report.condition("ii").passed and report.condition("iii").passed):
+                wrong.append((domain, n, m, q, p, r))
+    assert wrong == []
+
+
 def test_grid_points_are_distinct():
     pts = grid_points(5)
     assert pts == [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
@@ -181,6 +241,18 @@ def test_affine_family_reproduces_hand_solution(singular_family_plant):
     # and the determinant vanishes identically on that family
     Dy = exact.from_array(singular_family_plant.D_y)
     assert exact.det_grid_scan(fam, Dy, 4) is None
+
+
+def test_annihilator_rows_without_entries_leave_k_free():
+    # With no rows in [Atil Btil] an annihilator row has no entries, and
+    # constrains nothing: the family is the one of no annihilator rows,
+    # K0 = 0 and one direction per entry of K.
+    Atil, Btil = exact.zeros(0, 2), exact.zeros(0, 2)
+    Ctil, Tb = exact.from_array([[1, 0]]), exact.eye(2)
+    free = exact.affine_k_family(Atil, Btil, Ctil, Tb, exact.zeros(0, 0))
+    fam = exact.affine_k_family(Atil, Btil, Ctil, Tb, exact.zeros(1, 0))
+    assert (fam.K0, fam.directions) == (free.K0, free.directions)
+    assert exact.shape(fam.K0) == (2, 1) and len(fam.directions) == 2
 
 
 def test_det_grid_scan_finds_witness():
