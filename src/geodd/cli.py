@@ -381,7 +381,7 @@ def run(command: str, args) -> int:
                                         "report": err.report.to_dict()})
             label = "well-posedness obstruction" if obstruction else "infeasible"
             print(f"{label}: {err}", file=_sys.stderr)
-            return EXIT_OBSTRUCTION if obstruction else EXIT_INFEASIBLE
+            return _verdict_exit(err.report.overall)
         samples, stable = _loop_checks(sys_, cl)
         K, F, G = recover_parameters(sys_, comp)
         payload = {

@@ -17,13 +17,13 @@ One projected system (`_nulling_system`) answers how far a map lands from
 (V x 0) + im [B; D]: the residual, the minimum-norm friend, which depends
 on V alone, and Uv, for output nulling and for coupling conditions (a) and
 (b) in `lattice`, (b) on the dual. Its factorization (I - P_V, the SVD of
-M = [(I - P_V) B; D], its rank and ||[B; D]||) is taken once per subspace:
-`_nulling_factors` keeps it on V, keyed by the quadruple and the tolerance
-profile, when the quadruple is frozen (a plant's, or the dual of one), so
-(a) and the friend of V*, and (b) and the injection of S*, share one SVD.
-`subspaces.complement` keeps its result on the subspace too, so (b) and
-the injection see the same S*^perp. A quadruple that a caller builds may
-hold writable arrays, and nothing is kept for it.
+M = [(I - P_V) B; D], its rank and ||[B; D]||) is taken once per subspace
+and quadruple (`_nulling_factors`), and kept in V's memo (`subspaces._kept`),
+keyed by the quadruple and the tolerance profile, so (a) and the friend of
+V*, and (b) and the injection of S*, share one SVD. `subspaces.complement`
+keeps its result in the subspace's memo too, so (b) and the injection see
+the same S*^perp. A quadruple holds read-only copies of its matrices, so
+nothing kept for it can go stale.
 
 The star recursion (`_nulling_steps`) runs on the orthogonal complement
 (Moore & Laub 1978): each step carries V_k together with an orthonormal
@@ -73,6 +73,7 @@ from .subspaces import (
     ToleranceProfile,
     _eigvals,
     _inv,
+    _kept,
     _norm2,
     _numerical_rank,
     _region_part,
@@ -97,9 +98,11 @@ KEEP_MARGIN = 0.05
 SHIFT = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadruple:
-    """State-space quadruple with direct feedthrough."""
+    """State-space quadruple with direct feedthrough. It holds read-only
+    float copies of its matrices, as a plant does, so what is derived from
+    it alone is kept (`subspaces._kept`); it compares and hashes by identity."""
 
     A: np.ndarray
     B: np.ndarray
@@ -107,10 +110,8 @@ class Quadruple:
     D: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
+        A, B, C, D = mats = [np.array(getattr(self, name), dtype=float, ndmin=2)
+                             for name in "ABCD"]
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch("A must be square")
@@ -120,27 +121,20 @@ class Quadruple:
             raise DimensionMismatch("C column count must match A")
         if D.shape != (C.shape[0], B.shape[1]):
             raise DimensionMismatch("D must be p x m")
-        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+        for name, M in zip("ABCD", mats):
             if M.size and not np.isfinite(M).all():
                 raise InvalidInput(f"{name} contains non-finite entries")
-        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+            M.setflags(write=False)
             object.__setattr__(self, name, M)
 
-    # Whether no one can change the matrices: the quadruple holds a plant's
-    # read-only copies, or views of them. Only then may a subspace keep what
-    # it derives from the quadruple (`_nulling_factors`). A quadruple built
-    # by a caller may hold the caller's writable arrays, so it is not frozen.
-    _frozen = False
-
     @classmethod
-    def _checked(cls, A, B, C, D, frozen: bool = False) -> "Quadruple":
-        """A quadruple on float matrices that have passed these checks
-        already (the transposes of a quadruple's, or a plant's), built
-        without repeating them; `frozen` as above."""
+    def _checked(cls, A, B, C, D) -> "Quadruple":
+        """A quadruple on read-only float matrices that have passed these
+        checks already (a plant's, or the transposes of a quadruple's),
+        built without copying or repeating them."""
         q = object.__new__(cls)
-        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+        for name, M in zip("ABCD", (A, B, C, D)):
             object.__setattr__(q, name, M)
-        object.__setattr__(q, "_frozen", frozen)
         return q
 
     @property
@@ -157,15 +151,12 @@ class Quadruple:
 
     def dual(self) -> "Quadruple":
         """The dual quadruple (A^T, C^T, B^T, D^T), built on the first call
-        and kept. Its matrices are transposed views of this one's, so it
-        cannot go stale, and it is frozen when this one is."""
-        try:
-            return self.__dict__["_dual"]
-        except KeyError:
-            d = Quadruple._checked(self.A.T, self.C.T, self.B.T, self.D.T,
-                                   self._frozen)
-            object.__setattr__(self, "_dual", d)
-            return d
+        and kept: read-only transposed views of this one's matrices."""
+        return _kept(self, "dual", _dual, self)
+
+
+def _dual(q: Quadruple) -> Quadruple:
+    return Quadruple._checked(q.A.T, q.C.T, q.B.T, q.D.T)
 
 
 @dataclass(frozen=True)
@@ -225,20 +216,10 @@ def _nulling_factors(V: Subspace, q: Quadruple, tol: ToleranceProfile):
     """(Pv, U, s, Vh, r): Pv = I - P_V and the SVD U diag(s) Vh of
     M = [Pv B; D], cut at rank r = the count of singular values above
     rank_rel * max(s_0, ||[B; D]||) * max(shape); U, s and Vh are None when
-    q has no inputs. They depend on V, q and tol alone, so when q is frozen
-    they are kept on V, keyed by q and tol, and every nulling system of V
-    over q shares them: conditions (a) and (b), the nulling check, the
-    friend and Uv. V's basis is read-only, as every subspace's is. An entry
-    holds q itself, so q's id, its key, is not reused while it is kept."""
-    kept = None
-    if q._frozen:
-        kept = V.__dict__.get("_nulling_factors")
-        if kept is None:
-            kept = {}
-            object.__setattr__(V, "_nulling_factors", kept)
-        entry = kept.get((id(q), tol))
-        if entry is not None:
-            return entry[1]
+    q has no inputs. They depend on V, q and tol alone, so `_nulling_system`
+    keeps them, read-only, in V's memo under (q, tol): every nulling system
+    of V over q shares them (conditions (a) and (b), the nulling check, the
+    friend, Uv)."""
     Pv = np.eye(q.n) - V.projector()
     factors = (Pv, None, None, None, 0)
     if q.m:
@@ -246,11 +227,9 @@ def _nulling_factors(V: Subspace, q: Quadruple, tol: ToleranceProfile):
         U, s, Vh = _svd(M, True)
         r = _numerical_rank(s, M.shape, tol.rank_rel, _norm2(_bd(q)))
         factors = (Pv, U, s, Vh, r)
-    if kept is not None:
-        for M in factors[:4]:
-            if M is not None:
-                M.setflags(write=False)
-        kept[id(q), tol] = (q, factors)
+    for M in factors[:4]:
+        if M is not None:
+            M.setflags(write=False)
     return factors
 
 
@@ -262,7 +241,7 @@ def _nulling_system(V: Subspace, q: Quadruple, N: np.ndarray,
     R = [(I - P_V) N_x; N_y]; Uv = ker M, the inputs that keep V and null
     the output; and the residual ||R - P_M R||.
     """
-    Pv, U, s, Vh, r = _nulling_factors(V, q, tol)
+    Pv, U, s, Vh, r = _kept(V, ("nulling", q, tol), _nulling_factors, V, q, tol)
     R = np.concatenate((Pv @ N[:q.n], N[q.n:]))
     if U is None:
         return np.zeros((0, N.shape[1])), np.zeros((0, 0)), _norm2(R)

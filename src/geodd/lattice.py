@@ -28,6 +28,7 @@ from .subspaces import (
     StabilityRegion,
     Subspace,
     ToleranceProfile,
+    _kept,
     combine,
     complement,
     containment_residual,
@@ -59,10 +60,10 @@ class PlantSystem:
     That makes it sound for the analyses to keep what they derive from the
     plant alone (the control, observation and extended quadruples, the star
     pair, the coupling conditions on it, the well-posedness result and the
-    stabilizability precondition) in a private per-instance memo, so that
-    `analyze_p1`, `analyze_p2` and `solve` on one plant share one
-    computation of each. The memo lives and dies with the object;
-    `dataclasses.replace` returns a plant with an empty one.
+    stabilizability precondition) in the plant's memo (`subspaces._kept`),
+    so that `analyze_p1`, `analyze_p2` and `solve` on one plant share one
+    computation of each. The memo is made on first use and lives and dies
+    with the object; `dataclasses.replace` returns a plant without one.
     """
 
     A: np.ndarray
@@ -112,16 +113,6 @@ class PlantSystem:
             M = mats[name]
             M.setflags(write=False)
             object.__setattr__(self, name, M)
-        object.__setattr__(self, "_memo", {})
-
-    def _memoized(self, key, compute):
-        """compute(), evaluated once per key for this plant. The key must
-        name everything the value depends on besides the plant itself."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
 
     @property
     def n(self) -> int:
@@ -149,30 +140,31 @@ class PlantSystem:
 
     def control_quadruple(self) -> Quadruple:
         """(A, B, E, D_z), one object per plant."""
-        return self._memoized(("quadruple", "control"), lambda: Quadruple._checked(
-            self.A, self.B, self.E, self.D_z, frozen=True))
+        return _kept(self, ("quadruple", "control"), Quadruple._checked,
+                     self.A, self.B, self.E, self.D_z)
 
     def observation_quadruple(self) -> Quadruple:
         """(A, H, C, G_y), one object per plant."""
-        return self._memoized(("quadruple", "observation"), lambda: Quadruple._checked(
-            self.A, self.H, self.C, self.G_y, frozen=True))
+        return _kept(self, ("quadruple", "observation"), Quadruple._checked,
+                     self.A, self.H, self.C, self.G_y)
 
 
 def extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
     """Input-extended (A, [B H], E, [D_z G_z]) and output-extended
     (A, H, [C; E], [G_y; G_z]) quadruples, one pair per plant. Every caller
     shares them, so their stacked matrices are read-only, as the plant's are."""
-    def build():
-        BH = np.concatenate((sys.B, sys.H), axis=1)
-        DG = np.concatenate((sys.D_z, sys.G_z), axis=1)
-        CE = np.concatenate((sys.C, sys.E))
-        GG = np.concatenate((sys.G_y, sys.G_z))
-        for M in (BH, DG, CE, GG):
-            M.setflags(write=False)
-        return (Quadruple._checked(sys.A, BH, sys.E, DG, frozen=True),
-                Quadruple._checked(sys.A, sys.H, CE, GG, frozen=True))
+    return _kept(sys, ("quadruple", "extended"), _extended_quadruples, sys)
 
-    return sys._memoized(("quadruple", "extended"), build)
+
+def _extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
+    BH = np.concatenate((sys.B, sys.H), axis=1)
+    DG = np.concatenate((sys.D_z, sys.G_z), axis=1)
+    CE = np.concatenate((sys.C, sys.E))
+    GG = np.concatenate((sys.G_y, sys.G_z))
+    for M in (BH, DG, CE, GG):
+        M.setflags(write=False)
+    return (Quadruple._checked(sys.A, BH, sys.E, DG),
+            Quadruple._checked(sys.A, sys.H, CE, GG))
 
 
 def disturbance_image_condition(sys: PlantSystem, V: Subspace,
@@ -214,15 +206,21 @@ def coupling_conditions(sys: PlantSystem, V: Subspace, S: Subspace,
 def _star_pair(sys: PlantSystem, tol: ToleranceProfile) -> tuple[Subspace, Subspace]:
     """The star pair (V*, S*): V* of the control quadruple and S* of the
     observation one, once per plant and tolerance profile."""
-    return sys._memoized(("pair", "p1", tol), lambda: (
-        vstar(sys.control_quadruple(), tol), sstar(sys.observation_quadruple(), tol)))
+    return _kept(sys, ("pair", "p1", tol), _build_star_pair, sys, tol)
+
+
+def _build_star_pair(sys: PlantSystem, tol: ToleranceProfile):
+    return vstar(sys.control_quadruple(), tol), sstar(sys.observation_quadruple(), tol)
 
 
 def _star_coupling(sys: PlantSystem, tol: ToleranceProfile) -> dict:
     """`coupling_conditions` on the star pair, once per plant and tolerance
     profile."""
-    return sys._memoized(("coupling", tol), lambda: coupling_conditions(
-        sys, *_star_pair(sys, tol), tol))
+    return _kept(sys, ("coupling", tol), _build_star_coupling, sys, tol)
+
+
+def _build_star_coupling(sys: PlantSystem, tol: ToleranceProfile) -> dict:
+    return coupling_conditions(sys, *_star_pair(sys, tol), tol)
 
 
 def vm_sM(sys: PlantSystem,

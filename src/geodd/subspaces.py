@@ -3,9 +3,10 @@
 A subspace is stored as an ambient dimension plus a matrix with orthonormal
 columns (zero columns for the trivial subspace). All operations are pure
 functions of immutable inputs; the only global state is the dgesdd and
-dgees workspace sizes below, functions of shape alone. A subspace keeps
-its orthogonal complement per tolerance profile (`complement`), a function
-of its own read-only basis, and lives and dies with it.
+dgees workspace sizes below, functions of shape alone. What is derived
+from an immutable object alone is kept in its memo (`_kept`), which lives
+and dies with it: a subspace keeps its orthogonal complement per tolerance
+profile (`complement`), a function of its own read-only basis.
 
 Rank decisions use a relative singular-value cutoff, comparisons use
 principal angles computed through their sines (well conditioned for the
@@ -379,24 +380,34 @@ def kernel_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Sub
     return Subspace._adopt(n, Vh[r:].T)
 
 
+def _kept(obj, key, compute, *args):
+    """compute(*args), once per key for the immutable `obj`: the package's
+    one cache, the `_memo` dict of `obj`, made on first use. The key names
+    everything the value depends on besides `obj` itself; no value is None."""
+    try:
+        memo = obj._memo
+    except AttributeError:
+        memo = {}
+        object.__setattr__(obj, "_memo", memo)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute(*args)
+    return value
+
+
 def complement(S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement, kept on S per tolerance profile: every call
     on one subspace returns the same object, and with it what that object
     keeps (`geometry._nulling_factors`)."""
-    kept = S.__dict__.get("_complement")
-    if kept is None:
-        kept = {}
-        object.__setattr__(S, "_complement", kept)
-    C = kept.get(tol)
-    if C is None:
-        if S.is_trivial:
-            C = Subspace.full(S.ambient_dim)
-        elif S.is_full:
-            C = Subspace.trivial(S.ambient_dim)
-        else:
-            C = kernel_of(S.basis.T, tol)
-        kept[tol] = C
-    return C
+    return _kept(S, tol, _complement, S, tol)
+
+
+def _complement(S: Subspace, tol: ToleranceProfile) -> Subspace:
+    if S.is_trivial:
+        return Subspace.full(S.ambient_dim)
+    if S.is_full:
+        return Subspace.trivial(S.ambient_dim)
+    return kernel_of(S.basis.T, tol)
 
 
 def _check_same_ambient(S1: Subspace, S2: Subspace):

@@ -53,6 +53,7 @@ from .subspaces import (
     _det,
     _eigvals,
     _inv,
+    _kept,
     _norm2,
     _numerical_rank,
     _svd,
@@ -278,24 +279,18 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
     X = Ctil @ Tb
     rhs = -(P @ Atil @ Tb).flatten(order="F")
     m, p = sys.m, sys.p
-    if m * p == 0:
-        if _frobenius(rhs) > tol.residual:
-            raise NoSolution("coupling inclusion infeasible with empty K")
-        return AffineKFamily(np.zeros((m, p)), ())
     # the Kronecker product of X^T and Y: entry (i k, j l) is X[j, i] Y[k, l]
     Op = (X.T[:, None, :, None] * Y[None, :, None, :]).reshape(
         X.shape[1] * Y.shape[0], X.shape[0] * Y.shape[1])
-    if Op.shape[0] == 0:
-        K0_vec, null = np.zeros(m * p), np.eye(m * p)
-    else:
-        # One SVD and one rank cutoff for both: K0 is the pseudo-inverse
-        # solution on the kept singular values, so it is orthogonal to the
-        # directions, the right singular vectors of the dropped ones.
-        U, s, Vh = _svd(Op, True)
-        r = _numerical_rank(s, Op.shape, tol.rank_rel,
-                            _norm2(Btil) * max(_norm2(X), 1.0))
-        K0_vec = Vh[:r].T @ ((U[:, :r].T @ rhs) / s[:r])
-        null = Vh[r:].T
+    # One SVD and one rank cutoff for both: K0 is the pseudo-inverse
+    # solution on the kept singular values, so it is orthogonal to the
+    # directions, the right singular vectors of the dropped ones. An Op
+    # with an empty side gets the SVD kernel's empty or identity factors.
+    U, s, Vh = _svd(Op, True)
+    r = _numerical_rank(s, Op.shape, tol.rank_rel,
+                        _norm2(Btil) * max(_norm2(X), 1.0))
+    K0_vec = Vh[:r].T @ ((U[:, :r].T @ rhs) / s[:r])
+    null = Vh[r:].T
     if _frobenius(Op @ K0_vec - rhs) > tol.residual * (1 + _frobenius(rhs)):
         raise NoSolution("coupling inclusion has no solution")
     K0 = K0_vec.reshape((m, p), order="F")
@@ -391,11 +386,12 @@ def analysis_pair(sys: PlantSystem, problem: str,
     tolerance profile and then read from the plant's memo."""
     if problem == "p1":
         return _star_pair(sys, tol)
+    return _kept(sys, ("pair", problem, tol), _build_p2_pair, sys, tol)
 
-    def build():
-        v_m, s_M = vm_sM(sys, tol)
-        return combine("sum", v_m, s_M, tol), s_M
-    return sys._memoized(("pair", problem, tol), build)
+
+def _build_p2_pair(sys, tol):
+    v_m, s_M = vm_sM(sys, tol)
+    return combine("sum", v_m, s_M, tol), s_M
 
 
 def analyze_p1(sys: PlantSystem,
@@ -419,23 +415,23 @@ def _coupling_checks(conds, labels):
             for label, key in zip(labels, ("a", "b", "c"))]
 
 
-# The note of a well-posedness condition whose K family has no member,
-# float or exact; `_overall` reads it as a numerical failure.
-_FAMILY_FAILED = "family construction failed"
+# The note of the one failure of the well-posedness condition that proves
+# an obstruction; `_overall` reads any other as a numerical failure.
+_SINGULAR = "confirmed singular on exact grid"
 
 
 def _overall(conds) -> str:
     """The verdict on a report's conditions, the well-posedness condition
     last: the first failed condition makes the plant infeasible, unless it
-    is the well-posedness condition, which is an obstruction, or a
-    numerical failure when the family could not be built."""
+    is the well-posedness condition, which is an obstruction when the exact
+    grid proves every member singular and a numerical failure otherwise."""
     failed = [c for c in conds if not c.passed]
     if not failed:
         return "solvable"
     if failed[0] is not conds[-1]:
         return f"infeasible({failed[0].label})"
-    return ("numerical_failure" if failed[0].note == _FAMILY_FAILED
-            else "well_posedness_obstruction")
+    return ("well_posedness_obstruction" if failed[0].note == _SINGULAR
+            else "numerical_failure")
 
 
 def _wellposedness_condition(sys, label, tol):
@@ -445,9 +441,10 @@ def _wellposedness_condition(sys, label, tol):
     When `select_wellposed` finds none, the family is rebuilt in exact
     rational arithmetic (`exact._star_family`) and the determinant is
     evaluated on an exact grid: vanishing everywhere proves the
-    obstruction, and the first grid point where it does not is the member.
-    A family that has no solution in floats or exactly fails the condition
-    as a numerical failure.
+    obstruction, and the first grid point where it does not is the member,
+    if its float margin reaches DELTA_WP, so that `synthesize` accepts it.
+    A family that has no solution in floats or exactly, or an exact member
+    that is singular in floats, fails the condition as a numerical failure.
 
     Returns (family, check, K). The condition depends on the plant alone
     and is the same computation for both problems, so its outcome is kept
@@ -455,37 +452,43 @@ def _wellposedness_condition(sys, label, tol):
     the check when it is read. The family's K0 and the selected K are
     read-only, since every report on the plant shares them.
     """
-    def evaluate():
-        Vst, Sst = analysis_pair(sys, "p1", tol)
-        no_family = None, False, float("nan"), _FAMILY_FAILED, None
-        try:
-            family = k_affine_family(sys, Sst, Vst, tol)
-        except NoSolution:
-            return no_family
-        family.K0.setflags(write=False)
-        try:
-            K = select_wellposed(family, sys.D_y)
-        except AllSingular:
-            twin = exact._star_family(sys.A, sys.B, sys.H, sys.C, sys.G_y,
-                                      sys.E, sys.D_z, sys.G_z)
-            if twin is None:
-                return no_family
-            # I + K D_y is m x m with entries affine in each theta_i, so its
-            # determinant has degree at most m in every theta_i: m + 1 points
-            # per variable prove that it vanishes identically.
-            witness = exact.det_grid_scan(twin, exact.from_array(sys.D_y),
-                                          sys.m + 1)
-            if witness is None:
-                return (family, False, 0.0, "confirmed singular on exact grid",
-                        None)
-            K = exact.to_array(twin.member(witness))
-        K.setflags(write=False)
-        return (family, True, wellposedness_margin(K, sys.D_y),
-                "residual holds the well-posedness margin", K)
-
-    family, passed, residual, note, K = sys._memoized(("wellposed", tol),
-                                                      evaluate)
+    family, passed, residual, note, K = _kept(sys, ("wellposed", tol),
+                                              _evaluate_wellposedness, sys, tol)
     return family, ConditionCheck(label, passed, residual, note), K
+
+
+def _evaluate_wellposedness(sys, tol):
+    Vst, Sst = analysis_pair(sys, "p1", tol)
+    no_family = None, False, float("nan"), "family construction failed", None
+    try:
+        family = k_affine_family(sys, Sst, Vst, tol)
+    except NoSolution:
+        return no_family
+    family.K0.setflags(write=False)
+    try:
+        K = select_wellposed(family, sys.D_y)
+    except AllSingular:
+        twin = exact._star_family(sys.A, sys.B, sys.H, sys.C, sys.G_y,
+                                  sys.E, sys.D_z, sys.G_z)
+        if twin is None:
+            return no_family
+        # I + K D_y is m x m with entries affine in each theta_i, so its
+        # determinant has degree at most m in every theta_i: m + 1 points
+        # per variable prove that it vanishes identically.
+        witness = exact.det_grid_scan(twin, exact.from_array(sys.D_y),
+                                      sys.m + 1)
+        if witness is None:
+            return family, False, 0.0, _SINGULAR, None
+        member = twin.member(witness)
+        K = exact.to_array(member)
+        margin = wellposedness_margin(K, sys.D_y)
+        if margin < DELTA_WP:
+            shown = "; ".join(" ".join(map(str, row)) for row in member)
+            return (family, False, margin, f"exact grid member K = [{shown}] "
+                    "has a float well-posedness margin below DELTA_WP", None)
+    K.setflags(write=False)
+    return (family, True, wellposedness_margin(K, sys.D_y),
+            "residual holds the well-posedness margin", K)
 
 
 _PRECONDITION_NOTE = "(A,B) stabilizable and (C,A) detectable required"
@@ -496,9 +499,12 @@ def _stabilizable_detectable(sys, tol) -> bool:
     uncontrollable mode of (A, B) and none of (A^T, C^T) outside the
     region. It is the pair check of both stabilizing friends, so
     `solve_certified` does not repeat it."""
-    return sys._memoized(("precondition", tol), lambda: not any(
-        sys.region.outside(_controllable_split(A, B, tol)[2])
-        for A, B in ((sys.A, sys.B), (sys.A.T, sys.C.T))))
+    return _kept(sys, ("precondition", tol), _evaluate_precondition, sys, tol)
+
+
+def _evaluate_precondition(sys, tol) -> bool:
+    return not any(sys.region.outside(_controllable_split(A, B, tol)[2])
+                   for A, B in ((sys.A, sys.B), (sys.A.T, sys.C.T)))
 
 
 def _p2_side(sys, kind: str, tol) -> _TwinSplit:
@@ -508,16 +514,18 @@ def _p2_side(sys, kind: str, tol) -> _TwinSplit:
     friend. Conditions D/E read its fixed spectrum, and `solve_certified`
     builds the stabilizing friends from it. Its arrays are read-only,
     since every reader shares them."""
-    def build():
-        vm_sum, s_M = analysis_pair(sys, "p2", tol)
-        sub, quad = ((vm_sum, sys.control_quadruple()) if kind == OUTPUT_NULLING
-                     else (s_M, sys.observation_quadruple()))
-        split = _twin_split(kind, sub, quad, tol)
-        for value in vars(split).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        return split
-    return sys._memoized(("p2 side", kind, tol), build)
+    return _kept(sys, ("p2 side", kind, tol), _build_p2_side, sys, kind, tol)
+
+
+def _build_p2_side(sys, kind: str, tol) -> _TwinSplit:
+    vm_sum, s_M = analysis_pair(sys, "p2", tol)
+    sub, quad = ((vm_sum, sys.control_quadruple()) if kind == OUTPUT_NULLING
+                 else (s_M, sys.observation_quadruple()))
+    split = _twin_split(kind, sub, quad, tol)
+    for value in vars(split).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return split
 
 
 def analyze_p2(sys: PlantSystem,

@@ -45,6 +45,23 @@ def singular_family_plant():
     )
 
 
+@pytest.fixture(params=[0, 1], ids=["n0", "n1"])
+def float_singular_witness_plant(request):
+    # K = [1 k2] satisfies the coupling inclusion, and det(I + K D_y) =
+    # 2^-40 k2: not identically zero, but the exact grid's first nonsingular
+    # member, K = [1 1], has a float well-posedness margin of 4.5e-13, below
+    # DELTA_WP. A static plant, and the same with one stable state.
+    n = request.param
+    return PlantSystem(
+        A=-np.eye(n), B=np.zeros((n, 1)), H=np.zeros((n, 1)), C=np.zeros((2, n)),
+        D_y=[[-1], [2.0 ** -40]],
+        G_y=[[1], [0]],
+        E=np.zeros((1, n)),
+        D_z=[[1]],
+        G_z=[[-1]],
+    )
+
+
 @pytest.fixture
 def scalar_channel_plant():
     # Scalar-channel plant whose decoupling compensators are not exhausted

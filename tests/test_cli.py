@@ -201,6 +201,19 @@ class TestCommands:
         assert result["verdict"] == "well_posedness_obstruction"
         assert "well-posedness" in capsys.readouterr().err
 
+    def test_numerical_failure_exits_4_from_analyze_and_solve(
+            self, tmp_path, float_singular_witness_plant, capsys):
+        plant = write_problem(tmp_path / "witness.json", float_singular_witness_plant)
+        out = tmp_path / "result.json"
+        for problem in ("p1", "p2"):
+            for command in ("analyze", "solve"):
+                code = main([command, "--input", plant, "--problem", problem,
+                             "--output", str(out)])
+                assert code == EXIT_NUMERICAL
+                report = json.loads(out.read_text())["report"]
+                assert report["overall"] == "numerical_failure"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_analyze_trivially_decoupled(self, tmp_path, capsys):
         d = minimal_problem_dict()
         p = tmp_path / "min.json"

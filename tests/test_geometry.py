@@ -368,9 +368,9 @@ def _bits(*arrays):
 
 class TestKeptFactorizations:
     """A subspace keeps its complement per tolerance profile, and the
-    factorization of its nulling system per quadruple of a plant and
-    profile. Nothing it keeps is read for another quadruple or profile, and
-    a quadruple that a caller builds is not kept at all."""
+    factorization of its nulling system per quadruple and profile. Nothing
+    it keeps is read for another quadruple or profile, and a quadruple that
+    a caller builds holds copies, so it is kept like a plant's."""
 
     def test_never_read_for_another_quadruple_or_profile(self):
         rng = np.random.default_rng(17)
@@ -402,12 +402,16 @@ class TestKeptFactorizations:
         # factorization would have shown
         assert len(seen) > 2 * len(quads) * len(tols)
 
-    def test_caller_quadruple_is_not_kept(self):
+    def test_caller_quadruple_is_kept(self, monkeypatch):
         rng = np.random.default_rng(11)
         A, B, C, D = (rng.integers(-3, 4, size=shape).astype(float)
                       for shape in ((4, 4), (4, 2), (2, 4), (2, 2)))
         q = Quadruple(A, B, C, D)
-        assert q.B is B and B.flags.writeable
+        # the quadruple and its dual hold read-only copies; the caller's
+        # arrays stay writable
+        d = q.dual()
+        assert all(M.flags.writeable for M in (A, B, C, D))
+        assert not any(M.flags.writeable for M in (q.A, q.B, q.C, q.D, d.A, d.B, d.C, d.D))
         V, S = (Subspace(4, np.linalg.qr(rng.standard_normal((4, k)))[0]) for k in (2, 3))
 
         N = rng.standard_normal((6, 2))
@@ -418,11 +422,21 @@ class TestKeptFactorizations:
 
         before = results(V, S, q)
         B += rng.integers(-3, 4, size=B.shape)
-        after = results(V, S, q)
-        fresh = results(Subspace(4, V.basis), Subspace(4, S.basis),
-                        Quadruple(A.copy(), B.copy(), C.copy(), D.copy()))
-        assert after == fresh
+        # a write into the caller's array changes no result, kept or fresh
+        assert results(V, S, q) == before
+        assert results(Subspace(4, V.basis), Subspace(4, S.basis), q) == before
+        # a quadruple on the written array gives other results, so a write
+        # that reached q would have shown
+        after = results(Subspace(4, V.basis), Subspace(4, S.basis), Quadruple(A, B, C, D))
         assert all(x != y for x, y in zip(after, before))
+        # the factorization is kept on V for q: a second nulling system takes
+        # one dgesdd, the norm of its residual, and no factors
+        calls = count_calls(monkeypatch, "_gesdd", subspaces)
+        fresh = Subspace(4, V.basis)
+        _nulling_system(fresh, q, N, DEFAULT_TOL)
+        first = len(calls)
+        _nulling_system(fresh, q, N, DEFAULT_TOL)
+        assert first > 1 and [args[1] for args in calls[first:]] == [0]
 
 
 class TestReachDetect:

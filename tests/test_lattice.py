@@ -90,10 +90,12 @@ class TestQuadrupleMemo:
         d = q.dual()
         for got, want in ((d.A, q.A), (d.B, q.C), (d.C, q.B), (d.D, q.D)):
             assert np.shares_memory(got, want) and np.array_equal(got, want.T)
-        # a write into the caller's array shows through both, so the kept
-        # dual never goes stale
+            assert not got.flags.writeable and not want.flags.writeable
+        # the quadruple holds a copy of the caller's array, so a write into
+        # it shows through neither, and the kept dual never goes stale
         A[0, 1] = -7.0
-        assert q.dual() is d and d.A[1, 0] == -7.0
+        assert not np.shares_memory(q.A, A)
+        assert q.dual() is d and q.A[0, 1] == d.A[1, 0] == 1.0
 
 
 class TestExtendedQuadruples:

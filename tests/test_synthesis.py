@@ -46,6 +46,7 @@ from geodd.subspaces import (
     span_of,
 )
 from geodd.synthesis import (
+    DELTA_WP,
     AffineKFamily,
     Compensator,
     analysis_pair,
@@ -499,6 +500,24 @@ class TestExactTwinOnDemand:
         assert rep.overall == "numerical_failure"
         assert rep.condition("F").note == "family construction failed"
         assert rep.family is None
+
+    def test_witness_singular_in_floats_is_a_numerical_failure(
+            self, float_singular_witness_plant):
+        # the exact grid's member is not identically singular, but its float
+        # margin is below DELTA_WP, so synthesize would reject it: no
+        # analysis calls the plant solvable, and solve builds nothing
+        plant = float_singular_witness_plant
+        for analyze, label in ((analyze_p1, "iv"), (analyze_p2, "F")):
+            rep = analyze(plant)
+            assert rep.overall == "numerical_failure" and rep.K is None
+            check = rep.condition(label)
+            assert not check.passed and 0 < check.residual < DELTA_WP
+            assert check.note == ("exact grid member K = [1 1] has a float "
+                                  "well-posedness margin below DELTA_WP")
+        for problem in ("p1", "p2"):
+            with pytest.raises(Infeasible) as err:
+                solve(plant, problem)
+            assert err.value.report.overall == "numerical_failure"
 
     def test_twin_grows_its_stars_without_the_literal_intersection(
             self, monkeypatch, singular_family_plant):
