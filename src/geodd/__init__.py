@@ -2,9 +2,17 @@
 
 Subspace arithmetic, the invariant-subspace machinery for quadruples, the
 dual lattice constructions, solvers for the decoupling problem with and
-without closed-loop stability, and an independent verification harness.
+without closed-loop stability, an independent verification harness, the
+audit of the paper's structural claims and a seeded plant generator.
 """
 
+from .audit import (
+    LatticeReport,
+    k_set_equivalence,
+    lattice_report,
+    necessity_round_trip,
+    simulate_impulse,
+)
 from .errors import (
     AllSingular,
     BoundarySpectrum,
@@ -42,11 +50,10 @@ from .geometry import (
     vstar,
     vstar_g,
 )
+from .generate import InstanceSpec, generate_instance
 from .lattice import (
-    LatticeReport,
     PlantSystem,
     extended_quadruples,
-    lattice_report,
     coupling_conditions,
     vm_sM,
 )
@@ -65,7 +72,6 @@ from .subspaces import (
 )
 from .synthesis import (
     AffineKFamily,
-    ClosedLoop,
     Compensator,
     FeasibilityReport,
     analyze_p1,
@@ -73,20 +79,16 @@ from .synthesis import (
     coupling_residual,
     close_loop,
     k_affine_family,
-    k_set_equivalence,
     recover_parameters,
     select_wellposed,
     solve,
     synthesize,
 )
 from .verify import (
+    ClosedLoop,
     DecouplingCertificate,
-    InstanceSpec,
     certify_decoupled,
     default_lambdas,
-    generate_instance,
-    necessity_round_trip,
-    simulate_impulse,
     stability_check,
     transfer_samples,
 )

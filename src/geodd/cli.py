@@ -10,8 +10,10 @@ seed or a sample count.
 
 Exit codes: 0 solved/verified/analysis-clean, 1 usage or parse error,
 2 infeasible (or failed verification), 3 well-posedness obstruction,
-4 numerical failure. A tolerance override that is not a finite number, or
-that `ToleranceProfile` rejects, is a parse error (exit 1) naming its field.
+4 numerical failure. A `solve` that the analysis refuses writes the verdict
+of its exit code and names it on stderr. A tolerance override that is not a
+finite number, or that `ToleranceProfile` rejects, is a parse error (exit 1)
+naming its field.
 
 A result file is exactly `json.dumps(payload, indent=2, sort_keys=True)`
 followed by a newline; `_write_result` writes that text directly, without
@@ -61,6 +63,8 @@ from .subspaces import CONTINUOUS, DISCRETE, ToleranceProfile
 from .synthesis import (
     Compensator,
     analysis_pair,
+    analyze_p1,
+    analyze_p2,
     close_loop,
     recover_parameters,
     solve_certified,
@@ -362,8 +366,6 @@ def run(command: str, args) -> int:
     sys_, tol = parse_problem(args.input)
 
     if command == "analyze":
-        from .synthesis import analyze_p1, analyze_p2
-
         analyze = analyze_p1 if args.problem == "p1" else analyze_p2
         report = analyze(sys_, tol)
         _write_result(args.output, {"command": "analyze",
@@ -374,14 +376,18 @@ def run(command: str, args) -> int:
         try:
             comp, report, cl, cert = solve_certified(sys_, args.problem, tol)
         except (WellPosednessObstruction, Infeasible) as err:
-            obstruction = isinstance(err, WellPosednessObstruction)
-            verdict = "well_posedness_obstruction" if obstruction else "infeasible"
+            code = _verdict_exit(err.report.overall)
+            verdict, label = {
+                EXIT_INFEASIBLE: ("infeasible", "infeasible"),
+                EXIT_OBSTRUCTION: ("well_posedness_obstruction",
+                                   "well-posedness obstruction"),
+                EXIT_NUMERICAL: ("numerical_failure", "numerical failure"),
+            }[code]
             _write_result(args.output, {"command": "solve",
                                         "verdict": verdict,
                                         "report": err.report.to_dict()})
-            label = "well-posedness obstruction" if obstruction else "infeasible"
             print(f"{label}: {err}", file=_sys.stderr)
-            return _verdict_exit(err.report.overall)
+            return code
         samples, stable = _loop_checks(sys_, cl)
         K, F, G = recover_parameters(sys_, comp)
         payload = {

@@ -159,7 +159,7 @@ def _dual(q: Quadruple) -> Quadruple:
     return Quadruple._checked(q.A.T, q.C.T, q.B.T, q.D.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FriendCertificate:
     """A feedback (m x n) or injection (n x p) matrix together with the
     residual of the invariance relation it witnesses."""
@@ -186,23 +186,23 @@ def _bd(q: Quadruple) -> np.ndarray:
     return np.concatenate((q.B, q.D))
 
 
-def _twin_quadruple(kind: str, q: Quadruple, what: str = "kind") -> Quadruple:
+def _twin_quadruple(kind: str, q: Quadruple) -> Quadruple:
     """The quadruple of the output-nulling twin: q itself for the
     output-nulling kind, q.dual() for the input-containing kind."""
     if kind == OUTPUT_NULLING:
         return q
     if kind == INPUT_CONTAINING:
         return q.dual()
-    raise InvalidInput(f"unknown {what} {kind!r}")
+    raise InvalidInput(f"unknown friend kind {kind!r}")
 
 
-def _nulling_twin(kind: str, X: Subspace, q: Quadruple, tol: ToleranceProfile,
-                  what: str = "kind") -> tuple[Subspace, Quadruple]:
+def _nulling_twin(kind: str, X: Subspace, q: Quadruple,
+                  tol: ToleranceProfile) -> tuple[Subspace, Quadruple]:
     """The output-nulling twin of X: (X, q) when X is of the output-nulling
     kind, (X^perp, q.dual()) when it is of the input-containing kind. X is
     input containing for q exactly when X^perp is output nulling for the
     dual, and a friend G of X is the transpose of a friend of X^perp."""
-    qv = _twin_quadruple(kind, q, what)
+    qv = _twin_quadruple(kind, q)
     return (X if kind == OUTPUT_NULLING else complement(X, tol)), qv
 
 
@@ -393,7 +393,7 @@ def friend(kind: str, V_or_S: Subspace, q: Quadruple,
     """
     if V_or_S.ambient_dim != q.n:
         raise DimensionMismatch("subspace must live in the state space")
-    V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
+    V, qv = _nulling_twin(kind, V_or_S, q, tol)
     F, resid, _ = _twin_friend(kind, V, qv, tol)
     return FriendCertificate(_twin_matrix(kind, F), kind, resid)
 
@@ -426,7 +426,7 @@ def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile,
     return T1, T2, fixed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TwinSplit:
     """The split of an output-nulling twin V over qv under a friend F, in
     the coordinates of V's basis: Uv spans the inputs ker [(I - P_V) B; D]
@@ -455,7 +455,7 @@ def _twin_split(kind: str, V_or_S: Subspace, q: Quadruple, tol: ToleranceProfile
     the friend `cert` is given, which is then checked to fit instead."""
     if V_or_S.ambient_dim != q.n:
         raise DimensionMismatch("subspace must live in the state space")
-    V, qv = _nulling_twin(kind, V_or_S, q, tol, "friend kind")
+    V, qv = _nulling_twin(kind, V_or_S, q, tol)
     if cert is None:
         F, _, Uv = _twin_friend(kind, V, qv, tol)
     else:
@@ -634,7 +634,7 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     is not stabilizable. `solve_certified` builds the friends of a p2
     compensator by the same steps, from the splits of its analysis.
     """
-    qv = _twin_quadruple(kind, q, "friend kind")
+    qv = _twin_quadruple(kind, q)
     bad = region.outside(_controllable_split(qv.A, qv.B, tol)[2])
     if bad:
         raise NotStabilizablePair(

@@ -3,24 +3,18 @@
 The plant couples a control channel (A, B, E, D_z) with an observation
 channel (A, H, C, G_y). Extending each channel with the disturbance data
 gives the two quadruples whose minimum self-bounded and maximum self-hidden
-elements drive the synthesis with stability.
+elements drive the synthesis with stability. The numerical audit of the
+lattice identities, `lattice_report`, is in `audit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .geometry import (
-    Quadruple,
-    _nulling_system,
-    input_containing_residual,
-    output_nulling_residual,
-    sstar,
-    vstar,
-)
+from .geometry import Quadruple, _nulling_system, sstar, vstar
 from .subspaces import (
     CONTINUOUS,
     DEFAULT_TOL,
@@ -32,8 +26,6 @@ from .subspaces import (
     combine,
     complement,
     containment_residual,
-    contains,
-    equal,
     span_of,
 )
 
@@ -46,7 +38,7 @@ _MATRIX_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantSystem:
     """The nine matrices of the plant plus its time domain.
 
@@ -247,188 +239,3 @@ def vm_sM(sys: PlantSystem,
     v_m = combine("intersect", v_til, sstar(quad_b, tol), tol)
     s_M = combine("sum", vstar(quad_c, tol), s_bar, tol)
     return v_m, s_M
-
-
-@dataclass(frozen=True)
-class LatticeCheck:
-    """One named inclusion/equality with its hypothesis gate."""
-
-    name: str
-    hypothesis_ok: bool
-    passed: bool | None  # None when the hypothesis fails (skipped)
-    residual: float
-    marginal: bool = False
-
-    @property
-    def skipped(self) -> bool:
-        return self.passed is None
-
-
-@dataclass(frozen=True)
-class LatticeReport:
-    v_m: Subspace
-    s_M: Subspace
-    inclusion_checks: tuple
-    interleaved_sums_ok: bool | None
-    extended_lattice_ok: bool | None
-    reduced_lattice_ok: bool | None
-    # The p2 solvability test rerun on the stabilizability/detectability
-    # subspaces (V*_g, S*_g), read from the splits of the report's V* of the
-    # control quadruple and S* of the observation one:
-    # {"verdict", "conditions"[, "error"]}. The paper's claim is that its
-    # verdict equals `analyze_p2(...).solvable`.
-    route_stabilizability: dict
-    sequences: dict = field(repr=False)
-
-    def check(self, name: str) -> LatticeCheck:
-        for c in self.inclusion_checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        def verdict(x):
-            return "skipped" if x is None else bool(x)
-
-        return {
-            "v_m_dim": self.v_m.dim,
-            "s_M_dim": self.s_M.dim,
-            "checks": [
-                {
-                    "name": c.name,
-                    "hypothesis_ok": c.hypothesis_ok,
-                    "verdict": "skipped" if c.skipped else bool(c.passed),
-                    "residual": c.residual,
-                    "marginal": c.marginal,
-                }
-                for c in self.inclusion_checks
-            ],
-            "interleaved_sums": verdict(self.interleaved_sums_ok),
-            "extended_lattice": verdict(self.extended_lattice_ok),
-            "reduced_lattice": verdict(self.reduced_lattice_ok),
-            "route_stabilizability": self.route_stabilizability,
-        }
-
-
-def _inclusion_check(name, inner, outer, hypothesis_ok, hyp_residual, tol,
-                     both_ways=False):
-    if not hypothesis_ok:
-        return LatticeCheck(name, False, None, float("nan"))
-    resid = containment_residual(inner, outer)
-    if both_ways:
-        resid = max(resid, containment_residual(outer, inner))
-    marginal = hyp_residual > tol.residual / 10.0
-    return LatticeCheck(name, True, resid <= tol.angle, resid, marginal)
-
-
-def lattice_report(sys: PlantSystem,
-                   tol: ToleranceProfile = DEFAULT_TOL) -> LatticeReport:
-    """Numerical audit of the dual-lattice identities on one plant.
-
-    Every conclusion is evaluated only when its hypothesis holds; a failed
-    hypothesis yields a skipped check, never a failed one. Hypotheses that
-    pass within a factor ten of the threshold are flagged marginal. Each
-    star recursion runs once.
-    """
-    from .synthesis import _stabilizability_route
-
-    quad_ctrl = sys.control_quadruple()
-    quad_obs = sys.observation_quadruple()
-    quad_b, quad_c = extended_quadruples(sys)
-
-    v_hat, v_hat_seq = vstar(quad_ctrl, tol, return_sequence=True)
-    s_hat, s_hat_seq = sstar(quad_ctrl, tol, return_sequence=True)
-    v_til, v_til_seq = vstar(quad_b, tol, return_sequence=True)
-    s_til, s_til_seq = sstar(quad_b, tol, return_sequence=True)
-    s_chk, s_chk_seq = sstar(quad_obs, tol, return_sequence=True)
-    v_bar, v_bar_seq = vstar(quad_c, tol, return_sequence=True)
-    s_bar = sstar(quad_c, tol)
-
-    # vm_sM from the recursions above: v_m = R*(quad_b), s_M = Q*(quad_c).
-    v_m = combine("intersect", v_til, s_til, tol)
-    s_M = combine("sum", v_bar, s_bar, tol)
-    vm_plus_sM = combine("sum", v_m, s_M, tol)
-    vm_cap_sM = combine("intersect", v_m, s_M, tol)
-
-    hyps = coupling_conditions(sys, v_hat, s_chk, tol)
-    a_ok, hyp_a = hyps["a"]
-    b_ok, hyp_b = hyps["b"]
-    c_ok, hyp_c = hyps["c"]
-
-    checks = [
-        _inclusion_check("v_chain_upper", v_hat, v_til, True, 0.0, tol),
-        _inclusion_check("v_chain_lower", v_bar, v_hat, a_ok, hyp_a, tol),
-        _inclusion_check("s_chain_lower", s_bar, s_chk, True, 0.0, tol),
-        _inclusion_check("s_chain_upper", s_chk, s_til, b_ok, hyp_b, tol),
-        _inclusion_check("mixed_chain", s_bar, v_til, c_ok, hyp_c, tol),
-        _inclusion_check("vm_in_vstar", v_m, v_hat, a_ok, hyp_a, tol),
-        # With the disturbance image inside the control channel, v_m can
-        # also be written against the unextended supremal subspace.
-        _inclusion_check("vm_reduced_form", v_m,
-                         combine("intersect", v_hat, s_til, tol),
-                         a_ok, hyp_a, tol, both_ways=True),
-        # Dually, with the disturbance kernel condition, s_M against the
-        # unextended infimal subspace.
-        _inclusion_check("sM_reduced_form", s_M,
-                         combine("sum", v_bar, s_chk, tol),
-                         b_ok, hyp_b, tol, both_ways=True),
-    ]
-
-    # Extended and plain recursions interleave: V-hat_i + S-tilde_j equals
-    # V-hat_i + S-hat_j at every pair of indices once the disturbance image
-    # condition holds (and the V-sequences themselves coincide).
-    interleave_ok = None
-    if a_ok:
-        interleave_ok = all(
-            equal(vi, vt, tol) for vi, vt in zip(v_hat_seq, v_til_seq)
-        )
-        for vi in v_hat_seq:
-            for sj_t, sj_h in zip(s_til_seq, s_hat_seq):
-                lhs = combine("sum", vi, sj_t, tol)
-                rhs = combine("sum", vi, sj_h, tol)
-                if not equal(lhs, rhs, tol):
-                    interleave_ok = False
-
-    extended_lattice_ok = None
-    if c_ok:
-        # R*(quad_b) is v_m and Q*(quad_c) is s_M, so the self-bounded and
-        # self-hidden containments hold by construction; only the
-        # invariance residuals can fail.
-        extended_lattice_ok = (
-            output_nulling_residual(vm_plus_sM, quad_b, tol) <= tol.residual
-            and input_containing_residual(vm_cap_sM, quad_c, tol) <= tol.residual
-        )
-
-    reduced_lattice_ok = None
-    if c_ok and (a_ok or b_ok):
-        parts = []
-        if a_ok:
-            r_ctrl = combine("intersect", v_hat, s_hat, tol)
-            parts.append(
-                output_nulling_residual(vm_plus_sM, quad_ctrl, tol) <= tol.residual
-                and contains(vm_plus_sM, r_ctrl, tol)
-            )
-        if b_ok:
-            q_obs = combine("sum", vstar(quad_obs, tol), s_chk, tol)
-            parts.append(
-                input_containing_residual(vm_cap_sM, quad_obs, tol) <= tol.residual
-                and contains(q_obs, vm_cap_sM, tol)
-            )
-        reduced_lattice_ok = all(parts)
-
-    sequences = {
-        "v_hat": v_hat_seq, "s_hat": s_hat_seq,
-        "v_tilde": v_til_seq, "s_tilde": s_til_seq,
-        "s_check": s_chk_seq, "v_bar": v_bar_seq,
-    }
-    return LatticeReport(
-        v_m=v_m,
-        s_M=s_M,
-        inclusion_checks=tuple(checks),
-        interleaved_sums_ok=interleave_ok,
-        extended_lattice_ok=extended_lattice_ok,
-        reduced_lattice_ok=reduced_lattice_ok,
-        route_stabilizability=_stabilizability_route(sys, v_hat, s_chk, tol),
-        sequences=sequences,
-    )
-

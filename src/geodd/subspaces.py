@@ -20,9 +20,9 @@ newest block mapped into that complement, and splits the complement in
 two, so neither a projection nor a complement SVD is ever taken.
 
 Every real SVD and spectral norm of the package goes through the private
-kernel `_svd`/`_singular_values`/`_norm2`, which calls LAPACK dgesdd (the
-routine behind numpy.linalg.svd) through scipy directly: on matrices this
-small numpy's wrapper costs more than the LAPACK work. Its workspace size
+kernel `_svd`/`_norm2`, which calls LAPACK dgesdd (the routine behind
+numpy.linalg.svd) through scipy directly: on matrices this small numpy's
+wrapper costs more than the LAPACK work. Its workspace size
 is queried once per shape and kept in `_GESDD_LWORK`: LAPACK's query
 depends only on the routine, its flags and the shape, so the cached size is
 the one a fresh query returns, and the one numpy asks for. A matrix with
@@ -120,11 +120,6 @@ def _svd(M: np.ndarray, full_matrices: bool):
     and Vh decides the rounding of every product taken with them later."""
     u, s, vt = _gesdd(M, 1, full_matrices)
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
-
-
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    """numpy.linalg.svd(M, compute_uv=False), bit for bit."""
-    return _gesdd(M, 0, 0)[1]
 
 
 def _norm2(M: np.ndarray) -> float:
@@ -310,13 +305,6 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return equal(self, other, DEFAULT_TOL)
-
-    __hash__ = None  # tolerance-based equality is not hashable
 
 
 def _as_matrix(M, what="matrix") -> np.ndarray:

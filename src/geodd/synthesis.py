@@ -33,7 +33,6 @@ from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
     _controllable_split,
-    _stabilizability_subspace,
     _stabilized,
     _twin_split,
     _TwinSplit,
@@ -43,7 +42,6 @@ from .lattice import (
     PlantSystem,
     _star_coupling,
     _star_pair,
-    coupling_conditions,
     vm_sM,
 )
 from .subspaces import (
@@ -51,17 +49,16 @@ from .subspaces import (
     Subspace,
     ToleranceProfile,
     _det,
-    _eigvals,
     _inv,
     _kept,
     _norm2,
     _numerical_rank,
     _svd,
     combine,
-    containment_residual,
     lifted_basis,
     span_of,
 )
+from .verify import ClosedLoop, certify_decoupled
 
 # Well-posedness margin: |det(I + K D_y)| >= DELTA_WP * (1 + ||K D_y||).
 DELTA_WP = 1e-8
@@ -70,7 +67,7 @@ DELTA_WP = 1e-8
 SAMPLE_TRIALS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compensator:
     """Dynamic output-feedback regulator (A_c, B_c, C_c, D_c).
 
@@ -117,35 +114,7 @@ class Compensator:
         return self.A_c.shape[0]
 
 
-@dataclass(frozen=True)
-class ClosedLoop:
-    """Assembled loop Dx^ = A^ x^ + H^ w, z = C^ x^ + G^ w.
-
-    `spectrum`, the eigenvalues of A^ in LAPACK's order, is computed on
-    first use and kept, read-only: the frequency samples, their pole
-    clearance, the stability verdict and the p2 check of `solve` all read
-    the same array. The matrices are not to be changed in place.
-    """
-
-    A_hat: np.ndarray
-    H_hat: np.ndarray
-    C_hat: np.ndarray
-    G_hat: np.ndarray
-    W: np.ndarray
-    time_domain: str
-
-    @property
-    def order(self) -> int:
-        return self.A_hat.shape[0]
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        eigs = _eigvals(self.A_hat)
-        eigs.flags.writeable = False
-        return eigs
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineKFamily:
     """Affine set {K0 + sum theta_i K_i} of feedback parameters.
 
@@ -194,7 +163,7 @@ class ConditionCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityReport:
     problem: str
     conditions: tuple
@@ -574,60 +543,6 @@ def analyze_p2(sys: PlantSystem,
                              _overall(conds))
 
 
-def _stabilizability_route(sys, Vst, Sst, tol) -> dict:
-    """The p2 solvability test on the largest stabilizability and smallest
-    detectability subspaces, built from the splits of the star pair it is
-    given: V* of the control quadruple and S* of the observation one, so it
-    runs no star recursion of its own. The verdict is None when the test
-    cannot be evaluated."""
-    if not _stabilizable_detectable(sys, tol):
-        return {"verdict": None, "conditions": {}, "error": _PRECONDITION_NOTE}
-    try:
-        VstG = _stabilizability_subspace(
-            OUTPUT_NULLING, Vst, sys.control_quadruple(), sys.region, tol)
-        SstG = _stabilizability_subspace(
-            INPUT_CONTAINING, Sst, sys.observation_quadruple(), sys.region, tol)
-    except (GeoddError, np.linalg.LinAlgError) as err:
-        return {"verdict": None, "conditions": {}, "error": str(err)}
-    ok = {c.label: c.passed
-          for c in _coupling_checks(coupling_conditions(sys, VstG, SstG, tol),
-                                    ("i", "ii", "iii"))}
-    if all(ok.values()):
-        try:
-            select_wellposed(k_affine_family(sys, SstG, VstG, tol), sys.D_y)
-            ok["iv"] = True
-        except (AllSingular, NoSolution):
-            ok["iv"] = False
-    else:
-        ok["iv"] = None
-    return {"verdict": all(v is True for v in ok.values()), "conditions": ok}
-
-
-def k_set_equivalence(sys: PlantSystem,
-                      tol: ToleranceProfile = DEFAULT_TOL) -> tuple[bool, dict]:
-    """Affine-set equality of the K-families written on (S*, V*) and on the
-    self-hidden/self-bounded pair (S_M, V_m + S_M)."""
-    Vst, Sst = analysis_pair(sys, "p1", tol)
-    vm_sum, s_M = analysis_pair(sys, "p2", tol)
-    fam1 = k_affine_family(sys, Sst, Vst, tol)
-    fam2 = k_affine_family(sys, s_M, vm_sum, tol)
-    span1, span2 = fam1._span, fam2._span
-    residuals = {
-        "K0_1_in_2": fam2.distance(fam1.K0),
-        "K0_2_in_1": fam1.distance(fam2.K0),
-        "dirs_1_in_2": containment_residual(span1, span2),
-        "dirs_2_in_1": containment_residual(span2, span1),
-    }
-    equal_sets = (
-        span1.dim == span2.dim
-        and residuals["K0_1_in_2"] <= tol.residual
-        and residuals["K0_2_in_1"] <= tol.residual
-        and residuals["dirs_1_in_2"] <= tol.angle
-        and residuals["dirs_2_in_1"] <= tol.angle
-    )
-    return equal_sets, residuals
-
-
 def synthesize(sys: PlantSystem, K, F, G) -> Compensator:
     """Order-n compensator from a well-posed K, a friend F of V and a friend
     G of S, for a resolving pair (V, S) that K satisfies the coupling
@@ -706,8 +621,6 @@ def solve_certified(sys: PlantSystem, problem: str = "p1",
     conditions D/E were read from; the pair check is the precondition the
     analysis passed. They are the friends that `stabilizing_friend` builds,
     bit for bit."""
-    from .verify import certify_decoupled
-
     if problem == "p1":
         report = analyze_p1(sys, tol)
     elif problem == "p2":

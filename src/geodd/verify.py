@@ -1,7 +1,8 @@
-"""Independent verification: decoupling certificates, transfer-function
-sampling on a fixed circle around the loop's spectrum, stability checks,
-impulse simulation, and a seeded generator of solvable plants for the
-property suites.
+"""Independent verification: the closed-loop record, decoupling
+certificates, transfer-function sampling on a fixed circle around the
+loop's spectrum, and stability checks. It reads a loop, never a plant, and
+imports only `errors` and `subspaces`, so the solver (`synthesis`) and the
+audit (`audit`) both build on it.
 
 A certificate is checked on a subspace of the 2n-state loop. A compensator
 built on a pair (V, S) comes with one in closed form,
@@ -12,23 +13,14 @@ Krylov hull, whose rank decisions can miss on larger loops)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import exact
-from .errors import (
-    ContinuousNotSupported,
-    DimensionMismatch,
-    GenerationFailed,
-    SampleTooCloseToPole,
-)
-from .geometry import input_containing_residual, output_nulling_residual
-from .lattice import PlantSystem, coupling_conditions
+from .errors import DimensionMismatch, SampleTooCloseToPole
 from .subspaces import (
-    CONTINUOUS,
     DEFAULT_TOL,
-    DISCRETE,
     StabilityRegion,
     Subspace,
     ToleranceProfile,
@@ -36,17 +28,42 @@ from .subspaces import (
     _linalg_state,
     _norm2,
     _qr_basis,
-    containment_residual,
-    extended_ops,
     invariant_hull,
     span_of,
 )
-from .synthesis import ClosedLoop
 
 POLE_CLEARANCE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class ClosedLoop:
+    """Assembled loop Dx^ = A^ x^ + H^ w, z = C^ x^ + G^ w.
+
+    `spectrum`, the eigenvalues of A^ in LAPACK's order, is computed on
+    first use and kept, read-only: the frequency samples, their pole
+    clearance, the stability verdict and the p2 check of `solve` all read
+    the same array. The matrices are not to be changed in place.
+    """
+
+    A_hat: np.ndarray
+    H_hat: np.ndarray
+    C_hat: np.ndarray
+    G_hat: np.ndarray
+    W: np.ndarray
+    time_domain: str
+
+    @property
+    def order(self) -> int:
+        return self.A_hat.shape[0]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        eigs = _eigvals(self.A_hat)
+        eigs.flags.writeable = False
+        return eigs
+
+
+@dataclass(frozen=True, eq=False)
 class DecouplingCertificate:
     """An A^-invariant subspace between im H^ and ker C^, plus the residuals
     that make the claim checkable.
@@ -196,152 +213,3 @@ def stability_check(A_hat, region: StabilityRegion) -> tuple[bool, np.ndarray]:
     sorted."""
     eigs = _eigvals(np.atleast_2d(np.asarray(A_hat, dtype=float)))
     return not region.outside(eigs), np.sort_complex(eigs)
-
-
-def simulate_impulse(cl: ClosedLoop, steps: int = 50) -> float:
-    """Peak |z| under unit disturbance impulses, one channel at a time.
-
-    Discrete time only; continuous loops are checked through
-    transfer_samples instead.
-    """
-    if cl.time_domain != DISCRETE:
-        raise ContinuousNotSupported("impulse simulation needs discrete time")
-    n = cl.order
-    q = cl.H_hat.shape[1]
-    peak = 0.0
-    for j in range(q):
-        x = np.zeros(n)
-        w = np.zeros(q)
-        w[j] = 1.0
-        z = cl.C_hat @ x + cl.G_hat @ w
-        peak = max(peak, float(np.max(np.abs(z))) if z.size else 0.0)
-        x = cl.A_hat @ x + cl.H_hat @ w
-        for _ in range(1, steps):
-            z = cl.C_hat @ x
-            peak = max(peak, float(np.max(np.abs(z))) if z.size else 0.0)
-            x = cl.A_hat @ x
-    return peak
-
-
-def necessity_round_trip(sys: PlantSystem, cl: ClosedLoop,
-                         tol: ToleranceProfile = DEFAULT_TOL) -> dict:
-    """Extract V = p(I^), S = i(I^) from a certified loop and re-check the
-    coupling conditions they must satisfy."""
-    cert = certify_decoupled(cl, tol)
-    I_hat = cert.invariant_subspace
-    V = extended_ops("project", I_hat, sys.n, tol)
-    S = extended_ops("intersect", I_hat, sys.n, tol)
-    conds = coupling_conditions(sys, V, S, tol)
-    return {
-        "certificate": cert,
-        "V": V,
-        "S": S,
-        "output_nulling_residual": output_nulling_residual(
-            V, sys.control_quadruple(), tol),
-        "input_containing_residual": input_containing_residual(
-            S, sys.observation_quadruple(), tol),
-        "a": conds["a"],
-        "b": conds["b"],
-        "S_in_V_residual": containment_residual(S, V),
-    }
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Deterministic recipe for one random plant."""
-
-    seed: int
-    n: int = 4
-    m: int = 2
-    q: int = 1
-    p: int = 2
-    r: int = 1
-    time_domain: str = CONTINUOUS
-    solvable_by_construction: bool = True
-
-    def __post_init__(self):
-        if min(self.n, self.m, self.q, self.p, self.r) <= 0:
-            raise ValueError("all dimensions must be positive")
-
-
-def _rand_int_matrix(rng, rows, cols, lo=-2, hi=2):
-    return rng.integers(lo, hi + 1, size=(rows, cols)).astype(float)
-
-
-def generate_instance(spec: InstanceSpec) -> PlantSystem:
-    """Random rational plant (integer entries; dyadic A in discrete time),
-    deterministic in the seed.
-
-    With solvable_by_construction the disturbance enters through the
-    supremal output-nulling subspace (exactly, via a denominator-cleared
-    rational basis) and the measurement channel is drawn until the kernel
-    condition and the star inclusion hold, so the three subspace conditions
-    of the decoupling problem are satisfied by construction.
-    """
-    rng = np.random.default_rng(spec.seed)
-    n, m, q, p, r = spec.n, spec.m, spec.q, spec.p, spec.r
-    if not spec.solvable_by_construction:
-        mats = [_rand_int_matrix(rng, a, b) for a, b in
-                ((n, n), (n, m), (n, q), (p, n), (p, m), (p, q),
-                 (r, n), (r, m), (r, q))]
-        return PlantSystem(*mats, time_domain=spec.time_domain)
-
-    for _ in range(200):
-        A = _rand_int_matrix(rng, n, n)
-        A -= float(rng.integers(0, 3)) * np.eye(n)
-        if spec.time_domain == DISCRETE:
-            # halve (exactly, keeping entries dyadic) until inside the disc
-            while np.max(np.abs(_eigvals(A))) >= 0.95:
-                A = A / 2.0
-        B = _rand_int_matrix(rng, n, m)
-        E = _rand_int_matrix(rng, r, n)
-        D_z = _rand_int_matrix(rng, r, m, lo=-1, hi=1)
-        V_rat = exact.vstar_span(
-            exact.from_array(A), exact.from_array(B),
-            exact.from_array(E), exact.from_array(D_z))
-        dim_v = exact.shape(V_rat)[1]
-        if dim_v == 0:
-            continue
-        V_int = exact.to_array(exact.clear_denominators(V_rat))
-        M = _rand_int_matrix(rng, dim_v, q)
-        N = _rand_int_matrix(rng, m, q, lo=-1, hi=1)
-        H = V_int @ M + B @ N
-        G_z = D_z @ N
-        if not np.any(H) or np.max(np.abs(H)) > 12:
-            continue
-
-        found = None
-        for _ in range(20):
-            C = _rand_int_matrix(rng, p, n)
-            G_y = _rand_int_matrix(rng, p, q, lo=-1, hi=1)
-            if _solvable_measurement(A, H, C, G_y, E, G_z, V_rat):
-                found = (C, G_y)
-                break
-        if found is None and p >= q:
-            C = _rand_int_matrix(rng, p, n)
-            G_y = np.vstack([np.eye(q), np.zeros((p - q, q))])
-            if _solvable_measurement(A, H, C, G_y, E, G_z, V_rat):
-                found = (C, G_y)
-        if found is None:
-            continue
-        C, G_y = found
-        D_y = (np.zeros((p, m)) if rng.integers(0, 2) == 0
-               else _rand_int_matrix(rng, p, m, lo=-1, hi=1))
-        return PlantSystem(A, B, H, C, D_y, G_y, E, D_z, G_z,
-                           time_domain=spec.time_domain)
-    raise GenerationFailed(f"no solvable instance found for seed {spec.seed}")
-
-
-def _solvable_measurement(A, H, C, G_y, E, G_z, V_rat) -> bool:
-    """Exact check of the kernel condition and the star inclusion for a
-    candidate measurement channel."""
-    S_rat = exact.sstar_span(
-        exact.from_array(A), exact.from_array(H),
-        exact.from_array(C), exact.from_array(G_y))
-    if not exact.contains_span(V_rat, S_rat):
-        return False
-    ker_cg = exact.kernel(exact.from_array(np.hstack([C, G_y])))
-    dom = exact.intersect_spans(exact.lifted_span(S_rat, H.shape[1]), ker_cg)
-    EG = exact.from_array(np.hstack([E, G_z]))
-    image = exact.matmul(EG, dom)
-    return all(x == 0 for row in image for x in row)

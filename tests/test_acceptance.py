@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from geodd import exact
+from geodd.audit import k_set_equivalence, necessity_round_trip
 from geodd.errors import BoundarySpectrum, WellPosednessObstruction
+from geodd.generate import InstanceSpec, generate_instance
 from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
@@ -42,19 +44,11 @@ from geodd.synthesis import (
     coupling_residual,
     close_loop,
     k_affine_family,
-    k_set_equivalence,
     recover_parameters,
     solve,
     synthesize,
 )
-from geodd.verify import (
-    InstanceSpec,
-    certify_decoupled,
-    default_lambdas,
-    generate_instance,
-    necessity_round_trip,
-    transfer_samples,
-)
+from geodd.verify import certify_decoupled, default_lambdas, transfer_samples
 from helpers import (
     exact_star_dims,
     image_under,

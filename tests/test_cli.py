@@ -30,14 +30,10 @@ from geodd.cli import (
     problem_dict,
 )
 from geodd.errors import DimensionMismatch, InvalidInput, ParseError, ShapeError
+from geodd.generate import InstanceSpec, generate_instance
 from geodd.lattice import PlantSystem
 from geodd.synthesis import Compensator
-from geodd.verify import (
-    InstanceSpec,
-    default_lambdas,
-    generate_instance,
-    transfer_samples,
-)
+from geodd.verify import default_lambdas, transfer_samples
 from helpers import failing_dgesdd
 
 
@@ -178,7 +174,7 @@ class TestCommands:
             assert result["certificate"]["valid"]
 
     def test_solve_and_verify_plant_the_hull_rejected(self, tmp_path):
-        from geodd.verify import InstanceSpec, generate_instance
+        from geodd.generate import InstanceSpec, generate_instance
 
         sys_ = generate_instance(InstanceSpec(seed=10, n=6, m=2, q=1, p=2, r=1,
                                               time_domain="discrete"))
@@ -213,6 +209,20 @@ class TestCommands:
                 report = json.loads(out.read_text())["report"]
                 assert report["overall"] == "numerical_failure"
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_solve_labels_a_numerical_failure(
+            self, tmp_path, float_singular_witness_plant, capsys):
+        # the analysis refuses the plant without proving an obstruction: the
+        # result file and stderr name a numerical failure, not infeasibility
+        plant = write_problem(tmp_path / "witness.json", float_singular_witness_plant)
+        out = tmp_path / "result.json"
+        for problem in ("p1", "p2"):
+            code = main(["solve", "--input", plant, "--problem", problem,
+                         "--output", str(out)])
+            assert code == EXIT_NUMERICAL
+            assert json.loads(out.read_text())["verdict"] == "numerical_failure"
+            err = capsys.readouterr().err
+            assert err == "numerical failure: analysis verdict: numerical_failure\n"
 
     def test_analyze_trivially_decoupled(self, tmp_path, capsys):
         d = minimal_problem_dict()
@@ -327,7 +337,7 @@ class TestCommands:
         assert report["overall"] == "infeasible(precondition)"
 
     def test_solve_p2_and_verify(self, tmp_path):
-        from geodd.verify import InstanceSpec, generate_instance
+        from geodd.generate import InstanceSpec, generate_instance
         from geodd.synthesis import analyze_p2
 
         sys_ = generate_instance(InstanceSpec(seed=2, n=4, m=2, q=1, p=2, r=1))
@@ -715,9 +725,9 @@ def _count_work(monkeypatch):
 
     for module in (synthesis, cli_mod):
         monkeypatch.setattr(module, "close_loop", counting_close_loop)
-    for module in (verify, cli_mod):
+    for module in (verify, synthesis, cli_mod):
         monkeypatch.setattr(module, "certify_decoupled", counting_certify)
-    for module in (subspaces, geometry, synthesis, verify):
+    for module in (subspaces, geometry, verify):
         monkeypatch.setattr(module, "_eigvals", counting_eigvals)
     return counts
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from geodd import PlantSystem, analyze_p1, exact, verify
+from geodd import PlantSystem, analyze_p1, exact, generate
 from helpers import (
     equal_span,
     grid_points,
@@ -158,7 +158,7 @@ def test_operations_keep_the_shape_numpy_gives(r, c):
 
 def test_exact_coupling_check_agrees_with_analyze_p1_on_every_small_shape():
     """The generator's exact check of conditions ii and iii,
-    `verify._solvable_measurement`, against `analyze_p1` on every shape
+    `generate._solvable_measurement`, against `analyze_p1` on every shape
     with n, m, q, p and r in {0, 1, 2}, in both domains: 486 plants with
     entries in {-1, 0, 1}, the discrete A divided by 4. With p = 0 there is
     no measurement, so ker [C G_y] is the whole space."""
@@ -176,7 +176,7 @@ def test_exact_coupling_check_agrees_with_analyze_p1_on_every_small_shape():
             report = analyze_p1(PlantSystem(A, B, H, C, D_y, G_y, E, D_z, G_z,
                                             time_domain=domain))
             V = exact.vstar_span(*map(exact.from_array, (A, B, E, D_z)))
-            got = verify._solvable_measurement(A, H, C, G_y, E, G_z, V)
+            got = generate._solvable_measurement(A, H, C, G_y, E, G_z, V)
             if got != (report.condition("ii").passed and report.condition("iii").passed):
                 wrong.append((domain, n, m, q, p, r))
     assert wrong == []

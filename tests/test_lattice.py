@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodd import exact
+from geodd.audit import lattice_report
 from geodd.errors import DimensionMismatch
+from geodd.generate import InstanceSpec, generate_instance
 from geodd.geometry import (
     Quadruple,
     input_containing_residual,
@@ -19,7 +21,6 @@ from geodd.geometry import (
 from geodd.lattice import (
     PlantSystem,
     extended_quadruples,
-    lattice_report,
     coupling_conditions,
     disturbance_image_condition,
     disturbance_kernel_condition,
@@ -35,7 +36,6 @@ from geodd.subspaces import (
     kernel_of,
     span_of,
 )
-from geodd.verify import InstanceSpec, generate_instance
 from helpers import (
     count_calls,
     max_angle,

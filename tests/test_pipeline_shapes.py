@@ -8,15 +8,11 @@ in the pipeline show up here first.
 import numpy as np
 import pytest
 
+from geodd.audit import necessity_round_trip
 from geodd.errors import GenerationFailed
+from geodd.generate import InstanceSpec, generate_instance
 from geodd.synthesis import analyze_p1, analyze_p2, close_loop, solve
-from geodd.verify import (
-    InstanceSpec,
-    certify_decoupled,
-    generate_instance,
-    necessity_round_trip,
-    stability_check,
-)
+from geodd.verify import certify_decoupled, stability_check
 
 SHAPES = [
     (3, 1, 1, 1, 1),

@@ -61,7 +61,7 @@ SIGNATURES = {
 
 
 # The Fraction interface of `exact` that the benchmark's exact oracle
-# (bench/cases.py) and `verify.generate_instance` call: a rename here would
+# (bench/cases.py) and `generate.generate_instance` call: a rename here would
 # break every benchmark set-up.
 EXACT_SIGNATURES = {
     "from_array": "(A) -> 'RatMat'",

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import sys
 import warnings
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from geodd import GenerationFailed, exact, geometry, lattice, subspaces, synthesis, verify
+from geodd import GenerationFailed, audit, exact, geometry, lattice, subspaces, synthesis, verify
+from geodd.audit import k_set_equivalence, lattice_report
 from geodd.errors import (
     AllSingular,
     CertificateFailed,
@@ -21,6 +23,7 @@ from geodd.errors import (
     WellPosednessObstruction,
     WellPosednessViolated,
 )
+from geodd.generate import InstanceSpec, generate_instance
 from geodd.geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
@@ -32,7 +35,7 @@ from geodd.geometry import (
     vstar,
     vstar_g,
 )
-from geodd.lattice import PlantSystem, extended_quadruples, lattice_report, vm_sM
+from geodd.lattice import PlantSystem, extended_quadruples, vm_sM
 from geodd.subspaces import (
     CONTINUOUS,
     DEFAULT_TOL,
@@ -55,7 +58,6 @@ from geodd.synthesis import (
     coupling_residual,
     close_loop,
     k_affine_family,
-    k_set_equivalence,
     recover_parameters,
     select_wellposed,
     solve,
@@ -63,12 +65,7 @@ from geodd.synthesis import (
     synthesize,
     wellposedness_margin,
 )
-from geodd.verify import (
-    InstanceSpec,
-    certify_decoupled,
-    generate_instance,
-    stability_check,
-)
+from geodd.verify import certify_decoupled, stability_check
 from helpers import (
     count_calls,
     lapack_builds,
@@ -1004,12 +1001,26 @@ class TestPlantMemo:
         assert not equal(Vst, VstG) and not equal(Sst, SstG)
         analyze_p1(plant)
         analyze_p2(plant)
-        calls = count_calls(monkeypatch, "coupling_conditions", synthesis)
+        calls = count_calls(monkeypatch, "coupling_conditions", audit)
         route = lattice_report(plant).route_stabilizability
         assert route["verdict"] is not None
-        assert len(calls) == 1
-        _, V, S, _ = calls[0]
-        assert equal(V, VstG) and equal(S, SstG)
+        on_g = [(V, S) for _, V, S, _ in calls if equal(V, VstG) and equal(S, SstG)]
+        assert len(on_g) == 1
+
+    def test_records_compare_and_hash_by_identity(self):
+        # records that hold arrays or subspaces compare and hash by identity,
+        # as a Quadruple and a Subspace do: no == asks an array for its truth
+        plant = generate_instance(InstanceSpec(seed=2, n=4))
+        comp, report, cl, cert = solve_certified(plant, "p2")
+        side = synthesis._p2_side(plant, OUTPUT_NULLING, DEFAULT_TOL)
+        fr = friend(OUTPUT_NULLING, analyze_p1(plant).V, plant.control_quadruple())
+        for record in (plant, comp, report, report.family, cl, cert, side, fr,
+                       lattice_report(plant)):
+            twin = copy.copy(record)
+            assert record == record and record != twin
+            assert len({record, twin}) == 2
+        assert plant != replace(plant)
+        assert {plant, comp} == {comp, plant}
 
     def test_plant_matrices_are_read_only_copies(self, scalar_channel_plant):
         A = np.eye(2)
@@ -1200,7 +1211,6 @@ class TestWorkPerSolve:
 # numpy's own routines, which the SVD kernel of `geodd.subspaces` replaces
 _NUMPY_KERNEL = {
     "_svd": lambda M, full_matrices: np.linalg.svd(M, full_matrices=full_matrices),
-    "_singular_values": lambda M: np.linalg.svd(M, compute_uv=False),
     "_norm2": lambda M: float(np.linalg.norm(M, 2)),
 }
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodd.audit import necessity_round_trip, simulate_impulse
 from geodd.errors import (
     ContinuousNotSupported,
     DimensionMismatch,
@@ -13,11 +14,11 @@ from geodd.errors import (
     NotStabilizablePair,
     SampleTooCloseToPole,
 )
+from geodd.generate import InstanceSpec, generate_instance
 from geodd.geometry import OUTPUT_NULLING, Quadruple, stabilizing_friend, vstar
 from geodd.lattice import PlantSystem
 from geodd.subspaces import StabilityRegion, Subspace
 from geodd.synthesis import (
-    ClosedLoop,
     Compensator,
     analysis_pair,
     analyze_p1,
@@ -27,12 +28,9 @@ from geodd.synthesis import (
 )
 from geodd import verify
 from geodd.verify import (
-    InstanceSpec,
+    ClosedLoop,
     certify_decoupled,
     default_lambdas,
-    generate_instance,
-    necessity_round_trip,
-    simulate_impulse,
     stability_check,
     transfer_samples,
 )
