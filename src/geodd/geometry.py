@@ -17,13 +17,13 @@ One projected system (`_nulling_system`) answers how far a map lands from
 (V x 0) + im [B; D]: the residual, the minimum-norm friend, which depends
 on V alone, and Uv, for output nulling and for coupling conditions (a) and
 (b) in `lattice`, (b) on the dual. Its factorization (I - P_V, the SVD of
-M = [(I - P_V) B; D], its rank and ||[B; D]||) is taken once per subspace
-and quadruple (`_nulling_factors`), and kept in V's memo (`subspaces._kept`),
-keyed by the quadruple and the tolerance profile, so (a) and the friend of
-V*, and (b) and the injection of S*, share one SVD. `subspaces.complement`
-keeps its result in the subspace's memo too, so (b) and the injection see
-the same S*^perp. A quadruple holds read-only copies of its matrices, so
-nothing kept for it can go stale.
+M = [(I - P_V) B; D], its rank and ||[B; D]||) is taken once per subspace,
+quadruple and tolerance profile: `_nulling_factors` is kept in V's memo
+(`@subspaces._kept`), so (a) and the friend of V*, and (b) and the
+injection of S*, share one SVD. `subspaces.complement` keeps its result in
+the subspace's memo too, so (b) and the injection see the same S*^perp,
+and `Quadruple.dual` keeps the dual in the quadruple's. A quadruple holds
+read-only copies of its matrices, so nothing kept for it can go stale.
 
 The star recursion (`_nulling_steps`) runs on the orthogonal complement
 (Moore & Laub 1978): each step carries V_k together with an orthonormal
@@ -102,7 +102,7 @@ SHIFT = 0.1
 class Quadruple:
     """State-space quadruple with direct feedthrough. It holds read-only
     float copies of its matrices, as a plant does, so what is derived from
-    it alone is kept (`subspaces._kept`); it compares and hashes by identity."""
+    it alone is kept (`@subspaces._kept`); it compares and hashes by identity."""
 
     A: np.ndarray
     B: np.ndarray
@@ -149,14 +149,11 @@ class Quadruple:
     def p(self) -> int:
         return self.C.shape[0]
 
+    @_kept
     def dual(self) -> "Quadruple":
         """The dual quadruple (A^T, C^T, B^T, D^T), built on the first call
         and kept: read-only transposed views of this one's matrices."""
-        return _kept(self, "dual", _dual, self)
-
-
-def _dual(q: Quadruple) -> Quadruple:
-    return Quadruple._checked(q.A.T, q.C.T, q.B.T, q.D.T)
+        return Quadruple._checked(self.A.T, self.C.T, self.B.T, self.D.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,25 +209,20 @@ def _twin_matrix(kind: str, M: np.ndarray) -> np.ndarray:
     return M if kind == OUTPUT_NULLING else M.T
 
 
+@_kept
 def _nulling_factors(V: Subspace, q: Quadruple, tol: ToleranceProfile):
     """(Pv, U, s, Vh, r): Pv = I - P_V and the SVD U diag(s) Vh of
     M = [Pv B; D], cut at rank r = the count of singular values above
     rank_rel * max(s_0, ||[B; D]||) * max(shape); U, s and Vh are None when
-    q has no inputs. They depend on V, q and tol alone, so `_nulling_system`
-    keeps them, read-only, in V's memo under (q, tol): every nulling system
-    of V over q shares them (conditions (a) and (b), the nulling check, the
-    friend, Uv)."""
+    q has no inputs. They depend on V, q and tol alone, so they are kept,
+    read-only, in V's memo: every nulling system of V over q shares them
+    (conditions (a) and (b), the nulling check, the friend, Uv)."""
     Pv = np.eye(q.n) - V.projector()
-    factors = (Pv, None, None, None, 0)
-    if q.m:
-        M = np.concatenate((Pv @ q.B, q.D))
-        U, s, Vh = _svd(M, True)
-        r = _numerical_rank(s, M.shape, tol.rank_rel, _norm2(_bd(q)))
-        factors = (Pv, U, s, Vh, r)
-    for M in factors[:4]:
-        if M is not None:
-            M.setflags(write=False)
-    return factors
+    if not q.m:
+        return Pv, None, None, None, 0
+    M = np.concatenate((Pv @ q.B, q.D))
+    U, s, Vh = _svd(M, True)
+    return Pv, U, s, Vh, _numerical_rank(s, M.shape, tol.rank_rel, _norm2(_bd(q)))
 
 
 def _nulling_system(V: Subspace, q: Quadruple, N: np.ndarray,
@@ -241,7 +233,7 @@ def _nulling_system(V: Subspace, q: Quadruple, N: np.ndarray,
     R = [(I - P_V) N_x; N_y]; Uv = ker M, the inputs that keep V and null
     the output; and the residual ||R - P_M R||.
     """
-    Pv, U, s, Vh, r = _kept(V, ("nulling", q, tol), _nulling_factors, V, q, tol)
+    Pv, U, s, Vh, r = _nulling_factors(V, q, tol)
     R = np.concatenate((Pv @ N[:q.n], N[q.n:]))
     if U is None:
         return np.zeros((0, N.shape[1])), np.zeros((0, 0)), _norm2(R)

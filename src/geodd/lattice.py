@@ -50,12 +50,12 @@ class PlantSystem:
     The plant is immutable: each matrix is stored as a read-only float copy
     of what was passed in, so writing into `plant.A` raises ValueError.
     That makes it sound for the analyses to keep what they derive from the
-    plant alone (the control, observation and extended quadruples, the star
-    pair, the coupling conditions on it, the well-posedness result and the
-    stabilizability precondition) in the plant's memo (`subspaces._kept`),
-    so that `analyze_p1`, `analyze_p2` and `solve` on one plant share one
-    computation of each. The memo is made on first use and lives and dies
-    with the object; `dataclasses.replace` returns a plant without one.
+    plant alone (its quadruples, the star and p2 pairs and the sides of the
+    p2 pair, the coupling conditions, the well-posedness result and the p2
+    precondition) in the plant's memo, read-only: each is one `@_kept`
+    function of `subspaces`, so `analyze_p1`, `analyze_p2` and `solve` on
+    one plant share one computation of each. The memo lives and dies with
+    the plant; `dataclasses.replace` returns a plant without one.
     """
 
     A: np.ndarray
@@ -130,31 +130,26 @@ class PlantSystem:
     def region(self) -> StabilityRegion:
         return StabilityRegion(self.time_domain)
 
+    @_kept
     def control_quadruple(self) -> Quadruple:
         """(A, B, E, D_z), one object per plant."""
-        return _kept(self, ("quadruple", "control"), Quadruple._checked,
-                     self.A, self.B, self.E, self.D_z)
+        return Quadruple._checked(self.A, self.B, self.E, self.D_z)
 
+    @_kept
     def observation_quadruple(self) -> Quadruple:
         """(A, H, C, G_y), one object per plant."""
-        return _kept(self, ("quadruple", "observation"), Quadruple._checked,
-                     self.A, self.H, self.C, self.G_y)
+        return Quadruple._checked(self.A, self.H, self.C, self.G_y)
 
 
+@_kept
 def extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
     """Input-extended (A, [B H], E, [D_z G_z]) and output-extended
     (A, H, [C; E], [G_y; G_z]) quadruples, one pair per plant. Every caller
     shares them, so their stacked matrices are read-only, as the plant's are."""
-    return _kept(sys, ("quadruple", "extended"), _extended_quadruples, sys)
-
-
-def _extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
     BH = np.concatenate((sys.B, sys.H), axis=1)
     DG = np.concatenate((sys.D_z, sys.G_z), axis=1)
     CE = np.concatenate((sys.C, sys.E))
     GG = np.concatenate((sys.G_y, sys.G_z))
-    for M in (BH, DG, CE, GG):
-        M.setflags(write=False)
     return (Quadruple._checked(sys.A, BH, sys.E, DG),
             Quadruple._checked(sys.A, sys.H, CE, GG))
 
@@ -195,23 +190,17 @@ def coupling_conditions(sys: PlantSystem, V: Subspace, S: Subspace,
     }
 
 
+@_kept
 def _star_pair(sys: PlantSystem, tol: ToleranceProfile) -> tuple[Subspace, Subspace]:
     """The star pair (V*, S*): V* of the control quadruple and S* of the
     observation one, once per plant and tolerance profile."""
-    return _kept(sys, ("pair", "p1", tol), _build_star_pair, sys, tol)
-
-
-def _build_star_pair(sys: PlantSystem, tol: ToleranceProfile):
     return vstar(sys.control_quadruple(), tol), sstar(sys.observation_quadruple(), tol)
 
 
+@_kept
 def _star_coupling(sys: PlantSystem, tol: ToleranceProfile) -> dict:
     """`coupling_conditions` on the star pair, once per plant and tolerance
     profile."""
-    return _kept(sys, ("coupling", tol), _build_star_coupling, sys, tol)
-
-
-def _build_star_coupling(sys: PlantSystem, tol: ToleranceProfile) -> dict:
     return coupling_conditions(sys, *_star_pair(sys, tol), tol)
 
 

@@ -4,9 +4,9 @@ A subspace is stored as an ambient dimension plus a matrix with orthonormal
 columns (zero columns for the trivial subspace). All operations are pure
 functions of immutable inputs; the only global state is the dgesdd and
 dgees workspace sizes below, functions of shape alone. What is derived
-from an immutable object alone is kept in its memo (`_kept`), which lives
-and dies with it: a subspace keeps its orthogonal complement per tolerance
-profile (`complement`), a function of its own read-only basis.
+from an immutable object alone is one function decorated with `_kept`, kept
+read-only in the object's memo, which lives and dies with it: a subspace
+keeps its orthogonal complement per tolerance profile (`complement`).
 
 Rank decisions use a relative singular-value cutoff, comparisons use
 principal angles computed through their sines (well conditioned for the
@@ -50,6 +50,8 @@ that kernel's bit-parity tests then fail.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -368,18 +370,43 @@ def kernel_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Sub
     return Subspace._adopt(n, Vh[r:].T)
 
 
-def _kept(obj, key, compute, *args):
-    """compute(*args), once per key for the immutable `obj`: the package's
-    one cache, the `_memo` dict of `obj`, made on first use. The key names
-    everything the value depends on besides `obj` itself; no value is None."""
-    try:
-        memo = obj._memo
-    except AttributeError:
-        memo = {}
-        object.__setattr__(obj, "_memo", memo)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = compute(*args)
+def _kept(f):
+    """Decorator: `f(obj, *args)`, once per `args` for the immutable `obj`,
+    in the package's one cache, the `_memo` dict of `obj`, made on first
+    use, under `(f, *args)`: no two derivations share a key. Every caller
+    shares the value, so its arrays are made read-only (`_frozen`). No value
+    is None. Keyword arguments are bound to their positions, as `f` would."""
+    bind = inspect.signature(f).bind
+
+    @functools.wraps(f)
+    def kept(obj=None, /, *args, **kwargs):
+        if kwargs or obj is None:  # named arguments: bound, then passed by position
+            given = () if obj is None else (obj, *args)
+            return kept(*bind(*given, **kwargs).args)
+        key = (f,) + args
+        try:
+            return obj._memo[key]
+        except AttributeError:
+            object.__setattr__(obj, "_memo", {})
+        except KeyError:
+            pass
+        value = obj._memo[key] = _frozen(f(obj, *args))
+        return value
+
+    return kept
+
+
+def _frozen(value):
+    """`value`, with every array in it made read-only: a bare array, or one
+    held, at any depth, by a tuple or a record (not by a record's `_memo`)."""
+    if isinstance(value, np.ndarray):
+        value.setflags(False)  # positional: numpy parses `write=` 0.1 us slower
+    elif isinstance(value, tuple):
+        for item in value:
+            _frozen(item)
+    elif hasattr(value, "__dataclass_fields__"):
+        for item in vars(value).values():
+            _frozen(item)
     return value
 
 
@@ -387,9 +414,10 @@ def complement(S: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement, kept on S per tolerance profile: every call
     on one subspace returns the same object, and with it what that object
     keeps (`geometry._nulling_factors`)."""
-    return _kept(S, tol, _complement, S, tol)
+    return _complement(S, tol)
 
 
+@_kept
 def _complement(S: Subspace, tol: ToleranceProfile) -> Subspace:
     if S.is_trivial:
         return Subspace.full(S.ambient_dim)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -119,9 +118,9 @@ class AffineKFamily:
     """Affine set {K0 + sum theta_i K_i} of feedback parameters.
 
     The set depends on its directions only through their span, which
-    `_span` holds as an orthonormal basis of the directions vectorised
-    column by column, so the directions need not be orthonormal or
-    independent.
+    `_span` keeps in the family's memo (`subspaces._kept`) as an
+    orthonormal basis of the directions vectorised column by column, so
+    the directions need not be orthonormal or independent.
     """
 
     K0: np.ndarray
@@ -135,7 +134,8 @@ class AffineKFamily:
     def n_directions(self) -> int:
         return len(self.directions)
 
-    @cached_property
+    @property
+    @_kept
     def _span(self) -> Subspace:
         """The span of the vectorised directions in R^(m p)."""
         mp = self.K0.size
@@ -355,9 +355,10 @@ def analysis_pair(sys: PlantSystem, problem: str,
     tolerance profile and then read from the plant's memo."""
     if problem == "p1":
         return _star_pair(sys, tol)
-    return _kept(sys, ("pair", problem, tol), _build_p2_pair, sys, tol)
+    return _build_p2_pair(sys, tol)
 
 
+@_kept
 def _build_p2_pair(sys, tol):
     v_m, s_M = vm_sM(sys, tol)
     return combine("sum", v_m, s_M, tol), s_M
@@ -416,16 +417,17 @@ def _wellposedness_condition(sys, label, tol):
     that is singular in floats, fails the condition as a numerical failure.
 
     Returns (family, check, K). The condition depends on the plant alone
-    and is the same computation for both problems, so its outcome is kept
-    in the plant's memo under the tolerance profile and `label` is put on
-    the check when it is read. The family's K0 and the selected K are
-    read-only, since every report on the plant shares them.
+    and is the same computation for both problems, so its outcome
+    (`_evaluate_wellposedness`) is kept in the plant's memo under the
+    tolerance profile, and `label` is put on the check when it is read.
+    Every report on the plant shares the family and the selected K, so the
+    memo makes their arrays read-only: K0, every direction and K.
     """
-    family, passed, residual, note, K = _kept(sys, ("wellposed", tol),
-                                              _evaluate_wellposedness, sys, tol)
+    family, passed, residual, note, K = _evaluate_wellposedness(sys, tol)
     return family, ConditionCheck(label, passed, residual, note), K
 
 
+@_kept
 def _evaluate_wellposedness(sys, tol):
     Vst, Sst = analysis_pair(sys, "p1", tol)
     no_family = None, False, float("nan"), "family construction failed", None
@@ -433,7 +435,6 @@ def _evaluate_wellposedness(sys, tol):
         family = k_affine_family(sys, Sst, Vst, tol)
     except NoSolution:
         return no_family
-    family.K0.setflags(write=False)
     try:
         K = select_wellposed(family, sys.D_y)
     except AllSingular:
@@ -455,7 +456,6 @@ def _evaluate_wellposedness(sys, tol):
             shown = "; ".join(" ".join(map(str, row)) for row in member)
             return (family, False, margin, f"exact grid member K = [{shown}] "
                     "has a float well-posedness margin below DELTA_WP", None)
-    K.setflags(write=False)
     return (family, True, wellposedness_margin(K, sys.D_y),
             "residual holds the well-posedness margin", K)
 
@@ -463,38 +463,28 @@ def _evaluate_wellposedness(sys, tol):
 _PRECONDITION_NOTE = "(A,B) stabilizable and (C,A) detectable required"
 
 
+@_kept
 def _stabilizable_detectable(sys, tol) -> bool:
     """The p2 precondition, once per plant and tolerance profile: no
     uncontrollable mode of (A, B) and none of (A^T, C^T) outside the
     region. It is the pair check of both stabilizing friends, so
     `solve_certified` does not repeat it."""
-    return _kept(sys, ("precondition", tol), _evaluate_precondition, sys, tol)
-
-
-def _evaluate_precondition(sys, tol) -> bool:
     return not any(sys.region.outside(_controllable_split(A, B, tol)[2])
                    for A, B in ((sys.A, sys.B), (sys.A.T, sys.C.T)))
 
 
+@_kept
 def _p2_side(sys, kind: str, tol) -> _TwinSplit:
-    """One side of the p2 pair, once per plant and tolerance profile: the
-    split of the output-nulling twin of V_m + S_M over the control
+    """One side of the p2 pair, once per plant, kind and tolerance profile:
+    the split of the output-nulling twin of V_m + S_M over the control
     quadruple, or of S_M over the observation quadruple, under the twin's
     friend. Conditions D/E read its fixed spectrum, and `solve_certified`
-    builds the stabilizing friends from it. Its arrays are read-only,
-    since every reader shares them."""
-    return _kept(sys, ("p2 side", kind, tol), _build_p2_side, sys, kind, tol)
-
-
-def _build_p2_side(sys, kind: str, tol) -> _TwinSplit:
+    builds the stabilizing friends from it. Every reader shares it, so the
+    memo makes its arrays read-only."""
     vm_sum, s_M = analysis_pair(sys, "p2", tol)
     sub, quad = ((vm_sum, sys.control_quadruple()) if kind == OUTPUT_NULLING
                  else (s_M, sys.observation_quadruple()))
-    split = _twin_split(kind, sub, quad, tol)
-    for value in vars(split).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return split
+    return _twin_split(kind, sub, quad, tol)
 
 
 def analyze_p2(sys: PlantSystem,

@@ -13,7 +13,6 @@ Krylov hull, whose rank decisions can miss on larger loops)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -25,6 +24,7 @@ from .subspaces import (
     Subspace,
     ToleranceProfile,
     _eigvals,
+    _kept,
     _linalg_state,
     _norm2,
     _qr_basis,
@@ -40,9 +40,10 @@ class ClosedLoop:
     """Assembled loop Dx^ = A^ x^ + H^ w, z = C^ x^ + G^ w.
 
     `spectrum`, the eigenvalues of A^ in LAPACK's order, is computed on
-    first use and kept, read-only: the frequency samples, their pole
-    clearance, the stability verdict and the p2 check of `solve` all read
-    the same array. The matrices are not to be changed in place.
+    first use and kept, read-only, in the loop's memo (`subspaces._kept`):
+    the frequency samples, their pole clearance, the stability verdict and
+    the p2 check of `solve` all read the same array. The matrices are not
+    to be changed in place.
     """
 
     A_hat: np.ndarray
@@ -56,11 +57,10 @@ class ClosedLoop:
     def order(self) -> int:
         return self.A_hat.shape[0]
 
-    @cached_property
+    @property
+    @_kept
     def spectrum(self) -> np.ndarray:
-        eigs = _eigvals(self.A_hat)
-        eigs.flags.writeable = False
-        return eigs
+        return _eigvals(self.A_hat)
 
 
 @dataclass(frozen=True, eq=False)

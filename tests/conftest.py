@@ -1,11 +1,15 @@
+"""Shared plant fixtures. geodd is imported inside each fixture, not at
+module top, so that an import that breaks geodd (say, a cycle) fails only
+the tests that use it, and `test_structure.py` still names the cycle."""
+
 import numpy as np
 import pytest
-
-from geodd import PlantSystem, span_of
 
 
 @pytest.fixture
 def mismatched_plant():
+    from geodd import PlantSystem
+
     # A K satisfying the coupling inclusion exists although S is not inside
     # V. The disturbance column equals B's first column; flipping its sign
     # leaves the hand-checkable K below with no solution at all.
@@ -24,6 +28,8 @@ def mismatched_plant():
 
 @pytest.fixture
 def mismatched_plant_pair():
+    from geodd import span_of
+
     V = span_of(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     S = span_of(np.array([[0.0], [2.0], [7.0]]))
     return V, S
@@ -31,6 +37,8 @@ def mismatched_plant_pair():
 
 @pytest.fixture
 def singular_family_plant():
+    from geodd import PlantSystem
+
     # Every K satisfying the coupling inclusion makes I + K D_y singular.
     return PlantSystem(
         A=[[0, 0, 0], [0, 0, 0], [-1, 0, 0]],
@@ -47,6 +55,8 @@ def singular_family_plant():
 
 @pytest.fixture(params=[0, 1], ids=["n0", "n1"])
 def float_singular_witness_plant(request):
+    from geodd import PlantSystem
+
     # K = [1 k2] satisfies the coupling inclusion, and det(I + K D_y) =
     # 2^-40 k2: not identically zero, but the exact grid's first nonsingular
     # member, K = [1 1], has a float well-posedness margin of 4.5e-13, below
@@ -64,6 +74,8 @@ def float_singular_witness_plant(request):
 
 @pytest.fixture
 def scalar_channel_plant():
+    from geodd import PlantSystem
+
     # Scalar-channel plant whose decoupling compensators are not exhausted
     # by the canonical construction.
     return PlantSystem(
@@ -81,6 +93,8 @@ def scalar_channel_plant():
 
 @pytest.fixture
 def uncoupled_disturbance_plant():
+    from geodd import PlantSystem
+
     # The disturbance image leaves V* + im B: coupling condition (a) fails
     # on the star pair while (b) holds, and V* of the input-extended
     # quadruple is larger than the plant's V*.

@@ -1,7 +1,10 @@
-"""The module graph of geodd, read from its source with `ast` (nothing is
-imported): every import of a geodd module sits at module top, the graph of
-those imports has no cycle, the solve path never reaches the audit or the
-plant generator, and `verify` reads only the subspace layer."""
+"""The module graph and the memo policy of geodd, read from its source with
+`ast` (nothing is imported): every import of a geodd module sits at module
+top, the graph of those imports has no cycle, the solve path never reaches
+the audit or the plant generator, and `verify` reads only the subspace
+layer. Each derived value is one `@_kept` function: only `subspaces`
+touches a memo, and only the record constructors and the memo's freeze
+helper make arrays read-only."""
 
 import ast
 import importlib.util
@@ -84,3 +87,70 @@ def test_solve_path_never_reaches_audit_or_generator(module):
 
 def test_verify_reads_only_errors_and_subspaces():
     assert GRAPH["verify"] == {"errors", "subspaces"}
+
+
+# The records that freeze the arrays they adopt, and the memo's freeze
+# helper, which freezes what every `@_kept` function returns.
+FREEZERS = {"subspaces.Subspace._freeze", "geometry.Quadruple.__post_init__",
+            "lattice.PlantSystem._adopt", "synthesis.Compensator._adopt",
+            "subspaces._frozen"}
+
+
+def _named(node) -> str | None:
+    """The name a Name or Attribute node reads, or None for other nodes."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _scoped(module: str):
+    """(qualified name of the enclosing class or function, node) for every
+    node of the module."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}"
+            yield inner, child
+            yield from walk(child, inner)
+
+    yield from walk(_tree(module), module)
+
+
+def test_only_subspaces_touches_a_memo():
+    touching = [f"{scope}:{node.lineno}" for module in MODULES if module != "subspaces"
+                for scope, node in _scoped(module)
+                if _named(node) == "_memo"
+                or isinstance(node, ast.Constant) and node.value == "_memo"]
+    assert touching == []
+
+
+def test_no_second_cache():
+    found = [f"{scope}:{node.lineno}" for module in MODULES
+             for scope, node in _scoped(module)
+             if _named(node) == "cached_property"
+             or isinstance(node, ast.alias) and node.name == "cached_property"]
+    assert found == []
+
+
+def test_arrays_are_frozen_only_by_records_and_the_memo():
+    freezing = {scope for module in MODULES for scope, node in _scoped(module)
+                if isinstance(node, ast.Attribute)
+                and (node.attr == "setflags"
+                     or node.attr == "writeable" and _named(node.value) == "flags")}
+    assert freezing == FREEZERS
+
+
+def test_kept_is_only_a_decorator():
+    decorators, used = set(), []
+    for module in MODULES:
+        nodes = list(_scoped(module))
+        decorators |= {id(d) for _, node in nodes
+                       if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                       for d in node.decorator_list}
+        used += [(f"{scope}:{node.lineno}", node) for scope, node in nodes
+                 if _named(node) == "_kept"]
+    assert used
+    assert [where for where, node in used if id(node) not in decorators] == []

@@ -989,8 +989,9 @@ class TestPlantMemo:
             run()
             counts.append(len(calls))
         assert counts == [1, 0, 0, 1, 0, 1]
-        assert {key for key in plant._memo if key[0] == "wellposed"} == {
-            ("wellposed", DEFAULT_TOL), ("wellposed", tight)}
+        wellposed = synthesis._evaluate_wellposedness.__wrapped__
+        assert {key for key in plant._memo if key[0] is wellposed} == {
+            (wellposed, DEFAULT_TOL), (wellposed, tight)}
 
     def test_route_checks_coupling_on_its_own_pair(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=0, n=4, m=1, q=1, p=1, r=1))
@@ -1035,6 +1036,33 @@ class TestPlantMemo:
         for K in (report.K, report.family.K0):
             with pytest.raises(ValueError):
                 K[0, 0] = 0.0
+
+    def test_shared_family_and_selected_k_are_read_only(self):
+        # the p1 and p2 reports of one plant share one family and one K, so a
+        # write into any of their arrays through one report would change the
+        # other's
+        plant = generate_instance(InstanceSpec(seed=0, n=4))
+        p1, p2 = analyze_p1(plant), analyze_p2(plant)
+        assert p1.family is p2.family and p1.K is p2.K
+        assert p1.family.n_directions
+        for M in (p1.K, p1.family.K0, *p1.family.directions):
+            with pytest.raises(ValueError):
+                M[0, 0] = 0.0
+
+    def test_memoized_names_take_their_calls_and_keep_one_value(self):
+        plant = generate_instance(InstanceSpec(seed=0, n=4))
+        tight = ToleranceProfile(residual=1e-9)
+        S = analysis_pair(plant, "p1")[1]
+        assert complement(S) is complement(S, DEFAULT_TOL) is complement(S, tol=DEFAULT_TOL)
+        assert complement(S, tol=tight) is complement(S, tight) is not complement(S)
+        assert extended_quadruples(sys=plant) is extended_quadruples(plant)
+        q = plant.control_quadruple()
+        assert q is plant.control_quadruple() and q.dual() is q.dual()
+        assert plant.observation_quadruple() is plant.observation_quadruple()
+        family = analyze_p1(plant).family
+        assert family._span is family._span
+        cl = solve_certified(plant, "p1")[2]
+        assert cl.spectrum is cl.spectrum
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(plant_specs(), st.sampled_from([("p1", "p2"), ("p2", "p1")]))
