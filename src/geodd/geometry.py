@@ -104,6 +104,8 @@ class Quadruple:
     float copies of its matrices, as a plant does, so what is derived from
     it alone is kept (`@subspaces._kept`); it compares and hashes by identity."""
 
+    _frozen_by_construction = True
+
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
@@ -129,11 +131,15 @@ class Quadruple:
 
     @classmethod
     def _checked(cls, A, B, C, D) -> "Quadruple":
-        """A quadruple on read-only float matrices that have passed these
-        checks already (a plant's, or the transposes of a quadruple's),
-        built without copying or repeating them."""
+        """A quadruple on float matrices that have passed these checks
+        already (a plant's, stacks of a plant's, or the transposes of a
+        quadruple's), built without copying or repeating them. It makes
+        them read-only, as `__post_init__` does: a no-op on a plant's
+        matrices and on their transposes, and a fresh stack, which the
+        caller keeps no reference to, is frozen in place."""
         q = object.__new__(cls)
         for name, M in zip("ABCD", (A, B, C, D)):
+            M.setflags(False)
             object.__setattr__(q, name, M)
         return q
 

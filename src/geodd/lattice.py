@@ -58,6 +58,8 @@ class PlantSystem:
     the plant; `dataclasses.replace` returns a plant without one.
     """
 
+    _frozen_by_construction = True
+
     A: np.ndarray
     B: np.ndarray
     H: np.ndarray
@@ -145,7 +147,8 @@ class PlantSystem:
 def extended_quadruples(sys: PlantSystem) -> tuple[Quadruple, Quadruple]:
     """Input-extended (A, [B H], E, [D_z G_z]) and output-extended
     (A, H, [C; E], [G_y; G_z]) quadruples, one pair per plant. Every caller
-    shares them, so their stacked matrices are read-only, as the plant's are."""
+    shares them, so their stacked matrices are read-only, as the plant's are:
+    `Quadruple._checked` freezes the fresh stacks it adopts."""
     BH = np.concatenate((sys.B, sys.H), axis=1)
     DG = np.concatenate((sys.D_z, sys.G_z), axis=1)
     CE = np.concatenate((sys.C, sys.E))

@@ -6,7 +6,11 @@ functions of immutable inputs; the only global state is the dgesdd and
 dgees workspace sizes below, functions of shape alone. What is derived
 from an immutable object alone is one function decorated with `_kept`, kept
 read-only in the object's memo, which lives and dies with it: a subspace
-keeps its orthogonal complement per tolerance profile (`complement`).
+keeps its orthogonal complement per tolerance profile (`complement`). The
+records that make their own arrays read-only when they are built (a
+Subspace, and the Quadruple, PlantSystem and Compensator of the other
+modules) declare `_frozen_by_construction`, so the memo does not walk them
+again; a tolerance profile, part of most memo keys, is hashed once.
 
 Rank decisions use a relative singular-value cutoff, comparisons use
 principal angles computed through their sines (well conditioned for the
@@ -195,6 +199,10 @@ class ToleranceProfile:
     rank_rel  - relative singular-value cutoff for numerical rank
     angle     - principal-angle threshold for equality/containment (radians)
     residual  - norm threshold for inclusion/invariance residuals
+
+    It compares and hashes by its three fields. Most memo keys hold a
+    profile, so its hash, the dataclass's, is computed once, when the
+    profile is made, not on every lookup.
     """
 
     rank_rel: float = 1e-10
@@ -211,6 +219,11 @@ class ToleranceProfile:
                 raise InvalidInput(f"rank_rel must lie in (0, 1), got {value!r}")
             if value <= 0:
                 raise InvalidInput(f"{name} must be strictly positive, got {value!r}")
+        object.__setattr__(self, "_hash",
+                           hash((self.rank_rel, self.angle, self.residual)))
+
+    def __hash__(self):
+        return self._hash
 
 
 DEFAULT_TOL = ToleranceProfile()
@@ -249,6 +262,8 @@ class StabilityRegion:
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of R^ambient_dim with an orthonormal basis matrix."""
+
+    _frozen_by_construction = True
 
     ambient_dim: int
     basis: np.ndarray = field(repr=False)
@@ -374,8 +389,9 @@ def _kept(f):
     """Decorator: `f(obj, *args)`, once per `args` for the immutable `obj`,
     in the package's one cache, the `_memo` dict of `obj`, made on first
     use, under `(f, *args)`: no two derivations share a key. Every caller
-    shares the value, so its arrays are made read-only (`_frozen`). No value
-    is None. Keyword arguments are bound to their positions, as `f` would."""
+    shares the value, so its arrays are made read-only (`_frozen`), except
+    in records that made them read-only when they were built. No value is
+    None. Keyword arguments are bound to their positions, as `f` would."""
     bind = inspect.signature(f).bind
 
     @functools.wraps(f)
@@ -398,13 +414,17 @@ def _kept(f):
 
 def _frozen(value):
     """`value`, with every array in it made read-only: a bare array, or one
-    held, at any depth, by a tuple or a record (not by a record's `_memo`)."""
+    held, at any depth, by a tuple or a record (not by a record's `_memo`).
+    A record whose type declares `_frozen_by_construction` (a Subspace,
+    Quadruple, PlantSystem or Compensator) made every array it holds
+    read-only when it was built, and is not walked."""
     if isinstance(value, np.ndarray):
         value.setflags(False)  # positional: numpy parses `write=` 0.1 us slower
     elif isinstance(value, tuple):
         for item in value:
             _frozen(item)
-    elif hasattr(value, "__dataclass_fields__"):
+    elif (hasattr(value, "__dataclass_fields__")
+          and not hasattr(value, "_frozen_by_construction")):
         for item in vars(value).values():
             _frozen(item)
     return value

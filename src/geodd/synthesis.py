@@ -74,6 +74,8 @@ class Compensator:
     the non-finite check holds for the compensator's lifetime; the caller's
     arrays stay writable."""
 
+    _frozen_by_construction = True
+
     A_c: np.ndarray
     B_c: np.ndarray
     C_c: np.ndarray
@@ -514,13 +516,15 @@ def analyze_p2(sys: PlantSystem,
             return ConditionCheck(which, False, float("nan"), str(err))
         bad = region.outside(fixed)
         worst = max((-region.boundary_distance(l) for l in fixed), default=-1.0)
-        # Sorted, so the note does not depend on the basis; + 0.0 maps -0.0 to
-        # 0.0. A spectrum whose imaginary parts all round to 0 prints as real,
-        # whatever roundoff eigvals left in them.
-        rounded = np.round(np.asarray(fixed), 6) + 0.0
-        if not rounded.imag.any():
-            rounded = rounded.real
-        shown = np.sort(rounded).tolist()
+        shown = []  # the common case, an empty spectrum, takes no numpy call
+        if len(fixed):
+            # Sorted, so the note does not depend on the basis; + 0.0 maps
+            # -0.0 to 0.0. A spectrum whose imaginary parts all round to 0
+            # prints as real, whatever roundoff eigvals left in them.
+            rounded = np.round(np.asarray(fixed), 6) + 0.0
+            if not rounded.imag.any():
+                rounded = rounded.real
+            shown = np.sort(rounded).tolist()
         return ConditionCheck(which, not bad, max(worst, 0.0),
                               f"fixed spectrum {shown}")
 

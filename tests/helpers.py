@@ -169,6 +169,17 @@ def lifted_obstruction(base: PlantSystem, k: int, time_domain: str, rng) -> Plan
                        base.G_y, E @ T, base.D_z, base.G_z, time_domain=time_domain)
 
 
+def reference_spectrum_note(fixed) -> str:
+    """The note of condition D or E of `analyze_p2` on the fixed spectrum
+    `fixed`, by numpy on every spectrum, an empty one included: rounded to
+    6 decimals, -0.0 printed as 0.0, real when every imaginary part rounds
+    to 0, sorted."""
+    rounded = np.round(np.asarray(fixed), 6) + 0.0
+    if not rounded.imag.any():
+        rounded = rounded.real
+    return f"fixed spectrum {np.sort(rounded).tolist()}"
+
+
 def quad_to_exact(q: Quadruple):
     return (exact.from_array(q.A), exact.from_array(q.B),
             exact.from_array(q.C), exact.from_array(q.D))

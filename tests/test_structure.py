@@ -3,8 +3,9 @@
 top, the graph of those imports has no cycle, the solve path never reaches
 the audit or the plant generator, and `verify` reads only the subspace
 layer. Each derived value is one `@_kept` function: only `subspaces`
-touches a memo, and only the record constructors and the memo's freeze
-helper make arrays read-only."""
+touches a memo, only the record constructors and the memo's freeze helper
+make arrays read-only, and only a record that freezes its own arrays tells
+the memo so."""
 
 import ast
 import importlib.util
@@ -92,8 +93,12 @@ def test_verify_reads_only_errors_and_subspaces():
 # The records that freeze the arrays they adopt, and the memo's freeze
 # helper, which freezes what every `@_kept` function returns.
 FREEZERS = {"subspaces.Subspace._freeze", "geometry.Quadruple.__post_init__",
-            "lattice.PlantSystem._adopt", "synthesis.Compensator._adopt",
-            "subspaces._frozen"}
+            "geometry.Quadruple._checked", "lattice.PlantSystem._adopt",
+            "synthesis.Compensator._adopt", "subspaces._frozen"}
+
+# The class attribute by which a record tells the memo's freeze helper that
+# it froze its arrays when it was built, so that the helper skips it.
+MARKER = "_frozen_by_construction"
 
 
 def _named(node) -> str | None:
@@ -154,3 +159,23 @@ def test_kept_is_only_a_decorator():
                  if _named(node) == "_kept"]
     assert used
     assert [where for where, node in used if id(node) not in decorators] == []
+
+
+def test_only_a_record_that_freezes_itself_says_so():
+    # a record that declares the marker but leaves an array writable would
+    # hand that array, writable, to every reader of the memo
+    declared, targets, named = set(), set(), []
+    for module in MODULES:
+        for scope, node in _scoped(module):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.Assign)
+                            and [_named(t) for t in stmt.targets] == [MARKER]):
+                        declared.add(scope)
+                        targets.add(id(stmt.targets[0]))
+            if _named(node) == MARKER or isinstance(node, ast.Constant) and node.value == MARKER:
+                named.append((module, f"{scope}:{node.lineno}", node))
+    assert declared == {name.rsplit(".", 1)[0] for name in FREEZERS - {"subspaces._frozen"}}
+    # elsewhere the marker is only declared; `subspaces._frozen` reads it
+    assert [where for module, where, node in named
+            if module != "subspaces" and id(node) not in targets] == []

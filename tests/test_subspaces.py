@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -107,6 +110,19 @@ class TestToleranceProfile:
     def test_defaults_accepted(self):
         tol = ToleranceProfile()
         assert (tol.rank_rel, tol.angle, tol.residual) == (1e-10, 1e-8, 1e-8)
+
+    def test_hash_is_that_of_its_fields_and_keys_one_memo_entry(self):
+        # the hash is computed once, and is the one the dataclass computes
+        tight = dataclasses.replace(DEFAULT_TOL, residual=1e-9)
+        for tol in (DEFAULT_TOL, tight, copy.copy(tight), copy.deepcopy(tight),
+                    pickle.loads(pickle.dumps(tight))):
+            assert hash(tol) == hash((tol.rank_rel, tol.angle, tol.residual))
+        assert pickle.loads(pickle.dumps(tight)) == tight != DEFAULT_TOL
+        assert repr(tight) == ("ToleranceProfile(rank_rel=1e-10, angle=1e-08, "
+                               "residual=1e-09)")
+        S = span_of(np.eye(4)[:, :2])
+        assert complement(S, ToleranceProfile()) is complement(S, DEFAULT_TOL)
+        assert complement(S, copy.copy(tight)) is complement(S, tight)
 
 
 class TestSubspaceBasis:

@@ -76,6 +76,7 @@ from helpers import (
     reference_kernel,
     reference_sampled_member,
     reference_spectral_report,
+    reference_spectrum_note,
     reference_sstar_span,
     reference_vstar_span,
     stabilized_compensator,
@@ -896,6 +897,32 @@ class TestAnalyzeP2:
         assert rep.condition("E").note == (
             "fixed spectrum [(-0.5+0j), (-0.5+0j), (-0.25-0.5j), (-0.25+0.5j)]")
 
+    def test_fixed_spectrum_notes_keep_the_numpy_bytes(self, singular_family_plant):
+        # an empty spectrum's note is written without numpy; every note reads
+        # as the numpy formula prints it. The lifted discrete obstruction's
+        # D spectrum rounds to -0.0, and its E spectrum holds the defective
+        # cluster of its +-0.5 block (eigvals leaves it a pair 4e-8 apart
+        # with OpenBLAS 0.3.30; the note is real either way).
+        one = dict(m=1, q=1, p=1, r=1, solvable_by_construction=False)
+        lifted = lifted_obstruction(singular_family_plant, 3, "discrete",
+                                    np.random.default_rng(3))
+        empty = generate_instance(InstanceSpec(seed=0, n=4))
+        real = generate_instance(InstanceSpec(seed=2, n=4, **one))
+        pair = generate_instance(InstanceSpec(seed=7, n=4, **one))
+        kinds = {"D": OUTPUT_NULLING, "E": INPUT_CONTAINING}
+        for plant, label, shown in (
+                (empty, "D", "[]"), (empty, "E", "[]"),
+                (real, "D", "[-3.640022, 1.064357, 2.347274, 4.728392]"),
+                (pair, "D", "[(-2.785478+0j), (0.807046-2.214134j), "
+                            "(0.807046+2.214134j), (5.171387+0j)]"),
+                (lifted, "D", "[0.0]"), (lifted, "E", "[-0.5, -0.5, 0.0, 0.5]")):
+            fixed = synthesis._p2_side(plant, kinds[label], DEFAULT_TOL).fixed
+            note = analyze_p2(plant).condition(label).note
+            assert note == reference_spectrum_note(fixed) == f"fixed spectrum {shown}"
+        D = synthesis._p2_side(lifted, OUTPUT_NULLING, DEFAULT_TOL).fixed
+        assert np.signbit(np.round(D.real, 6)).all()
+        assert analyze_p2(lifted).overall == "well_posedness_obstruction"
+
     def test_error_inside_the_split_is_not_a_failed_condition(self, monkeypatch):
         # Conditions D/E fail on a geodd or LAPACK error from their split;
         # any other exception is a bug and leaves analyze_p2 as it is.
@@ -1063,6 +1090,53 @@ class TestPlantMemo:
         assert family._span is family._span
         cl = solve_certified(plant, "p1")[2]
         assert cl.spectrum is cl.spectrum
+
+    def test_no_memo_holds_a_writable_array(self, singular_family_plant):
+        # the memo walks neither subspaces nor quadruples, plants or
+        # compensators, which freeze their own arrays when built; so every
+        # array reachable from a plant's memo must be read-only all the same,
+        # the extended quadruples' stacks and their duals' views among them
+        one = dict(m=1, q=1, p=1, r=1, solvable_by_construction=False)
+        plants = [generate_instance(InstanceSpec(seed=0, n=4)),
+                  lifted_obstruction(singular_family_plant, 3, "discrete",
+                                     np.random.default_rng(3)),
+                  generate_instance(InstanceSpec(seed=2, n=4, **one))]
+        # condition (b) fails on the last plant, so vm_sM runs sstar on the
+        # output-extended quadruple
+        assert not analyze_p1(plants[2]).condition("ii").passed
+        writable, functions, seen = [], set(), set()
+
+        def walk(value, where):
+            if id(value) in seen:
+                return
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                if value.flags.writeable:
+                    writable.append(where)
+            elif isinstance(value, (tuple, list)):
+                for i, item in enumerate(value):
+                    walk(item, f"{where}[{i}]")
+            elif isinstance(value, dict):
+                for key, item in value.items():
+                    walk(item, f"{where}[{key!r}]")
+            elif hasattr(value, "__dataclass_fields__"):
+                for name, item in vars(value).items():
+                    if name != "_memo":
+                        walk(item, f"{where}.{name}")
+                for key, item in getattr(value, "_memo", {}).items():
+                    functions.add(key[0])
+                    walk(item, f"{where}.{key[0].__name__}{key[1:]}")
+
+        for i, plant in enumerate(plants):
+            for run in (analyze_p1, analyze_p2, lambda p: solve(p, "p1"),
+                        lambda p: solve(p, "p2")):
+                try:
+                    run(plant)
+                except GeoddError:
+                    pass
+            walk(plant, f"plants[{i}]")
+        assert extended_quadruples.__wrapped__ in functions
+        assert writable == []
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(plant_specs(), st.sampled_from([("p1", "p2"), ("p2", "p1")]))
