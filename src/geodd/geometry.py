@@ -17,12 +17,13 @@ One projected system (`_nulling_system`) answers how far a map lands from
 (V x 0) + im [B; D]: the residual, the minimum-norm friend, which depends
 on V alone, and Uv, for output nulling and for coupling conditions (a) and
 (b) in `lattice`, (b) on the dual. Its factorization (I - P_V, the SVD of
-M = [(I - P_V) B; D], its rank and ||[B; D]||) is taken once per subspace,
-quadruple and tolerance profile: `_nulling_factors` is kept in V's memo
+M = [(I - P_V) B; D] and its rank) is taken once per subspace, quadruple
+and tolerance profile: `_nulling_factors` is kept in V's memo
 (`@subspaces._kept`), so (a) and the friend of V*, and (b) and the
 injection of S*, share one SVD. `subspaces.complement` keeps its result in
 the subspace's memo too, so (b) and the injection see the same S*^perp,
-and `Quadruple.dual` keeps the dual in the quadruple's. A quadruple holds
+and `Quadruple.dual` keeps the dual in the quadruple's, as `_bd_norm`
+keeps ||[B; D]||, the anchor of every rank cut of M over it. A quadruple holds
 read-only copies of its matrices, so nothing kept for it can go stale.
 
 The star recursion (`_nulling_steps`) runs on the orthogonal complement
@@ -33,11 +34,17 @@ an iterate V_k = 0, whose successor is 0 without a step, and takes
 ||[A; C]|| only when a step first needs its rank cutoff: a recursion that
 stops at its first step (V* = X, or S* = 0) takes none.
 
-Reachable subspaces, and with them every fixed spectrum, come from
-controllable splits (`_controllable_split`): one full SVD of B and the
-orthogonal staircase of `subspaces` (Paige, IEEE TAC 26, 1981), which
-carries the complement of the reachable subspace along, so the
-uncontrollable block is read off with no complement SVD.
+Reachable subspaces, and with them every fixed spectrum that builds a
+friend or a hull, come from controllable splits (`_controllable_split`):
+one full SVD of B and the orthogonal staircase of `subspaces` (Paige, IEEE
+TAC 26, 1981), which carries the complement of the reachable subspace
+along, so the uncontrollable block is read off with no complement SVD. The
+two readers of a plant pair's uncontrollable modes alone, the p2
+precondition and a stabilizing friend's pair check, share
+`_pair_fixed_modes`: for a single input it reads them off one
+controller-Hessenberg reduction (`subspaces._hessenberg_modes`), with no
+basis, and it cuts both pairs of a plant against one ||A||, so the two
+readers give one answer.
 
 Stabilizing friends take mirror-image gains (`_stabilizing_gain`): one
 ordered real Schur form of each controllable block (`subspaces._schur`,
@@ -72,6 +79,7 @@ from .subspaces import (
     Subspace,
     ToleranceProfile,
     _eigvals,
+    _hessenberg_modes,
     _inv,
     _kept,
     _norm2,
@@ -80,6 +88,8 @@ from .subspaces import (
     _schur,
     _staircase,
     _svd,
+    _svd_u,
+    _svd_vh,
     combine,
     complement,
     contains,
@@ -189,6 +199,13 @@ def _bd(q: Quadruple) -> np.ndarray:
     return np.concatenate((q.B, q.D))
 
 
+@_kept
+def _bd_norm(q: Quadruple) -> float:
+    """||[B; D]||, once per quadruple: the anchor of the rank cut of every
+    nulling factorization over q, and of the K family's."""
+    return _norm2(_bd(q))
+
+
 def _twin_quadruple(kind: str, q: Quadruple) -> Quadruple:
     """The quadruple of the output-nulling twin: q itself for the
     output-nulling kind, q.dual() for the input-containing kind."""
@@ -228,7 +245,7 @@ def _nulling_factors(V: Subspace, q: Quadruple, tol: ToleranceProfile):
         return Pv, None, None, None, 0
     M = np.concatenate((Pv @ q.B, q.D))
     U, s, Vh = _svd(M, True)
-    return Pv, U, s, Vh, _numerical_rank(s, M.shape, tol.rank_rel, _norm2(_bd(q)))
+    return Pv, U, s, Vh, _numerical_rank(s, M.shape, tol.rank_rel, _bd_norm(q))
 
 
 def _nulling_system(V: Subspace, q: Quadruple, N: np.ndarray,
@@ -291,12 +308,12 @@ def _nulling_steps(q: Quadruple, tol: ToleranceProfile) -> list:
         LM = np.concatenate((Z.T @ q.A, q.C))
         if BD.shape[1] and LM.shape[0]:
             # BD^T L holds cosines of angles in R^(n+p): cut them as such
-            _, s, Vh = _svd(np.concatenate((BD_x.T @ Z, BD_y.T), axis=1), True)
+            s, Vh = _svd_vh(np.concatenate((BD_x.T @ Z, BD_y.T), axis=1), True)
             LM = Vh[_numerical_rank(s, (n + p,), tol.rank_rel, 1.0):] @ LM
         if 0 in LM.shape:
             Vnext, Z = np.eye(n), np.zeros((n, 0))
         else:
-            _, s, Vh = _svd(LM, True)
+            s, Vh = _svd_vh(LM, True)
             if MT_norm is None:
                 MT_norm = _norm2(_stacked_output(q))
             r = _numerical_rank(s, (n + p, n), tol.rank_rel, MT_norm)
@@ -417,11 +434,24 @@ def _controllable_split(A: np.ndarray, B, tol: ToleranceProfile,
     staircase (`subspaces._staircase`, Paige, IEEE TAC 26, 1981) grows the
     first into T1 and carries the second along as T2, with no complement
     SVD."""
-    U, s, _ = _svd(B, True)
+    U, s = _svd_u(B, True)
     r = _numerical_rank(s, B.shape, tol.rank_rel, scale)
     T1, T2 = _staircase(A, U[:, :r], U[:, r:], tol)
     fixed = _eigvals(T2.T @ A @ T2) if T2.shape[1] else np.zeros(0, complex)
     return T1, T2, fixed
+
+
+def _pair_fixed_modes(A: np.ndarray, B: np.ndarray, tol: ToleranceProfile,
+                      norm_A: float | None) -> np.ndarray:
+    """The uncontrollable modes of (A, B), for a caller that reads nothing
+    else of the split: for one nonzero column B, off one Hessenberg
+    reduction (`subspaces._hessenberg_modes`), cut against max(1, norm_A),
+    and otherwise `_controllable_split`'s. norm_A is ||A||, which the
+    caller takes only when some B has one column (None otherwise), so that
+    the pairs (A, B) and (A^T, C^T) share one."""
+    if B.shape[1] == 1 and B.any():
+        return _hessenberg_modes(A, B, tol, max(1.0, norm_A))
+    return _controllable_split(A, B, tol)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,7 +663,9 @@ def stabilizing_friend(V_or_S: Subspace, kind: str, q: Quadruple,
     compensator by the same steps, from the splits of its analysis.
     """
     qv = _twin_quadruple(kind, q)
-    bad = region.outside(_controllable_split(qv.A, qv.B, tol)[2])
+    # the norm of q's A on either side, as the p2 precondition takes it
+    norm_A = _norm2(q.A) if qv.m == 1 else None
+    bad = region.outside(_pair_fixed_modes(qv.A, qv.B, tol, norm_A))
     if bad:
         raise NotStabilizablePair(
             f"pair (A, B) has unstabilizable modes {np.round(bad, 6)}"

@@ -2,8 +2,8 @@
 
 A subspace is stored as an ambient dimension plus a matrix with orthonormal
 columns (zero columns for the trivial subspace). All operations are pure
-functions of immutable inputs; the only global state is the dgesdd and
-dgees workspace sizes below, functions of shape alone. What is derived
+functions of immutable inputs; the only global state is the dgesdd, dgees
+and dgehrd workspace sizes below, functions of shape alone. What is derived
 from an immutable object alone is one function decorated with `_kept`, kept
 read-only in the object's memo, which lives and dies with it: a subspace
 keeps its orthogonal complement per tolerance profile (`complement`). The
@@ -21,12 +21,19 @@ Invariant hulls and the controllable splits of `geometry` run one
 orthogonal staircase (`_staircase`, Paige, IEEE TAC 26, 1981) that carries
 the orthogonal complement of its basis along: each step is one SVD of the
 newest block mapped into that complement, and splits the complement in
-two, so neither a projection nor a complement SVD is ever taken.
+two, so neither a projection nor a complement SVD is ever taken. A caller
+that reads only the uncontrollable modes of a single-input pair (the p2
+precondition and a stabilizing friend's pair check) reads them off one
+controller-Hessenberg reduction instead (`_hessenberg_modes`, one LAPACK
+dgehrd, workspace kept per order in `_GEHRD_LWORK`), whose subdiagonal is
+the single-input staircase's sequence of step norms, cut by the same rule.
 
 Every real SVD and spectral norm of the package goes through the private
 kernel `_svd`/`_norm2`, which calls LAPACK dgesdd (the routine behind
 numpy.linalg.svd) through scipy directly: on matrices this small numpy's
-wrapper costs more than the LAPACK work. Its workspace size
+wrapper costs more than the LAPACK work. A caller that reads one factor
+takes `_svd_u` or `_svd_vh`, which copy only that one into C order; all
+three make their one dgesdd call through `_gesdd`. Its workspace size
 is queried once per shape and kept in `_GESDD_LWORK`: LAPACK's query
 depends only on the routine, its flags and the shape, so the cached size is
 the one a fresh query returns, and the one numpy asks for. A matrix with
@@ -43,7 +50,7 @@ matrix these kernels return is C-ordered, as numpy's are: the layout of a
 factor decides the rounding of every product taken with it later. (The
 Schur kernel's are Fortran-ordered, as scipy's are.)
 
-The dgesdd and dgees kernels run scipy's LAPACK, and so does the
+The dgesdd, dgees and dgehrd kernels run scipy's LAPACK, and so does the
 stabilizing gain's dtrsyl. Where numpy runs its own, the dgesdd kernel
 agrees with numpy bit for bit only where numpy's and scipy's builds round
 alike. They did with the numpy 2.4.6 and scipy 1.17.1 wheels (OpenBLAS
@@ -61,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
-from scipy.linalg.lapack import dgees, dgesdd, dgesdd_lwork
+from scipy.linalg.lapack import dgees, dgehrd, dgehrd_lwork, dgesdd, dgesdd_lwork
 
 from .errors import BoundarySpectrum, DimensionMismatch, InvalidInput
 
@@ -126,6 +133,20 @@ def _svd(M: np.ndarray, full_matrices: bool):
     and Vh decides the rounding of every product taken with them later."""
     u, s, vt = _gesdd(M, 1, full_matrices)
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+
+
+def _svd_u(M: np.ndarray, full_matrices: bool):
+    """(U, s) of `_svd`, bit for bit, for a caller that reads no Vh: only U
+    is copied into C order."""
+    u, s, _ = _gesdd(M, 1, full_matrices)
+    return np.ascontiguousarray(u), s
+
+
+def _svd_vh(M: np.ndarray, full_matrices: bool):
+    """(s, Vh) of `_svd`, bit for bit, for a caller that reads no U: only
+    Vh is copied into C order."""
+    _, s, vt = _gesdd(M, 1, full_matrices)
+    return s, np.ascontiguousarray(vt)
 
 
 def _norm2(M: np.ndarray) -> float:
@@ -366,7 +387,7 @@ def span_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Subsp
     n = M.shape[0]
     if 0 in M.shape:
         return Subspace.trivial(n)
-    U, s, _ = _svd(M, False)
+    U, s = _svd_u(M, False)
     r = _numerical_rank(s, M.shape, tol.rank_rel, scale)
     return Subspace._adopt(n, U[:, :r])
 
@@ -380,7 +401,7 @@ def kernel_of(M, tol: ToleranceProfile = DEFAULT_TOL, scale: float = 0.0) -> Sub
     n = M.shape[1]
     if M.shape[0] == 0 or n == 0:
         return Subspace.full(n)
-    _, s, Vh = _svd(M, True)
+    s, Vh = _svd_vh(M, True)
     r = _numerical_rank(s, M.shape, tol.rank_rel, scale)
     return Subspace._adopt(n, Vh[r:].T)
 
@@ -543,20 +564,67 @@ def _staircase(A: np.ndarray, Q: np.ndarray, W: np.ndarray,
     against ||A||: orthonormalizing the image first would renormalize
     nearly dependent image directions and amplify roundoff into new dims.
     A step that adds nothing ends it, after at most n - 1 strict steps; an
-    empty Q or W takes none, and no norm of A either."""
+    empty Q or W takes none, and no norm of A either. A Q that no step
+    grows is returned itself; the blocks of a grown one are joined once."""
     if not (Q.shape[1] and W.shape[1]):
         return Q, W
     n = A.shape[0]
     scale = max(1.0, _norm2(A))
+    blocks = [Q]
     Z = Q
     while Z.shape[1] and W.shape[1]:
-        U, s, _ = _svd(W.T @ (A @ Z), True)
+        U, s = _svd_u(W.T @ (A @ Z), True)
         r = _numerical_rank(s, (n, n), tol.rank_rel, scale)
         if r == 0:
             break
         Z, W = W @ U[:, :r], W @ U[:, r:]
-        Q = np.concatenate((Q, Z), axis=1)
+        blocks.append(Z)
+    if len(blocks) > 1:
+        Q = np.concatenate(blocks, axis=1)
     return Q, W
+
+
+# dgehrd workspace sizes by order.
+_GEHRD_LWORK: dict = {}
+
+
+def _hessenberg_modes(A: np.ndarray, b: np.ndarray, tol: ToleranceProfile,
+                      scale: float) -> np.ndarray:
+    """The uncontrollable modes of the single-input pair (A, b), b one
+    column of n, off one LAPACK dgehrd of the bordered matrix [0 0; b A]:
+    the controller-Hessenberg form, with no basis.
+
+    Its Householder reflectors map b to h_10 e_1 and A to upper Hessenberg
+    form, so the subdiagonal h_10, h_21, ... is the sequence of step norms
+    of the single-input staircase (`_staircase`, Paige 1981): ||b||, then
+    the norm of each new direction's image off the directions before it.
+    A zero b reaches nothing, a nonzero one reaches its own direction (the
+    cut of its SVD, anchored on nothing, keeps any nonzero column), and
+    each later step is cut by the staircase's own rule, rank_rel * max(|h|,
+    scale) * n with scale = max(1, ||A||), which the caller passes. The
+    first t steps kept span the reachable subspace, and the modes are the
+    eigenvalues (`_eigvals`) of the trailing Hessenberg block past them;
+    dgehrd keeps its reflectors below the subdiagonal, which are cleared."""
+    n = A.shape[0]
+    H = np.zeros((n + 1, n + 1), order="F")
+    H[1:, 0] = b[:, 0]
+    H[1:, 1:] = A
+    lwork = _GEHRD_LWORK.get(n + 1)
+    if lwork is None:
+        lwork = _GEHRD_LWORK[n + 1] = int(dgehrd_lwork(n + 1)[0])
+    h, _, info = dgehrd(H, 0, n, lwork, 1)
+    if info != 0:
+        raise LinAlgError(f"Hessenberg form not found (dgehrd info {info})")
+    steps = np.diagonal(h, -1).tolist()
+    t = 1 if b.any() else 0
+    while 0 < t < n:
+        v = abs(steps[t])
+        if not v > tol.rank_rel * max(v, scale) * n:
+            break
+        t += 1
+    if t == n:
+        return np.zeros(0, complex)
+    return _eigvals(np.triu(h[t + 1:, t + 1:], -1))
 
 
 def invariant_hull(direction: str, A, S: Subspace,

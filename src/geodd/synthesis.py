@@ -31,7 +31,8 @@ from .errors import (
 from .geometry import (
     INPUT_CONTAINING,
     OUTPUT_NULLING,
-    _controllable_split,
+    _bd_norm,
+    _pair_fixed_modes,
     _stabilized,
     _twin_split,
     _TwinSplit,
@@ -258,8 +259,9 @@ def k_affine_family(sys: PlantSystem, S: Subspace, V: Subspace,
     # directions, the right singular vectors of the dropped ones. An Op
     # with an empty side gets the SVD kernel's empty or identity factors.
     U, s, Vh = _svd(Op, True)
+    # ||[B; D_z]|| is the control quadruple's ||[B; D]||, kept on it
     r = _numerical_rank(s, Op.shape, tol.rank_rel,
-                        _norm2(Btil) * max(_norm2(X), 1.0))
+                        _bd_norm(sys.control_quadruple()) * max(_norm2(X), 1.0))
     K0_vec = Vh[:r].T @ ((U[:, :r].T @ rhs) / s[:r])
     null = Vh[r:].T
     if _frobenius(Op @ K0_vec - rhs) > tol.residual * (1 + _frobenius(rhs)):
@@ -469,9 +471,11 @@ _PRECONDITION_NOTE = "(A,B) stabilizable and (C,A) detectable required"
 def _stabilizable_detectable(sys, tol) -> bool:
     """The p2 precondition, once per plant and tolerance profile: no
     uncontrollable mode of (A, B) and none of (A^T, C^T) outside the
-    region. It is the pair check of both stabilizing friends, so
-    `solve_certified` does not repeat it."""
-    return not any(sys.region.outside(_controllable_split(A, B, tol)[2])
+    region, read by `_pair_fixed_modes` (one Hessenberg reduction for a
+    single input) against one ||A|| for both pairs. It is the pair check
+    of both stabilizing friends, so `solve_certified` does not repeat it."""
+    norm_A = _norm2(sys.A) if 1 in (sys.m, sys.p) else None
+    return not any(sys.region.outside(_pair_fixed_modes(A, B, tol, norm_A))
                    for A, B in ((sys.A, sys.B), (sys.A.T, sys.C.T)))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import schur
-from scipy.linalg.lapack import dgees, dgesdd_lwork
+from scipy.linalg.lapack import dgees, dgehrd_lwork, dgesdd_lwork
 
 from geodd import InstanceSpec, exact, generate_instance, subspaces
 from geodd.errors import BoundarySpectrum, DimensionMismatch, InvalidInput
@@ -22,6 +22,7 @@ from geodd.subspaces import (
     _det,
     _eigvals,
     _gesdd,
+    _hessenberg_modes,
     _inv,
     _norm2,
     _numerical_rank,
@@ -29,6 +30,8 @@ from geodd.subspaces import (
     _region_part,
     _schur,
     _svd,
+    _svd_u,
+    _svd_vh,
     combine,
     complement,
     containment_residual,
@@ -66,14 +69,15 @@ def assert_orthonormal(S):
 
 
 @st.composite
-def planted_pairs(draw):
-    """Integer (A, M, k), n <= 12: in coordinates changed by a
-    permutation and a few integer shears, A is block upper triangular with
-    a leading k x k block whose coordinates hold im M. The hull of im M
-    then lies in that block, and the trailing block is uncontrollable."""
+def planted_pairs(draw, max_columns=3):
+    """Integer (A, M, k), n <= 12, M of 1 to max_columns columns: in
+    coordinates changed by a permutation and a few integer shears, A is
+    block upper triangular with a leading k x k block whose coordinates hold
+    im M. The hull of im M then lies in that block, and the trailing block
+    is uncontrollable."""
     n = draw(st.integers(1, 12))
     k = draw(st.integers(0, n))
-    s = draw(st.integers(1, 3))
+    s = draw(st.integers(1, max_columns))
     entries = st.integers(-3, 3)
     A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
     A[k:, :k] = 0
@@ -186,6 +190,18 @@ class TestSvdKernel:
             for got, want in ((U, U0), (s, s0), (Vh, Vh0)):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), lapack_builds()
+            assert U.flags.c_contiguous and Vh.flags.c_contiguous
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_single_factor_kernels_copy_only_their_factor(self, full):
+        # _svd_u and _svd_vh return _svd's bits, with their one factor
+        # C-ordered, from one dgesdd call each
+        for M in _kernel_inputs() + [np.zeros((0, 3)), np.zeros((4, 0))]:
+            U0, s0, Vh0 = _svd(M, full)
+            U, s = _svd_u(M, full)
+            s1, Vh = _svd_vh(M, full)
+            for got, want in ((U, U0), (s, s0), (s1, s0), (Vh, Vh0)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert U.flags.c_contiguous and Vh.flags.c_contiguous
 
     def test_singular_values_and_norm_equal_numpy(self):
@@ -869,6 +885,86 @@ class TestStaircaseSplit:
         # into the W left, and the last one into the uncontrollable block
         widths = list(range(plant.n - 1, lifted, -1)) + ([lifted] if lifted else [])
         assert [M.shape for M, *_ in calls[2:]] == [(k, 1) for k in widths]
+
+
+class TestHessenbergModes:
+    """`subspaces._hessenberg_modes`, the single-input pair's uncontrollable
+    modes off one dgehrd of [0 0; b A], against the exact hull and the
+    hull and complement route (`helpers.reference_controllable_split`)."""
+
+    @staticmethod
+    def assert_modes(A, b, exact_dim):
+        n = A.shape[0]
+        scale = max(1.0, np.linalg.norm(A, 2)) if n else 1.0
+        modes = _hessenberg_modes(A, b, DEFAULT_TOL, scale)
+        # as many modes as the exact hull of im b leaves outside it
+        assert len(modes) == n - exact_dim
+        _, R2, _ = reference_controllable_split(A, b)
+        M = R2.T @ A @ R2
+        assert M.shape == (len(modes),) * 2
+        for lam in modes:
+            assert _backward_error(M, lam) <= SPECTRUM_BACKWARD_ERROR * scale
+
+    @staticmethod
+    def exact_dim(A, b):
+        return exact.shape(exact.invariant_hull_smallest(
+            exact.from_array(A), exact.from_array(b)))[1]
+
+    def test_generated_single_column_pairs(self):
+        seen = planted = 0
+        for name, A, B, k in _generated_pairs():
+            if B.shape[1] != 1:
+                continue
+            seen += 1
+            planted += k > 0
+            try:
+                self.assert_modes(A, B, self.exact_dim(A, B))
+            except AssertionError as err:
+                raise AssertionError(name) from err
+        assert seen and planted
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(planted_pairs(max_columns=1))
+    def test_integer_planted_single_column_pairs(self, pair):
+        A, b, k = pair
+        exact_dim = self.exact_dim(A, b)
+        assert exact_dim <= k
+        self.assert_modes(A, b, exact_dim)
+
+    @pytest.mark.parametrize("A, b, want", [
+        ([[3.0]], [[1.0]], []),
+        ([[3.0]], [[0.0]], [3.0]),
+        ([[1.0, 2.0], [0.0, 3.0]], [[0.0], [1.0]], []),
+        ([[1.0, 2.0], [0.0, 3.0]], [[0.0], [0.0]], [1.0, 3.0]),
+        # b spans the invariant line e_1, so the mode at 3 is fixed
+        ([[1.0, 2.0], [0.0, 3.0]], [[5.0], [0.0]], [3.0]),
+        # b is an eigenvector (at 2) of a 3 x 3 A that it does not reach past
+        ([[2.0, 1.0, 0.0], [0.0, -1.0, 4.0], [0.0, 0.0, 0.5]],
+         [[-1.0], [0.0], [0.0]], [-1.0, 0.5]),
+        # a complex pair left unreached
+        ([[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+         [[1.0], [0.0], [0.0]], [-1j, 1j]),
+    ])
+    def test_small_orders_zero_and_invariant_b(self, A, b, want):
+        A, b = np.array(A), np.array(b)
+        modes = _hessenberg_modes(A, b, DEFAULT_TOL, max(1.0, np.linalg.norm(A, 2)))
+        assert np.allclose(np.sort_complex(modes), np.sort_complex(np.array(want, complex)),
+                           atol=1e-12)
+        self.assert_modes(A, b, self.exact_dim(A, b))
+
+    def test_empty_state(self):
+        modes = _hessenberg_modes(np.zeros((0, 0)), np.zeros((0, 1)), DEFAULT_TOL, 1.0)
+        assert modes.shape == (0,)
+
+    def test_cached_workspace_equals_a_fresh_query(self, monkeypatch):
+        # every bordered order 1-40, that of a state order 0-39
+        cache = {}
+        monkeypatch.setattr(subspaces, "_GEHRD_LWORK", cache)
+        for n in range(40):
+            _hessenberg_modes(np.ones((n, n)), np.ones((n, 1)), DEFAULT_TOL, float(n) or 1.0)
+        assert sorted(cache) == list(range(1, 41))
+        for order, lwork in cache.items():
+            assert lwork == int(dgehrd_lwork(order)[0]), order
 
 
 class TestLatticeIdentities:

@@ -19,6 +19,7 @@ from geodd.errors import (
     GeoddError,
     Infeasible,
     InvalidInput,
+    NotStabilizablePair,
     NotWellPosed,
     WellPosednessObstruction,
     WellPosednessViolated,
@@ -32,6 +33,7 @@ from geodd.geometry import (
     spectral_report,
     sstar,
     sstar_g,
+    stabilizing_friend,
     vstar,
     vstar_g,
 )
@@ -72,6 +74,7 @@ from helpers import (
     match_spectra,
     lifted_obstruction,
     reference_affine_k_family,
+    reference_controllable_split,
     reference_det_grid_scan,
     reference_kernel,
     reference_sampled_member,
@@ -837,7 +840,44 @@ class TestKSetEquivalence:
         assert checked >= 8
 
 
+def _single_io_plants():
+    """Random m = p = 1 plants (not solvable by construction) of orders
+    2-4 in both domains: the precondition fails on about one in eight."""
+    for domain in (CONTINUOUS, DISCRETE):
+        for n in (2, 3, 4):
+            for seed in range(40):
+                yield generate_instance(InstanceSpec(
+                    seed=seed, n=n, m=1, q=1, p=1, r=1, time_domain=domain,
+                    solvable_by_construction=False))
+
+
 class TestAnalyzeP2:
+    def test_one_precondition_two_readers(self):
+        # analyze_p2 fails its precondition exactly when the pair check of
+        # a stabilizing friend of the star pair fails on one side, and
+        # exactly when the hull and complement route's fixed spectrum of
+        # (A, B) or (A^T, C^T) leaves the region; single-input pairs are
+        # read off the Hessenberg kernel, the reference splits by staircase
+        verdicts = []
+        for plant in _single_io_plants():
+            failed = analyze_p2(plant).overall == "infeasible(precondition)"
+            sides = zip((OUTPUT_NULLING, INPUT_CONTAINING), analysis_pair(plant, "p1"),
+                        (plant.control_quadruple(), plant.observation_quadruple()))
+            refused = []
+            for kind, X, q in sides:
+                try:
+                    stabilizing_friend(X, kind, q, plant.region)
+                except NotStabilizablePair:
+                    refused.append(kind)
+                except (GeoddError, np.linalg.LinAlgError):
+                    pass  # the pair check passed; the friend failed later
+            fixed = [reference_controllable_split(A, B)[2]
+                     for A, B in ((plant.A, plant.B), (plant.A.T, plant.C.T))]
+            outside = any(plant.region.outside(f) for f in fixed)
+            assert failed == bool(refused) == outside, (plant.time_domain, plant.n)
+            verdicts.append(failed)
+        assert 10 < sum(verdicts) < len(verdicts) - 10
+
     def test_stable_trivially_decoupled_plant(self):
         sys = PlantSystem(A=-np.eye(2), B=[[1.0], [0.0]], H=np.zeros((2, 1)),
                           C=[[1.0, 0.0]], D_y=np.zeros((1, 1)), G_y=np.zeros((1, 1)),
@@ -1164,7 +1204,9 @@ class TestWorkPerSolve:
     def test_p2_solve_reuses_splits_and_friends(self, monkeypatch, domain):
         plant = generate_instance(InstanceSpec(seed=2, n=4, time_domain=domain))
         sides = count_calls(monkeypatch, "_twin_split", geometry, synthesis)
-        splits = count_calls(monkeypatch, "_controllable_split", geometry, synthesis)
+        # every split is called from `geometry`: the precondition's too,
+        # through `_pair_fixed_modes`
+        splits = count_calls(monkeypatch, "_controllable_split", geometry)
         systems = count_calls(monkeypatch, "_nulling_system", geometry, lattice)
         # the staircase of each split, and of any hull (verify's certificate)
         staircases = count_calls(monkeypatch, "_staircase", geometry, subspaces)
@@ -1183,6 +1225,25 @@ class TestWorkPerSolve:
         # no hull; conditions D/E take none of their own
         assert [args[0].shape for args in staircases] == [(4, 4)] * 4
 
+    def test_single_input_precondition_takes_no_staircase(self, monkeypatch):
+        # on an m = p = 1 plant the precondition reads the fixed modes of
+        # (A, b) and (A^T, c^T) off one Hessenberg reduction each, with one
+        # norm of A between them; only the splits of the two p2 sides, for
+        # conditions D/E, run a staircase
+        plant = generate_instance(InstanceSpec(seed=2, n=4, m=1, q=1, p=1, r=1))
+        staircases = count_calls(monkeypatch, "_staircase", geometry, subspaces)
+        reductions = count_calls(monkeypatch, "_hessenberg_modes", geometry)
+        splits = count_calls(monkeypatch, "_controllable_split", geometry)
+        norms = count_calls(monkeypatch, "_norm2", geometry, synthesis)
+        assert synthesis._stabilizable_detectable(replace(plant), DEFAULT_TOL)
+        assert staircases == splits == [] and len(norms) == 1
+        assert [(A.tobytes(), b.tobytes()) for A, b, *_ in reductions] == [
+            (M.tobytes(), b.tobytes()) for M, b in ((plant.A, plant.B), (plant.A.T, plant.C.T))]
+        # the whole analysis: one staircase per side's split, none more
+        reductions.clear()
+        analyze_p2(plant)
+        assert len(reductions) == 2 and len(staircases) == len(splits) == 2
+
     def test_p2_solve_svd_count(self, monkeypatch):
         # every SVD and norm of the package ends in _gesdd; the complements
         # of full subspaces take none, a split's staircase takes no
@@ -1191,11 +1252,17 @@ class TestWorkPerSolve:
         # on the whole state space splits no quotient, and the stabilizing
         # gains take none; a nulling system of a subspace over a plant's
         # quadruple shares that subspace's one factorization, and a star
-        # recursion that stops at its first step takes no norm of [A; C]
+        # recursion that stops at its first step takes no norm of [A; C];
+        # ||[B; D]|| is taken once per quadruple (70 when every nulling
+        # factorization and the K family took their own)
         plant = generate_instance(InstanceSpec(seed=0, n=6))
         calls = count_calls(monkeypatch, "_gesdd", subspaces)
         solve(plant, "p2")
-        assert len(calls) == 70
+        assert len(calls) == 68
+        bds = [np.concatenate((q.B, q.D)) for q in
+               (plant.control_quadruple(), plant.observation_quadruple().dual())]
+        assert [sum(flags == [0, 0] and np.array_equal(x, M) for x, *flags in calls)
+                for M in bds] == [1, 1]
 
     def test_p1_solve_shares_each_nulling_factorization(self, monkeypatch):
         # V* = X and S* = 0 on this plant. Coupling condition (a) and the
@@ -1219,10 +1286,11 @@ class TestWorkPerSolve:
                 for Mk in M] == [1, 1]
         # the whole solve, star pair included: 32 before the factorizations
         # were shared and the star recursions, which stop at their first
-        # step here, took ||[A; C]|| up front
+        # step here, took ||[A; C]|| up front, and 26 before ||[B; D]|| was
+        # taken once per quadruple
         calls.clear()
         solve(fresh, "p1")
-        assert len(calls) == 26
+        assert len(calls) == 25
 
     def test_star_recursions_take_one_norm_per_call(self, monkeypatch):
         plant = generate_instance(InstanceSpec(seed=2, n=4))
